@@ -450,7 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distortion", "-D", type=float, default=None)
     p.add_argument("--grid", default=None,
                    help="comma-separated distortion targets")
-    p.add_argument("--max-iter", type=int, default=300_000)
+    p.add_argument("--max-iter", type=int, default=300_000,
+                   help="iteration budget of the one solve behind each point")
     p.set_defaults(handler=_cmd_rd)
 
     p = sub.add_parser("oneshot", parents=[common],

@@ -163,6 +163,28 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
     return expected_distortion(problem, best_code)
 
 
+def _best_cover(problem: SourceProblem, n_messages: int,
+                d: float) -> tuple[tuple[int, ...], float]:
+    """The first subset of min(M, s) columns covering the most probability.
+
+    A symbol is covered by a column when its distortion is <= D.  Returns
+    (subset, covered mass).
+    """
+    if not math.isfinite(d):
+        raise ValidationError(f"excess criterion: d must be finite, got {d!r}")
+    px = problem.px.probs
+    covers = problem.distortion <= d  # r x s
+    s = problem.n_reconstruction
+    best_mass = -1.0
+    best_subset: tuple[int, ...] = ()
+    for subset in itertools.combinations(range(s), min(n_messages, s)):
+        mass = float(px[covers[:, subset].any(axis=1)].sum())
+        if mass > best_mass:
+            best_mass = mass
+            best_subset = subset
+    return best_subset, best_mass
+
+
 def solve_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
     """Exact minimum excess probability Pr[d(X, g(f(X))) > D] with <= M messages.
 
@@ -171,17 +193,8 @@ def solve_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
     """
     if n_messages < 1:
         raise ValidationError("solve_excess: need at least one message")
-    px = problem.px.probs
-    covers = problem.distortion <= d  # r x s
-    s = problem.n_reconstruction
-    k = min(n_messages, s)
-
-    best_mass = 0.0
-    for subset in itertools.combinations(range(s), k):
-        mass = float(px[covers[:, subset].any(axis=1)].sum())
-        if mass > best_mass:
-            best_mass = mass
-    return min(max(1.0 - best_mass, 0.0), 1.0)
+    _, mass = _best_cover(problem, n_messages, d)
+    return min(max(1.0 - mass, 0.0), 1.0)
 
 
 def excess_witness(problem: SourceProblem,
@@ -193,22 +206,11 @@ def excess_witness(problem: SourceProblem,
     """
     if n_messages < 1:
         raise ValidationError("excess_witness: need at least one message")
-    px = problem.px.probs
-    covers = problem.distortion <= d
-    s = problem.n_reconstruction
-    k = min(n_messages, s)
-
-    best_mass = -1.0
-    best_subset: tuple[int, ...] = ()
-    for subset in itertools.combinations(range(s), k):
-        mass = float(px[covers[:, subset].any(axis=1)].sum())
-        if mass > best_mass:
-            best_mass = mass
-            best_subset = subset
-    encoder = tuple(int(i) for i in problem.distortion[:, best_subset].argmin(axis=1))
-    decoder = tuple(best_subset) + (best_subset[-1],) * (n_messages - k)
+    subset, mass = _best_cover(problem, n_messages, d)
+    encoder = tuple(int(i) for i in problem.distortion[:, subset].argmin(axis=1))
+    decoder = subset + (subset[-1],) * (n_messages - len(subset))
     code = OneShotCode(n_messages=n_messages, encoder=encoder, decoder=decoder)
-    return code, min(max(1.0 - best_mass, 0.0), 1.0)
+    return code, min(max(1.0 - mass, 0.0), 1.0)
 
 
 def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
@@ -236,6 +238,8 @@ def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
 
 def floor_exp(d: float) -> int:
     """Largest integer k with ln k <= D (slack 1e-12), i.e. floor(exp(D))."""
+    if not math.isfinite(d):
+        raise ValidationError(f"floor_exp: d must be finite, got {d!r}")
     if d < 0.0:
         raise ValidationError(f"floor_exp: D must be >= 0, got {d!r}")
     k = max(int(math.floor(math.exp(min(d, 700.0)))), 1)

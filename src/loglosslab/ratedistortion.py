@@ -1,19 +1,18 @@
 """Informational rate-distortion solver for finite alphabets.
 
-The workhorse is fixed-slope alternating minimization (Blahut-Arimoto): for a
-slope parameter ``lam`` the Lagrangian
+The workhorse is alternating minimization (Blahut-Arimoto): for a slope
+parameter ``lam`` the Lagrangian
 
     F = I(X; Xhat) + lam * E[d(X, Xhat)]
 
 is minimized by alternating the forward-channel update (rows proportional to
 ``marginal * exp(-lam * d)``) with the pushforward of the output marginal.
-The objective never increases, so the loop stops once both the objective
-decrease and the marginal fixed-point gap fall below tolerance; the gap is
-what downstream identity checks inherit, so it is part of the stop rule.
-
-:func:`rd_at_distortion` bisects the slope until the achieved distortion hits
-a target, prunes reconstruction columns whose marginal falls below
-``PRUNE_EPS``, and re-solves on the reduced alphabet.  Rates are in nats.
+:func:`rd_at_distortion` runs it once at a target distortion, re-solving the
+slope for E[d] = D in every iteration (constrained Blahut-Arimoto).  Plain
+iteration crawls where a column enters or leaves the optimal support, so
+every ``_POLISH_EVERY`` iterations a Newton solve of the stationarity
+conditions tries to finish, accepted only when every column off its support
+passes Blahut's exclusion test t_j <= 1.  Rates are in nats.
 """
 
 from __future__ import annotations
@@ -60,14 +59,13 @@ __all__ = [
 PRUNE_EPS = 1e-9
 # Distortion columns that agree entrywise within this are considered identical.
 COLUMN_MATCH_TOL = 1e-12
-# Marginal entries below this are ignored by the fixed-point gap (they are
-# headed for pruning, one decade below PRUNE_EPS).
-_GAP_MASK_EPS = 1e-10
-# The fixed-point gap is relative above this mass and absolute (scaled by
-# it) below: an absolute drift of tol * floor moves rate and distortion by
-# far less than tol, while a strict ratio test on a near-zero column can
-# stall forever at a support-change slope.
-_GAP_MASS_FLOOR = 1e-2
+# Iterations between two attempts to finish a solve with a Newton polish.
+_POLISH_EVERY = 16
+# Newton steps one polish attempt, or one slope match, may take.
+_NEWTON_STEPS = 60
+# Stationarity residual at which a polish counts as converged, per unit of
+# lam * max d: the tilt exp(-lam d) carries that much relative rounding.
+_POLISH_RESIDUAL = 1e-13
 
 
 def hamming_distortion(r: int, s: int | None = None) -> np.ndarray:
@@ -151,23 +149,20 @@ class BaSolution:
     objective_trace: np.ndarray | None
 
 
+@dataclass(frozen=True, eq=False)
 class _RawBa:
-    """Internal fixed-slope solution on raw arrays (support rows only)."""
+    """A solved point on support rows; the marginal is zero off its support."""
 
-    __slots__ = ("q_in", "forward", "marginal", "distortion", "rate",
-                 "iterations", "objective_gap", "marginal_gap", "trace")
-
-    def __init__(self, q_in, forward, marginal, distortion, rate,
-                 iterations, objective_gap, marginal_gap, trace):
-        self.q_in = q_in
-        self.forward = forward
-        self.marginal = marginal
-        self.distortion = distortion
-        self.rate = rate
-        self.iterations = iterations
-        self.objective_gap = objective_gap
-        self.marginal_gap = marginal_gap
-        self.trace = trace
+    forward: np.ndarray
+    marginal: np.ndarray
+    distortion: float
+    rate: float
+    lam: float
+    iterations: int
+    objective_gap: float = 0.0
+    marginal_gap: float = 0.0
+    drops: int = 0
+    trace: np.ndarray | None = None
 
 
 def _rate_of(pxp: np.ndarray, fwd: np.ndarray, m: np.ndarray) -> float:
@@ -178,287 +173,207 @@ def _rate_of(pxp: np.ndarray, fwd: np.ndarray, m: np.ndarray) -> float:
     return max(float(pxp @ term.sum(axis=1)), 0.0)
 
 
-def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, tol: float,
-             max_iter: int, track: bool, q0: np.ndarray | None = None) -> _RawBa:
-    """Alternating minimization at fixed slope; pxp must be strictly positive."""
-    r, s = dist.shape
-    shift = dist.min(axis=1)
-    expd = np.exp(-lam * (dist - shift[:, None]))  # row max is exactly 1
-    shift_term = lam * float(pxp @ shift)
+def _match_slope(pxp: np.ndarray, dist_s: np.ndarray, q: np.ndarray,
+                 target: float, lam: float) -> tuple[float, np.ndarray]:
+    """The slope at which the tilt of q meets E[d] = target, and its tilt.
 
-    q = np.full(s, 1.0 / s) if q0 is None else q0
-    f_prev = math.inf
-    gap_cp = math.inf
-    revives = 0
-    tried_drops: set[tuple[int, ...]] = set()
-    trace: list[float] | None = [] if track else None
-    d_f = math.inf
-    gap = math.inf
-
-    it = 0
-    while it < max_iter:
-        it += 1
-        weighted = expd * q[None, :]
-        z = weighted.sum(axis=1)
-        fwd = weighted / z[:, None]
-        m = pxp @ fwd
-        f_val = -float(pxp @ np.log(z)) + shift_term
-        if trace is not None:
-            trace.append(f_val)
-
-        big = m > _GAP_MASK_EPS
-        drift = np.abs(m[big] - q[big]) / np.maximum(q[big], _GAP_MASS_FLOOR)
-        gap = float(drift.max()) if drift.size else 0.0
-        d_f = abs(f_prev - f_val)
-        if d_f < tol and gap < tol:
-            # The mass-floored gap under-polices columns below the floor: a
-            # live column parked at the wrong tiny mass regrows too slowly
-            # to trip it.  Gate the return on the exact exclusion score of
-            # every sub-floor column; violators get a direct stationarity
-            # solve on the widened support, else a re-seed, instead of
-            # returning a false optimum.
-            kt = pxp @ (expd / z[:, None])
-            crushed = (q < _GAP_MASS_FLOOR) & (kt > 1.0 + 10.0 * tol)
-            if np.any(crushed):
-                seed = q.copy()
-                seed[crushed] = np.maximum(seed[crushed], 10.0 * _GAP_MASK_EPS)
-                q_new = _kt_newton(pxp, expd, seed, tol)
-                if q_new is not None:
-                    q = q_new
-                    f_prev = math.inf
-                    gap_cp = math.inf
-                    continue
-                revives += 1
-                if revives > 8:
-                    raise ConvergenceError(
-                        "fixed-slope solve oscillates: a column keeps "
-                        f"re-entering the support (exclusion score "
-                        f"{float(kt[crushed].max()):.12g})",
-                        gap=float(kt[crushed].max() - 1.0),
-                    )
-                q = m.copy()
-                q[crushed] = np.maximum(q[crushed], 0.05)
-                q /= q.sum()
-                f_prev = math.inf
-                gap_cp = math.inf
-                tried_drops.clear()
-                continue
-            q_converged = q
-            q = m
-            return _RawBa(
-                q_in=q_converged, forward=fwd, marginal=m,
-                distortion=float(pxp @ (fwd * dist).sum(axis=1)),
-                rate=_rate_of(pxp, fwd, m),
-                iterations=it, objective_gap=d_f, marginal_gap=gap,
-                trace=np.array(trace) if trace is not None else None,
-            )
-
-        # Columns near the edge of the support stall the fixed-point gap:
-        # at a support-change slope the marginal decays like 1/iteration,
-        # just inside it the decay is geometric with rate 1 - O(mass), and
-        # just outside it a re-entering column grows the same way.  The
-        # stall signature is the gap improving by less than 30% since the
-        # previous checkpoint; healthy geometric convergence shrinks it far
-        # more per 4096 iterations, and an objective-flatness test would
-        # misfire on a slowly settling low-mass column whose gap is still
-        # contracting.  On a stall, first try removing the strictly
-        # decaying violators, accepting the reduced optimum only if each
-        # dropped column j satisfies the exact exclusion condition
-        # sum_x px exp(-lam d_xj) / z_x <= 1.  If the slow mode is instead
-        # a live column settling toward a tiny equilibrium mass (a slope
-        # just below that column's exit point), no support change helps and
-        # plain iteration contracts at 1 - O(mass); a Newton solve of the
-        # stationarity system on the current support lands on that fixed
-        # point directly, verified by the same exclusion certificate.
-        # Failing both, leap with an exact line search along the current
-        # displacement: the objective is convex along any line, so the 1-D
-        # minimum is a safe jump across the slow mode, and the unchanged
-        # stop criterion still decides convergence.  The leap declines
-        # itself once the attainable decrease sits inside float noise;
-        # plain iteration finishes the remaining sub-noise crawl instead
-        # of a noise-picked jump.
-        if it % 4096 == 0:
-            stalled = gap > 0.7 * gap_cp
-            gap_cp = gap
-            if not stalled:
-                f_prev = f_val
-                q = m
-                continue
-            col_drift = np.abs(m - q) / np.maximum(q, _GAP_MASS_FLOOR)
-            violating = big & (col_drift >= tol)
-            dying = violating & (m < q)
-            if np.any(violating):
-                key = tuple(int(j) for j in np.flatnonzero(dying))
-                if np.any(dying) and key not in tried_drops:
-                    tried_drops.add(key)
-                    keep = np.flatnonzero(~dying)
-                    q_warm = m[keep] / m[keep].sum()
-                    try:
-                        sub = _ba_core(pxp, dist[:, keep], lam, tol,
-                                       max_iter - it, track, q0=q_warm)
-                    except ConvergenceError:
-                        sub = None
-                    if sub is not None:
-                        q_full = np.zeros(s)
-                        q_full[keep] = sub.marginal
-                        z_full = (expd * q_full[None, :]).sum(axis=1)
-                        t_drop = pxp @ (expd[:, dying] / z_full[:, None])
-                        if np.all(t_drop <= 1.0 + 10.0 * tol):
-                            return _expand_raw(sub, keep, s, it, trace)
-
-                q_new = _kt_newton(pxp, expd, q, tol)
-                if q_new is not None:
-                    q = q_new
-                    it += 1
-                    f_prev = math.inf
-                    continue
-
-                qa = m
-                wb = expd * qa[None, :]
-                qb = pxp @ (wb / wb.sum(axis=1)[:, None])
-                q_leap = _leap(pxp, expd, qa, qb - qa)
-                if q_leap is not None:
-                    q = q_leap
-                    it += 1
-                    f_prev = math.inf
-                    continue
-
-        f_prev = f_val
-        q = m
-
-    raise ConvergenceError(
-        f"fixed-slope solve did not converge in {max_iter} iterations "
-        f"(objective gap {d_f:.3e}, marginal gap {gap:.3e})",
-        gap=max(d_f, gap),
-    )
-
-
-def _expand_raw(sub: _RawBa, keep: np.ndarray, s: int, parent_iters: int,
-                parent_trace: list[float] | None) -> _RawBa:
-    """Re-embed a reduced-column solution into the full column set."""
-    q_in = np.zeros(s)
-    q_in[keep] = sub.q_in
-    fwd = np.zeros((sub.forward.shape[0], s))
-    fwd[:, keep] = sub.forward
-    marginal = np.zeros(s)
-    marginal[keep] = sub.marginal
-    trace = None
-    if parent_trace is not None:
-        trace = np.concatenate([np.asarray(parent_trace), sub.trace])
-    return _RawBa(
-        q_in=q_in, forward=fwd, marginal=marginal,
-        distortion=sub.distortion, rate=sub.rate,
-        iterations=parent_iters + sub.iterations,
-        objective_gap=sub.objective_gap, marginal_gap=sub.marginal_gap,
-        trace=trace,
-    )
-
-
-def _leap(pxp: np.ndarray, expd: np.ndarray, q0: np.ndarray,
-          d: np.ndarray) -> np.ndarray | None:
-    """Minimize the fixed-slope objective along ``q0 + theta d``, theta >= 1.
-
-    The per-symbol partition sums are linear in q, so the objective is
-    convex along the ray and a bracketed golden-section search finds its
-    1-D minimum; theta is capped just short of the first coordinate hitting
-    zero so live columns can never be zeroed outright.  Returns None when
-    the best point beats the natural step by less than float noise: a leap
-    chosen by noise would kick a nearly converged iterate off the fixed
-    point instead of helping it.
+    dE/dlam = -sum_x px Var_x(d), so Newton steps from the previous slope
+    land in one or two steps; a step leaving the bracket known so far is
+    replaced by bisection, or by doubling while the bracket is unbounded.
+    ``dist_s`` and ``target`` are shifted by the row minima.
     """
-    if not np.any(d != 0.0):
-        return None
-    dn = d < 0.0
-    cap = float((q0[dn] / -d[dn]).min()) * (1.0 - 1e-9) if np.any(dn) else 1e12
-    cap = max(cap, 1.0)
-    z0 = expd @ q0
-    dz = expd @ d
-
-    def f(theta: float) -> float:
-        return -float(pxp @ np.log(z0 + theta * dz))
-
-    grid = [1.0]
-    while grid[-1] * 2.0 < cap:
-        grid.append(grid[-1] * 2.0)
-    grid.append(cap)
-    values = [f(th) for th in grid]
-    best = int(np.argmin(values))
-    f_nat = values[0]
-    a = grid[best - 1] if best > 0 else grid[0]
-    b = grid[best + 1] if best + 1 < len(grid) else grid[-1]
-    phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(72):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = f(c1)
+    lo, hi = 0.0, math.inf
+    step = max(lam, 0.0)
+    for _ in range(_NEWTON_STEPS):
+        lam = step
+        expd = np.exp(-lam * dist_s)
+        w = expd * q[None, :]
+        with np.errstate(invalid="ignore"):
+            # A row that underflows gives NaN, read as a slope too large.
+            w /= w.sum(axis=1)[:, None]
+        mean = (w * dist_s).sum(axis=1)
+        excess = float(pxp @ mean) - target
+        if excess > 0.0:
+            lo = lam
         else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = f(c2)
-    if f_nat - min(values[best], f1, f2) < 1e-13 * max(1.0, abs(f_nat)):
-        return None
-    q = np.maximum(q0 + 0.5 * (a + b) * d, 0.0)
-    return q / q.sum()
-
-
-def _kt_newton(pxp: np.ndarray, expd: np.ndarray, q_seed: np.ndarray,
-               tol: float) -> np.ndarray | None:
-    """Solve the stationarity system t_j(q) = 1 on a fixed support.
-
-    t_j = sum_x px exp(-lam d_xj) / z_x is each column's exclusion score;
-    at an optimum it is 1 on the support and <= 1 off it.  The Jacobian of
-    t is minus the Gram matrix of the score vectors, so a damped Newton
-    step is a plain positive-definite solve, and sum_j q_j t_j = 1 holds
-    for any q, which renormalizes the solution automatically.  Returns the
-    polished q only when the residual closes and every off-support column
-    passes the exclusion certificate; any failure returns None and the
-    caller falls back to plain iteration.
-    """
-    sup = np.flatnonzero(q_seed > _GAP_MASK_EPS)
-    if sup.size == 0:
-        return None
-    qs = q_seed[sup].copy()
-    e_sup = expd[:, sup]
-    rmax = math.inf
-    for _ in range(60):
-        z = e_sup @ qs
-        if not np.all(z > 0.0):
-            return None
-        scores = e_sup / z[:, None]
-        res = pxp @ scores - 1.0
-        rmax = float(np.max(np.abs(res)))
-        if not math.isfinite(rmax) or rmax > 0.5:
-            return None
-        if rmax < 1e-13:
+            hi = lam
+        if abs(excess) <= 1e-13 * target or hi - lo <= 1e-15 * lo:
             break
-        gram = (scores * pxp[:, None]).T @ scores
-        try:
-            delta = np.linalg.solve(gram, res)
-        except np.linalg.LinAlgError:
+        dev = dist_s - mean[:, None]
+        var = float(pxp @ (w * dev * dev).sum(axis=1))
+        step = lam + excess / var if var > 0.0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam + 1.0
+    return lam, expd
+
+
+def _polish(pxp: np.ndarray, dist_s: np.ndarray, q_seed: np.ndarray, lam: float,
+            target: float | None, tol: float) -> tuple[np.ndarray, float, int] | None:
+    """Newton solve of the stationarity conditions, seeded by an iterate.
+
+    On a support S: t_j = 1 for j in S, t_j = sum_x px exp(-lam d_xj) / z_x
+    being the exclusion score, and E[d] = target when the slope is unknown.
+    These make the convex merit sum_j q_j - sum_x px ln z_x - lam target,
+    maximized over the slope, stationary; its q-Hessian is the Gram matrix
+    of the scores.  Steps are halved until the merit does not rise, which
+    keeps a far seed on course.  S starts as {q_seed >= PRUNE_EPS}; a column
+    a step drives to zero leaves, one settling below PRUNE_EPS is pruned
+    unless the rest cannot meet the target, and any other column scoring
+    above 1 + 10 tol re-enters.  Returns (q, lam, support reductions) once
+    the residual closes and no column off S fails that test, else None.
+    """
+    q = np.where(q_seed >= PRUNE_EPS, q_seed, 0.0)
+    d_top = max(float(dist_s.max()), 1.0)
+    pruned = np.zeros(q.size, dtype=bool)
+    drops = 0
+    closed = False
+
+    def merit(q, lam):
+        # Merit (+inf if the support cannot meet the target) with the slope
+        # re-matched, and the support, slope, tilt and row sums behind it.
+        sup = np.flatnonzero(q > 0.0)
+        ds = dist_s[:, sup]
+        if target is None:
+            e = np.exp(-lam * ds)
+        elif float(pxp @ ds.min(axis=1)) >= target:
+            return math.inf, sup, lam, None, None
+        else:
+            lam, e = _match_slope(pxp, ds, q[sup], target, lam)
+        z = e @ q[sup]
+        with np.errstate(divide="ignore"):
+            value = float(q.sum() - pxp @ np.log(z))
+        return value - (0.0 if target is None else lam * target), sup, lam, e, z
+
+    value, sup, lam, e, z = merit(q, lam)
+    if not math.isfinite(value):  # the target needs a column below PRUNE_EPS
+        q = q_seed.copy()
+        value, sup, lam, e, z = merit(q, lam)
+        if not math.isfinite(value):
             return None
-        step = 1.0
-        for _h in range(50):
-            q_try = qs + step * delta
-            if q_try.min() > -1e-12:  # grazing zero is a valid face point
+    for _ in range(_NEWTON_STEPS):
+        scores = e / z[:, None]
+        res = pxp @ scores - 1.0
+        jac = (scores * pxp[:, None]).T @ scores
+        err = float(np.abs(res).max())
+        if target is not None:
+            ds = dist_s[:, sup]
+            w = scores * q[sup][None, :]
+            mean = (w * ds).sum(axis=1)
+            dev = ds - mean[:, None]
+            a = pxp @ (scores * dev)
+            var = float(pxp @ (w * dev * dev).sum(axis=1))
+            excess = float(pxp @ mean) - target
+            jac = np.block([[jac, a[:, None]], [a[None, :], np.array([[-var]])]])
+            res = np.append(res, -excess)
+            err = max(err, abs(excess) / d_top)
+        if err < _POLISH_RESIDUAL * max(1.0, lam * d_top):
+            small = sup[q[sup] < PRUNE_EPS]
+            if small.size:
+                q_cut = q.copy()
+                q_cut[small] = 0.0
+                cut = merit(q_cut, lam)
+                if math.isfinite(cut[0]):  # the rest still meets the target
+                    q = q_cut
+                    value, sup, lam, e, z = cut
+                    pruned[small] = True
+                    drops += 1
+                    closed = False
+                    continue
+            if closed:
+                expd = np.exp(-lam * dist_s)
+                t = np.where(pruned | (q > 0.0), 0.0, pxp @ (expd / z[:, None]))
+                j = int(np.argmax(t))
+                if t[j] <= 1.0 + 10.0 * tol:
+                    return q, lam, drops
+                q[j] = PRUNE_EPS
+                value, sup, lam, e, z = merit(q, lam)
+                closed = False
+                continue
+            closed = True  # one more step takes the residual to float noise
+        # Near a face of optima the system is (nearly) singular: least squares
+        # solves what it can, and the rest lies along the face, where the
+        # merit is linear, so walk that way to the edge of the support.
+        delta = np.linalg.lstsq(jac, res, rcond=None)[0]
+        rest = res - jac @ delta
+        if np.abs(rest).max() > 0.5 * err:
+            delta += rest * (q[sup].max() / np.abs(rest).max())
+        dq = delta[:sup.size]
+        with np.errstate(divide="ignore", over="ignore"):
+            reach = np.where(dq < 0.0, -q[sup] / dq, math.inf)
+        step = min(1.0, float(reach.min()))
+        for _halving in range(50):
+            q_try = q.copy()
+            q_try[sup] = np.where(reach <= step, 0.0, q[sup] + step * dq)
+            lam_try = lam if target is None else lam + step * float(delta[-1])
+            trial = merit(q_try, lam_try)
+            if trial[0] <= value + 1e-14 * max(1.0, abs(value)):
                 break
             step *= 0.5
         else:
+            if closed:  # no step beats float noise: certify the point as it is
+                continue
             return None
-        qs = np.maximum(q_try, 0.0)
-    if rmax >= 1e-13:
-        return None
-    q = np.zeros(q_seed.shape[0])
-    q[sup] = qs
-    z = expd @ q
-    if not np.all(z > 0.0):
-        return None
-    if np.any(pxp @ (expd / z[:, None]) > 1.0 + 10.0 * tol):
-        return None
-    return q
+        if trial[1].size < sup.size:
+            drops += 1
+        q = q_try
+        value, sup, lam, e, z = trial
+    return None
+
+
+def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None,
+             tol: float, max_iter: int, track: bool) -> _RawBa:
+    """Alternating minimization from the uniform marginal; pxp must be > 0.
+
+    With ``target`` None the slope stays at ``lam``; otherwise every
+    iteration re-solves it for E[d] = target, starting from ``lam``.
+    """
+    shift = dist.min(axis=1)
+    dist_s = dist - shift[:, None]  # row minimum exactly 0: the tilt never overflows
+    d_shift = float(pxp @ shift)
+    target_s = None if target is None else target - d_shift
+    expd = np.exp(-lam * dist_s)
+    q = np.full(dist.shape[1], 1.0 / dist.shape[1])
+    trace: list[float] | None = [] if track else None
+    f_prev = d_f = gap = math.inf
+    for it in range(1, max_iter + 1):
+        if target_s is not None:
+            lam, expd = _match_slope(pxp, dist_s, q, target_s, lam)
+        weighted = expd * q[None, :]
+        z = weighted.sum(axis=1)
+        m = pxp @ (weighted / z[:, None])
+        f_val = lam * d_shift - float(pxp @ np.log(z))
+        if not math.isfinite(f_val):
+            raise ConvergenceError(f"solve broke down at slope {lam!r}: a forward row vanished")
+        if trace is not None:
+            trace.append(f_val)
+        if it % _POLISH_EVERY == 0:
+            polished = _polish(pxp, dist_s, m, lam, target_s, tol)
+            if polished is not None:
+                q, lam, drops = polished
+                expd = np.exp(-lam * dist_s)
+                weighted = expd * q[None, :]
+                z = weighted.sum(axis=1)
+                fwd = weighted / z[:, None]
+                m = pxp @ fwd
+                # Gaps of the returned point under one more update.
+                z_next = expd @ m
+                return _RawBa(
+                    forward=fwd, marginal=m,
+                    distortion=float(pxp @ (fwd * dist).sum(axis=1)),
+                    rate=_rate_of(pxp, fwd, m), lam=lam, iterations=it,
+                    objective_gap=abs(float(pxp @ (np.log(z_next) - np.log(z)))),
+                    marginal_gap=float(np.abs(m - q).max()), drops=drops,
+                    trace=np.array(trace) if trace is not None else None,
+                )
+        d_f = abs(f_prev - f_val)
+        gap = float(np.abs(m - q).max())
+        f_prev = f_val
+        q = m
+    raise ConvergenceError(
+        f"solve did not converge in {max_iter} iterations "
+        f"(objective gap {d_f:.3e}, marginal gap {gap:.3e})",
+        gap=max(d_f, gap),
+    )
 
 
 def ba_fixed_slope(problem: SourceProblem, lam: float, tol: float = 1e-10,
@@ -468,10 +383,10 @@ def ba_fixed_slope(problem: SourceProblem, lam: float, tol: float = 1e-10,
     Args:
         problem: source pmf and distortion matrix.
         lam: nonnegative slope weight on expected distortion.
-        tol: both the objective decrease and the output-marginal fixed-point
-            gap must fall below this to stop.
+        tol: the polish that ends the solve is accepted only when every
+            column off its support has exclusion score t_j <= 1 + 10 tol.
         max_iter: iteration budget; exceeding it raises ConvergenceError
-            carrying the last gap.
+            carrying the last objective or marginal gap.
         track_objective: record the objective after every update so callers
             can inspect monotonicity.
 
@@ -481,156 +396,48 @@ def ba_fixed_slope(problem: SourceProblem, lam: float, tol: float = 1e-10,
     """
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise ValidationError(f"ba_fixed_slope: lam must be finite and >= 0, got {lam!r}")
-    if tol <= 0.0:
-        raise ValidationError("ba_fixed_slope: tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValidationError(f"ba_fixed_slope: tol must be finite and positive, got {tol!r}")
     px = problem.px.probs
     support = np.flatnonzero(px > 0.0)
-    raw = _ba_core(px[support], problem.distortion[support], lam, tol, max_iter,
+    raw = _ba_core(px[support], problem.distortion[support], lam, None, tol, max_iter,
                    track_objective)
-    fwd = _full_forward(problem.distortion, support, raw, lam)
     return BaSolution(
         distortion=raw.distortion, rate=raw.rate,
-        output_marginal=Pmf(raw.marginal), forward=Channel(fwd),
+        output_marginal=Pmf(raw.marginal),
+        forward=Channel(_full_forward(problem.distortion, support, raw)),
         iterations=raw.iterations, objective_gap=raw.objective_gap,
         marginal_gap=raw.marginal_gap, objective_trace=raw.trace,
     )
 
 
-def _full_forward(dist: np.ndarray, support: np.ndarray, raw: _RawBa,
-                  lam: float) -> np.ndarray:
+def _full_forward(dist: np.ndarray, support: np.ndarray, raw: _RawBa) -> np.ndarray:
     """Expand forward rows back to the full source alphabet.
 
     Zero-mass symbols carry no probability but still get a well-defined row:
     the same exponential tilt of the converged marginal, computed in log
     space so large slopes cannot underflow a whole row.
     """
-    r = dist.shape[0]
-    fwd = np.empty((r, raw.forward.shape[1]))
+    fwd = np.empty((dist.shape[0], raw.forward.shape[1]))
     fwd[support] = raw.forward
-    dead = np.setdiff1d(np.arange(r), support)
-    if dead.size:
-        with np.errstate(divide="ignore"):
-            logq = np.log(raw.q_in)  # dropped columns sit at exactly zero
-        for x in dead:
-            logits = logq - lam * dist[x]
-            logits -= logits.max()
-            row = np.exp(logits)
-            fwd[x] = row / row.sum()
+    dead = np.setdiff1d(np.arange(dist.shape[0]), support)
+    with np.errstate(divide="ignore"):  # columns off the support sit at exactly zero
+        logits = np.log(raw.marginal)[None, :] - raw.lam * dist[dead]
+    rows = np.exp(logits - logits.max(axis=1, keepdims=True))
+    fwd[dead] = rows / rows.sum(axis=1, keepdims=True)
     return fwd
-
-
-def _mix_on_face(pxp: np.ndarray, dist: np.ndarray, lam: float, raw_lo: _RawBa,
-                 raw_hi: _RawBa, target: float, tol_d: float) -> _RawBa | None:
-    """Mix the two one-sided optima across an affine stretch of the curve.
-
-    At a slope where the optimal output support changes, achieved distortion
-    can jump while the Lagrangian value stays flat: the minimizer set is a
-    face on which every per-symbol partition sum is constant, so distortion
-    is linear in the mixing weight and any mixture is itself an exact
-    optimum.  Returns None when the two solutions do not actually span such
-    a face (then the collapse was a genuine failure).
-    """
-    d_lo, d_hi = raw_lo.distortion, raw_hi.distortion
-    span = d_lo - d_hi
-    if span <= tol_d or not (d_hi - tol_d < target < d_lo + tol_d):
-        return None
-    shift = dist.min(axis=1)
-    expd = np.exp(-lam * (dist - shift[:, None]))
-    theta = (target - d_hi) / span
-    for _ in range(8):
-        q = theta * raw_lo.marginal + (1.0 - theta) * raw_hi.marginal
-        w = expd * q[None, :]
-        z = w.sum(axis=1)
-        fwd = w / z[:, None]
-        m = pxp @ fwd
-        d_mix = float(pxp @ (fwd * dist).sum(axis=1))
-        if abs(d_mix - target) <= 0.5 * tol_d:
-            break
-        theta = min(max(theta + (target - d_mix) / span, 0.0), 1.0)
-    else:
-        return None
-    big = m > _GAP_MASK_EPS
-    drift = np.abs(m[big] - q[big]) / np.maximum(q[big], _GAP_MASS_FLOOR)
-    gap = float(drift.max()) if drift.size else 0.0
-    if gap > 1e-8:
-        return None
-    return _RawBa(
-        q_in=q, forward=fwd, marginal=m, distortion=d_mix,
-        rate=_rate_of(pxp, fwd, m),
-        iterations=raw_lo.iterations + raw_hi.iterations,
-        objective_gap=max(raw_lo.objective_gap, raw_hi.objective_gap),
-        marginal_gap=gap, trace=None,
-    )
-
-
-def _bisect_slope(pxp: np.ndarray, dist: np.ndarray, target: float, tol_d: float,
-                  tol_ba: float, max_iter: int) -> tuple[float, _RawBa, int, int]:
-    """Find lam with achieved distortion within tol_d of target.
-
-    Achieved distortion is non-increasing in lam; the bracket upper end is
-    doubled until it undershoots, then halved.  Returns (lam, solution,
-    total BA iterations, BA call count).
-    """
-    calls = 0
-    iters = 0
-
-    def solve(lam: float) -> _RawBa:
-        nonlocal calls, iters
-        raw = _ba_core(pxp, dist, lam, tol_ba, max_iter, track=False)
-        calls += 1
-        iters += raw.iterations
-        return raw
-
-    lo = 0.0
-    raw_lo = solve(lo)
-    if abs(raw_lo.distortion - target) <= tol_d:
-        return lo, raw_lo, iters, calls
-
-    hi = 1.0
-    raw_hi = None
-    for _ in range(70):
-        raw_hi = solve(hi)
-        if abs(raw_hi.distortion - target) <= tol_d:
-            return hi, raw_hi, iters, calls
-        if raw_hi.distortion < target:
-            break
-        lo, raw_lo = hi, raw_hi
-        hi *= 2.0
-    else:
-        raise ConvergenceError(
-            f"slope bracket expansion failed at lam={hi:g} "
-            f"(achieved {raw_hi.distortion:.12g}, target {target:.12g})",
-            gap=raw_hi.distortion - target,
-        )
-
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        raw = solve(mid)
-        if abs(raw.distortion - target) <= tol_d:
-            return mid, raw, iters, calls
-        if raw.distortion > target:
-            lo, raw_lo = mid, raw
-        else:
-            hi, raw_hi = mid, raw
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            # Achieved distortion jumps across a vanishing bracket: the
-            # minimizer at this slope is not unique and the curve has an
-            # affine stretch.  The two one-sided solutions span the face.
-            mixed = _mix_on_face(pxp, dist, mid, raw_lo, raw_hi, target, tol_d)
-            if mixed is not None:
-                return mid, mixed, iters, calls
-            raise ConvergenceError(
-                f"slope bracket collapsed at lam={mid:.12g} with achieved "
-                f"{raw.distortion:.12g} vs target {target:.12g}; the curve "
-                "appears non-strictly convex here",
-                gap=raw.distortion - target,
-            )
-    raise ConvergenceError("slope bisection budget exhausted", gap=raw.distortion - target)
 
 
 @dataclass(frozen=True)
 class RdDiagnostics:
-    """Solver effort and residuals for one rate-distortion point."""
+    """Solver effort and residuals for one rate-distortion point.
+
+    ``ba_iterations`` counts the iterations of the solve and ``ba_calls``
+    the solver runs behind the point: 1, or 0 at the zero-rate knee, which
+    is exact without one.  ``prune_rounds`` counts the support reductions
+    the final polish made.  The two gaps are those of the returned marginal
+    under one more update; ``achieved_distortion`` is E[d] at the point.
+    """
 
     ba_iterations: int
     ba_calls: int
@@ -647,7 +454,7 @@ class RdPoint:
     ``forward``, ``output_marginal``, ``reverse``, and ``tilted`` live on the
     kept reconstruction columns (original indices in ``kept_columns``).  The
     tilted information is evaluated at the achieved distortion, which matches
-    the target within the bisection tolerance; this keeps E[tilted] equal to
+    the target within the solver tolerance; this keeps E[tilted] equal to
     the rate at full solver precision.
     """
 
@@ -675,25 +482,33 @@ def _tilted_vector(dist_kept: np.ndarray, m: np.ndarray, lam: float,
 
 def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
                      max_iter: int = 300_000) -> RdPoint:
-    """Solve R(D) at a target distortion by bisecting the slope.
+    """Solve R(D) at a target distortion in one constrained solve.
+
+    At the zero-rate knee D_max the answer is exact without a solve: slope
+    0, rate 0, the marginal uniform on the columns of least expected
+    distortion.  No finite slope reaches D_min, so a target there is solved
+    tol / 2 inside it.
 
     Args:
         problem: source pmf and distortion matrix.
         d: target expected distortion, within [D_min, D_max].
-        tol: bisection stops once |achieved - d| <= tol.  The inner
-            fixed-slope tolerance is min(1e-10, tol / 100).
-        max_iter: per fixed-slope-call iteration budget.
+        tol: the achieved distortion lies within tol of d.  The exclusion
+            certificate uses min(1e-10, tol / 100).
+        max_iter: iteration budget of the one solve.
 
     Returns:
         RdPoint with rate, slope, forward and reverse channels on kept
         columns, the tilted-information vector, and diagnostics.
 
     Raises:
+        ValidationError: d or tol is not finite, or tol is not positive.
         InfeasibleError: d outside [D_min, D_max] (1e-12 slack).
-        ConvergenceError: the inner solve or the bisection failed.
+        ConvergenceError: the solve did not converge within max_iter.
     """
-    if tol <= 0.0:
-        raise ValidationError("rd_at_distortion: tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValidationError(f"rd_at_distortion: tol must be finite and positive, got {tol!r}")
+    if not math.isfinite(d):
+        raise ValidationError(f"rd_at_distortion: d must be finite, got {d!r}")
     d_min, d_max = distortion_bounds(problem)
     if d < d_min - 1e-12 or d > d_max + 1e-12:
         raise InfeasibleError(
@@ -701,51 +516,41 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
             f"[{d_min!r}, {d_max!r}]"
         )
     target = min(max(d, d_min), d_max)
-    tol_ba = min(1e-10, tol / 100.0)
 
     px = problem.px.probs
     support = np.flatnonzero(px > 0.0)
-    pxp = px[support]
-    cols = np.arange(problem.n_reconstruction)
-
-    total_iters = 0
-    total_calls = 0
-    prune_rounds = 0
-    for _ in range(8):
-        sub = problem.distortion[np.ix_(support, cols)]
-        lam, raw, iters, calls = _bisect_slope(pxp, sub, target, tol, tol_ba, max_iter)
-        total_iters += iters
-        total_calls += calls
-        keep_local = raw.marginal >= PRUNE_EPS
-        if np.all(keep_local):
-            break
-        cols = cols[keep_local]
-        prune_rounds += 1
+    if target >= d_max - tol:
+        knee = px @ problem.distortion == d_max
+        q = knee / knee.sum()
+        raw = _RawBa(forward=np.tile(q, (support.size, 1)), marginal=q,
+                     distortion=d_max, rate=0.0, lam=0.0, iterations=0)
     else:
-        raise ConvergenceError("column pruning did not stabilize after 8 rounds")
+        raw = _ba_core(px[support], problem.distortion[support], 1.0,
+                       max(target, d_min + 0.5 * tol), min(1e-10, tol / 100.0),
+                       max_iter, track=False)
 
-    dist_kept = problem.distortion[:, cols]
-    fwd = _full_forward(dist_kept, support, raw, lam)
-    m = raw.marginal
+    cols = np.flatnonzero(raw.marginal > 0.0)
+    fwd = _full_forward(problem.distortion, support, raw)[:, cols]
+    m = raw.marginal[cols]
     reverse = Channel((px[None, :] * fwd.T) / m[:, None])
-    tilted = _tilted_vector(dist_kept, m, lam, raw.distortion)
+    tilted = _tilted_vector(problem.distortion[:, cols], m, raw.lam, raw.distortion)
 
     return RdPoint(
         target_distortion=d,
         rate=raw.rate,
-        lambda_star=lam,
+        lambda_star=raw.lam,
         forward=Channel(fwd),
         output_marginal=Pmf(m),
         reverse=reverse,
         tilted=tilted,
         kept_columns=tuple(int(c) for c in cols),
         diagnostics=RdDiagnostics(
-            ba_iterations=total_iters,
-            ba_calls=total_calls,
+            ba_iterations=raw.iterations,
+            ba_calls=int(raw.iterations > 0),
             objective_gap=raw.objective_gap,
             marginal_gap=raw.marginal_gap,
             achieved_distortion=raw.distortion,
-            prune_rounds=prune_rounds,
+            prune_rounds=raw.drops,
         ),
     )
 

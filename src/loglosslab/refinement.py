@@ -176,12 +176,16 @@ def construct_sr(problem: SourceProblem, d1: float, d2: float,
         problem: source pmf and fine-stage distortion matrix.
         d1: coarse log-loss target, feasible in [H(X | Xhat*), H(X)].
         d2: fine-stage distortion target on the problem's own measure.
-        tol: bisection tolerance for the fine-stage curve solve.
+        tol: distortion tolerance of the fine-stage curve solve.
 
     Raises:
+        ValidationError: d1 or d2 is not finite.
         InfeasibleError: d1 outside the feasible interval (stated in the
             message).
     """
+    for name, value in (("d1", d1), ("d2", d2)):
+        if not math.isfinite(value):
+            raise ValidationError(f"construct_sr: {name} must be finite, got {value!r}")
     point = rd_at_distortion(problem, d2, tol=tol)
     h, h2 = _stage_entropies(problem, point)
     delta = _erasure_weight(d1, h, h2)
@@ -201,6 +205,10 @@ def construct_sr_chain(problem: SourceProblem, ds, d_final: float,
     ds = [float(d) for d in ds]
     if not ds:
         raise ValidationError("construct_sr_chain: need at least one coarse target")
+    if not all(math.isfinite(d) for d in ds):
+        raise ValidationError(f"construct_sr_chain: ds must be finite, got {ds}")
+    if not math.isfinite(d_final):
+        raise ValidationError(f"construct_sr_chain: d_final must be finite, got {d_final!r}")
     for a, b in zip(ds, ds[1:]):
         if b > a + 1e-12:
             raise ValidationError(f"construct_sr_chain: targets must be non-increasing, got {ds}")
@@ -379,6 +387,8 @@ def timeshare_simulate(px: Pmf, d: float, n: int, seed: int) -> TimeshareReport:
     """
     if n < 1:
         raise ValidationError("timeshare_simulate: n must be >= 1")
+    if not math.isfinite(d):
+        raise ValidationError(f"timeshare_simulate: d must be finite, got {d!r}")
     h = entropy(px)
     if d < -1e-12 or d > h + 1e-12:
         raise InfeasibleError(f"timeshare distortion {d!r} outside [0, H(X) = {h!r}]")

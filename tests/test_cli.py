@@ -212,6 +212,34 @@ class TestRdCommand:
         assert "report" in err
 
 
+class TestNonFiniteInputs:
+    # A non-finite number is bad input: exit 2, naming the field it came in.
+    @pytest.mark.parametrize("argv,field", [
+        pytest.param(["rd", BINARY, "--distortion", "0.1", "--tol", "nan"], "tol",
+                     id="rd-tol"),
+        pytest.param(["rd", BINARY, "--distortion", "nan"], "d", id="rd-distortion"),
+        pytest.param(["rd", BINARY, "--distortion", "inf"], "d", id="rd-distortion-inf"),
+        pytest.param(["sr", BINARY, "--d1", "0.5", "--d2", "nan"], "d2", id="sr-d2"),
+        pytest.param(["sr", BINARY, "--d1", "nan", "--d2", "0.1"], "d1", id="sr-d1"),
+        pytest.param(["sr", BINARY, "--chain", "0.6,0.4", "--d2", "nan"], "d_final",
+                     id="sr-chain-d2"),
+        pytest.param(["timeshare", "--px", "0.5,0.5", "--distortion", "nan",
+                      "--n", "10", "--seed", "0"], "d", id="timeshare-distortion"),
+        pytest.param(["oneshot", SKEW3, "--criterion", "excess", "--logloss",
+                      "--messages", "2", "--distortion", "nan"], "d",
+                     id="oneshot-logloss-excess"),
+        pytest.param(["oneshot", SKEW3, "--criterion", "codebook", "--logloss",
+                      "--epsilon", "0.1", "--distortion", "nan"], "d",
+                     id="oneshot-logloss-codebook"),
+        pytest.param(["oneshot", SKEW3, "--criterion", "excess", "--messages", "2",
+                      "--distortion", "nan"], "d", id="oneshot-excess"),
+    ])
+    def test_exits_two_naming_the_field(self, capsys, argv, field):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2, err
+        assert f": {field} must be finite" in err
+
+
 class TestOneshotCommand:
     def test_avg_with_oracle_agreement(self, capsys):
         report = run_report(

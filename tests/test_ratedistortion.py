@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loglosslab import (
     Channel,
@@ -22,6 +25,7 @@ from loglosslab import (
     verify_csiszar_identity,
     verify_lemma1,
 )
+from loglosslab.ratedistortion import PRUNE_EPS
 
 LN2 = math.log(2.0)
 
@@ -176,6 +180,22 @@ class TestRdAtDistortion:
         hi = rd_at_distortion(prob, 0.5)
         assert hi.rate == pytest.approx(0.0, abs=1e-8)
 
+    def test_zero_rate_knee_is_exact(self):
+        # column 1 is best for both symbols, so D_min = D_max
+        dist = np.array([[0.5, 0.2, 0.9], [0.4, 0.1, 0.3]])
+        prob = SourceProblem(px=Pmf([0.3, 0.7]), distortion=dist)
+        point = rd_at_distortion(prob, distortion_bounds(prob)[1])
+        assert point.rate == 0.0
+        assert point.lambda_star == 0.0
+        assert point.kept_columns == (1,)
+
+    def test_diagnostics_repeat(self):
+        prob = SourceProblem(px=Pmf([0.4, 0.3, 0.2, 0.1]), distortion=hamming_distortion(4))
+        first, second = (rd_at_distortion(prob, 0.3, tol=1e-10).diagnostics
+                         for _ in range(2))
+        assert first == second
+        assert first.ba_calls == 1
+
     def test_forward_rows_are_pmfs(self):
         prob = random_problem(np.random.default_rng(12), 4, 6)
         point = rd_at_distortion(prob, interior_target(prob, 0.5))
@@ -216,6 +236,122 @@ class TestRdAtDistortion:
         mi = float((p[:, None] * np.where(mask, fwd * (np.log(np.where(mask, fwd, 1.0))
                                                        - np.log(m)[None, :]), 0.0)).sum())
         assert point.rate == pytest.approx(mi, abs=1e-10)
+
+
+def erokhin_rd(px, d: float) -> tuple[float, float, tuple[int, ...]]:
+    """Closed-form R(D), slope and output support under Hamming distortion.
+
+    Erokhin (1958), "epsilon-entropy of a discrete random variable".  With
+    the masses sorted in descending order and beta = exp(-lam), the optimal
+    output support is the k most probable symbols.  At distortion D, with
+    c = 1 - D and S_k the mass of the top k, beta = (S_k / c - 1) / (k - 1)
+    for the largest k whose smallest member keeps p_k >= beta c.  The output
+    mass of a support symbol is (p_x / c - beta) / (1 - beta), and
+    R = -lam D - sum_x p_x ln z_x with z_x = p_x / c on the support and
+    beta off it.
+    """
+    p = np.asarray(px, dtype=float)
+    order = np.argsort(-p, kind="stable")
+    ps = p[order]
+    c = 1.0 - d
+    for k in range(ps.size, 1, -1):
+        beta = (ps[:k].sum() / c - 1.0) / (k - 1)
+        if ps[k - 1] >= beta * c:
+            break
+    top = np.arange(ps.size) < k
+    lam = -math.log(beta)
+    rate = -lam * d - float(ps @ np.log(np.where(top, ps / c, beta)))
+    mass = np.where(top, (ps / c - beta) / (1.0 - beta), 0.0)
+    return rate, lam, tuple(sorted(int(order[i]) for i in np.flatnonzero(mass >= PRUNE_EPS)))
+
+
+def erokhin_breakpoints(px) -> list[float]:
+    """Distortions where the output support shrinks, D_max last.
+
+    The k-th most probable symbol leaves the support at
+    D_k = 1 - S_k + (k - 1) p_k; at k = 2 that is D_max = 1 - p_1.
+    """
+    ps = np.sort(np.asarray(px, dtype=float))[::-1]
+    return [1.0 - float(ps[:k].sum()) + (k - 1) * float(ps[k - 1])
+            for k in range(ps.size, 1, -1)]
+
+
+class TestHammingClosedForm:
+    # Each point solves within 1 s, also at a support change and within
+    # 1e-6 of one, where plain Blahut-Arimoto converges only sublinearly.
+    BUDGET_S = 1.0
+
+    @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8),
+           st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_rate_slope_and_support(self, weights, fracs):
+        w = np.array(weights)
+        px = w / w.sum()
+        problem = SourceProblem(px=Pmf(px), distortion=hamming_distortion(px.size))
+        d_max = distortion_bounds(problem)[1]
+        targets = [b + off for b in erokhin_breakpoints(px)
+                   for off in (0.0, -1e-6, 1e-6, -1e-3, 1e-3)]
+        targets += [f * d_max for f in fracs]
+        for d in targets:
+            # At the knee D_max itself the slope is any value down to the
+            # closed form's left slope; the solver answers 0 there.
+            if not 0.0 < d < d_max - 1e-9:
+                continue
+            start = time.perf_counter()
+            point = rd_at_distortion(problem, d, tol=1e-10)
+            elapsed = time.perf_counter() - start
+            achieved = point.diagnostics.achieved_distortion
+            rate, lam, support = erokhin_rd(px, achieved)
+            assert abs(achieved - d) <= 1e-10
+            assert abs(point.rate - rate) <= 1e-9, (d, point.rate, rate)
+            assert abs(point.lambda_star - lam) <= 1e-8, (d, point.lambda_star, lam)
+            assert point.kept_columns == support, (d, point.kept_columns, support)
+            assert elapsed < self.BUDGET_S, (d, elapsed)
+
+    def test_skewed_support_changes(self):
+        # px = (.4, .3, .2, .1): the lightest column leaves at D = 0.3
+        # (slope ln 7), the next at D = 0.5.  Just below each, the leaving
+        # column's optimal mass is under PRUNE_EPS and the column is pruned.
+        px = [0.4, 0.3, 0.2, 0.1]
+        assert erokhin_breakpoints(px)[:2] == pytest.approx([0.3, 0.5], abs=1e-15)
+        problem = SourceProblem(px=Pmf(px), distortion=hamming_distortion(4))
+        for d, kept in ((0.3, (0, 1, 2)), (0.5, (0, 1)),
+                        (0.3 - 1e-10, (0, 1, 2)), (0.5 - 1e-10, (0, 1))):
+            start = time.perf_counter()
+            point = rd_at_distortion(problem, d, tol=1e-10)
+            assert time.perf_counter() - start < 0.1
+            rate, lam, support = erokhin_rd(px, d)
+            assert point.kept_columns == kept == support
+            assert point.rate == pytest.approx(rate, abs=1e-12)
+            assert point.lambda_star == pytest.approx(lam, abs=1e-9)
+
+    def test_binary_at_full_precision(self):
+        point = rd_at_distortion(binary_hamming(), 0.1, tol=1e-10)
+        assert abs(point.rate - (LN2 - h_b(0.1))) <= 1e-13
+        assert abs(point.lambda_star - math.log(9.0)) <= 1e-12
+
+
+class TestAffineStretch:
+    # A binary Hamming source plus an erasure column of cost 0.3: the curve
+    # is a straight segment into (0.3, 0), where a whole face of marginals is
+    # optimal at one slope and only the distortion constraint picks a point.
+    PROBLEM = SourceProblem(px=Pmf([0.5, 0.5]),
+                            distortion=np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 0.3]]))
+
+    def test_points_on_the_segment(self):
+        points = []
+        for d in (0.2, 0.25, 0.29):
+            start = time.perf_counter()
+            point = rd_at_distortion(self.PROBLEM, d, tol=1e-10)
+            assert time.perf_counter() - start < 1.0
+            assert point.kept_columns == (0, 1, 2)
+            points.append((d, point))
+        lam = points[0][1].lambda_star
+        for d, point in points:
+            assert abs(point.lambda_star - lam) <= 1e-8
+            assert abs(point.rate - lam * (0.3 - d)) <= 1e-10
+        (d0, p0), (d1, p1) = points[0], points[-1]
+        assert abs(p0.rate * (0.3 - d1) - p1.rate * (0.3 - d0)) <= 1e-10
 
 
 class TestRdCurve:
