@@ -20,10 +20,8 @@ are rejected as out of scope.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .oneshot import OneShotCode, expected_distortion, solve_avg
+from .oneshot import OneShotCode, _cell_sum_blocks, expected_distortion, solve_avg
 from .probability import Pmf, conditional_entropy, joint_from_source_and_channel
 from .ratedistortion import RdPoint, SourceProblem, distortion_bounds, rd_at_distortion
 
@@ -260,9 +258,26 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
     return w_d, w_l
 
 
-def _decoder_cost_grid(a: np.ndarray) -> np.ndarray:
-    # a: (M, k) per-message costs -> grid over all decoder tuples, shape (k,)*M.
-    return reduce(np.add.outer, list(a))
+def _code_pair_grids(cp: CorrespondingProblem):
+    """Yield (encoders, grid_d, grid_l) blocks over every code pair.
+
+    Encoders come in itertools.product order.  ``grid[n, j_0, ..., j_{M-1}]``
+    is the cost of encoder n with decoder (j_0, ..., j_{M-1}) in kept-index
+    coordinates, summed over messages in order as reduce(np.add.outer) sums
+    them.
+    """
+    m_count = cp.n_messages
+    k = len(cp.y_rows)
+    w_d, w_l = _cell_cost_tables(cp)
+    for encoders, sums in _cell_sum_blocks(np.hstack([w_d, w_l]), m_count, m_count,
+                                           k ** m_count):
+        grids = []
+        for a in (sums[:, :, :k], sums[:, :, k:]):
+            grid = a[:, 0]
+            for m in range(1, m_count):
+                grid = grid[..., None] + a[:, m].reshape((-1,) + (1,) * m + (k,))
+            grids.append(grid)
+        yield encoders, grids[0], grids[1]
 
 
 @dataclass(frozen=True)
@@ -286,7 +301,6 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
     r = cp.px.n
     m_count = cp.n_messages
     k = len(cp.y_rows)
-    w_d, w_l = _cell_cost_tables(cp)
     h = cp.h_x_given_xhat
     lam = cp.lambda_star
     d_star = cp.d_star_m
@@ -303,14 +317,7 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
                 "pass samples= to randomize"
             )
         n_codes = 0
-        for enc in itertools.product(range(m_count), repeat=r):
-            a_d = np.zeros((m_count, k))
-            a_l = np.zeros((m_count, k))
-            for x in range(r):
-                a_d[enc[x]] += w_d[x]
-                a_l[enc[x]] += w_l[x]
-            grid_d = _decoder_cost_grid(a_d)
-            grid_l = _decoder_cost_grid(a_l)
+        for _, grid_d, grid_l in _code_pair_grids(cp):
             resid = np.abs(grid_l - h - lam * (grid_d - d_star))
             max_resid = max(max_resid, float(resid.max()))
             min_loss = min(min_loss, float(grid_l.min()))
@@ -321,6 +328,7 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
 
     if samples < 1:
         raise ValidationError("identity_sweep: samples must be >= 1")
+    w_d, w_l = _cell_cost_tables(cp)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         enc = rng.integers(0, m_count, size=r)
@@ -362,37 +370,47 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
         raise InstanceTooLargeError(
             f"verify_optimum_coincidence: {total} code pairs exceeds guard {_CODE_ENUM_GUARD}"
         )
-    w_d, w_l = _cell_cost_tables(cp)
-
-    def grids(enc):
-        a_d = np.zeros((m_count, k))
-        a_l = np.zeros((m_count, k))
-        for x in range(r):
-            a_d[enc[x]] += w_d[x]
-            a_l[enc[x]] += w_l[x]
-        return _decoder_cost_grid(a_d), _decoder_cost_grid(a_l)
-
-    # First pass pins both global minima; the second collects the argmin
-    # sets against the final values, so tolerance never drifts.
-    best_d = math.inf
-    best_l = math.inf
-    for enc in itertools.product(range(m_count), repeat=r):
-        grid_d, grid_l = grids(enc)
-        best_d = min(best_d, float(grid_d.min()))
-        best_l = min(best_l, float(grid_l.min()))
-
-    set_d = set()
-    set_l = set()
-    for enc in itertools.product(range(m_count), repeat=r):
-        grid_d, grid_l = grids(enc)
-        for dec in np.argwhere(grid_d <= best_d + atol):
-            set_d.add((enc, tuple(int(i) for i in dec)))
-        for dec in np.argwhere(grid_l <= best_l + atol):
-            set_l.add((enc, tuple(int(i) for i in dec)))
+    # One pass.  Each side keeps the pairs within atol of its running
+    # minimum and trims them whenever that minimum falls, which leaves the
+    # pairs within atol of the final minimum.  A pair is kept as the ordinals
+    # of its encoder and decoder; both come in lexicographic order, so the
+    # kept pairs are sorted and distinct.
+    place = m_count ** np.arange(r - 1, -1, -1)
+    best = [math.inf, math.inf]
+    kept: list[list] = [[], []]  # per side: (costs, encoder and decoder ordinals)
+    for encoders, *grids in _code_pair_grids(cp):
+        enc_ordinals = encoders @ place
+        for side, grid in enumerate(grids):
+            costs = grid.reshape(len(encoders), -1)
+            low = float(costs.min())
+            if low < best[side]:
+                best[side] = low
+                kept[side] = [(c[c <= low + atol], pairs[:, c <= low + atol])
+                              for c, pairs in kept[side]]
+            n, dec = np.nonzero(costs <= best[side] + atol)
+            kept[side].append((costs[n, dec], np.vstack([enc_ordinals[n], dec])))
+    pairs_d, pairs_l = (np.hstack([pairs for _, pairs in chunks]) for chunks in kept)
+    matched = np.array_equal(pairs_d, pairs_l)
+    argmin_d = _pair_tuples(pairs_d, r, m_count, k)
     return CoincidenceReport(
-        min_distortion=best_d,
-        min_loss=best_l,
-        distortion_argmin=tuple(sorted(set_d)),
-        loss_argmin=tuple(sorted(set_l)),
-        matched=set_d == set_l,
+        min_distortion=best[0],
+        min_loss=best[1],
+        distortion_argmin=argmin_d,
+        loss_argmin=argmin_d if matched else _pair_tuples(pairs_l, r, m_count, k),
+        matched=matched,
     )
+
+
+def _pair_tuples(pairs: np.ndarray, r: int, m_count: int, k: int) -> tuple:
+    """(encoder, decoder) tuples from rows of encoder and decoder ordinals.
+
+    An encoder ordinal counts in base M over r digits and a decoder ordinal
+    in base k over M digits, first digit most significant.  Equal encoders
+    and equal decoders share one tuple each.
+    """
+    def tuples(ordinals, base, length):
+        values, index = np.unique(ordinals, return_inverse=True)
+        table = list(zip(*(d.tolist() for d in np.unravel_index(values, (base,) * length))))
+        return map(table.__getitem__, index.tolist())
+
+    return tuple(zip(tuples(pairs[0], m_count, r), tuples(pairs[1], k, m_count)))

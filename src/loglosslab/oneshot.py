@@ -44,6 +44,9 @@ __all__ = [
 _ENCODER_ENUM_GUARD = 10_000_000
 _PARTITION_ALPHABET_GUARD = 14
 _COVER_ALPHABET_GUARD = 12
+# The exhaustive enumerations work on blocks of codes holding about this many
+# floats per code-indexed array, so memory stays bounded at every guard.
+_BLOCK_ENTRIES = 1 << 18
 # floor(exp(D)) with a whisker of slack so exact thresholds like D = ln 2
 # land on the intended integer.
 _FLOOR_SLACK = 1e-12
@@ -89,6 +92,87 @@ def expected_distortion(problem: SourceProblem, code: OneShotCode) -> float:
     dist = problem.distortion
     return float(sum(px[x] * dist[x, code.decoder[code.encoder[x]]]
                      for x in range(problem.n_source)))
+
+
+def _completions(length: int, opened: int, n_cells: int) -> np.ndarray:
+    """Every way to label `length` more symbols once `opened` cells are in use.
+
+    A symbol joins an open cell or opens the next one, up to n_cells; rows
+    come in lexicographic order, in the narrowest unsigned dtype that holds
+    a cell index, to keep the tables small.  With opened = n_cells these are
+    all n_cells**length labelings in itertools.product order; with
+    opened = 0 they are the restricted growth strings, one per set
+    partition.
+    """
+    codes = np.zeros((1, 0), dtype=np.min_scalar_type(n_cells - 1))
+    now_open = np.array([opened])
+    for _ in range(length):
+        choices = np.minimum(now_open + 1, n_cells)
+        parent = np.repeat(np.arange(len(codes)), choices)
+        value = np.arange(len(parent)) - np.repeat(np.cumsum(choices) - choices, choices)
+        codes = np.column_stack([codes[parent], value.astype(codes.dtype)])
+        now_open = np.maximum(now_open[parent], value + 1)
+    return codes
+
+
+def _completion_count(length: int, opened: int, n_cells: int) -> int:
+    """len(_completions(length, opened, n_cells)), without listing them."""
+    counts = {opened: 1}
+    for _ in range(length):
+        step: dict[int, int] = {}
+        for u, c in counts.items():
+            step[u] = step.get(u, 0) + min(u, n_cells) * c
+            if u < n_cells:
+                step[u + 1] = step.get(u + 1, 0) + c
+        counts = step
+    return sum(counts.values())
+
+
+def _prefixes(prefix: list[int], now_open: int, r: int, n_cells: int, budget: int,
+              counts: dict[tuple[int, int], int]):
+    """Split a labeling prefix until each part has at most `budget` completions.
+
+    Yields (prefix, (completion length, cells open)) in lexicographic order.
+    """
+    key = (r - len(prefix), now_open)
+    if key not in counts:
+        counts[key] = _completion_count(*key, n_cells)
+    if key[0] and counts[key] > budget:
+        for v in range(min(now_open + 1, n_cells)):
+            yield from _prefixes(prefix + [v], max(now_open, v + 1), r, n_cells, budget, counts)
+    else:
+        yield prefix, key
+
+
+def _cell_sum_blocks(weights: np.ndarray, n_cells: int, opened: int,
+                     row_entries: int):
+    """Yield (codes, sums) blocks over every labeling of the symbols.
+
+    Labelings follow `_completions(len(weights), opened, n_cells)` order.
+    ``sums[n, m]`` adds ``weights[x]`` over the symbols x that code n puts in
+    cell m, in increasing x from zero, so every float is formed as a loop
+    over x forms it.  Each block is one labeling prefix against the table of
+    its completions, at most about _BLOCK_ENTRIES / row_entries codes.
+    """
+    r = len(weights)
+    budget = max(_BLOCK_ENTRIES // row_entries, 1)
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    for prefix, key in _prefixes([], opened, r, n_cells, budget, {}):
+        if key not in tables:
+            tables[key] = _completions(*key, n_cells)
+        suffixes = tables[key]
+        head = len(prefix)
+        start = np.zeros((n_cells,) + weights.shape[1:], dtype=weights.dtype)
+        for x in range(head):
+            start[prefix[x]] += weights[x]
+        sums = np.repeat(start[None], len(suffixes), axis=0)
+        rows = np.arange(len(suffixes))
+        for i in range(r - head):
+            sums[rows, suffixes[:, i]] += weights[head + i]
+        codes = np.empty((len(suffixes), r), dtype=suffixes.dtype)
+        codes[:, :head] = prefix
+        codes[:, head:] = suffixes
+        yield codes, sums
 
 
 def solve_avg(problem: SourceProblem, n_messages: int) -> tuple[OneShotCode, float]:
@@ -143,22 +227,21 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
     dist = problem.distortion
     weighted = px[:, None] * dist  # row x: px(x) d(x, .)
 
+    # An empty cell sums to zeros: it adds 0.0 to the cost and decodes to
+    # column 0, as if skipped.
     best = math.inf
     best_code: OneShotCode | None = None
-    for enc in itertools.product(range(n_messages), repeat=r):
-        cost = 0.0
-        columns = [0] * n_messages
+    for encoders, sums in _cell_sum_blocks(weighted, n_messages, n_messages,
+                                           n_messages * problem.n_reconstruction):
+        mins = sums.min(axis=2)
+        cost = np.zeros(len(encoders))
         for m in range(n_messages):
-            cell = [x for x in range(r) if enc[x] == m]
-            if not cell:
-                continue
-            cell_costs = weighted[cell].sum(axis=0)
-            columns[m] = int(cell_costs.argmin())
-            cost += float(cell_costs.min())
-        if cost < best:
-            best = cost
-            best_code = OneShotCode(n_messages=n_messages, encoder=tuple(enc),
-                                    decoder=tuple(columns))
+            cost += mins[:, m]
+        i = int(cost.argmin())
+        if cost[i] < best:
+            best = float(cost[i])
+            best_code = OneShotCode(n_messages=n_messages, encoder=tuple(encoders[i].tolist()),
+                                    decoder=tuple(sums[i].argmin(axis=1).tolist()))
     assert best_code is not None
     return expected_distortion(problem, best_code)
 
@@ -250,28 +333,6 @@ def floor_exp(d: float) -> int:
     return k
 
 
-def _restricted_growth_strings(n: int, max_blocks: int):
-    """Yield set partitions of range(n) with <= max_blocks cells.
-
-    Partitions stream in canonical restricted-growth order starting from the
-    single-cell partition; each yielded list is reused, so copy to keep.
-    """
-    a = [0] * n
-    while True:
-        yield a
-        i = n - 1
-        while i > 0:
-            cap = min(max(a[:i]) + 1, max_blocks - 1)
-            if a[i] < cap:
-                a[i] += 1
-                for j in range(i + 1, n):
-                    a[j] = 0
-                break
-            i -= 1
-        else:
-            return
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionScheme:
     """Deterministic partition code achieving the log-loss average optimum.
@@ -302,26 +363,26 @@ def logloss_avg_optimum(px: Pmf, n_messages: int) -> tuple[PartitionScheme, floa
             f"logloss_avg_optimum: alphabet {r} exceeds guard {_PARTITION_ALPHABET_GUARD}"
         )
     p = px.probs
-    p_list = p.tolist()
-    log = math.log
 
+    # A cell's mass adds its symbols' probabilities in increasing x, so it
+    # is fixed by the cell's bit mask.  Tables over the 2^r masks give every
+    # mass and its math.log exactly as a loop over the symbols forms them.
+    subset_mass = np.zeros(1 << r)
+    for x in range(r):
+        subset_mass[1 << x:2 << x] = subset_mass[:1 << x] + p[x]
+    subset_log = np.array([math.log(u) if u > 0.0 else 0.0 for u in subset_mass.tolist()])
+
+    n_cells = min(n_messages, r)
     best_h = -1.0
     best_assign: list[int] | None = None
-    masses = [0.0] * n_messages
-    for assign in _restricted_growth_strings(r, n_messages):
-        blocks = max(assign) + 1
-        for m in range(blocks):
-            masses[m] = 0.0
-        for x in range(r):
-            masses[assign[x]] += p_list[x]
-        h = 0.0
-        for m in range(blocks):
-            u = masses[m]
-            if u > 0.0:
-                h -= u * log(u)
-        if h > best_h:
-            best_h = h
-            best_assign = assign.copy()
+    for assigns, cells in _cell_sum_blocks(1 << np.arange(r), n_cells, 0, n_cells):
+        h = np.zeros(len(assigns))
+        for m in range(n_cells):
+            h -= subset_mass[cells[:, m]] * subset_log[cells[:, m]]
+        i = int(h.argmax())
+        if h[i] > best_h:
+            best_h = float(h[i])
+            best_assign = assigns[i].tolist()
     assert best_assign is not None
 
     blocks = max(best_assign) + 1

@@ -582,7 +582,8 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
 
     holds with residual zero; the returned max over all pairs measures how
     far the solved point is from stationarity.  Entries whose forward
-    probability underflowed to zero are skipped (they are not representable).
+    probability underflowed to zero or to a subnormal are skipped: their
+    logarithm has lost its digits.
     """
     dist_kept = problem.distortion[:, list(point.kept_columns)]
     fwd = point.forward.rows
@@ -592,7 +593,7 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
     with np.errstate(divide="ignore"):
         dens = np.log(fwd) - np.log(m)[None, :]
     resid = np.abs(point.tilted[:, None] - dens - lam * dist_kept + lam * d_value)
-    resid = np.where(fwd > 0.0, resid, 0.0)
+    resid = np.where(fwd >= np.finfo(float).tiny, resid, 0.0)
     return float(resid.max())
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import loglosslab
 from loglosslab import ValidationError, __version__
 from loglosslab.cli import main
 from loglosslab.problemio import (
@@ -239,6 +241,29 @@ class TestNonFiniteInputs:
         assert code == 2, err
         assert f": {field} must be finite" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["oneshot", SKEW3, "--criterion", "codebook", "--distortion", "0.5",
+                      "--epsilon", "nan"], "eps must lie in [0, 1], got nan",
+                     id="oneshot-epsilon-nan"),
+        pytest.param(["oneshot", SKEW3, "--criterion", "codebook", "--distortion", "0.5",
+                      "--epsilon", "inf"], "eps must lie in [0, 1], got inf",
+                     id="oneshot-epsilon-inf"),
+        pytest.param(["oneshot", SKEW3, "--criterion", "codebook", "--logloss",
+                      "--distortion", "0.5", "--epsilon", "inf"],
+                     "eps must lie in [0, 1], got inf", id="oneshot-logloss-epsilon-inf"),
+        pytest.param(["timeshare", "--px", "0.5,0.5", "--distortion", "0.3",
+                      "--n", "nan", "--seed", "0"], "argument --n: invalid int value",
+                     id="timeshare-n-nan"),
+    ])
+    def test_epsilon_and_blocklength_exit_two(self, capsys, argv, message):
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse rejects the value itself
+            code = stop.code
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert message in err
+
 
 class TestOneshotCommand:
     def test_avg_with_oracle_agreement(self, capsys):
@@ -452,9 +477,13 @@ class TestDeterminism:
 
 class TestEntryPoints:
     def test_module_invocation_reports_version(self):
+        # The child imports the package from where this process found it.
+        src = str(Path(loglosslab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "loglosslab", "--version"],
-            capture_output=True, text=True, check=True)
+            capture_output=True, text=True, check=True, env=env)
         assert proc.stdout.strip() == f"loglosslab {__version__}"
 
     def test_unknown_subcommand_exits_two(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -383,6 +384,41 @@ class TestTiltedInformation:
         prob = random_problem(np.random.default_rng(200 + seed), 4, 6)
         point = rd_at_distortion(prob, interior_target(prob, 0.55), tol=1e-9)
         assert verify_csiszar_identity(prob, point) < 1e-6
+
+    @staticmethod
+    def near_dmin_point():
+        # Draw 707 of a seeded stream of problems with tied distortions: a
+        # 2x6 problem whose point 1e-7 of the way from D_min sits at slope
+        # ~2812, where some forward entries are subnormal.
+        rng = np.random.default_rng(3)
+        for _ in range(708):
+            r, s = rng.integers(1, 9, 2)
+            w = rng.random(r)
+            dist = rng.random((r, s))
+            dist[rng.random((r, s)) < .3] = dist.min()
+        prob = SourceProblem(px=Pmf(w / w.sum()), distortion=dist)
+        assert tuple(prob.px.probs) == (0.2551126982075242, 0.7448873017924759)
+        d_min, d_max = distortion_bounds(prob)
+        point = rd_at_distortion(prob, d_min + 1e-7 * (d_max - d_min), tol=1e-10)
+        assert point.lambda_star == pytest.approx(2812, abs=1)
+        return prob, point
+
+    def test_csiszar_identity_skips_subnormal_entries(self):
+        prob, point = self.near_dmin_point()
+        fwd = point.forward.rows
+        assert np.any((fwd > 0.0) & (fwd < np.finfo(float).tiny))
+        assert verify_csiszar_identity(prob, point) < 1e-10
+
+    def test_csiszar_identity_reports_perturbed_entry(self):
+        prob, point = self.near_dmin_point()
+        rows = point.forward.rows.copy()
+        x = int(np.argmax((rows > 0.1).sum(axis=1)))
+        other, j = np.argsort(rows[x])[-2:]
+        assert rows[x, other] > 0.1
+        rows[x, j] -= 1e-3
+        rows[x, other] += 1e-3
+        broken = dataclasses.replace(point, forward=Channel(rows))
+        assert verify_csiszar_identity(prob, broken) > 1e-3
 
     def test_binary_closed_form(self):
         # at the binary optimum the tilted information is ln2 - h_b(D) for
