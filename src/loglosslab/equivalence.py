@@ -252,9 +252,10 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
     kept = list(cp.source_point.kept_columns)
     w_d = px[:, None] * cp.problem.distortion[:, kept]
     rev = cp.source_point.reverse.rows  # rows: kept column, cols: x
+    live = px > 0.0
+    w_l = np.zeros(rev.T.shape)
     with np.errstate(divide="ignore"):
-        neg_log = -np.log(rev.T)
-    w_l = np.where(px[:, None] > 0.0, px[:, None] * neg_log, 0.0)
+        w_l[live] = px[live, None] * -np.log(rev.T[live])
     return w_d, w_l
 
 

@@ -375,33 +375,109 @@ def _prefix_length(h: float, d: float, n: int) -> int:
     return int(round(n * (h - d) / h))
 
 
+# The sampler holds at most this many samples at once.  It must be at least
+# numpy's 128-element pairwise block, below which numpy's sum is not pairwise.
+_LEAF = 1 << 16
+# Buckets of the symbol table over [0, 1).  A power of two, so u * _BUCKETS
+# is exact and floor(u * _BUCKETS) names the bucket holding u.
+_BUCKETS = 4096
+
+
+def _cost_sampler(p: np.ndarray, rng: np.random.Generator):
+    """Return draw(m): the sum of the code lengths of the next m samples.
+
+    The samples are those of ``rng.choice(len(p), size, p=p)``, which draws
+    ``u = rng.random(size)`` and returns ``cdf.searchsorted(u, "right")``
+    with ``cdf = p.cumsum() / p.cumsum()[-1]``; ``rng.random`` drawn in
+    consecutive pieces gives the same stream as one call.  A bucket of
+    [0, 1) with no cdf value strictly inside it holds a single symbol, so a
+    table maps it straight to that symbol's cost; only the at most
+    len(p) - 1 other buckets need the search.  Code lengths come from the
+    table -ln p, so each equals ``-np.log(p[x])`` bit for bit.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    cost = np.zeros_like(p)
+    live = p > 0.0
+    cost[live] = -np.log(p[live])
+    lo = np.arange(_BUCKETS) / _BUCKETS
+    first = cdf.searchsorted(lo, side="right")
+    ambiguous = cdf.searchsorted(lo + 1.0 / _BUCKETS, side="left") > first
+    bucket_cost = cost[first]
+
+    u = np.empty(_LEAF)
+    bucket = np.empty(_LEAF, dtype=np.intp)
+    lengths = np.empty(_LEAF)
+    hit = np.empty(_LEAF, dtype=bool)
+
+    def draw(m: int) -> float:
+        rng.random(out=u[:m])
+        # The cast to integers truncates, which is floor since u >= 0.
+        np.multiply(u[:m], _BUCKETS, out=bucket[:m], casting="unsafe")
+        np.take(bucket_cost, bucket[:m], out=lengths[:m])
+        np.take(ambiguous, bucket[:m], out=hit[:m])
+        i = np.flatnonzero(hit[:m])
+        lengths[i] = cost[cdf.searchsorted(u[i], side="right")]
+        return np.add.reduce(lengths[:m])
+
+    return draw
+
+
+def _pairwise_total(draw, m: int) -> float:
+    """Sum of the next m code lengths, added as one numpy sum over them adds.
+
+    ``np.add.reduce`` on a contiguous float64 array runs numpy's
+    ``pairwise_sum`` (numpy/_core/src/umath/loops_utils.h.src): a run of
+    more than 128 values splits at ``m//2 - (m//2) % 8`` and adds the two
+    halves' sums.  Recursing on the same split down to leaves of at most
+    ``_LEAF`` samples, each reduced by numpy, adds every float in the same
+    order as the one call.
+    """
+    if m <= _LEAF:
+        return draw(m)
+    half = m // 2
+    half -= half % 8
+    return _pairwise_total(draw, half) + _pairwise_total(draw, m - half)
+
+
 def timeshare_simulate(px: Pmf, d: float, n: int, seed: int) -> TimeshareReport:
     """Simulate one block of the prefix-lossless time-sharing scheme.
 
     The first k = round(n (H - D) / H) symbols are described exactly (the
     decoder's reproduction is a point mass, loss 0) and the rest not at all
-    (reproduction px, loss -ln px(x)).  Sampling is a single
-    ``numpy.random.default_rng(seed).choice`` call, so blocks are
-    reproducible given (seed, n) and the two-decoder variant sees the same
-    sample.
+    (reproduction px, loss -ln px(x)).  The sample stream and both sums equal
+    those of one ``numpy.random.default_rng(seed).choice(px.n, n, p=px.probs)``
+    call, summed with numpy over the prefix and over the rest, but the block
+    is sampled in pieces of bounded size, so memory does not grow with n.
+    Blocks are reproducible given (seed, n), and the two-decoder variant sees
+    the same sample.
+
+    Raises:
+        ValidationError: n < 1, d not finite, or seed not an integer >= 0.
+        InfeasibleError: d outside [0, H(X)].
     """
     if n < 1:
         raise ValidationError("timeshare_simulate: n must be >= 1")
     if not math.isfinite(d):
         raise ValidationError(f"timeshare_simulate: d must be finite, got {d!r}")
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and seed >= 0):
+        raise ValidationError(
+            f"timeshare_simulate: seed must be an integer >= 0, got {seed!r}"
+        )
     h = entropy(px)
     if d < -1e-12 or d > h + 1e-12:
         raise InfeasibleError(f"timeshare distortion {d!r} outside [0, H(X) = {h!r}]")
     d = min(max(d, 0.0), h)
     k = _prefix_length(h, d, n)
-    rng = np.random.default_rng(seed)
-    xs = rng.choice(px.n, size=n, p=px.probs)
-    codelengths = -np.log(px.probs[xs])
+    draw = _cost_sampler(px.probs, np.random.default_rng(seed))
+    prefix = _pairwise_total(draw, k)
+    rest = _pairwise_total(draw, n - k)
     return TimeshareReport(
         n=n,
         lossless_prefix=k,
-        empirical_loss=float(codelengths[k:].sum()) / n,
-        ideal_rate=float(codelengths[:k].sum()) / n,
+        empirical_loss=float(rest) / n,
+        ideal_rate=float(prefix) / n,
         seed=seed,
     )
 

@@ -432,6 +432,12 @@ class TestTimeshareCommand:
         assert run_cli(capsys, ["timeshare", SKEW3, "--distortion", "0.3",
                                 "--n", "100"])[0] == 2
 
+    def test_negative_seed_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, ["timeshare", "--px", "0.5,0.5", "--distortion",
+                                        "0.3", "--n", "10", "--seed", "-1"])
+        assert code == 2
+        assert "seed must be an integer >= 0, got -1" in err
+
 
 def strip_wall_clock(text: str) -> str:
     return "\n".join(line for line in text.splitlines()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from loglosslab import (
     verify_optimum_coincidence,
     verify_theorem1,
 )
+from loglosslab.equivalence import _cell_cost_tables
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -213,6 +215,22 @@ class TestIdentitySweep:
     def test_sampled_needs_a_positive_count(self, cp_u4):
         with pytest.raises(ValidationError):
             identity_sweep(cp_u4, samples=0)
+
+    def test_zero_mass_symbol_raises_no_warning(self):
+        # Its posterior entries are zero: px * -log(rev) would form 0 * inf.
+        px = Pmf([0.5, 0.3, 0.2, 0.0])
+        cp = build_corresponding(SourceProblem(px=px, distortion=hamming_distortion(4)), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = identity_sweep(cp)
+            report = verify_optimum_coincidence(cp)
+            _, w_l = _cell_cost_tables(cp)
+        assert sweep.max_residual < 1e-9
+        assert report.matched
+        rev = cp.source_point.reverse.rows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            masked = np.where(px.probs[:, None] > 0.0, px.probs[:, None] * -np.log(rev.T), 0.0)
+        assert w_l.tobytes() == masked.tobytes()
 
 
 class TestOptimumCoincidence:

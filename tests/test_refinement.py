@@ -287,3 +287,15 @@ class TestTimeshare:
             timeshare_simulate(px, -0.1, 10, seed=0)
         with pytest.raises(InfeasibleError):
             timeshare_simulate(px, entropy(px) + 0.1, 10, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, None, True, 1.5, "3"])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            timeshare_simulate(Pmf.uniform(4), 0.5, 10, seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            timeshare_two_decoders(Pmf.uniform(4), 0.5, 0.5, 10, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        px = Pmf([0.4, 0.35, 0.25])
+        assert (timeshare_simulate(px, 0.5, 1000, seed=np.uint64(42))
+                == timeshare_simulate(px, 0.5, 1000, seed=42))
