@@ -298,7 +298,12 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
 
     Exhaustive over all M^r encoders and k^M decoders when samples is None
     (guarded at 10^7 pairs); otherwise over `samples` uniformly seeded draws.
+    ``seed`` is None or an integer >= 0; anything else is a ValidationError.
     """
+    if not (seed is None or isinstance(seed, (int, np.integer))
+            and not isinstance(seed, bool) and seed >= 0):
+        raise ValidationError(f"identity_sweep: seed must be None or an integer >= 0, "
+                              f"got {seed!r}")
     r = cp.px.n
     m_count = cp.n_messages
     k = len(cp.y_rows)

@@ -9,10 +9,12 @@ is minimized by alternating the forward-channel update (rows proportional to
 ``marginal * exp(-lam * d)``) with the pushforward of the output marginal.
 :func:`rd_at_distortion` runs it once at a target distortion, re-solving the
 slope for E[d] = D in every iteration (constrained Blahut-Arimoto).  Plain
-iteration crawls where a column enters or leaves the optimal support, so
-every ``_POLISH_EVERY`` iterations a Newton solve of the stationarity
-conditions tries to finish, accepted only when every column off its support
-passes Blahut's exclusion test t_j <= 1.  Rates are in nats.
+iteration crawls where a column enters or leaves the optimal support, so a
+Newton solve of the stationarity conditions tries to finish at iterations
+2, 4, 8 and 16, then every ``_POLISH_EVERY`` iterations; it is accepted only
+when every column off its support passes Blahut's exclusion test t_j <= 1.
+On small problems the attempt at iteration 2 already finishes.  Rates are
+in nats.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ __all__ = [
 PRUNE_EPS = 1e-9
 # Distortion columns that agree entrywise within this are considered identical.
 COLUMN_MATCH_TOL = 1e-12
-# Iterations between two attempts to finish a solve with a Newton polish.
+# A solve tries to finish with a Newton polish at iterations 2, 4, 8 and 16,
+# then at every multiple of this.  Not at 1: the polish can finish from the
+# first iterate, and a budget of one iteration must still run out.
 _POLISH_EVERY = 16
 # Newton steps one polish attempt, or one slope match, may take.
 _NEWTON_STEPS = 60
@@ -184,26 +188,26 @@ def _match_slope(pxp: np.ndarray, dist_s: np.ndarray, q: np.ndarray,
     """
     lo, hi = 0.0, math.inf
     step = max(lam, 0.0)
-    for _ in range(_NEWTON_STEPS):
-        lam = step
-        expd = np.exp(-lam * dist_s)
-        w = expd * q[None, :]
-        with np.errstate(invalid="ignore"):
-            # A row that underflows gives NaN, read as a slope too large.
+    # A row that underflows gives NaN, read as a slope too large.
+    with np.errstate(invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            lam = step
+            expd = np.exp(-lam * dist_s)
+            w = expd * q[None, :]
             w /= w.sum(axis=1)[:, None]
-        mean = (w * dist_s).sum(axis=1)
-        excess = float(pxp @ mean) - target
-        if excess > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        if abs(excess) <= 1e-13 * target or hi - lo <= 1e-15 * lo:
-            break
-        dev = dist_s - mean[:, None]
-        var = float(pxp @ (w * dev * dev).sum(axis=1))
-        step = lam + excess / var if var > 0.0 else math.nan
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam + 1.0
+            mean = (w * dist_s).sum(axis=1)
+            excess = float(pxp @ mean) - target
+            if excess > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            if abs(excess) <= 1e-13 * target or hi - lo <= 1e-15 * lo:
+                break
+            dev = dist_s - mean[:, None]
+            var = float(pxp @ (w * dev * dev).sum(axis=1))
+            step = lam + excess / var if var > 0.0 else math.nan
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam + 1.0
     return lam, expd
 
 
@@ -252,19 +256,25 @@ def _polish(pxp: np.ndarray, dist_s: np.ndarray, q_seed: np.ndarray, lam: float,
             return None
     for _ in range(_NEWTON_STEPS):
         scores = e / z[:, None]
-        res = pxp @ scores - 1.0
-        jac = (scores * pxp[:, None]).T @ scores
-        err = float(np.abs(res).max())
+        # One array for the system; with the slope unknown it is bordered
+        # by one more row and column.
+        k = sup.size
+        n = k + (target is not None)
+        res = np.empty(n)
+        jac = np.empty((n, n))
+        res[:k] = pxp @ scores - 1.0
+        jac[:k, :k] = (scores * pxp[:, None]).T @ scores
+        err = float(np.abs(res[:k]).max())
         if target is not None:
             ds = dist_s[:, sup]
             w = scores * q[sup][None, :]
             mean = (w * ds).sum(axis=1)
             dev = ds - mean[:, None]
-            a = pxp @ (scores * dev)
             var = float(pxp @ (w * dev * dev).sum(axis=1))
             excess = float(pxp @ mean) - target
-            jac = np.block([[jac, a[:, None]], [a[None, :], np.array([[-var]])]])
-            res = np.append(res, -excess)
+            jac[k, :k] = jac[:k, k] = pxp @ (scores * dev)
+            jac[k, k] = -var
+            res[k] = -excess
             err = max(err, abs(excess) / d_top)
         if err < _POLISH_RESIDUAL * max(1.0, lam * d_top):
             small = sup[q[sup] < PRUNE_EPS]
@@ -346,7 +356,7 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
             raise ConvergenceError(f"solve broke down at slope {lam!r}: a forward row vanished")
         if trace is not None:
             trace.append(f_val)
-        if it % _POLISH_EVERY == 0:
+        if it > 1 and ((it & (it - 1)) == 0 or it % _POLISH_EVERY == 0):
             polished = _polish(pxp, dist_s, m, lam, target_s, tol)
             if polished is not None:
                 q, lam, drops = polished
@@ -376,6 +386,12 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
     )
 
 
+def _check_max_iter(caller: str, max_iter) -> None:
+    if not (isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
+            and max_iter >= 1):
+        raise ValidationError(f"{caller}: max_iter must be an integer >= 1, got {max_iter!r}")
+
+
 def ba_fixed_slope(problem: SourceProblem, lam: float, tol: float = 1e-10,
                    max_iter: int = 300_000, track_objective: bool = False) -> BaSolution:
     """Minimize I(X; Xhat) + lam * E[d] by alternating updates.
@@ -398,6 +414,7 @@ def ba_fixed_slope(problem: SourceProblem, lam: float, tol: float = 1e-10,
         raise ValidationError(f"ba_fixed_slope: lam must be finite and >= 0, got {lam!r}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValidationError(f"ba_fixed_slope: tol must be finite and positive, got {tol!r}")
+    _check_max_iter("ba_fixed_slope", max_iter)
     px = problem.px.probs
     support = np.flatnonzero(px > 0.0)
     raw = _ba_core(px[support], problem.distortion[support], lam, None, tol, max_iter,
@@ -418,9 +435,12 @@ def _full_forward(dist: np.ndarray, support: np.ndarray, raw: _RawBa) -> np.ndar
     the same exponential tilt of the converged marginal, computed in log
     space so large slopes cannot underflow a whole row.
     """
+    if support.size == dist.shape[0]:
+        return raw.forward
     fwd = np.empty((dist.shape[0], raw.forward.shape[1]))
     fwd[support] = raw.forward
-    dead = np.setdiff1d(np.arange(dist.shape[0]), support)
+    dead = np.ones(dist.shape[0], dtype=bool)
+    dead[support] = False
     with np.errstate(divide="ignore"):  # columns off the support sit at exactly zero
         logits = np.log(raw.marginal)[None, :] - raw.lam * dist[dead]
     rows = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -432,10 +452,11 @@ def _full_forward(dist: np.ndarray, support: np.ndarray, raw: _RawBa) -> np.ndar
 class RdDiagnostics:
     """Solver effort and residuals for one rate-distortion point.
 
-    ``ba_iterations`` counts the iterations of the solve and ``ba_calls``
-    the solver runs behind the point: 1, or 0 at the zero-rate knee, which
-    is exact without one.  ``prune_rounds`` counts the support reductions
-    the final polish made.  The two gaps are those of the returned marginal
+    ``ba_iterations`` counts the iterations of the solve, which ends at the
+    first polish attempt that succeeds (at iteration 2, 4, 8, 16, 32, 48,
+    ...), and ``ba_calls`` the solver runs behind the point: 1, or 0 at the
+    zero-rate knee, which is exact without one.  ``prune_rounds`` counts
+    the support reductions the final polish made.  The two gaps are those of the returned marginal
     under one more update; ``achieved_distortion`` is E[d] at the point.
     """
 
@@ -501,7 +522,8 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
         columns, the tilted-information vector, and diagnostics.
 
     Raises:
-        ValidationError: d or tol is not finite, or tol is not positive.
+        ValidationError: d or tol is not finite, tol is not positive, or
+            max_iter is not an integer >= 1.
         InfeasibleError: d outside [D_min, D_max] (1e-12 slack).
         ConvergenceError: the solve did not converge within max_iter.
     """
@@ -509,6 +531,7 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
         raise ValidationError(f"rd_at_distortion: tol must be finite and positive, got {tol!r}")
     if not math.isfinite(d):
         raise ValidationError(f"rd_at_distortion: d must be finite, got {d!r}")
+    _check_max_iter("rd_at_distortion", max_iter)
     d_min, d_max = distortion_bounds(problem)
     if d < d_min - 1e-12 or d > d_max + 1e-12:
         raise InfeasibleError(

@@ -195,6 +195,13 @@ class TestRdCommand:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_bad_iteration_budget_exits_two(self, capsys, budget):
+        code, _, err = run_cli(capsys, ["rd", BINARY, "--distortion", "0.1",
+                                        "--max-iter", budget])
+        assert code == 2, err
+        assert f"max_iter must be an integer >= 1, got {budget}" in err
+
     def test_bits_rescales_rates(self, capsys):
         nats = run_report(capsys, ["rd", BINARY, "--distortion", "0.1"])
         bits = run_report(capsys, ["rd", BINARY, "--distortion", "0.1", "--bits"])
@@ -344,6 +351,12 @@ class TestEquivCommand:
             capsys, ["equiv", SKEW3, "--messages", "2", "--samples", "50"])
         assert code == 2
         assert "--seed" in err
+
+    def test_negative_seed_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, ["equiv", SKEW3, "--messages", "2",
+                                        "--samples", "5", "--seed", "-1"])
+        assert code == 2, err
+        assert "seed must be None or an integer >= 0, got -1" in err
 
     def test_sampled_skips_coincidence(self, capsys):
         report = run_report(

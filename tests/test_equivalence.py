@@ -212,6 +212,16 @@ class TestIdentitySweep:
         assert a.n_codes == 200
         assert a.max_residual < 1e-9
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.0, "7"])
+    def test_bad_seed_is_a_validation_error(self, cp_u4, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            identity_sweep(cp_u4, samples=5, seed=seed)
+
+    def test_numpy_and_absent_seeds_are_accepted(self, cp_u4):
+        assert identity_sweep(cp_u4, samples=5, seed=np.int64(7)) == \
+            identity_sweep(cp_u4, samples=5, seed=7)
+        assert identity_sweep(cp_u4, samples=5).n_codes == 5
+
     def test_sampled_needs_a_positive_count(self, cp_u4):
         with pytest.raises(ValidationError):
             identity_sweep(cp_u4, samples=0)

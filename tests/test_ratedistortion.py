@@ -113,6 +113,11 @@ class TestFixedSlope:
             ba_fixed_slope(binary_hamming(), 1.5, tol=1e-10, max_iter=1)
         assert err.value.gap is not None and err.value.gap > 0.0
 
+    @pytest.mark.parametrize("max_iter", [0, -3, True, 2.5, "10"])
+    def test_bad_budget_is_a_validation_error(self, max_iter):
+        with pytest.raises(ValidationError, match="max_iter"):
+            ba_fixed_slope(binary_hamming(), 1.5, max_iter=max_iter)
+
     def test_distortion_decreases_with_slope(self):
         prob = random_problem(np.random.default_rng(3), 4, 4)
         sols = [ba_fixed_slope(prob, lam) for lam in (0.5, 2.0, 8.0)]
@@ -196,6 +201,19 @@ class TestRdAtDistortion:
                          for _ in range(2))
         assert first == second
         assert first.ba_calls == 1
+
+    @pytest.mark.parametrize("max_iter", [0, -3, False, 1.0, None])
+    def test_bad_budget_is_a_validation_error(self, max_iter):
+        # Also at the knee, which needs no iteration at all.
+        for d in (0.1, 0.5):
+            with pytest.raises(ValidationError, match="max_iter"):
+                rd_at_distortion(binary_hamming(), d, max_iter=max_iter)
+
+    def test_smallest_budget_is_accepted(self):
+        point = rd_at_distortion(binary_hamming(), 0.1, max_iter=np.int64(2))
+        assert point.diagnostics.ba_iterations == 2
+        with pytest.raises(ConvergenceError):
+            rd_at_distortion(binary_hamming(), 0.1, max_iter=1)
 
     def test_forward_rows_are_pmfs(self):
         prob = random_problem(np.random.default_rng(12), 4, 6)
@@ -330,6 +348,47 @@ class TestHammingClosedForm:
         point = rd_at_distortion(binary_hamming(), 0.1, tol=1e-10)
         assert abs(point.rate - (LN2 - h_b(0.1))) <= 1e-13
         assert abs(point.lambda_star - math.log(9.0)) <= 1e-12
+
+
+def criterion2_draws():
+    """The 50 seeded random problems and targets of acceptance criterion 2."""
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        r = int(rng.integers(2, 7))
+        s = int(rng.integers(2, 7))
+        weights = rng.random(r)
+        problem = SourceProblem(px=Pmf(weights / weights.sum()),
+                                distortion=rng.random((r, s)))
+        d_min, d_max = distortion_bounds(problem)
+        yield problem, d_min + rng.uniform(0.2, 0.8) * (d_max - d_min)
+
+
+class TestIterationCounts:
+    # Counters do not depend on the machine: each of these points finishes
+    # with the polish first attempted, at iteration 2.
+    def test_criterion2_draws_finish_at_iteration_two(self):
+        solved = 0
+        for problem, d in criterion2_draws():
+            diag = rd_at_distortion(problem, d, tol=1e-10).diagnostics
+            if d >= distortion_bounds(problem)[1] - 1e-10:
+                # D_min = D_max: the zero-rate knee is exact without a solve.
+                assert (diag.ba_calls, diag.ba_iterations) == (0, 0), d
+                continue
+            assert diag.ba_calls == 1, d
+            assert diag.ba_iterations <= 2, (d, diag.ba_iterations)
+            solved += 1
+        assert solved == 47
+
+    def test_skewed_grid_finishes_at_iteration_two(self):
+        px = [0.4, 0.3, 0.2, 0.1]
+        problem = SourceProblem(px=Pmf(px), distortion=hamming_distortion(4))
+        for i in range(1, 24):
+            d = round(0.025 * i, 3)
+            point = rd_at_distortion(problem, d, tol=1e-10)
+            assert point.diagnostics.ba_calls == 1, d
+            assert point.diagnostics.ba_iterations <= 2, (d, point.diagnostics)
+            _, _, support = erokhin_rd(px, point.diagnostics.achieved_distortion)
+            assert point.kept_columns == support, (d, point.kept_columns, support)
 
 
 class TestAffineStretch:
