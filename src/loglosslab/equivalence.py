@@ -31,6 +31,7 @@ from .errors import (
     MappingError,
     ValidationError,
     VerificationError,
+    _require_int,
 )
 from .oneshot import OneShotCode, _cell_sum_blocks, expected_distortion, solve_avg
 from .probability import Pmf, conditional_entropy, joint_from_source_and_channel
@@ -300,10 +301,7 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
     (guarded at 10^7 pairs); otherwise over `samples` uniformly seeded draws.
     ``seed`` is None or an integer >= 0; anything else is a ValidationError.
     """
-    if not (seed is None or isinstance(seed, (int, np.integer))
-            and not isinstance(seed, bool) and seed >= 0):
-        raise ValidationError(f"identity_sweep: seed must be None or an integer >= 0, "
-                              f"got {seed!r}")
+    _require_int("identity_sweep", "seed", seed, 0, allow_none=True)
     r = cp.px.n
     m_count = cp.n_messages
     k = len(cp.y_rows)

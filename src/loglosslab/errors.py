@@ -7,6 +7,8 @@ can catch one type at the boundary.  Input problems additionally derive from
 
 from __future__ import annotations
 
+import numbers
+
 __all__ = [
     "LoglossLabError",
     "ValidationError",
@@ -56,3 +58,17 @@ class MappingError(LoglossLabError):
 
 class VerificationError(LoglossLabError):
     """A quantity that must hold mathematically failed its numeric check."""
+
+
+def _require_int(caller: str, name: str, value, minimum: int,
+                 allow_none: bool = False) -> None:
+    """Raise ValidationError unless value is an integer >= minimum.
+
+    A bool is not an integer here; None passes only with ``allow_none``.
+    """
+    if allow_none and value is None:
+        return
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= minimum):
+        what = "None or an integer" if allow_none else "an integer"
+        raise ValidationError(f"{caller}: {name} must be {what} >= {minimum}, got {value!r}")

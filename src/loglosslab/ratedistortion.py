@@ -10,11 +10,12 @@ is minimized by alternating the forward-channel update (rows proportional to
 :func:`rd_at_distortion` runs it once at a target distortion, re-solving the
 slope for E[d] = D in every iteration (constrained Blahut-Arimoto).  Plain
 iteration crawls where a column enters or leaves the optimal support, so a
-Newton solve of the stationarity conditions tries to finish at iterations
-2, 4, 8 and 16, then every ``_POLISH_EVERY`` iterations; it is accepted only
-when every column off its support passes Blahut's exclusion test t_j <= 1.
-On small problems the attempt at iteration 2 already finishes.  Rates are
-in nats.
+Newton solve of the stationarity conditions tries to finish at iteration 2,
+then every ``_POLISH_EVERY`` iterations; it is accepted only when every
+column off its support passes Blahut's exclusion test t_j <= 1.  Each
+column of its seed may take one Newton step to leave, so the attempt at
+iteration 2 can finish even from a seed that keeps every column.  Rates
+are in nats.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     ConvergenceError,
     InfeasibleError,
     ValidationError,
+    _require_int,
 )
 from .probability import (
     Channel,
@@ -61,11 +63,12 @@ __all__ = [
 PRUNE_EPS = 1e-9
 # Distortion columns that agree entrywise within this are considered identical.
 COLUMN_MATCH_TOL = 1e-12
-# A solve tries to finish with a Newton polish at iterations 2, 4, 8 and 16,
-# then at every multiple of this.  Not at 1: the polish can finish from the
-# first iterate, and a budget of one iteration must still run out.
+# A solve tries to finish with a Newton polish at iteration 2, then at every
+# multiple of this.  Not at 1: the polish can finish from the first iterate,
+# and a budget of one iteration must still run out.
 _POLISH_EVERY = 16
-# Newton steps one polish attempt, or one slope match, may take.
+# Newton steps one slope match may take; a polish attempt may take one more
+# for every column of its seed, since a step removes at most one column.
 _NEWTON_STEPS = 60
 # Stationarity residual at which a polish counts as converged, per unit of
 # lam * max d: the tilt exp(-lam d) carries that much relative rounding.
@@ -223,8 +226,10 @@ def _polish(pxp: np.ndarray, dist_s: np.ndarray, q_seed: np.ndarray, lam: float,
     keeps a far seed on course.  S starts as {q_seed >= PRUNE_EPS}; a column
     a step drives to zero leaves, one settling below PRUNE_EPS is pruned
     unless the rest cannot meet the target, and any other column scoring
-    above 1 + 10 tol re-enters.  Returns (q, lam, support reductions) once
-    the residual closes and no column off S fails that test, else None.
+    above 1 + 10 tol re-enters.  A step stops where the first column leaves,
+    so the step budget grows by one per column of S.  Returns (q, lam,
+    support reductions) once the residual closes and no column off S fails
+    that test, else None.
     """
     q = np.where(q_seed >= PRUNE_EPS, q_seed, 0.0)
     d_top = max(float(dist_s.max()), 1.0)
@@ -254,7 +259,7 @@ def _polish(pxp: np.ndarray, dist_s: np.ndarray, q_seed: np.ndarray, lam: float,
         value, sup, lam, e, z = merit(q, lam)
         if not math.isfinite(value):
             return None
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_NEWTON_STEPS + sup.size):
         scores = e / z[:, None]
         # One array for the system; with the slope unknown it is bordered
         # by one more row and column.
@@ -356,7 +361,7 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
             raise ConvergenceError(f"solve broke down at slope {lam!r}: a forward row vanished")
         if trace is not None:
             trace.append(f_val)
-        if it > 1 and ((it & (it - 1)) == 0 or it % _POLISH_EVERY == 0):
+        if it == 2 or it % _POLISH_EVERY == 0:
             polished = _polish(pxp, dist_s, m, lam, target_s, tol)
             if polished is not None:
                 q, lam, drops = polished
@@ -386,12 +391,6 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
     )
 
 
-def _check_max_iter(caller: str, max_iter) -> None:
-    if not (isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
-            and max_iter >= 1):
-        raise ValidationError(f"{caller}: max_iter must be an integer >= 1, got {max_iter!r}")
-
-
 def ba_fixed_slope(problem: SourceProblem, lam: float, tol: float = 1e-10,
                    max_iter: int = 300_000, track_objective: bool = False) -> BaSolution:
     """Minimize I(X; Xhat) + lam * E[d] by alternating updates.
@@ -414,7 +413,7 @@ def ba_fixed_slope(problem: SourceProblem, lam: float, tol: float = 1e-10,
         raise ValidationError(f"ba_fixed_slope: lam must be finite and >= 0, got {lam!r}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValidationError(f"ba_fixed_slope: tol must be finite and positive, got {tol!r}")
-    _check_max_iter("ba_fixed_slope", max_iter)
+    _require_int("ba_fixed_slope", "max_iter", max_iter, 1)
     px = problem.px.probs
     support = np.flatnonzero(px > 0.0)
     raw = _ba_core(px[support], problem.distortion[support], lam, None, tol, max_iter,
@@ -453,11 +452,12 @@ class RdDiagnostics:
     """Solver effort and residuals for one rate-distortion point.
 
     ``ba_iterations`` counts the iterations of the solve, which ends at the
-    first polish attempt that succeeds (at iteration 2, 4, 8, 16, 32, 48,
-    ...), and ``ba_calls`` the solver runs behind the point: 1, or 0 at the
-    zero-rate knee, which is exact without one.  ``prune_rounds`` counts
-    the support reductions the final polish made.  The two gaps are those of the returned marginal
-    under one more update; ``achieved_distortion`` is E[d] at the point.
+    first polish attempt that succeeds (at iteration 2, 16, 32, 48, ...),
+    and ``ba_calls`` the solver runs behind the point: 1, or 0 at the
+    zero-rate knee, which is exact without one.  ``prune_rounds`` counts the
+    support reductions the final polish made.  The two gaps are those of
+    the returned marginal under one more update; ``achieved_distortion`` is
+    E[d] at the point.
     """
 
     ba_iterations: int
@@ -531,7 +531,7 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
         raise ValidationError(f"rd_at_distortion: tol must be finite and positive, got {tol!r}")
     if not math.isfinite(d):
         raise ValidationError(f"rd_at_distortion: d must be finite, got {d!r}")
-    _check_max_iter("rd_at_distortion", max_iter)
+    _require_int("rd_at_distortion", "max_iter", max_iter, 1)
     d_min, d_max = distortion_bounds(problem)
     if d < d_min - 1e-12 or d > d_max + 1e-12:
         raise InfeasibleError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, VerificationError
+from .errors import InfeasibleError, ValidationError, VerificationError, _require_int
 from .probability import (
     Channel,
     Pmf,
@@ -460,11 +460,7 @@ def timeshare_simulate(px: Pmf, d: float, n: int, seed: int) -> TimeshareReport:
         raise ValidationError("timeshare_simulate: n must be >= 1")
     if not math.isfinite(d):
         raise ValidationError(f"timeshare_simulate: d must be finite, got {d!r}")
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-            and seed >= 0):
-        raise ValidationError(
-            f"timeshare_simulate: seed must be an integer >= 0, got {seed!r}"
-        )
+    _require_int("timeshare_simulate", "seed", seed, 0)
     h = entropy(px)
     if d < -1e-12 or d > h + 1e-12:
         raise InfeasibleError(f"timeshare distortion {d!r} outside [0, H(X) = {h!r}]")

@@ -26,6 +26,7 @@ from loglosslab import (
     verify_csiszar_identity,
     verify_lemma1,
 )
+from loglosslab import ratedistortion
 from loglosslab.ratedistortion import PRUNE_EPS
 
 LN2 = math.log(2.0)
@@ -129,6 +130,23 @@ class TestFixedSlope:
         sol = ba_fixed_slope(prob, 3.0, track_objective=True)
         trace = np.array(sol.objective_trace)
         assert trace.size > 0
+        assert np.all(np.diff(trace) <= 1e-12)
+
+    def test_objective_trace_non_increasing_over_many_updates(self, monkeypatch):
+        # The polish usually ends a solve at iteration 2; hold off its first
+        # two attempts (iterations 2 and 16) so the trace covers 32 updates.
+        polish = ratedistortion._polish
+        attempts = []
+
+        def late_polish(*args):
+            attempts.append(args)
+            return polish(*args) if len(attempts) > 2 else None
+
+        monkeypatch.setattr(ratedistortion, "_polish", late_polish)
+        prob = random_problem(np.random.default_rng(4), 5, 4)
+        sol = ba_fixed_slope(prob, 3.0, track_objective=True)
+        trace = np.array(sol.objective_trace)
+        assert trace.size == 32
         assert np.all(np.diff(trace) <= 1e-12)
 
 
@@ -389,6 +407,17 @@ class TestIterationCounts:
             assert point.diagnostics.ba_iterations <= 2, (d, point.diagnostics)
             _, _, support = erokhin_rd(px, point.diagnostics.achieved_distortion)
             assert point.kept_columns == support, (d, point.kept_columns, support)
+
+    @pytest.mark.parametrize("frac", [0.05, 0.5, 0.95])
+    def test_wide_problem_finishes_at_iteration_two(self, frac):
+        # Iteration 2 keeps all 100 columns; the polish must be able to
+        # remove most of them one Newton step at a time.
+        problem = random_problem(np.random.default_rng(21), 100, 100)
+        point = rd_at_distortion(problem, interior_target(problem, frac))
+        assert point.diagnostics.ba_calls == 1
+        assert point.diagnostics.ba_iterations == 2, point.diagnostics
+        assert len(point.kept_columns) < 60
+        assert verify_csiszar_identity(problem, point) < 1e-9
 
 
 class TestAffineStretch:
