@@ -14,8 +14,12 @@ Newton solve of the stationarity conditions tries to finish at iteration 2,
 then every ``_POLISH_EVERY`` iterations; it is accepted only when every
 column off its support passes Blahut's exclusion test t_j <= 1.  Each
 column of its seed may take one Newton step to leave, so the attempt at
-iteration 2 can finish even from a seed that keeps every column.  Rates
-are in nats.
+iteration 2 can finish even from a seed that keeps every column.  Where
+the polish cannot finish, e.g. at a target on the D_min of a sub-support,
+where the support it needs cannot meet the target, a targeted solve stops
+instead at the first iterate after a failed attempt whose rate lies within
+the certificate tol of Blahut's (1972) lower bound on R(D).  Rates are in
+nats.
 """
 
 from __future__ import annotations
@@ -180,6 +184,19 @@ def _rate_of(pxp: np.ndarray, fwd: np.ndarray, m: np.ndarray) -> float:
     return max(float(pxp @ term.sum(axis=1)), 0.0)
 
 
+def _dual_gap(pxp: np.ndarray, expd: np.ndarray, z: np.ndarray, fwd: np.ndarray,
+              m: np.ndarray, lam: float, target: float) -> float:
+    """Rate of an iterate at E[d] = target less Blahut's lower bound on R.
+
+    Blahut (1972), Thm 7: for any slope and marginal q with row sums z_x and
+    scores t_j = sum_x px exp(-lam d_xj) / z_x over every column,
+    R(target) >= -lam target - sum_x px ln z_x - ln max_j t_j.
+    """
+    t = pxp @ (expd / z[:, None])
+    bound = -lam * target - float(pxp @ np.log(z)) - math.log(float(t.max()))
+    return _rate_of(pxp, fwd, m) - bound
+
+
 def _match_slope(pxp: np.ndarray, dist_s: np.ndarray, q: np.ndarray,
                  target: float, lam: float) -> tuple[float, np.ndarray]:
     """The slope at which the tilt of q meets E[d] = target, and its tilt.
@@ -187,30 +204,32 @@ def _match_slope(pxp: np.ndarray, dist_s: np.ndarray, q: np.ndarray,
     dE/dlam = -sum_x px Var_x(d), so Newton steps from the previous slope
     land in one or two steps; a step leaving the bracket known so far is
     replaced by bisection, or by doubling while the bracket is unbounded.
-    ``dist_s`` and ``target`` are shifted by the row minima.
+    ``dist_s`` and ``target`` are shifted by the row minima.  Callers run
+    it under ``np.errstate(invalid="ignore")``: a row that underflows gives
+    NaN, read as a slope too large.
     """
     lo, hi = 0.0, math.inf
     step = max(lam, 0.0)
-    # A row that underflows gives NaN, read as a slope too large.
-    with np.errstate(invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            lam = step
-            expd = np.exp(-lam * dist_s)
-            w = expd * q[None, :]
-            w /= w.sum(axis=1)[:, None]
-            mean = (w * dist_s).sum(axis=1)
-            excess = float(pxp @ mean) - target
-            if excess > 0.0:
-                lo = lam
-            else:
-                hi = lam
-            if abs(excess) <= 1e-13 * target or hi - lo <= 1e-15 * lo:
-                break
-            dev = dist_s - mean[:, None]
-            var = float(pxp @ (w * dev * dev).sum(axis=1))
-            step = lam + excess / var if var > 0.0 else math.nan
-            if not lo < step < hi:
-                step = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam + 1.0
+    for _ in range(_NEWTON_STEPS):
+        lam = step
+        expd = np.exp(-lam * dist_s)
+        w = expd * q
+        w /= w.sum(axis=1, keepdims=True)
+        mean = (w * dist_s).sum(axis=1)
+        excess = float(pxp @ mean) - target
+        if excess > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        if abs(excess) <= 1e-13 * target or hi - lo <= 1e-15 * lo:
+            break
+        dev = dist_s - mean[:, None]
+        w *= dev
+        w *= dev
+        var = float(pxp @ w.sum(axis=1))
+        step = lam + excess / var if var > 0.0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam + 1.0
     return lam, expd
 
 
@@ -230,108 +249,121 @@ def _polish(pxp: np.ndarray, dist_s: np.ndarray, q_seed: np.ndarray, lam: float,
     so the step budget grows by one per column of S.  Returns (q, lam,
     support reductions) once the residual closes and no column off S fails
     that test, else None.
+
+    The whole solve runs in one ``np.errstate`` scope that ignores divide,
+    over and invalid: a row sum that vanishes reads as an infinite merit, a
+    vanishing step component as an infinite reach, and a row that underflows
+    in a slope match as a slope too large.
     """
     q = np.where(q_seed >= PRUNE_EPS, q_seed, 0.0)
     d_top = max(float(dist_s.max()), 1.0)
+    px_col = pxp[:, None]
     pruned = np.zeros(q.size, dtype=bool)
     drops = 0
     closed = False
 
-    def merit(q, lam):
+    def merit(q, lam, sup=None, ds=None):
         # Merit (+inf if the support cannot meet the target) with the slope
-        # re-matched, and the support, slope, tilt and row sums behind it.
-        sup = np.flatnonzero(q > 0.0)
-        ds = dist_s[:, sup]
+        # re-matched, and the support, its columns, slope, tilt and row sums
+        # behind it.  A step that keeps the support passes it and its
+        # columns, which are known to meet the target.
+        if sup is None:
+            sup = np.flatnonzero(q > 0.0)
+            ds = dist_s[:, sup]
+            if target is not None and float(pxp @ ds.min(axis=1)) >= target:
+                return math.inf, sup, ds, lam, None, None
+        qs = q[sup]
         if target is None:
             e = np.exp(-lam * ds)
-        elif float(pxp @ ds.min(axis=1)) >= target:
-            return math.inf, sup, lam, None, None
         else:
-            lam, e = _match_slope(pxp, ds, q[sup], target, lam)
-        z = e @ q[sup]
-        with np.errstate(divide="ignore"):
-            value = float(q.sum() - pxp @ np.log(z))
-        return value - (0.0 if target is None else lam * target), sup, lam, e, z
+            lam, e = _match_slope(pxp, ds, qs, target, lam)
+        z = e @ qs
+        value = float(q.sum() - pxp @ np.log(z))
+        return value - (0.0 if target is None else lam * target), sup, ds, lam, e, z
 
-    value, sup, lam, e, z = merit(q, lam)
-    if not math.isfinite(value):  # the target needs a column below PRUNE_EPS
-        q = q_seed.copy()
-        value, sup, lam, e, z = merit(q, lam)
-        if not math.isfinite(value):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value, sup, ds, lam, e, z = merit(q, lam)
+        if not math.isfinite(value):  # the target needs a column below PRUNE_EPS
             return None
-    for _ in range(_NEWTON_STEPS + sup.size):
-        scores = e / z[:, None]
-        # One array for the system; with the slope unknown it is bordered
-        # by one more row and column.
-        k = sup.size
-        n = k + (target is not None)
-        res = np.empty(n)
-        jac = np.empty((n, n))
-        res[:k] = pxp @ scores - 1.0
-        jac[:k, :k] = (scores * pxp[:, None]).T @ scores
-        err = float(np.abs(res[:k]).max())
-        if target is not None:
-            ds = dist_s[:, sup]
-            w = scores * q[sup][None, :]
-            mean = (w * ds).sum(axis=1)
-            dev = ds - mean[:, None]
-            var = float(pxp @ (w * dev * dev).sum(axis=1))
-            excess = float(pxp @ mean) - target
-            jac[k, :k] = jac[:k, k] = pxp @ (scores * dev)
-            jac[k, k] = -var
-            res[k] = -excess
-            err = max(err, abs(excess) / d_top)
-        if err < _POLISH_RESIDUAL * max(1.0, lam * d_top):
-            small = sup[q[sup] < PRUNE_EPS]
-            if small.size:
-                q_cut = q.copy()
-                q_cut[small] = 0.0
-                cut = merit(q_cut, lam)
-                if math.isfinite(cut[0]):  # the rest still meets the target
-                    q = q_cut
-                    value, sup, lam, e, z = cut
-                    pruned[small] = True
-                    drops += 1
+        for _ in range(_NEWTON_STEPS + sup.size):
+            qs = q[sup]
+            scores = e / z[:, None]
+            # One array for the system; with the slope unknown it is bordered
+            # by one more row and column.
+            k = sup.size
+            n = k + (target is not None)
+            res = np.empty(n)
+            jac = np.empty((n, n))
+            res[:k] = pxp @ scores - 1.0
+            jac[:k, :k] = (scores * px_col).T @ scores
+            err = float(np.abs(res[:k]).max())
+            if target is not None:
+                w = scores * qs
+                mean = (w * ds).sum(axis=1)
+                dev = ds - mean[:, None]
+                w *= dev
+                w *= dev
+                var = float(pxp @ w.sum(axis=1))
+                excess = float(pxp @ mean) - target
+                jac[k, :k] = jac[:k, k] = pxp @ (scores * dev)
+                jac[k, k] = -var
+                res[k] = -excess
+                err = max(err, abs(excess) / d_top)
+            if err < _POLISH_RESIDUAL * max(1.0, lam * d_top):
+                small = sup[qs < PRUNE_EPS]
+                if small.size:
+                    q_cut = q.copy()
+                    q_cut[small] = 0.0
+                    cut = merit(q_cut, lam)
+                    if math.isfinite(cut[0]):  # the rest still meets the target
+                        q = q_cut
+                        value, sup, ds, lam, e, z = cut
+                        pruned[small] = True
+                        drops += 1
+                        closed = False
+                        continue
+                if closed:
+                    expd = np.exp(-lam * dist_s)
+                    t = np.where(pruned | (q > 0.0), 0.0, pxp @ (expd / z[:, None]))
+                    j = int(np.argmax(t))
+                    if t[j] <= 1.0 + 10.0 * tol:
+                        return q, lam, drops
+                    q[j] = PRUNE_EPS
+                    value, sup, ds, lam, e, z = merit(q, lam)
                     closed = False
                     continue
-            if closed:
-                expd = np.exp(-lam * dist_s)
-                t = np.where(pruned | (q > 0.0), 0.0, pxp @ (expd / z[:, None]))
-                j = int(np.argmax(t))
-                if t[j] <= 1.0 + 10.0 * tol:
-                    return q, lam, drops
-                q[j] = PRUNE_EPS
-                value, sup, lam, e, z = merit(q, lam)
-                closed = False
-                continue
-            closed = True  # one more step takes the residual to float noise
-        # Near a face of optima the system is (nearly) singular: least squares
-        # solves what it can, and the rest lies along the face, where the
-        # merit is linear, so walk that way to the edge of the support.
-        delta = np.linalg.lstsq(jac, res, rcond=None)[0]
-        rest = res - jac @ delta
-        if np.abs(rest).max() > 0.5 * err:
-            delta += rest * (q[sup].max() / np.abs(rest).max())
-        dq = delta[:sup.size]
-        with np.errstate(divide="ignore", over="ignore"):
-            reach = np.where(dq < 0.0, -q[sup] / dq, math.inf)
-        step = min(1.0, float(reach.min()))
-        for _halving in range(50):
-            q_try = q.copy()
-            q_try[sup] = np.where(reach <= step, 0.0, q[sup] + step * dq)
-            lam_try = lam if target is None else lam + step * float(delta[-1])
-            trial = merit(q_try, lam_try)
-            if trial[0] <= value + 1e-14 * max(1.0, abs(value)):
-                break
-            step *= 0.5
-        else:
-            if closed:  # no step beats float noise: certify the point as it is
-                continue
-            return None
-        if trial[1].size < sup.size:
-            drops += 1
-        q = q_try
-        value, sup, lam, e, z = trial
+                closed = True  # one more step takes the residual to float noise
+            # Near a face of optima the system is (nearly) singular: least
+            # squares solves what it can, and the rest lies along the face,
+            # where the merit is linear, so walk that way to the edge of the
+            # support.
+            delta = np.linalg.lstsq(jac, res, rcond=None)[0]
+            rest = res - jac @ delta
+            if np.abs(rest).max() > 0.5 * err:
+                delta += rest * (qs.max() / np.abs(rest).max())
+            dq = delta[:k]
+            reach = np.where(dq < 0.0, -qs / dq, math.inf)
+            first = float(reach.min())
+            step = min(1.0, first)
+            for _halving in range(50):
+                q_try = q.copy()
+                moved = qs + step * dq
+                lam_try = lam if target is None else lam + step * float(delta[-1])
+                if step < first and moved.min() > 0.0:  # the support stays
+                    q_try[sup] = moved
+                    trial = merit(q_try, lam_try, sup, ds)
+                else:
+                    q_try[sup] = np.where(reach <= step, 0.0, moved)
+                    trial = merit(q_try, lam_try)
+                if trial[0] <= value + 1e-14 * max(1.0, abs(value)):
+                    break
+                step *= 0.5
+            else:
+                return None
+            if trial[1].size < k:
+                drops += 1
+            q = q_try
+            value, sup, ds, lam, e, z = trial
     return None
 
 
@@ -340,7 +372,9 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
     """Alternating minimization from the uniform marginal; pxp must be > 0.
 
     With ``target`` None the slope stays at ``lam``; otherwise every
-    iteration re-solves it for E[d] = target, starting from ``lam``.
+    iteration re-solves it for E[d] = target, starting from ``lam``, and
+    from the first failed polish on, an iterate whose duality gap is at
+    most ``tol`` ends the solve.
     """
     shift = dist.min(axis=1)
     dist_s = dist - shift[:, None]  # row minimum exactly 0: the tilt never overflows
@@ -350,36 +384,51 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
     q = np.full(dist.shape[1], 1.0 / dist.shape[1])
     trace: list[float] | None = [] if track else None
     f_prev = d_f = gap = math.inf
+    certify = False  # set by the first failed polish of a constrained solve
     for it in range(1, max_iter + 1):
         if target_s is not None:
-            lam, expd = _match_slope(pxp, dist_s, q, target_s, lam)
+            with np.errstate(invalid="ignore"):
+                lam, expd = _match_slope(pxp, dist_s, q, target_s, lam)
         weighted = expd * q[None, :]
         z = weighted.sum(axis=1)
-        m = pxp @ (weighted / z[:, None])
+        fwd = weighted / z[:, None]
+        m = pxp @ fwd
         f_val = lam * d_shift - float(pxp @ np.log(z))
         if not math.isfinite(f_val):
             raise ConvergenceError(f"solve broke down at slope {lam!r}: a forward row vanished")
         if trace is not None:
             trace.append(f_val)
+        done = None
         if it == 2 or it % _POLISH_EVERY == 0:
-            polished = _polish(pxp, dist_s, m, lam, target_s, tol)
-            if polished is not None:
-                q, lam, drops = polished
-                expd = np.exp(-lam * dist_s)
-                weighted = expd * q[None, :]
-                z = weighted.sum(axis=1)
-                fwd = weighted / z[:, None]
-                m = pxp @ fwd
-                # Gaps of the returned point under one more update.
-                z_next = expd @ m
-                return _RawBa(
-                    forward=fwd, marginal=m,
-                    distortion=float(pxp @ (fwd * dist).sum(axis=1)),
-                    rate=_rate_of(pxp, fwd, m), lam=lam, iterations=it,
-                    objective_gap=abs(float(pxp @ (np.log(z_next) - np.log(z)))),
-                    marginal_gap=float(np.abs(m - q).max()), drops=drops,
-                    trace=np.array(trace) if trace is not None else None,
-                )
+            done = _polish(pxp, dist_s, m, lam, target_s, tol)
+            certify = target_s is not None
+        if done is None and certify and _dual_gap(pxp, expd, z, fwd, m, lam, target_s) <= tol:
+            # Within tol of R(target): keep the columns of real mass, unless
+            # the rest cannot meet the target to the slope match's precision,
+            # and match the slope to them.
+            q = np.where(m >= PRUNE_EPS, m, 0.0)
+            if float(pxp @ dist_s[:, q > 0.0].min(axis=1)) > (1.0 + 1e-13) * target_s:
+                q = m
+            with np.errstate(invalid="ignore"):
+                lam = _match_slope(pxp, dist_s, q, target_s, lam)[0]
+            done = q, lam, int(np.count_nonzero(q) < np.count_nonzero(m))
+        if done is not None:
+            q, lam, drops = done
+            expd = np.exp(-lam * dist_s)
+            weighted = expd * q[None, :]
+            z = weighted.sum(axis=1)
+            fwd = weighted / z[:, None]
+            m = pxp @ fwd
+            # Gaps of the returned point under one more update.
+            z_next = expd @ m
+            return _RawBa(
+                forward=fwd, marginal=m,
+                distortion=float(pxp @ (fwd * dist).sum(axis=1)),
+                rate=_rate_of(pxp, fwd, m), lam=lam, iterations=it,
+                objective_gap=abs(float(pxp @ (np.log(z_next) - np.log(z)))),
+                marginal_gap=float(np.abs(m - q).max()), drops=drops,
+                trace=np.array(trace) if trace is not None else None,
+            )
         d_f = abs(f_prev - f_val)
         gap = float(np.abs(m - q).max())
         f_prev = f_val
@@ -452,10 +501,13 @@ class RdDiagnostics:
     """Solver effort and residuals for one rate-distortion point.
 
     ``ba_iterations`` counts the iterations of the solve, which ends at the
-    first polish attempt that succeeds (at iteration 2, 16, 32, 48, ...),
-    and ``ba_calls`` the solver runs behind the point: 1, or 0 at the
-    zero-rate knee, which is exact without one.  ``prune_rounds`` counts the
-    support reductions the final polish made.  The two gaps are those of
+    first polish attempt that succeeds (at iteration 2, 16, 32, 48, ...)
+    or, after a failed one, at the first iterate within the certificate tol
+    of Blahut's lower bound; ``ba_calls`` counts the solver runs behind the
+    point: 1, or 0 at the zero-rate knee, which is exact without one.
+    ``prune_rounds`` counts the support reductions the final polish made,
+    or 1 if a solve stopped on the bound dropped columns below PRUNE_EPS
+    on the way out.  The two gaps are those of
     the returned marginal under one more update; ``achieved_distortion`` is
     E[d] at the point.
     """
@@ -548,7 +600,11 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
         raw = _RawBa(forward=np.tile(q, (support.size, 1)), marginal=q,
                      distortion=d_max, rate=0.0, lam=0.0, iterations=0)
     else:
-        raw = _ba_core(px[support], problem.distortion[support], 1.0,
+        if support.size == px.size:
+            pxp, dist = px, problem.distortion
+        else:
+            pxp, dist = px[support], problem.distortion[support]
+        raw = _ba_core(pxp, dist, 1.0,
                        max(target, d_min + 0.5 * tol), min(1e-10, tol / 100.0),
                        max_iter, track=False)
 

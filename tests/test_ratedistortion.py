@@ -15,6 +15,7 @@ from loglosslab import (
     SourceProblem,
     ValidationError,
     ba_fixed_slope,
+    build_corresponding,
     distortion_bounds,
     entropy,
     hamming_distortion,
@@ -22,14 +23,18 @@ from loglosslab import (
     posterior,
     rd_at_distortion,
     rd_curve,
+    solve_avg,
     tilted_information,
     verify_csiszar_identity,
     verify_lemma1,
+    verify_optimum_coincidence,
 )
 from loglosslab import ratedistortion
 from loglosslab.ratedistortion import PRUNE_EPS
 
 LN2 = math.log(2.0)
+# The certificate tol min(1e-10, tol / 100) of a solve at tol = 1e-10.
+CERT_TOL = 1e-12
 
 
 def h_b(p: float) -> float:
@@ -302,6 +307,30 @@ def erokhin_rd(px, d: float) -> tuple[float, float, tuple[int, ...]]:
     return rate, lam, tuple(sorted(int(order[i]) for i in np.flatnonzero(mass >= PRUNE_EPS)))
 
 
+def dual_gap(problem: SourceProblem, point) -> float:
+    """The point's rate less Blahut's (1972) lower bound on R at its D.
+
+    For any slope lam >= 0 and marginal q, with z_x = sum_j q_j
+    exp(-lam d_xj) and t_j = sum_x px exp(-lam d_xj) / z_x over every
+    column, R(D) >= -lam D - sum_x px ln z_x - ln max_j t_j.  Evaluated at
+    the point's own slope, marginal and achieved distortion; rows are
+    shifted by their minima, which leaves the bound unchanged.
+    """
+    live = problem.px.probs > 0.0
+    px = problem.px.probs[live]
+    dist = problem.distortion[live]
+    shift = dist.min(axis=1)
+    lam = point.lambda_star
+    tilt = np.exp(-lam * (dist - shift[:, None]))
+    q = np.zeros(problem.n_reconstruction)
+    q[list(point.kept_columns)] = point.output_marginal.probs
+    z = tilt @ q
+    t = px @ (tilt / z[:, None])
+    d_shifted = point.diagnostics.achieved_distortion - float(px @ shift)
+    bound = -lam * d_shifted - float(px @ np.log(z)) - math.log(float(t.max()))
+    return point.rate - bound
+
+
 def erokhin_breakpoints(px) -> list[float]:
     """Distortions where the output support shrinks, D_max last.
 
@@ -343,6 +372,7 @@ class TestHammingClosedForm:
             assert abs(point.rate - rate) <= 1e-9, (d, point.rate, rate)
             assert abs(point.lambda_star - lam) <= 1e-8, (d, point.lambda_star, lam)
             assert point.kept_columns == support, (d, point.kept_columns, support)
+            assert abs(dual_gap(problem, point)) <= CERT_TOL, d
             assert elapsed < self.BUDGET_S, (d, elapsed)
 
     def test_skewed_support_changes(self):
@@ -387,7 +417,9 @@ class TestIterationCounts:
     def test_criterion2_draws_finish_at_iteration_two(self):
         solved = 0
         for problem, d in criterion2_draws():
-            diag = rd_at_distortion(problem, d, tol=1e-10).diagnostics
+            point = rd_at_distortion(problem, d, tol=1e-10)
+            assert abs(dual_gap(problem, point)) <= CERT_TOL, d
+            diag = point.diagnostics
             if d >= distortion_bounds(problem)[1] - 1e-10:
                 # D_min = D_max: the zero-rate knee is exact without a solve.
                 assert (diag.ba_calls, diag.ba_iterations) == (0, 0), d
@@ -407,6 +439,7 @@ class TestIterationCounts:
             assert point.diagnostics.ba_iterations <= 2, (d, point.diagnostics)
             _, _, support = erokhin_rd(px, point.diagnostics.achieved_distortion)
             assert point.kept_columns == support, (d, point.kept_columns, support)
+            assert abs(dual_gap(problem, point)) <= CERT_TOL, d
 
     @pytest.mark.parametrize("frac", [0.05, 0.5, 0.95])
     def test_wide_problem_finishes_at_iteration_two(self, frac):
@@ -418,6 +451,80 @@ class TestIterationCounts:
         assert point.diagnostics.ba_iterations == 2, point.diagnostics
         assert len(point.kept_columns) < 60
         assert verify_csiszar_identity(problem, point) < 1e-9
+
+
+class TestDualGapStop:
+    # Points where every polish attempt fails, so only the duality gap can
+    # end the solve.  In the first two, D*(2) is, to the last bit, the D_min
+    # of a sub-support, and the polish's merit is infinite on the support it
+    # needs.
+    BUDGET_S = 1.0
+    # The failed polish attempts of the low-mass-column instance make about
+    # 2,100 slope matches; it takes about 1.2 s.
+    SLOW_BUDGET_S = 5.0
+
+    FIRST = SourceProblem(px=Pmf.uniform(4), distortion=np.array(
+        [[0, 0, 0, 0], [1, 0, 1, 0.5], [0, 1, 1, 1], [1, 0.015625, 0, 0]], dtype=float))
+    SECOND = SourceProblem(px=Pmf.uniform(5), distortion=np.array(
+        [[1, 0.5, 0.0078125, 0], [1, 1, 0.5, 1], [0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
+        dtype=float))
+
+    def solve(self, problem, d_star, rate):
+        assert solve_avg(problem, 2)[1] == d_star
+        start = time.perf_counter()
+        point = rd_at_distortion(problem, d_star, tol=1e-10)
+        assert time.perf_counter() - start < self.BUDGET_S
+        assert abs(point.rate - rate) <= 1e-9, point.rate
+        assert abs(point.diagnostics.achieved_distortion - d_star) <= 1e-10
+        assert abs(dual_gap(problem, point)) <= CERT_TOL
+        assert verify_csiszar_identity(problem, point) < 1e-9
+        return point
+
+    def test_first_instance(self):
+        point = self.solve(self.FIRST, 1 / 256, 0.477385626221)
+        assert point.kept_columns == (0, 1)
+        start = time.perf_counter()
+        cp = build_corresponding(self.FIRST, 2, tol=1e-10)
+        assert time.perf_counter() - start < self.BUDGET_S
+        assert verify_optimum_coincidence(cp).matched
+
+    def test_second_instance(self):
+        self.solve(self.SECOND, 0.1015625, 0.381908500977)
+
+    def test_low_mass_column_that_meets_the_target_stays(self):
+        # D*(2) is the D_min of columns (0, 1, 3) up to rounding, which in
+        # shifted units puts it 1.2e-18 below that D_min.  The iterate gives
+        # column 2 a mass of 2e-11; dropping it would leave a support that
+        # cannot meet the target, so the point keeps it.
+        problem = SourceProblem(px=Pmf.uniform(3), distortion=np.array(
+            [[0, 1, 1, 0], [0.125, 0.0625, 1, 1], [1, 2.0 ** -24, 0, 1]], dtype=float))
+        d_star = solve_avg(problem, 2)[1]
+        start = time.perf_counter()
+        point = rd_at_distortion(problem, d_star, tol=1e-10)
+        assert time.perf_counter() - start < self.SLOW_BUDGET_S
+        assert point.kept_columns == (0, 1, 2, 3)
+        assert abs(point.rate - 0.636514168308) <= 1e-9, point.rate
+        assert abs(point.diagnostics.achieved_distortion - d_star) <= 1e-10
+        assert abs(dual_gap(problem, point)) <= CERT_TOL
+
+    def test_target_just_below_the_knee(self):
+        # 1 - 1e-8 of the way from D_min to D_max on a 2 x 9 problem.
+        problem = SourceProblem(px=Pmf([0.7765408410060481, 0.2234591589939519]),
+                                distortion=np.array([
+            [0.059199576467395265, 0.13540961940258334, 0.48023496791252707,
+             0.0878626243390086, 0.05305976262276668, 0.3513576568134932,
+             0.7958012327902494, 0.07513682143312794, 0.38956224036370946],
+            [0.10575968313715, 0.9171297675647386, 0.5131598136374369,
+             0.4006130096921715, 0.6685216320485204, 0.06937914504293141,
+             0.18404645564162958, 0.433287425671144, 0.6772505349540788]]))
+        d = 0.06960385861751354
+        start = time.perf_counter()
+        point = rd_at_distortion(problem, d, tol=1e-10)
+        assert time.perf_counter() - start < self.BUDGET_S
+        assert point.diagnostics.ba_iterations > 2
+        assert abs(point.diagnostics.achieved_distortion - d) <= 1e-10
+        assert 0.0 <= point.rate < 1e-8
+        assert abs(dual_gap(problem, point)) <= CERT_TOL
 
 
 class TestAffineStretch:
