@@ -64,10 +64,6 @@ class _CommandOutput:
     table_rows: list = field(default_factory=list)
 
 
-def _tol(args) -> float:
-    return DEFAULT_TOL if args.tol is None else args.tol
-
-
 # ----------------------------------------------------------------------
 # rd
 # ----------------------------------------------------------------------
@@ -75,7 +71,6 @@ def _tol(args) -> float:
 
 def _cmd_rd(args) -> _CommandOutput:
     loaded = load_problem(args.problem)
-    tol = _tol(args)
     if (args.distortion is None) == (args.grid is None):
         raise ValidationError("rd: give exactly one of --distortion or --grid")
     targets = ([args.distortion] if args.grid is None
@@ -84,7 +79,7 @@ def _cmd_rd(args) -> _CommandOutput:
     points = []
     rows = []
     for d in targets:
-        point = rd_at_distortion(loaded.problem, d, tol=tol, max_iter=args.max_iter)
+        point = rd_at_distortion(loaded.problem, d, tol=args.tol, max_iter=args.max_iter)
         residual = verify_csiszar_identity(loaded.problem, point)
         diag = point.diagnostics
         points.append({
@@ -102,10 +97,10 @@ def _cmd_rd(args) -> _CommandOutput:
 
     return _CommandOutput(
         inputs={"problem": loaded.echo(),
-                "flags": {"targets": targets, "tol": tol, "max_iter": args.max_iter}},
+                "flags": {"targets": targets, "tol": args.tol, "max_iter": args.max_iter}},
         outputs={"points": points},
-        tolerances={"distortion_tol": tol,
-                    "fixed_point_tol": min(1e-10, tol / 100.0)},
+        tolerances={"distortion_tol": args.tol,
+                    "fixed_point_tol": min(1e-10, args.tol / 100.0)},
         nat_keys=frozenset({"rate", "tilted_information", "csiszar_residual"}),
         table_header=["D", "rate", "lambda"],
         table_rows=rows,
@@ -145,88 +140,57 @@ def _cmd_oneshot(args) -> _CommandOutput:
     if crit == "avg":
         _require(args.distortion is None, "oneshot avg: --distortion does not apply")
 
-    m = args.messages
+    # codebook is excess at the least M whose optimum meets epsilon.
     d = args.distortion
+    m = args.messages
+    if crit == "codebook":
+        m = (logloss_codebook(px, d, args.epsilon) if args.logloss
+             else solve_codebook(problem, d, args.epsilon))
     oracle = None
-    nat_keys = frozenset()
 
-    if args.logloss:
-        if crit == "avg":
-            scheme, value = logloss_avg_optimum(px, m)
-            outputs = {
-                "criterion": "avg",
-                "optimal_value": value,
-                "scheme": {
-                    "encoder": list(scheme.encoder),
-                    "cell_masses": scheme.cell_masses,
-                    "reproduction_rows": [q.probs for q in scheme.posterior_rows],
-                },
-            }
-            nat_keys = frozenset({"optimal_value"})
-            header, row = ["criterion", "M", "value"], ["avg", m, value]
-        elif crit == "excess":
-            scheme, value = logloss_excess_optimum(px, m, d)
-            outputs = {
-                "criterion": "excess",
-                "optimal_value": value,
-                "scheme": {
-                    "sort_order": list(scheme.sort_order),
-                    "cell_size": scheme.cell_size,
-                    "encoder": list(scheme.encoder()),
-                    "reproduction_rows": [q.probs for q in scheme.decoder_rows()],
-                },
-            }
+    if crit == "avg" and args.logloss:
+        partition, value = logloss_avg_optimum(px, m)
+        scheme = {"encoder": list(partition.encoder),
+                  "cell_masses": partition.cell_masses,
+                  "reproduction_rows": [q.probs for q in partition.posterior_rows]}
+    elif crit == "avg":
+        code, value = solve_avg(problem, m)
+        scheme = _code_doc(code)
+        if m ** px.n <= _AVG_ORACLE_BUDGET:
+            oracle = solve_avg_oracle(problem, m)
+    elif args.logloss:
+        cells, value = logloss_excess_optimum(px, m, d)
+        scheme = {"sort_order": list(cells.sort_order),
+                  "cell_size": cells.cell_size,
+                  "encoder": list(cells.encoder())}
+        if crit == "excess":  # a codebook report gives neither rows nor oracle
+            scheme["reproduction_rows"] = [q.probs for q in cells.decoder_rows()]
             if px.n <= _EXCESS_ORACLE_ALPHABET:
-                ov = logloss_excess_oracle(px, m, d)
-                oracle = {"value": ov, "agrees": ov == value}
-            header, row = ["criterion", "M", "D", "epsilon"], ["excess", m, d, value]
-        else:
-            m_star = logloss_codebook(px, d, args.epsilon)
-            scheme, value = logloss_excess_optimum(px, m_star, d)
-            outputs = {
-                "criterion": "codebook",
-                "m_star": m_star,
-                "achieved_epsilon": value,
-                "scheme": {
-                    "sort_order": list(scheme.sort_order),
-                    "cell_size": scheme.cell_size,
-                    "encoder": list(scheme.encoder()),
-                },
-            }
-            header = ["criterion", "D", "eps", "M_star", "achieved_epsilon"]
-            row = ["codebook", d, args.epsilon, m_star, value]
+                oracle = logloss_excess_oracle(px, m, d)
     else:
-        if crit == "avg":
-            code, value = solve_avg(problem, m)
-            outputs = {"criterion": "avg", "optimal_value": value,
-                       "scheme": _code_doc(code)}
-            if m ** px.n <= _AVG_ORACLE_BUDGET:
-                ov = solve_avg_oracle(problem, m)
-                oracle = {"value": ov, "agrees": ov == value}
-            header, row = ["criterion", "M", "value"], ["avg", m, value]
-        elif crit == "excess":
-            code, value = excess_witness(problem, m, d)
-            outputs = {"criterion": "excess", "optimal_value": value,
-                       "scheme": _code_doc(code)}
-            header, row = ["criterion", "M", "D", "epsilon"], ["excess", m, d, value]
-        else:
-            m_star = solve_codebook(problem, d, args.epsilon)
-            code, value = excess_witness(problem, m_star, d)
-            outputs = {"criterion": "codebook", "m_star": m_star,
-                       "achieved_epsilon": value, "scheme": _code_doc(code)}
-            header = ["criterion", "D", "eps", "M_star", "achieved_epsilon"]
-            row = ["codebook", d, args.epsilon, m_star, value]
+        code, value = excess_witness(problem, m, d)
+        scheme = _code_doc(code)
 
-    outputs["oracle"] = oracle
+    if crit == "codebook":
+        outputs = {"criterion": crit, "m_star": m, "achieved_epsilon": value}
+        header = ["criterion", "D", "eps", "M_star", "achieved_epsilon"]
+        row = [crit, d, args.epsilon, m, value]
+    else:
+        outputs = {"criterion": crit, "optimal_value": value}
+        header, row = ["criterion", "M", "value"], [crit, m, value]
+        if crit == "excess":
+            header, row = ["criterion", "M", "D", "epsilon"], [crit, m, d, value]
+    outputs["scheme"] = scheme
+    outputs["oracle"] = None if oracle is None else {"value": oracle, "agrees": oracle == value}
     flags = {"criterion": crit, "logloss": bool(args.logloss)}
-    for name, value_ in (("messages", m), ("distortion", d), ("epsilon", args.epsilon)):
-        if value_ is not None:
-            flags[name] = value_
+    for name in ("messages", "distortion", "epsilon"):
+        if getattr(args, name) is not None:
+            flags[name] = getattr(args, name)
     return _CommandOutput(
         inputs={"problem": loaded.echo(), "flags": flags},
         outputs=outputs,
         tolerances={"feasibility_slack": 1e-12},
-        nat_keys=nat_keys,
+        nat_keys=frozenset({"optimal_value"} if crit == "avg" and args.logloss else ()),
         table_header=header,
         table_rows=[row],
     )
@@ -244,9 +208,8 @@ def _cmd_equiv(args) -> _CommandOutput:
     if args.samples is not None:
         _require(args.samples >= 1, "equiv: --samples must be >= 1")
         _require(args.seed is not None, "equiv: --samples requires --seed")
-    tol = _tol(args)
 
-    cp = build_corresponding(loaded.problem, args.messages, tol=tol)
+    cp = build_corresponding(loaded.problem, args.messages, tol=args.tol)
     sweep = identity_sweep(cp, samples=args.samples, seed=args.seed)
     coincidence = None
     if not sweep.sampled:
@@ -275,14 +238,14 @@ def _cmd_equiv(args) -> _CommandOutput:
     }
     verdict = "skipped" if coincidence is None else (
         "pass" if coincidence["matched"] else "FAIL")
-    flags = {"messages": args.messages, "tol": tol}
+    flags = {"messages": args.messages, "tol": args.tol}
     if args.samples is not None:
         flags["samples"] = args.samples
         flags["seed"] = args.seed
     return _CommandOutput(
         inputs={"problem": loaded.echo(), "flags": flags},
         outputs=outputs,
-        tolerances={"solver_tol": tol, "row_match_tol": 1e-9,
+        tolerances={"solver_tol": args.tol, "row_match_tol": 1e-9,
                     "coincidence_atol": 1e-9},
         nat_keys=frozenset({"h_x_given_xhat", "max_residual", "min_log_loss"}),
         table_header=["M", "d_star", "lambda", "h_cond", "max_residual",
@@ -299,17 +262,16 @@ def _cmd_equiv(args) -> _CommandOutput:
 
 def _cmd_sr(args) -> _CommandOutput:
     loaded = load_problem(args.problem)
-    tol = _tol(args)
     _require(args.d2 is not None, "sr: --d2 is required")
     if (args.d1 is None) == (args.chain is None):
         raise ValidationError("sr: give exactly one of --d1 or --chain")
 
     if args.chain is not None:
         targets = parse_float_list(args.chain, "--chain")
-        layers = construct_sr_chain(loaded.problem, targets, args.d2, tol=tol)
+        layers = construct_sr_chain(loaded.problem, targets, args.d2, tol=args.tol)
     else:
         targets = [args.d1]
-        layers = [construct_sr(loaded.problem, args.d1, args.d2, tol=tol)]
+        layers = [construct_sr(loaded.problem, args.d1, args.d2, tol=args.tol)]
 
     layer_docs = []
     rows = []
@@ -332,12 +294,12 @@ def _cmd_sr(args) -> _CommandOutput:
     first = layers[0]
     return _CommandOutput(
         inputs={"problem": loaded.echo(),
-                "flags": {"targets": targets, "d2": args.d2, "tol": tol}},
+                "flags": {"targets": targets, "d2": args.d2, "tol": args.tol}},
         outputs={"d2": first.d2,
                  "fine_rate": first.second_point.rate,
                  "fine_lambda": first.second_point.lambda_star,
                  "layers": layer_docs},
-        tolerances={"solver_tol": tol, "check_tol": 1e-9},
+        tolerances={"solver_tol": args.tol, "check_tol": 1e-9},
         nat_keys=frozenset({"d1", "rates", "fine_rate"}),
         table_header=["d1", "delta", "max_residual", "ok"],
         table_rows=rows,
@@ -429,11 +391,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
+    # Every subcommand takes the output flags; only those that solve an R(D)
+    # point take --tol, and only those that draw at random take --seed.
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help=f"solver tolerance (default {DEFAULT_TOL})")
-    common.add_argument("--seed", type=int, default=None,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
                         help="seed for randomized steps")
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
     common.add_argument("--format", choices=("report", "table"),
@@ -444,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rd", parents=[common],
+    p = sub.add_parser("rd", parents=[solver, common],
                        help="rate-distortion point(s) at fixed distortion")
     p.add_argument("problem", help="problem file (YAML)")
     p.add_argument("--distortion", "-D", type=float, default=None)
@@ -467,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "matrix is ignored")
     p.set_defaults(handler=_cmd_oneshot)
 
-    p = sub.add_parser("equiv", parents=[common],
+    p = sub.add_parser("equiv", parents=[solver, seeded, common],
                        help="log-loss surrogate of a one-shot problem")
     p.add_argument("problem")
     p.add_argument("--messages", "-M", type=int, default=None)
@@ -475,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sample this many codes instead of enumerating")
     p.set_defaults(handler=_cmd_equiv)
 
-    p = sub.add_parser("sr", parents=[common],
+    p = sub.add_parser("sr", parents=[solver, common],
                        help="coarse/fine two-decoder construction")
     p.add_argument("problem")
     p.add_argument("--d1", type=float, default=None,
@@ -486,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fine-stage distortion target")
     p.set_defaults(handler=_cmd_sr)
 
-    p = sub.add_parser("timeshare", parents=[common],
+    p = sub.add_parser("timeshare", parents=[seeded, common],
                        help="simulate the prefix-lossless time-sharing scheme")
     p.add_argument("problem", nargs="?", default=None)
     p.add_argument("--px", default=None,

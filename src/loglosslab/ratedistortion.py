@@ -38,6 +38,7 @@ from .errors import (
 from .probability import (
     Channel,
     Pmf,
+    _as_readonly_array,
     conditional_entropy,
     entropy,
     joint_from_source_and_channel,
@@ -99,29 +100,18 @@ class SourceProblem:
     distortion: np.ndarray
 
     def __post_init__(self):
-        try:
-            dist = np.array(self.distortion, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"SourceProblem: bad distortion matrix: {exc}") from exc
-        if dist.ndim != 2:
-            raise ValidationError(f"SourceProblem: distortion must be 2-D, got {dist.shape}")
+        dist = _as_readonly_array(self.distortion, "SourceProblem: distortion", ndim=2)
         if dist.shape[0] != self.px.n:
             raise ValidationError(
                 f"SourceProblem: {dist.shape[0]} distortion rows for {self.px.n} source symbols"
             )
-        if dist.size == 0:
-            raise ValidationError("SourceProblem: distortion must be nonempty")
-        if not np.all(np.isfinite(dist)):
-            raise ValidationError("SourceProblem: distortion entries must be finite")
-        if np.any(dist < 0.0):
-            raise ValidationError("SourceProblem: distortion entries must be nonnegative")
-        for j in range(dist.shape[1]):
-            for k in range(j + 1, dist.shape[1]):
-                if np.max(np.abs(dist[:, j] - dist[:, k])) <= COLUMN_MATCH_TOL:
-                    raise ValidationError(
-                        f"SourceProblem: distortion columns {j} and {k} are identical"
-                    )
-        dist.setflags(write=False)
+        for j in range(dist.shape[1] - 1):
+            gaps = np.abs(dist[:, j + 1:] - dist[:, j:j + 1]).max(axis=0)
+            same = np.flatnonzero(gaps <= COLUMN_MATCH_TOL)
+            if same.size:
+                raise ValidationError(
+                    f"SourceProblem: distortion columns {j} and {j + 1 + same[0]} are identical"
+                )
         object.__setattr__(self, "distortion", dist)
 
     @property

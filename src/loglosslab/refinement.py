@@ -61,8 +61,9 @@ class SrConstruction:
     ``pz_given_xhat`` rows follow kept order; its last output column is the
     erasure.  ``q_rows`` are the coarse reproductions (posteriors of the
     source given the observation, merged when they coincide within
-    ``ROW_MERGE_TOL``), and ``q_index`` maps each positive-probability label
-    to its row.  ``rates`` is (coarse rate, fine rate) in nats.
+    ``ROW_MERGE_TOL``), and ``q_index`` maps ``ERASURE`` and each kept
+    label of positive probability to its row.  ``rates`` is (coarse rate,
+    fine rate) in nats.
     """
 
     problem: SourceProblem
@@ -119,15 +120,17 @@ def _assemble(problem: SourceProblem, point: RdPoint, h: float, h2: float,
     m = point.output_marginal.probs
     pz_marg = np.concatenate(((1.0 - delta) * m, [delta]))
 
-    # Posterior of the source given each positive-probability observation:
-    # a surviving reconstruction pins its reverse row, an erasure reveals
-    # nothing.  Near-equal rows merge to their probability-weighted mean, so
-    # merged rows stay exact posteriors of the merged event.
+    # Posterior of the source given each observation: a surviving
+    # reconstruction pins its reverse row, an erasure reveals nothing.  A
+    # kept column of zero probability gets no row; the erasure always gets
+    # px, also at delta = 0, so the row count does not hang on the sign of a
+    # rounding error.  Near-equal rows merge to their probability-weighted
+    # mean, so merged rows stay exact posteriors of the merged event.
     reps: list[np.ndarray] = []
     weights: list[float] = []
     q_index: dict = {}
     for z in range(k + 1):
-        if pz_marg[z] <= 0.0:
+        if z < k and pz_marg[z] <= 0.0:
             continue
         row = point.reverse.rows[z] if z < k else problem.px.probs
         w = float(pz_marg[z])

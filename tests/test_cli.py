@@ -11,6 +11,7 @@ import pytest
 import loglosslab
 from loglosslab import ValidationError, __version__
 from loglosslab.cli import main
+from loglosslab.oneshot import excess_witness, logloss_codebook, logloss_excess_optimum
 from loglosslab.problemio import (
     dump_report,
     jsonable,
@@ -307,6 +308,34 @@ class TestOneshotCommand:
         assert out["m_star"] >= 1
         assert out["achieved_epsilon"] <= 0.25 + 1e-12
 
+    def test_excess_matches_witness(self, capsys):
+        report = run_report(
+            capsys, ["oneshot", SKEW3, "--criterion", "excess",
+                     "--messages", "2", "--distortion", "0.5"])
+        code, value = excess_witness(load_problem(SKEW3).problem, 2, 0.5)
+        out = report["outputs"]
+        assert out["criterion"] == "excess"
+        assert out["optimal_value"] == round_sig(value)
+        assert out["scheme"] == {"encoder": list(code.encoder),
+                                 "decoder": list(code.decoder)}
+        assert out["oracle"] is None
+
+    @pytest.mark.parametrize("epsilon", [0.25, 0.001])
+    def test_logloss_codebook_matches_closed_forms(self, capsys, epsilon):
+        report = run_report(
+            capsys, ["oneshot", SKEW3, "--criterion", "codebook", "--logloss",
+                     "--distortion", "0.5", "--epsilon", str(epsilon)])
+        px = load_problem(SKEW3).problem.px
+        m_star = logloss_codebook(px, 0.5, epsilon)
+        scheme, value = logloss_excess_optimum(px, m_star, 0.5)
+        out = report["outputs"]
+        assert out["m_star"] == m_star
+        assert out["achieved_epsilon"] == round_sig(value) <= epsilon + 1e-12
+        assert out["scheme"] == {"sort_order": list(scheme.sort_order),
+                                 "cell_size": scheme.cell_size,
+                                 "encoder": list(scheme.encoder())}
+        assert "messages" not in report["inputs"]["flags"]
+
     def test_flag_consistency_enforced(self, capsys):
         # avg takes no --distortion, excess needs one, codebook computes M.
         cases = [
@@ -492,6 +521,26 @@ class TestDeterminism:
                      "/nonexistent-dir/report.json"])
         assert code == 2
         assert "error:" in err
+
+
+class TestFlagScope:
+    # Each subcommand takes only the flags its handler reads.
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["rd", BINARY, "--distortion", "0.1", "--seed", "1"], id="rd-seed"),
+        pytest.param(["oneshot", SKEW3, "--criterion", "avg", "--messages", "2",
+                      "--seed", "1"], id="oneshot-seed"),
+        pytest.param(["sr", BINARY, "--d1", "0.5", "--d2", "0.1", "--seed", "1"],
+                     id="sr-seed"),
+        pytest.param(["oneshot", SKEW3, "--criterion", "avg", "--messages", "2",
+                      "--tol", "1e-6"], id="oneshot-tol"),
+        pytest.param(["timeshare", "--px", "0.5,0.5", "--distortion", "0.3",
+                      "--n", "10", "--seed", "0", "--tol", "1e-6"], id="timeshare-tol"),
+    ])
+    def test_unread_flag_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestEntryPoints:

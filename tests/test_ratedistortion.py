@@ -80,6 +80,12 @@ class TestSourceProblem:
         with pytest.raises(ValidationError):
             SourceProblem(px=Pmf([0.5, 0.5]), distortion=dist)
 
+    def test_duplicate_pair_named(self):
+        dist = np.random.default_rng(3).random((4, 300))
+        dist[:, 250] = dist[:, 3]
+        with pytest.raises(ValidationError, match="columns 3 and 250 are identical"):
+            SourceProblem(px=Pmf.uniform(4), distortion=dist)
+
     def test_hamming_matrix(self):
         d = hamming_distortion(3)
         assert d.shape == (3, 3)
@@ -524,6 +530,26 @@ class TestDualGapStop:
         assert point.diagnostics.ba_iterations > 2
         assert abs(point.diagnostics.achieved_distortion - d) <= 1e-10
         assert 0.0 <= point.rate < 1e-8
+        assert abs(dual_gap(problem, point)) <= CERT_TOL
+
+
+class TestPolishLineSearchExit:
+    def test_failed_attempt_leaves_the_solve_to_a_later_one(self):
+        # The attempt at iteration 2 shrinks the support to two columns and
+        # its line search runs out of halvings at a slope of about 1.4e4; a
+        # later attempt finishes on three columns.
+        problem = SourceProblem(
+            px=Pmf([0.21439001183323794, 0.2645453617070924, 0.1255354182411794,
+                    0.33948251154816195, 0.056046696670328335]),
+            distortion=np.array([[2, 0.0625, 0.0078125, 0.5], [1, 1, 2, 2.0 ** -24],
+                                 [1, 0.0625, 0.5, 1], [2.0 ** -24, 0, 0.015625, 2.0 ** -24],
+                                 [0.125, 0, 0.125, 2.0 ** -24]]))
+        start = time.perf_counter()
+        point = rd_at_distortion(problem, 0.021245355147783397, tol=1e-10)
+        assert time.perf_counter() - start < 1.0
+        assert point.kept_columns == (1, 2, 3)
+        assert abs(point.rate - 0.413102784090) <= 1e-9, point.rate
+        assert verify_csiszar_identity(problem, point) < 1e-9
         assert abs(dual_gap(problem, point)) <= CERT_TOL
 
 

@@ -56,6 +56,33 @@ class TestConstructSr:
         assert c.rates[0] == pytest.approx(LN2 - h_b(0.1), abs=1e-12)
         assert c.rates[1] == pytest.approx(LN2 - h_b(0.1), abs=1e-8)
 
+    def test_erasure_row_kept_at_exact_delta_zero(self):
+        # d1 equal, to the last bit, to the fine stage's H(X | Xhat) gives
+        # delta == 0.0; the erasure still gets its row px, as it does at a
+        # delta a rounding error above zero.
+        problem = binary_hamming()
+        point = rd_at_distortion(problem, 0.1, tol=1e-10)
+        h2 = conditional_entropy(joint_from_source_and_channel(problem.px, point.forward))
+        c = construct_sr(problem, h2, 0.1, tol=1e-10)
+        assert c.delta == 0.0
+        assert len(c.q_rows) == 3
+        assert ERASURE in c.q_index
+        np.testing.assert_array_equal(c.q_rows[c.q_index[ERASURE]].probs, c.px.probs)
+        assert verify_sr(c).ok
+
+    def test_constant_column_merges_with_erasure_row(self):
+        # Column 2 costs 0.25 from either symbol, so its posterior is px
+        # itself and shares the erasure's row.
+        problem = SourceProblem(px=Pmf([0.5, 0.5]), distortion=np.array(
+            [[0.0, 1.0, 0.25], [1.0, 0.0, 0.25]]))
+        point = rd_at_distortion(problem, 0.1, tol=1e-10)
+        h2 = conditional_entropy(joint_from_source_and_channel(problem.px, point.forward))
+        c = construct_sr(problem, (h2 + LN2) / 2, 0.1, tol=1e-10)
+        assert point.kept_columns == (0, 1, 2)
+        assert len(c.q_rows) == 3
+        assert c.q_index[2] == c.q_index[ERASURE]
+        assert verify_sr(c).ok
+
     def test_delta_one_boundary(self):
         # Coarse target H(X): full erasure, a single reproduction row px.
         c = construct_sr(binary_hamming(), LN2, 0.1, tol=1e-10)
