@@ -10,6 +10,7 @@ codes: 0 success, 1 infeasible / degenerate / non-convergent instance,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -383,6 +384,7 @@ def _cmd_timeshare(args) -> _CommandOutput:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loglosslab",

@@ -20,8 +20,10 @@ are rejected as out of scope.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -299,8 +301,10 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
 
     Exhaustive over all M^r encoders and k^M decoders when samples is None
     (guarded at 10^7 pairs); otherwise over `samples` uniformly seeded draws.
-    ``seed`` is None or an integer >= 0; anything else is a ValidationError.
+    ``samples`` is None or an integer >= 1 and ``seed`` None or an integer
+    >= 0; anything else is a ValidationError.
     """
+    _require_int("identity_sweep", "samples", samples, 1, allow_none=True)
     _require_int("identity_sweep", "seed", seed, 0, allow_none=True)
     r = cp.px.n
     m_count = cp.n_messages
@@ -330,8 +334,6 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
         return IdentitySweep(n_codes=n_codes, max_residual=max_resid,
                              min_loss=min_loss, min_distortion=min_d, sampled=False)
 
-    if samples < 1:
-        raise ValidationError("identity_sweep: samples must be >= 1")
     w_d, w_l = _cell_cost_tables(cp)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
@@ -359,12 +361,20 @@ class CoincidenceReport:
 
 def verify_optimum_coincidence(cp: CorrespondingProblem,
                                atol: float = 1e-9) -> CoincidenceReport:
-    """Enumerate both problems and compare their sets of optimal codes.
+    """Find both problems' sets of optimal codes and compare them.
 
     Decoders range over the kept reconstruction columns (the solved point's
     alphabet); a decoder choice is recorded as its kept-index tuple, which
     names a column on the distortion side and a reverse row on the log-loss
     side.  The two argmin sets must coincide exactly under that naming.
+
+    The check is exact without scoring every code pair.  A pair's cost is
+    the left-nested sum ((a[0, j_0] + a[1, j_1]) + a[2, j_2]) ... of its
+    cells' costs, and rounded addition is monotone, so an encoder's least
+    cost is the nested sum of its cells' minima, and a pair lies within
+    ``atol`` of the optimum only if each of its coordinates does with every
+    other coordinate at its cell's minimum.  Only the products of those
+    candidates are summed, in the order the exhaustive grid sums them.
     """
     r = cp.px.n
     m_count = cp.n_messages
@@ -382,17 +392,25 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     place = m_count ** np.arange(r - 1, -1, -1)
     best = [math.inf, math.inf]
     kept: list[list] = [[], []]  # per side: (costs, encoder and decoder ordinals)
-    for encoders, *grids in _code_pair_grids(cp):
-        enc_ordinals = encoders @ place
-        for side, grid in enumerate(grids):
-            costs = grid.reshape(len(encoders), -1)
-            low = float(costs.min())
+    for encoders, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
+                                           m_count, k ** m_count):
+        # cells[side, n, m, j]: the cost of message m of encoder n decoded
+        # by kept index j, on the distortion (side 0) or log-loss side.
+        cells = sums.reshape(len(encoders), m_count, 2, k).transpose(2, 0, 1, 3)
+        lows = cells.min(axis=3)
+        row_min = reduce(np.add, [lows[..., m] for m in range(m_count)])
+        for side, low in enumerate(row_min.min(axis=1).tolist()):
             if low < best[side]:
                 best[side] = low
                 kept[side] = [(c[c <= low + atol], pairs[:, c <= low + atol])
                               for c, pairs in kept[side]]
-            n, dec = np.nonzero(costs <= best[side] + atol)
-            kept[side].append((costs[n, dec], np.vstack([enc_ordinals[n], dec])))
+        thr = np.array(best) + atol
+        sides, n = np.nonzero(row_min <= thr[:, None])
+        costs, row, dec = _near_pairs(cells[sides, n], lows[sides, n], thr[sides])
+        pairs = np.vstack([(encoders @ place)[n[row]], dec])
+        split = np.searchsorted(row, np.searchsorted(sides, 1))
+        kept[0].append((costs[:split], pairs[:, :split]))
+        kept[1].append((costs[split:], pairs[:, split:]))
     pairs_d, pairs_l = (np.hstack([pairs for _, pairs in chunks]) for chunks in kept)
     matched = np.array_equal(pairs_d, pairs_l)
     argmin_d = _pair_tuples(pairs_d, r, m_count, k)
@@ -405,16 +423,47 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     )
 
 
+def _near_pairs(cells: np.ndarray, lows: np.ndarray,
+                thr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(costs, rows, decoder ordinals) of the pairs costing at most their row's thr.
+
+    ``cells[n, m, j]`` is the cost of message m of row n decoded by kept
+    index j and ``lows`` its minimum over j.  Pairs come out in (row,
+    decoder) lexicographic order.
+    """
+    m_count, k = cells.shape[1:]
+    at_low = [lows[:, m, None] for m in range(m_count)]
+    cand = np.empty(cells.shape, dtype=bool)
+    for m in range(m_count):
+        cand[:, m] = reduce(np.add, at_low[:m] + [cells[:, m]] + at_low[m + 1:]) <= thr[:, None]
+    # Expand the product of the candidates one message at a time.
+    row, dec = np.nonzero(cand[:, 0])
+    costs = cells[row, 0, dec]
+    for m in range(1, m_count):
+        parent, j = np.nonzero(cand[row, m])
+        row = row[parent]
+        costs = costs[parent] + cells[row, m, j]
+        dec = dec[parent] * k + j
+    near = costs <= thr[row]
+    return costs[near], row[near], dec[near]
+
+
 def _pair_tuples(pairs: np.ndarray, r: int, m_count: int, k: int) -> tuple:
     """(encoder, decoder) tuples from rows of encoder and decoder ordinals.
 
     An encoder ordinal counts in base M over r digits and a decoder ordinal
-    in base k over M digits, first digit most significant.  Equal encoders
-    and equal decoders share one tuple each.
+    in base k over M digits, first digit most significant.  Encoder ordinals
+    come sorted, so each encoder's tuple is repeated over its run; equal
+    decoders share one tuple.
     """
     def tuples(ordinals, base, length):
-        values, index = np.unique(ordinals, return_inverse=True)
-        table = list(zip(*(d.tolist() for d in np.unravel_index(values, (base,) * length))))
-        return map(table.__getitem__, index.tolist())
+        return list(zip(*(d.tolist() for d in np.unravel_index(ordinals, (base,) * length))))
 
-    return tuple(zip(tuples(pairs[0], m_count, r), tuples(pairs[1], k, m_count)))
+    enc = pairs[0]
+    firsts = np.flatnonzero(np.diff(enc, prepend=-1))
+    runs = np.diff(firsts, append=len(enc)).tolist()
+    encoders = itertools.chain.from_iterable(
+        map(itertools.repeat, tuples(enc[firsts], m_count, r), runs))
+    dec_values, dec_index = np.unique(pairs[1], return_inverse=True)
+    decoders = map(tuples(dec_values, k, m_count).__getitem__, dec_index.tolist())
+    return tuple(zip(encoders, decoders))

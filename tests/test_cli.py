@@ -10,7 +10,7 @@ import pytest
 
 import loglosslab
 from loglosslab import ValidationError, __version__
-from loglosslab.cli import main
+from loglosslab.cli import _build_parser, main
 from loglosslab.oneshot import excess_witness, logloss_codebook, logloss_excess_optimum
 from loglosslab.problemio import (
     dump_report,
@@ -505,6 +505,21 @@ class TestDeterminism:
         capsys.readouterr()
         first, second = (strip_wall_clock(p.read_text()) for p in paths)
         assert first == second
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # The parser is built once per process; no call, not even one that
+        # fails to parse, leaves state behind for the next.
+        rd = ["rd", BINARY, "--distortion", "0.2"]
+        first = run_cli(capsys, rd)
+        assert run_cli(capsys, ["equiv", SKEW3, "--messages", "2"])[0] == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rd", BINARY, "--distortion", "0.2", "--seed", "1"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        second = run_cli(capsys, rd)
+        assert first[0] == second[0] == 0
+        assert strip_wall_clock(first[1]) == strip_wall_clock(second[1])
+        assert _build_parser() is _build_parser()
 
     def test_output_flag_silences_stdout(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"

@@ -226,6 +226,11 @@ class TestIdentitySweep:
         with pytest.raises(ValidationError):
             identity_sweep(cp_u4, samples=0)
 
+    @pytest.mark.parametrize("samples", [2.5, "3", True])
+    def test_non_integer_samples_is_a_validation_error(self, cp_u4, samples):
+        with pytest.raises(ValidationError, match="samples"):
+            identity_sweep(cp_u4, samples=samples, seed=7)
+
     def test_zero_mass_symbol_raises_no_warning(self):
         # Its posterior entries are zero: px * -log(rev) would form 0 * inf.
         px = Pmf([0.5, 0.3, 0.2, 0.0])

@@ -131,6 +131,85 @@ class TestSolveCodebook:
             solve_codebook(uniform_hamming(2), 0.0, 1.5)
 
 
+def brute_force_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
+    """Independent route: least Pr[d(X, g(f(X))) > D] over every encoder and decoder."""
+    p = problem.px.probs
+    r, s = problem.distortion.shape
+    miss = problem.distortion > d
+    encoders = np.array(list(itertools.product(range(n_messages), repeat=r)))
+    decoders = np.array(list(itertools.product(range(s), repeat=n_messages)))
+    columns = decoders[:, encoders]  # [decoder, encoder, x]: the column x is decoded to
+    return float((miss[np.arange(r), columns] * p).sum(axis=2).min())
+
+
+def small_excess_problem(rng) -> SourceProblem:
+    """r <= 5 symbols, s <= 4 columns; tied distortion levels and zero masses.
+
+    Draws that SourceProblem rejects (identical columns) are drawn again.
+    """
+    while True:
+        r, s = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        w = rng.uniform(0.05, 1.0, size=r)
+        w[rng.random(r) < 0.2] = 0.0
+        w[rng.integers(r)] = 1.0
+        if rng.random() < 0.5:
+            dist = rng.choice([0.0, 0.5, 1.0], size=(r, s))
+        else:
+            dist = rng.uniform(0.0, 1.0, size=(r, s))
+        try:
+            return SourceProblem(px=Pmf(w / w.sum()), distortion=dist)
+        except ValidationError:
+            continue
+
+
+class TestExcessBruteForce:
+    # solve_excess and excess_witness share one cover search; these check
+    # both, and solve_codebook on top of them, against every code.
+    D_LEVELS = (0.0, 0.25, 0.5, 1.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_solve_excess_and_witness(self, seed):
+        prob = small_excess_problem(np.random.default_rng(1100 + seed))
+        for m, d in itertools.product((1, 2, 3), self.D_LEVELS):
+            oracle = brute_force_excess(prob, m, d)
+            code, value = excess_witness(prob, m, d)
+            assert solve_excess(prob, m, d) == value
+            assert value == pytest.approx(oracle, abs=1e-12)
+            decoded = [code.decoder[code.encoder[x]] for x in range(prob.n_source)]
+            achieved = float(prob.px.probs[prob.distortion[np.arange(prob.n_source),
+                                                           decoded] > d].sum())
+            assert achieved == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_solve_codebook_is_least(self, seed):
+        prob = small_excess_problem(np.random.default_rng(1200 + seed))
+        for d in self.D_LEVELS:
+            # Each M's own optimum is a target that M just meets.
+            optima = [min(brute_force_excess(prob, m, d), 1.0)
+                      for m in range(1, prob.n_reconstruction + 1)]
+            for eps in [0.0, 0.1, 0.3] + optima:
+                if optima[-1] > eps + 1e-12:
+                    with pytest.raises(InfeasibleError):
+                        solve_codebook(prob, d, eps)
+                    continue
+                m = solve_codebook(prob, d, eps)
+                assert optima[m - 1] <= eps + 1e-12
+                if m > 1:
+                    assert optima[m - 2] > eps + 1e-12
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_logloss_codebook_is_least(self, seed):
+        rng = np.random.default_rng(1300 + seed)
+        px = small_excess_problem(rng).px
+        for d in (0.0, 0.5, LN2, 1.2):
+            optima = [logloss_excess_oracle(px, m, d) for m in range(1, px.n + 1)]
+            for eps in [0.0, 0.1, 0.3, float(rng.uniform(0.0, 1.0))] + optima:
+                m = logloss_codebook(px, d, eps)
+                assert optima[m - 1] <= eps + 1e-12
+                if m > 1:
+                    assert optima[m - 2] > eps + 1e-12
+
+
 class TestFloorExp:
     def test_small_values(self):
         assert floor_exp(0.0) == 1
