@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .equivalence import build_corresponding, identity_sweep, verify_optimum_coincidence
+from .equivalence import (
+    ROW_MATCH_TOL,
+    build_corresponding,
+    identity_sweep,
+    verify_optimum_coincidence,
+)
 from .errors import LoglossLabError, ValidationError
 from .oneshot import (
     excess_witness,
@@ -38,7 +43,7 @@ from .problemio import (
     render_table,
     to_bits,
 )
-from .ratedistortion import rd_at_distortion, verify_csiszar_identity
+from .ratedistortion import _certificate_tol, rd_at_distortion, verify_csiszar_identity
 from .refinement import (
     construct_sr,
     construct_sr_chain,
@@ -101,7 +106,7 @@ def _cmd_rd(args) -> _CommandOutput:
                 "flags": {"targets": targets, "tol": args.tol, "max_iter": args.max_iter}},
         outputs={"points": points},
         tolerances={"distortion_tol": args.tol,
-                    "fixed_point_tol": min(1e-10, args.tol / 100.0)},
+                    "fixed_point_tol": _certificate_tol(args.tol)},
         nat_keys=frozenset({"rate", "tilted_information", "csiszar_residual"}),
         table_header=["D", "rate", "lambda"],
         table_rows=rows,
@@ -213,8 +218,9 @@ def _cmd_equiv(args) -> _CommandOutput:
     cp = build_corresponding(loaded.problem, args.messages, tol=args.tol)
     sweep = identity_sweep(cp, samples=args.samples, seed=args.seed)
     coincidence = None
+    atol = 1e-9
     if not sweep.sampled:
-        rep = verify_optimum_coincidence(cp)
+        rep = verify_optimum_coincidence(cp, atol=atol)
         coincidence = {
             "matched": rep.matched,
             "min_distortion": rep.min_distortion,
@@ -246,8 +252,8 @@ def _cmd_equiv(args) -> _CommandOutput:
     return _CommandOutput(
         inputs={"problem": loaded.echo(), "flags": flags},
         outputs=outputs,
-        tolerances={"solver_tol": args.tol, "row_match_tol": 1e-9,
-                    "coincidence_atol": 1e-9},
+        tolerances={"solver_tol": args.tol, "row_match_tol": ROW_MATCH_TOL,
+                    "coincidence_atol": atol},
         nat_keys=frozenset({"h_x_given_xhat", "max_residual", "min_log_loss"}),
         table_header=["M", "d_star", "lambda", "h_cond", "max_residual",
                       "coincidence"],
@@ -276,8 +282,9 @@ def _cmd_sr(args) -> _CommandOutput:
 
     layer_docs = []
     rows = []
+    check_tol = 1e-9
     for layer in layers:
-        report = verify_sr(layer, tol=1e-9)
+        report = verify_sr(layer, tol=check_tol)
         worst = max(c.residual for c in report.checks)
         layer_docs.append({
             "d1": layer.d1,
@@ -300,7 +307,7 @@ def _cmd_sr(args) -> _CommandOutput:
                  "fine_rate": first.second_point.rate,
                  "fine_lambda": first.second_point.lambda_star,
                  "layers": layer_docs},
-        tolerances={"solver_tol": args.tol, "check_tol": 1e-9},
+        tolerances={"solver_tol": args.tol, "check_tol": check_tol},
         nat_keys=frozenset({"d1", "rates", "fine_rate"}),
         table_header=["d1", "delta", "max_residual", "ok"],
         table_rows=rows,

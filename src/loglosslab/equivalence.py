@@ -74,8 +74,7 @@ class LogLossCode:
     decoder_rows: tuple[Pmf, ...]
 
     def __post_init__(self):
-        if self.n_messages < 1:
-            raise ValidationError("LogLossCode: need at least one message")
+        _require_int("LogLossCode", "n_messages", self.n_messages, 1)
         if len(self.decoder_rows) != self.n_messages:
             raise ValidationError(
                 f"LogLossCode: {len(self.decoder_rows)} rows for {self.n_messages} messages"

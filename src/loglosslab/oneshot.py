@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InstanceTooLargeError, ValidationError
+from .errors import InfeasibleError, InstanceTooLargeError, ValidationError, _require_int
 from .probability import Pmf, entropy
 from .ratedistortion import SourceProblem
 
@@ -66,8 +66,7 @@ class OneShotCode:
     decoder: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n_messages < 1:
-            raise ValidationError("OneShotCode: need at least one message")
+        _require_int("OneShotCode", "n_messages", self.n_messages, 1)
         if len(self.decoder) != self.n_messages:
             raise ValidationError(
                 f"OneShotCode: decoder covers {len(self.decoder)} of {self.n_messages} messages"
@@ -182,22 +181,13 @@ def solve_avg(problem: SourceProblem, n_messages: int) -> tuple[OneShotCode, flo
     encoder (ties to the lowest column index) is optimal for each subset.
     The first best subset in lexicographic order is returned as a witness.
     """
-    if n_messages < 1:
-        raise ValidationError("solve_avg: need at least one message")
+    _require_int("solve_avg", "n_messages", n_messages, 1)
     px = problem.px.probs
     dist = problem.distortion
     s = problem.n_reconstruction
     k = min(n_messages, s)
-
-    best_val = math.inf
-    best_subset: tuple[int, ...] | None = None
-    for subset in itertools.combinations(range(s), k):
-        sub = dist[:, subset]
-        val = float(px @ sub.min(axis=1))
-        if val < best_val:
-            best_val = val
-            best_subset = subset
-    assert best_subset is not None
+    best_subset = min(itertools.combinations(range(s), k),
+                      key=lambda subset: float(px @ dist[:, subset].min(axis=1)))
 
     sub = dist[:, best_subset]
     encoder = tuple(int(i) for i in sub.argmin(axis=1))
@@ -216,8 +206,7 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
     M^r <= 10^7.  The winner is re-evaluated through the shared evaluator,
     so agreement with solve_avg is bitwise when the optimum is unique.
     """
-    if n_messages < 1:
-        raise ValidationError("solve_avg_oracle: need at least one message")
+    _require_int("solve_avg_oracle", "n_messages", n_messages, 1)
     r = problem.n_source
     if n_messages ** r > _ENCODER_ENUM_GUARD:
         raise InstanceTooLargeError(
@@ -258,14 +247,12 @@ def _best_cover(problem: SourceProblem, n_messages: int,
     px = problem.px.probs
     covers = problem.distortion <= d  # r x s
     s = problem.n_reconstruction
-    best_mass = -1.0
-    best_subset: tuple[int, ...] = ()
-    for subset in itertools.combinations(range(s), min(n_messages, s)):
-        mass = float(px[covers[:, subset].any(axis=1)].sum())
-        if mass > best_mass:
-            best_mass = mass
-            best_subset = subset
-    return best_subset, best_mass
+
+    def mass(subset: tuple[int, ...]) -> float:
+        return float(px[covers[:, subset].any(axis=1)].sum())
+
+    best_subset = max(itertools.combinations(range(s), min(n_messages, s)), key=mass)
+    return best_subset, mass(best_subset)
 
 
 def solve_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
@@ -274,8 +261,7 @@ def solve_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
     A symbol is covered by a column when its distortion is <= D; the optimum
     picks the subset of min(M, s) columns covering the most probability.
     """
-    if n_messages < 1:
-        raise ValidationError("solve_excess: need at least one message")
+    _require_int("solve_excess", "n_messages", n_messages, 1)
     _, mass = _best_cover(problem, n_messages, d)
     return min(max(1.0 - mass, 0.0), 1.0)
 
@@ -287,8 +273,7 @@ def excess_witness(problem: SourceProblem,
     Uncovered symbols are encoded to the subset column of least distortion,
     which cannot hurt the excess criterion.
     """
-    if n_messages < 1:
-        raise ValidationError("excess_witness: need at least one message")
+    _require_int("excess_witness", "n_messages", n_messages, 1)
     subset, mass = _best_cover(problem, n_messages, d)
     encoder = tuple(int(i) for i in problem.distortion[:, subset].argmin(axis=1))
     decoder = subset + (subset[-1],) * (n_messages - len(subset))
@@ -348,6 +333,18 @@ class PartitionScheme:
     posterior_rows: tuple[Pmf, ...]
 
 
+def _subset_masses(p: np.ndarray) -> np.ndarray:
+    """Total of p over every subset of its indices, indexed by bit mask.
+
+    Each total adds its members in increasing index, as a loop over the
+    symbols adds them.
+    """
+    mass = np.zeros(1 << len(p))
+    for x in range(len(p)):
+        mass[1 << x:2 << x] = mass[:1 << x] + p[x]
+    return mass
+
+
 def logloss_avg_optimum(px: Pmf, n_messages: int) -> tuple[PartitionScheme, float]:
     """Exact optimal average log loss with at most M messages.
 
@@ -355,8 +352,7 @@ def logloss_avg_optimum(px: Pmf, n_messages: int) -> tuple[PartitionScheme, floa
     partitions f of the alphabet into at most M cells; the scheme reproduces
     each cell by its posterior.  Guarded at alphabets of size 14.
     """
-    if n_messages < 1:
-        raise ValidationError("logloss_avg_optimum: need at least one message")
+    _require_int("logloss_avg_optimum", "n_messages", n_messages, 1)
     r = px.n
     if r > _PARTITION_ALPHABET_GUARD:
         raise InstanceTooLargeError(
@@ -364,12 +360,10 @@ def logloss_avg_optimum(px: Pmf, n_messages: int) -> tuple[PartitionScheme, floa
         )
     p = px.probs
 
-    # A cell's mass adds its symbols' probabilities in increasing x, so it
-    # is fixed by the cell's bit mask.  Tables over the 2^r masks give every
-    # mass and its math.log exactly as a loop over the symbols forms them.
-    subset_mass = np.zeros(1 << r)
-    for x in range(r):
-        subset_mass[1 << x:2 << x] = subset_mass[:1 << x] + p[x]
+    # A cell's mass is fixed by the cell's bit mask.  Tables over the 2^r
+    # masks give every mass and its math.log exactly as a loop over the
+    # symbols forms them.
+    subset_mass = _subset_masses(p)
     subset_log = np.array([math.log(u) if u > 0.0 else 0.0 for u in subset_mass.tolist()])
 
     n_cells = min(n_messages, r)
@@ -457,9 +451,12 @@ def _tail_excess(covered_probs: np.ndarray) -> float:
     """1 - mass of a covered set, summed in canonical descending order.
 
     Both the closed form and the cover oracle report through this, so equal
-    covered sets give bitwise-equal epsilons.
+    covered sets give bitwise-equal epsilons.  Zero masses are left out: the
+    two may cover different numbers of zero-mass symbols, and numpy groups
+    a sum of eight or more terms by its length.
     """
-    mass = float(np.sort(np.asarray(covered_probs))[::-1].sum())
+    covered = np.sort(np.asarray(covered_probs))[::-1]
+    mass = float(covered[covered > 0.0].sum())
     return min(max(1.0 - mass, 0.0), 1.0)
 
 
@@ -469,8 +466,7 @@ def logloss_excess_optimum(px: Pmf, n_messages: int, d: float) -> tuple[ExcessSc
     The optimum covers the M * floor(exp(D)) most probable symbols; the
     achieved epsilon is the tail mass beyond them.
     """
-    if n_messages < 1:
-        raise ValidationError("logloss_excess_optimum: need at least one message")
+    _require_int("logloss_excess_optimum", "n_messages", n_messages, 1)
     cell = floor_exp(d)
     order = np.argsort(-px.probs, kind="stable")
     covered = min(n_messages * cell, px.n)
@@ -509,8 +505,7 @@ def logloss_excess_oracle(px: Pmf, n_messages: int, d: float) -> float:
     M * floor(exp(D)) symbols; enumerate every subset within that budget.
     Guarded at alphabets of size 12.
     """
-    if n_messages < 1:
-        raise ValidationError("logloss_excess_oracle: need at least one message")
+    _require_int("logloss_excess_oracle", "n_messages", n_messages, 1)
     r = px.n
     if r > _COVER_ALPHABET_GUARD:
         raise InstanceTooLargeError(
@@ -519,17 +514,8 @@ def logloss_excess_oracle(px: Pmf, n_messages: int, d: float) -> float:
     budget = min(n_messages * floor_exp(d), r)
     p = px.probs
 
-    # mass[mask] via the lowest set bit, filled in increasing mask order.
-    mass = np.zeros(1 << r)
-    for mask in range(1, 1 << r):
-        low = mask & -mask
-        mass[mask] = mass[mask ^ low] + p[low.bit_length() - 1]
-
-    best = 0.0
-    best_mask = 0
-    for mask in range(1 << r):
-        if mask.bit_count() <= budget and mass[mask] > best:
-            best = mass[mask]
-            best_mask = mask
+    # The first mask of greatest mass among those within the budget.
+    sizes = _subset_masses(np.ones(r))
+    best_mask = int(np.where(sizes <= budget, _subset_masses(p), -1.0).argmax())
     members = [i for i in range(r) if best_mask >> i & 1]
     return _tail_excess(p[members])

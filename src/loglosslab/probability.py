@@ -227,6 +227,37 @@ def mutual_information(px: Pmf, ch: Channel) -> float:
     return max(h_y - h_y_given_x, 0.0)
 
 
+def _decoder_fit(table: np.ndarray, rows) -> tuple[float, float, float]:
+    """Lemma 1's quantities for a decoder that reproduces column g by rows[g].
+
+    ``table`` is a joint over (x, g) and ``rows`` one Pmf per column.
+    Returns I(X; G), the expected log loss (``math.inf`` when a row misses
+    mass the table puts on it), and the largest max-norm gap between a row
+    and the posterior of X given its column, over columns of positive mass.
+    """
+    p_x = table.sum(axis=1)
+    p_g = table.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.log(table) - np.log(np.outer(p_x, p_g))
+        info = float(np.where(table > 0.0, table * ratio, 0.0).sum())
+
+    loss = 0.0
+    for g in range(table.shape[1]):
+        mass = table[:, g]
+        live = mass > 0.0
+        qg = rows[g].probs[live]
+        if np.any(qg == 0.0):
+            loss = math.inf
+            break
+        loss += float(-(mass[live] * np.log(qg)).sum())
+
+    deviation = 0.0
+    for g in np.flatnonzero(p_g > 0.0):
+        post = table[:, g] / p_g[g]
+        deviation = max(deviation, float(np.max(np.abs(post - rows[g].probs))))
+    return info, loss, deviation
+
+
 def information_density(j: Joint, x: int, y: int) -> float:
     """ln of P(x, y) / (P(x) P(y)); errors on zero marginals or zero mass."""
     r, s = j.shape

@@ -39,10 +39,10 @@ from .probability import (
     Channel,
     Pmf,
     _as_readonly_array,
+    _decoder_fit,
     conditional_entropy,
     entropy,
     joint_from_source_and_channel,
-    mutual_information,
 )
 
 __all__ = [
@@ -543,6 +543,11 @@ def _tilted_vector(dist_kept: np.ndarray, m: np.ndarray, lam: float,
     return out
 
 
+def _certificate_tol(tol: float) -> float:
+    """Tolerance of the exclusion certificate in a solve to distortion tol."""
+    return min(1e-10, tol / 100.0)
+
+
 def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
                      max_iter: int = 300_000) -> RdPoint:
     """Solve R(D) at a target distortion in one constrained solve.
@@ -595,7 +600,7 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
         else:
             pxp, dist = px[support], problem.distortion[support]
         raw = _ba_core(pxp, dist, 1.0,
-                       max(target, d_min + 0.5 * tol), min(1e-10, tol / 100.0),
+                       max(target, d_min + 0.5 * tol), _certificate_tol(tol),
                        max_iter, track=False)
 
     cols = np.flatnonzero(raw.marginal > 0.0)
@@ -719,28 +724,9 @@ def verify_lemma1(px: Pmf, q_rows, weights: Channel, tol: float = 1e-9) -> Lemma
             raise ValidationError(f"verify_lemma1: row {k} has alphabet {row.n}, expected {px.n}")
 
     joint = joint_from_source_and_channel(px, weights)
-    pq = joint.table.sum(axis=0)
-
-    post_dev = 0.0
-    for k in np.flatnonzero(pq > 0.0):
-        post = joint.table[:, k] / pq[k]
-        post_dev = max(post_dev, float(np.max(np.abs(post - rows[k].probs))))
-
+    mi, expected_loss, post_dev = _decoder_fit(joint.table, rows)
     d_value = conditional_entropy(joint)
     h = entropy(px)
-    mi = mutual_information(px, weights)
-
-    expected_loss = 0.0
-    for k in range(weights.n_out):
-        mass = joint.table[:, k]
-        live = mass > 0.0
-        if not np.any(live):
-            continue
-        qk = rows[k].probs[live]
-        if np.any(qk == 0.0):
-            expected_loss = math.inf
-            break
-        expected_loss += float(-(mass[live] * np.log(qk)).sum())
 
     rate_residual = abs(mi - (h - d_value))
     loss_residual = abs(expected_loss - d_value) if math.isfinite(expected_loss) else math.inf

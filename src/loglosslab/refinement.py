@@ -24,7 +24,9 @@ import numpy as np
 from .errors import InfeasibleError, ValidationError, VerificationError, _require_int
 from .probability import (
     Channel,
+    Joint,
     Pmf,
+    _decoder_fit,
     conditional_entropy,
     entropy,
     joint_from_source_and_channel,
@@ -107,15 +109,15 @@ def _erasure_weight(d1: float, h: float, h2: float) -> float:
     return min(max((d1 - h2) / span, 0.0), 1.0)
 
 
+def _erasure_rows(k: int, keep: float, erase: float) -> np.ndarray:
+    """k rows passing symbol j with weight keep, erasing it (last column) with erase."""
+    return np.column_stack([keep * np.eye(k), np.full(k, erase)])
+
+
 def _assemble(problem: SourceProblem, point: RdPoint, h: float, h2: float,
               d1: float, d2: float, delta: float) -> SrConstruction:
     k = len(point.kept_columns)
     labels = tuple(point.kept_columns) + (ERASURE,)
-
-    pz = np.zeros((k, k + 1))
-    for j in range(k):
-        pz[j, j] = 1.0 - delta
-        pz[j, k] = delta
 
     m = point.output_marginal.probs
     pz_marg = np.concatenate(((1.0 - delta) * m, [delta]))
@@ -153,22 +155,17 @@ def _assemble(problem: SourceProblem, point: RdPoint, h: float, h2: float,
         d2=d2,
         delta=delta,
         z_alphabet=labels,
-        pz_given_xhat=Channel(pz),
+        pz_given_xhat=Channel(_erasure_rows(k, 1.0 - delta, delta)),
         q_rows=tuple(Pmf(rep) for rep in reps),
         q_index=q_index,
         rates=(h - d1, point.rate),
     )
 
 
-def _h_x_given_z(c: SrConstruction) -> float:
-    """H(X|Z) from the reconstructed joint, independent of the q rows."""
-    px = c.problem.px.probs
-    p_xz = (px[:, None, None] * c.second_point.forward.rows[:, :, None]
-            * c.pz_given_xhat.rows[None, :, :]).sum(axis=1)
-    p_z = p_xz.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(p_xz) - np.log(p_z)[None, :]
-    return float(-np.where(p_xz > 0.0, p_xz * ratio, 0.0).sum())
+def _joint3(c: SrConstruction) -> np.ndarray:
+    """P(x, xhat, z) of a construction, rebuilt from its source and channels."""
+    return (c.problem.px.probs[:, None, None] * c.second_point.forward.rows[:, :, None]
+            * c.pz_given_xhat.rows[None, :, :])
 
 
 def construct_sr(problem: SourceProblem, d1: float, d2: float,
@@ -220,7 +217,8 @@ def construct_sr_chain(problem: SourceProblem, ds, d_final: float,
     layers = [_assemble(problem, point, h, h2, d, d_final, _erasure_weight(d, h, h2))
               for d in ds]
     for layer in layers:
-        gap = abs(_h_x_given_z(layer) - layer.d1)
+        # H(X|Z) from the joint alone, independent of the q rows.
+        gap = abs(conditional_entropy(Joint(_joint3(layer).sum(axis=1))) - layer.d1)
         if gap > 1e-9:
             raise VerificationError(
                 f"chain layer at d1={layer.d1!r} misses its conditional entropy "
@@ -248,12 +246,7 @@ def chain_step_channel(coarse: SrConstruction, fine: SrConstruction) -> Channel:
         keep = 0.0  # fine layer is all-erasure; the pass branch is unreachable
     else:
         keep = min(max((1.0 - coarse.delta) / (1.0 - fine.delta), 0.0), 1.0)
-    step = np.zeros((k + 1, k + 1))
-    for j in range(k):
-        step[j, j] = keep
-        step[j, k] = 1.0 - keep
-    step[k, k] = 1.0
-    return Channel(step)
+    return Channel(np.vstack([_erasure_rows(k, keep, 1.0 - keep), np.eye(1, k + 1, k)]))
 
 
 @dataclass(frozen=True)
@@ -286,14 +279,8 @@ def verify_sr(c: SrConstruction, tol: float = 1e-9) -> SrReport:
     within d2, and each reproduction row equals the posterior of the source
     given its merged observation event.
     """
-    px = c.problem.px.probs
-    fwd = c.second_point.forward.rows
-    pz = c.pz_given_xhat.rows
     kept = list(c.second_point.kept_columns)
-    r = len(px)
-    k = len(kept)
-
-    joint3 = px[:, None, None] * fwd[:, :, None] * pz[None, :, :]
+    joint3 = _joint3(c)
 
     total_residual = abs(float(joint3.sum()) - 1.0)
     p_xj = joint3.sum(axis=2)
@@ -307,32 +294,18 @@ def verify_sr(c: SrConstruction, tol: float = 1e-9) -> SrReport:
 
     # Collapse (x, z) onto merged observation groups.
     p_xz = joint3.sum(axis=1)
-    n_groups = len(c.q_rows)
-    t = np.zeros((r, n_groups))
-    for z in range(k + 1):
-        label = c.z_alphabet[z]
+    t = np.zeros((p_xz.shape[0], len(c.q_rows)))
+    for z, label in enumerate(c.z_alphabet):
         if label in c.q_index:
             t[:, c.q_index[label]] += p_xz[:, z]
 
-    p_g = t.sum(axis=0)
-    p_x = t.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(t) - np.log(np.outer(p_x, p_g))
-    mi_xq = float(np.where(t > 0.0, t * ratio, 0.0).sum())
-    h = entropy(c.problem.px)
-    check_b = abs(mi_xq - (h - c.d1))
-
-    loss = 0.0
-    for g in range(n_groups):
-        mass = t[:, g]
-        live = mass > 0.0
-        qg = c.q_rows[g].probs[live]
-        if np.any(qg == 0.0):
-            loss = math.inf
-            break
-        loss += float(-(mass[live] * np.log(qg)).sum())
+    mi_xq, loss, check_f = _decoder_fit(t, c.q_rows)
+    check_b = abs(mi_xq - (entropy(c.problem.px) - c.d1))
     check_c = abs(loss - c.d1) if math.isfinite(loss) else math.inf
 
+    # X's marginal summed from t: p_xj's sums round differently and would
+    # move the reported fine_rate residual.
+    p_x = t.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.log(p_xj) - np.log(np.outer(p_x, p_j))
     mi_xxhat = float(np.where(p_xj > 0.0, p_xj * ratio, 0.0).sum())
@@ -340,12 +313,6 @@ def verify_sr(c: SrConstruction, tol: float = 1e-9) -> SrReport:
 
     e_d2 = float((p_xj * c.problem.distortion[:, kept]).sum())
     check_e = max(e_d2 - c.d2, 0.0)
-
-    check_f = 0.0
-    for g in range(n_groups):
-        if p_g[g] > 0.0:
-            post = t[:, g] / p_g[g]
-            check_f = max(check_f, float(np.max(np.abs(post - c.q_rows[g].probs))))
 
     checks = tuple(
         SrCheck(name, residual, residual <= tol)

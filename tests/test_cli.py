@@ -290,6 +290,17 @@ class TestOneshotCommand:
         assert out["criterion"] == "excess"
         assert out["oracle"]["agrees"] is True
 
+    def test_logloss_excess_oracle_agrees_with_zero_mass_symbols(self, capsys, tmp_path):
+        # The closed form covers all eleven symbols, the oracle only the six
+        # of positive mass; both must report the same epsilon.
+        ninths = [1, 2, 2, 1, 0, 1, 0, 0, 2, 0, 0]
+        path = write_problem(
+            tmp_path, f"px: {[k / 9 for k in ninths]}\ndistortion: hamming\n")
+        report = run_report(
+            capsys, ["oneshot", path, "--criterion", "excess", "--logloss",
+                     "--messages", "2", "--distortion", "2.0"])
+        assert report["outputs"]["oracle"]["agrees"] is True
+
     def test_logloss_avg_bits_conversion(self, capsys):
         nats = run_report(
             capsys, ["oneshot", SKEW3, "--criterion", "avg", "--messages", "2",

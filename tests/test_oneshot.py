@@ -24,7 +24,8 @@ from loglosslab import (
     solve_codebook,
     solve_excess,
 )
-from loglosslab.oneshot import excess_witness
+from loglosslab.equivalence import LogLossCode
+from loglosslab.oneshot import OneShotCode, excess_witness
 
 LN2 = math.log(2.0)
 
@@ -308,14 +309,22 @@ class TestLoglossExcess:
         assert direct == pytest.approx(value, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("d", [0.0, 0.5, LN2, 1.2])
+    @pytest.mark.parametrize("d", [0.0, 0.5, LN2, 1.2, 2.0])
     def test_matches_cover_oracle(self, seed, d):
         rng = np.random.default_rng(800 + seed)
         r = int(rng.integers(3, 11))
         px = random_pmf(rng, r)
-        for m in (1, 2, 3):
-            _, value = logloss_excess_optimum(px, m, d)
-            assert value == logloss_excess_oracle(px, m, d)
+        # The same masses spread among zero-mass symbols, up to the oracle's
+        # alphabet guard, and a source of which the closed form covers all
+        # five zeros at d = 2, M = 2, and the oracle none: covering a zero
+        # must not move epsilon.
+        padded = np.zeros(12)
+        padded[np.sort(rng.choice(12, r, replace=False))] = px.probs
+        ninths = Pmf(np.array([1, 2, 2, 1, 0, 1, 0, 0, 2, 0, 0]) / 9)
+        for source in (px, Pmf(padded), ninths):
+            for m in (1, 2, 3):
+                _, value = logloss_excess_optimum(source, m, d)
+                assert value == logloss_excess_oracle(source, m, d)
 
     def test_oracle_guard(self):
         with pytest.raises(InstanceTooLargeError):
@@ -342,3 +351,26 @@ class TestLoglossCodebook:
             for d in (0.0, 0.5, LN2):
                 _, eps = logloss_excess_optimum(px, m, d)
                 assert logloss_codebook(px, d, eps) <= m
+
+
+_SKEW3 = SourceProblem(px=Pmf([0.5, 0.3, 0.2]), distortion=hamming_distortion(3))
+# Each callable passes its argument as a message count.
+_TAKES_N_MESSAGES = {
+    "solve_avg": lambda m: solve_avg(_SKEW3, m),
+    "solve_avg_oracle": lambda m: solve_avg_oracle(_SKEW3, m),
+    "solve_excess": lambda m: solve_excess(_SKEW3, m, 0.5),
+    "excess_witness": lambda m: excess_witness(_SKEW3, m, 0.5),
+    "logloss_avg_optimum": lambda m: logloss_avg_optimum(_SKEW3.px, m),
+    "logloss_excess_optimum": lambda m: logloss_excess_optimum(_SKEW3.px, m, 0.5),
+    "logloss_excess_oracle": lambda m: logloss_excess_oracle(_SKEW3.px, m, 0.5),
+    "OneShotCode": lambda m: OneShotCode(n_messages=m, encoder=(0, 0, 0), decoder=(0,)),
+    "LogLossCode": lambda m: LogLossCode(n_messages=m, encoder=(0, 0, 0),
+                                         decoder_rows=(_SKEW3.px,)),
+}
+
+
+@pytest.mark.parametrize("value", [0, 2.5, True, "3"])
+@pytest.mark.parametrize("name", sorted(_TAKES_N_MESSAGES))
+def test_n_messages_must_be_an_integer_at_least_one(name, value):
+    with pytest.raises(ValidationError, match=f"{name}: n_messages must be an integer >= 1"):
+        _TAKES_N_MESSAGES[name](value)
