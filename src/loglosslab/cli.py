@@ -26,6 +26,7 @@ from .equivalence import (
 )
 from .errors import LoglossLabError, ValidationError
 from .oneshot import (
+    _FEASIBILITY_SLACK,
     excess_witness,
     logloss_avg_optimum,
     logloss_codebook,
@@ -58,6 +59,8 @@ DEFAULT_TOL = 1e-8
 # Oracle cross-checks run only when the brute-force side stays this cheap.
 _AVG_ORACLE_BUDGET = 100_000
 _EXCESS_ORACLE_ALPHABET = 12
+# A zero sigma counts a deviation this small as none.
+_SIGMA_FLOOR = 1e-12
 
 
 @dataclass
@@ -195,7 +198,7 @@ def _cmd_oneshot(args) -> _CommandOutput:
     return _CommandOutput(
         inputs={"problem": loaded.echo(), "flags": flags},
         outputs=outputs,
-        tolerances={"feasibility_slack": 1e-12},
+        tolerances={"feasibility_slack": _FEASIBILITY_SLACK},
         nat_keys=frozenset({"optimal_value"} if crit == "avg" and args.logloss else ()),
         table_header=header,
         table_rows=[row],
@@ -321,7 +324,7 @@ def _cmd_sr(args) -> _CommandOutput:
 
 def _sigma_units(diff: float, sigma: float) -> float:
     if sigma == 0.0:
-        return 0.0 if abs(diff) <= 1e-12 else math.inf
+        return 0.0 if abs(diff) <= _SIGMA_FLOOR else math.inf
     return abs(diff) / sigma
 
 
@@ -377,7 +380,7 @@ def _cmd_timeshare(args) -> _CommandOutput:
         inputs={"problem": problem_echo, "flags": flags},
         outputs={"entropy": h, "n": args.n, "seed": args.seed,
                  "decoders": decoders},
-        tolerances={"sigma_floor": 1e-12},
+        tolerances={"sigma_floor": _SIGMA_FLOOR},
         nat_keys=frozenset({"entropy", "empirical_loss", "ideal_rate",
                             "target_distortion"}),
         table_header=["D", "k", "empirical_loss", "ideal_rate",

@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
     VerificationError,
     _require_int,
+    _require_tol,
 )
 from .oneshot import OneShotCode, _cell_sum_blocks, expected_distortion, solve_avg
 from .probability import Pmf, conditional_entropy, joint_from_source_and_channel
@@ -230,6 +231,7 @@ def verify_theorem1(cp: CorrespondingProblem, code: OneShotCode,
     h + lambda* (E[d] - D*(M)).  The lhs must also stay above h (the value
     of the optimum) up to tol; a violation raises VerificationError.
     """
+    _require_tol("verify_theorem1", "tol", tol)
     lcode = map_code(cp, code)
     lhs = expected_log_loss(cp.px, lcode)
     e_d = expected_distortion(cp.problem, code)
@@ -261,26 +263,18 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
     return w_d, w_l
 
 
-def _code_pair_grids(cp: CorrespondingProblem):
-    """Yield (encoders, grid_d, grid_l) blocks over every code pair.
+def _cell_blocks(cp: CorrespondingProblem):
+    """Yield (encoders, cells) blocks over every encoder.
 
-    Encoders come in itertools.product order.  ``grid[n, j_0, ..., j_{M-1}]``
-    is the cost of encoder n with decoder (j_0, ..., j_{M-1}) in kept-index
-    coordinates, summed over messages in order as reduce(np.add.outer) sums
-    them.
+    Encoders come in itertools.product order.  ``cells[side, n, m, j]`` is
+    the cost of message m of encoder n decoded by kept index j, on the
+    distortion (side 0) or log-loss side (side 1).
     """
     m_count = cp.n_messages
     k = len(cp.y_rows)
-    w_d, w_l = _cell_cost_tables(cp)
-    for encoders, sums in _cell_sum_blocks(np.hstack([w_d, w_l]), m_count, m_count,
-                                           k ** m_count):
-        grids = []
-        for a in (sums[:, :, :k], sums[:, :, k:]):
-            grid = a[:, 0]
-            for m in range(1, m_count):
-                grid = grid[..., None] + a[:, m].reshape((-1,) + (1,) * m + (k,))
-            grids.append(grid)
-        yield encoders, grids[0], grids[1]
+    for encoders, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
+                                           m_count, k ** m_count):
+        yield encoders, sums.reshape(len(encoders), m_count, 2, k).transpose(2, 0, 1, 3)
 
 
 @dataclass(frozen=True)
@@ -324,7 +318,16 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
                 "pass samples= to randomize"
             )
         n_codes = 0
-        for _, grid_d, grid_l in _code_pair_grids(cp):
+        for _, cells in _cell_blocks(cp):
+            # grid[n, j_0, ..., j_{M-1}]: the cost of encoder n with decoder
+            # (j_0, ..., j_{M-1}), summed over messages in order.
+            grids = []
+            for a in cells:
+                grid = a[:, 0]
+                for m in range(1, m_count):
+                    grid = grid[..., None] + a[:, m].reshape((-1,) + (1,) * m + (k,))
+                grids.append(grid)
+            grid_d, grid_l = grids
             resid = np.abs(grid_l - h - lam * (grid_d - d_star))
             max_resid = max(max_resid, float(resid.max()))
             min_loss = min(min_loss, float(grid_l.min()))
@@ -375,6 +378,7 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     other coordinate at its cell's minimum.  Only the products of those
     candidates are summed, in the order the exhaustive grid sums them.
     """
+    _require_tol("verify_optimum_coincidence", "atol", atol)
     r = cp.px.n
     m_count = cp.n_messages
     k = len(cp.y_rows)
@@ -391,11 +395,7 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     place = m_count ** np.arange(r - 1, -1, -1)
     best = [math.inf, math.inf]
     kept: list[list] = [[], []]  # per side: (costs, encoder and decoder ordinals)
-    for encoders, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
-                                           m_count, k ** m_count):
-        # cells[side, n, m, j]: the cost of message m of encoder n decoded
-        # by kept index j, on the distortion (side 0) or log-loss side.
-        cells = sums.reshape(len(encoders), m_count, 2, k).transpose(2, 0, 1, 3)
+    for encoders, cells in _cell_blocks(cp):
         lows = cells.min(axis=3)
         row_min = reduce(np.add, [lows[..., m] for m in range(m_count)])
         for side, low in enumerate(row_min.min(axis=1).tolist()):

@@ -7,6 +7,7 @@ can catch one type at the boundary.  Input problems additionally derive from
 
 from __future__ import annotations
 
+import math
 import numbers
 
 __all__ = [
@@ -72,3 +73,10 @@ def _require_int(caller: str, name: str, value, minimum: int,
             and value >= minimum):
         what = "None or an integer" if allow_none else "an integer"
         raise ValidationError(f"{caller}: {name} must be {what} >= {minimum}, got {value!r}")
+
+
+def _require_tol(caller: str, name: str, value) -> None:
+    """Raise ValidationError unless value is a finite real number >= 0."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{caller}: {name} must be finite and >= 0, got {value!r}")

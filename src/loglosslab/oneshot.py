@@ -50,6 +50,8 @@ _BLOCK_ENTRIES = 1 << 18
 # floor(exp(D)) with a whisker of slack so exact thresholds like D = ln 2
 # land on the intended integer.
 _FLOOR_SLACK = 1e-12
+# An excess target counts as met when missed by at most this much.
+_FEASIBILITY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def expected_distortion(problem: SourceProblem, code: OneShotCode) -> float:
                      for x in range(problem.n_source)))
 
 
-def _completions(length: int, opened: int, n_cells: int) -> np.ndarray:
+def _completions(length: int, opened: int, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Every way to label `length` more symbols once `opened` cells are in use.
 
     A symbol joins an open cell or opens the next one, up to n_cells; rows
@@ -101,7 +103,7 @@ def _completions(length: int, opened: int, n_cells: int) -> np.ndarray:
     a cell index, to keep the tables small.  With opened = n_cells these are
     all n_cells**length labelings in itertools.product order; with
     opened = 0 they are the restricted growth strings, one per set
-    partition.
+    partition.  Returns (rows, cells each row leaves open).
     """
     codes = np.zeros((1, 0), dtype=np.min_scalar_type(n_cells - 1))
     now_open = np.array([opened])
@@ -111,36 +113,7 @@ def _completions(length: int, opened: int, n_cells: int) -> np.ndarray:
         value = np.arange(len(parent)) - np.repeat(np.cumsum(choices) - choices, choices)
         codes = np.column_stack([codes[parent], value.astype(codes.dtype)])
         now_open = np.maximum(now_open[parent], value + 1)
-    return codes
-
-
-def _completion_count(length: int, opened: int, n_cells: int) -> int:
-    """len(_completions(length, opened, n_cells)), without listing them."""
-    counts = {opened: 1}
-    for _ in range(length):
-        step: dict[int, int] = {}
-        for u, c in counts.items():
-            step[u] = step.get(u, 0) + min(u, n_cells) * c
-            if u < n_cells:
-                step[u + 1] = step.get(u + 1, 0) + c
-        counts = step
-    return sum(counts.values())
-
-
-def _prefixes(prefix: list[int], now_open: int, r: int, n_cells: int, budget: int,
-              counts: dict[tuple[int, int], int]):
-    """Split a labeling prefix until each part has at most `budget` completions.
-
-    Yields (prefix, (completion length, cells open)) in lexicographic order.
-    """
-    key = (r - len(prefix), now_open)
-    if key not in counts:
-        counts[key] = _completion_count(*key, n_cells)
-    if key[0] and counts[key] > budget:
-        for v in range(min(now_open + 1, n_cells)):
-            yield from _prefixes(prefix + [v], max(now_open, v + 1), r, n_cells, budget, counts)
-    else:
-        yield prefix, key
+    return codes, now_open
 
 
 def _cell_sum_blocks(weights: np.ndarray, n_cells: int, opened: int,
@@ -150,23 +123,30 @@ def _cell_sum_blocks(weights: np.ndarray, n_cells: int, opened: int,
     Labelings follow `_completions(len(weights), opened, n_cells)` order.
     ``sums[n, m]`` adds ``weights[x]`` over the symbols x that code n puts in
     cell m, in increasing x from zero, so every float is formed as a loop
-    over x forms it.  Each block is one labeling prefix against the table of
-    its completions, at most about _BLOCK_ENTRIES / row_entries codes.
+    over x forms it.  Each block is one head (a labeling of the first
+    symbols) against the table of its tails.  The tail length t is the
+    largest with n_cells**t <= max(_BLOCK_ENTRIES // row_entries, 1), which
+    bounds the tails of any head, so no block holds more codes than that.
     """
     r = len(weights)
     budget = max(_BLOCK_ENTRIES // row_entries, 1)
-    tables: dict[tuple[int, int], np.ndarray] = {}
-    for prefix, key in _prefixes([], opened, r, n_cells, budget, {}):
-        if key not in tables:
-            tables[key] = _completions(*key, n_cells)
-        suffixes = tables[key]
-        head = len(prefix)
+    t = 0
+    while t < r and n_cells ** (t + 1) <= budget:
+        t += 1
+    head = r - t
+    heads, head_open = _completions(head, opened, n_cells)
+    tables: dict[int, np.ndarray] = {}
+    for prefix, now_open in zip(heads, head_open.tolist()):
+        if now_open not in tables:
+            tables[now_open] = _completions(t, now_open, n_cells)[0]
+        suffixes = tables[now_open]
+        # add.at is unbuffered and applies the head's weights in index
+        # order, as the loop over x does.
         start = np.zeros((n_cells,) + weights.shape[1:], dtype=weights.dtype)
-        for x in range(head):
-            start[prefix[x]] += weights[x]
+        np.add.at(start, prefix, weights[:head])
         sums = np.repeat(start[None], len(suffixes), axis=0)
         rows = np.arange(len(suffixes))
-        for i in range(r - head):
+        for i in range(t):
             sums[rows, suffixes[:, i]] += weights[head + i]
         codes = np.empty((len(suffixes), r), dtype=suffixes.dtype)
         codes[:, :head] = prefix
@@ -290,7 +270,7 @@ def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"solve_codebook: eps must lie in [0, 1], got {eps!r}")
     for m in range(1, problem.n_reconstruction + 1):
-        if solve_excess(problem, m, d) <= eps + 1e-12:
+        if solve_excess(problem, m, d) <= eps + _FEASIBILITY_SLACK:
             return m
     achievable = solve_excess(problem, problem.n_reconstruction, d)
     raise InfeasibleError(
@@ -360,11 +340,12 @@ def logloss_avg_optimum(px: Pmf, n_messages: int) -> tuple[PartitionScheme, floa
         )
     p = px.probs
 
-    # A cell's mass is fixed by the cell's bit mask.  Tables over the 2^r
-    # masks give every mass and its math.log exactly as a loop over the
-    # symbols forms them.
+    # A cell's mass is fixed by the cell's bit mask.  A table over the 2^r
+    # masks gives every u * math.log(u) exactly as a loop over the symbols
+    # forms it.
     subset_mass = _subset_masses(p)
-    subset_log = np.array([math.log(u) if u > 0.0 else 0.0 for u in subset_mass.tolist()])
+    subset_plogp = subset_mass * np.array([math.log(u) if u > 0.0 else 0.0
+                                           for u in subset_mass.tolist()])
 
     n_cells = min(n_messages, r)
     best_h = -1.0
@@ -372,7 +353,7 @@ def logloss_avg_optimum(px: Pmf, n_messages: int) -> tuple[PartitionScheme, floa
     for assigns, cells in _cell_sum_blocks(1 << np.arange(r), n_cells, 0, n_cells):
         h = np.zeros(len(assigns))
         for m in range(n_cells):
-            h -= subset_mass[cells[:, m]] * subset_log[cells[:, m]]
+            h -= subset_plogp[cells[:, m]]
         i = int(h.argmax())
         if h[i] > best_h:
             best_h = float(h[i])
@@ -493,7 +474,7 @@ def logloss_codebook(px: Pmf, d: float, eps: float) -> int:
     sorted_probs = np.sort(px.probs)[::-1]
     cdf = np.cumsum(sorted_probs)
     cdf[-1] = 1.0  # close the float gap so the cdf is total
-    needed = int(np.searchsorted(cdf, (1.0 - eps) - 1e-12, side="left")) + 1
+    needed = int(np.searchsorted(cdf, (1.0 - eps) - _FEASIBILITY_SLACK, side="left")) + 1
     return -(-needed // cell)
 
 

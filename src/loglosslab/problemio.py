@@ -109,11 +109,10 @@ def load_problem(path: str | Path) -> LoadedProblem:
         if field not in doc:
             raise _field_error(path, field, "missing required field")
 
+    px_values = _number_list(path, "px", doc["px"])
     try:
-        px = Pmf(_number_list(path, "px", doc["px"]))
+        px = Pmf(px_values)
     except ValidationError as exc:
-        if ": field " in str(exc):
-            raise
         raise _field_error(path, "px", str(exc)) from exc
 
     dist_doc = doc["distortion"]

@@ -34,6 +34,7 @@ from .errors import (
     InfeasibleError,
     ValidationError,
     _require_int,
+    _require_tol,
 )
 from .probability import (
     Channel,
@@ -673,6 +674,8 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
 
 def logloss_rd(px: Pmf, d: float) -> float:
     """The log-loss rate-distortion function H(X) - D, in nats."""
+    if not math.isfinite(d):
+        raise ValidationError(f"logloss_rd: d must be finite, got {d!r}")
     h = entropy(px)
     if d < -1e-12 or d > h + 1e-12:
         raise InfeasibleError(f"log-loss distortion {d!r} outside [0, H(X) = {h!r}]")
@@ -712,6 +715,7 @@ def verify_lemma1(px: Pmf, q_rows, weights: Channel, tol: float = 1e-9) -> Lemma
     Returns:
         Lemma1Report naming each failed condition in ``failures``.
     """
+    _require_tol("verify_lemma1", "tol", tol)
     if weights.n_in != px.n:
         raise ValidationError(f"verify_lemma1: weights have {weights.n_in} rows, pmf has {px.n}")
     rows = list(q_rows)

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, VerificationError, _require_int
+from .errors import (
+    InfeasibleError,
+    ValidationError,
+    VerificationError,
+    _require_int,
+    _require_tol,
+)
 from .probability import (
     Channel,
     Joint,
@@ -279,6 +285,7 @@ def verify_sr(c: SrConstruction, tol: float = 1e-9) -> SrReport:
     within d2, and each reproduction row equals the posterior of the source
     given its merged observation event.
     """
+    _require_tol("verify_sr", "tol", tol)
     kept = list(c.second_point.kept_columns)
     joint3 = _joint3(c)
 
@@ -423,11 +430,11 @@ def timeshare_simulate(px: Pmf, d: float, n: int, seed: int) -> TimeshareReport:
     the same sample.
 
     Raises:
-        ValidationError: n < 1, d not finite, or seed not an integer >= 0.
+        ValidationError: n not an integer >= 1, d not finite, or seed not
+            an integer >= 0.
         InfeasibleError: d outside [0, H(X)].
     """
-    if n < 1:
-        raise ValidationError("timeshare_simulate: n must be >= 1")
+    _require_int("timeshare_simulate", "n", n, 1)
     if not math.isfinite(d):
         raise ValidationError(f"timeshare_simulate: d must be finite, got {d!r}")
     _require_int("timeshare_simulate", "seed", seed, 0)

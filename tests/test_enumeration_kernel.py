@@ -280,19 +280,27 @@ class TestMatchesReferenceLoops:
             == scheme_bits(*reference_logloss_avg_optimum(problem.px, 3))
 
 
+def kernel_codes(weights, n_cells, opened, row_entries):
+    """The kernel's codes, after checking that no block exceeds its budget."""
+    blocks = [codes for codes, _ in oneshot._cell_sum_blocks(weights, n_cells, opened,
+                                                             row_entries)]
+    budget = max(oneshot._BLOCK_ENTRIES // row_entries, 1)
+    assert max(len(codes) for codes in blocks) <= budget
+    return np.vstack(blocks)
+
+
 class TestEnumerationOrder:
-    @pytest.mark.parametrize("entries", [1, 5, oneshot._BLOCK_ENTRIES])
+    # 64 entries split the partitions into blocks of unequal size.
+    @pytest.mark.parametrize("entries", [1, 5, 64, oneshot._BLOCK_ENTRIES])
     def test_encoders_in_product_order(self, entries):
-        weights = np.arange(5.0)
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
-            codes = np.vstack([c for c, _ in oneshot._cell_sum_blocks(weights, 3, 3, 3)])
+            codes = kernel_codes(np.arange(5.0), 3, 3, 3)
         assert codes.tolist() == [list(e) for e in itertools.product(range(3), repeat=5)]
 
-    @pytest.mark.parametrize("entries", [1, 5, oneshot._BLOCK_ENTRIES])
+    @pytest.mark.parametrize("entries", [1, 5, 64, oneshot._BLOCK_ENTRIES])
     def test_partitions_in_restricted_growth_order(self, entries):
-        weights = np.arange(6.0)
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
-            codes = np.vstack([c for c, _ in oneshot._cell_sum_blocks(weights, 4, 0, 4)])
+            codes = kernel_codes(np.arange(6.0), 4, 0, 4)
         assert codes.tolist() == [list(a) for a in restricted_growth_strings(6, 4)]
 
 

@@ -15,6 +15,7 @@ from loglosslab import (
     SourceProblem,
     ValidationError,
     build_corresponding,
+    construct_sr,
     entropy,
     expected_distortion,
     expected_log_loss,
@@ -23,7 +24,9 @@ from loglosslab import (
     map_code,
     suboptimality_gap,
     unmap_code,
+    verify_lemma1,
     verify_optimum_coincidence,
+    verify_sr,
     verify_theorem1,
 )
 from loglosslab.equivalence import _cell_cost_tables
@@ -271,3 +274,24 @@ class TestOptimumCoincidence:
         for enc, dec in report.distortion_argmin:
             assert len(enc) == 3 and all(0 <= m < 2 for m in enc)
             assert len(dec) == 2 and all(0 <= j < 3 for j in dec)
+
+
+# Each verifier with its tolerance's name and a call on a skewed3 instance.
+VERIFIERS = {
+    "verify_optimum_coincidence": ("atol", lambda cp, tol: verify_optimum_coincidence(cp, tol)),
+    "verify_theorem1": ("tol", lambda cp, tol: verify_theorem1(cp, cp.optimal_code, tol)),
+    "verify_lemma1": ("tol", lambda cp, tol: verify_lemma1(cp.px, cp.y_rows,
+                                                           cp.source_point.forward, tol)),
+    "verify_sr": ("tol", lambda cp, tol: verify_sr(construct_sr(cp.problem, 0.9, 0.2), tol)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", sorted(VERIFIERS))
+def test_verifier_tolerance_must_be_finite_and_nonnegative(name, value):
+    field, call = VERIFIERS[name]
+    problem = SourceProblem(px=Pmf([0.5, 0.3, 0.2]), distortion=hamming_distortion(3))
+    cp = build_corresponding(problem, 2, tol=1e-10)
+    assert call(cp, 1e-9) is not None
+    with pytest.raises(ValidationError, match=f"{name}: {field} must be finite and >= 0"):
+        call(cp, value)

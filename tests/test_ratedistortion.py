@@ -664,6 +664,11 @@ class TestLoglossRd:
         with pytest.raises(InfeasibleError):
             logloss_rd(px, LN2 + 0.1)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_non_finite_distortion(self, d):
+        with pytest.raises(ValidationError, match="logloss_rd: d must be finite"):
+            logloss_rd(Pmf([0.5, 0.5]), d)
+
 
 class TestLemma1:
     def test_posterior_family_passes(self):
