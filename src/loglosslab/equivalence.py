@@ -273,7 +273,7 @@ def _cell_blocks(cp: CorrespondingProblem):
     m_count = cp.n_messages
     k = len(cp.y_rows)
     for encoders, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
-                                           m_count, k ** m_count):
+                                           k ** m_count):
         yield encoders, sums.reshape(len(encoders), m_count, 2, k).transpose(2, 0, 1, 3)
 
 

@@ -301,6 +301,15 @@ class TestOneshotCommand:
                      "--messages", "2", "--distortion", "2.0"])
         assert report["outputs"]["oracle"]["agrees"] is True
 
+    @pytest.mark.parametrize("px", [[1 / 12] * 12, [1.0, 0.0]], ids=["uniform12", "point"])
+    def test_logloss_avg_zero_optimum_prints_positive_zero(self, capsys, tmp_path, px):
+        path = write_problem(tmp_path, f"px: {px}\ndistortion: hamming\n")
+        code, out, err = run_cli(
+            capsys, ["oneshot", path, "--criterion", "avg", "--logloss",
+                     "--messages", str(len(px))])
+        assert code == 0, err
+        assert '"optimal_value": 0.0,' in out
+
     def test_logloss_avg_bits_conversion(self, capsys):
         nats = run_report(
             capsys, ["oneshot", SKEW3, "--criterion", "avg", "--messages", "2",

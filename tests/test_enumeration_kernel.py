@@ -1,9 +1,10 @@
-"""The blocked enumeration kernel against the per-code loops it replaced.
+"""The blocked enumeration kernel and the partition DP against per-code loops.
 
 The reference functions below are the loop bodies of solve_avg_oracle,
 logloss_avg_optimum, identity_sweep and verify_optimum_coincidence as they
-were before the enumerations moved onto numpy blocks.  The kernel forms
-every float in the same order, so each comparison is bitwise.
+were before the enumerations moved onto numpy blocks and the partition scan
+became a subset DP.  Both form every float in the same order, so each
+comparison is bitwise.
 """
 
 import itertools
@@ -102,6 +103,7 @@ def reference_logloss_avg_optimum(px: Pmf, n_messages: int):
         if h > best_h:
             best_h = h
             best_assign = assign.copy()
+    value = entropy(px) - best_h
 
     blocks = max(best_assign) + 1
     masses = np.bincount(best_assign, weights=p, minlength=blocks)
@@ -117,7 +119,7 @@ def reference_logloss_avg_optimum(px: Pmf, n_messages: int):
         rows.append(Pmf(row))
     scheme = PartitionScheme(n_messages=blocks, encoder=tuple(int(c) for c in best_assign),
                              cell_masses=masses, posterior_rows=tuple(rows))
-    return scheme, entropy(px) - best_h
+    return scheme, value if value > 0.0 else 0.0
 
 
 def _reference_grids(cp, enc):
@@ -214,6 +216,26 @@ def problems(draw, max_r=7, max_s=4):
         assume(False)
 
 
+def _normalized(w) -> Pmf:
+    w = np.array(w, dtype=float)
+    return Pmf(w / w.sum())
+
+
+# Sources whose partitions tie: equal masses, integer weights, symbols of
+# zero mass and point masses.  In tiny-mass4 two masses lie below the
+# rounding of the others, and the first optimum at M = 4 and 5 uses three
+# cells.
+TIE_CORPUS = {
+    **{f"uniform{r}": Pmf.uniform(r) for r in (1, 2, 3, 5, 6, 8)},
+    **{f"integer{len(w)}": _normalized(w)
+       for w in ([1, 2, 1, 2, 2], [3, 1, 1, 1, 2, 1, 1], [1, 1, 2, 2, 3, 3, 1, 3])},
+    **{f"zero-mass{len(w)}": _normalized(w)
+       for w in ([1, 0, 1, 0, 1], [0, 2, 1, 0, 0, 1, 2], [0, 0, 1, 1, 0, 1, 1, 0])},
+    **{f"point{r}": _normalized(np.eye(r)[x]) for r, x in ((2, 1), (4, 0), (7, 3))},
+    "tiny-mass4": Pmf([0.8353343780197974, 0.16466562198020102, 1.5654604160607542e-15,
+                       5.889415101140461e-19]),
+}
+
 # Small budgets split the codes into many prefix blocks; the default keeps
 # these instances in one.
 block_entries = st.sampled_from([1, 7, 64, oneshot._BLOCK_ENTRIES])
@@ -236,12 +258,22 @@ class TestMatchesReferenceLoops:
             value = solve_avg_oracle(problem, n_messages)
         assert bits(value) == bits(reference_solve_avg_oracle(problem, n_messages))
 
-    @given(sources(), st.integers(1, 4), block_entries)
+    @given(st.data())
     @settings(max_examples=80, deadline=None)
-    def test_logloss_avg_optimum(self, px, n_messages, entries):
-        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
-            got = logloss_avg_optimum(px, n_messages)
-        assert scheme_bits(*got) == scheme_bits(*reference_logloss_avg_optimum(px, n_messages))
+    def test_logloss_avg_optimum(self, data):
+        px = data.draw(sources())
+        n_messages = data.draw(st.integers(1, px.n + 1))
+        assert scheme_bits(*logloss_avg_optimum(px, n_messages)) \
+            == scheme_bits(*reference_logloss_avg_optimum(px, n_messages))
+
+    @pytest.mark.parametrize("name", TIE_CORPUS)
+    def test_logloss_avg_optimum_ties(self, name):
+        # Every message count from 1 past r: the first optimal partition in
+        # restricted-growth order, its masses, rows and value, bit for bit.
+        px = TIE_CORPUS[name]
+        for n_messages in range(1, px.n + 2):
+            assert scheme_bits(*logloss_avg_optimum(px, n_messages)) \
+                == scheme_bits(*reference_logloss_avg_optimum(px, n_messages))
 
     @given(problems(max_r=6), st.integers(2, 4), block_entries,
            st.sampled_from([0.0, 1e-9, 1e-3]))
@@ -280,28 +312,20 @@ class TestMatchesReferenceLoops:
             == scheme_bits(*reference_logloss_avg_optimum(problem.px, 3))
 
 
-def kernel_codes(weights, n_cells, opened, row_entries):
+def kernel_codes(weights, n_cells, row_entries):
     """The kernel's codes, after checking that no block exceeds its budget."""
-    blocks = [codes for codes, _ in oneshot._cell_sum_blocks(weights, n_cells, opened,
-                                                             row_entries)]
+    blocks = [codes for codes, _ in oneshot._cell_sum_blocks(weights, n_cells, row_entries)]
     budget = max(oneshot._BLOCK_ENTRIES // row_entries, 1)
     assert max(len(codes) for codes in blocks) <= budget
     return np.vstack(blocks)
 
 
 class TestEnumerationOrder:
-    # 64 entries split the partitions into blocks of unequal size.
     @pytest.mark.parametrize("entries", [1, 5, 64, oneshot._BLOCK_ENTRIES])
     def test_encoders_in_product_order(self, entries):
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
-            codes = kernel_codes(np.arange(5.0), 3, 3, 3)
+            codes = kernel_codes(np.arange(5.0), 3, 3)
         assert codes.tolist() == [list(e) for e in itertools.product(range(3), repeat=5)]
-
-    @pytest.mark.parametrize("entries", [1, 5, 64, oneshot._BLOCK_ENTRIES])
-    def test_partitions_in_restricted_growth_order(self, entries):
-        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
-            codes = kernel_codes(np.arange(6.0), 4, 0, 4)
-        assert codes.tolist() == [list(a) for a in restricted_growth_strings(6, 4)]
 
 
 # ----------------------------------------------------------------------
@@ -334,6 +358,44 @@ class TestScale:
         (scheme, value), elapsed, peak = traced(logloss_avg_optimum, px, 12)
         assert scheme.encoder == tuple(range(12))
         assert abs(value) <= 1e-12
+        assert peak <= PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
+        assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
+
+    @pytest.mark.parametrize("r", [13, 14])
+    def test_logloss_avg_optimum_m_equals_r(self, r):
+        # Bell(13) = 27.6 M and Bell(14) = 190.9 M partitions.  With M >= r
+        # the all-singleton partition is the unique optimum.
+        w = np.random.default_rng(r).uniform(0.05, 1.0, r)
+        (scheme, value), elapsed, peak = traced(logloss_avg_optimum, Pmf(w / w.sum()), r)
+        assert scheme.encoder == tuple(range(r))
+        assert abs(value) <= 1e-12
+        assert peak <= PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
+        assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
+
+    def test_logloss_avg_optimum_r14_m4(self):
+        # 11.2 M partitions into at most four cells are too many for the
+        # reference loop, so check the value against the encoder, and the
+        # encoder against every partition one move or one swap away.
+        w = np.random.default_rng(14).uniform(0.05, 1.0, 14)
+        px = Pmf(w / w.sum())
+        (scheme, value), elapsed, peak = traced(logloss_avg_optimum, px, 4)
+
+        def cell_entropy(encoder):
+            return entropy(Pmf(np.bincount(encoder, weights=px.probs, minlength=4)))
+
+        h_cells = cell_entropy(scheme.encoder)
+        assert abs(value - (entropy(px) - h_cells)) <= 1e-12
+        neighbours = []
+        for x in range(14):
+            for cell in range(4):
+                moved = list(scheme.encoder)
+                moved[x] = cell
+                neighbours.append(moved)
+            for y in range(x):
+                swapped = list(scheme.encoder)
+                swapped[x], swapped[y] = swapped[y], swapped[x]
+                neighbours.append(swapped)
+        assert max(cell_entropy(e) for e in neighbours) <= h_cells + 1e-12
         assert peak <= PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
 

@@ -274,6 +274,14 @@ class TestLoglossAvg:
                      for x in range(4))
         assert direct == pytest.approx(value, abs=1e-12)
 
+    @pytest.mark.parametrize("px", [Pmf.uniform(12), Pmf.uniform(13), Pmf.uniform(14),
+                                    Pmf([1.0, 0.0])], ids=["u12", "u13", "u14", "point"])
+    def test_zero_optimum_is_positive_zero(self, px):
+        # Rounding leaves -4.4e-16 on the uniform sources and -0.0 on the
+        # point mass; a loss is never negative.
+        _, value = logloss_avg_optimum(px, px.n)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_alphabet_guard(self):
         with pytest.raises(InstanceTooLargeError):
             logloss_avg_optimum(Pmf.uniform(15), 2)
