@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
+from . import oneshot
 from .errors import (
     DegenerateInstanceError,
     InstanceTooLargeError,
@@ -277,6 +279,24 @@ def _cell_blocks(cp: CorrespondingProblem):
         yield encoders, sums.reshape(len(encoders), m_count, 2, k).transpose(2, 0, 1, 3)
 
 
+def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """grid[n, j_0, ..., j_{M-1}] = ((a[n, 0, j_0] + a[n, 1, j_1]) + ...), in ``out``.
+
+    ``a[n, m, j]`` is the cost of message m of encoder n decoded by kept
+    index j.  ``out`` and ``spare`` are flat buffers of at least n * k^M
+    floats; the partial sums alternate between them so the last lands in
+    ``out``.
+    """
+    n, m_count, k = a.shape
+    grid = (out if m_count % 2 else spare)[:n * k].reshape(n, k)
+    np.copyto(grid, a[:, 0])
+    for m in range(1, m_count):
+        buf = out if (m_count - m) % 2 else spare
+        grid = np.add(grid[..., None], a[:, m].reshape((n,) + (1,) * m + (k,)),
+                      out=buf[:grid.size * k].reshape(grid.shape + (k,)))
+    return grid
+
+
 @dataclass(frozen=True)
 class IdentitySweep:
     """Identity residuals over many code pairs."""
@@ -317,22 +337,31 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
                 f"identity_sweep: {total} code pairs exceeds guard {_CODE_ENUM_GUARD}; "
                 "pass samples= to randomize"
             )
+        # Residuals are formed in tiles of whole encoders, at most an eighth
+        # of the block budget in pairs, in three buffers reused for every
+        # tile.  Costs lie in [0, inf], so no residual is NaN and the tiles'
+        # maxima give the blocks' maxima.
+        pairs = k ** m_count
+        tile = max((oneshot._BLOCK_ENTRIES >> 3) // pairs, 1)
+        buffers = [np.empty(tile * pairs) for _ in range(3)]
         n_codes = 0
-        for _, cells in _cell_blocks(cp):
-            # grid[n, j_0, ..., j_{M-1}]: the cost of encoder n with decoder
-            # (j_0, ..., j_{M-1}), summed over messages in order.
-            grids = []
-            for a in cells:
-                grid = a[:, 0]
-                for m in range(1, m_count):
-                    grid = grid[..., None] + a[:, m].reshape((-1,) + (1,) * m + (k,))
-                grids.append(grid)
-            grid_d, grid_l = grids
-            resid = np.abs(grid_l - h - lam * (grid_d - d_star))
-            max_resid = max(max_resid, float(resid.max()))
-            min_loss = min(min_loss, float(grid_l.min()))
-            min_d = min(min_d, float(grid_d.min()))
-            n_codes += grid_d.size
+        for encoders, cells in _cell_blocks(cp):
+            # An encoder's least cost is the nested sum of its cells' minima
+            # (rounded addition is monotone), so the grid minima need no grid.
+            lows = cells.min(axis=3)
+            row_min = reduce(np.add, [lows[..., m] for m in range(m_count)])
+            min_d = min(min_d, float(row_min[0].min()))
+            min_loss = min(min_loss, float(row_min[1].min()))
+            for start in range(0, len(encoders), tile):
+                grid_d, grid_l = (_grid_into(a[start:start + tile], out, buffers[2])
+                                  for a, out in zip(cells, buffers))
+                # np.abs(grid_l - h - lam * (grid_d - d_star)), in place.
+                np.subtract(grid_l, h, out=grid_l)
+                np.subtract(grid_d, d_star, out=grid_d)
+                np.multiply(lam, grid_d, out=grid_d)
+                np.subtract(grid_l, grid_d, out=grid_l)
+                max_resid = max(max_resid, float(np.abs(grid_l, out=grid_l).max()))
+            n_codes += len(encoders) * pairs
         return IdentitySweep(n_codes=n_codes, max_residual=max_resid,
                              min_loss=min_loss, min_distortion=min_d, sampled=False)
 
@@ -346,19 +375,68 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
         max_resid = max(max_resid, abs(cost_l - h - lam * (cost_d - d_star)))
         min_loss = min(min_loss, cost_l)
         min_d = min(min_d, cost_d)
-    return IdentitySweep(n_codes=samples, max_residual=max_resid,
+    return IdentitySweep(n_codes=int(samples), max_residual=max_resid,
                          min_loss=min_loss, min_distortion=min_d, sampled=True)
 
 
 @dataclass(frozen=True)
 class CoincidenceReport:
-    """Argmin sets on both sides, in shared (encoder, kept-index) coordinates."""
+    """Argmin sets on both sides, in shared (encoder, kept-index) coordinates.
+
+    Each argmin set is a read-only sequence of (encoder, decoder) tuples in
+    lexicographic order.  It equals, hashes and prints as the tuple of those
+    pairs; ``verify_optimum_coincidence`` decodes the pairs only when they
+    are read, so ``len`` costs nothing.
+    """
 
     min_distortion: float
     min_loss: float
-    distortion_argmin: tuple
-    loss_argmin: tuple
+    distortion_argmin: Sequence
+    loss_argmin: Sequence
     matched: bool
+
+
+class _ArgminSet(Sequence):
+    """Sorted (encoder, decoder) pairs kept as ordinals, decoded on first read.
+
+    ``pairs`` holds the encoder ordinals in row 0 and the decoder ordinals
+    in row 1, as ``_pair_tuples`` reads them.
+    """
+
+    __slots__ = ("_pairs", "_digits", "_tuples")
+
+    def __init__(self, pairs: np.ndarray, r: int, m_count: int, k: int):
+        pairs.flags.writeable = False
+        self._pairs = pairs
+        self._digits = (r, m_count, k)
+        self._tuples = None
+
+    def _decoded(self) -> tuple:
+        if self._tuples is None:
+            self._tuples = _pair_tuples(self._pairs, *self._digits)
+        return self._tuples
+
+    def __len__(self) -> int:
+        return self._pairs.shape[1]
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other):
+        if isinstance(other, _ArgminSet):
+            other = other._decoded()
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return self._decoded() == other
+
+    def __hash__(self) -> int:
+        return hash(self._decoded())
+
+    def __repr__(self) -> str:
+        return repr(self._decoded())
 
 
 def verify_optimum_coincidence(cp: CorrespondingProblem,
@@ -412,12 +490,12 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
         kept[1].append((costs[split:], pairs[:, split:]))
     pairs_d, pairs_l = (np.hstack([pairs for _, pairs in chunks]) for chunks in kept)
     matched = np.array_equal(pairs_d, pairs_l)
-    argmin_d = _pair_tuples(pairs_d, r, m_count, k)
+    argmin_d = _ArgminSet(pairs_d, r, m_count, k)
     return CoincidenceReport(
         min_distortion=best[0],
         min_loss=best[1],
         distortion_argmin=argmin_d,
-        loss_argmin=argmin_d if matched else _pair_tuples(pairs_l, r, m_count, k),
+        loss_argmin=argmin_d if matched else _ArgminSet(pairs_l, r, m_count, k),
         matched=matched,
     )
 

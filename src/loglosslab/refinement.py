@@ -462,7 +462,14 @@ def timeshare_two_decoders(px: Pmf, d1: float, d2: float, n: int,
     Requires d2 <= d1 so the coarse prefix is a prefix of the fine one.  The
     sample depends only on (seed, n), so each report equals the
     single-decoder simulation at its own distortion.
+
+    Raises:
+        ValidationError: d1 or d2 not finite, or d2 > d1; and as
+            ``timeshare_simulate``.
     """
+    for name, d in (("d1", d1), ("d2", d2)):
+        if not math.isfinite(d):
+            raise ValidationError(f"timeshare_two_decoders: {name} must be finite, got {d!r}")
     if d2 > d1 + 1e-12:
         raise ValidationError(
             f"timeshare_two_decoders: need d2 <= d1, got d1={d1!r}, d2={d2!r}"

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import loglosslab
-from loglosslab import ValidationError, __version__
+from loglosslab import ValidationError, __version__, equivalence
 from loglosslab.cli import _build_parser, main
 from loglosslab.oneshot import excess_witness, logloss_codebook, logloss_excess_optimum
 from loglosslab.problemio import (
@@ -414,6 +415,15 @@ class TestEquivCommand:
         assert report["outputs"]["identity"]["sampled"] is True
         assert report["outputs"]["identity"]["n_codes"] == 50
         assert report["outputs"]["coincidence"] is None
+
+    def test_argmin_counts_decode_no_pair(self, capsys):
+        # The report prints the sizes of the argmin sets, never their pairs.
+        with mock.patch.object(equivalence, "_pair_tuples",
+                               wraps=equivalence._pair_tuples) as decode:
+            report = run_report(capsys, ["equiv", SKEW3, "--messages", "2"])
+        coincidence = report["outputs"]["coincidence"]
+        assert coincidence["n_distortion_argmin"] == coincidence["n_loss_argmin"] > 0
+        assert decode.call_count == 0
 
 
 class TestSrCommand:

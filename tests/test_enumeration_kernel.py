@@ -35,7 +35,7 @@ from loglosslab import (
     solve_avg_oracle,
     verify_optimum_coincidence,
 )
-from loglosslab import oneshot
+from loglosslab import equivalence, oneshot
 from loglosslab.equivalence import CoincidenceReport, IdentitySweep, _cell_cost_tables
 
 # ----------------------------------------------------------------------
@@ -240,9 +240,24 @@ TIE_CORPUS = {
 # these instances in one.
 block_entries = st.sampled_from([1, 7, 64, oneshot._BLOCK_ENTRIES])
 
+# identity_sweep forms residuals in tiles of an eighth of the block budget
+# in code pairs.  A budget of 40 k^M pairs makes tiles of five encoders in
+# blocks of M^t <= 40 encoders, so a block of more than five ends on a
+# short tile.
+SHORT_TILE = "short-tile"
+
+
+def short_tile_entries(cp) -> int:
+    return 40 * len(cp.y_rows) ** cp.n_messages
+
 
 def bits(value) -> str:
     return float(value).hex()
+
+
+def sweep_bits(sweep: IdentitySweep):
+    return (sweep.n_codes, sweep.sampled, bits(sweep.max_residual), bits(sweep.min_loss),
+            bits(sweep.min_distortion))
 
 
 def scheme_bits(scheme: PartitionScheme, value: float):
@@ -275,7 +290,8 @@ class TestMatchesReferenceLoops:
             assert scheme_bits(*logloss_avg_optimum(px, n_messages)) \
                 == scheme_bits(*reference_logloss_avg_optimum(px, n_messages))
 
-    @given(problems(max_r=6), st.integers(2, 4), block_entries,
+    @given(problems(max_r=6), st.integers(2, 4),
+           st.one_of(block_entries, st.just(SHORT_TILE)),
            st.sampled_from([0.0, 1e-9, 1e-3]))
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
@@ -285,20 +301,38 @@ class TestMatchesReferenceLoops:
             cp = build_corresponding(problem, n_messages, tol=1e-10)
         except LoglossLabError:
             assume(False)
+        if entries == SHORT_TILE:
+            entries = short_tile_entries(cp)
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
             sweep = identity_sweep(cp)
             report = verify_optimum_coincidence(cp, atol)
-        ref_sweep = reference_identity_sweep(cp)
-        assert sweep.n_codes == ref_sweep.n_codes
-        assert not sweep.sampled
-        assert [bits(getattr(sweep, f)) for f in ("max_residual", "min_loss", "min_distortion")] \
-            == [bits(getattr(ref_sweep, f)) for f in ("max_residual", "min_loss", "min_distortion")]
+        assert sweep_bits(sweep) == sweep_bits(reference_identity_sweep(cp))
         ref = reference_optimum_coincidence(cp, atol)
         assert bits(report.min_distortion) == bits(ref.min_distortion)
         assert bits(report.min_loss) == bits(ref.min_loss)
         assert report.distortion_argmin == ref.distortion_argmin
         assert report.loss_argmin == ref.loss_argmin
         assert report.matched == ref.matched
+
+    @pytest.mark.parametrize("r, n_messages", [(5, 2), (6, 2), (4, 3)])
+    def test_identity_sweep_short_last_tile(self, r, n_messages):
+        w = np.random.default_rng(r).uniform(0.05, 1.0, r)
+        problem = SourceProblem(px=Pmf(w / w.sum()), distortion=hamming_distortion(r))
+        cp = build_corresponding(problem, n_messages, tol=1e-10)
+        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", short_tile_entries(cp)), \
+                mock.patch.object(equivalence, "_grid_into",
+                                  wraps=equivalence._grid_into) as grid_into:
+            blocks = [cells for _, cells in equivalence._cell_blocks(cp)]
+            sweep = identity_sweep(cp)
+        assert sweep_bits(sweep) == sweep_bits(reference_identity_sweep(cp))
+        # The tiles hold five encoders and end each block on a short one,
+        # and on each side they cover every encoder's cells once, in order.
+        assert all(len(cells[0]) > 5 and len(cells[0]) % 5 for cells in blocks)
+        tiles = [call.args[0] for call in grid_into.call_args_list]
+        assert {len(t) for t in tiles} == {5} | {len(cells[0]) % 5 for cells in blocks}
+        for side in (0, 1):
+            assert np.concatenate(tiles[side::2]).tobytes() \
+                == np.concatenate([cells[side] for cells in blocks]).tobytes()
 
     def test_uniform6_tie_case(self):
         # uniform6 at M=3: thousands of tied optimal pairs on both sides.
@@ -310,6 +344,74 @@ class TestMatchesReferenceLoops:
         assert report == ref
         assert scheme_bits(*logloss_avg_optimum(problem.px, 3)) \
             == scheme_bits(*reference_logloss_avg_optimum(problem.px, 3))
+
+
+# px = (3, 3, 2, 2) / 10 at M = 2 and atol = 0.05: four code pairs lie
+# within atol of the least distortion, two of the least log loss.
+UNMATCHED = SourceProblem(px=_normalized([3, 3, 2, 2]),
+                          distortion=np.array([[1.0, 1.0, 0.0], [0.5, 1.0, 2.0],
+                                               [0.5, 0.0, 2.0], [2.0, 0.0, 0.5]]))
+ARGMIN_CASES = {
+    "uniform5-m3": (SourceProblem(px=Pmf.uniform(5), distortion=hamming_distortion(5)), 3, 1e-9),
+    "uniform4-m2-atol": (SourceProblem(px=Pmf.uniform(4), distortion=hamming_distortion(4)),
+                         2, 0.3),
+    "unmatched": (UNMATCHED, 2, 0.05),
+}
+
+
+class TestArgminSets:
+    @pytest.mark.parametrize("name", ARGMIN_CASES)
+    def test_sets_behave_as_the_reference_tuples(self, name):
+        problem, n_messages, atol = ARGMIN_CASES[name]
+        cp = build_corresponding(problem, n_messages, tol=1e-10)
+        report = verify_optimum_coincidence(cp, atol)
+        ref = reference_optimum_coincidence(cp, atol)
+        assert report.matched == ref.matched == (name != "unmatched")
+        for got, want in ((report.distortion_argmin, ref.distortion_argmin),
+                          (report.loss_argmin, ref.loss_argmin)):
+            assert got == want and want == got
+            assert not (got != want or want != got)
+            assert hash(got) == hash(want)
+            assert repr(got) == repr(want)
+            assert list(got) == list(want)
+            indices = range(-len(want), len(want))
+            assert [got[i] for i in indices] == [want[i] for i in indices]
+            assert got[1:3] == want[1:3]
+            with pytest.raises(IndexError):
+                got[len(want)]
+            assert got != list(want)
+        # Set against set, and each set against the other side's tuple.
+        assert (report.distortion_argmin == report.loss_argmin) == ref.matched
+        assert (report.distortion_argmin == ref.loss_argmin) == ref.matched
+        assert (ref.distortion_argmin == report.loss_argmin) == ref.matched
+        assert report == ref and ref == report
+        assert hash(report) == hash(ref)
+
+    def test_sets_of_separate_checks(self):
+        cps = [build_corresponding(problem, n_messages, tol=1e-10)
+               for problem, n_messages, _ in list(ARGMIN_CASES.values())[:2]]
+        first, again, other = (verify_optimum_coincidence(cp).distortion_argmin
+                               for cp in (cps[0], cps[0], cps[1]))
+        assert first is not again and first == again
+        assert first != other and other != first
+
+    @pytest.mark.parametrize("name", ARGMIN_CASES)
+    def test_len_and_matched_decode_nothing(self, name):
+        problem, n_messages, atol = ARGMIN_CASES[name]
+        cp = build_corresponding(problem, n_messages, tol=1e-10)
+        ref = reference_optimum_coincidence(cp, atol)
+        with mock.patch.object(equivalence, "_pair_tuples",
+                               wraps=equivalence._pair_tuples) as decode:
+            report = verify_optimum_coincidence(cp, atol)
+            assert len(report.distortion_argmin) == len(ref.distortion_argmin)
+            assert len(report.loss_argmin) == len(ref.loss_argmin)
+            assert report.matched == ref.matched
+            assert decode.call_count == 0
+            # The first read decodes each distinct set once.
+            for _ in range(2):
+                assert report == ref
+                assert report.distortion_argmin[0] == ref.distortion_argmin[0]
+            assert decode.call_count == (1 if ref.matched else 2)
 
 
 def kernel_codes(weights, n_cells, row_entries):
@@ -417,5 +519,22 @@ class TestScale:
         report, elapsed, peak = traced(verify_optimum_coincidence, cp)
         assert report.matched
         assert len(report.distortion_argmin) == 81_648
-        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert peak <= 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
+
+    @pytest.mark.parametrize("r, fields", [
+        (7, (750_141, False, "0x1.8000000000000p-51", "0x1.b4eeec003935dp+0",
+             "0x1.2492492492492p-1")),
+        (8, (3_359_232, False, "0x1.0000000000000p-50", "0x1.e0b4b026175f7p+0",
+             "0x1.4000000000000p-1")),
+    ])
+    def test_identity_sweep_uniform_m3(self, r, fields):
+        # Every pair of 3^r encoders and r^3 decoders.  The residuals are
+        # formed in tiles of at most 2^15 pairs, so a few buffers of that
+        # size bound the memory.
+        problem = SourceProblem(px=Pmf.uniform(r), distortion=hamming_distortion(r))
+        cp = build_corresponding(problem, 3, tol=1e-8)
+        sweep, elapsed, peak = traced(identity_sweep, cp)
+        assert sweep_bits(sweep) == fields
+        assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"

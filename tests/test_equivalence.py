@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 import warnings
 
@@ -224,6 +226,12 @@ class TestIdentitySweep:
         assert identity_sweep(cp_u4, samples=5, seed=np.int64(7)) == \
             identity_sweep(cp_u4, samples=5, seed=7)
         assert identity_sweep(cp_u4, samples=5).n_codes == 5
+
+    @pytest.mark.parametrize("samples", [None, 3, np.int64(3), np.uint8(3)])
+    def test_code_count_is_a_python_int(self, cp_u4, samples):
+        sweep = identity_sweep(cp_u4, samples=samples, seed=None if samples is None else 1)
+        assert type(sweep.n_codes) is int
+        assert json.loads(json.dumps(dataclasses.asdict(sweep)))["n_codes"] == sweep.n_codes
 
     def test_sampled_needs_a_positive_count(self, cp_u4):
         with pytest.raises(ValidationError):

@@ -306,6 +306,14 @@ class TestTimeshare:
         with pytest.raises(ValidationError):
             timeshare_two_decoders(Pmf.uniform(4), 0.2, 0.4, 100, seed=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["d1", "d2"])
+    def test_two_decoder_targets_must_be_finite(self, name, value):
+        targets = {"d1": 0.5, "d2": 0.5, name: value}
+        with pytest.raises(ValidationError,
+                           match=f"timeshare_two_decoders: {name} must be finite"):
+            timeshare_two_decoders(Pmf.uniform(4), targets["d1"], targets["d2"], 10, seed=0)
+
     def test_domain_validation(self):
         px = Pmf.uniform(4)
         with pytest.raises(ValidationError):
