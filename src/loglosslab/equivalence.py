@@ -35,8 +35,9 @@ from .errors import (
     MappingError,
     ValidationError,
     VerificationError,
+    _require_each,
     _require_int,
-    _require_tol,
+    _require_real,
 )
 from .oneshot import OneShotCode, _cell_sum_blocks, expected_distortion, solve_avg
 from .probability import Pmf, conditional_entropy, joint_from_source_and_channel
@@ -82,9 +83,8 @@ class LogLossCode:
             raise ValidationError(
                 f"LogLossCode: {len(self.decoder_rows)} rows for {self.n_messages} messages"
             )
-        for x, msg in enumerate(self.encoder):
-            if not 0 <= msg < self.n_messages:
-                raise ValidationError(f"LogLossCode: encoder[{x}] = {msg} out of range")
+        _require_each(_require_int, "LogLossCode", "encoder", self.encoder,
+                      0, self.n_messages - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +128,13 @@ def build_corresponding(problem: SourceProblem, n_messages: int,
     point = rd_at_distortion(problem, d_star, tol=tol)
 
     rows = point.reverse.rows
-    for a in range(rows.shape[0]):
-        for b in range(a + 1, rows.shape[0]):
-            if float(np.max(np.abs(rows[a] - rows[b]))) <= ROW_MATCH_TOL:
-                raise VerificationError(
-                    f"reverse rows {a} and {b} coincide within {ROW_MATCH_TOL}; "
-                    "distinct distortion columns should force distinct posteriors"
-                )
+    for a in range(rows.shape[0] - 1):
+        close = np.flatnonzero(np.abs(rows[a + 1:] - rows[a]).max(axis=1) <= ROW_MATCH_TOL)
+        if close.size:
+            raise VerificationError(
+                f"reverse rows {a} and {a + 1 + close[0]} coincide within {ROW_MATCH_TOL}; "
+                "distinct distortion columns should force distinct posteriors"
+            )
 
     if point.rate > math.log(n_messages) + 1e-9:
         raise VerificationError(
@@ -190,7 +190,7 @@ def unmap_code(cp: CorrespondingProblem, lcode: LogLossCode) -> OneShotCode:
     for m, row in enumerate(lcode.decoder_rows):
         if row.n != cp.px.n:
             raise ValidationError(f"unmap_code: row {m} has alphabet {row.n}")
-        dists = [float(np.max(np.abs(row.probs - y.probs))) for y in cp.y_rows]
+        dists = np.abs(cp.source_point.reverse.rows - row.probs).max(axis=1)
         j = int(np.argmin(dists))
         if dists[j] > ROW_MATCH_TOL:
             raise MappingError(
@@ -233,7 +233,7 @@ def verify_theorem1(cp: CorrespondingProblem, code: OneShotCode,
     h + lambda* (E[d] - D*(M)).  The lhs must also stay above h (the value
     of the optimum) up to tol; a violation raises VerificationError.
     """
-    _require_tol("verify_theorem1", "tol", tol)
+    _require_real("verify_theorem1", "tol", tol, 0.0)
     lcode = map_code(cp, code)
     lhs = expected_log_loss(cp.px, lcode)
     e_d = expected_distortion(cp.problem, code)
@@ -265,18 +265,27 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
     return w_d, w_l
 
 
-def _cell_blocks(cp: CorrespondingProblem):
-    """Yield (encoders, cells) blocks over every encoder.
+def _cell_blocks(cp: CorrespondingProblem, caller: str, remedy: str = ""):
+    """Yield (encoders, cells, lows, row_min) blocks over every encoder.
 
     Encoders come in itertools.product order.  ``cells[side, n, m, j]`` is
     the cost of message m of encoder n decoded by kept index j, on the
-    distortion (side 0) or log-loss side (side 1).
+    distortion (side 0) or log-loss side (side 1), and ``lows`` its minimum
+    over j.  An encoder's least cost ``row_min[side, n]`` is the nested sum
+    of its cells' minima (rounded addition is monotone).  The 10^7-pair
+    guard's error names ``caller`` and ends with ``remedy``.
     """
     m_count = cp.n_messages
     k = len(cp.y_rows)
+    total = (m_count ** cp.px.n) * (k ** m_count)
+    if total > _CODE_ENUM_GUARD:
+        raise InstanceTooLargeError(f"{caller}: {total} code pairs exceeds guard "
+                                    f"{_CODE_ENUM_GUARD}{remedy}")
     for encoders, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
                                            k ** m_count):
-        yield encoders, sums.reshape(len(encoders), m_count, 2, k).transpose(2, 0, 1, 3)
+        cells = sums.reshape(len(encoders), m_count, 2, k).transpose(2, 0, 1, 3)
+        lows = cells.min(axis=3)
+        yield encoders, cells, lows, reduce(np.add, [lows[..., m] for m in range(m_count)])
 
 
 def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -331,12 +340,6 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
     min_d = math.inf
 
     if samples is None:
-        total = (m_count ** r) * (k ** m_count)
-        if total > _CODE_ENUM_GUARD:
-            raise InstanceTooLargeError(
-                f"identity_sweep: {total} code pairs exceeds guard {_CODE_ENUM_GUARD}; "
-                "pass samples= to randomize"
-            )
         # Residuals are formed in tiles of whole encoders, at most an eighth
         # of the block budget in pairs, in three buffers reused for every
         # tile.  Costs lie in [0, inf], so no residual is NaN and the tiles'
@@ -345,11 +348,9 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
         tile = max((oneshot._BLOCK_ENTRIES >> 3) // pairs, 1)
         buffers = [np.empty(tile * pairs) for _ in range(3)]
         n_codes = 0
-        for encoders, cells in _cell_blocks(cp):
-            # An encoder's least cost is the nested sum of its cells' minima
-            # (rounded addition is monotone), so the grid minima need no grid.
-            lows = cells.min(axis=3)
-            row_min = reduce(np.add, [lows[..., m] for m in range(m_count)])
+        for encoders, cells, _, row_min in _cell_blocks(
+                cp, "identity_sweep", "; pass samples= to randomize"):
+            # The grid minima are the encoders' least costs; they need no grid.
             min_d = min(min_d, float(row_min[0].min()))
             min_loss = min(min_loss, float(row_min[1].min()))
             for start in range(0, len(encoders), tile):
@@ -456,15 +457,10 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     other coordinate at its cell's minimum.  Only the products of those
     candidates are summed, in the order the exhaustive grid sums them.
     """
-    _require_tol("verify_optimum_coincidence", "atol", atol)
+    _require_real("verify_optimum_coincidence", "atol", atol, 0.0)
     r = cp.px.n
     m_count = cp.n_messages
     k = len(cp.y_rows)
-    total = (m_count ** r) * (k ** m_count)
-    if total > _CODE_ENUM_GUARD:
-        raise InstanceTooLargeError(
-            f"verify_optimum_coincidence: {total} code pairs exceeds guard {_CODE_ENUM_GUARD}"
-        )
     # One pass.  Each side keeps the pairs within atol of its running
     # minimum and trims them whenever that minimum falls, which leaves the
     # pairs within atol of the final minimum.  A pair is kept as the ordinals
@@ -473,9 +469,7 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     place = m_count ** np.arange(r - 1, -1, -1)
     best = [math.inf, math.inf]
     kept: list[list] = [[], []]  # per side: (costs, encoder and decoder ordinals)
-    for encoders, cells in _cell_blocks(cp):
-        lows = cells.min(axis=3)
-        row_min = reduce(np.add, [lows[..., m] for m in range(m_count)])
+    for encoders, cells, lows, row_min in _cell_blocks(cp, "verify_optimum_coincidence"):
         for side, low in enumerate(row_min.min(axis=1).tolist()):
             if low < best[side]:
                 best[side] = low

@@ -61,22 +61,46 @@ class VerificationError(LoglossLabError):
     """A quantity that must hold mathematically failed its numeric check."""
 
 
-def _require_int(caller: str, name: str, value, minimum: int,
+def _require_int(caller: str, name: str, value, minimum: int, maximum: int | None = None,
                  allow_none: bool = False) -> None:
-    """Raise ValidationError unless value is an integer >= minimum.
+    """Raise ValidationError unless value is an integer >= minimum (<= maximum).
 
     A bool is not an integer here; None passes only with ``allow_none``.
     """
     if allow_none and value is None:
         return
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= minimum):
+            and value >= minimum and (maximum is None or value <= maximum)):
         what = "None or an integer" if allow_none else "an integer"
-        raise ValidationError(f"{caller}: {name} must be {what} >= {minimum}, got {value!r}")
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValidationError(f"{caller}: {name} must be {what} {bound}, got {value!r}")
 
 
-def _require_tol(caller: str, name: str, value) -> None:
-    """Raise ValidationError unless value is a finite real number >= 0."""
+def _require_each(require, caller: str, name: str, values, *bounds) -> None:
+    """Apply ``require`` to every entry of a sequence, naming entry i name[i]."""
+    for i, value in enumerate(values):
+        require(caller, f"{name}[{i}]", value, *bounds)
+
+
+def _require_real(caller: str, name: str, value, low: float | None = None,
+                  high: float | None = None, positive: bool = False) -> None:
+    """Raise ValidationError unless value is a finite real, not a bool, in bounds.
+
+    ``low`` and ``high`` are inclusive unless None; ``positive`` asks for > 0.
+    """
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value >= 0):
-        raise ValidationError(f"{caller}: {name} must be finite and >= 0, got {value!r}")
+            and math.isfinite(value) and (low is None or value >= low)
+            and (high is None or value <= high) and (value > 0 or not positive)):
+        rule = ("must be finite and positive" if positive
+                else "must be finite" if low is None
+                else f"must be finite and >= {low:g}" if high is None
+                else f"must lie in [{low:g}, {high:g}]")
+        raise ValidationError(f"{caller}: {name} {rule}, got {value!r}")
+
+
+def _clamp_target(caller: str, name: str, value: float, low: float, high: float) -> float:
+    """value clamped into [low, high]; InfeasibleError if it misses by over 1e-12."""
+    if value < low - 1e-12 or value > high + 1e-12:
+        raise InfeasibleError(f"{caller}: {name} = {value!r} outside the feasible "
+                              f"interval [{low!r}, {high!r}]")
+    return min(max(value, low), high)

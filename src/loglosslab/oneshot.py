@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InstanceTooLargeError, ValidationError, _require_int
+from .errors import (
+    InfeasibleError,
+    InstanceTooLargeError,
+    ValidationError,
+    _require_each,
+    _require_int,
+    _require_real,
+)
 from .probability import Pmf, entropy
 from .ratedistortion import SourceProblem
 
@@ -60,7 +67,7 @@ class OneShotCode:
 
     ``encoder[x]`` is the message for source symbol x (0-based), and
     ``decoder[m]`` the reconstruction column for message m.  Both maps are
-    total.
+    total, and their entries are integers.
     """
 
     n_messages: int
@@ -75,12 +82,9 @@ class OneShotCode:
             )
         if not self.encoder:
             raise ValidationError("OneShotCode: empty encoder")
-        for x, msg in enumerate(self.encoder):
-            if not 0 <= msg < self.n_messages:
-                raise ValidationError(f"OneShotCode: encoder[{x}] = {msg} out of range")
-        for m, col in enumerate(self.decoder):
-            if col < 0:
-                raise ValidationError(f"OneShotCode: decoder[{m}] = {col} out of range")
+        _require_each(_require_int, "OneShotCode", "encoder", self.encoder,
+                      0, self.n_messages - 1)
+        _require_each(_require_int, "OneShotCode", "decoder", self.decoder, 0)
 
 
 def expected_distortion(problem: SourceProblem, code: OneShotCode) -> float:
@@ -142,6 +146,14 @@ def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
         yield codes, sums
 
 
+def _subset_code(problem: SourceProblem, n_messages: int,
+                 subset: tuple[int, ...]) -> OneShotCode:
+    """Code sending each symbol to its nearest subset column, the first on ties."""
+    encoder = tuple(int(i) for i in problem.distortion[:, subset].argmin(axis=1))
+    decoder = tuple(subset) + (subset[-1],) * (n_messages - len(subset))
+    return OneShotCode(n_messages=n_messages, encoder=encoder, decoder=decoder)
+
+
 def solve_avg(problem: SourceProblem, n_messages: int) -> tuple[OneShotCode, float]:
     """Exact minimum average distortion over all codes with <= M messages.
 
@@ -156,11 +168,7 @@ def solve_avg(problem: SourceProblem, n_messages: int) -> tuple[OneShotCode, flo
     k = min(n_messages, s)
     best_subset = min(itertools.combinations(range(s), k),
                       key=lambda subset: float(px @ dist[:, subset].min(axis=1)))
-
-    sub = dist[:, best_subset]
-    encoder = tuple(int(i) for i in sub.argmin(axis=1))
-    decoder = tuple(best_subset) + (best_subset[-1],) * (n_messages - k)
-    code = OneShotCode(n_messages=n_messages, encoder=encoder, decoder=decoder)
+    code = _subset_code(problem, n_messages, best_subset)
     # Report the value through the shared evaluator so independent solvers
     # that land on the same code agree bitwise.
     return code, expected_distortion(problem, code)
@@ -203,15 +211,15 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
     return expected_distortion(problem, best_code)
 
 
-def _best_cover(problem: SourceProblem, n_messages: int,
+def _best_cover(caller: str, problem: SourceProblem, n_messages: int,
                 d: float) -> tuple[tuple[int, ...], float]:
     """The first subset of min(M, s) columns covering the most probability.
 
     A symbol is covered by a column when its distortion is <= D.  Returns
-    (subset, covered mass).
+    (subset, excess probability 1 - covered mass, clamped into [0, 1]);
+    raises ValidationError naming ``caller`` when d is not a finite real.
     """
-    if not math.isfinite(d):
-        raise ValidationError(f"excess criterion: d must be finite, got {d!r}")
+    _require_real(caller, "d", d)
     px = problem.px.probs
     covers = problem.distortion <= d  # r x s
     s = problem.n_reconstruction
@@ -220,7 +228,7 @@ def _best_cover(problem: SourceProblem, n_messages: int,
         return float(px[covers[:, subset].any(axis=1)].sum())
 
     best_subset = max(itertools.combinations(range(s), min(n_messages, s)), key=mass)
-    return best_subset, mass(best_subset)
+    return best_subset, min(max(1.0 - mass(best_subset), 0.0), 1.0)
 
 
 def solve_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
@@ -230,8 +238,7 @@ def solve_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
     picks the subset of min(M, s) columns covering the most probability.
     """
     _require_int("solve_excess", "n_messages", n_messages, 1)
-    _, mass = _best_cover(problem, n_messages, d)
-    return min(max(1.0 - mass, 0.0), 1.0)
+    return _best_cover("solve_excess", problem, n_messages, d)[1]
 
 
 def excess_witness(problem: SourceProblem,
@@ -242,11 +249,8 @@ def excess_witness(problem: SourceProblem,
     which cannot hurt the excess criterion.
     """
     _require_int("excess_witness", "n_messages", n_messages, 1)
-    subset, mass = _best_cover(problem, n_messages, d)
-    encoder = tuple(int(i) for i in problem.distortion[:, subset].argmin(axis=1))
-    decoder = subset + (subset[-1],) * (n_messages - len(subset))
-    code = OneShotCode(n_messages=n_messages, encoder=encoder, decoder=decoder)
-    return code, min(max(1.0 - mass, 0.0), 1.0)
+    subset, excess = _best_cover("excess_witness", problem, n_messages, d)
+    return _subset_code(problem, n_messages, subset), excess
 
 
 def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
@@ -255,15 +259,14 @@ def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
     Raises InfeasibleError when even the full reconstruction alphabet cannot
     reach the target.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValidationError(f"solve_codebook: eps must lie in [0, 1], got {eps!r}")
+    _require_real("solve_codebook", "eps", eps, 0.0, 1.0)
     for m in range(1, problem.n_reconstruction + 1):
-        if solve_excess(problem, m, d) <= eps + _FEASIBILITY_SLACK:
+        excess = _best_cover("solve_codebook", problem, m, d)[1]
+        if excess <= eps + _FEASIBILITY_SLACK:
             return m
-    achievable = solve_excess(problem, problem.n_reconstruction, d)
     raise InfeasibleError(
         f"solve_codebook: excess target {eps!r} at distortion {d!r} unreachable; "
-        f"best achievable is {achievable!r}"
+        f"best achievable is {excess!r}"
     )
 
 
@@ -274,10 +277,7 @@ def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
 
 def floor_exp(d: float) -> int:
     """Largest integer k with ln k <= D (slack 1e-12), i.e. floor(exp(D))."""
-    if not math.isfinite(d):
-        raise ValidationError(f"floor_exp: d must be finite, got {d!r}")
-    if d < 0.0:
-        raise ValidationError(f"floor_exp: D must be >= 0, got {d!r}")
+    _require_real("floor_exp", "d", d, 0.0)
     k = max(int(math.floor(math.exp(min(d, 700.0)))), 1)
     while math.log(k + 1) <= d + _FLOOR_SLACK:
         k += 1
@@ -525,8 +525,7 @@ def logloss_codebook(px: Pmf, d: float, eps: float) -> int:
     Closed form: cover the smallest prefix of the sorted source reaching
     mass 1 - eps, in cells of floor(exp(D)).
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValidationError(f"logloss_codebook: eps must lie in [0, 1], got {eps!r}")
+    _require_real("logloss_codebook", "eps", eps, 0.0, 1.0)
     cell = floor_exp(d)
     sorted_probs = np.sort(px.probs)[::-1]
     cdf = np.cumsum(sorted_probs)

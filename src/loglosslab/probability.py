@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _require_int
 
 __all__ = [
     "SUM_TOL",
@@ -88,14 +88,13 @@ class Pmf:
 
     @staticmethod
     def uniform(n: int) -> "Pmf":
-        if n < 1:
-            raise ValidationError("Pmf.uniform: n must be >= 1")
+        _require_int("Pmf.uniform", "n", n, 1)
         return Pmf(np.full(n, 1.0 / n))
 
     @staticmethod
     def point_mass(n: int, x: int) -> "Pmf":
-        if not 0 <= x < n:
-            raise ValidationError(f"Pmf.point_mass: symbol {x} outside alphabet of size {n}")
+        _require_int("Pmf.point_mass", "n", n, 1)
+        _require_int("Pmf.point_mass", "x", x, 0, n - 1)
         p = np.zeros(n)
         p[x] = 1.0
         return Pmf(p)
@@ -227,6 +226,13 @@ def mutual_information(px: Pmf, ch: Channel) -> float:
     return max(h_y - h_y_given_x, 0.0)
 
 
+def _information(table: np.ndarray, p_x: np.ndarray, p_g: np.ndarray) -> float:
+    """I(X; G) of a joint table over (x, g), given its two marginals."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.log(table) - np.log(np.outer(p_x, p_g))
+        return float(np.where(table > 0.0, table * ratio, 0.0).sum())
+
+
 def _decoder_fit(table: np.ndarray, rows) -> tuple[float, float, float]:
     """Lemma 1's quantities for a decoder that reproduces column g by rows[g].
 
@@ -235,11 +241,8 @@ def _decoder_fit(table: np.ndarray, rows) -> tuple[float, float, float]:
     mass the table puts on it), and the largest max-norm gap between a row
     and the posterior of X given its column, over columns of positive mass.
     """
-    p_x = table.sum(axis=1)
     p_g = table.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(table) - np.log(np.outer(p_x, p_g))
-        info = float(np.where(table > 0.0, table * ratio, 0.0).sum())
+    info = _information(table, table.sum(axis=1), p_g)
 
     loss = 0.0
     for g in range(table.shape[1]):
@@ -261,8 +264,8 @@ def _decoder_fit(table: np.ndarray, rows) -> tuple[float, float, float]:
 def information_density(j: Joint, x: int, y: int) -> float:
     """ln of P(x, y) / (P(x) P(y)); errors on zero marginals or zero mass."""
     r, s = j.shape
-    if not (0 <= x < r and 0 <= y < s):
-        raise ValidationError(f"information_density: ({x}, {y}) outside {r} x {s} table")
+    _require_int("information_density", "x", x, 0, r - 1)
+    _require_int("information_density", "y", y, 0, s - 1)
     px = float(j.table[x, :].sum())
     py = float(j.table[:, y].sum())
     if px == 0.0 or py == 0.0:
@@ -301,8 +304,7 @@ def posterior(px: Pmf, ch: Channel) -> tuple[Channel, Pmf]:
 
 def log_loss(x: int, q: Pmf) -> float:
     """-ln q(x), the logarithmic loss of reproduction q against symbol x."""
-    if not 0 <= x < q.n:
-        raise ValidationError(f"log_loss: symbol {x} outside alphabet of size {q.n}")
+    _require_int("log_loss", "x", x, 0, q.n - 1)
     qx = float(q.probs[x])
     if qx == 0.0:
         return math.inf

@@ -31,10 +31,10 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    InfeasibleError,
     ValidationError,
+    _clamp_target,
     _require_int,
-    _require_tol,
+    _require_real,
 )
 from .probability import (
     Channel,
@@ -83,6 +83,8 @@ _POLISH_RESIDUAL = 1e-13
 
 def hamming_distortion(r: int, s: int | None = None) -> np.ndarray:
     """0/1 distortion matrix: free on the diagonal, unit cost elsewhere."""
+    _require_int("hamming_distortion", "r", r, 1)
+    _require_int("hamming_distortion", "s", s, 1, allow_none=True)
     s = r if s is None else s
     return 1.0 - np.eye(r, s)
 
@@ -173,6 +175,15 @@ def _rate_of(pxp: np.ndarray, fwd: np.ndarray, m: np.ndarray) -> float:
         term = fwd * (np.log(fwd) - np.log(m)[None, :])
     term = np.where(fwd > 0.0, term, 0.0)
     return max(float(pxp @ term.sum(axis=1)), 0.0)
+
+
+def _tilt(pxp: np.ndarray, expd: np.ndarray,
+          q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row sums z, forward channel, output marginal) of the tilt of q by expd."""
+    weighted = expd * q[None, :]
+    z = weighted.sum(axis=1)
+    fwd = weighted / z[:, None]
+    return z, fwd, pxp @ fwd
 
 
 def _dual_gap(pxp: np.ndarray, expd: np.ndarray, z: np.ndarray, fwd: np.ndarray,
@@ -380,10 +391,7 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
         if target_s is not None:
             with np.errstate(invalid="ignore"):
                 lam, expd = _match_slope(pxp, dist_s, q, target_s, lam)
-        weighted = expd * q[None, :]
-        z = weighted.sum(axis=1)
-        fwd = weighted / z[:, None]
-        m = pxp @ fwd
+        z, fwd, m = _tilt(pxp, expd, q)
         f_val = lam * d_shift - float(pxp @ np.log(z))
         if not math.isfinite(f_val):
             raise ConvergenceError(f"solve broke down at slope {lam!r}: a forward row vanished")
@@ -406,10 +414,7 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
         if done is not None:
             q, lam, drops = done
             expd = np.exp(-lam * dist_s)
-            weighted = expd * q[None, :]
-            z = weighted.sum(axis=1)
-            fwd = weighted / z[:, None]
-            m = pxp @ fwd
+            z, fwd, m = _tilt(pxp, expd, q)
             # Gaps of the returned point under one more update.
             z_next = expd @ m
             return _RawBa(
@@ -449,10 +454,8 @@ def ba_fixed_slope(problem: SourceProblem, lam: float, tol: float = 1e-10,
         BaSolution with achieved distortion, rate in nats, output marginal,
         and forward channel on the full reconstruction alphabet.
     """
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ValidationError(f"ba_fixed_slope: lam must be finite and >= 0, got {lam!r}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValidationError(f"ba_fixed_slope: tol must be finite and positive, got {tol!r}")
+    _require_real("ba_fixed_slope", "lam", lam, 0.0)
+    _require_real("ba_fixed_slope", "tol", tol, positive=True)
     _require_int("ba_fixed_slope", "max_iter", max_iter, 1)
     px = problem.px.probs
     support = np.flatnonzero(px > 0.0)
@@ -570,23 +573,16 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
         columns, the tilted-information vector, and diagnostics.
 
     Raises:
-        ValidationError: d or tol is not finite, tol is not positive, or
-            max_iter is not an integer >= 1.
+        ValidationError: d is not a finite real, tol not a finite positive
+            real, or max_iter not an integer >= 1.
         InfeasibleError: d outside [D_min, D_max] (1e-12 slack).
         ConvergenceError: the solve did not converge within max_iter.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValidationError(f"rd_at_distortion: tol must be finite and positive, got {tol!r}")
-    if not math.isfinite(d):
-        raise ValidationError(f"rd_at_distortion: d must be finite, got {d!r}")
+    _require_real("rd_at_distortion", "tol", tol, positive=True)
+    _require_real("rd_at_distortion", "d", d)
     _require_int("rd_at_distortion", "max_iter", max_iter, 1)
     d_min, d_max = distortion_bounds(problem)
-    if d < d_min - 1e-12 or d > d_max + 1e-12:
-        raise InfeasibleError(
-            f"target distortion {d!r} outside feasible interval "
-            f"[{d_min!r}, {d_max!r}]"
-        )
-    target = min(max(d, d_min), d_max)
+    target = _clamp_target("rd_at_distortion", "d", d, d_min, d_max)
 
     px = problem.px.probs
     support = np.flatnonzero(px > 0.0)
@@ -596,11 +592,7 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
         raw = _RawBa(forward=np.tile(q, (support.size, 1)), marginal=q,
                      distortion=d_max, rate=0.0, lam=0.0, iterations=0)
     else:
-        if support.size == px.size:
-            pxp, dist = px, problem.distortion
-        else:
-            pxp, dist = px[support], problem.distortion[support]
-        raw = _ba_core(pxp, dist, 1.0,
+        raw = _ba_core(px[support], problem.distortion[support], 1.0,
                        max(target, d_min + 0.5 * tol), _certificate_tol(tol),
                        max_iter, track=False)
 
@@ -631,8 +623,8 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
 
 
 def rd_curve(problem: SourceProblem, grid, tol: float = 1e-8) -> list[RdPoint]:
-    """One rd_at_distortion point per grid value."""
-    return [rd_at_distortion(problem, float(d), tol=tol) for d in grid]
+    """One rd_at_distortion point per grid value; raises as rd_at_distortion."""
+    return [rd_at_distortion(problem, d, tol=tol) for d in grid]
 
 
 def tilted_information(problem: SourceProblem, point: RdPoint) -> np.ndarray:
@@ -673,13 +665,10 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
 
 
 def logloss_rd(px: Pmf, d: float) -> float:
-    """The log-loss rate-distortion function H(X) - D, in nats."""
-    if not math.isfinite(d):
-        raise ValidationError(f"logloss_rd: d must be finite, got {d!r}")
+    """The log-loss rate-distortion function H(X) - D, in nats, on [0, H(X)]."""
+    _require_real("logloss_rd", "d", d)
     h = entropy(px)
-    if d < -1e-12 or d > h + 1e-12:
-        raise InfeasibleError(f"log-loss distortion {d!r} outside [0, H(X) = {h!r}]")
-    return max(h - min(max(d, 0.0), h), 0.0)
+    return max(h - _clamp_target("logloss_rd", "d", d, 0.0, h), 0.0)
 
 
 @dataclass(frozen=True)
@@ -715,7 +704,7 @@ def verify_lemma1(px: Pmf, q_rows, weights: Channel, tol: float = 1e-9) -> Lemma
     Returns:
         Lemma1Report naming each failed condition in ``failures``.
     """
-    _require_tol("verify_lemma1", "tol", tol)
+    _require_real("verify_lemma1", "tol", tol, 0.0)
     if weights.n_in != px.n:
         raise ValidationError(f"verify_lemma1: weights have {weights.n_in} rows, pmf has {px.n}")
     rows = list(q_rows)

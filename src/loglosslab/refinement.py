@@ -25,14 +25,17 @@ from .errors import (
     InfeasibleError,
     ValidationError,
     VerificationError,
+    _clamp_target,
+    _require_each,
     _require_int,
-    _require_tol,
+    _require_real,
 )
 from .probability import (
     Channel,
     Joint,
     Pmf,
     _decoder_fit,
+    _information,
     conditional_entropy,
     entropy,
     joint_from_source_and_channel,
@@ -96,7 +99,7 @@ def _stage_entropies(problem: SourceProblem, point: RdPoint) -> tuple[float, flo
     return h, h2
 
 
-def _erasure_weight(d1: float, h: float, h2: float) -> float:
+def _erasure_weight(caller: str, name: str, d1: float, h: float, h2: float) -> float:
     """Solve (1 - delta) h2 + delta h = d1 for delta in [0, 1]."""
     span = h - h2
     if span <= 1e-12:
@@ -104,15 +107,10 @@ def _erasure_weight(d1: float, h: float, h2: float) -> float:
         if abs(d1 - h) <= 1e-9:
             return 1.0
         raise InfeasibleError(
-            f"coarse distortion {d1!r} unreachable: the fine stage already sits "
+            f"{caller}: {name} = {d1!r} unreachable: the fine stage already sits "
             f"at H(X) = {h!r}"
         )
-    if d1 < h2 - 1e-12 or d1 > h + 1e-12:
-        raise InfeasibleError(
-            f"coarse distortion {d1!r} outside the feasible interval "
-            f"[{h2!r}, {h!r}]"
-        )
-    return min(max((d1 - h2) / span, 0.0), 1.0)
+    return (_clamp_target(caller, name, d1, h2, h) - h2) / span
 
 
 def _erasure_rows(k: int, keep: float, erase: float) -> np.ndarray:
@@ -185,16 +183,15 @@ def construct_sr(problem: SourceProblem, d1: float, d2: float,
         tol: distortion tolerance of the fine-stage curve solve.
 
     Raises:
-        ValidationError: d1 or d2 is not finite.
+        ValidationError: d1 or d2 is not a finite real.
         InfeasibleError: d1 outside the feasible interval (stated in the
-            message).
+            message; 1e-12 slack).
     """
-    for name, value in (("d1", d1), ("d2", d2)):
-        if not math.isfinite(value):
-            raise ValidationError(f"construct_sr: {name} must be finite, got {value!r}")
+    _require_real("construct_sr", "d1", d1)
+    _require_real("construct_sr", "d2", d2)
     point = rd_at_distortion(problem, d2, tol=tol)
     h, h2 = _stage_entropies(problem, point)
-    delta = _erasure_weight(d1, h, h2)
+    delta = _erasure_weight("construct_sr", "d1", d1, h, h2)
     return _assemble(problem, point, h, h2, d1, d2, delta)
 
 
@@ -208,20 +205,20 @@ def construct_sr_chain(problem: SourceProblem, ds, d_final: float,
     incremental erasure channels (see :func:`chain_step_channel`).  A
     single-entry list reduces to :func:`construct_sr`.
     """
-    ds = [float(d) for d in ds]
+    ds = list(ds)
     if not ds:
         raise ValidationError("construct_sr_chain: need at least one coarse target")
-    if not all(math.isfinite(d) for d in ds):
-        raise ValidationError(f"construct_sr_chain: ds must be finite, got {ds}")
-    if not math.isfinite(d_final):
-        raise ValidationError(f"construct_sr_chain: d_final must be finite, got {d_final!r}")
+    _require_each(_require_real, "construct_sr_chain", "ds", ds)
+    ds = [float(d) for d in ds]
+    _require_real("construct_sr_chain", "d_final", d_final)
     for a, b in zip(ds, ds[1:]):
         if b > a + 1e-12:
             raise ValidationError(f"construct_sr_chain: targets must be non-increasing, got {ds}")
     point = rd_at_distortion(problem, d_final, tol=tol)
     h, h2 = _stage_entropies(problem, point)
-    layers = [_assemble(problem, point, h, h2, d, d_final, _erasure_weight(d, h, h2))
-              for d in ds]
+    layers = [_assemble(problem, point, h, h2, d, d_final,
+                        _erasure_weight("construct_sr_chain", f"ds[{i}]", d, h, h2))
+              for i, d in enumerate(ds)]
     for layer in layers:
         # H(X|Z) from the joint alone, independent of the q rows.
         gap = abs(conditional_entropy(Joint(_joint3(layer).sum(axis=1))) - layer.d1)
@@ -285,7 +282,7 @@ def verify_sr(c: SrConstruction, tol: float = 1e-9) -> SrReport:
     within d2, and each reproduction row equals the posterior of the source
     given its merged observation event.
     """
-    _require_tol("verify_sr", "tol", tol)
+    _require_real("verify_sr", "tol", tol, 0.0)
     kept = list(c.second_point.kept_columns)
     joint3 = _joint3(c)
 
@@ -312,10 +309,7 @@ def verify_sr(c: SrConstruction, tol: float = 1e-9) -> SrReport:
 
     # X's marginal summed from t: p_xj's sums round differently and would
     # move the reported fine_rate residual.
-    p_x = t.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(p_xj) - np.log(np.outer(p_x, p_j))
-    mi_xxhat = float(np.where(p_xj > 0.0, p_xj * ratio, 0.0).sum())
+    mi_xxhat = _information(p_xj, t.sum(axis=1), p_j)
     check_d = abs(mi_xxhat - c.second_point.rate)
 
     e_d2 = float((p_xj * c.problem.distortion[:, kept]).sum())
@@ -430,18 +424,15 @@ def timeshare_simulate(px: Pmf, d: float, n: int, seed: int) -> TimeshareReport:
     the same sample.
 
     Raises:
-        ValidationError: n not an integer >= 1, d not finite, or seed not
-            an integer >= 0.
-        InfeasibleError: d outside [0, H(X)].
+        ValidationError: n not an integer >= 1, d not a finite real, or seed
+            not an integer >= 0.
+        InfeasibleError: d outside [0, H(X)] (1e-12 slack).
     """
     _require_int("timeshare_simulate", "n", n, 1)
-    if not math.isfinite(d):
-        raise ValidationError(f"timeshare_simulate: d must be finite, got {d!r}")
+    _require_real("timeshare_simulate", "d", d)
     _require_int("timeshare_simulate", "seed", seed, 0)
     h = entropy(px)
-    if d < -1e-12 or d > h + 1e-12:
-        raise InfeasibleError(f"timeshare distortion {d!r} outside [0, H(X) = {h!r}]")
-    d = min(max(d, 0.0), h)
+    d = _clamp_target("timeshare_simulate", "d", d, 0.0, h)
     k = _prefix_length(h, d, n)
     draw = _cost_sampler(px.probs, np.random.default_rng(seed))
     prefix = _pairwise_total(draw, k)
@@ -464,12 +455,11 @@ def timeshare_two_decoders(px: Pmf, d1: float, d2: float, n: int,
     single-decoder simulation at its own distortion.
 
     Raises:
-        ValidationError: d1 or d2 not finite, or d2 > d1; and as
+        ValidationError: d1 or d2 not a finite real, or d2 > d1; and as
             ``timeshare_simulate``.
     """
-    for name, d in (("d1", d1), ("d2", d2)):
-        if not math.isfinite(d):
-            raise ValidationError(f"timeshare_two_decoders: {name} must be finite, got {d!r}")
+    _require_real("timeshare_two_decoders", "d1", d1)
+    _require_real("timeshare_two_decoders", "d2", d2)
     if d2 > d1 + 1e-12:
         raise ValidationError(
             f"timeshare_two_decoders: need d2 <= d1, got d1={d1!r}, d2={d2!r}"

@@ -112,6 +112,19 @@ class TestLoadProblem:
         with pytest.raises(ValidationError, match="cannot read"):
             load_problem(tmp_path / "nope.yaml")
 
+    @pytest.mark.parametrize("text, match", [
+        ("px: 0.5\ndistortion: hamming\n", "field 'px': expected a non-empty list of numbers"),
+        ("px: [0.5, 0.6]\ndistortion: hamming\n", "field 'px': Pmf: sums to"),
+        ("px: [0.5, 0.5]\ndistortion: 3\n",
+         "field 'distortion': expected 'hamming' or a list of rows"),
+        ("px: [0.5, 0.5]\ndistortion: hamming\nlabels: [1, 2]\n",
+         "field 'labels': expected a list of strings"),
+        ("px: [0.5, 0.5]\ndistortion: hamming\nname: 3\n", "field 'name': expected a string"),
+    ])
+    def test_bad_field_is_named(self, tmp_path, text, match):
+        with pytest.raises(ValidationError, match=match):
+            load_problem(write_problem(tmp_path, text))
+
     def test_negative_distortion_blamed_on_field(self, tmp_path):
         path = write_problem(
             tmp_path, "px: [0.5, 0.5]\ndistortion: [[0, -1], [1, 0]]\n")

@@ -322,7 +322,7 @@ class TestMatchesReferenceLoops:
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", short_tile_entries(cp)), \
                 mock.patch.object(equivalence, "_grid_into",
                                   wraps=equivalence._grid_into) as grid_into:
-            blocks = [cells for _, cells in equivalence._cell_blocks(cp)]
+            blocks = [cells for _, cells, _, _ in equivalence._cell_blocks(cp, "identity_sweep")]
             sweep = identity_sweep(cp)
         assert sweep_bits(sweep) == sweep_bits(reference_identity_sweep(cp))
         # The tiles hold five encoders and end each block on a short one,

@@ -142,6 +142,24 @@ class TestMapUnmap:
         with pytest.raises(ValidationError):
             map_code(cp_u4, code)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda cp: LogLossCode(2, (0, 1, 0, 1), cp.y_rows[:1]),
+         "LogLossCode: 1 rows for 2 messages"),
+        (lambda cp: LogLossCode(2, (0, 1, 0, 2), cp.y_rows[:2]),
+         r"LogLossCode: encoder\[3\] must be an integer in \[0, 1\], got 2"),
+        (lambda cp: map_code(cp, OneShotCode(2, (0, 1, 0), (0, 1))),
+         "map_code: encoder length mismatch"),
+        (lambda cp: unmap_code(cp, LogLossCode(1, (0, 0, 0, 0), cp.y_rows[:1])),
+         "unmap_code: code has 1 messages, problem has 2"),
+        (lambda cp: unmap_code(cp, LogLossCode(2, (0, 1, 0, 1), (Pmf.uniform(3), cp.y_rows[0]))),
+         "unmap_code: row 0 has alphabet 3"),
+        (lambda cp: expected_log_loss(cp.px, LogLossCode(2, (0, 1), cp.y_rows[:2])),
+         "expected_log_loss: encoder length mismatch"),
+    ])
+    def test_mismatched_code_is_a_validation_error(self, cp_u4, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call(cp_u4)
+
     def test_unmap_rejects_foreign_row(self, cp_u4):
         probs = cp_u4.y_rows[0].probs.copy()
         probs[0] += 1e-5
@@ -259,6 +277,15 @@ class TestIdentitySweep:
         assert w_l.tobytes() == masked.tobytes()
 
 
+@pytest.mark.parametrize("check", [identity_sweep, verify_optimum_coincidence])
+def test_exhaustive_checks_stop_at_the_pair_guard(check):
+    # uniform9 at M = 3 keeps all 9 columns: 3^9 encoders times 9^3 decoders.
+    cp = build_corresponding(uniform_hamming(9), 3, tol=1e-10)
+    with pytest.raises(InstanceTooLargeError,
+                       match=f"{check.__name__}: 14348907 code pairs exceeds guard 10000000"):
+        check(cp)
+
+
 class TestOptimumCoincidence:
     def test_uniform3_sets_match(self, cp_u3):
         report = verify_optimum_coincidence(cp_u3)
@@ -294,7 +321,7 @@ VERIFIERS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, None, "0.5", True])
 @pytest.mark.parametrize("name", sorted(VERIFIERS))
 def test_verifier_tolerance_must_be_finite_and_nonnegative(name, value):
     field, call = VERIFIERS[name]

@@ -377,8 +377,33 @@ _TAKES_N_MESSAGES = {
 }
 
 
-@pytest.mark.parametrize("value", [0, 2.5, True, "3"])
+@pytest.mark.parametrize("value", [0, 2.5, True, "3", None])
 @pytest.mark.parametrize("name", sorted(_TAKES_N_MESSAGES))
 def test_n_messages_must_be_an_integer_at_least_one(name, value):
     with pytest.raises(ValidationError, match=f"{name}: n_messages must be an integer >= 1"):
         _TAKES_N_MESSAGES[name](value)
+
+
+@pytest.mark.parametrize("encoder, decoder, match", [
+    ((0, 1), (0,), "decoder covers 1 of 2 messages"),
+    ((), (0, 1), "empty encoder"),
+    ((0, 2), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got 2"),
+    ((0, -1), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got -1"),
+    # Entries that used to construct, then fail as TypeError or IndexError.
+    ((0, 0.5, 1), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got 0.5"),
+    ((0, True), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got True"),
+    ((0, 1), (0, -1), r"decoder\[1\] must be an integer >= 0, got -1"),
+    ((0, 1), (0, 1.5), r"decoder\[1\] must be an integer >= 0, got 1.5"),
+])
+def test_malformed_code_is_a_validation_error(encoder, decoder, match):
+    with pytest.raises(ValidationError, match=f"OneShotCode: {match}"):
+        OneShotCode(2, encoder, decoder)
+
+
+@pytest.mark.parametrize("code, match", [
+    (OneShotCode(2, (0, 1), (0, 1)), "encoder length mismatch"),
+    (OneShotCode(2, (0, 1, 1), (0, 3)), "decoder column out of range"),
+])
+def test_code_must_fit_the_problem(code, match):
+    with pytest.raises(ValidationError, match=f"expected_distortion: {match}"):
+        expected_distortion(_SKEW3, code)

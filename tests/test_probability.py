@@ -88,6 +88,26 @@ class TestPmf:
             Pmf([0.3, 0.3])
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: Pmf(["a", "b"]), "Pmf: not convertible to a float array"),
+    (lambda: Pmf([[0.5, 0.5]]), r"Pmf: expected 1-dimensional data, got shape \(1, 2\)"),
+    (lambda: Pmf.uniform(0), "Pmf.uniform: n must be an integer >= 1, got 0"),
+    (lambda: Pmf.point_mass(3, 3), r"Pmf.point_mass: x must be an integer in \[0, 2\], got 3"),
+    (lambda: mutual_information(Pmf([0.5, 0.5]), Channel(np.eye(3))),
+     "mutual_information: channel has 3 rows, pmf has 2"),
+    (lambda: joint_from_source_and_channel(Pmf([0.5, 0.5]), Channel(np.eye(3))),
+     "joint: channel has 3 rows, pmf has 2"),
+    (lambda: information_density(Joint([[0.5, 0.5]]), 1, 0),
+     r"information_density: x must be an integer in \[0, 0\], got 1"),
+    (lambda: information_density(Joint([[0.5, 0.5], [0.0, 0.0]]), 1, 0),
+     r"information_density: zero marginal at \(1, 0\)"),
+    (lambda: log_loss_seq([], []), "log_loss_seq: empty block"),
+])
+def test_bad_input_is_a_validation_error(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
+
+
 class TestChannel:
     def test_row_sums_checked(self):
         with pytest.raises(ValidationError):

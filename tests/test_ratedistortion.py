@@ -130,6 +130,14 @@ class TestFixedSlope:
         with pytest.raises(ValidationError, match="max_iter"):
             ba_fixed_slope(binary_hamming(), 1.5, max_iter=max_iter)
 
+    @pytest.mark.parametrize("lam, tol, match", [
+        (-1.0, 1e-10, "lam must be finite and >= 0, got -1.0"),
+        (1.0, 0.0, "tol must be finite and positive, got 0.0"),
+    ])
+    def test_slope_and_tol_out_of_range(self, lam, tol, match):
+        with pytest.raises(ValidationError, match=f"ba_fixed_slope: {match}"):
+            ba_fixed_slope(binary_hamming(), lam, tol=tol)
+
     def test_distortion_decreases_with_slope(self):
         prob = random_problem(np.random.default_rng(3), 4, 4)
         sols = [ba_fixed_slope(prob, lam) for lam in (0.5, 2.0, 8.0)]
@@ -690,6 +698,16 @@ class TestLemma1:
         report = verify_lemma1(px, bad, weights)
         assert not report.ok
         assert "posterior_consistency" in report.failures
+
+    @pytest.mark.parametrize("rows, weights, match", [
+        ([Pmf([0.5, 0.5])] * 3, Channel(np.eye(3)), "weights have 3 rows, pmf has 2"),
+        ([Pmf([0.5, 0.5])], Channel(np.eye(2)), "1 reproduction rows for 2 outputs"),
+        ([Pmf([0.5, 0.5]), Pmf.uniform(3)], Channel(np.eye(2)),
+         "row 1 has alphabet 3, expected 2"),
+    ])
+    def test_shapes_must_agree(self, rows, weights, match):
+        with pytest.raises(ValidationError, match=f"verify_lemma1: {match}"):
+            verify_lemma1(Pmf([0.5, 0.5]), rows, weights)
 
     def test_solver_point_satisfies_lemma1(self):
         # the solved reverse rows are posteriors of the forward channel, so

@@ -323,7 +323,7 @@ class TestTimeshare:
         with pytest.raises(InfeasibleError):
             timeshare_simulate(px, entropy(px) + 0.1, 10, seed=0)
 
-    @pytest.mark.parametrize("n", [0, 2.5, True, "3"])
+    @pytest.mark.parametrize("n", [0, 2.5, True, "3", None])
     def test_n_must_be_an_integer_at_least_one(self, n):
         with pytest.raises(ValidationError, match="n must be an integer >= 1"):
             timeshare_simulate(Pmf.uniform(4), 0.5, n, seed=0)
