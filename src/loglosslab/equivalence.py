@@ -37,9 +37,16 @@ from .errors import (
     VerificationError,
     _require_each,
     _require_int,
+    _require_iterable,
     _require_real,
 )
-from .oneshot import OneShotCode, _cell_sum_blocks, expected_distortion, solve_avg
+from .oneshot import (
+    OneShotCode,
+    _cell_sum_blocks,
+    _column_min,
+    expected_distortion,
+    solve_avg,
+)
 from .probability import Pmf, conditional_entropy, joint_from_source_and_channel
 from .ratedistortion import RdPoint, SourceProblem, distortion_bounds, rd_at_distortion
 
@@ -79,6 +86,9 @@ class LogLossCode:
 
     def __post_init__(self):
         _require_int("LogLossCode", "n_messages", self.n_messages, 1)
+        for name in ("encoder", "decoder_rows"):
+            entries = _require_iterable("LogLossCode", name, getattr(self, name))
+            object.__setattr__(self, name, tuple(entries))
         if len(self.decoder_rows) != self.n_messages:
             raise ValidationError(
                 f"LogLossCode: {len(self.decoder_rows)} rows for {self.n_messages} messages"
@@ -284,25 +294,26 @@ def _cell_blocks(cp: CorrespondingProblem, caller: str, remedy: str = ""):
     for encoders, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
                                            k ** m_count):
         cells = sums.reshape(len(encoders), m_count, 2, k).transpose(2, 0, 1, 3)
-        lows = cells.min(axis=3)
+        lows = _column_min(cells)
         yield encoders, cells, lows, reduce(np.add, [lows[..., m] for m in range(m_count)])
 
 
 def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """grid[n, j_0, ..., j_{M-1}] = ((a[n, 0, j_0] + a[n, 1, j_1]) + ...), in ``out``.
+    """grid[j_0, ..., j_{M-1}, n] = ((a[n, 0, j_0] + a[n, 1, j_1]) + ...), in ``out``.
 
     ``a[n, m, j]`` is the cost of message m of encoder n decoded by kept
-    index j.  ``out`` and ``spare`` are flat buffers of at least n * k^M
-    floats; the partial sums alternate between them so the last lands in
-    ``out``.
+    index j.  The encoder is the last axis, so each add runs over the n
+    encoders of the tile, not over k decoder entries.  ``out`` and
+    ``spare`` are flat buffers of at least n * k^M floats; the partial sums
+    alternate between them so the last lands in ``out``.
     """
     n, m_count, k = a.shape
-    grid = (out if m_count % 2 else spare)[:n * k].reshape(n, k)
-    np.copyto(grid, a[:, 0])
+    grid = (out if m_count % 2 else spare)[:k * n].reshape(k, n)
+    np.copyto(grid, a[:, 0].T)
     for m in range(1, m_count):
         buf = out if (m_count - m) % 2 else spare
-        grid = np.add(grid[..., None], a[:, m].reshape((n,) + (1,) * m + (k,)),
-                      out=buf[:grid.size * k].reshape(grid.shape + (k,)))
+        grid = np.add(grid[..., None, :], a[:, m].T,
+                      out=buf[:grid.size * k].reshape(grid.shape[:-1] + (k, n)))
     return grid
 
 

@@ -76,10 +76,39 @@ def _require_int(caller: str, name: str, value, minimum: int, maximum: int | Non
         raise ValidationError(f"{caller}: {name} must be {what} {bound}, got {value!r}")
 
 
+def _require_instance(caller: str, name: str, value, kind: type) -> None:
+    """Raise ValidationError unless value is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{caller}: {name} must be a {kind.__name__}, "
+                              f"got {type(value).__name__}")
+
+
+def _require_iterable(caller: str, name: str, value) -> list:
+    """The entries of value as a list.
+
+    Raise ValidationError unless value is an iterable other than a string.
+    """
+    if not isinstance(value, (str, bytes)):
+        try:
+            entries = iter(value)
+        except TypeError:
+            pass
+        else:
+            return list(entries)
+    raise ValidationError(f"{caller}: {name} must be a sequence, got {value!r}")
+
+
 def _require_each(require, caller: str, name: str, values, *bounds) -> None:
     """Apply ``require`` to every entry of a sequence, naming entry i name[i]."""
     for i, value in enumerate(values):
         require(caller, f"{name}[{i}]", value, *bounds)
+
+
+def _is_finite(value: numbers.Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _require_real(caller: str, name: str, value, low: float | None = None,
@@ -87,9 +116,10 @@ def _require_real(caller: str, name: str, value, low: float | None = None,
     """Raise ValidationError unless value is a finite real, not a bool, in bounds.
 
     ``low`` and ``high`` are inclusive unless None; ``positive`` asks for > 0.
+    An int too large for a float counts as not finite.
     """
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and (low is None or value >= low)
+            and _is_finite(value) and (low is None or value >= low)
             and (high is None or value <= high) and (value > 0 or not positive)):
         rule = ("must be finite and positive" if positive
                 else "must be finite" if low is None

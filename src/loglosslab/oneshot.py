@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import (
     ValidationError,
     _require_each,
     _require_int,
+    _require_iterable,
     _require_real,
 )
 from .probability import Pmf, entropy
@@ -76,6 +78,9 @@ class OneShotCode:
 
     def __post_init__(self):
         _require_int("OneShotCode", "n_messages", self.n_messages, 1)
+        for name in ("encoder", "decoder"):
+            entries = _require_iterable("OneShotCode", name, getattr(self, name))
+            object.__setattr__(self, name, tuple(entries))
         if len(self.decoder) != self.n_messages:
             raise ValidationError(
                 f"OneShotCode: decoder covers {len(self.decoder)} of {self.n_messages} messages"
@@ -123,6 +128,10 @@ def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
     every labeling of the rest.  The tail length t is the largest with
     n_cells**t <= max(_BLOCK_ENTRIES // row_entries, 1), so no block holds
     more codes than that.
+
+    Tail symbol i is digit i of the row index in product order, so ``sums``
+    viewed as ``(n_cells,) * t + (n_cells, ...)`` takes tail symbol i's
+    weight in cell m as one strided add over the rows whose digit i is m.
     """
     r = len(weights)
     budget = max(_BLOCK_ENTRIES // row_entries, 1)
@@ -131,19 +140,31 @@ def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
         t += 1
     head = r - t
     suffixes = _completions(t, n_cells)
-    rows = np.arange(len(suffixes))
     for prefix in _completions(head, n_cells):
         # add.at is unbuffered and applies the head's weights in index
         # order, as the loop over x does.
         start = np.zeros((n_cells,) + weights.shape[1:], dtype=weights.dtype)
         np.add.at(start, prefix, weights[:head])
         sums = np.repeat(start[None], len(suffixes), axis=0)
+        digits = sums.reshape((n_cells,) * t + start.shape)
         for i in range(t):
-            sums[rows, suffixes[:, i]] += weights[head + i]
+            for m in range(n_cells):
+                at = [slice(None)] * t + [m]  # cell m ...
+                at[i] = m  # ... of the rows whose digit i is m
+                digits[tuple(at)] += weights[head + i]
         codes = np.empty((len(suffixes), r), dtype=suffixes.dtype)
         codes[:, :head] = prefix
         codes[:, head:] = suffixes
         yield codes, sums
+
+
+def _column_min(x: np.ndarray) -> np.ndarray:
+    """x.min(axis=-1), taken as elementwise passes over its few columns.
+
+    A minimum is exact, and the costs reduced here are never NaN or -0.0,
+    so the result equals x.min(axis=-1) bit for bit whatever the order.
+    """
+    return reduce(np.minimum, [x[..., j] for j in range(x.shape[-1])])
 
 
 def _subset_code(problem: SourceProblem, n_messages: int,
@@ -198,7 +219,7 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
     best_code: OneShotCode | None = None
     for encoders, sums in _cell_sum_blocks(weighted, n_messages,
                                            n_messages * problem.n_reconstruction):
-        mins = sums.min(axis=2)
+        mins = _column_min(sums)
         cost = np.zeros(len(encoders))
         for m in range(n_messages):
             cost += mins[:, m]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _require_int
+from .errors import ValidationError, _require_instance, _require_int, _require_iterable
 
 __all__ = [
     "SUM_TOL",
@@ -128,10 +128,13 @@ class Channel:
 
     @staticmethod
     def identity(n: int) -> "Channel":
+        _require_int("Channel.identity", "n", n, 1)
         return Channel(np.eye(n))
 
     @staticmethod
     def constant(q: Pmf, n_in: int) -> "Channel":
+        _require_instance("Channel.constant", "q", q, Pmf)
+        _require_int("Channel.constant", "n_in", n_in, 1)
         return Channel(np.tile(q.probs, (n_in, 1)))
 
 
@@ -195,6 +198,8 @@ def varentropy(p: Pmf) -> float:
 
 def kl_divergence(p: Pmf, q: Pmf) -> float:
     """Relative entropy D(p || q) in nats; ``math.inf`` off q's support."""
+    _require_instance("kl_divergence", "p", p, Pmf)
+    _require_instance("kl_divergence", "q", q, Pmf)
     if p.n != q.n:
         raise ValidationError(f"kl_divergence: alphabet mismatch {p.n} vs {q.n}")
     pa, qa = p.probs, q.probs
@@ -304,6 +309,7 @@ def posterior(px: Pmf, ch: Channel) -> tuple[Channel, Pmf]:
 
 def log_loss(x: int, q: Pmf) -> float:
     """-ln q(x), the logarithmic loss of reproduction q against symbol x."""
+    _require_instance("log_loss", "q", q, Pmf)
     _require_int("log_loss", "x", x, 0, q.n - 1)
     qx = float(q.probs[x])
     if qx == 0.0:
@@ -313,8 +319,8 @@ def log_loss(x: int, q: Pmf) -> float:
 
 def log_loss_seq(xs, qs) -> float:
     """Average of per-symbol log losses over a block."""
-    xs = list(xs)
-    qs = list(qs)
+    xs = _require_iterable("log_loss_seq", "xs", xs)
+    qs = _require_iterable("log_loss_seq", "qs", qs)
     if len(xs) != len(qs):
         raise ValidationError(f"log_loss_seq: {len(xs)} symbols vs {len(qs)} reproductions")
     if not xs:

@@ -43,6 +43,10 @@ __all__ = [
 REPORT_DIGITS = 12
 
 _ALLOWED_FIELDS = {"name", "description", "labels", "px", "distortion"}
+# libyaml's parser when PyYAML was built with it, else the pure-Python one;
+# both build the document with SafeLoader's constructor and resolver.  The
+# libyaml parser's errors give the line and column but not the source line.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +96,7 @@ def load_problem(path: str | Path) -> LoadedProblem:
     except OSError as exc:
         raise ValidationError(f"cannot read problem file {path}: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""

@@ -33,7 +33,9 @@ from .errors import (
     ConvergenceError,
     ValidationError,
     _clamp_target,
+    _require_instance,
     _require_int,
+    _require_iterable,
     _require_real,
 )
 from .probability import (
@@ -103,6 +105,7 @@ class SourceProblem:
     distortion: np.ndarray
 
     def __post_init__(self):
+        _require_instance("SourceProblem", "px", self.px, Pmf)
         dist = _as_readonly_array(self.distortion, "SourceProblem: distortion", ndim=2)
         if dist.shape[0] != self.px.n:
             raise ValidationError(
@@ -624,7 +627,8 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
 
 def rd_curve(problem: SourceProblem, grid, tol: float = 1e-8) -> list[RdPoint]:
     """One rd_at_distortion point per grid value; raises as rd_at_distortion."""
-    return [rd_at_distortion(problem, d, tol=tol) for d in grid]
+    return [rd_at_distortion(problem, d, tol=tol)
+            for d in _require_iterable("rd_curve", "grid", grid)]
 
 
 def tilted_information(problem: SourceProblem, point: RdPoint) -> np.ndarray:

@@ -27,7 +27,9 @@ from .errors import (
     VerificationError,
     _clamp_target,
     _require_each,
+    _require_instance,
     _require_int,
+    _require_iterable,
     _require_real,
 )
 from .probability import (
@@ -205,7 +207,7 @@ def construct_sr_chain(problem: SourceProblem, ds, d_final: float,
     incremental erasure channels (see :func:`chain_step_channel`).  A
     single-entry list reduces to :func:`construct_sr`.
     """
-    ds = list(ds)
+    ds = _require_iterable("construct_sr_chain", "ds", ds)
     if not ds:
         raise ValidationError("construct_sr_chain: need at least one coarse target")
     _require_each(_require_real, "construct_sr_chain", "ds", ds)
@@ -282,6 +284,7 @@ def verify_sr(c: SrConstruction, tol: float = 1e-9) -> SrReport:
     within d2, and each reproduction row equals the posterior of the source
     given its merged observation event.
     """
+    _require_instance("verify_sr", "c", c, SrConstruction)
     _require_real("verify_sr", "tol", tol, 0.0)
     kept = list(c.second_point.kept_columns)
     joint3 = _joint3(c)
@@ -363,8 +366,11 @@ def _cost_sampler(p: np.ndarray, rng: np.random.Generator):
     consecutive pieces gives the same stream as one call.  A bucket of
     [0, 1) with no cdf value strictly inside it holds a single symbol, so a
     table maps it straight to that symbol's cost; only the at most
-    len(p) - 1 other buckets need the search.  Code lengths come from the
-    table -ln p, so each equals ``-np.log(p[x])`` bit for bit.
+    len(p) - 1 other buckets need the search.  The table holds -1.0 for
+    those, so one gather finds both the costs and the samples to search: a
+    cost -ln p is at least -0.0 (a mass of exactly 1), which is not < 0.
+    Code lengths come from the table -ln p, so each equals
+    ``-np.log(p[x])`` bit for bit.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
@@ -373,21 +379,20 @@ def _cost_sampler(p: np.ndarray, rng: np.random.Generator):
     cost[live] = -np.log(p[live])
     lo = np.arange(_BUCKETS) / _BUCKETS
     first = cdf.searchsorted(lo, side="right")
-    ambiguous = cdf.searchsorted(lo + 1.0 / _BUCKETS, side="left") > first
     bucket_cost = cost[first]
+    bucket_cost[cdf.searchsorted(lo + 1.0 / _BUCKETS, side="left") > first] = -1.0
 
     u = np.empty(_LEAF)
     bucket = np.empty(_LEAF, dtype=np.intp)
     lengths = np.empty(_LEAF)
-    hit = np.empty(_LEAF, dtype=bool)
 
     def draw(m: int) -> float:
         rng.random(out=u[:m])
-        # The cast to integers truncates, which is floor since u >= 0.
+        # The cast to integers truncates, which is floor since u >= 0, so
+        # every bucket lies in [0, _BUCKETS) and "clip" never clips.
         np.multiply(u[:m], _BUCKETS, out=bucket[:m], casting="unsafe")
-        np.take(bucket_cost, bucket[:m], out=lengths[:m])
-        np.take(ambiguous, bucket[:m], out=hit[:m])
-        i = np.flatnonzero(hit[:m])
+        np.take(bucket_cost, bucket[:m], out=lengths[:m], mode="clip")
+        i = np.flatnonzero(lengths[:m] < 0.0)
         lengths[i] = cost[cdf.searchsorted(u[i], side="right")]
         return np.add.reduce(lengths[:m])
 

@@ -8,9 +8,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 
 import loglosslab
-from loglosslab import ValidationError, __version__, equivalence
+from loglosslab import ValidationError, __version__, equivalence, problemio
 from loglosslab.cli import _build_parser, main
 from loglosslab.oneshot import excess_witness, logloss_codebook, logloss_excess_optimum
 from loglosslab.problemio import (
@@ -102,6 +103,33 @@ class TestLoadProblem:
         path = write_problem(tmp_path, "px: [0.5, 0.5]\ndistortion: [\n")
         with pytest.raises(ValidationError, match="line"):
             load_problem(path)
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_yaml_error_names_line_and_column(self, tmp_path, loader):
+        if not hasattr(yaml, loader):
+            pytest.skip(f"PyYAML built without {loader}")
+        path = write_problem(tmp_path, "px: [0.5, 0.5\ndistortion: hamming\n")
+        # Either parser names the mark; only the pure-Python one quotes the
+        # source line under it.
+        with mock.patch.object(problemio, "_YAML_LOADER", getattr(yaml, loader)), \
+                pytest.raises(ValidationError,
+                              match=r"(?s)invalid YAML at line 2: .*line 2, column 11"):
+            load_problem(path)
+
+    @pytest.mark.parametrize("name", ["binary_hamming.yaml", "skewed3.yaml",
+                                      "skewed4_absdiff.yaml"])
+    def test_both_yaml_loaders_give_equal_problems(self, name):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        loaded = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            with mock.patch.object(problemio, "_YAML_LOADER", loader):
+                loaded.append(load_problem(PROBLEMS / name))
+        python, libyaml = loaded
+        assert python.echo() == libyaml.echo()
+        assert python.description == libyaml.description
+        assert python.problem.px.probs.tobytes() == libyaml.problem.px.probs.tobytes()
+        assert python.problem.distortion.tobytes() == libyaml.problem.distortion.tobytes()
 
     def test_top_level_must_be_mapping(self, tmp_path):
         path = write_problem(tmp_path, "- 1\n- 2\n")

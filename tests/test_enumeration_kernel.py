@@ -430,6 +430,94 @@ class TestEnumerationOrder:
         assert codes.tolist() == [list(e) for e in itertools.product(range(3), repeat=5)]
 
 
+def reference_cell_sums(weights, n_cells):
+    """sums[n, m]: weights[x] over the x that code n puts in cell m, by a loop over x."""
+    r = len(weights)
+    codes = list(itertools.product(range(n_cells), repeat=r))
+    sums = np.zeros((len(codes), n_cells) + weights.shape[1:])
+    for n, code in enumerate(codes):
+        for x in range(r):
+            sums[n, code[x]] += weights[x]
+    return np.array(codes), sums
+
+
+def hex_entries(a) -> list:
+    return [float(v).hex() for v in np.asarray(a).ravel()]
+
+
+# A log-loss weight px * -ln 1 is -0.0, and a zero posterior entry gives
+# +inf.  The columns hold both next to ordinary costs.
+SIGNED_WEIGHTS = np.array([[0.25, -0.0, np.inf],
+                           [-0.0, 0.5, 0.125],
+                           [np.inf, -0.0, -0.0],
+                           [0.375, np.inf, 0.0],
+                           [-0.0, 0.0625, 0.75]])
+
+
+class TestCellSums:
+    # Budgets giving every tail length from t = 0 (one head per code) to
+    # t = r (one block).
+    @pytest.mark.parametrize("n_cells", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_signed_zeros_and_inf_match_the_loop(self, n_cells, r):
+        weights = SIGNED_WEIGHTS[:r]
+        row_entries = n_cells * weights.shape[1]
+        want_codes, want = reference_cell_sums(weights, n_cells)
+        tails = set()
+        for t in range(r + 1):
+            entries = n_cells ** t * row_entries
+            with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
+                blocks = list(oneshot._cell_sum_blocks(weights, n_cells, row_entries))
+            tails.add(len(blocks[0][0]))
+            assert np.vstack([codes for codes, _ in blocks]).tolist() == want_codes.tolist()
+            got = np.concatenate([sums for _, sums in blocks])
+            assert hex_entries(got) == hex_entries(want)
+        assert tails == {n_cells ** t for t in range(r + 1)}
+
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3), block_entries,
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_weights_match_the_loop(self, r, n_cells, cols, entries, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.choice([0.0, -0.0, np.inf, 0.1, 0.7, 1 / 3], (r, cols)) \
+            * rng.uniform(0.5, 2.0, (r, cols))
+        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
+            got = np.concatenate([sums for _, sums in oneshot._cell_sum_blocks(
+                weights, n_cells, n_cells * cols)])
+        assert hex_entries(got) == hex_entries(reference_cell_sums(weights, n_cells)[1])
+
+
+def reference_grid(a):
+    """grid[j_0, ..., j_{M-1}, n] by a loop that adds the messages in order."""
+    n, m_count, k = a.shape
+    grid = np.empty((k,) * m_count + (n,))
+    for i in range(n):
+        for dec in itertools.product(range(k), repeat=m_count):
+            total = a[i, 0, dec[0]]
+            for m in range(1, m_count):
+                total = total + a[i, m, dec[m]]
+            grid[dec + (i,)] = total
+    return grid
+
+
+class TestGrid:
+    @pytest.mark.parametrize("m_count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_nested_sums_match_the_loop(self, m_count, n):
+        k = 3
+        rng = np.random.default_rng(10 * m_count + n)
+        # A strided view, as identity_sweep passes one side of its cells.
+        cells = rng.uniform(0.0, 3.0, (2, n + 2, m_count, k)) \
+            * rng.choice([1.0, 1e-9, 1e9], (2, n + 2, m_count, k))
+        a = cells[1, 1:n + 1]
+        size = n * k ** m_count
+        out, spare = np.full(size + 7, np.nan), np.full(size + 7, np.nan)
+        grid = equivalence._grid_into(a, out, spare)
+        assert np.shares_memory(grid, out)
+        assert grid.shape == (k,) * m_count + (n,)
+        assert hex_entries(grid) == hex_entries(reference_grid(a))
+
+
 # ----------------------------------------------------------------------
 # Scale: the largest instances run in bounded memory and time.
 # ----------------------------------------------------------------------

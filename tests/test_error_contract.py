@@ -1,9 +1,12 @@
-"""Scalar arguments of the wrong kind raise a ValidationError that names them.
+"""Arguments of the wrong kind raise a ValidationError that names them.
 
-A real argument takes a finite real number that is not a bool; an integer
-argument takes an integer that is not a bool.  Anything else raises
-ValidationError, never a raw TypeError or IndexError, with a message that
-starts with the function that checked the value and the argument's name.
+A real argument takes a finite real number that is not a bool (an int too
+large for a float is not finite); an integer argument takes an integer that
+is not a bool; a sequence argument takes any iterable but a string; an
+object argument takes an instance of its class.  Anything else raises
+ValidationError, never a raw TypeError, AttributeError, OverflowError or
+IndexError, with a message that starts with the function that checked the
+value and the argument's name.
 Where a function hands an argument on unchecked, the check that names it is
 the callee's (for example ``construct_sr``'s ``tol`` is checked by
 ``rd_at_distortion``).  Message counts, seeds, sample counts, iteration
@@ -15,6 +18,7 @@ import math
 import pytest
 
 from loglosslab import (
+    Channel,
     Joint,
     Pmf,
     SourceProblem,
@@ -26,7 +30,9 @@ from loglosslab import (
     floor_exp,
     hamming_distortion,
     information_density,
+    kl_divergence,
     log_loss,
+    log_loss_seq,
     logloss_codebook,
     logloss_excess_optimum,
     logloss_rd,
@@ -36,6 +42,7 @@ from loglosslab import (
     solve_excess,
     timeshare_simulate,
     timeshare_two_decoders,
+    verify_sr,
 )
 from loglosslab.equivalence import LogLossCode
 from loglosslab.oneshot import OneShotCode, excess_witness
@@ -98,14 +105,57 @@ INTEGER_ARGUMENTS = {
                             "OneShotCode: decoder[1]", 2),
     "LogLossCode-encoder": (lambda v: LogLossCode(2, (0, v, 1), (SKEW3.px, SKEW3.px)),
                             "LogLossCode: encoder[1]", 0),
+    "Channel.identity-n": (Channel.identity, "Channel.identity: n", 3),
+    "Channel.constant-n_in": (lambda v: Channel.constant(SKEW3.px, v),
+                              "Channel.constant: n_in", 2),
+}
+
+SEQUENCE_ARGUMENTS = {
+    "rd_curve-grid": (lambda v: rd_curve(SKEW3, v), "rd_curve: grid", [0.2, 0.3]),
+    "construct_sr_chain-ds": (lambda v: construct_sr_chain(SKEW3, v, 0.15),
+                              "construct_sr_chain: ds", (0.9, 0.8)),
+    "log_loss_seq-xs": (lambda v: log_loss_seq(v, [SKEW3.px]), "log_loss_seq: xs", [0]),
+    "log_loss_seq-qs": (lambda v: log_loss_seq([0], v), "log_loss_seq: qs", [SKEW3.px]),
+    "OneShotCode-encoder": (lambda v: OneShotCode(2, v, (0, 1)), "OneShotCode: encoder",
+                            (0, 1, 1)),
+    "OneShotCode-decoder": (lambda v: OneShotCode(2, (0, 1, 1), v), "OneShotCode: decoder",
+                            [0, 1]),
+    "LogLossCode-encoder": (lambda v: LogLossCode(2, v, (SKEW3.px, SKEW3.px)),
+                            "LogLossCode: encoder", [0, 1, 1]),
+    "LogLossCode-decoder_rows": (lambda v: LogLossCode(2, (0, 1, 1), v),
+                                 "LogLossCode: decoder_rows", [SKEW3.px, SKEW3.px]),
+}
+
+SR = construct_sr(SKEW3, 0.9, 0.15)
+OBJECT_ARGUMENTS = {
+    "SourceProblem-px": (lambda v: SourceProblem(px=v, distortion=hamming_distortion(3)),
+                         "SourceProblem: px", SKEW3.px),
+    "kl_divergence-p": (lambda v: kl_divergence(v, SKEW3.px), "kl_divergence: p", SKEW3.px),
+    "kl_divergence-q": (lambda v: kl_divergence(SKEW3.px, v), "kl_divergence: q", SKEW3.px),
+    "log_loss-q": (lambda v: log_loss(0, v), "log_loss: q", SKEW3.px),
+    "Channel.constant-q": (lambda v: Channel.constant(v, 2), "Channel.constant: q", SKEW3.px),
+    "verify_sr-c": (verify_sr, "verify_sr: c", SR),
 }
 
 NOT_REAL = [None, "0.5", math.nan, math.inf, True]
+# Integers that no float can hold: math.isfinite raises OverflowError on them.
+TOO_LARGE = {"1e400": 10**400, "-1e400": -10**400}
 CASES = ([pytest.param(call, prefix, value, id=f"{name}-{value!r}")
           for name, (call, prefix, _) in REAL_ARGUMENTS.items() for value in NOT_REAL]
+         + [pytest.param(call, prefix, value, id=f"{name}-{label}")
+            for name, (call, prefix, _) in REAL_ARGUMENTS.items()
+            for label, value in TOO_LARGE.items()]
          + [pytest.param(call, prefix, value, id=f"{name}-{value!r}")
             for name, (call, prefix, _) in INTEGER_ARGUMENTS.items()
             for value in NOT_REAL + [1.5]])
+NOT_SEQUENCE = [None, 0.5, "0.5"]
+NOT_OBJECT = [None, [0.5, 0.3, 0.2], "px"]
+OBJECT_CASES = ([pytest.param(call, prefix, value, id=f"{name}-{value!r}")
+                 for name, (call, prefix, _) in SEQUENCE_ARGUMENTS.items()
+                 for value in NOT_SEQUENCE]
+                + [pytest.param(call, prefix, value, id=f"{name}-{value!r}")
+                   for name, (call, prefix, _) in OBJECT_ARGUMENTS.items()
+                   for value in NOT_OBJECT])
 
 
 @pytest.mark.parametrize("call, prefix, value", CASES)
@@ -120,3 +170,25 @@ def test_each_call_accepts_a_valid_value(name):
     # So each case above fails on its value alone.
     call, _, valid = {**REAL_ARGUMENTS, **INTEGER_ARGUMENTS}[name]
     call(valid)
+
+
+@pytest.mark.parametrize("call, prefix, value", OBJECT_CASES)
+def test_wrong_kind_of_sequence_or_object_is_a_named_validation_error(call, prefix, value):
+    with pytest.raises(ValidationError) as err:
+        call(value)
+    assert str(err.value).startswith(f"{prefix} must "), str(err.value)
+
+
+@pytest.mark.parametrize("name, call, valid", [
+    pytest.param(name, call, valid, id=name)
+    for cases in (SEQUENCE_ARGUMENTS, OBJECT_ARGUMENTS)
+    for name, (call, _, valid) in cases.items()])
+def test_each_sequence_or_object_call_accepts_a_valid_value(name, call, valid):
+    call(valid)
+
+
+def test_a_sequence_argument_may_be_any_iterable():
+    # A generator is read once; the code keeps the entries as a tuple.
+    code = OneShotCode(2, (x % 2 for x in range(3)), iter([1, 0]))
+    assert code.encoder == (0, 1, 0) and code.decoder == (1, 0)
+    assert code == OneShotCode(2, [0, 1, 0], [1, 0])

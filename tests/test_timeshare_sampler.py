@@ -132,6 +132,28 @@ class TestMatchesReference:
         assert_bitwise_equal(got, reference_timeshare(px, d, n, seed))
 
 
+class TestSampler:
+    @pytest.mark.parametrize("probs", [[1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0]])
+    @pytest.mark.parametrize("m", [1, 8, 129, 1000])
+    def test_mass_of_exactly_one(self, probs, m):
+        # Every code length is -ln 1 = -0.0.  It is not < 0, so the table
+        # does not take it for an ambiguous bucket's mark, and the sum keeps
+        # the sign of numpy's sum over the same lengths.
+        p = np.array(probs)
+        draw = refinement._cost_sampler(p, np.random.default_rng(m))
+        xs = np.random.default_rng(m).choice(len(p), m, p=p)
+        want = np.add.reduce(-np.log(p[xs]))
+        assert float(draw(m)).hex() == float(want).hex()
+
+    @given(source=sources(max_r=8), m=st.integers(1, 3000), seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_one_draw_matches_numpy(self, source, m, seed):
+        p = source.probs
+        draw = refinement._cost_sampler(p, np.random.default_rng(seed))
+        xs = np.random.default_rng(seed).choice(len(p), m, p=p)
+        assert float(draw(m)).hex() == float(np.add.reduce(-np.log(p[xs]))).hex()
+
+
 class TestScale:
     def test_ten_million_samples_in_bounded_memory(self):
         px = Pmf([0.4, 0.3, 0.2, 0.1])
