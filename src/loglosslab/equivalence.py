@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -73,6 +73,8 @@ __all__ = [
 ROW_MATCH_TOL = 1e-9
 # D*(M) within this of a curve endpoint is treated as degenerate.
 ENDPOINT_TOL = 1e-9
+# At most this many code pairs are enumerated.  It is below 2^31, so a
+# pair's key (encoder ordinal * k^M + decoder ordinal) fits in an int32.
 _CODE_ENUM_GUARD = 10_000_000
 
 
@@ -397,8 +399,10 @@ class CoincidenceReport:
 
     Each argmin set is a read-only sequence of (encoder, decoder) tuples in
     lexicographic order.  It equals, hashes and prints as the tuple of those
-    pairs; ``verify_optimum_coincidence`` decodes the pairs only when they
-    are read, so ``len`` costs nothing.
+    pairs; ``verify_optimum_coincidence`` keeps each pair as one int32 key,
+    4 bytes, and decodes the pairs only when they are read, so ``len``
+    costs nothing.  ``pairs_summed`` counts the code pairs whose nested
+    cost the check formed, over both sides; it takes no part in equality.
     """
 
     min_distortion: float
@@ -406,30 +410,31 @@ class CoincidenceReport:
     distortion_argmin: Sequence
     loss_argmin: Sequence
     matched: bool
+    pairs_summed: int = field(compare=False)
 
 
 class _ArgminSet(Sequence):
-    """Sorted (encoder, decoder) pairs kept as ordinals, decoded on first read.
+    """Sorted (encoder, decoder) pairs kept as int32 keys, decoded on first read.
 
-    ``pairs`` holds the encoder ordinals in row 0 and the decoder ordinals
-    in row 1, as ``_pair_tuples`` reads them.
+    A pair's key is encoder ordinal * k^M + decoder ordinal, as
+    ``_pair_tuples`` reads it.
     """
 
-    __slots__ = ("_pairs", "_digits", "_tuples")
+    __slots__ = ("_keys", "_digits", "_tuples")
 
-    def __init__(self, pairs: np.ndarray, r: int, m_count: int, k: int):
-        pairs.flags.writeable = False
-        self._pairs = pairs
+    def __init__(self, keys: np.ndarray, r: int, m_count: int, k: int):
+        keys.flags.writeable = False
+        self._keys = keys
         self._digits = (r, m_count, k)
         self._tuples = None
 
     def _decoded(self) -> tuple:
         if self._tuples is None:
-            self._tuples = _pair_tuples(self._pairs, *self._digits)
+            self._tuples = _pair_tuples(self._keys, *self._digits)
         return self._tuples
 
     def __len__(self) -> int:
-        return self._pairs.shape[1]
+        return len(self._keys)
 
     def __getitem__(self, index):
         return self._decoded()[index]
@@ -474,78 +479,91 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     k = len(cp.y_rows)
     # One pass.  Each side keeps the pairs within atol of its running
     # minimum and trims them whenever that minimum falls, which leaves the
-    # pairs within atol of the final minimum.  A pair is kept as the ordinals
-    # of its encoder and decoder; both come in lexicographic order, so the
-    # kept pairs are sorted and distinct.
-    place = m_count ** np.arange(r - 1, -1, -1)
+    # pairs within atol of the final minimum.  A pair is kept as the int32
+    # key encoder ordinal * k^M + decoder ordinal (the guard keeps it below
+    # 2^31); both ordinals come in lexicographic order, so the kept keys are
+    # sorted and distinct.
+    place = m_count ** np.arange(r - 1, -1, -1) * k ** m_count
     best = [math.inf, math.inf]
-    kept: list[list] = [[], []]  # per side: (costs, encoder and decoder ordinals)
+    kept: list[list] = [[], []]  # per side: (costs, keys)
+    pairs_summed = 0
     for encoders, cells, lows, row_min in _cell_blocks(cp, "verify_optimum_coincidence"):
         for side, low in enumerate(row_min.min(axis=1).tolist()):
             if low < best[side]:
                 best[side] = low
-                kept[side] = [(c[c <= low + atol], pairs[:, c <= low + atol])
-                              for c, pairs in kept[side]]
+                kept[side] = [(c[c <= low + atol], keys[c <= low + atol])
+                              for c, keys in kept[side]]
         thr = np.array(best) + atol
         sides, n = np.nonzero(row_min <= thr[:, None])
-        costs, row, dec = _near_pairs(cells[sides, n], lows[sides, n], thr[sides])
-        pairs = np.vstack([(encoders @ place)[n[row]], dec])
+        costs, row, dec, summed = _near_pairs(cells[sides, n], lows[sides, n], thr[sides])
+        pairs_summed += summed
+        keys = (encoders @ place).astype(np.int32)[n[row]]
+        keys += dec
         split = np.searchsorted(row, np.searchsorted(sides, 1))
-        kept[0].append((costs[:split], pairs[:, :split]))
-        kept[1].append((costs[split:], pairs[:, split:]))
-    pairs_d, pairs_l = (np.hstack([pairs for _, pairs in chunks]) for chunks in kept)
-    matched = np.array_equal(pairs_d, pairs_l)
-    argmin_d = _ArgminSet(pairs_d, r, m_count, k)
+        kept[0].append((costs[:split], keys[:split]))
+        kept[1].append((costs[split:], keys[split:]))
+    # Each side's chunks are released once its keys are joined.
+    keys_d = np.concatenate([keys for _, keys in kept.pop(0)])
+    keys_l = np.concatenate([keys for _, keys in kept.pop()])
+    matched = np.array_equal(keys_d, keys_l)
+    argmin_d = _ArgminSet(keys_d, r, m_count, k)
     return CoincidenceReport(
         min_distortion=best[0],
         min_loss=best[1],
         distortion_argmin=argmin_d,
-        loss_argmin=argmin_d if matched else _ArgminSet(pairs_l, r, m_count, k),
+        loss_argmin=argmin_d if matched else _ArgminSet(keys_l, r, m_count, k),
         matched=matched,
+        pairs_summed=pairs_summed,
     )
 
 
 def _near_pairs(cells: np.ndarray, lows: np.ndarray,
-                thr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(costs, rows, decoder ordinals) of the pairs costing at most their row's thr.
+                thr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(costs, rows, decoder ordinals, pairs summed) of the pairs within thr.
 
     ``cells[n, m, j]`` is the cost of message m of row n decoded by kept
     index j and ``lows`` its minimum over j.  Pairs come out in (row,
-    decoder) lexicographic order.
+    decoder) lexicographic order, with costs at most their row's ``thr``;
+    the count is of every candidate pair whose cost was formed.
     """
     m_count, k = cells.shape[1:]
     at_low = [lows[:, m, None] for m in range(m_count)]
     cand = np.empty(cells.shape, dtype=bool)
     for m in range(m_count):
         cand[:, m] = reduce(np.add, at_low[:m] + [cells[:, m]] + at_low[m + 1:]) <= thr[:, None]
-    # Expand the product of the candidates one message at a time.
-    row, dec = np.nonzero(cand[:, 0])
+    # Expand the product of the candidates one message at a time.  Rows and
+    # decoder ordinals are int32 (the guard keeps both below 2^31), and each
+    # step's int64 indices are dropped before the next, larger, step.
+    row, dec = (a.astype(np.int32) for a in np.nonzero(cand[:, 0]))
     costs = cells[row, 0, dec]
     for m in range(1, m_count):
         parent, j = np.nonzero(cand[row, m])
         row = row[parent]
         costs = costs[parent] + cells[row, m, j]
-        dec = dec[parent] * k + j
+        dec = dec[parent] * k
+        dec += j
+        del parent, j
     near = costs <= thr[row]
-    return costs[near], row[near], dec[near]
+    return costs[near], row[near], dec[near], len(costs)
 
 
-def _pair_tuples(pairs: np.ndarray, r: int, m_count: int, k: int) -> tuple:
-    """(encoder, decoder) tuples from rows of encoder and decoder ordinals.
+def _pair_tuples(keys: np.ndarray, r: int, m_count: int, k: int) -> tuple:
+    """(encoder, decoder) tuples from sorted int32 keys.
 
-    An encoder ordinal counts in base M over r digits and a decoder ordinal
-    in base k over M digits, first digit most significant.  Encoder ordinals
-    come sorted, so each encoder's tuple is repeated over its run; equal
-    decoders share one tuple.
+    A key is encoder ordinal * k^M + decoder ordinal.  An encoder ordinal
+    counts in base M over r digits and a decoder ordinal in base k over M
+    digits, first digit most significant, so sorted keys decode in
+    itertools.product order.  Each encoder's tuple is repeated over its run
+    of keys; equal decoders share one tuple.
     """
     def tuples(ordinals, base, length):
         return list(zip(*(d.tolist() for d in np.unravel_index(ordinals, (base,) * length))))
 
-    enc = pairs[0]
+    enc, dec = np.divmod(keys, k ** m_count)
     firsts = np.flatnonzero(np.diff(enc, prepend=-1))
     runs = np.diff(firsts, append=len(enc)).tolist()
     encoders = itertools.chain.from_iterable(
         map(itertools.repeat, tuples(enc[firsts], m_count, r), runs))
-    dec_values, dec_index = np.unique(pairs[1], return_inverse=True)
+    dec_values, dec_index = np.unique(dec, return_inverse=True)
     decoders = map(tuples(dec_values, k, m_count).__getitem__, dec_index.tolist())
     return tuple(zip(encoders, decoders))

@@ -9,8 +9,6 @@ comparison is bitwise.
 
 import itertools
 import math
-import time
-import tracemalloc
 from functools import reduce
 from unittest import mock
 
@@ -169,7 +167,8 @@ def reference_optimum_coincidence(cp, atol: float = 1e-9) -> CoincidenceReport:
             set_l.add((enc, tuple(int(i) for i in dec)))
     return CoincidenceReport(min_distortion=best_d, min_loss=best_l,
                              distortion_argmin=tuple(sorted(set_d)),
-                             loss_argmin=tuple(sorted(set_l)), matched=set_d == set_l)
+                             loss_argmin=tuple(sorted(set_l)), matched=set_d == set_l,
+                             pairs_summed=2 * len(encoders) * len(cp.y_rows) ** cp.n_messages)
 
 
 # ----------------------------------------------------------------------
@@ -386,6 +385,9 @@ class TestArgminSets:
         assert (ref.distortion_argmin == report.loss_argmin) == ref.matched
         assert report == ref and ref == report
         assert hash(report) == hash(ref)
+        # The reference sums every pair; equality ignores this work count.
+        assert len(ref.distortion_argmin) + len(ref.loss_argmin) <= report.pairs_summed \
+            <= ref.pairs_summed
 
     def test_sets_of_separate_checks(self):
         cps = [build_corresponding(problem, n_messages, tol=1e-10)
@@ -412,6 +414,39 @@ class TestArgminSets:
                 assert report == ref
                 assert report.distortion_argmin[0] == ref.distortion_argmin[0]
             assert decode.call_count == (1 if ref.matched else 2)
+
+
+def product_pairs(r, m_count, k, backwards=False):
+    """(encoder, decoder) pairs in itertools.product order, or from the last back.
+
+    Lazy: the decoders are listed afresh for each encoder.
+    """
+    def digits(base):
+        return range(base - 1, -1, -1) if backwards else range(base)
+    return ((enc, dec) for enc in itertools.product(digits(m_count), repeat=r)
+            for dec in itertools.product(digits(k), repeat=m_count))
+
+
+class TestPairKeys:
+    # (r, M, k) with M^r * k^M code pairs up to the 10^7 guard.
+    @pytest.mark.parametrize("r, m_count, k", [(20, 2, 3), (8, 3, 11),
+                                               (23, 2, 1), (1, 2, 2236)])
+    def test_extreme_keys_decode_in_product_order(self, r, m_count, k):
+        total = m_count ** r * k ** m_count
+        assert total <= equivalence._CODE_ENUM_GUARD
+        # The five least keys, from 0, and the five greatest, to total - 1.
+        keys = np.r_[0:5, total - 5:total].astype(np.int32)
+        head = list(itertools.islice(product_pairs(r, m_count, k), 5))
+        tail = list(itertools.islice(product_pairs(r, m_count, k, backwards=True), 5))
+        assert equivalence._pair_tuples(keys, r, m_count, k) == tuple(head + tail[::-1])
+
+    def test_every_key_of_a_small_shape(self):
+        keys = np.arange(2 ** 3 * 3 ** 2, dtype=np.int32)
+        assert equivalence._pair_tuples(keys, 3, 2, 3) == tuple(product_pairs(3, 2, 3))
+
+    def test_guard_keeps_keys_in_int32(self):
+        # The largest key is the guard's pair count less one.
+        assert equivalence._CODE_ENUM_GUARD < 2 ** 31
 
 
 def kernel_codes(weights, n_cells, row_entries):
@@ -526,49 +561,36 @@ PEAK_BYTES = 64 * 2**20
 BUDGET_S = 10.0
 
 
-def traced(fn, *args):
-    """(result, seconds, traced peak bytes) of one call."""
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        result = fn(*args)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, elapsed, peak
-
-
 class TestScale:
-    def test_logloss_avg_optimum_r12_m12(self):
+    def test_logloss_avg_optimum_r12_m12(self, traced):
         # 4.2 M partitions; with M >= r every split raises H(f(X)), so the
         # all-singleton partition is the unique optimum.
         w = np.random.default_rng(12).uniform(0.05, 1.0, 12)
         px = Pmf(w / w.sum())
-        (scheme, value), elapsed, peak = traced(logloss_avg_optimum, px, 12)
+        (scheme, value), elapsed, peak, _ = traced(logloss_avg_optimum, px, 12)
         assert scheme.encoder == tuple(range(12))
         assert abs(value) <= 1e-12
         assert peak <= PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
 
     @pytest.mark.parametrize("r", [13, 14])
-    def test_logloss_avg_optimum_m_equals_r(self, r):
+    def test_logloss_avg_optimum_m_equals_r(self, r, traced):
         # Bell(13) = 27.6 M and Bell(14) = 190.9 M partitions.  With M >= r
         # the all-singleton partition is the unique optimum.
         w = np.random.default_rng(r).uniform(0.05, 1.0, r)
-        (scheme, value), elapsed, peak = traced(logloss_avg_optimum, Pmf(w / w.sum()), r)
+        (scheme, value), elapsed, peak, _ = traced(logloss_avg_optimum, Pmf(w / w.sum()), r)
         assert scheme.encoder == tuple(range(r))
         assert abs(value) <= 1e-12
         assert peak <= PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
 
-    def test_logloss_avg_optimum_r14_m4(self):
+    def test_logloss_avg_optimum_r14_m4(self, traced):
         # 11.2 M partitions into at most four cells are too many for the
         # reference loop, so check the value against the encoder, and the
         # encoder against every partition one move or one swap away.
         w = np.random.default_rng(14).uniform(0.05, 1.0, 14)
         px = Pmf(w / w.sum())
-        (scheme, value), elapsed, peak = traced(logloss_avg_optimum, px, 4)
+        (scheme, value), elapsed, peak, _ = traced(logloss_avg_optimum, px, 4)
 
         def cell_entropy(encoder):
             return entropy(Pmf(np.bincount(encoder, weights=px.probs, minlength=4)))
@@ -589,26 +611,43 @@ class TestScale:
         assert peak <= PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
 
-    def test_solve_avg_oracle_r13_m3(self):
+    def test_solve_avg_oracle_r13_m3(self, traced):
         # 1.6 M encoders.
         rng = np.random.default_rng(13)
         w = rng.uniform(0.05, 1.0, 13)
         problem = SourceProblem(px=Pmf(w / w.sum()), distortion=rng.random((13, 5)))
-        value, elapsed, peak = traced(solve_avg_oracle, problem, 3)
+        value, elapsed, peak, _ = traced(solve_avg_oracle, problem, 3)
         assert bits(value) == bits(solve_avg(problem, 3)[1])
         assert peak <= PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
 
-    def test_coincidence_uniform8_m3(self):
+    def test_coincidence_uniform8_m3(self, traced):
         # 3,359,232 code pairs, 81,648 of them tied at the optimum on each
-        # side; only pairs that can lie near the optimum are summed.
+        # side; only pairs that can lie near the optimum are summed, and
+        # each kept pair is one 4-byte key.
         problem = SourceProblem(px=Pmf.uniform(8), distortion=hamming_distortion(8))
         cp = build_corresponding(problem, 3, tol=1e-8)
-        report, elapsed, peak = traced(verify_optimum_coincidence, cp)
+        report, elapsed, peak, held = traced(verify_optimum_coincidence, cp)
         assert report.matched
         assert len(report.distortion_argmin) == 81_648
-        assert peak <= 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert 2 * 81_648 <= report.pairs_summed <= 2 * 3_359_232
+        assert held <= 4 * 81_648 + 2**14, f"held {held} bytes"
+        assert peak <= 3 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
+
+    def test_coincidence_keeps_every_pair(self, traced):
+        # atol = 10 keeps all 3^7 * 7^3 = 750,141 code pairs on each side.
+        problem = SourceProblem(px=Pmf.uniform(7), distortion=hamming_distortion(7))
+        cp = build_corresponding(problem, 3, tol=1e-8)
+        report, elapsed, peak, held = traced(verify_optimum_coincidence, cp, 10.0)
+        assert report.matched
+        assert len(report.distortion_argmin) == len(report.loss_argmin) == 750_141
+        assert report.pairs_summed == 2 * 750_141
+        assert held <= 4 * 750_141 + 2**14, f"held {held} bytes"
+        assert peak <= 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
+        assert report.distortion_argmin == tuple(itertools.product(
+            itertools.product(range(3), repeat=7), itertools.product(range(7), repeat=3)))
 
     @pytest.mark.parametrize("r, fields", [
         (7, (750_141, False, "0x1.8000000000000p-51", "0x1.b4eeec003935dp+0",
@@ -616,13 +655,13 @@ class TestScale:
         (8, (3_359_232, False, "0x1.0000000000000p-50", "0x1.e0b4b026175f7p+0",
              "0x1.4000000000000p-1")),
     ])
-    def test_identity_sweep_uniform_m3(self, r, fields):
+    def test_identity_sweep_uniform_m3(self, r, fields, traced):
         # Every pair of 3^r encoders and r^3 decoders.  The residuals are
         # formed in tiles of at most 2^15 pairs, so a few buffers of that
         # size bound the memory.
         problem = SourceProblem(px=Pmf.uniform(r), distortion=hamming_distortion(r))
         cp = build_corresponding(problem, 3, tol=1e-8)
-        sweep, elapsed, peak = traced(identity_sweep, cp)
+        sweep, elapsed, peak, _ = traced(identity_sweep, cp)
         assert sweep_bits(sweep) == fields
         assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"

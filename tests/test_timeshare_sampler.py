@@ -8,8 +8,6 @@ each comparison is bitwise.
 """
 
 import math
-import time
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -155,17 +153,10 @@ class TestSampler:
 
 
 class TestScale:
-    def test_ten_million_samples_in_bounded_memory(self):
+    def test_ten_million_samples_in_bounded_memory(self, traced):
         px = Pmf([0.4, 0.3, 0.2, 0.1])
         h = entropy(px)
-        tracemalloc.start()
-        try:
-            start = time.perf_counter()
-            report = timeshare_simulate(px, 0.5 * h, 10 ** 7, 7)
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, elapsed, peak, _ = traced(timeshare_simulate, px, 0.5 * h, 10 ** 7, 7)
         assert report.lossless_prefix == 5 * 10 ** 6
         assert math.isclose(report.empirical_loss + report.ideal_rate, h, rel_tol=1e-3)
         assert peak <= 16 * 2 ** 20
