@@ -26,6 +26,7 @@ from .equivalence import (
 )
 from .errors import LoglossLabError, ValidationError
 from .oneshot import (
+    _COVER_ALPHABET_GUARD,
     _FEASIBILITY_SLACK,
     excess_witness,
     logloss_avg_optimum,
@@ -58,7 +59,6 @@ __all__ = ["main", "entrypoint"]
 DEFAULT_TOL = 1e-8
 # Oracle cross-checks run only when the brute-force side stays this cheap.
 _AVG_ORACLE_BUDGET = 100_000
-_EXCESS_ORACLE_ALPHABET = 12
 # A zero sigma counts a deviation this small as none.
 _SIGMA_FLOOR = 1e-12
 
@@ -174,7 +174,7 @@ def _cmd_oneshot(args) -> _CommandOutput:
                   "encoder": list(cells.encoder())}
         if crit == "excess":  # a codebook report gives neither rows nor oracle
             scheme["reproduction_rows"] = [q.probs for q in cells.decoder_rows()]
-            if px.n <= _EXCESS_ORACLE_ALPHABET:
+            if px.n <= _COVER_ALPHABET_GUARD:
                 oracle = logloss_excess_oracle(px, m, d)
     else:
         code, value = excess_witness(problem, m, d)

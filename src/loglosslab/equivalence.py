@@ -41,9 +41,10 @@ from .errors import (
     _require_real,
 )
 from .oneshot import (
+    _CODE_ENUM_GUARD,
     OneShotCode,
     _cell_sum_blocks,
-    _column_min,
+    _least_costs,
     expected_distortion,
     solve_avg,
 )
@@ -73,9 +74,6 @@ __all__ = [
 ROW_MATCH_TOL = 1e-9
 # D*(M) within this of a curve endpoint is treated as degenerate.
 ENDPOINT_TOL = 1e-9
-# At most this many code pairs are enumerated.  It is below 2^31, so a
-# pair's key (encoder ordinal * k^M + decoder ordinal) fits in an int32.
-_CODE_ENUM_GUARD = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,14 +276,14 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
 
 
 def _cell_blocks(cp: CorrespondingProblem, caller: str, remedy: str = ""):
-    """Yield (encoders, cells, lows, row_min) blocks over every encoder.
+    """Yield (first, cells, lows, row_min) blocks over every encoder.
 
-    Encoders come in itertools.product order.  ``cells[side, n, m, j]`` is
-    the cost of message m of encoder n decoded by kept index j, on the
-    distortion (side 0) or log-loss side (side 1), and ``lows`` its minimum
-    over j.  An encoder's least cost ``row_min[side, n]`` is the nested sum
-    of its cells' minima (rounded addition is monotone).  The 10^7-pair
-    guard's error names ``caller`` and ends with ``remedy``.
+    Row n of a block is the encoder of ordinal ``first + n`` in
+    itertools.product order.  ``cells[side, n, m, j]`` is the cost of
+    message m of encoder n decoded by kept index j, on the distortion
+    (side 0) or log-loss side (side 1), and ``lows`` and ``row_min`` its
+    cells' and its least costs, as ``_least_costs`` forms them.  The
+    10^7-pair guard's error names ``caller`` and ends with ``remedy``.
     """
     m_count = cp.n_messages
     k = len(cp.y_rows)
@@ -293,11 +291,10 @@ def _cell_blocks(cp: CorrespondingProblem, caller: str, remedy: str = ""):
     if total > _CODE_ENUM_GUARD:
         raise InstanceTooLargeError(f"{caller}: {total} code pairs exceeds guard "
                                     f"{_CODE_ENUM_GUARD}{remedy}")
-    for encoders, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
-                                           k ** m_count):
-        cells = sums.reshape(len(encoders), m_count, 2, k).transpose(2, 0, 1, 3)
-        lows = _column_min(cells)
-        yield encoders, cells, lows, reduce(np.add, [lows[..., m] for m in range(m_count)])
+    for first, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
+                                        k ** m_count):
+        cells = sums.reshape(len(sums), m_count, 2, k).transpose(2, 0, 1, 3)
+        yield (first, cells) + _least_costs(cells)
 
 
 def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -361,12 +358,12 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
         tile = max((oneshot._BLOCK_ENTRIES >> 3) // pairs, 1)
         buffers = [np.empty(tile * pairs) for _ in range(3)]
         n_codes = 0
-        for encoders, cells, _, row_min in _cell_blocks(
+        for _, cells, _, row_min in _cell_blocks(
                 cp, "identity_sweep", "; pass samples= to randomize"):
             # The grid minima are the encoders' least costs; they need no grid.
             min_d = min(min_d, float(row_min[0].min()))
             min_loss = min(min_loss, float(row_min[1].min()))
-            for start in range(0, len(encoders), tile):
+            for start in range(0, cells.shape[1], tile):
                 grid_d, grid_l = (_grid_into(a[start:start + tile], out, buffers[2])
                                   for a, out in zip(cells, buffers))
                 # np.abs(grid_l - h - lam * (grid_d - d_star)), in place.
@@ -375,7 +372,7 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
                 np.multiply(lam, grid_d, out=grid_d)
                 np.subtract(grid_l, grid_d, out=grid_l)
                 max_resid = max(max_resid, float(np.abs(grid_l, out=grid_l).max()))
-            n_codes += len(encoders) * pairs
+            n_codes += cells.shape[1] * pairs
         return IdentitySweep(n_codes=n_codes, max_residual=max_resid,
                              min_loss=min_loss, min_distortion=min_d, sampled=False)
 
@@ -483,11 +480,10 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     # key encoder ordinal * k^M + decoder ordinal (the guard keeps it below
     # 2^31); both ordinals come in lexicographic order, so the kept keys are
     # sorted and distinct.
-    place = m_count ** np.arange(r - 1, -1, -1) * k ** m_count
     best = [math.inf, math.inf]
     kept: list[list] = [[], []]  # per side: (costs, keys)
     pairs_summed = 0
-    for encoders, cells, lows, row_min in _cell_blocks(cp, "verify_optimum_coincidence"):
+    for first, cells, lows, row_min in _cell_blocks(cp, "verify_optimum_coincidence"):
         for side, low in enumerate(row_min.min(axis=1).tolist()):
             if low < best[side]:
                 best[side] = low
@@ -497,7 +493,7 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
         sides, n = np.nonzero(row_min <= thr[:, None])
         costs, row, dec, summed = _near_pairs(cells[sides, n], lows[sides, n], thr[sides])
         pairs_summed += summed
-        keys = (encoders @ place).astype(np.int32)[n[row]]
+        keys = (first + n.astype(np.int32)[row]) * k ** m_count
         keys += dec
         split = np.searchsorted(row, np.searchsorted(sides, 1))
         kept[0].append((costs[:split], keys[:split]))

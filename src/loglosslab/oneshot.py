@@ -50,7 +50,10 @@ __all__ = [
     "floor_exp",
 ]
 
-_ENCODER_ENUM_GUARD = 10_000_000
+# At most this many codes are enumerated: encoders in solve_avg_oracle,
+# (encoder, decoder) pairs in the equivalence checks.  It is below 2^31, so
+# a pair's key (encoder ordinal * k^M + decoder ordinal) fits in an int32.
+_CODE_ENUM_GUARD = 10_000_000
 _PARTITION_ALPHABET_GUARD = 14
 _COVER_ALPHABET_GUARD = 12
 # The exhaustive enumerations work on blocks of codes holding about this many
@@ -104,28 +107,15 @@ def expected_distortion(problem: SourceProblem, code: OneShotCode) -> float:
                      for x in range(problem.n_source)))
 
 
-def _completions(length: int, n_cells: int) -> np.ndarray:
-    """All n_cells**length labelings of `length` symbols.
-
-    Rows come in itertools.product order, in the narrowest unsigned dtype
-    that holds a cell index, to keep the tables small.
-    """
-    codes = np.zeros((1, 0), dtype=np.min_scalar_type(n_cells - 1))
-    labels = np.arange(n_cells, dtype=codes.dtype)
-    for _ in range(length):
-        codes = np.column_stack([np.repeat(codes, n_cells, axis=0),
-                                 np.tile(labels, len(codes))])
-    return codes
-
-
 def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
-    """Yield (codes, sums) blocks over all n_cells**r labelings of the symbols.
+    """Yield (first, sums) blocks over all n_cells**r labelings of the symbols.
 
-    Labelings come in itertools.product order.  ``sums[n, m]`` adds
-    ``weights[x]`` over the symbols x that code n puts in cell m, in
-    increasing x from zero, so every float is formed as a loop over x forms
-    it.  Each block is one head (a labeling of the first symbols) against
-    every labeling of the rest.  The tail length t is the largest with
+    Row n of a block is the labeling of ordinal ``first + n`` in
+    itertools.product order.  ``sums[n, m]`` adds ``weights[x]`` over the
+    symbols x that the labeling puts in cell m, in increasing x from zero,
+    so every float is formed as a loop over x forms it.  Each block is one
+    head (a labeling of the first symbols) against every labeling of the
+    rest.  The tail length t is the largest with
     n_cells**t <= max(_BLOCK_ENTRIES // row_entries, 1), so no block holds
     more codes than that.
 
@@ -139,32 +129,35 @@ def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
     while t < r and n_cells ** (t + 1) <= budget:
         t += 1
     head = r - t
-    suffixes = _completions(t, n_cells)
-    for prefix in _completions(head, n_cells):
+    rows = n_cells ** t
+    for block, prefix in enumerate(itertools.product(range(n_cells), repeat=head)):
         # add.at is unbuffered and applies the head's weights in index
         # order, as the loop over x does.
         start = np.zeros((n_cells,) + weights.shape[1:], dtype=weights.dtype)
-        np.add.at(start, prefix, weights[:head])
-        sums = np.repeat(start[None], len(suffixes), axis=0)
+        np.add.at(start, np.array(prefix, dtype=np.intp), weights[:head])
+        sums = np.repeat(start[None], rows, axis=0)
         digits = sums.reshape((n_cells,) * t + start.shape)
         for i in range(t):
             for m in range(n_cells):
                 at = [slice(None)] * t + [m]  # cell m ...
                 at[i] = m  # ... of the rows whose digit i is m
                 digits[tuple(at)] += weights[head + i]
-        codes = np.empty((len(suffixes), r), dtype=suffixes.dtype)
-        codes[:, :head] = prefix
-        codes[:, head:] = suffixes
-        yield codes, sums
+        yield block * rows, sums
 
 
-def _column_min(x: np.ndarray) -> np.ndarray:
-    """x.min(axis=-1), taken as elementwise passes over its few columns.
+def _least_costs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lows, least): each cell's least cost and each code's least cost.
 
-    A minimum is exact, and the costs reduced here are never NaN or -0.0,
-    so the result equals x.min(axis=-1) bit for bit whatever the order.
+    ``cells[..., m, j]`` is the cost of cell m of a code decoded by column
+    j.  ``lows`` is its minimum over j, taken as elementwise passes over
+    the few columns; a minimum is exact, and the costs reduced here are
+    never NaN or -0.0, so it equals cells.min(axis=-1) bit for bit.
+    ``least`` is the left-nested sum ((lows[..., 0] + lows[..., 1]) + ...)
+    over the cells; rounded addition is monotone, so it is the least cost
+    of the code over every decoder.
     """
-    return reduce(np.minimum, [x[..., j] for j in range(x.shape[-1])])
+    lows = reduce(np.minimum, [cells[..., j] for j in range(cells.shape[-1])])
+    return lows, reduce(np.add, [lows[..., m] for m in range(lows.shape[-1])])
 
 
 def _subset_code(problem: SourceProblem, n_messages: int,
@@ -205,9 +198,9 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
     """
     _require_int("solve_avg_oracle", "n_messages", n_messages, 1)
     r = problem.n_source
-    if n_messages ** r > _ENCODER_ENUM_GUARD:
+    if n_messages ** r > _CODE_ENUM_GUARD:
         raise InstanceTooLargeError(
-            f"solve_avg_oracle: {n_messages}^{r} encoders exceeds guard {_ENCODER_ENUM_GUARD}"
+            f"solve_avg_oracle: {n_messages}^{r} encoders exceeds guard {_CODE_ENUM_GUARD}"
         )
     px = problem.px.probs
     dist = problem.distortion
@@ -217,16 +210,14 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
     # column 0, as if skipped.
     best = math.inf
     best_code: OneShotCode | None = None
-    for encoders, sums in _cell_sum_blocks(weighted, n_messages,
-                                           n_messages * problem.n_reconstruction):
-        mins = _column_min(sums)
-        cost = np.zeros(len(encoders))
-        for m in range(n_messages):
-            cost += mins[:, m]
+    for first, sums in _cell_sum_blocks(weighted, n_messages,
+                                        n_messages * problem.n_reconstruction):
+        cost = _least_costs(sums)[1]
         i = int(cost.argmin())
         if cost[i] < best:
             best = float(cost[i])
-            best_code = OneShotCode(n_messages=n_messages, encoder=tuple(encoders[i].tolist()),
+            encoder = np.unravel_index(first + i, (n_messages,) * r)
+            best_code = OneShotCode(n_messages=n_messages, encoder=tuple(map(int, encoder)),
                                     decoder=tuple(sums[i].argmin(axis=1).tolist()))
     assert best_code is not None
     return expected_distortion(problem, best_code)

@@ -8,6 +8,8 @@ A problem file is a small YAML document:
     px: [0.5, 0.3, 0.2]      # required source pmf
     distortion: hamming      # or an explicit r x s matrix (list of rows)
 
+Numbers may use an exponent, as in 1e-3 (YAML 1.2).
+
 Reports are JSON with keys sorted and every float rounded to 12 significant
 digits, so re-running a command byte-reproduces the document (the wall-clock
 field is stripped before such comparisons).  Parsing a report back recovers
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,10 +46,29 @@ __all__ = [
 REPORT_DIGITS = 12
 
 _ALLOWED_FIELDS = {"name", "description", "labels", "px", "distortion"}
+# PyYAML resolves floats by YAML 1.1, which wants a dot and a signed
+# exponent, so 1e-3 and 1e308 would load as strings.  YAML 1.2 reads a
+# float with any exponent.
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
+
+
+def _exponent_float_loader(base: type) -> type:
+    """A subclass of the loader ``base`` that also reads YAML 1.2 exponent floats.
+
+    ``base`` keeps its own resolvers: PyYAML copies them into the subclass
+    before adding one.
+    """
+    loader = type(base.__name__, (base,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+                                 list("-+.0123456789"))
+    return loader
+
+
 # libyaml's parser when PyYAML was built with it, else the pure-Python one;
-# both build the document with SafeLoader's constructor and resolver.  The
-# libyaml parser's errors give the line and column but not the source line.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# both build the document with SafeLoader's constructor and resolver, plus
+# the exponent floats.  The libyaml parser's errors give the line and
+# column but not the source line.
+_YAML_LOADER = _exponent_float_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 @dataclass(frozen=True, eq=False)

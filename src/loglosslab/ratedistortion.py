@@ -579,7 +579,9 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
         ValidationError: d is not a finite real, tol not a finite positive
             real, or max_iter not an integer >= 1.
         InfeasibleError: d outside [D_min, D_max] (1e-12 slack).
-        ConvergenceError: the solve did not converge within max_iter.
+        ConvergenceError: the solve did not converge within max_iter, or
+            the distortion it reached misses the target by more than tol;
+            the message names the achieved distortion, the target and tol.
     """
     _require_real("rd_at_distortion", "tol", tol, positive=True)
     _require_real("rd_at_distortion", "d", d)
@@ -598,6 +600,11 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
         raw = _ba_core(px[support], problem.distortion[support], 1.0,
                        max(target, d_min + 0.5 * tol), _certificate_tol(tol),
                        max_iter, track=False)
+    if abs(raw.distortion - target) > tol:
+        raise ConvergenceError(
+            f"rd_at_distortion: achieved distortion {raw.distortion!r} misses the "
+            f"target {target!r} by more than tol = {tol!r}"
+        )
 
     cols = np.flatnonzero(raw.marginal > 0.0)
     fwd = _full_forward(problem.distortion, support, raw)[:, cols]

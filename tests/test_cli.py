@@ -28,6 +28,8 @@ LN2 = math.log(2.0)
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 BINARY = str(PROBLEMS / "binary_hamming.yaml")
 SKEW3 = str(PROBLEMS / "skewed3.yaml")
+# YAML 1.2 floats with an exponent, which YAML 1.1 reads as strings.
+EXPONENT_FLOATS = "px: [1e-3, 0.999]\ndistortion: [[0, 1e308, 2E5], [1e-300, 0, 1.5e-1]]\n"
 
 
 def h_b(d: float) -> float:
@@ -117,19 +119,36 @@ class TestLoadProblem:
             load_problem(path)
 
     @pytest.mark.parametrize("name", ["binary_hamming.yaml", "skewed3.yaml",
-                                      "skewed4_absdiff.yaml"])
-    def test_both_yaml_loaders_give_equal_problems(self, name):
+                                      "skewed4_absdiff.yaml",
+                                      pytest.param(EXPONENT_FLOATS, id="exponent-floats")])
+    def test_both_yaml_loaders_give_equal_problems(self, tmp_path, name):
         if not hasattr(yaml, "CSafeLoader"):
             pytest.skip("PyYAML built without libyaml")
+        path = write_problem(tmp_path, name) if name == EXPONENT_FLOATS else PROBLEMS / name
         loaded = []
         for loader in (yaml.SafeLoader, yaml.CSafeLoader):
-            with mock.patch.object(problemio, "_YAML_LOADER", loader):
-                loaded.append(load_problem(PROBLEMS / name))
+            with mock.patch.object(problemio, "_YAML_LOADER",
+                                   problemio._exponent_float_loader(loader)):
+                loaded.append(load_problem(path))
         python, libyaml = loaded
         assert python.echo() == libyaml.echo()
         assert python.description == libyaml.description
         assert python.problem.px.probs.tobytes() == libyaml.problem.px.probs.tobytes()
         assert python.problem.distortion.tobytes() == libyaml.problem.distortion.tobytes()
+
+    def test_exponent_floats_load(self, tmp_path):
+        loaded = load_problem(write_problem(tmp_path, EXPONENT_FLOATS))
+        assert loaded.problem.px.probs.tolist() == [1e-3, 0.999]
+        assert loaded.problem.distortion.tolist() == [[0.0, 1e308, 2e5], [1e-300, 0.0, 0.15]]
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_pyyaml_loaders_keep_their_resolvers(self, loader):
+        if not hasattr(yaml, loader):
+            pytest.skip(f"PyYAML built without {loader}")
+        base = getattr(yaml, loader)
+        assert yaml.load("[1e-3, 1.0e+3]", Loader=problemio._exponent_float_loader(base)) \
+            == [1e-3, 1e3]
+        assert yaml.load("[1e-3, 1.0e+3]", Loader=base) == ["1e-3", 1e3]
 
     def test_top_level_must_be_mapping(self, tmp_path):
         path = write_problem(tmp_path, "- 1\n- 2\n")
@@ -148,6 +167,14 @@ class TestLoadProblem:
         ("px: [0.5, 0.5]\ndistortion: hamming\nlabels: [1, 2]\n",
          "field 'labels': expected a list of strings"),
         ("px: [0.5, 0.5]\ndistortion: hamming\nname: 3\n", "field 'name': expected a string"),
+        # Exponent floats load, but quoted numbers, nan and overflow do not.
+        ("px: ['1e-3', 0.999]\ndistortion: hamming\n",
+         "field 'px': entry 0 is not a number: '1e-3'"),
+        ("px: [0.5, \"0.5\"]\ndistortion: hamming\n",
+         "field 'px': entry 1 is not a number: '0.5'"),
+        ("px: [.nan, 1]\ndistortion: hamming\n", "field 'px': Pmf: entries must be finite"),
+        ("px: [0.5, 0.5]\ndistortion: [[0, 1e400], [1, 0]]\n",
+         "field 'distortion': SourceProblem: distortion: entries must be finite"),
     ])
     def test_bad_field_is_named(self, tmp_path, text, match):
         with pytest.raises(ValidationError, match=match):
@@ -436,6 +463,16 @@ class TestEquivCommand:
         code, _, err = run_cli(capsys, ["equiv", BINARY, "--messages", "2"])
         assert code == 1
         assert "error:" in err
+
+    def test_missed_distortion_exits_one(self, capsys, tmp_path):
+        # Hamming distortion scaled by 1e308: the solve at D*(2) = 0.2e308
+        # reaches distortion 0.0, and the error names that, not the rate.
+        big = "[[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]"
+        path = write_problem(tmp_path, f"px: [0.5, 0.3, 0.2]\ndistortion: {big}\n")
+        code, _, err = run_cli(capsys, ["equiv", path, "--messages", "2"])
+        assert code == 1
+        assert "achieved distortion 0.0 misses the target 2.0000000000000002e+307" in err
+        assert "exceeds ln M" not in err
 
     def test_sampled_needs_seed(self, capsys):
         code, _, err = run_cli(

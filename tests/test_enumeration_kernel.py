@@ -41,7 +41,8 @@ from loglosslab.equivalence import CoincidenceReport, IdentitySweep, _cell_cost_
 # ----------------------------------------------------------------------
 
 
-def reference_solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
+def reference_oracle_code(problem: SourceProblem, n_messages: int) -> OneShotCode:
+    """The first code of least cost in itertools.product order."""
     r = problem.n_source
     weighted = problem.px.probs[:, None] * problem.distortion
     best = math.inf
@@ -60,7 +61,11 @@ def reference_solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float
             best = cost
             best_code = OneShotCode(n_messages=n_messages, encoder=tuple(enc),
                                     decoder=tuple(columns))
-    return expected_distortion(problem, best_code)
+    return best_code
+
+
+def reference_solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
+    return expected_distortion(problem, reference_oracle_code(problem, n_messages))
 
 
 def restricted_growth_strings(n: int, max_blocks: int):
@@ -268,9 +273,13 @@ class TestMatchesReferenceLoops:
     @given(problems(), st.integers(1, 4), block_entries)
     @settings(max_examples=60, deadline=None)
     def test_solve_avg_oracle(self, problem, n_messages, entries):
-        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
+        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries), \
+                mock.patch.object(oneshot, "expected_distortion",
+                                  wraps=oneshot.expected_distortion) as evaluate:
             value = solve_avg_oracle(problem, n_messages)
         assert bits(value) == bits(reference_solve_avg_oracle(problem, n_messages))
+        # The oracle evaluates the reference's winner, encoder and decoder.
+        assert evaluate.call_args.args[1] == reference_oracle_code(problem, n_messages)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -433,7 +442,7 @@ class TestPairKeys:
                                                (23, 2, 1), (1, 2, 2236)])
     def test_extreme_keys_decode_in_product_order(self, r, m_count, k):
         total = m_count ** r * k ** m_count
-        assert total <= equivalence._CODE_ENUM_GUARD
+        assert total <= oneshot._CODE_ENUM_GUARD
         # The five least keys, from 0, and the five greatest, to total - 1.
         keys = np.r_[0:5, total - 5:total].astype(np.int32)
         head = list(itertools.islice(product_pairs(r, m_count, k), 5))
@@ -446,34 +455,68 @@ class TestPairKeys:
 
     def test_guard_keeps_keys_in_int32(self):
         # The largest key is the guard's pair count less one.
-        assert equivalence._CODE_ENUM_GUARD < 2 ** 31
+        assert oneshot._CODE_ENUM_GUARD < 2 ** 31
 
 
-def kernel_codes(weights, n_cells, row_entries):
-    """The kernel's codes, after checking that no block exceeds its budget."""
-    blocks = [codes for codes, _ in oneshot._cell_sum_blocks(weights, n_cells, row_entries)]
-    budget = max(oneshot._BLOCK_ENTRIES // row_entries, 1)
-    assert max(len(codes) for codes in blocks) <= budget
-    return np.vstack(blocks)
+def check_ordinals(blocks, row_entries):
+    """Check that the blocks' rows count up from ordinal 0, within the budget.
+
+    Returns the rows per block, which every block shares.
+    """
+    rows = len(blocks[0][1])
+    assert [first for first, _ in blocks] == [b * rows for b in range(len(blocks))]
+    assert {len(sums) for _, sums in blocks} == {rows}
+    assert rows <= max(oneshot._BLOCK_ENTRIES // row_entries, 1)
+    return rows
+
+
+def kernel_codes(r, n_cells, row_entries):
+    """The code of each ordinal, read from the kernel's sums of one-hot weights.
+
+    With weights[x] the x-th unit vector, sums[n, m, x] is 1.0 exactly when
+    row n puts symbol x in cell m.
+    """
+    blocks = list(oneshot._cell_sum_blocks(np.eye(r), n_cells, row_entries))
+    check_ordinals(blocks, row_entries)
+    return np.vstack([sums.argmax(axis=1) for _, sums in blocks])
+
+
+# px = (5, 4, 3, 2, 1) / 15 against four random columns at M = 3: the
+# first code of least cost has an encoder that reads differently backwards.
+ASYMMETRIC = SourceProblem(px=_normalized([5, 4, 3, 2, 1]),
+                           distortion=np.random.default_rng(5).random((5, 4)))
 
 
 class TestEnumerationOrder:
     @pytest.mark.parametrize("entries", [1, 5, 64, oneshot._BLOCK_ENTRIES])
     def test_encoders_in_product_order(self, entries):
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
-            codes = kernel_codes(np.arange(5.0), 3, 3)
+            codes = kernel_codes(5, 3, 3)
         assert codes.tolist() == [list(e) for e in itertools.product(range(3), repeat=5)]
+
+    @pytest.mark.parametrize("entries", [1, 5, 64, oneshot._BLOCK_ENTRIES])
+    def test_oracle_decodes_its_winner(self, entries):
+        want = reference_oracle_code(ASYMMETRIC, 3)
+        assert want.encoder != want.encoder[::-1]
+        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries), \
+                mock.patch.object(oneshot, "expected_distortion",
+                                  wraps=oneshot.expected_distortion) as evaluate:
+            solve_avg_oracle(ASYMMETRIC, 3)
+        assert evaluate.call_args.args[1] == want
 
 
 def reference_cell_sums(weights, n_cells):
-    """sums[n, m]: weights[x] over the x that code n puts in cell m, by a loop over x."""
+    """sums[n, m]: weights[x] over the x that code n puts in cell m, by a loop over x.
+
+    Code n is the n-th in itertools.product order.
+    """
     r = len(weights)
     codes = list(itertools.product(range(n_cells), repeat=r))
     sums = np.zeros((len(codes), n_cells) + weights.shape[1:])
     for n, code in enumerate(codes):
         for x in range(r):
             sums[n, code[x]] += weights[x]
-    return np.array(codes), sums
+    return sums
 
 
 def hex_entries(a) -> list:
@@ -497,14 +540,13 @@ class TestCellSums:
     def test_signed_zeros_and_inf_match_the_loop(self, n_cells, r):
         weights = SIGNED_WEIGHTS[:r]
         row_entries = n_cells * weights.shape[1]
-        want_codes, want = reference_cell_sums(weights, n_cells)
+        want = reference_cell_sums(weights, n_cells)
         tails = set()
         for t in range(r + 1):
             entries = n_cells ** t * row_entries
             with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
                 blocks = list(oneshot._cell_sum_blocks(weights, n_cells, row_entries))
-            tails.add(len(blocks[0][0]))
-            assert np.vstack([codes for codes, _ in blocks]).tolist() == want_codes.tolist()
+            tails.add(check_ordinals(blocks, row_entries))
             got = np.concatenate([sums for _, sums in blocks])
             assert hex_entries(got) == hex_entries(want)
         assert tails == {n_cells ** t for t in range(r + 1)}
@@ -517,9 +559,10 @@ class TestCellSums:
         weights = rng.choice([0.0, -0.0, np.inf, 0.1, 0.7, 1 / 3], (r, cols)) \
             * rng.uniform(0.5, 2.0, (r, cols))
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
-            got = np.concatenate([sums for _, sums in oneshot._cell_sum_blocks(
-                weights, n_cells, n_cells * cols)])
-        assert hex_entries(got) == hex_entries(reference_cell_sums(weights, n_cells)[1])
+            blocks = list(oneshot._cell_sum_blocks(weights, n_cells, n_cells * cols))
+        check_ordinals(blocks, n_cells * cols)
+        got = np.concatenate([sums for _, sums in blocks])
+        assert hex_entries(got) == hex_entries(reference_cell_sums(weights, n_cells))
 
 
 def reference_grid(a):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -281,6 +282,29 @@ class TestRdAtDistortion:
         joint = px[:, None] * point.forward.rows
         back = point.output_marginal.probs[:, None] * point.reverse.rows
         assert np.max(np.abs(joint - back.T)) < 1e-12
+
+    # px = (0.5, 0.3, 0.2) with the 3x3 0/1 matrix scaled by c, at D = 0.2c.
+    # Scaling the unit of distortion leaves the rate.
+    SCALED_RATE = 0.390621154414396
+
+    @staticmethod
+    def scaled(c: float) -> SourceProblem:
+        return SourceProblem(px=Pmf([0.5, 0.3, 0.2]), distortion=c * hamming_distortion(3))
+
+    @pytest.mark.parametrize("c", [1e-7, 1.0, 1e9])
+    def test_scaled_problem_keeps_its_rate(self, c):
+        point = rd_at_distortion(self.scaled(c), 0.2 * c)
+        assert point.rate == pytest.approx(self.SCALED_RATE, rel=2e-14)
+
+    @pytest.mark.parametrize("c", [1e50, 1e100])
+    def test_missed_target_raises(self, c):
+        # The solve reaches distortion 0.0 (rate H(X)) here; it must not
+        # return that point as the one at 0.2c.
+        d = 0.2 * c
+        with pytest.raises(ConvergenceError,
+                           match=rf"achieved distortion 0\.0 misses the target "
+                                 rf"{re.escape(repr(d))} by more than tol = 1e-08"):
+            rd_at_distortion(self.scaled(c), d)
 
     def test_rate_equals_mutual_information(self):
         prob = random_problem(np.random.default_rng(22), 4, 5)
