@@ -66,6 +66,7 @@ from .equivalence import (
     LogLossCode,
     build_corresponding,
     expected_log_loss,
+    identity_bound,
     identity_sweep,
     map_code,
     suboptimality_gap,
@@ -111,7 +112,7 @@ __all__ = [
     # equivalence
     "CorrespondingProblem", "LogLossCode", "build_corresponding", "map_code",
     "unmap_code", "expected_log_loss", "verify_theorem1", "suboptimality_gap",
-    "identity_sweep", "verify_optimum_coincidence",
+    "identity_sweep", "identity_bound", "verify_optimum_coincidence",
     # successive refinement
     "ERASURE", "SrConstruction", "TimeshareReport", "construct_sr",
     "construct_sr_chain", "chain_step_channel", "verify_sr",

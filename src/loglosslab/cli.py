@@ -21,10 +21,11 @@ from . import __version__
 from .equivalence import (
     ROW_MATCH_TOL,
     build_corresponding,
+    identity_bound,
     identity_sweep,
     verify_optimum_coincidence,
 )
-from .errors import LoglossLabError, ValidationError
+from .errors import InstanceTooLargeError, LoglossLabError, ValidationError
 from .oneshot import (
     _COVER_ALPHABET_GUARD,
     _FEASIBILITY_SLACK,
@@ -214,15 +215,23 @@ def _cmd_equiv(args) -> _CommandOutput:
     loaded = load_problem(args.problem)
     _require(args.messages is not None, "equiv: --messages is required")
     _require(args.messages >= 1, "equiv: --messages must be >= 1")
-    if args.samples is not None:
-        _require(args.samples >= 1, "equiv: --samples must be >= 1")
-        _require(args.seed is not None, "equiv: --samples requires --seed")
 
     cp = build_corresponding(loaded.problem, args.messages, tol=args.tol)
-    sweep = identity_sweep(cp, samples=args.samples, seed=args.seed)
+    bound = identity_bound(cp)
+    # Past the enumeration guard the bound stands alone: the sweep and the
+    # coincidence check are skipped.
+    try:
+        sweep = identity_sweep(cp)
+    except InstanceTooLargeError:
+        sweep = None
+    identity = {"residual_bound": bound, "skipped": sweep is None,
+                "n_codes": None, "max_residual": None,
+                "min_log_loss": None, "min_distortion": None}
     coincidence = None
     atol = 1e-9
-    if not sweep.sampled:
+    if sweep is not None:
+        identity.update(n_codes=sweep.n_codes, max_residual=sweep.max_residual,
+                        min_log_loss=sweep.min_loss, min_distortion=sweep.min_distortion)
         rep = verify_optimum_coincidence(cp, atol=atol)
         coincidence = {
             "matched": rep.matched,
@@ -230,6 +239,7 @@ def _cmd_equiv(args) -> _CommandOutput:
             "min_log_loss": rep.min_loss,
             "n_distortion_argmin": len(rep.distortion_argmin),
             "n_loss_argmin": len(rep.loss_argmin),
+            "pairs_summed": rep.pairs_summed,
         }
     outputs = {
         "d_star_m": cp.d_star_m,
@@ -237,31 +247,23 @@ def _cmd_equiv(args) -> _CommandOutput:
         "h_x_given_xhat": cp.h_x_given_xhat,
         "reproduction_rows": [q.probs for q in cp.y_rows],
         "optimal_code": _code_doc(cp.optimal_code),
-        "identity": {
-            "n_codes": sweep.n_codes,
-            "max_residual": sweep.max_residual,
-            "min_log_loss": sweep.min_loss,
-            "min_distortion": sweep.min_distortion,
-            "sampled": sweep.sampled,
-        },
+        "identity": identity,
         "coincidence": coincidence,
     }
     verdict = "skipped" if coincidence is None else (
         "pass" if coincidence["matched"] else "FAIL")
-    flags = {"messages": args.messages, "tol": args.tol}
-    if args.samples is not None:
-        flags["samples"] = args.samples
-        flags["seed"] = args.seed
     return _CommandOutput(
-        inputs={"problem": loaded.echo(), "flags": flags},
+        inputs={"problem": loaded.echo(),
+                "flags": {"messages": args.messages, "tol": args.tol}},
         outputs=outputs,
         tolerances={"solver_tol": args.tol, "row_match_tol": ROW_MATCH_TOL,
                     "coincidence_atol": atol},
-        nat_keys=frozenset({"h_x_given_xhat", "max_residual", "min_log_loss"}),
+        nat_keys=frozenset({"h_x_given_xhat", "max_residual", "residual_bound",
+                            "min_log_loss"}),
         table_header=["M", "d_star", "lambda", "h_cond", "max_residual",
-                      "coincidence"],
-        table_rows=[[args.messages, cp.d_star_m, cp.lambda_star,
-                     cp.h_x_given_xhat, sweep.max_residual, verdict]],
+                      "residual_bound", "coincidence"],
+        table_rows=[[args.messages, cp.d_star_m, cp.lambda_star, cp.h_x_given_xhat,
+                     identity["max_residual"], bound, verdict]],
     )
 
 
@@ -404,13 +406,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
 
     # Every subcommand takes the output flags; only those that solve an R(D)
-    # point take --tol, and only those that draw at random take --seed.
+    # point take --tol.
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help=f"solver tolerance (default {DEFAULT_TOL})")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized steps")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
@@ -445,12 +444,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         "matrix is ignored")
     p.set_defaults(handler=_cmd_oneshot)
 
-    p = sub.add_parser("equiv", parents=[solver, seeded, common],
+    p = sub.add_parser("equiv", parents=[solver, common],
                        help="log-loss surrogate of a one-shot problem")
     p.add_argument("problem")
     p.add_argument("--messages", "-M", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None,
-                   help="sample this many codes instead of enumerating")
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("sr", parents=[solver, common],
@@ -464,9 +461,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fine-stage distortion target")
     p.set_defaults(handler=_cmd_sr)
 
-    p = sub.add_parser("timeshare", parents=[seeded, common],
+    p = sub.add_parser("timeshare", parents=[common],
                        help="simulate the prefix-lossless time-sharing scheme")
     p.add_argument("problem", nargs="?", default=None)
+    p.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
     p.add_argument("--px", default=None,
                    help="inline pmf, comma-separated (alternative to a file)")
     p.add_argument("--distortion", "-D", type=float, default=None)

@@ -65,6 +65,7 @@ __all__ = [
     "suboptimality_gap",
     "IdentitySweep",
     "identity_sweep",
+    "identity_bound",
     "CoincidenceReport",
     "verify_optimum_coincidence",
 ]
@@ -275,7 +276,7 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
     return w_d, w_l
 
 
-def _cell_blocks(cp: CorrespondingProblem, caller: str, remedy: str = ""):
+def _cell_blocks(cp: CorrespondingProblem, caller: str):
     """Yield (first, cells, lows, row_min) blocks over every encoder.
 
     Row n of a block is the encoder of ordinal ``first + n`` in
@@ -283,14 +284,14 @@ def _cell_blocks(cp: CorrespondingProblem, caller: str, remedy: str = ""):
     message m of encoder n decoded by kept index j, on the distortion
     (side 0) or log-loss side (side 1), and ``lows`` and ``row_min`` its
     cells' and its least costs, as ``_least_costs`` forms them.  The
-    10^7-pair guard's error names ``caller`` and ends with ``remedy``.
+    10^7-pair guard's error names ``caller``.
     """
     m_count = cp.n_messages
     k = len(cp.y_rows)
     total = (m_count ** cp.px.n) * (k ** m_count)
     if total > _CODE_ENUM_GUARD:
         raise InstanceTooLargeError(f"{caller}: {total} code pairs exceeds guard "
-                                    f"{_CODE_ENUM_GUARD}{remedy}")
+                                    f"{_CODE_ENUM_GUARD}")
     for first, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
                                         k ** m_count):
         cells = sums.reshape(len(sums), m_count, 2, k).transpose(2, 0, 1, 3)
@@ -318,27 +319,24 @@ def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IdentitySweep:
-    """Identity residuals over many code pairs."""
+    """Identity residuals over every code pair.
+
+    ``sampled`` is always False: every sweep is exhaustive.
+    """
 
     n_codes: int
     max_residual: float
     min_loss: float
     min_distortion: float
-    sampled: bool
+    sampled: bool = False
 
 
-def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
-                   seed: int | None = None) -> IdentitySweep:
-    """Residual of the affine identity over code pairs.
+def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
+    """Residual of the affine identity over all M^r encoders and k^M decoders.
 
-    Exhaustive over all M^r encoders and k^M decoders when samples is None
-    (guarded at 10^7 pairs); otherwise over `samples` uniformly seeded draws.
-    ``samples`` is None or an integer >= 1 and ``seed`` None or an integer
-    >= 0; anything else is a ValidationError.
+    Guarded at 10^7 code pairs; ``identity_bound`` bounds every residual
+    without enumerating them.
     """
-    _require_int("identity_sweep", "samples", samples, 1, allow_none=True)
-    _require_int("identity_sweep", "seed", seed, 0, allow_none=True)
-    r = cp.px.n
     m_count = cp.n_messages
     k = len(cp.y_rows)
     h = cp.h_x_given_xhat
@@ -348,46 +346,67 @@ def identity_sweep(cp: CorrespondingProblem, samples: int | None = None,
     max_resid = 0.0
     min_loss = math.inf
     min_d = math.inf
+    # Residuals are formed in tiles of whole encoders, at most an eighth of
+    # the block budget in pairs, in three buffers reused for every tile.
+    # Costs lie in [0, inf], so no residual is NaN and the tiles' maxima
+    # give the blocks' maxima.
+    pairs = k ** m_count
+    tile = max((oneshot._BLOCK_ENTRIES >> 3) // pairs, 1)
+    buffers = [np.empty(tile * pairs) for _ in range(3)]
+    n_codes = 0
+    for _, cells, _, row_min in _cell_blocks(cp, "identity_sweep"):
+        # The grid minima are the encoders' least costs; they need no grid.
+        min_d = min(min_d, float(row_min[0].min()))
+        min_loss = min(min_loss, float(row_min[1].min()))
+        for start in range(0, cells.shape[1], tile):
+            grid_d, grid_l = (_grid_into(a[start:start + tile], out, buffers[2])
+                              for a, out in zip(cells, buffers))
+            # np.abs(grid_l - h - lam * (grid_d - d_star)), in place.
+            np.subtract(grid_l, h, out=grid_l)
+            np.subtract(grid_d, d_star, out=grid_d)
+            np.multiply(lam, grid_d, out=grid_d)
+            np.subtract(grid_l, grid_d, out=grid_l)
+            max_resid = max(max_resid, float(np.abs(grid_l, out=grid_l).max()))
+        n_codes += cells.shape[1] * pairs
+    return IdentitySweep(n_codes=n_codes, max_residual=max_resid,
+                         min_loss=min_loss, min_distortion=min_d)
 
-    if samples is None:
-        # Residuals are formed in tiles of whole encoders, at most an eighth
-        # of the block budget in pairs, in three buffers reused for every
-        # tile.  Costs lie in [0, inf], so no residual is NaN and the tiles'
-        # maxima give the blocks' maxima.
-        pairs = k ** m_count
-        tile = max((oneshot._BLOCK_ENTRIES >> 3) // pairs, 1)
-        buffers = [np.empty(tile * pairs) for _ in range(3)]
-        n_codes = 0
-        for _, cells, _, row_min in _cell_blocks(
-                cp, "identity_sweep", "; pass samples= to randomize"):
-            # The grid minima are the encoders' least costs; they need no grid.
-            min_d = min(min_d, float(row_min[0].min()))
-            min_loss = min(min_loss, float(row_min[1].min()))
-            for start in range(0, cells.shape[1], tile):
-                grid_d, grid_l = (_grid_into(a[start:start + tile], out, buffers[2])
-                                  for a, out in zip(cells, buffers))
-                # np.abs(grid_l - h - lam * (grid_d - d_star)), in place.
-                np.subtract(grid_l, h, out=grid_l)
-                np.subtract(grid_d, d_star, out=grid_d)
-                np.multiply(lam, grid_d, out=grid_d)
-                np.subtract(grid_l, grid_d, out=grid_l)
-                max_resid = max(max_resid, float(np.abs(grid_l, out=grid_l).max()))
-            n_codes += cells.shape[1] * pairs
-        return IdentitySweep(n_codes=n_codes, max_residual=max_resid,
-                             min_loss=min_loss, min_distortion=min_d, sampled=False)
 
+def identity_bound(cp: CorrespondingProblem) -> float:
+    """A bound on every residual ``identity_sweep`` forms, in O(r k) steps.
+
+    Decoding symbol x by kept index j costs e(x, j) = w_l(x, j) -
+    lambda* w_d(x, j) on the identity's two sides, and at the solved point
+    e(x, j) = p_x (-ln p_x + ln z_x) does not depend on j (Csiszar 1974,
+    "On an extremum problem of information theory").  A code pair that
+    decodes each x by some j_x has the residual
+    |sum_x e(x, j_x) - (h - lambda* D*)|, at most
+
+        |sum_x mean_j e(x, j) - (h - lambda* D*)| + sum_x (max_j - min_j) e(x, j),
+
+    whatever the code, so the bound holds past the sweep's guard too.
+
+    The rest is a rounding allowance, so that the bound also dominates the
+    residuals as the sweep rounds them, after this function's own rounding.
+    Each rounding errs by at most 2^-53 of its result.  With S = sum_x
+    max_j w_l + lambda* sum_x max_j w_d + h + lambda* D*, the sweep's
+    results are at most S: it forms a pair's costs in at most r + M - 2
+    adds (the first add into each cell is exact) and its residual in four
+    more steps.  This function's results are at most 3S, and its roundings
+    add up to at most k + 20 times 2^-53 S: k for a row's mean, the rest
+    for e, the spreads, the sums over x, the offset and the last adds.
+    Hence (r + M + k + 22) 2^-53 S.
+    """
     w_d, w_l = _cell_cost_tables(cp)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        enc = rng.integers(0, m_count, size=r)
-        dec = rng.integers(0, k, size=m_count)
-        cost_d = float(sum(w_d[x, dec[enc[x]]] for x in range(r)))
-        cost_l = float(sum(w_l[x, dec[enc[x]]] for x in range(r)))
-        max_resid = max(max_resid, abs(cost_l - h - lam * (cost_d - d_star)))
-        min_loss = min(min_loss, cost_l)
-        min_d = min(min_d, cost_d)
-    return IdentitySweep(n_codes=int(samples), max_residual=max_resid,
-                         min_loss=min_loss, min_distortion=min_d, sampled=True)
+    h = cp.h_x_given_xhat
+    lam = cp.lambda_star
+    e = w_l - lam * w_d
+    certificate = (abs(math.fsum(e.mean(axis=1)) - (h - lam * cp.d_star_m))
+                   + math.fsum(e.max(axis=1) - e.min(axis=1)))
+    scale = (math.fsum(w_l.max(axis=1)) + lam * math.fsum(w_d.max(axis=1))
+             + h + lam * cp.d_star_m)
+    steps = cp.px.n + cp.n_messages + len(cp.y_rows) + 22
+    return certificate + steps * 2.0 ** -53 * scale
 
 
 @dataclass(frozen=True)
@@ -491,13 +510,16 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
                               for c, keys in kept[side]]
         thr = np.array(best) + atol
         sides, n = np.nonzero(row_min <= thr[:, None])
-        costs, row, dec, summed = _near_pairs(cells[sides, n], lows[sides, n], thr[sides])
-        pairs_summed += summed
-        keys = (first + n.astype(np.int32)[row]) * k ** m_count
-        keys += dec
-        split = np.searchsorted(row, np.searchsorted(sides, 1))
-        kept[0].append((costs[:split], keys[:split]))
-        kept[1].append((costs[split:], keys[split:]))
+        n_rows_d = np.searchsorted(sides, 1)
+        n = n.astype(np.int32)
+        for costs, row, dec, summed in _near_pairs(cells[sides, n], lows[sides, n],
+                                                   thr[sides]):
+            pairs_summed += summed
+            keys = (first + n[row]) * k ** m_count
+            keys += dec
+            split = np.searchsorted(row, n_rows_d)
+            kept[0].append((costs[:split], keys[:split]))
+            kept[1].append((costs[split:], keys[split:]))
     # Each side's chunks are released once its keys are joined.
     keys_d = np.concatenate([keys for _, keys in kept.pop(0)])
     keys_l = np.concatenate([keys for _, keys in kept.pop()])
@@ -513,34 +535,45 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     )
 
 
-def _near_pairs(cells: np.ndarray, lows: np.ndarray,
-                thr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(costs, rows, decoder ordinals, pairs summed) of the pairs within thr.
+def _near_pairs(cells: np.ndarray, lows: np.ndarray, thr: np.ndarray):
+    """Yield (costs, rows, decoder ordinals, pairs summed) of the pairs within thr.
 
     ``cells[n, m, j]`` is the cost of message m of row n decoded by kept
-    index j and ``lows`` its minimum over j.  Pairs come out in (row,
-    decoder) lexicographic order, with costs at most their row's ``thr``;
-    the count is of every candidate pair whose cost was formed.
+    index j and ``lows`` its minimum over j.  A row's candidate pairs are
+    the product of its cells' candidates, and each cell has one at its
+    minimum.  They are expanded in groups of whole rows holding at most a
+    sweep tile of pairs (a row with more forms a group alone), so the
+    working set stays that small.  Pairs come out in (row, decoder)
+    lexicographic order, with costs at most their row's ``thr``; the count
+    is of every candidate pair whose cost was formed.
     """
     m_count, k = cells.shape[1:]
     at_low = [lows[:, m, None] for m in range(m_count)]
     cand = np.empty(cells.shape, dtype=bool)
     for m in range(m_count):
         cand[:, m] = reduce(np.add, at_low[:m] + [cells[:, m]] + at_low[m + 1:]) <= thr[:, None]
-    # Expand the product of the candidates one message at a time.  Rows and
-    # decoder ordinals are int32 (the guard keeps both below 2^31), and each
-    # step's int64 indices are dropped before the next, larger, step.
-    row, dec = (a.astype(np.int32) for a in np.nonzero(cand[:, 0]))
-    costs = cells[row, 0, dec]
-    for m in range(1, m_count):
-        parent, j = np.nonzero(cand[row, m])
-        row = row[parent]
-        costs = costs[parent] + cells[row, m, j]
-        dec = dec[parent] * k
-        dec += j
-        del parent, j
-    near = costs <= thr[row]
-    return costs[near], row[near], dec[near], len(costs)
+    before = np.concatenate(([0], np.cumsum(np.prod(cand.sum(axis=2), axis=1))))
+    tile = oneshot._BLOCK_ENTRIES >> 3
+    lo = 0
+    while lo < len(cells):
+        hi = max(int(np.searchsorted(before, before[lo] + tile, side="right")) - 1, lo + 1)
+        # Expand the product one message at a time, summing each pair's
+        # cost in the order the exhaustive grid does.  Rows and decoder
+        # ordinals are int32 (the guard keeps both below 2^31), and each
+        # step's int64 indices are dropped before the next, larger, step.
+        row, dec = (a.astype(np.int32) for a in np.nonzero(cand[lo:hi, 0]))
+        row += lo
+        costs = cells[row, 0, dec]
+        for m in range(1, m_count):
+            parent, j = np.nonzero(cand[row, m])
+            row = row[parent]
+            costs = costs[parent] + cells[row, m, j]
+            dec = dec[parent] * k
+            dec += j
+            del parent, j
+        near = costs <= thr[row]
+        yield costs[near], row[near], dec[near], len(costs)
+        lo = hi
 
 
 def _pair_tuples(keys: np.ndarray, r: int, m_count: int, k: int) -> tuple:

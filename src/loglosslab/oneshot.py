@@ -117,7 +117,8 @@ def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
     head (a labeling of the first symbols) against every labeling of the
     rest.  The tail length t is the largest with
     n_cells**t <= max(_BLOCK_ENTRIES // row_entries, 1), so no block holds
-    more codes than that.
+    more codes than that; with one cell a tail symbol adds no rows, so the
+    tail stays empty.
 
     Tail symbol i is digit i of the row index in product order, so ``sums``
     viewed as ``(n_cells,) * t + (n_cells, ...)`` takes tail symbol i's
@@ -126,7 +127,7 @@ def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
     r = len(weights)
     budget = max(_BLOCK_ENTRIES // row_entries, 1)
     t = 0
-    while t < r and n_cells ** (t + 1) <= budget:
+    while t < r and 1 < n_cells ** (t + 1) <= budget:
         t += 1
     head = r - t
     rows = n_cells ** t
@@ -216,8 +217,10 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
         i = int(cost.argmin())
         if cost[i] < best:
             best = float(cost[i])
-            encoder = np.unravel_index(first + i, (n_messages,) * r)
-            best_code = OneShotCode(n_messages=n_messages, encoder=tuple(map(int, encoder)),
+            # Digit x of the ordinal, most significant first, is encoder[x].
+            encoder = tuple((first + i) // n_messages ** (r - 1 - x) % n_messages
+                            for x in range(r))
+            best_code = OneShotCode(n_messages=n_messages, encoder=encoder,
                                     decoder=tuple(sums[i].argmin(axis=1).tolist()))
     assert best_code is not None
     return expected_distortion(problem, best_code)

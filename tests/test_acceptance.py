@@ -25,6 +25,7 @@ from loglosslab import (
     entropy,
     build_corresponding,
     hamming_distortion,
+    identity_bound,
     identity_sweep,
     joint_from_source_and_channel,
     logloss_avg_optimum,
@@ -140,6 +141,18 @@ def test_criterion_3_equivalence_identity_exhaustive():
     assert elapsed < 60.0
     print(f"[criterion 3] {total_codes} codes, residual {worst_residual:.2e}, "
           f"loss floor margin {worst_floor:+.2e}, {elapsed:.2f}s")
+
+
+def test_identity_bound_certifies_the_suite():
+    # The O(r k) bound dominates the exhaustive residuals of criterion 3
+    # and stays within criterion 3's own scale.
+    worst_bound = 0.0
+    for cp in _built_suite().values():
+        bound = identity_bound(cp)
+        assert bound >= identity_sweep(cp).max_residual
+        worst_bound = max(worst_bound, bound)
+    assert worst_bound <= 1e-9
+    print(f"[criterion 3] residual bound {worst_bound:.2e}")
 
 
 def test_criterion_4_optimum_sets_coincide():

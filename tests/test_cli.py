@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -370,6 +371,14 @@ class TestOneshotCommand:
                      "--messages", "2", "--distortion", "2.0"])
         assert report["outputs"]["oracle"]["agrees"] is True
 
+    @pytest.mark.parametrize("r", [63, 70])
+    def test_avg_oracle_with_one_message(self, capsys, tmp_path, r):
+        # One cell: every symbol in it, and more symbols than numpy has axes.
+        path = write_problem(tmp_path, f"px: {[1 / r] * r}\ndistortion: hamming\n")
+        report = run_report(
+            capsys, ["oneshot", path, "--criterion", "avg", "--messages", "1"])
+        assert report["outputs"]["oracle"]["agrees"] is True
+
     @pytest.mark.parametrize("px", [[1 / 12] * 12, [1.0, 0.0]], ids=["uniform12", "point"])
     def test_logloss_avg_zero_optimum_prints_positive_zero(self, capsys, tmp_path, px):
         path = write_problem(tmp_path, f"px: {px}\ndistortion: hamming\n")
@@ -446,9 +455,11 @@ class TestEquivCommand:
         report = run_report(capsys, ["equiv", SKEW3, "--messages", "2"])
         out = report["outputs"]
         assert out["d_star_m"] == pytest.approx(0.2, abs=1e-12)
-        assert out["identity"]["sampled"] is False
+        assert out["identity"]["skipped"] is False
         assert out["identity"]["max_residual"] < 1e-6
+        assert out["identity"]["max_residual"] <= out["identity"]["residual_bound"] <= 1e-9
         assert out["coincidence"]["matched"] is True
+        assert out["coincidence"]["pairs_summed"] > 0
 
     def test_table_verdict(self, capsys):
         code, out, _ = run_cli(
@@ -474,25 +485,20 @@ class TestEquivCommand:
         assert "achieved distortion 0.0 misses the target 2.0000000000000002e+307" in err
         assert "exceeds ln M" not in err
 
-    def test_sampled_needs_seed(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["equiv", SKEW3, "--messages", "2", "--samples", "50"])
-        assert code == 2
-        assert "--seed" in err
-
-    def test_negative_seed_exits_two(self, capsys):
-        code, _, err = run_cli(capsys, ["equiv", SKEW3, "--messages", "2",
-                                        "--samples", "5", "--seed", "-1"])
-        assert code == 2, err
-        assert "seed must be None or an integer >= 0, got -1" in err
-
-    def test_sampled_skips_coincidence(self, capsys):
-        report = run_report(
-            capsys, ["equiv", SKEW3, "--messages", "2", "--samples", "50",
-                     "--seed", "3"])
-        assert report["outputs"]["identity"]["sampled"] is True
-        assert report["outputs"]["identity"]["n_codes"] == 50
+    def test_past_the_guard_reports_the_bound_alone(self, capsys, tmp_path):
+        # Uniform Hamming on 16 symbols at M = 3: 3^16 * 16^3 = 1.8e11 code
+        # pairs, past the 10^7 guard of the sweep and the coincidence check.
+        path = write_problem(tmp_path, f"px: {[1 / 16] * 16}\ndistortion: hamming\n")
+        start = time.perf_counter()
+        report = run_report(capsys, ["equiv", path, "--messages", "3"])
+        elapsed = time.perf_counter() - start
+        identity = report["outputs"]["identity"]
+        assert identity["skipped"] is True
+        assert 0.0 < identity["residual_bound"] <= 1e-12
+        assert [identity[key] for key in ("n_codes", "max_residual", "min_log_loss",
+                                          "min_distortion")] == [None] * 4
         assert report["outputs"]["coincidence"] is None
+        assert elapsed <= 2.0, f"{elapsed:.2f}s"
 
     def test_argmin_counts_decode_no_pair(self, capsys):
         # The report prints the sizes of the argmin sets, never their pairs.
@@ -654,6 +660,9 @@ class TestFlagScope:
                       "--seed", "1"], id="oneshot-seed"),
         pytest.param(["sr", BINARY, "--d1", "0.5", "--d2", "0.1", "--seed", "1"],
                      id="sr-seed"),
+        pytest.param(["equiv", SKEW3, "--messages", "2", "--seed", "3"], id="equiv-seed"),
+        pytest.param(["equiv", SKEW3, "--messages", "2", "--samples", "5"],
+                     id="equiv-samples"),
         pytest.param(["oneshot", SKEW3, "--criterion", "avg", "--messages", "2",
                       "--tol", "1e-6"], id="oneshot-tol"),
         pytest.param(["timeshare", "--px", "0.5,0.5", "--distortion", "0.3",

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from loglosslab import (
     expected_distortion,
     expected_log_loss,
     hamming_distortion,
+    identity_bound,
     identity_sweep,
     map_code,
     suboptimality_gap,
@@ -32,9 +34,11 @@ from loglosslab import (
     verify_theorem1,
 )
 from loglosslab.equivalence import _cell_cost_tables
+from loglosslab.problemio import load_problem
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def h_b(d: float) -> float:
@@ -227,38 +231,10 @@ class TestIdentitySweep:
         assert sweep.n_codes == 144
         assert sweep.max_residual < 1e-9
 
-    def test_sampled_is_deterministic(self, cp_u4):
-        a = identity_sweep(cp_u4, samples=200, seed=7)
-        b = identity_sweep(cp_u4, samples=200, seed=7)
-        assert a == b
-        assert a.sampled
-        assert a.n_codes == 200
-        assert a.max_residual < 1e-9
-
-    @pytest.mark.parametrize("seed", [-1, True, 2.0, "7"])
-    def test_bad_seed_is_a_validation_error(self, cp_u4, seed):
-        with pytest.raises(ValidationError, match="seed"):
-            identity_sweep(cp_u4, samples=5, seed=seed)
-
-    def test_numpy_and_absent_seeds_are_accepted(self, cp_u4):
-        assert identity_sweep(cp_u4, samples=5, seed=np.int64(7)) == \
-            identity_sweep(cp_u4, samples=5, seed=7)
-        assert identity_sweep(cp_u4, samples=5).n_codes == 5
-
-    @pytest.mark.parametrize("samples", [None, 3, np.int64(3), np.uint8(3)])
-    def test_code_count_is_a_python_int(self, cp_u4, samples):
-        sweep = identity_sweep(cp_u4, samples=samples, seed=None if samples is None else 1)
+    def test_code_count_is_a_python_int(self, cp_u4):
+        sweep = identity_sweep(cp_u4)
         assert type(sweep.n_codes) is int
         assert json.loads(json.dumps(dataclasses.asdict(sweep)))["n_codes"] == sweep.n_codes
-
-    def test_sampled_needs_a_positive_count(self, cp_u4):
-        with pytest.raises(ValidationError):
-            identity_sweep(cp_u4, samples=0)
-
-    @pytest.mark.parametrize("samples", [2.5, "3", True])
-    def test_non_integer_samples_is_a_validation_error(self, cp_u4, samples):
-        with pytest.raises(ValidationError, match="samples"):
-            identity_sweep(cp_u4, samples=samples, seed=7)
 
     def test_zero_mass_symbol_raises_no_warning(self):
         # Its posterior entries are zero: px * -log(rev) would form 0 * inf.
@@ -275,6 +251,60 @@ class TestIdentitySweep:
         with np.errstate(divide="ignore", invalid="ignore"):
             masked = np.where(px.probs[:, None] > 0.0, px.probs[:, None] * -np.log(rev.T), 0.0)
         assert w_l.tobytes() == masked.tobytes()
+
+
+FAMILIES = ("uniform", "tied", "continuous", "zero_mass")
+
+
+def draw_problem(family: str, n_messages: int, rng: np.random.Generator) -> SourceProblem:
+    """A random r x r problem with M < r live symbols and a zero diagonal.
+
+    Each live symbol then has its own best column, so D*(M) > D_min.
+    """
+    r = int(rng.integers(n_messages + 2, 7))
+    dist = rng.integers(1, 4, (r, r)) if family == "tied" else rng.random((r, r))
+    np.fill_diagonal(dist, 0)
+    if family == "uniform":
+        w = np.ones(r)
+    elif family == "tied":
+        w = rng.integers(1, 4, r)
+    else:
+        w = rng.uniform(0.05, 1.0, r)
+        if family == "zero_mass":
+            w[rng.permutation(r)[:int(rng.integers(1, r - n_messages))]] = 0.0
+    return SourceProblem(px=Pmf(w / w.sum()), distortion=dist.astype(float))
+
+
+class TestIdentityBound:
+    @pytest.mark.parametrize("n_messages", [2, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bound_dominates_the_sweep(self, family, n_messages):
+        # 30 draws per case, 240 in all.  Each is checked also with the
+        # slope moved off the solved point, where the residuals are large
+        # and the bound rests on its spread term.
+        rng = np.random.default_rng([FAMILIES.index(family), n_messages, 18])
+        for _ in range(30):
+            cp = build_corresponding(draw_problem(family, n_messages, rng), n_messages)
+            for case in (cp, dataclasses.replace(cp, lambda_star=cp.lambda_star * 1.001)):
+                assert identity_bound(case) >= identity_sweep(case).max_residual
+
+    # binary_hamming reaches D_min = 0 at M = 2, where the problem degenerates.
+    @pytest.mark.parametrize("name", ["skewed3", "skewed4_absdiff"])
+    def test_bound_dominates_on_problem_files(self, name):
+        problem = load_problem(str(PROBLEMS / f"{name}.yaml")).problem
+        for n_messages in (2, 3):
+            try:
+                cp = build_corresponding(problem, n_messages, tol=1e-10)
+            except DegenerateInstanceError:
+                continue
+            assert identity_bound(cp) >= identity_sweep(cp).max_residual
+
+    def test_bound_holds_past_the_guard(self):
+        # 3^16 encoders times 16^3 decoders: 1.8e11 pairs, no sweep.
+        cp = build_corresponding(uniform_hamming(16), 3)
+        with pytest.raises(InstanceTooLargeError):
+            identity_sweep(cp)
+        assert 0.0 < identity_bound(cp) <= 1e-12
 
 
 @pytest.mark.parametrize("check", [identity_sweep, verify_optimum_coincidence])

@@ -82,6 +82,14 @@ class TestSolveAvg:
             _, value = solve_avg(prob, m)
             assert value == solve_avg_oracle(prob, m)
 
+    @pytest.mark.parametrize("r", [63, 70])
+    def test_oracle_with_one_message(self, r):
+        # One cell holds every symbol; there are more symbols than numpy has
+        # axes (64 on numpy 2, 32 on numpy 1).
+        rng = np.random.default_rng(r)
+        prob = SourceProblem(px=random_pmf(rng, r), distortion=rng.uniform(0.0, 1.0, (r, 4)))
+        assert solve_avg_oracle(prob, 1) == solve_avg(prob, 1)[1]
+
     def test_oracle_guard(self):
         prob = SourceProblem(px=random_pmf(np.random.default_rng(0), 10),
                              distortion=np.random.default_rng(1).uniform(
