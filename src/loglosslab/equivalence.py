@@ -277,9 +277,9 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
 
 
 def _cell_blocks(cp: CorrespondingProblem, caller: str):
-    """Yield (first, cells, lows, row_min) blocks over every encoder.
+    """Yield (ordinals, cells, lows, row_min) blocks over the canonical encoders.
 
-    Row n of a block is the encoder of ordinal ``first + n`` in
+    Row n of a block is the encoder of ordinal ``ordinals[n]`` in
     itertools.product order.  ``cells[side, n, m, j]`` is the cost of
     message m of encoder n decoded by kept index j, on the distortion
     (side 0) or log-loss side (side 1), and ``lows`` and ``row_min`` its
@@ -292,10 +292,10 @@ def _cell_blocks(cp: CorrespondingProblem, caller: str):
     if total > _CODE_ENUM_GUARD:
         raise InstanceTooLargeError(f"{caller}: {total} code pairs exceeds guard "
                                     f"{_CODE_ENUM_GUARD}")
-    for first, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
-                                        k ** m_count):
+    for ordinals, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
+                                           k ** m_count):
         cells = sums.reshape(len(sums), m_count, 2, k).transpose(2, 0, 1, 3)
-        yield (first, cells) + _least_costs(cells)
+        yield (ordinals, cells) + _least_costs(cells)
 
 
 def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -334,8 +334,11 @@ class IdentitySweep:
 def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     """Residual of the affine identity over all M^r encoders and k^M decoders.
 
-    Guarded at 10^7 code pairs; ``identity_bound`` bounds every residual
-    without enumerating them.
+    Swapping messages 0 and 1 in both the encoder and the decoder leaves
+    both of a pair's costs the same floats (see ``_cell_sum_blocks``), so
+    the canonical encoders against every decoder reach every residual and
+    both minima.  Guarded at 10^7 code pairs; ``identity_bound`` bounds
+    every residual without enumerating them.
     """
     m_count = cp.n_messages
     k = len(cp.y_rows)
@@ -353,7 +356,6 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     pairs = k ** m_count
     tile = max((oneshot._BLOCK_ENTRIES >> 3) // pairs, 1)
     buffers = [np.empty(tile * pairs) for _ in range(3)]
-    n_codes = 0
     for _, cells, _, row_min in _cell_blocks(cp, "identity_sweep"):
         # The grid minima are the encoders' least costs; they need no grid.
         min_d = min(min_d, float(row_min[0].min()))
@@ -367,8 +369,7 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
             np.multiply(lam, grid_d, out=grid_d)
             np.subtract(grid_l, grid_d, out=grid_l)
             max_resid = max(max_resid, float(np.abs(grid_l, out=grid_l).max()))
-        n_codes += cells.shape[1] * pairs
-    return IdentitySweep(n_codes=n_codes, max_residual=max_resid,
+    return IdentitySweep(n_codes=m_count ** cp.px.n * pairs, max_residual=max_resid,
                          min_loss=min_loss, min_distortion=min_d)
 
 
@@ -415,10 +416,11 @@ class CoincidenceReport:
 
     Each argmin set is a read-only sequence of (encoder, decoder) tuples in
     lexicographic order.  It equals, hashes and prints as the tuple of those
-    pairs; ``verify_optimum_coincidence`` keeps each pair as one int32 key,
-    4 bytes, and decodes the pairs only when they are read, so ``len``
-    costs nothing.  ``pairs_summed`` counts the code pairs whose nested
-    cost the check formed, over both sides; it takes no part in equality.
+    pairs; ``verify_optimum_coincidence`` keeps the pairs of canonical
+    encoders, each as one int32 key, 4 bytes, and makes the others and
+    decodes the pairs only when they are read, so ``len`` costs nothing.
+    ``pairs_summed`` counts the code pairs whose nested cost the check
+    formed, over both sides; it takes no part in equality.
     """
 
     min_distortion: float
@@ -430,27 +432,37 @@ class CoincidenceReport:
 
 
 class _ArgminSet(Sequence):
-    """Sorted (encoder, decoder) pairs kept as int32 keys, decoded on first read.
+    """(encoder, decoder) pairs kept as the sorted int32 keys of the canonical ones.
 
     A pair's key is encoder ordinal * k^M + decoder ordinal, as
-    ``_pair_tuples`` reads it.
+    ``_pair_tuples`` reads it.  The set holds the swap of messages 0 and 1
+    of each of its pairs, so the keys of canonical encoders name it.  The
+    first read adds the others' keys, from ``_swap_images``, and decodes
+    them all.
     """
 
-    __slots__ = ("_keys", "_digits", "_tuples")
+    __slots__ = ("_keys", "_digits", "_len", "_tuples")
 
     def __init__(self, keys: np.ndarray, r: int, m_count: int, k: int):
         keys.flags.writeable = False
         self._keys = keys
         self._digits = (r, m_count, k)
         self._tuples = None
+        # The swap moves every encoder below 2...2, the least with no symbol
+        # in message 0 or 1, and the keys are sorted.
+        least = sum(2 * m_count ** i for i in range(r)) * k ** m_count
+        below = int(np.searchsorted(keys, least)) if m_count > 1 else 0
+        self._len = len(keys) + below + len(_swap_images(keys[below:], *self._digits))
 
     def _decoded(self) -> tuple:
         if self._tuples is None:
-            self._tuples = _pair_tuples(self._keys, *self._digits)
+            keys = np.concatenate([self._keys, _swap_images(self._keys, *self._digits)])
+            keys.sort()
+            self._tuples = _pair_tuples(keys, *self._digits)
         return self._tuples
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._len
 
     def __getitem__(self, index):
         return self._decoded()[index]
@@ -488,6 +500,12 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     ``atol`` of the optimum only if each of its coordinates does with every
     other coordinate at its cell's minimum.  Only the products of those
     candidates are summed, in the order the exhaustive grid sums them.
+
+    Only canonical encoders are scored (see ``_cell_sum_blocks``).  Swapping
+    messages 0 and 1 in both the encoder and the decoder keeps both of a
+    pair's costs, since the nested sum adds cells 0 and 1 first and rounded
+    addition is commutative.  So each argmin set is its canonical pairs and
+    their swaps, and the sets coincide exactly when their canonical pairs do.
     """
     _require_real("verify_optimum_coincidence", "atol", atol, 0.0)
     r = cp.px.n
@@ -502,7 +520,7 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     best = [math.inf, math.inf]
     kept: list[list] = [[], []]  # per side: (costs, keys)
     pairs_summed = 0
-    for first, cells, lows, row_min in _cell_blocks(cp, "verify_optimum_coincidence"):
+    for ordinals, cells, lows, row_min in _cell_blocks(cp, "verify_optimum_coincidence"):
         for side, low in enumerate(row_min.min(axis=1).tolist()):
             if low < best[side]:
                 best[side] = low
@@ -511,11 +529,11 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
         thr = np.array(best) + atol
         sides, n = np.nonzero(row_min <= thr[:, None])
         n_rows_d = np.searchsorted(sides, 1)
-        n = n.astype(np.int32)
+        encoders = ordinals[n].astype(np.int32)
         for costs, row, dec, summed in _near_pairs(cells[sides, n], lows[sides, n],
                                                    thr[sides]):
             pairs_summed += summed
-            keys = (first + n[row]) * k ** m_count
+            keys = encoders[row] * k ** m_count
             keys += dec
             split = np.searchsorted(row, n_rows_d)
             kept[0].append((costs[:split], keys[:split]))
@@ -574,6 +592,32 @@ def _near_pairs(cells: np.ndarray, lows: np.ndarray, thr: np.ndarray):
         near = costs <= thr[row]
         yield costs[near], row[near], dec[near], len(costs)
         lo = hi
+
+
+def _swap_images(keys: np.ndarray, r: int, m_count: int, k: int) -> np.ndarray:
+    """The keys of the swaps of the pairs whose encoder the swap moves.
+
+    Swapping messages 0 and 1 exchanges labels 0 and 1 in the encoder and
+    decoder digits 0 and 1.  It moves every encoder with a symbol in
+    message 0 or 1, and with one message there is nothing to swap.  The
+    images are in the order of their keys, not sorted.
+    """
+    if m_count == 1:
+        return keys[:0]
+    enc, dec = np.divmod(keys, k ** m_count)
+    rest = enc.copy()
+    moved = np.zeros(len(keys), dtype=bool)
+    for i in range(r):
+        rest, digit = np.divmod(rest, m_count)
+        low = digit < 2
+        moved |= low
+        # Label 0 becomes 1 and label 1 becomes 0 at place M^i.
+        enc += np.where(low, 1 - 2 * digit, 0) * m_count ** i
+    first, second = k ** (m_count - 1), k ** (m_count - 2)
+    dec += (dec // second % k - dec // first) * (first - second)
+    enc *= k ** m_count
+    enc += dec
+    return enc[moved]
 
 
 def _pair_tuples(keys: np.ndarray, r: int, m_count: int, k: int) -> tuple:

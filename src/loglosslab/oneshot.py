@@ -108,21 +108,36 @@ def expected_distortion(problem: SourceProblem, code: OneShotCode) -> float:
 
 
 def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
-    """Yield (first, sums) blocks over all n_cells**r labelings of the symbols.
+    """Yield (ordinals, sums) blocks over the canonical labelings of the symbols.
 
-    Row n of a block is the labeling of ordinal ``first + n`` in
-    itertools.product order.  ``sums[n, m]`` adds ``weights[x]`` over the
-    symbols x that the labeling puts in cell m, in increasing x from zero,
-    so every float is formed as a loop over x forms it.  Each block is one
-    head (a labeling of the first symbols) against every labeling of the
-    rest.  The tail length t is the largest with
+    Row n of a block is the labeling of ordinal ``ordinals[n]`` in
+    itertools.product order, and the rows of all blocks come in that order.
+    ``sums[n, m]`` adds ``weights[x]`` over the symbols x that the labeling
+    puts in cell m, in increasing x from zero, so every float is formed as
+    a loop over x forms it.
+
+    Only canonical labelings are visited: those whose first symbol in cell
+    0 or 1 is in cell 0, and those with no symbol in either.  A cell's sum
+    depends only on its set of symbols, whatever the cell's label, so
+    swapping cells 0 and 1 swaps two rows of sums, and a cost that adds
+    cell 0's and cell 1's terms first is the same float for a labeling and
+    its swap: rounded addition is commutative.  The swap takes every other
+    labeling to a canonical one that precedes it in product order, so the
+    first optimum is canonical.  That is (n_cells**r + (n_cells - 2)**r) / 2
+    labelings with two or more cells, and all of them with one.
+
+    Each block is one head (a labeling of the first symbols) against the
+    labelings of the rest.  The tail length t is the largest with
     n_cells**t <= max(_BLOCK_ENTRIES // row_entries, 1), so no block holds
     more codes than that; with one cell a tail symbol adds no rows, so the
-    tail stays empty.
+    tail stays empty.  A head whose first label below 2 is 0 takes every
+    tail, one whose first such label is 1 is skipped, and one with no such
+    label takes the canonical tails.
 
-    Tail symbol i is digit i of the row index in product order, so ``sums``
-    viewed as ``(n_cells,) * t + (n_cells, ...)`` takes tail symbol i's
-    weight in cell m as one strided add over the rows whose digit i is m.
+    A head's sums are formed over every tail, in which tail symbol i is
+    digit i of the row index in product order, so ``sums`` viewed as
+    ``(n_cells,) * t + (n_cells, ...)`` takes tail symbol i's weight in
+    cell m as one strided add over the rows whose digit i is m.
     """
     r = len(weights)
     budget = max(_BLOCK_ENTRIES // row_entries, 1)
@@ -131,7 +146,18 @@ def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
         t += 1
     head = r - t
     rows = n_cells ** t
+    every_tail = np.arange(rows)
+    # The canonical tails of each length, in order: those led by 0, then
+    # each label from 2 up before a canonical tail one shorter.
+    canonical_tails = np.zeros(1, dtype=np.intp)
+    for length in range(t):
+        size = n_cells ** length
+        canonical_tails = np.concatenate(
+            [every_tail[:size]] + [m * size + canonical_tails for m in range(2, n_cells)])
     for block, prefix in enumerate(itertools.product(range(n_cells), repeat=head)):
+        low = next((m for m in prefix if m < 2), None)
+        if low == 1:
+            continue
         # add.at is unbuffered and applies the head's weights in index
         # order, as the loop over x does.
         start = np.zeros((n_cells,) + weights.shape[1:], dtype=weights.dtype)
@@ -143,7 +169,10 @@ def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
                 at = [slice(None)] * t + [m]  # cell m ...
                 at[i] = m  # ... of the rows whose digit i is m
                 digits[tuple(at)] += weights[head + i]
-        yield block * rows, sums
+        if low is None:
+            yield block * rows + canonical_tails, sums[canonical_tails]
+        else:
+            yield block * rows + every_tail, sums
 
 
 def _least_costs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,14 +240,14 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
     # column 0, as if skipped.
     best = math.inf
     best_code: OneShotCode | None = None
-    for first, sums in _cell_sum_blocks(weighted, n_messages,
-                                        n_messages * problem.n_reconstruction):
+    for ordinals, sums in _cell_sum_blocks(weighted, n_messages,
+                                           n_messages * problem.n_reconstruction):
         cost = _least_costs(sums)[1]
         i = int(cost.argmin())
         if cost[i] < best:
             best = float(cost[i])
             # Digit x of the ordinal, most significant first, is encoder[x].
-            encoder = tuple((first + i) // n_messages ** (r - 1 - x) % n_messages
+            encoder = tuple(int(ordinals[i]) // n_messages ** (r - 1 - x) % n_messages
                             for x in range(r))
             best_code = OneShotCode(n_messages=n_messages, encoder=encoder,
                                     decoder=tuple(sums[i].argmin(axis=1).tolist()))

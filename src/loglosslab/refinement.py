@@ -352,8 +352,8 @@ def _prefix_length(h: float, d: float, n: int) -> int:
 # The sampler holds at most this many samples at once.  It must be at least
 # numpy's 128-element pairwise block, below which numpy's sum is not pairwise.
 _LEAF = 1 << 16
-# Buckets of the symbol table over [0, 1).  A power of two, so u * _BUCKETS
-# is exact and floor(u * _BUCKETS) names the bucket holding u.
+# Buckets of the symbol table over [0, 1).  A power of two, so the bucket
+# holding a sample is the top bits of its raw 64-bit draw.
 _BUCKETS = 4096
 
 
@@ -362,13 +362,17 @@ def _cost_sampler(p: np.ndarray, rng: np.random.Generator):
 
     The samples are those of ``rng.choice(len(p), size, p=p)``, which draws
     ``u = rng.random(size)`` and returns ``cdf.searchsorted(u, "right")``
-    with ``cdf = p.cumsum() / p.cumsum()[-1]``; ``rng.random`` drawn in
-    consecutive pieces gives the same stream as one call.  A bucket of
-    [0, 1) with no cdf value strictly inside it holds a single symbol, so a
-    table maps it straight to that symbol's cost; only the at most
-    len(p) - 1 other buckets need the search.  The table holds -1.0 for
-    those, so one gather finds both the costs and the samples to search: a
-    cost -ln p is at least -0.0 (a mass of exactly 1), which is not < 0.
+    with ``cdf = p.cumsum() / p.cumsum()[-1]``.  With ``default_rng``'s
+    PCG64, ``rng.random`` makes each u from one raw 64-bit draw of the bit
+    generator as (raw >> 11) * 2^-53,
+    so u's bucket floor(u * _BUCKETS) is the raw draw's top bits, and the
+    raw draws, taken in consecutive pieces, give the stream of one call.
+    A bucket of [0, 1) with no cdf value strictly inside it holds a single
+    symbol, so a table maps it straight to that symbol's cost; only the at
+    most len(p) - 1 other buckets need the search, on u made as
+    ``rng.random`` makes it.  The table holds -1.0 for those, so one gather
+    finds both the costs and the samples to search: a cost -ln p is at
+    least -0.0 (a mass of exactly 1), which is not < 0.
     Code lengths come from the table -ln p, so each equals
     ``-np.log(p[x])`` bit for bit.
     """
@@ -382,18 +386,17 @@ def _cost_sampler(p: np.ndarray, rng: np.random.Generator):
     bucket_cost = cost[first]
     bucket_cost[cdf.searchsorted(lo + 1.0 / _BUCKETS, side="left") > first] = -1.0
 
-    u = np.empty(_LEAF)
+    bucket_shift = 64 - (_BUCKETS.bit_length() - 1)  # the top log2(_BUCKETS) bits
     bucket = np.empty(_LEAF, dtype=np.intp)
     lengths = np.empty(_LEAF)
 
     def draw(m: int) -> float:
-        rng.random(out=u[:m])
-        # The cast to integers truncates, which is floor since u >= 0, so
-        # every bucket lies in [0, _BUCKETS) and "clip" never clips.
-        np.multiply(u[:m], _BUCKETS, out=bucket[:m], casting="unsafe")
+        raw = rng.bit_generator.random_raw(m)
+        # Every bucket lies in [0, _BUCKETS), so "clip" never clips.
+        np.right_shift(raw, bucket_shift, out=bucket[:m], casting="unsafe")
         np.take(bucket_cost, bucket[:m], out=lengths[:m], mode="clip")
         i = np.flatnonzero(lengths[:m] < 0.0)
-        lengths[i] = cost[cdf.searchsorted(u[i], side="right")]
+        lengths[i] = cost[cdf.searchsorted((raw[i] >> 11) * 2.0 ** -53, side="right")]
         return np.add.reduce(lengths[:m])
 
     return draw

@@ -7,6 +7,7 @@ became a subset DP.  Both form every float in the same order, so each
 comparison is bitwise.
 """
 
+import dataclasses
 import itertools
 import math
 from functools import reduce
@@ -365,6 +366,11 @@ ARGMIN_CASES = {
                          2, 0.3),
     "unmatched": (UNMATCHED, 2, 0.05),
 }
+# The pairs each case's check sums, over both sides.  Only canonical
+# encoders are scored: uniform5-m3 sums the 270 canonical pairs of each
+# side's 540, and uniform4-m2-atol every pair of its 8 canonical encoders,
+# 128 on each side.
+PAIRS_SUMMED = {"uniform5-m3": 540, "uniform4-m2-atol": 256, "unmatched": 3}
 
 
 class TestArgminSets:
@@ -395,8 +401,18 @@ class TestArgminSets:
         assert report == ref and ref == report
         assert hash(report) == hash(ref)
         # The reference sums every pair; equality ignores this work count.
-        assert len(ref.distortion_argmin) + len(ref.loss_argmin) <= report.pairs_summed \
-            <= ref.pairs_summed
+        assert report.pairs_summed == PAIRS_SUMMED[name] < ref.pairs_summed
+
+    def test_one_message_has_no_swap(self):
+        # With one message every encoder is canonical and the sets hold no
+        # swapped pairs.
+        problem, n_messages, atol = ARGMIN_CASES["uniform4-m2-atol"]
+        cp = dataclasses.replace(build_corresponding(problem, n_messages, tol=1e-10),
+                                 n_messages=1)
+        report = verify_optimum_coincidence(cp, atol)
+        ref = reference_optimum_coincidence(cp, atol)
+        assert len(report.distortion_argmin) == len(ref.distortion_argmin) > 1
+        assert report == ref
 
     def test_sets_of_separate_checks(self):
         cps = [build_corresponding(problem, n_messages, tol=1e-10)
@@ -458,26 +474,41 @@ class TestPairKeys:
         assert oneshot._CODE_ENUM_GUARD < 2 ** 31
 
 
-def check_ordinals(blocks, row_entries):
-    """Check that the blocks' rows count up from ordinal 0, within the budget.
+def is_canonical(code) -> bool:
+    """The first label below 2, if any, is 0: code is no later than its swap of 0 and 1."""
+    return next((m for m in code if m < 2), 0) == 0
 
-    Returns the rows per block, which every block shares.
+
+def canonical_ordinals(r, n_cells) -> list:
+    return [n for n, code in enumerate(itertools.product(range(n_cells), repeat=r))
+            if is_canonical(code)]
+
+
+def check_ordinals(blocks, r, n_cells, row_entries):
+    """Check that the blocks' rows are the canonical codes in order, one head each.
+
+    A head is a run of n_cells**t ordinals, for the largest tail length t
+    within the budget.  Each head holding a canonical code makes one block,
+    of its canonical codes.  Returns n_cells**t.
     """
-    rows = len(blocks[0][1])
-    assert [first for first, _ in blocks] == [b * rows for b in range(len(blocks))]
-    assert {len(sums) for _, sums in blocks} == {rows}
-    assert rows <= max(oneshot._BLOCK_ENTRIES // row_entries, 1)
+    budget = max(oneshot._BLOCK_ENTRIES // row_entries, 1)
+    rows = max(n_cells ** t for t in range(r + 1) if n_cells ** t <= budget)
+    want = canonical_ordinals(r, n_cells)
+    assert np.concatenate([ordinals for ordinals, _ in blocks]).tolist() == want
+    assert [len(sums) for _, sums in blocks] == [len(ordinals) for ordinals, _ in blocks]
+    assert [set((ordinals // rows).tolist()) for ordinals, _ in blocks] \
+        == [{head} for head in sorted({n // rows for n in want})]
     return rows
 
 
 def kernel_codes(r, n_cells, row_entries):
-    """The code of each ordinal, read from the kernel's sums of one-hot weights.
+    """The code of each row, read from the kernel's sums of one-hot weights.
 
     With weights[x] the x-th unit vector, sums[n, m, x] is 1.0 exactly when
     row n puts symbol x in cell m.
     """
     blocks = list(oneshot._cell_sum_blocks(np.eye(r), n_cells, row_entries))
-    check_ordinals(blocks, row_entries)
+    check_ordinals(blocks, r, n_cells, row_entries)
     return np.vstack([sums.argmax(axis=1) for _, sums in blocks])
 
 
@@ -492,7 +523,25 @@ class TestEnumerationOrder:
     def test_encoders_in_product_order(self, entries):
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
             codes = kernel_codes(5, 3, 3)
-        assert codes.tolist() == [list(e) for e in itertools.product(range(3), repeat=5)]
+        assert codes.tolist() == [list(e) for e in itertools.product(range(3), repeat=5)
+                                  if is_canonical(e)]
+
+    @pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("entries", [1, 7, oneshot._BLOCK_ENTRIES])
+    def test_rows_and_their_swaps_are_every_code_once(self, n_cells, r, entries):
+        # n_cells > r included: then some codes leave cells empty.
+        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
+            codes = [tuple(code) for code in kernel_codes(r, n_cells, n_cells).tolist()]
+        assert codes == sorted(codes)
+        images = [tuple({0: 1, 1: 0}.get(m, m) for m in code) for code in codes] \
+            if n_cells > 1 else []
+        every = itertools.product(range(n_cells), repeat=r)
+        assert sorted(set(codes) | set(images)) == list(every)
+        # Only the codes the swap fixes, those with no label below 2 (or
+        # the one code with one cell), are rows together with their swap.
+        fixed = (n_cells - 2) ** r if n_cells > 1 else 1
+        assert len(codes) == (n_cells ** r + fixed) // 2
 
     @pytest.mark.parametrize("entries", [1, 5, 64, oneshot._BLOCK_ENTRIES])
     def test_oracle_decodes_its_winner(self, entries):
@@ -534,19 +583,20 @@ SIGNED_WEIGHTS = np.array([[0.25, -0.0, np.inf],
 
 class TestCellSums:
     # Budgets giving every tail length from t = 0 (one head per code) to
-    # t = r (one block).
+    # t = r (one block).  The kernel's rows are the reference's rows of the
+    # canonical codes.
     @pytest.mark.parametrize("n_cells", [1, 2, 3])
     @pytest.mark.parametrize("r", [1, 3, 5])
     def test_signed_zeros_and_inf_match_the_loop(self, n_cells, r):
         weights = SIGNED_WEIGHTS[:r]
         row_entries = n_cells * weights.shape[1]
-        want = reference_cell_sums(weights, n_cells)
+        want = reference_cell_sums(weights, n_cells)[canonical_ordinals(r, n_cells)]
         tails = set()
         for t in range(r + 1):
             entries = n_cells ** t * row_entries
             with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
                 blocks = list(oneshot._cell_sum_blocks(weights, n_cells, row_entries))
-            tails.add(check_ordinals(blocks, row_entries))
+                tails.add(check_ordinals(blocks, r, n_cells, row_entries))
             got = np.concatenate([sums for _, sums in blocks])
             assert hex_entries(got) == hex_entries(want)
         assert tails == {n_cells ** t for t in range(r + 1)}
@@ -560,9 +610,10 @@ class TestCellSums:
             * rng.uniform(0.5, 2.0, (r, cols))
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
             blocks = list(oneshot._cell_sum_blocks(weights, n_cells, n_cells * cols))
-        check_ordinals(blocks, n_cells * cols)
+            check_ordinals(blocks, r, n_cells, n_cells * cols)
         got = np.concatenate([sums for _, sums in blocks])
-        assert hex_entries(got) == hex_entries(reference_cell_sums(weights, n_cells))
+        want = reference_cell_sums(weights, n_cells)[canonical_ordinals(r, n_cells)]
+        assert hex_entries(got) == hex_entries(want)
 
 
 def reference_grid(a):
@@ -666,31 +717,33 @@ class TestScale:
 
     def test_coincidence_uniform8_m3(self, traced):
         # 3,359,232 code pairs, 81,648 of them tied at the optimum on each
-        # side; only pairs that can lie near the optimum are summed, and
+        # side; only pairs of canonical encoders that can lie near the
+        # optimum are summed, here the 40,824 tied ones on each side, and
         # each kept pair is one 4-byte key.
         problem = SourceProblem(px=Pmf.uniform(8), distortion=hamming_distortion(8))
         cp = build_corresponding(problem, 3, tol=1e-8)
         report, elapsed, peak, held = traced(verify_optimum_coincidence, cp)
         assert report.matched
         assert len(report.distortion_argmin) == 81_648
-        assert 2 * 81_648 <= report.pairs_summed <= 2 * 3_359_232
-        assert held <= 4 * 81_648 + 2**14, f"held {held} bytes"
-        assert peak <= 3 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert report.pairs_summed == 2 * 40_824
+        assert held <= 4 * 40_824 + 2**14, f"held {held} bytes"
+        assert peak <= 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
 
     def test_coincidence_keeps_every_pair(self, traced):
-        # atol = 10 keeps all 3^7 * 7^3 = 750,141 code pairs on each side.
-        # The peak is about 20.5 MB: the kept costs and keys of both sides
-        # (18 MB), the joined keys of one side, and one group of candidate
+        # atol = 10 keeps all 3^7 * 7^3 = 750,141 code pairs on each side,
+        # as the (3^7 + 1) / 2 * 7^3 = 375,242 pairs of canonical encoders.
+        # The peak is about 10.4 MB: the kept costs and keys of both sides
+        # (9 MB), the joined keys of one side, and one group of candidate
         # products of at most 2^15 pairs.
         problem = SourceProblem(px=Pmf.uniform(7), distortion=hamming_distortion(7))
         cp = build_corresponding(problem, 3, tol=1e-8)
         report, elapsed, peak, held = traced(verify_optimum_coincidence, cp, 10.0)
         assert report.matched
         assert len(report.distortion_argmin) == len(report.loss_argmin) == 750_141
-        assert report.pairs_summed == 2 * 750_141
-        assert held <= 4 * 750_141 + 2**14, f"held {held} bytes"
-        assert peak <= 22 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert report.pairs_summed == 2 * 375_242
+        assert held <= 4 * 375_242 + 2**14, f"held {held} bytes"
+        assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
         assert report.distortion_argmin == tuple(itertools.product(
             itertools.product(range(3), repeat=7), itertools.product(range(7), repeat=3)))
@@ -709,5 +762,5 @@ class TestScale:
         cp = build_corresponding(problem, 3, tol=1e-8)
         sweep, elapsed, peak, _ = traced(identity_sweep, cp)
         assert sweep_bits(sweep) == fields
-        assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert peak <= 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
