@@ -31,7 +31,6 @@ import numpy as np
 from . import oneshot
 from .errors import (
     DegenerateInstanceError,
-    InstanceTooLargeError,
     MappingError,
     ValidationError,
     VerificationError,
@@ -44,6 +43,7 @@ from .oneshot import (
     _CODE_ENUM_GUARD,
     OneShotCode,
     _cell_sum_blocks,
+    _check_work,
     _least_costs,
     expected_distortion,
     solve_avg,
@@ -277,25 +277,23 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
 
 
 def _cell_blocks(cp: CorrespondingProblem, caller: str):
-    """Yield (ordinals, cells, lows, row_min) blocks over the canonical encoders.
+    """A generator of (ordinals, cells, lows, row_min) blocks over the canonical encoders.
 
     Row n of a block is the encoder of ordinal ``ordinals[n]`` in
     itertools.product order.  ``cells[side, n, m, j]`` is the cost of
     message m of encoder n decoded by kept index j, on the distortion
     (side 0) or log-loss side (side 1), and ``lows`` and ``row_min`` its
     cells' and its least costs, as ``_least_costs`` forms them.  The
-    10^7-pair guard's error names ``caller``.
+    10^7-pair guard is checked when this is called, before any block is
+    formed, and its error names ``caller``.
     """
     m_count = cp.n_messages
     k = len(cp.y_rows)
-    total = (m_count ** cp.px.n) * (k ** m_count)
-    if total > _CODE_ENUM_GUARD:
-        raise InstanceTooLargeError(f"{caller}: {total} code pairs exceeds guard "
-                                    f"{_CODE_ENUM_GUARD}")
-    for ordinals, sums in _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count,
-                                           k ** m_count):
-        cells = sums.reshape(len(sums), m_count, 2, k).transpose(2, 0, 1, 3)
-        yield (ordinals, cells) + _least_costs(cells)
+    _check_work(caller, m_count ** cp.px.n * k ** m_count, "code pairs", _CODE_ENUM_GUARD)
+    blocks = _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count, k ** m_count)
+    return ((ordinals, cells) + _least_costs(cells)
+            for ordinals, sums in blocks
+            for cells in [sums.reshape(len(sums), m_count, 2, k).transpose(2, 0, 1, 3)])
 
 
 def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -345,18 +343,20 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     h = cp.h_x_given_xhat
     lam = cp.lambda_star
     d_star = cp.d_star_m
+    # Taking the blocks checks the guard, before any buffer is allocated.
+    blocks = _cell_blocks(cp, "identity_sweep")
 
     max_resid = 0.0
     min_loss = math.inf
     min_d = math.inf
     # Residuals are formed in tiles of whole encoders, at most an eighth of
-    # the block budget in pairs, in three buffers reused for every tile.
-    # Costs lie in [0, inf], so no residual is NaN and the tiles' maxima
-    # give the blocks' maxima.
+    # the block budget in pairs (one encoder when it has more decoders), in
+    # three buffers reused for every tile.  Costs lie in [0, inf], so no
+    # residual is NaN and the tiles' maxima give the blocks' maxima.
     pairs = k ** m_count
     tile = max((oneshot._BLOCK_ENTRIES >> 3) // pairs, 1)
     buffers = [np.empty(tile * pairs) for _ in range(3)]
-    for _, cells, _, row_min in _cell_blocks(cp, "identity_sweep"):
+    for _, cells, _, row_min in blocks:
         # The grid minima are the encoders' least costs; they need no grid.
         min_d = min(min_d, float(row_min[0].min()))
         min_loss = min(min_loss, float(row_min[1].min()))

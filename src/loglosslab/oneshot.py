@@ -50,11 +50,23 @@ __all__ = [
     "floor_exp",
 ]
 
-# At most this many codes are enumerated: encoders in solve_avg_oracle,
-# (encoder, decoder) pairs in the equivalence checks.  It is below 2^31, so
-# a pair's key (encoder ordinal * k^M + decoder ordinal) fits in an int32.
+# The work guards.  Each bounds one count of an exhaustive search, and every
+# search checks its count with _check_work before it allocates anything.
+# The costs at each limit are from a 2-core machine.
+#
+# Encoders in solve_avg_oracle, (encoder, decoder) pairs in the equivalence
+# checks.  solve_avg_oracle at 5^10 encoders takes 1.1-1.4 s; the sweep and
+# the coincidence check on uniform Hamming 8 at M = 3 (3.4e6 pairs) take
+# 20-35 ms.  It is below 2^31, so a pair's key (encoder ordinal * k^M +
+# decoder ordinal) fits in an int32.
 _CODE_ENUM_GUARD = 10_000_000
+# Column subsets scanned by solve_avg and _best_cover, at 9-10.5 us each:
+# about 10 s at the limit.  C(20, 10) = 184,756 takes 1.7-2.0 s.
+_SUBSET_GUARD = 1_000_000
+# Source symbols in logloss_avg_optimum's dynamic program, about 3^r / 4
+# steps: one call at r = 14, M = 7 takes 60-66 ms.
 _PARTITION_ALPHABET_GUARD = 14
+# Source symbols in logloss_excess_oracle's 2^r subset table: under 1 ms.
 _COVER_ALPHABET_GUARD = 12
 # The exhaustive enumerations work on blocks of codes holding about this many
 # floats per code-indexed array, so memory stays bounded at every guard.
@@ -64,6 +76,12 @@ _BLOCK_ENTRIES = 1 << 18
 _FLOOR_SLACK = 1e-12
 # An excess target counts as met when missed by at most this much.
 _FEASIBILITY_SLACK = 1e-12
+
+
+def _check_work(caller: str, amount: int, what: str, guard: int) -> None:
+    """Refuse a call whose exhaustive work, ``amount`` of ``what``, exceeds ``guard``."""
+    if amount > guard:
+        raise InstanceTooLargeError(f"{caller}: {amount} {what} exceeds guard {guard}")
 
 
 @dataclass(frozen=True)
@@ -198,20 +216,32 @@ def _subset_code(problem: SourceProblem, n_messages: int,
     return OneShotCode(n_messages=n_messages, encoder=encoder, decoder=decoder)
 
 
+def _first_best_subset(caller: str, problem: SourceProblem, n_messages: int,
+                       score) -> tuple[int, ...]:
+    """The first subset of min(M, s) columns, in lexicographic order, of least score.
+
+    Guarded at 10^6 subsets.
+    """
+    s = problem.n_reconstruction
+    size = min(n_messages, s)
+    _check_work(caller, math.comb(s, size), "column subsets", _SUBSET_GUARD)
+    return min(itertools.combinations(range(s), size), key=score)
+
+
 def solve_avg(problem: SourceProblem, n_messages: int) -> tuple[OneShotCode, float]:
     """Exact minimum average distortion over all codes with <= M messages.
 
     Enumerates reconstruction subsets of size min(M, s); the nearest-codeword
     encoder (ties to the lowest column index) is optimal for each subset.
     The first best subset in lexicographic order is returned as a witness.
+    Guarded at 10^6 subsets.
     """
     _require_int("solve_avg", "n_messages", n_messages, 1)
     px = problem.px.probs
     dist = problem.distortion
-    s = problem.n_reconstruction
-    k = min(n_messages, s)
-    best_subset = min(itertools.combinations(range(s), k),
-                      key=lambda subset: float(px @ dist[:, subset].min(axis=1)))
+    best_subset = _first_best_subset(
+        "solve_avg", problem, n_messages,
+        lambda subset: float(px @ dist[:, subset].min(axis=1)))
     code = _subset_code(problem, n_messages, best_subset)
     # Report the value through the shared evaluator so independent solvers
     # that land on the same code agree bitwise.
@@ -228,10 +258,7 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
     """
     _require_int("solve_avg_oracle", "n_messages", n_messages, 1)
     r = problem.n_source
-    if n_messages ** r > _CODE_ENUM_GUARD:
-        raise InstanceTooLargeError(
-            f"solve_avg_oracle: {n_messages}^{r} encoders exceeds guard {_CODE_ENUM_GUARD}"
-        )
+    _check_work("solve_avg_oracle", n_messages ** r, "encoders", _CODE_ENUM_GUARD)
     px = problem.px.probs
     dist = problem.distortion
     weighted = px[:, None] * dist  # row x: px(x) d(x, .)
@@ -266,12 +293,13 @@ def _best_cover(caller: str, problem: SourceProblem, n_messages: int,
     _require_real(caller, "d", d)
     px = problem.px.probs
     covers = problem.distortion <= d  # r x s
-    s = problem.n_reconstruction
 
     def mass(subset: tuple[int, ...]) -> float:
         return float(px[covers[:, subset].any(axis=1)].sum())
 
-    best_subset = max(itertools.combinations(range(s), min(n_messages, s)), key=mass)
+    # Negation is exact, so the least -mass is the first subset of most mass.
+    best_subset = _first_best_subset(caller, problem, n_messages,
+                                     lambda subset: -mass(subset))
     return best_subset, min(max(1.0 - mass(best_subset), 0.0), 1.0)
 
 
@@ -428,10 +456,7 @@ def logloss_avg_optimum(px: Pmf, n_messages: int) -> tuple[PartitionScheme, floa
     """
     _require_int("logloss_avg_optimum", "n_messages", n_messages, 1)
     r = px.n
-    if r > _PARTITION_ALPHABET_GUARD:
-        raise InstanceTooLargeError(
-            f"logloss_avg_optimum: alphabet {r} exceeds guard {_PARTITION_ALPHABET_GUARD}"
-        )
+    _check_work("logloss_avg_optimum", r, "symbols", _PARTITION_ALPHABET_GUARD)
     p = px.probs
 
     # A cell's mass is fixed by the cell's bit mask.  A table over the 2^r
@@ -588,10 +613,7 @@ def logloss_excess_oracle(px: Pmf, n_messages: int, d: float) -> float:
     """
     _require_int("logloss_excess_oracle", "n_messages", n_messages, 1)
     r = px.n
-    if r > _COVER_ALPHABET_GUARD:
-        raise InstanceTooLargeError(
-            f"logloss_excess_oracle: alphabet {r} exceeds guard {_COVER_ALPHABET_GUARD}"
-        )
+    _check_work("logloss_excess_oracle", r, "symbols", _COVER_ALPHABET_GUARD)
     budget = min(n_messages * floor_exp(d), r)
     p = px.probs
 

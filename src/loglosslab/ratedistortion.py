@@ -166,6 +166,7 @@ class _RawBa:
     rate: float
     lam: float
     iterations: int
+    # The two gaps are set by fixed-slope solves only.
     objective_gap: float = 0.0
     marginal_gap: float = 0.0
     drops: int = 0
@@ -418,15 +419,16 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
             q, lam, drops = done
             expd = np.exp(-lam * dist_s)
             z, fwd, m = _tilt(pxp, expd, q)
-            # Gaps of the returned point under one more update.
-            z_next = expd @ m
+            # ba_fixed_slope reports the gaps of the returned point under
+            # one more update; a constrained solve has no use for them.
+            gaps = {} if target_s is not None else {
+                "objective_gap": abs(float(pxp @ (np.log(expd @ m) - np.log(z)))),
+                "marginal_gap": float(np.abs(m - q).max())}
             return _RawBa(
                 forward=fwd, marginal=m,
                 distortion=float(pxp @ (fwd * dist).sum(axis=1)),
-                rate=_rate_of(pxp, fwd, m), lam=lam, iterations=it,
-                objective_gap=abs(float(pxp @ (np.log(z_next) - np.log(z)))),
-                marginal_gap=float(np.abs(m - q).max()), drops=drops,
-                trace=np.array(trace) if trace is not None else None,
+                rate=_rate_of(pxp, fwd, m), lam=lam, iterations=it, drops=drops,
+                trace=np.array(trace) if trace is not None else None, **gaps,
             )
         d_f = abs(f_prev - f_val)
         gap = float(np.abs(m - q).max())
@@ -504,15 +506,11 @@ class RdDiagnostics:
     point: 1, or 0 at the zero-rate knee, which is exact without one.
     ``prune_rounds`` counts the support reductions the final polish made,
     or 1 if a solve stopped on the bound dropped columns below PRUNE_EPS
-    on the way out.  The two gaps are those of
-    the returned marginal under one more update; ``achieved_distortion`` is
-    E[d] at the point.
+    on the way out.  ``achieved_distortion`` is E[d] at the point.
     """
 
     ba_iterations: int
     ba_calls: int
-    objective_gap: float
-    marginal_gap: float
     achieved_distortion: float
     prune_rounds: int
 
@@ -624,8 +622,6 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
         diagnostics=RdDiagnostics(
             ba_iterations=raw.iterations,
             ba_calls=int(raw.iterations > 0),
-            objective_gap=raw.objective_gap,
-            marginal_gap=raw.marginal_gap,
             achieved_distortion=raw.distortion,
             prune_rounds=raw.drops,
         ),

@@ -371,6 +371,24 @@ class TestOneshotCommand:
                      "--messages", "2", "--distortion", "2.0"])
         assert report["outputs"]["oracle"]["agrees"] is True
 
+    def test_logloss_excess_oracle_skipped_past_its_guard(self, capsys, tmp_path):
+        path = write_problem(tmp_path, f"px: {[1 / 13] * 13}\ndistortion: hamming\n")
+        report = run_report(
+            capsys, ["oneshot", path, "--criterion", "excess", "--logloss",
+                     "--messages", "2", "--distortion", "0.0"])
+        assert report["outputs"]["oracle"] is None
+
+    def test_subset_scan_past_its_guard_exits_one(self, capsys, tmp_path):
+        # C(30, 15) column subsets: refused before the scan starts.
+        path = write_problem(tmp_path, f"px: {[1 / 30] * 30}\ndistortion: hamming\n")
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, ["oneshot", path, "--criterion", "avg", "--messages", "15"])
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert "solve_avg: 155117520 column subsets exceeds guard 1000000" in err
+        assert elapsed <= 1.0, f"{elapsed:.2f}s"
+
     @pytest.mark.parametrize("r", [63, 70])
     def test_avg_oracle_with_one_message(self, capsys, tmp_path, r):
         # One cell: every symbol in it, and more symbols than numpy has axes.
@@ -488,17 +506,20 @@ class TestEquivCommand:
     def test_past_the_guard_reports_the_bound_alone(self, capsys, tmp_path):
         # Uniform Hamming on 16 symbols at M = 3: 3^16 * 16^3 = 1.8e11 code
         # pairs, past the 10^7 guard of the sweep and the coincidence check.
-        path = write_problem(tmp_path, f"px: {[1 / 16] * 16}\ndistortion: hamming\n")
-        start = time.perf_counter()
-        report = run_report(capsys, ["equiv", path, "--messages", "3"])
-        elapsed = time.perf_counter() - start
-        identity = report["outputs"]["identity"]
-        assert identity["skipped"] is True
-        assert 0.0 < identity["residual_bound"] <= 1e-12
-        assert [identity[key] for key in ("n_codes", "max_residual", "min_log_loss",
-                                          "min_distortion")] == [None] * 4
-        assert report["outputs"]["coincidence"] is None
-        assert elapsed <= 2.0, f"{elapsed:.2f}s"
+        # On 12 symbols at M = 10 a sweep tile is one encoder of 10^12
+        # decoders, whose buffers must not be allocated.
+        for r, m in ((16, 3), (12, 10)):
+            path = write_problem(tmp_path, f"px: {[1 / r] * r}\ndistortion: hamming\n")
+            start = time.perf_counter()
+            report = run_report(capsys, ["equiv", path, "--messages", str(m)])
+            elapsed = time.perf_counter() - start
+            identity = report["outputs"]["identity"]
+            assert identity["skipped"] is True
+            assert 0.0 < identity["residual_bound"] <= 1e-12
+            assert [identity[key] for key in ("n_codes", "max_residual", "min_log_loss",
+                                              "min_distortion")] == [None] * 4
+            assert report["outputs"]["coincidence"] is None
+            assert elapsed <= 2.0, f"{elapsed:.2f}s"
 
     def test_argmin_counts_decode_no_pair(self, capsys):
         # The report prints the sizes of the argmin sets, never their pairs.

@@ -308,12 +308,14 @@ class TestIdentityBound:
 
 
 @pytest.mark.parametrize("check", [identity_sweep, verify_optimum_coincidence])
-def test_exhaustive_checks_stop_at_the_pair_guard(check):
-    # uniform9 at M = 3 keeps all 9 columns: 3^9 encoders times 9^3 decoders.
-    cp = build_corresponding(uniform_hamming(9), 3, tol=1e-10)
-    with pytest.raises(InstanceTooLargeError,
-                       match=f"{check.__name__}: 14348907 code pairs exceeds guard 10000000"):
-        check(cp)
+def test_exhaustive_checks_stop_at_the_pair_guard(check, refused):
+    # Uniform Hamming keeps all r columns.  On 9 symbols at M = 3 that is
+    # 3^9 encoders times 9^3 decoders.  On 10 at M = 6 a sweep tile is one
+    # encoder of 10^6 decoders, whose three buffers would take 24 MB.
+    for r, m, pairs in ((9, 3, 14348907), (10, 6, 60466176000000)):
+        cp = build_corresponding(uniform_hamming(r), m, tol=1e-10)
+        assert refused(check, cp) == (
+            f"{check.__name__}: {pairs} code pairs exceeds guard 10000000")
 
 
 class TestOptimumCoincidence:

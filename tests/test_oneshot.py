@@ -1,12 +1,12 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from loglosslab import (
     InfeasibleError,
-    InstanceTooLargeError,
     Pmf,
     SourceProblem,
     ValidationError,
@@ -24,6 +24,7 @@ from loglosslab import (
     solve_codebook,
     solve_excess,
 )
+from loglosslab import oneshot
 from loglosslab.equivalence import LogLossCode
 from loglosslab.oneshot import OneShotCode, excess_witness
 
@@ -90,12 +91,39 @@ class TestSolveAvg:
         prob = SourceProblem(px=random_pmf(rng, r), distortion=rng.uniform(0.0, 1.0, (r, 4)))
         assert solve_avg_oracle(prob, 1) == solve_avg(prob, 1)[1]
 
-    def test_oracle_guard(self):
+    def test_oracle_guard(self, refused):
         prob = SourceProblem(px=random_pmf(np.random.default_rng(0), 10),
                              distortion=np.random.default_rng(1).uniform(
                                  0.0, 1.0, size=(10, 10)))
-        with pytest.raises(InstanceTooLargeError):
-            solve_avg_oracle(prob, 10)
+        assert refused(solve_avg_oracle, prob, 10) == (
+            "solve_avg_oracle: 10000000000 encoders exceeds guard 10000000")
+
+
+class TestSubsetGuard:
+    @staticmethod
+    def wide_problem() -> SourceProblem:
+        rng = np.random.default_rng(30)
+        return SourceProblem(px=random_pmf(rng, 30), distortion=rng.uniform(0.0, 1.0, (30, 30)))
+
+    @pytest.mark.parametrize("solver, args", [(solve_avg, ()), (solve_excess, (0.5,)),
+                                              (excess_witness, (0.5,))],
+                             ids=["solve_avg", "solve_excess", "excess_witness"])
+    def test_scans_refuse_30_choose_15(self, refused, solver, args):
+        # C(30, 15) subsets would take about 20 minutes to scan.
+        assert refused(solver, self.wide_problem(), 15, *args) == (
+            f"{solver.__name__}: 155117520 column subsets exceeds guard 1000000")
+
+    def test_twenty_choose_ten_stays_allowed(self):
+        # 184,756 subsets, about 2 s: within the guard.
+        assert math.comb(20, 10) <= oneshot._SUBSET_GUARD < math.comb(30, 15)
+
+    def test_codebook_refuses_at_the_first_scan_past_the_guard(self, refused):
+        # Covering every symbol at D = 0 needs all 12 columns.  With the
+        # guard at C(12, 3), the scans at M = 1, 2, 3 miss the target and
+        # the one at M = 4 is refused.
+        with mock.patch.object(oneshot, "_SUBSET_GUARD", math.comb(12, 3)):
+            assert refused(solve_codebook, uniform_hamming(12), 0.0, 0.0) == (
+                "solve_codebook: 495 column subsets exceeds guard 220")
 
 
 class TestSolveExcess:
@@ -290,9 +318,9 @@ class TestLoglossAvg:
         _, value = logloss_avg_optimum(px, px.n)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
-    def test_alphabet_guard(self):
-        with pytest.raises(InstanceTooLargeError):
-            logloss_avg_optimum(Pmf.uniform(15), 2)
+    def test_alphabet_guard(self, refused):
+        assert refused(logloss_avg_optimum, Pmf.uniform(15), 2) == (
+            "logloss_avg_optimum: 15 symbols exceeds guard 14")
 
 
 class TestLoglossExcess:
@@ -342,9 +370,9 @@ class TestLoglossExcess:
                 _, value = logloss_excess_optimum(source, m, d)
                 assert value == logloss_excess_oracle(source, m, d)
 
-    def test_oracle_guard(self):
-        with pytest.raises(InstanceTooLargeError):
-            logloss_excess_oracle(Pmf.uniform(13), 2, 0.0)
+    def test_oracle_guard(self, refused):
+        assert refused(logloss_excess_oracle, Pmf.uniform(13), 2, 0.0) == (
+            "logloss_excess_oracle: 13 symbols exceeds guard 12")
 
 
 class TestLoglossCodebook:
