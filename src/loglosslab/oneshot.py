@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -74,6 +75,9 @@ _BLOCK_ENTRIES = 1 << 18
 # floor(exp(D)) with a whisker of slack so exact thresholds like D = ln 2
 # land on the intended integer.
 _FLOOR_SLACK = 1e-12
+# The largest D whose floor(exp(D)), slack included, is a float: past it
+# ExcessScheme could not form its cells' mass 1/floor(exp(D)).
+_FLOOR_EXP_MAX = math.log(sys.float_info.max) - 2.0 * _FLOOR_SLACK
 # An excess target counts as met when missed by at most this much.
 _FEASIBILITY_SLACK = 1e-12
 
@@ -348,14 +352,35 @@ def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
 
 
 def floor_exp(d: float) -> int:
-    """Largest integer k with ln k <= D (slack 1e-12), i.e. floor(exp(D))."""
+    """Largest integer k with ln k <= D (slack 1e-12), i.e. floor(exp(D)).
+
+    D runs over [0, ln of the largest float] less twice the slack, about
+    709.78.  Past D = 28 the slack spans more than one integer, and past
+    2^53 ln k stays level over runs of integers, so the answer is
+    bracketed around exp(D) by doubling steps and found by bisection, in
+    O(log k) logarithms.
+    """
     _require_real("floor_exp", "d", d, 0.0)
-    k = max(int(math.floor(math.exp(min(d, 700.0)))), 1)
-    while math.log(k + 1) <= d + _FLOOR_SLACK:
-        k += 1
-    while k > 1 and math.log(k) > d + _FLOOR_SLACK:
-        k -= 1
-    return k
+    if d > _FLOOR_EXP_MAX:
+        raise ValidationError(f"floor_exp: d must be at most {_FLOOR_EXP_MAX:g}, got {d!r}: "
+                              "floor(exp(d)) would not be a float")
+    limit = d + _FLOOR_SLACK
+    # Invariant once bracketed: ln lo <= limit < ln hi (ln 1 = 0 <= limit).
+    lo = max(int(math.exp(d)), 1)
+    hi, width = lo + 1, 1
+    while lo > 1 and math.log(lo) > limit:
+        lo, hi = max(lo - width, 1), lo
+        width *= 2
+    while math.log(hi) <= limit:
+        lo, hi = hi, hi + width
+        width *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.log(mid) <= limit:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,18 +51,18 @@ def _as_readonly_array(values, name: str, ndim: int) -> np.ndarray:
         raise ValidationError(f"{name}: expected {ndim}-dimensional data, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name}: must be nonempty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name}: entries must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValidationError(f"{name}: entries must be nonnegative")
     arr.setflags(write=False)
     return arr
 
 
 def _check_rows_normalized(arr: np.ndarray, name: str) -> None:
-    sums = arr.sum(axis=-1)
+    sums = np.add.reduce(arr, -1)
     bad = np.abs(sums - 1.0) > SUM_TOL
-    if np.any(bad):
+    if bad.any():
         idx = int(np.argmax(bad))
         raise ValidationError(
             f"{name}: row {idx} sums to {sums.flat[idx]!r}, outside 1 +/- {SUM_TOL}"

@@ -29,6 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:  # pragma: no cover - numpy without the private module
+    _umath_linalg = None
+
 from .errors import (
     ConvergenceError,
     ValidationError,
@@ -81,6 +86,27 @@ _NEWTON_STEPS = 60
 # Stationarity residual at which a polish counts as converged, per unit of
 # lam * max d: the tilt exp(-lam d) carries that much relative rounding.
 _POLISH_RESIDUAL = 1e-13
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# The LAPACK least-squares gufunc behind np.linalg.lstsq (numpy >= 2.0), or
+# None where numpy has no gufunc of this form.
+_LSTSQ = getattr(_umath_linalg, "lstsq", None)
+if getattr(_LSTSQ, "signature", None) != "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)":
+    _LSTSQ = None
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(a, b, rcond=None)[0]`` for a square float a.
+
+    Calls the LAPACK routine that function calls, with its rcond of eps * n,
+    so the bits are the same; what is skipped is the wrapper, about half
+    the time of a solve on a 5 x 5 system.  Unlike the wrapper, a call
+    whose SVD does not converge returns NaN rather than raising
+    LinAlgError.
+    """
+    if _LSTSQ is None:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+    return _LSTSQ(a, b[:, None], _EPS * a.shape[0], signature="ddd->ddid")[0][:, 0]
 
 
 def hamming_distortion(r: int, s: int | None = None) -> np.ndarray:
@@ -137,8 +163,8 @@ def distortion_bounds(problem: SourceProblem) -> tuple[float, float]:
     """
     px = problem.px.probs
     dist = problem.distortion
-    d_min = float(px @ dist.min(axis=1))
-    d_max = float((px @ dist).min())
+    d_min = float(px.dot(np.minimum.reduce(dist, 1)))
+    d_max = float(np.minimum.reduce(px.dot(dist)))
     return d_min, d_max
 
 
@@ -176,18 +202,18 @@ class _RawBa:
 def _rate_of(pxp: np.ndarray, fwd: np.ndarray, m: np.ndarray) -> float:
     # sum px(x) fwd(j|x) ln(fwd(j|x) / m(j)) with 0 ln 0 = 0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        term = fwd * (np.log(fwd) - np.log(m)[None, :])
+        term = fwd * (np.log(fwd) - np.log(m))
     term = np.where(fwd > 0.0, term, 0.0)
-    return max(float(pxp @ term.sum(axis=1)), 0.0)
+    return max(float(pxp.dot(np.add.reduce(term, 1))), 0.0)
 
 
 def _tilt(pxp: np.ndarray, expd: np.ndarray,
           q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row sums z, forward channel, output marginal) of the tilt of q by expd."""
-    weighted = expd * q[None, :]
-    z = weighted.sum(axis=1)
+    weighted = expd * q
+    z = np.add.reduce(weighted, 1)
     fwd = weighted / z[:, None]
-    return z, fwd, pxp @ fwd
+    return z, fwd, pxp.dot(fwd)
 
 
 def _dual_gap(pxp: np.ndarray, expd: np.ndarray, z: np.ndarray, fwd: np.ndarray,
@@ -198,8 +224,8 @@ def _dual_gap(pxp: np.ndarray, expd: np.ndarray, z: np.ndarray, fwd: np.ndarray,
     scores t_j = sum_x px exp(-lam d_xj) / z_x over every column,
     R(target) >= -lam target - sum_x px ln z_x - ln max_j t_j.
     """
-    t = pxp @ (expd / z[:, None])
-    bound = -lam * target - float(pxp @ np.log(z)) - math.log(float(t.max()))
+    t = pxp.dot(expd / z[:, None])
+    bound = -lam * target - float(pxp.dot(np.log(z))) - math.log(float(np.maximum.reduce(t)))
     return _rate_of(pxp, fwd, m) - bound
 
 
@@ -220,9 +246,9 @@ def _match_slope(pxp: np.ndarray, dist_s: np.ndarray, q: np.ndarray,
         lam = step
         expd = np.exp(-lam * dist_s)
         w = expd * q
-        w /= w.sum(axis=1, keepdims=True)
-        mean = (w * dist_s).sum(axis=1)
-        excess = float(pxp @ mean) - target
+        w /= np.add.reduce(w, 1, keepdims=True)
+        mean = np.add.reduce(w * dist_s, 1)
+        excess = float(pxp.dot(mean)) - target
         if excess > 0.0:
             lo = lam
         else:
@@ -232,7 +258,7 @@ def _match_slope(pxp: np.ndarray, dist_s: np.ndarray, q: np.ndarray,
         dev = dist_s - mean[:, None]
         w *= dev
         w *= dev
-        var = float(pxp @ w.sum(axis=1))
+        var = float(pxp.dot(np.add.reduce(w, 1)))
         step = lam + excess / var if var > 0.0 else math.nan
         if not lo < step < hi:
             step = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lam + 1.0
@@ -262,7 +288,7 @@ def _polish(pxp: np.ndarray, dist_s: np.ndarray, q_seed: np.ndarray, lam: float,
     in a slope match as a slope too large.
     """
     q = np.where(q_seed >= PRUNE_EPS, q_seed, 0.0)
-    d_top = max(float(dist_s.max()), 1.0)
+    d_top = max(float(np.maximum.reduce(dist_s, None)), 1.0)
     px_col = pxp[:, None]
     pruned = np.zeros(q.size, dtype=bool)
     drops = 0
@@ -276,15 +302,15 @@ def _polish(pxp: np.ndarray, dist_s: np.ndarray, q_seed: np.ndarray, lam: float,
         if sup is None:
             sup = np.flatnonzero(q > 0.0)
             ds = dist_s[:, sup]
-            if target is not None and float(pxp @ ds.min(axis=1)) >= target:
+            if target is not None and float(pxp.dot(np.minimum.reduce(ds, 1))) >= target:
                 return math.inf, sup, ds, lam, None, None
         qs = q[sup]
         if target is None:
             e = np.exp(-lam * ds)
         else:
             lam, e = _match_slope(pxp, ds, qs, target, lam)
-        z = e @ qs
-        value = float(q.sum() - pxp @ np.log(z))
+        z = e.dot(qs)
+        value = float(np.add.reduce(q) - pxp.dot(np.log(z)))
         return value - (0.0 if target is None else lam * target), sup, ds, lam, e, z
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -300,18 +326,18 @@ def _polish(pxp: np.ndarray, dist_s: np.ndarray, q_seed: np.ndarray, lam: float,
             n = k + (target is not None)
             res = np.empty(n)
             jac = np.empty((n, n))
-            res[:k] = pxp @ scores - 1.0
-            jac[:k, :k] = (scores * px_col).T @ scores
-            err = float(np.abs(res[:k]).max())
+            res[:k] = pxp.dot(scores) - 1.0
+            jac[:k, :k] = (scores * px_col).T.dot(scores)
+            err = float(np.maximum.reduce(np.abs(res[:k])))
             if target is not None:
                 w = scores * qs
-                mean = (w * ds).sum(axis=1)
+                mean = np.add.reduce(w * ds, 1)
                 dev = ds - mean[:, None]
                 w *= dev
                 w *= dev
-                var = float(pxp @ w.sum(axis=1))
-                excess = float(pxp @ mean) - target
-                jac[k, :k] = jac[:k, k] = pxp @ (scores * dev)
+                var = float(pxp.dot(np.add.reduce(w, 1)))
+                excess = float(pxp.dot(mean)) - target
+                jac[k, :k] = jac[:k, k] = pxp.dot(scores * dev)
                 jac[k, k] = -var
                 res[k] = -excess
                 err = max(err, abs(excess) / d_top)
@@ -330,7 +356,7 @@ def _polish(pxp: np.ndarray, dist_s: np.ndarray, q_seed: np.ndarray, lam: float,
                         continue
                 if closed:
                     expd = np.exp(-lam * dist_s)
-                    t = np.where(pruned | (q > 0.0), 0.0, pxp @ (expd / z[:, None]))
+                    t = np.where(pruned | (q > 0.0), 0.0, pxp.dot(expd / z[:, None]))
                     j = int(np.argmax(t))
                     if t[j] <= 1.0 + 10.0 * tol:
                         return q, lam, drops
@@ -343,19 +369,20 @@ def _polish(pxp: np.ndarray, dist_s: np.ndarray, q_seed: np.ndarray, lam: float,
             # squares solves what it can, and the rest lies along the face,
             # where the merit is linear, so walk that way to the edge of the
             # support.
-            delta = np.linalg.lstsq(jac, res, rcond=None)[0]
-            rest = res - jac @ delta
-            if np.abs(rest).max() > 0.5 * err:
-                delta += rest * (qs.max() / np.abs(rest).max())
+            delta = _lstsq(jac, res)
+            rest = res - jac.dot(delta)
+            rest_top = np.maximum.reduce(np.abs(rest))
+            if rest_top > 0.5 * err:
+                delta += rest * (np.maximum.reduce(qs) / rest_top)
             dq = delta[:k]
             reach = np.where(dq < 0.0, -qs / dq, math.inf)
-            first = float(reach.min())
+            first = float(np.minimum.reduce(reach))
             step = min(1.0, first)
             for _halving in range(50):
                 q_try = q.copy()
                 moved = qs + step * dq
                 lam_try = lam if target is None else lam + step * float(delta[-1])
-                if step < first and moved.min() > 0.0:  # the support stays
+                if step < first and np.minimum.reduce(moved) > 0.0:  # the support stays
                     q_try[sup] = moved
                     trial = merit(q_try, lam_try, sup, ds)
                 else:
@@ -382,21 +409,21 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
     from the first failed polish on, an iterate whose duality gap is at
     most ``tol`` ends the solve.
     """
-    shift = dist.min(axis=1)
+    shift = np.minimum.reduce(dist, 1)
     dist_s = dist - shift[:, None]  # row minimum exactly 0: the tilt never overflows
-    d_shift = float(pxp @ shift)
+    d_shift = float(pxp.dot(shift))
     target_s = None if target is None else target - d_shift
     expd = np.exp(-lam * dist_s)
     q = np.full(dist.shape[1], 1.0 / dist.shape[1])
     trace: list[float] | None = [] if track else None
-    f_prev = d_f = gap = math.inf
+    f_prev = math.inf
     certify = False  # set by the first failed polish of a constrained solve
     for it in range(1, max_iter + 1):
         if target_s is not None:
             with np.errstate(invalid="ignore"):
                 lam, expd = _match_slope(pxp, dist_s, q, target_s, lam)
         z, fwd, m = _tilt(pxp, expd, q)
-        f_val = lam * d_shift - float(pxp @ np.log(z))
+        f_val = lam * d_shift - float(pxp.dot(np.log(z)))
         if not math.isfinite(f_val):
             raise ConvergenceError(f"solve broke down at slope {lam!r}: a forward row vanished")
         if trace is not None:
@@ -410,7 +437,7 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
             # the rest cannot meet the target to the slope match's precision,
             # and match the slope to them.
             q = np.where(m >= PRUNE_EPS, m, 0.0)
-            if float(pxp @ dist_s[:, q > 0.0].min(axis=1)) > (1.0 + 1e-13) * target_s:
+            if float(pxp.dot(np.minimum.reduce(dist_s[:, q > 0.0], 1))) > (1.0 + 1e-13) * target_s:
                 q = m
             with np.errstate(invalid="ignore"):
                 lam = _match_slope(pxp, dist_s, q, target_s, lam)[0]
@@ -422,18 +449,19 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
             # ba_fixed_slope reports the gaps of the returned point under
             # one more update; a constrained solve has no use for them.
             gaps = {} if target_s is not None else {
-                "objective_gap": abs(float(pxp @ (np.log(expd @ m) - np.log(z)))),
-                "marginal_gap": float(np.abs(m - q).max())}
+                "objective_gap": abs(float(pxp.dot(np.log(expd.dot(m)) - np.log(z)))),
+                "marginal_gap": float(np.maximum.reduce(np.abs(m - q)))}
             return _RawBa(
                 forward=fwd, marginal=m,
-                distortion=float(pxp @ (fwd * dist).sum(axis=1)),
+                distortion=float(pxp.dot(np.add.reduce(fwd * dist, 1))),
                 rate=_rate_of(pxp, fwd, m), lam=lam, iterations=it, drops=drops,
                 trace=np.array(trace) if trace is not None else None, **gaps,
             )
-        d_f = abs(f_prev - f_val)
-        gap = float(np.abs(m - q).max())
-        f_prev = f_val
-        q = m
+        # The gaps of the last iteration are formed only for the message.
+        f_before, f_prev = f_prev, f_val
+        q_before, q = q, m
+    d_f = abs(f_before - f_prev)
+    gap = float(np.abs(q - q_before).max())
     raise ConvergenceError(
         f"solve did not converge in {max_iter} iterations "
         f"(objective gap {d_f:.3e}, marginal gap {gap:.3e})",
@@ -540,9 +568,9 @@ class RdPoint:
 def _tilted_vector(dist_kept: np.ndarray, m: np.ndarray, lam: float,
                    d_value: float) -> np.ndarray:
     # j(x) = -lam * D - ln sum_j m(j) exp(-lam d(x, j)), stabilized per row.
-    logits = np.log(m)[None, :] - lam * dist_kept
-    peak = logits.max(axis=1, keepdims=True)
-    lse = peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
+    logits = np.log(m) - lam * dist_kept
+    peak = np.maximum.reduce(logits, 1, keepdims=True)
+    lse = peak[:, 0] + np.log(np.add.reduce(np.exp(logits - peak), 1))
     out = -lam * d_value - lse
     out.setflags(write=False)
     return out
@@ -590,7 +618,7 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
     px = problem.px.probs
     support = np.flatnonzero(px > 0.0)
     if target >= d_max - tol:
-        knee = px @ problem.distortion == d_max
+        knee = px.dot(problem.distortion) == d_max
         q = knee / knee.sum()
         raw = _RawBa(forward=np.tile(q, (support.size, 1)), marginal=q,
                      distortion=d_max, rate=0.0, lam=0.0, iterations=0)
@@ -665,10 +693,10 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
     lam = point.lambda_star
     d_value = point.diagnostics.achieved_distortion
     with np.errstate(divide="ignore"):
-        dens = np.log(fwd) - np.log(m)[None, :]
+        dens = np.log(fwd) - np.log(m)
     resid = np.abs(point.tilted[:, None] - dens - lam * dist_kept + lam * d_value)
-    resid = np.where(fwd >= np.finfo(float).tiny, resid, 0.0)
-    return float(resid.max())
+    resid = np.where(fwd >= _TINY, resid, 0.0)
+    return float(np.maximum.reduce(resid, None))
 
 
 def logloss_rd(px: Pmf, d: float) -> float:

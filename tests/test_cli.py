@@ -360,6 +360,25 @@ class TestOneshotCommand:
         assert out["criterion"] == "excess"
         assert out["oracle"]["agrees"] is True
 
+    def test_logloss_excess_at_a_large_distortion(self, capsys):
+        # floor(exp(50)) is about 5e21: every symbol is covered at once.
+        start = time.perf_counter()
+        report = run_report(
+            capsys, ["oneshot", SKEW3, "--criterion", "excess", "--logloss",
+                     "--messages", "2", "--distortion", "50"])
+        assert time.perf_counter() - start < 5.0
+        assert report["outputs"]["optimal_value"] == 0.0
+        assert report["outputs"]["oracle"]["agrees"] is True
+
+    @pytest.mark.parametrize("criterion", [["excess", "--messages", "2"],
+                                           ["codebook", "--epsilon", "0"]])
+    def test_logloss_distortion_past_the_largest_float_exits_two(self, capsys, criterion):
+        code, _, err = run_cli(capsys, ["oneshot", SKEW3, "--criterion", *criterion,
+                                        "--logloss", "--distortion", "1e308"])
+        assert code == 2, err
+        assert "floor_exp: d must be at most 709.783, got 1e+308" in err
+        assert "Traceback" not in err
+
     def test_logloss_excess_oracle_agrees_with_zero_mass_symbols(self, capsys, tmp_path):
         # The closed form covers all eleven symbols, the oracle only the six
         # of positive mass; both must report the same epsilon.

@@ -137,6 +137,17 @@ OBJECT_ARGUMENTS = {
     "verify_sr-c": (verify_sr, "verify_sr: c", SR),
 }
 
+# id: (call taking the value, the start of the message it raises, a finite
+# value out of range)
+OUT_OF_RANGE = {
+    # floor(exp(1e308)) is no float: refused, where it once never returned.
+    "floor_exp-d": (floor_exp, "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
+    "logloss_excess_optimum-d": (lambda v: logloss_excess_optimum(SKEW3.px, 2, v),
+                                 "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
+    "logloss_codebook-d": (lambda v: logloss_codebook(SKEW3.px, v, 0.0),
+                           "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
+}
+
 NOT_REAL = [None, "0.5", math.nan, math.inf, True]
 # Integers that no float can hold: math.isfinite raises OverflowError on them.
 TOO_LARGE = {"1e400": 10**400, "-1e400": -10**400}
@@ -163,6 +174,14 @@ def test_wrong_kind_of_scalar_is_a_named_validation_error(call, prefix, value):
     with pytest.raises(ValidationError) as err:
         call(value)
     assert str(err.value).startswith(f"{prefix} must "), str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_finite_value_out_of_range_is_a_named_validation_error(name):
+    call, prefix, value = OUT_OF_RANGE[name]
+    with pytest.raises(ValidationError) as err:
+        call(value)
+    assert str(err.value).startswith(prefix), str(err.value)
 
 
 @pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS) + sorted(INTEGER_ARGUMENTS))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -263,6 +264,40 @@ class TestFloorExp:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             floor_exp(-0.1)
+
+    @staticmethod
+    def _by_unit_steps(d):
+        # The former definition: walk k from floor(exp(D)) one integer at a
+        # time; its step count grows like exp(D) * 1e-12.
+        k = max(int(math.floor(math.exp(min(d, 700.0)))), 1)
+        while math.log(k + 1) <= d + 1e-12:
+            k += 1
+        while k > 1 and math.log(k) > d + 1e-12:
+            k -= 1
+        return k
+
+    def test_matches_unit_steps_up_to_forty(self):
+        grid = [i / 100 for i in range(3601)] + [36.0 + i / 2 for i in range(1, 9)]
+        grid += [math.log(k) + off for k in (10**6, 2**53 - 1, 2**53 + 1)
+                 for off in (-1e-12, 0.0, 1e-12)]
+        for d in grid:
+            assert floor_exp(d) == self._by_unit_steps(d), d
+
+    @pytest.mark.parametrize("d", [50.0, 100.0, 700.0, oneshot._FLOOR_EXP_MAX])
+    def test_large_values_return_quickly(self, d):
+        start = time.perf_counter()
+        k = floor_exp(d)
+        assert time.perf_counter() - start < 0.1
+        assert math.log(k) <= d + 1e-12 < math.log(k + 1)
+        assert 1.0 / k > 0.0  # a float, as ExcessScheme's cell masses need
+
+    @pytest.mark.parametrize("d", [math.nextafter(oneshot._FLOOR_EXP_MAX, math.inf), 710.0,
+                                   1e308])
+    def test_past_the_largest_float_refused(self, d):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"^floor_exp: d must be at most 709\.783, got "):
+            floor_exp(d)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestLoglossAvg:

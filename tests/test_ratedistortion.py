@@ -585,6 +585,82 @@ class TestPolishLineSearchExit:
         assert abs(dual_gap(problem, point)) <= CERT_TOL
 
 
+def _bordered_gram(rng, r, k):
+    """A polish system (jac, res): the Gram matrix of k exclusion scores
+    on r source symbols, bordered by the slope's row and column."""
+    pxp = rng.random(r)
+    pxp /= pxp.sum()
+    ds = rng.random((r, k))
+    qs = rng.random(k)
+    qs /= qs.sum()
+    e = np.exp(-3.0 * ds)
+    scores = e / (e @ qs)[:, None]
+    w = scores * qs
+    mean = (w * ds).sum(axis=1)
+    dev = ds - mean[:, None]
+    jac = np.empty((k + 1, k + 1))
+    jac[:k, :k] = (scores * pxp[:, None]).T @ scores
+    jac[k, :k] = jac[:k, k] = pxp @ (scores * dev)
+    jac[k, k] = -float(pxp @ (w * dev * dev).sum(axis=1))
+    res = np.append(pxp @ scores - 1.0, 0.1 - float(pxp @ mean))
+    return jac, res
+
+
+def _lstsq_cases():
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        for _ in range(5):
+            yield f"random{n}", rng.standard_normal((n, n)), rng.standard_normal(n)
+    for n in range(2, 9):
+        a = rng.standard_normal((n, n))
+        a[:, -1] = a[:, 0]
+        yield f"repeated{n}", a, rng.standard_normal(n)
+    # A smallest singular value on either side of lstsq's cutoff eps * n:
+    # the solve keeps or drops it as lstsq does only at the same rcond.
+    for n in range(2, 9):
+        for c in (0.5, 0.9, 1.1, 2.0, 10.0):
+            u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            s = np.linspace(1.0, 0.5, n)
+            s[-1] = c * np.finfo(float).eps * n
+            yield f"cutoff{n}x{c}", (u * s) @ v.T, rng.standard_normal(n)
+    for r in range(2, 7):
+        for k in range(1, 7):
+            yield f"gram{r}x{k}", *_bordered_gram(rng, r, k)
+
+
+class TestDirectLstsq:
+    """The polish's Newton solve gives the bytes of np.linalg.lstsq."""
+
+    CASES = list(_lstsq_cases())
+
+    def _check(self):
+        for label, a, b in self.CASES:
+            got = ratedistortion._lstsq(a, b)
+            want = np.linalg.lstsq(a, b, rcond=None)[0]
+            assert got.shape == want.shape, label
+            assert got.tobytes() == want.tobytes(), label
+
+    def test_direct_call_matches_lstsq(self):
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            assert ratedistortion._LSTSQ is not None
+        self._check()
+
+    def test_fallback_matches_lstsq(self, monkeypatch):
+        monkeypatch.setattr(ratedistortion, "_LSTSQ", None)
+        self._check()
+
+    def test_points_are_the_same_on_the_fallback(self, monkeypatch):
+        problem = SourceProblem(px=Pmf([0.4, 0.3, 0.2, 0.1]), distortion=hamming_distortion(4))
+        direct = [rd_at_distortion(problem, d, tol=1e-10) for d in (0.1, 0.3, 0.45)]
+        monkeypatch.setattr(ratedistortion, "_LSTSQ", None)
+        for d, point in zip((0.1, 0.3, 0.45), direct):
+            again = rd_at_distortion(problem, d, tol=1e-10)
+            assert again.rate.hex() == point.rate.hex()
+            assert again.lambda_star.hex() == point.lambda_star.hex()
+            assert again.forward.rows.tobytes() == point.forward.rows.tobytes()
+
+
 class TestAffineStretch:
     # A binary Hamming source plus an erasure column of cost 0.3: the curve
     # is a straight segment into (0.3, 0), where a whole face of marginals is
