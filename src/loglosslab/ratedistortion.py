@@ -31,7 +31,7 @@ import numpy as np
 
 try:
     from numpy.linalg import _umath_linalg
-except ImportError:  # pragma: no cover - numpy without the private module
+except ImportError:  # a numpy without the private module: use np.linalg.lstsq
     _umath_linalg = None
 
 from .errors import (
@@ -98,11 +98,11 @@ if getattr(_LSTSQ, "signature", None) != "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.linalg.lstsq(a, b, rcond=None)[0]`` for a square float a.
 
-    Calls the LAPACK routine that function calls, with its rcond of eps * n,
-    so the bits are the same; what is skipped is the wrapper, about half
-    the time of a solve on a 5 x 5 system.  Unlike the wrapper, a call
-    whose SVD does not converge returns NaN rather than raising
-    LinAlgError.
+    Calls the LAPACK gufunc that function calls, with its rcond of eps * n,
+    so the bits are the same; what is skipped is the wrapper's type checks,
+    reshaping and errstate, about half the cost of a 5 x 5 solve.  Unlike
+    the wrapper, a call whose SVD does not converge returns NaN rather
+    than raising LinAlgError.
     """
     if _LSTSQ is None:
         return np.linalg.lstsq(a, b, rcond=None)[0]

@@ -67,19 +67,15 @@ def ledger_lines() -> list[str]:
     return lines
 
 
-def _header() -> str:
-    return f"# rd ledger, numpy {np.__version__}\n"
-
-
 def test_rd_ledger_matches_golden():
     header, *golden = LEDGER.read_text().splitlines(keepends=True)
     lines = ledger_lines()
     assert len(lines) == len(golden)
     moved = [f"{old.split()[0]}:\n  ledger  {old}  now     {new}"
              for old, new in zip(golden, lines) if old != new]
-    assert not moved, (f"{len(moved)} points moved (ledger made with {header.strip()[2:]}, "
+    assert not moved, (f"{len(moved)} points moved (ledger made with numpy {header.split()[-1]}, "
                        f"running numpy {np.__version__}):\n" + "".join(moved[:5]))
 
 
 if __name__ == "__main__":
-    LEDGER.write_text(_header() + "".join(ledger_lines()))
+    LEDGER.write_text(f"# rd ledger, numpy {np.__version__}\n" + "".join(ledger_lines()))
