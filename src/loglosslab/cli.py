@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .equivalence import (
+    _COINCIDENCE_ATOL,
     ROW_MATCH_TOL,
     build_corresponding,
     identity_bound,
@@ -44,10 +45,11 @@ from .problemio import (
     load_problem,
     parse_float_list,
     render_table,
-    to_bits,
 )
-from .ratedistortion import _certificate_tol, rd_at_distortion, verify_csiszar_identity
+from .ratedistortion import (_DEFAULT_TOL, _certificate_tol, rd_at_distortion,
+                             verify_csiszar_identity)
 from .refinement import (
+    _SR_CHECK_TOL,
     construct_sr,
     construct_sr_chain,
     timeshare_simulate,
@@ -57,7 +59,6 @@ from .refinement import (
 
 __all__ = ["main", "entrypoint"]
 
-DEFAULT_TOL = 1e-8
 # Oracle cross-checks run only when the brute-force side stays this cheap.
 _AVG_ORACLE_BUDGET = 100_000
 # A zero sigma counts a deviation this small as none.
@@ -229,11 +230,10 @@ def _cmd_equiv(args) -> _CommandOutput:
                 "n_codes": None, "max_residual": None,
                 "min_log_loss": None, "min_distortion": None}
     coincidence = None
-    atol = 1e-9
     if sweep is not None:
         identity.update(n_codes=sweep.n_codes, max_residual=sweep.max_residual,
                         min_log_loss=sweep.min_loss, min_distortion=sweep.min_distortion)
-        rep = verify_optimum_coincidence(cp, atol=atol)
+        rep = verify_optimum_coincidence(cp)
         coincidence = {
             "matched": rep.matched,
             "min_distortion": rep.min_distortion,
@@ -258,7 +258,7 @@ def _cmd_equiv(args) -> _CommandOutput:
                 "flags": {"messages": args.messages, "tol": args.tol}},
         outputs=outputs,
         tolerances={"solver_tol": args.tol, "row_match_tol": ROW_MATCH_TOL,
-                    "coincidence_atol": atol},
+                    "coincidence_atol": _COINCIDENCE_ATOL},
         nat_keys=frozenset({"h_x_given_xhat", "max_residual", "residual_bound",
                             "min_log_loss"}),
         table_header=["M", "d_star", "lambda", "h_cond", "max_residual",
@@ -288,9 +288,8 @@ def _cmd_sr(args) -> _CommandOutput:
 
     layer_docs = []
     rows = []
-    check_tol = 1e-9
     for layer in layers:
-        report = verify_sr(layer, tol=check_tol)
+        report = verify_sr(layer)
         worst = max(c.residual for c in report.checks)
         layer_docs.append({
             "d1": layer.d1,
@@ -313,7 +312,7 @@ def _cmd_sr(args) -> _CommandOutput:
                  "fine_rate": first.second_point.rate,
                  "fine_lambda": first.second_point.lambda_star,
                  "layers": layer_docs},
-        tolerances={"solver_tol": args.tol, "check_tol": check_tol},
+        tolerances={"solver_tol": args.tol, "check_tol": _SR_CHECK_TOL},
         nat_keys=frozenset({"d1", "rates", "fine_rate"}),
         table_header=["d1", "delta", "max_residual", "ok"],
         table_rows=rows,
@@ -409,8 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # Every subcommand takes the output flags; only those that solve an R(D)
     # point take --tol.
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help=f"solver tolerance (default {DEFAULT_TOL})")
+    solver.add_argument("--tol", type=float, default=_DEFAULT_TOL,
+                        help=f"solver tolerance (default {_DEFAULT_TOL})")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
@@ -488,21 +487,17 @@ def main(argv=None) -> int:
                 raise ValidationError("--bits applies to report format only")
             text = render_table(result.table_header, result.table_rows)
         else:
-            outputs = result.outputs
-            units = "nats"
-            if args.bits:
-                outputs = to_bits(outputs, result.nat_keys)
-                units = "bits"
             report = {
                 "version": __version__,
                 "command": args.command,
-                "units": units,
+                "units": "bits" if args.bits else "nats",
                 "inputs": result.inputs,
-                "outputs": outputs,
+                "outputs": result.outputs,
                 "tolerances": result.tolerances,
                 "wall_clock_seconds": time.perf_counter() - start,
             }
-            text = dump_report(report)
+            # --bits converts the command's nat-valued fields, all of them outputs.
+            text = dump_report(report, result.nat_keys if args.bits else frozenset())
         if args.output is not None:
             Path(args.output).write_text(text)
         else:

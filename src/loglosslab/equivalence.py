@@ -49,7 +49,8 @@ from .oneshot import (
     solve_avg,
 )
 from .probability import Pmf, conditional_entropy, joint_from_source_and_channel
-from .ratedistortion import RdPoint, SourceProblem, distortion_bounds, rd_at_distortion
+from .ratedistortion import (_DEFAULT_TOL, RdPoint, SourceProblem, distortion_bounds,
+                             rd_at_distortion)
 
 __all__ = [
     "ROW_MATCH_TOL",
@@ -75,6 +76,9 @@ __all__ = [
 ROW_MATCH_TOL = 1e-9
 # D*(M) within this of a curve endpoint is treated as degenerate.
 ENDPOINT_TOL = 1e-9
+# Default distance from the optimum within which the coincidence check
+# counts a code pair as optimal.
+_COINCIDENCE_ATOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +126,7 @@ class CorrespondingProblem:
 
 
 def build_corresponding(problem: SourceProblem, n_messages: int,
-                        tol: float = 1e-8) -> CorrespondingProblem:
+                        tol: float = _DEFAULT_TOL) -> CorrespondingProblem:
     """Solve D*(M), solve the curve there, and assemble the dictionary.
 
     Raises DegenerateInstanceError when D*(M) lands on a curve endpoint
@@ -317,16 +321,17 @@ def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IdentitySweep:
-    """Identity residuals over every code pair.
-
-    ``sampled`` is always False: every sweep is exhaustive.
-    """
+    """Identity residuals over every code pair."""
 
     n_codes: int
     max_residual: float
     min_loss: float
     min_distortion: float
-    sampled: bool = False
+
+    @property
+    def sampled(self) -> bool:
+        """False: every sweep is exhaustive; derived, kept for perfbench/workloads.py."""
+        return False
 
 
 def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
@@ -485,7 +490,7 @@ class _ArgminSet(Sequence):
 
 
 def verify_optimum_coincidence(cp: CorrespondingProblem,
-                               atol: float = 1e-9) -> CoincidenceReport:
+                               atol: float = _COINCIDENCE_ATOL) -> CoincidenceReport:
     """Find both problems' sets of optimal codes and compare them.
 
     Decoders range over the kept reconstruction columns (the solved point's

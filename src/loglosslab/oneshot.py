@@ -61,8 +61,9 @@ __all__ = [
 # 20-35 ms.  It is below 2^31, so a pair's key (encoder ordinal * k^M +
 # decoder ordinal) fits in an int32.
 _CODE_ENUM_GUARD = 10_000_000
-# Column subsets scanned by solve_avg and _best_cover, at 9-10.5 us each:
-# about 10 s at the limit.  C(20, 10) = 184,756 takes 1.7-2.0 s.
+# Column subsets scanned by solve_avg and _best_cover, or by all the scans of
+# solve_codebook together, at 9-10.5 us each: about 10 s at the limit.
+# C(20, 10) = 184,756 takes 1.7-2.0 s.
 _SUBSET_GUARD = 1_000_000
 # Source symbols in logloss_avg_optimum's dynamic program, about 3^r / 4
 # steps: one call at r = 14, M = 7 takes 60-66 ms.
@@ -297,14 +298,20 @@ def _best_cover(caller: str, problem: SourceProblem, n_messages: int,
     _require_real(caller, "d", d)
     px = problem.px.probs
     covers = problem.distortion <= d  # r x s
-
-    def mass(subset: tuple[int, ...]) -> float:
-        return float(px[covers[:, subset].any(axis=1)].sum())
-
     # Negation is exact, so the least -mass is the first subset of most mass.
     best_subset = _first_best_subset(caller, problem, n_messages,
-                                     lambda subset: -mass(subset))
-    return best_subset, min(max(1.0 - mass(best_subset), 0.0), 1.0)
+                                     lambda subset: -_cover_mass(px, covers, subset))
+    return best_subset, _excess(_cover_mass(px, covers, best_subset))
+
+
+def _cover_mass(px: np.ndarray, covers: np.ndarray, columns) -> float:
+    """Mass of the symbols that some of ``columns`` covers, whatever their order."""
+    return float(px[covers[:, columns].any(axis=1)].sum())
+
+
+def _excess(mass: float) -> float:
+    """The excess probability 1 - mass, clamped into [0, 1]."""
+    return min(max(1.0 - mass, 0.0), 1.0)
 
 
 def solve_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
@@ -332,18 +339,41 @@ def excess_witness(problem: SourceProblem,
 def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
     """Least message count M with excess probability at D below eps.
 
+    A greedy cover bounds M first: it adds the column covering the most
+    mass not yet covered until the target is met, at M_g columns.  The best
+    subset of M_g columns covers at least as much, so the answer is the
+    first M < M_g whose best subset meets the target, else M_g, and the
+    scan at M_g need not run.  C(s, 1) + ... + C(s, M_g) subsets are checked
+    against the subset guard before the first scan; counting C(s, M_g)
+    keeps a witness at the answer (``excess_witness``) within the guard.
+
     Raises InfeasibleError when even the full reconstruction alphabet cannot
     reach the target.
     """
     _require_real("solve_codebook", "eps", eps, 0.0, 1.0)
-    for m in range(1, problem.n_reconstruction + 1):
-        excess = _best_cover("solve_codebook", problem, m, d)[1]
-        if excess <= eps + _FEASIBILITY_SLACK:
-            return m
-    raise InfeasibleError(
-        f"solve_codebook: excess target {eps!r} at distortion {d!r} unreachable; "
-        f"best achievable is {excess!r}"
-    )
+    _require_real("solve_codebook", "d", d)
+    px = problem.px.probs
+    covers = problem.distortion <= d  # r x s
+    s = problem.n_reconstruction
+    target = eps + _FEASIBILITY_SLACK
+    best = _excess(_cover_mass(px, covers, list(range(s))))
+    if best > target:
+        raise InfeasibleError(
+            f"solve_codebook: excess target {eps!r} at distortion {d!r} unreachable; "
+            f"best achievable is {best!r}"
+        )
+    chosen: list[int] = []
+    while not chosen or _excess(_cover_mass(px, covers, chosen)) > target:
+        # Mass each column would newly cover; a chosen column is not taken
+        # again, so at worst every column is chosen, which meets the target.
+        gain = px.dot(covers & ~covers[:, chosen].any(axis=1)[:, None])
+        gain[chosen] = -1.0
+        chosen.append(int(np.argmax(gain)))
+    m_greedy = len(chosen)
+    _check_work("solve_codebook", sum(math.comb(s, m) for m in range(1, m_greedy + 1)),
+                "column subsets", _SUBSET_GUARD)
+    return next((m for m in range(1, m_greedy)
+                 if _best_cover("solve_codebook", problem, m, d)[1] <= target), m_greedy)
 
 
 # ----------------------------------------------------------------------

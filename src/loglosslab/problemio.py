@@ -40,10 +40,10 @@ __all__ = [
     "jsonable",
     "dump_report",
     "render_table",
-    "to_bits",
 ]
 
 REPORT_DIGITS = 12
+_LN2 = math.log(2.0)
 
 _ALLOWED_FIELDS = {"name", "description", "labels", "px", "distortion"}
 # PyYAML resolves floats by YAML 1.1, which wants a dot and a signed
@@ -205,25 +205,34 @@ def round_sig(x: float) -> float:
     return float(f"{x:.{REPORT_DIGITS}g}")
 
 
-def jsonable(obj):
-    """Recursively convert to JSON-friendly types with rounded floats."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return round_sig(float(obj))
-    return obj
+def jsonable(obj, nat_keys: frozenset = frozenset()):
+    """Recursively convert to JSON-friendly types with rounded floats.
+
+    Floats under a key in ``nat_keys``, at any depth, are converted to bits
+    (divided by ln 2) as they are rounded; the library stays in nats.
+    """
+    def walk(obj, unit: float):
+        if isinstance(obj, dict):
+            return {str(k): walk(v, _LN2 if k in nat_keys else unit) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [walk(v, unit) for v in obj]
+        if isinstance(obj, np.ndarray):
+            return [walk(v, unit) for v in obj.tolist()]
+        if isinstance(obj, (bool, np.bool_)):
+            return bool(obj)
+        if isinstance(obj, (int, np.integer)):
+            return int(obj)
+        if isinstance(obj, (float, np.floating)):
+            # x / 1.0 is x exactly, so a report in nats keeps every bit.
+            return round_sig(float(obj) / unit)
+        return obj
+
+    return walk(obj, 1.0)
 
 
-def dump_report(report: dict) -> str:
-    return json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
+def dump_report(report: dict, nat_keys: frozenset = frozenset()) -> str:
+    """The report as sorted-key JSON; see ``jsonable`` for ``nat_keys``."""
+    return json.dumps(jsonable(report, nat_keys), indent=2, sort_keys=True) + "\n"
 
 
 def _cell(value) -> str:
@@ -239,26 +248,3 @@ def render_table(header: list[str], rows: list[list]) -> str:
     lines = ["\t".join(header)]
     lines.extend("\t".join(_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-_LN2 = math.log(2.0)
-
-
-def to_bits(obj, nat_keys: frozenset):
-    """Rescale the values under nat-valued keys by 1/ln 2, recursively.
-
-    Only display output passes through here; the library stays in nats.
-    """
-    def scale(value):
-        if isinstance(value, (list, tuple, np.ndarray)):
-            return [scale(v) for v in value]
-        if isinstance(value, (float, np.floating)) and not isinstance(value, bool):
-            return float(value) / _LN2
-        return value
-
-    if isinstance(obj, dict):
-        return {k: (scale(v) if k in nat_keys else to_bits(v, nat_keys))
-                for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_bits(v, nat_keys) for v in obj]
-    return obj

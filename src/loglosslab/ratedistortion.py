@@ -74,6 +74,8 @@ __all__ = [
 
 # Reconstruction columns below this output-marginal mass are discarded.
 PRUNE_EPS = 1e-9
+# Default distortion tolerance of an R(D) point, here and in the CLI's --tol.
+_DEFAULT_TOL = 1e-8
 # Distortion columns that agree entrywise within this are considered identical.
 COLUMN_MATCH_TOL = 1e-12
 # A solve tries to finish with a Newton polish at iteration 2, then at every
@@ -503,12 +505,20 @@ def ba_fixed_slope(problem: SourceProblem, lam: float, tol: float = 1e-10,
     )
 
 
+def _log_tilt(m: np.ndarray, lam: float, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row peaks, exp(logits - peak)) of logits ln m(j) - lam d(x, j): the tilt of
+    m in log space, so a large slope cannot underflow a whole row."""
+    with np.errstate(divide="ignore"):
+        logits = np.log(m) - lam * dist
+    peak = np.maximum.reduce(logits, 1, keepdims=True)
+    return peak, np.exp(logits - peak)
+
+
 def _full_forward(dist: np.ndarray, support: np.ndarray, raw: _RawBa) -> np.ndarray:
     """Expand forward rows back to the full source alphabet.
 
     Zero-mass symbols carry no probability but still get a well-defined row:
-    the same exponential tilt of the converged marginal, computed in log
-    space so large slopes cannot underflow a whole row.
+    the same exponential tilt of the converged marginal, in log space.
     """
     if support.size == dist.shape[0]:
         return raw.forward
@@ -516,10 +526,8 @@ def _full_forward(dist: np.ndarray, support: np.ndarray, raw: _RawBa) -> np.ndar
     fwd[support] = raw.forward
     dead = np.ones(dist.shape[0], dtype=bool)
     dead[support] = False
-    with np.errstate(divide="ignore"):  # columns off the support sit at exactly zero
-        logits = np.log(raw.marginal)[None, :] - raw.lam * dist[dead]
-    rows = np.exp(logits - logits.max(axis=1, keepdims=True))
-    fwd[dead] = rows / rows.sum(axis=1, keepdims=True)
+    rows = _log_tilt(raw.marginal, raw.lam, dist[dead])[1]
+    fwd[dead] = rows / np.add.reduce(rows, 1, keepdims=True)
     return fwd
 
 
@@ -530,17 +538,21 @@ class RdDiagnostics:
     ``ba_iterations`` counts the iterations of the solve, which ends at the
     first polish attempt that succeeds (at iteration 2, 16, 32, 48, ...)
     or, after a failed one, at the first iterate within the certificate tol
-    of Blahut's lower bound; ``ba_calls`` counts the solver runs behind the
-    point: 1, or 0 at the zero-rate knee, which is exact without one.
-    ``prune_rounds`` counts the support reductions the final polish made,
-    or 1 if a solve stopped on the bound dropped columns below PRUNE_EPS
-    on the way out.  ``achieved_distortion`` is E[d] at the point.
+    of Blahut's lower bound, and is 0 at the zero-rate knee, which is exact
+    without a solve.  ``prune_rounds`` counts the support reductions the
+    final polish made, or 1 if a solve stopped on the bound dropped columns
+    below PRUNE_EPS on the way out.  ``achieved_distortion`` is E[d] at the
+    point.
     """
 
     ba_iterations: int
-    ba_calls: int
     achieved_distortion: float
     prune_rounds: int
+
+    @property
+    def ba_calls(self) -> int:
+        """1 if a solve ran, 0 at the knee; derived, kept for perfbench/workloads.py."""
+        return int(self.ba_iterations > 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -568,10 +580,8 @@ class RdPoint:
 def _tilted_vector(dist_kept: np.ndarray, m: np.ndarray, lam: float,
                    d_value: float) -> np.ndarray:
     # j(x) = -lam * D - ln sum_j m(j) exp(-lam d(x, j)), stabilized per row.
-    logits = np.log(m) - lam * dist_kept
-    peak = np.maximum.reduce(logits, 1, keepdims=True)
-    lse = peak[:, 0] + np.log(np.add.reduce(np.exp(logits - peak), 1))
-    out = -lam * d_value - lse
+    peak, rows = _log_tilt(m, lam, dist_kept)
+    out = -lam * d_value - (peak[:, 0] + np.log(np.add.reduce(rows, 1)))
     out.setflags(write=False)
     return out
 
@@ -581,7 +591,7 @@ def _certificate_tol(tol: float) -> float:
     return min(1e-10, tol / 100.0)
 
 
-def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
+def rd_at_distortion(problem: SourceProblem, d: float, tol: float = _DEFAULT_TOL,
                      max_iter: int = 300_000) -> RdPoint:
     """Solve R(D) at a target distortion in one constrained solve.
 
@@ -649,14 +659,13 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = 1e-8,
         kept_columns=tuple(int(c) for c in cols),
         diagnostics=RdDiagnostics(
             ba_iterations=raw.iterations,
-            ba_calls=int(raw.iterations > 0),
             achieved_distortion=raw.distortion,
             prune_rounds=raw.drops,
         ),
     )
 
 
-def rd_curve(problem: SourceProblem, grid, tol: float = 1e-8) -> list[RdPoint]:
+def rd_curve(problem: SourceProblem, grid, tol: float = _DEFAULT_TOL) -> list[RdPoint]:
     """One rd_at_distortion point per grid value; raises as rd_at_distortion."""
     return [rd_at_distortion(problem, d, tol=tol)
             for d in _require_iterable("rd_curve", "grid", grid)]

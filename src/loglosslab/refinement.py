@@ -42,7 +42,7 @@ from .probability import (
     entropy,
     joint_from_source_and_channel,
 )
-from .ratedistortion import RdPoint, SourceProblem, rd_at_distortion
+from .ratedistortion import _DEFAULT_TOL, RdPoint, SourceProblem, rd_at_distortion
 
 __all__ = [
     "ERASURE",
@@ -63,6 +63,8 @@ __all__ = [
 ERASURE = "erasure"
 # Posterior rows closer than this in max norm are identified.
 ROW_MERGE_TOL = 1e-9
+# Default tolerance of each of verify_sr's checks.
+_SR_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +177,7 @@ def _joint3(c: SrConstruction) -> np.ndarray:
 
 
 def construct_sr(problem: SourceProblem, d1: float, d2: float,
-                 tol: float = 1e-8) -> SrConstruction:
+                 tol: float = _DEFAULT_TOL) -> SrConstruction:
     """Build the two-decoder construction for coarse d1 on top of fine d2.
 
     Args:
@@ -198,7 +200,7 @@ def construct_sr(problem: SourceProblem, d1: float, d2: float,
 
 
 def construct_sr_chain(problem: SourceProblem, ds, d_final: float,
-                       tol: float = 1e-8) -> list[SrConstruction]:
+                       tol: float = _DEFAULT_TOL) -> list[SrConstruction]:
     """One construction per coarse target, nested along a Markov chain.
 
     ``ds`` must be non-increasing (coarsest first); every layer shares the
@@ -275,7 +277,7 @@ class SrReport:
         raise KeyError(name)
 
 
-def verify_sr(c: SrConstruction, tol: float = 1e-9) -> SrReport:
+def verify_sr(c: SrConstruction, tol: float = _SR_CHECK_TOL) -> SrReport:
     """Re-derive every promised property of a construction from its joint.
 
     Checks, in order: the three-variable joint factorizes through the chain

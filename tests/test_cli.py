@@ -22,7 +22,6 @@ from loglosslab.problemio import (
     parse_float_list,
     render_table,
     round_sig,
-    to_bits,
 )
 
 LN2 = math.log(2.0)
@@ -222,13 +221,13 @@ class TestReportHelpers:
         assert lines[1] == "0.5\ttrue"
         assert lines[2] == "1.5\tfalse"
 
-    def test_to_bits_scales_only_named_keys(self):
+    def test_jsonable_scales_only_named_keys(self):
         doc = {"rate": LN2, "inner": {"rate": [LN2, 2 * LN2], "d": LN2},
                "flag": True}
-        out = to_bits(doc, frozenset({"rate"}))
-        assert out["rate"] == pytest.approx(1.0, abs=1e-15)
-        assert out["inner"]["rate"] == pytest.approx([1.0, 2.0], abs=1e-15)
-        assert out["inner"]["d"] == LN2
+        out = jsonable(doc, frozenset({"rate"}))
+        assert out["rate"] == round_sig(LN2 / LN2)
+        assert out["inner"]["rate"] == [round_sig(LN2 / LN2), round_sig(2 * LN2 / LN2)]
+        assert out["inner"]["d"] == round_sig(LN2)
         assert out["flag"] is True
 
 

@@ -152,7 +152,7 @@ def reference_identity_sweep(cp) -> IdentitySweep:
         min_d = min(min_d, float(grid_d.min()))
         n_codes += grid_d.size
     return IdentitySweep(n_codes=n_codes, max_residual=max_resid,
-                         min_loss=min_loss, min_distortion=min_d, sampled=False)
+                         min_loss=min_loss, min_distortion=min_d)
 
 
 def reference_optimum_coincidence(cp, atol: float = 1e-9) -> CoincidenceReport:

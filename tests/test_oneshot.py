@@ -118,13 +118,18 @@ class TestSubsetGuard:
         # 184,756 subsets, about 2 s: within the guard.
         assert math.comb(20, 10) <= oneshot._SUBSET_GUARD < math.comb(30, 15)
 
-    def test_codebook_refuses_at_the_first_scan_past_the_guard(self, refused):
-        # Covering every symbol at D = 0 needs all 12 columns.  With the
-        # guard at C(12, 3), the scans at M = 1, 2, 3 miss the target and
-        # the one at M = 4 is refused.
+    def test_codebook_refuses_before_its_first_scan(self, refused):
+        # Covering every symbol at D = 0 needs all 12 columns, so the greedy
+        # cover takes 12, and M = 1, ..., 12 count 2^12 - 1 subsets.  With
+        # the guard at C(12, 3) no scan runs.
         with mock.patch.object(oneshot, "_SUBSET_GUARD", math.comb(12, 3)):
             assert refused(solve_codebook, uniform_hamming(12), 0.0, 0.0) == (
-                "solve_codebook: 495 column subsets exceeds guard 220")
+                "solve_codebook: 4095 column subsets exceeds guard 220")
+
+    def test_codebook_refuses_hamming_30_at_once(self, refused):
+        # The scans at M = 1, ..., 6 alone, within the guard, take about 8 s.
+        assert refused(solve_codebook, uniform_hamming(30), 0.0, 0.0) == (
+            "solve_codebook: 1073741823 column subsets exceeds guard 1000000")
 
 
 class TestSolveExcess:
@@ -167,6 +172,16 @@ class TestSolveCodebook:
     def test_eps_domain(self):
         with pytest.raises(ValidationError):
             solve_codebook(uniform_hamming(2), 0.0, 1.5)
+
+    def test_fewer_columns_than_the_greedy_cover(self):
+        # Column 0 covers symbols 0-3, column 1 symbols 0, 1, 4 and column 2
+        # symbols 2, 3, 5.  The greedy cover takes column 0 first and then
+        # needs both others; columns 1 and 2 alone cover everything.
+        dist = np.array([[0, 0, 1], [0, 0, 1], [0, 1, 0], [0, 1, 0], [1, 0, 1], [1, 1, 0]],
+                        dtype=float)
+        prob = SourceProblem(px=Pmf.uniform(6), distortion=dist)
+        assert solve_excess(prob, 1, 0.0) > 0.0
+        assert solve_codebook(prob, 0.0, 0.0) == 2
 
 
 def brute_force_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
@@ -282,6 +297,17 @@ class TestFloorExp:
                  for off in (-1e-12, 0.0, 1e-12)]
         for d in grid:
             assert floor_exp(d) == self._by_unit_steps(d), d
+
+    def test_first_guess_above_the_answer_is_bracketed_down(self):
+        # math.exp overshooting by a relative 1e-9 puts the first guess
+        # above floor(exp(D)) once D passes about 21, so the search must
+        # step down before it bisects.
+        grid = [i * 0.25 for i in range(2801)]
+        expected = [floor_exp(d) for d in grid]
+        exp = math.exp
+        with mock.patch.object(oneshot.math, "exp", lambda x: exp(x) * (1.0 + 1e-9)):
+            assert int(math.exp(30.0)) > expected[120]
+            assert [floor_exp(d) for d in grid] == expected
 
     @pytest.mark.parametrize("d", [50.0, 100.0, 700.0, oneshot._FLOOR_EXP_MAX])
     def test_large_values_return_quickly(self, d):

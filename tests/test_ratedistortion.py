@@ -799,6 +799,16 @@ class TestLemma1:
         assert not report.ok
         assert "posterior_consistency" in report.failures
 
+    def test_row_missing_mass_has_infinite_loss(self):
+        # Row 0 puts no mass on symbol 0, which the joint gives mass under
+        # output 0, so its log loss is infinite.
+        px = Pmf([0.5, 0.5])
+        report = verify_lemma1(px, [Pmf([0.0, 1.0]), Pmf([0.5, 0.5])], Channel(np.eye(2)))
+        assert report.expected_loss == math.inf
+        assert report.loss_residual == math.inf
+        assert "expected_loss" in report.failures
+        assert not report.ok
+
     @pytest.mark.parametrize("rows, weights, match", [
         ([Pmf([0.5, 0.5])] * 3, Channel(np.eye(3)), "weights have 3 rows, pmf has 2"),
         ([Pmf([0.5, 0.5])], Channel(np.eye(2)), "1 reproduction rows for 2 outputs"),

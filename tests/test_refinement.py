@@ -221,6 +221,17 @@ class TestChain:
         # Everything funnels into the erasure column.
         np.testing.assert_allclose(step.rows[:, -1], 1.0, atol=1e-12)
 
+    def test_step_between_all_erasure_layers(self):
+        # Both layers at d1 = H(X) erase everything (delta = 1), so the step
+        # maps every symbol, and the erasure, to the erasure.
+        h = entropy(binary_hamming().px)
+        layers = construct_sr_chain(binary_hamming(), [h, h], 0.1, tol=1e-10)
+        assert [layer.delta for layer in layers] == [1.0, 1.0]
+        step = chain_step_channel(layers[0], layers[1])
+        np.testing.assert_array_equal(step.rows, [[0.0, 0.0, 1.0]] * 3)
+        np.testing.assert_array_equal(layers[1].pz_given_xhat.rows @ step.rows,
+                                      layers[0].pz_given_xhat.rows)
+
     def test_non_monotone_targets_rejected(self):
         with pytest.raises(ValidationError, match="non-increasing"):
             construct_sr_chain(binary_hamming(), [0.4, 0.6], 0.1)

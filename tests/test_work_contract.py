@@ -2,7 +2,8 @@
 
 Every refusal of an exhaustive search is raised by ``oneshot._check_work``,
 beside the guard constants, and the CLI reads no guard: it calls a guarded
-routine and treats the refusal as its answer.
+routine and treats the refusal as its answer.  README's "Work guards"
+table has one row per guard, with the guard's value.
 """
 
 import ast
@@ -11,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "loglosslab"
+from loglosslab import oneshot
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "loglosslab"
 ERROR = "InstanceTooLargeError"
 
 
@@ -86,3 +90,28 @@ def test_a_guard_in_the_cli_is_caught():
                      "from . import oneshot\n"
                      "ok = r <= oneshot._CODE_ENUM_GUARD\n")
     assert guard_names(tree) == {"_COVER_ALPHABET_GUARD", "_CODE_ENUM_GUARD"}
+
+
+def readme_guards(text: str) -> dict[str, int]:
+    """{name: value} of the rows of README's "Work guards" table."""
+    section = text.split("### Work guards", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` = ([0-9^]+) \|", section, flags=re.MULTILINE)
+    values = {}
+    for name, value in rows:
+        base, _, power = value.partition("^")
+        values[name] = int(base) ** int(power or 1)
+    return values
+
+
+def test_the_readme_guard_table_matches_the_code():
+    guards = {name: value for name, value in vars(oneshot).items()
+              if re.fullmatch(r"_\w*_GUARD", name)}
+    assert readme_guards((ROOT / "README.md").read_text()) == guards
+
+
+def test_the_guard_table_is_read_from_its_section_only():
+    text = ("### Work guards\n\n| Guard | Counts |\n|---|---|\n"
+            "| `_CODE_ENUM_GUARD` = 10^7 | encoders |\n"
+            "| `_COVER_ALPHABET_GUARD` = 12 | symbols |\n\n## CLI\n"
+            "| `_OTHER_GUARD` = 5 | not in the section |\n")
+    assert readme_guards(text) == {"_CODE_ENUM_GUARD": 10**7, "_COVER_ALPHABET_GUARD": 12}
