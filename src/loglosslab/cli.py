@@ -30,6 +30,8 @@ from .equivalence import (
 from .errors import InstanceTooLargeError, LoglossLabError, ValidationError
 from .oneshot import (
     _FEASIBILITY_SLACK,
+    _codebook,
+    _subset_code,
     excess_witness,
     logloss_avg_optimum,
     logloss_codebook,
@@ -37,7 +39,6 @@ from .oneshot import (
     logloss_excess_oracle,
     solve_avg,
     solve_avg_oracle,
-    solve_codebook,
 )
 from .probability import Pmf, entropy, varentropy
 from .problemio import (
@@ -154,9 +155,11 @@ def _cmd_oneshot(args) -> _CommandOutput:
     # codebook is excess at the least M whose optimum meets epsilon.
     d = args.distortion
     m = args.messages
-    if crit == "codebook":
-        m = (logloss_codebook(px, d, args.epsilon) if args.logloss
-             else solve_codebook(problem, d, args.epsilon))
+    cover = None  # (subset, excess) of the scan that proved codebook's M, if one ran
+    if crit == "codebook" and args.logloss:
+        m = logloss_codebook(px, d, args.epsilon)
+    elif crit == "codebook":
+        m, cover = _codebook(problem, d, args.epsilon)
     oracle = None
 
     if crit == "avg" and args.logloss:
@@ -179,9 +182,11 @@ def _cmd_oneshot(args) -> _CommandOutput:
             # Past its guard the oracle is skipped, as equiv skips the sweep.
             with contextlib.suppress(InstanceTooLargeError):
                 oracle = logloss_excess_oracle(px, m, d)
-    else:
+    elif cover is None:
         code, value = excess_witness(problem, m, d)
         scheme = _code_doc(code)
+    else:
+        scheme, value = _code_doc(_subset_code(problem, m, cover[0])), cover[1]
 
     if crit == "codebook":
         outputs = {"criterion": crit, "m_star": m, "achieved_epsilon": value}

@@ -70,6 +70,9 @@ _SUBSET_GUARD = 1_000_000
 _PARTITION_ALPHABET_GUARD = 14
 # Source symbols in logloss_excess_oracle's 2^r subset table: under 1 ms.
 _COVER_ALPHABET_GUARD = 12
+# Samples drawn by timeshare_simulate, or by both runs of
+# timeshare_two_decoders together, at 8 ns each: about 8 s at the limit.
+_SAMPLE_GUARD = 1_000_000_000
 # The exhaustive enumerations work on blocks of codes holding about this many
 # floats per code-indexed array, so memory stays bounded at every guard.
 _BLOCK_ENTRIES = 1 << 18
@@ -350,6 +353,15 @@ def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
     Raises InfeasibleError when even the full reconstruction alphabet cannot
     reach the target.
     """
+    return _codebook(problem, d, eps)[0]
+
+
+def _codebook(problem: SourceProblem, d: float,
+              eps: float) -> tuple[int, tuple[tuple[int, ...], float] | None]:
+    """(M*, the (subset, excess) of the scan that proved M*), as solve_codebook.
+
+    The scan is None when M* is the greedy bound, whose scan is skipped.
+    """
     _require_real("solve_codebook", "eps", eps, 0.0, 1.0)
     _require_real("solve_codebook", "d", d)
     px = problem.px.probs
@@ -372,8 +384,11 @@ def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
     m_greedy = len(chosen)
     _check_work("solve_codebook", sum(math.comb(s, m) for m in range(1, m_greedy + 1)),
                 "column subsets", _SUBSET_GUARD)
-    return next((m for m in range(1, m_greedy)
-                 if _best_cover("solve_codebook", problem, m, d)[1] <= target), m_greedy)
+    for m in range(1, m_greedy):
+        cover = _best_cover("solve_codebook", problem, m, d)
+        if cover[1] <= target:
+            return m, cover
+    return m_greedy, None
 
 
 # ----------------------------------------------------------------------

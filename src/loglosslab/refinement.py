@@ -42,6 +42,7 @@ from .probability import (
     entropy,
     joint_from_source_and_channel,
 )
+from .oneshot import _SAMPLE_GUARD, _check_work
 from .ratedistortion import _DEFAULT_TOL, RdPoint, SourceProblem, rd_at_distortion
 
 __all__ = [
@@ -97,12 +98,6 @@ class SrConstruction:
         return self.problem.px
 
 
-def _stage_entropies(problem: SourceProblem, point: RdPoint) -> tuple[float, float]:
-    h = entropy(problem.px)
-    h2 = conditional_entropy(joint_from_source_and_channel(problem.px, point.forward))
-    return h, h2
-
-
 def _erasure_weight(caller: str, name: str, d1: float, h: float, h2: float) -> float:
     """Solve (1 - delta) h2 + delta h = d1 for delta in [0, 1]."""
     span = h - h2
@@ -122,58 +117,76 @@ def _erasure_rows(k: int, keep: float, erase: float) -> np.ndarray:
     return np.column_stack([keep * np.eye(k), np.full(k, erase)])
 
 
-def _assemble(problem: SourceProblem, point: RdPoint, h: float, h2: float,
-              d1: float, d2: float, delta: float) -> SrConstruction:
-    k = len(point.kept_columns)
-    labels = tuple(point.kept_columns) + (ERASURE,)
-
-    m = point.output_marginal.probs
-    pz_marg = np.concatenate(((1.0 - delta) * m, [delta]))
-
-    # Posterior of the source given each observation: a surviving
-    # reconstruction pins its reverse row, an erasure reveals nothing.  A
-    # kept column of zero probability gets no row; the erasure always gets
-    # px, also at delta = 0, so the row count does not hang on the sign of a
-    # rounding error.  Near-equal rows merge to their probability-weighted
-    # mean, so merged rows stay exact posteriors of the merged event.
-    reps: list[np.ndarray] = []
-    weights: list[float] = []
-    q_index: dict = {}
-    for z in range(k + 1):
-        if z < k and pz_marg[z] <= 0.0:
-            continue
-        row = point.reverse.rows[z] if z < k else problem.px.probs
-        w = float(pz_marg[z])
-        for g, rep in enumerate(reps):
-            if float(np.max(np.abs(row - rep))) <= ROW_MERGE_TOL:
-                total = weights[g] + w
-                reps[g] = (weights[g] * rep + w * row) / total
-                weights[g] = total
-                q_index[labels[z]] = g
-                break
-        else:
-            reps.append(np.array(row))
-            weights.append(w)
-            q_index[labels[z]] = len(reps) - 1
-
-    return SrConstruction(
-        problem=problem,
-        second_point=point,
-        d1=d1,
-        d2=d2,
-        delta=delta,
-        z_alphabet=labels,
-        pz_given_xhat=Channel(_erasure_rows(k, 1.0 - delta, delta)),
-        q_rows=tuple(Pmf(rep) for rep in reps),
-        q_index=q_index,
-        rates=(h - d1, point.rate),
-    )
-
-
 def _joint3(c: SrConstruction) -> np.ndarray:
     """P(x, xhat, z) of a construction, rebuilt from its source and channels."""
     return (c.problem.px.probs[:, None, None] * c.second_point.forward.rows[:, :, None]
             * c.pz_given_xhat.rows[None, :, :])
+
+
+def _sr_layers(caller: str, problem: SourceProblem, targets: list[tuple[str, float]],
+               d2: float, tol: float) -> list[SrConstruction]:
+    """One layer per (argument name, coarse target), all on one fine point at d2.
+
+    Each layer's H(X | Z), from its joint alone and so independent of its
+    q rows, must meet its target within 1e-9.
+    """
+    point = rd_at_distortion(problem, d2, tol=tol)
+    h = entropy(problem.px)
+    h2 = conditional_entropy(joint_from_source_and_channel(problem.px, point.forward))
+    k = len(point.kept_columns)
+    labels = tuple(point.kept_columns) + (ERASURE,)
+    m = point.output_marginal.probs
+    layers = []
+    for name, d1 in targets:
+        delta = _erasure_weight(caller, name, d1, h, h2)
+        pz_marg = np.concatenate(((1.0 - delta) * m, [delta]))
+
+        # Posterior of the source given each observation: a surviving
+        # reconstruction pins its reverse row, an erasure reveals nothing.  A
+        # kept column of zero probability gets no row; the erasure always gets
+        # px, also at delta = 0, so the row count does not hang on the sign of
+        # a rounding error.  Near-equal rows merge to their probability-weighted
+        # mean, so merged rows stay exact posteriors of the merged event.
+        reps: list[np.ndarray] = []
+        weights: list[float] = []
+        q_index: dict = {}
+        for z in range(k + 1):
+            if z < k and pz_marg[z] <= 0.0:
+                continue
+            row = point.reverse.rows[z] if z < k else problem.px.probs
+            w = float(pz_marg[z])
+            for g, rep in enumerate(reps):
+                if float(np.max(np.abs(row - rep))) <= ROW_MERGE_TOL:
+                    total = weights[g] + w
+                    reps[g] = (weights[g] * rep + w * row) / total
+                    weights[g] = total
+                    q_index[labels[z]] = g
+                    break
+            else:
+                reps.append(np.array(row))
+                weights.append(w)
+                q_index[labels[z]] = len(reps) - 1
+
+        layer = SrConstruction(
+            problem=problem,
+            second_point=point,
+            d1=d1,
+            d2=d2,
+            delta=delta,
+            z_alphabet=labels,
+            pz_given_xhat=Channel(_erasure_rows(k, 1.0 - delta, delta)),
+            q_rows=tuple(Pmf(rep) for rep in reps),
+            q_index=q_index,
+            rates=(h - d1, point.rate),
+        )
+        gap = abs(conditional_entropy(Joint(_joint3(layer).sum(axis=1))) - d1)
+        if gap > 1e-9:
+            raise VerificationError(
+                f"{caller}: layer at {name} = {d1!r} misses its conditional entropy "
+                f"target by {gap:.3e}"
+            )
+        layers.append(layer)
+    return layers
 
 
 def construct_sr(problem: SourceProblem, d1: float, d2: float,
@@ -193,10 +206,7 @@ def construct_sr(problem: SourceProblem, d1: float, d2: float,
     """
     _require_real("construct_sr", "d1", d1)
     _require_real("construct_sr", "d2", d2)
-    point = rd_at_distortion(problem, d2, tol=tol)
-    h, h2 = _stage_entropies(problem, point)
-    delta = _erasure_weight("construct_sr", "d1", d1, h, h2)
-    return _assemble(problem, point, h, h2, d1, d2, delta)
+    return _sr_layers("construct_sr", problem, [("d1", d1)], d2, tol)[0]
 
 
 def construct_sr_chain(problem: SourceProblem, ds, d_final: float,
@@ -218,20 +228,8 @@ def construct_sr_chain(problem: SourceProblem, ds, d_final: float,
     for a, b in zip(ds, ds[1:]):
         if b > a + 1e-12:
             raise ValidationError(f"construct_sr_chain: targets must be non-increasing, got {ds}")
-    point = rd_at_distortion(problem, d_final, tol=tol)
-    h, h2 = _stage_entropies(problem, point)
-    layers = [_assemble(problem, point, h, h2, d, d_final,
-                        _erasure_weight("construct_sr_chain", f"ds[{i}]", d, h, h2))
-              for i, d in enumerate(ds)]
-    for layer in layers:
-        # H(X|Z) from the joint alone, independent of the q rows.
-        gap = abs(conditional_entropy(Joint(_joint3(layer).sum(axis=1))) - layer.d1)
-        if gap > 1e-9:
-            raise VerificationError(
-                f"chain layer at d1={layer.d1!r} misses its conditional entropy "
-                f"target by {gap:.3e}"
-            )
-    return layers
+    return _sr_layers("construct_sr_chain", problem,
+                      [(f"ds[{i}]", d) for i, d in enumerate(ds)], d_final, tol)
 
 
 def chain_step_channel(coarse: SrConstruction, fine: SrConstruction) -> Channel:
@@ -437,12 +435,14 @@ def timeshare_simulate(px: Pmf, d: float, n: int, seed: int) -> TimeshareReport:
         ValidationError: n not an integer >= 1, d not a finite real, or seed
             not an integer >= 0.
         InfeasibleError: d outside [0, H(X)] (1e-12 slack).
+        InstanceTooLargeError: n above 10^9 samples.
     """
     _require_int("timeshare_simulate", "n", n, 1)
     _require_real("timeshare_simulate", "d", d)
     _require_int("timeshare_simulate", "seed", seed, 0)
     h = entropy(px)
     d = _clamp_target("timeshare_simulate", "d", d, 0.0, h)
+    _check_work("timeshare_simulate", n, "samples", _SAMPLE_GUARD)
     k = _prefix_length(h, d, n)
     draw = _cost_sampler(px.probs, np.random.default_rng(seed))
     prefix = _pairwise_total(draw, k)
@@ -465,8 +465,9 @@ def timeshare_two_decoders(px: Pmf, d1: float, d2: float, n: int,
     single-decoder simulation at its own distortion.
 
     Raises:
-        ValidationError: d1 or d2 not a finite real, or d2 > d1; and as
-            ``timeshare_simulate``.
+        ValidationError: d1 or d2 not a finite real, d2 > d1, or n not an
+            integer >= 1; and as ``timeshare_simulate``.
+        InstanceTooLargeError: the two runs' 2n samples above 10^9.
     """
     _require_real("timeshare_two_decoders", "d1", d1)
     _require_real("timeshare_two_decoders", "d2", d2)
@@ -474,6 +475,8 @@ def timeshare_two_decoders(px: Pmf, d1: float, d2: float, n: int,
         raise ValidationError(
             f"timeshare_two_decoders: need d2 <= d1, got d1={d1!r}, d2={d2!r}"
         )
+    _require_int("timeshare_two_decoders", "n", n, 1)
+    _check_work("timeshare_two_decoders", 2 * n, "samples", _SAMPLE_GUARD)
     return (
         timeshare_simulate(px, d1, n, seed),
         timeshare_simulate(px, d2, n, seed),

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import loglosslab
-from loglosslab import ValidationError, __version__, equivalence, problemio
+from loglosslab import ValidationError, __version__, cli, equivalence, oneshot, problemio
 from loglosslab.cli import _build_parser, main
 from loglosslab.oneshot import excess_witness, logloss_codebook, logloss_excess_optimum
 from loglosslab.problemio import (
@@ -442,6 +442,27 @@ class TestOneshotCommand:
         assert out["m_star"] >= 1
         assert out["achieved_epsilon"] <= 0.25 + 1e-12
 
+    def test_codebook_scans_each_size_once(self, capsys, tmp_path):
+        # M* = 3 here, below the greedy bound of 4: the scan at 3 that proves
+        # M* also gives the witness, so no size is scanned twice.
+        rng = np.random.default_rng(3)
+        px = rng.random(20)
+        path = write_problem(tmp_path, yaml.safe_dump(
+            {"px": (px / px.sum()).tolist(), "distortion": rng.random((20, 20)).tolist()}))
+        argv = ["oneshot", path, "--criterion", "codebook",
+                "--distortion", "0.3", "--epsilon", "0.05"]
+        with mock.patch.object(oneshot, "_first_best_subset",
+                               wraps=oneshot._first_best_subset) as scan:
+            code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert [call.args[2] for call in scan.call_args_list] == [1, 2, 3]
+        assert json.loads(out)["outputs"]["m_star"] == 3
+        # The same report as a fresh witness scan at M* (excess_witness) gives.
+        with mock.patch.object(cli, "_codebook",
+                               lambda *args: (oneshot._codebook(*args)[0], None)):
+            rescanned = run_cli(capsys, argv)[1]
+        assert strip_wall_clock(out) == strip_wall_clock(rescanned)
+
     def test_excess_matches_witness(self, capsys):
         report = run_report(
             capsys, ["oneshot", SKEW3, "--criterion", "excess",
@@ -632,6 +653,16 @@ class TestTimeshareCommand:
                                         "0.3", "--n", "10", "--seed", "-1"])
         assert code == 2
         assert "seed must be an integer >= 0, got -1" in err
+
+    def test_sample_count_past_its_guard_exits_one(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["timeshare", "--px", "0.5,0.5", "--distortion",
+                                          "0.3", "--seed", "0", "--n", "1000000000001"])
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (1, "")
+        assert "timeshare_simulate: 1000000000001 samples exceeds guard 1000000000" in err
+        assert "Traceback" not in err
+        assert elapsed <= 1.0, f"{elapsed:.2f}s"
 
 
 def strip_wall_clock(text: str) -> str:

@@ -1,12 +1,15 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from loglosslab import refinement
 from loglosslab import (
     ERASURE,
     InfeasibleError,
+    InstanceTooLargeError,
     Pmf,
     SourceProblem,
     ValidationError,
@@ -256,6 +259,26 @@ class TestChain:
             chain_step_channel(layers[1], layers[0])
 
 
+class TestLayerCheck:
+    """Each SR layer's H(X | Z), from its joint alone, must meet its target."""
+
+    @pytest.mark.parametrize("build, start", [
+        (lambda p: construct_sr(p, 0.5, 0.1, tol=1e-10), "construct_sr: layer at d1 = 0.5"),
+        (lambda p: construct_sr_chain(p, [0.5], 0.1, tol=1e-10),
+         "construct_sr_chain: layer at ds[0] = 0.5"),
+    ], ids=["construct_sr", "construct_sr_chain"])
+    def test_a_wrong_erasure_weight_is_refused(self, build, start):
+        # delta is about 0.39 here, so delta + 1e-3 is still a weight, and
+        # moves H(X | Z) by 1e-3 (H(X) - H(X | Xhat)), about 3.7e-4.
+        weight = refinement._erasure_weight
+        with mock.patch.object(refinement, "_erasure_weight",
+                               lambda *args: weight(*args) + 1e-3):
+            with pytest.raises(VerificationError) as err:
+                build(binary_hamming())
+        assert str(err.value).startswith(start), str(err.value)
+        assert "misses its conditional entropy target" in str(err.value)
+
+
 class TestTimeshare:
     def test_zero_distortion_is_lossless(self):
         report = timeshare_simulate(Pmf.uniform(4), 0.0, 500, seed=3)
@@ -345,6 +368,33 @@ class TestTimeshare:
             timeshare_simulate(Pmf.uniform(4), 0.5, 10, seed=seed)
         with pytest.raises(ValidationError, match="seed"):
             timeshare_two_decoders(Pmf.uniform(4), 0.5, 0.5, 10, seed=seed)
+
+    @pytest.mark.parametrize("n", [0, 2.5, True, "3", None])
+    def test_two_decoder_n_must_be_an_integer_at_least_one(self, n):
+        with pytest.raises(ValidationError,
+                           match="timeshare_two_decoders: n must be an integer >= 1"):
+            timeshare_two_decoders(Pmf.uniform(4), 0.5, 0.5, n, seed=0)
+
+    def test_sample_guard(self, refused):
+        # 10^9 samples take about 8 s; one more is refused before any draw.
+        assert refused(timeshare_simulate, Pmf.uniform(4), 0.5, 10**9 + 1, 0) == (
+            "timeshare_simulate: 1000000001 samples exceeds guard 1000000000")
+
+    def test_two_decoder_sample_guard(self, refused):
+        # Each run alone is within the guard; the two together are not.
+        assert refused(timeshare_two_decoders, Pmf.uniform(4), 0.5, 0.5,
+                       5 * 10**8 + 1, 0) == (
+            "timeshare_two_decoders: 1000000002 samples exceeds guard 1000000000")
+
+    def test_sample_guard_admits_its_limit(self):
+        px = Pmf.uniform(4)
+        with mock.patch.object(refinement, "_SAMPLE_GUARD", 1000):
+            assert timeshare_simulate(px, 0.5, 1000, 0).n == 1000
+            assert timeshare_two_decoders(px, 0.5, 0.5, 500, 0)[0].n == 500
+            with pytest.raises(InstanceTooLargeError):
+                timeshare_simulate(px, 0.5, 1001, 0)
+            with pytest.raises(InstanceTooLargeError):
+                timeshare_two_decoders(px, 0.5, 0.5, 501, 0)
 
     def test_numpy_integer_seed(self):
         px = Pmf([0.4, 0.35, 0.25])
