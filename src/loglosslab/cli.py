@@ -186,7 +186,7 @@ def _cmd_oneshot(args) -> _CommandOutput:
         code, value = excess_witness(problem, m, d)
         scheme = _code_doc(code)
     else:
-        scheme, value = _code_doc(_subset_code(problem, m, cover[0])), cover[1]
+        scheme, value = _code_doc(_subset_code(problem, cover[0])), cover[1]
 
     if crit == "codebook":
         outputs = {"criterion": crit, "m_star": m, "achieved_epsilon": value}

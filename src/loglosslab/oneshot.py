@@ -216,12 +216,10 @@ def _least_costs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lows, reduce(np.add, [lows[..., m] for m in range(lows.shape[-1])])
 
 
-def _subset_code(problem: SourceProblem, n_messages: int,
-                 subset: tuple[int, ...]) -> OneShotCode:
-    """Code sending each symbol to its nearest subset column, the first on ties."""
+def _subset_code(problem: SourceProblem, subset: tuple[int, ...]) -> OneShotCode:
+    """Code decoding message m to subset[m]; each symbol goes to its nearest, the first on ties."""
     encoder = tuple(int(i) for i in problem.distortion[:, subset].argmin(axis=1))
-    decoder = tuple(subset) + (subset[-1],) * (n_messages - len(subset))
-    return OneShotCode(n_messages=n_messages, encoder=encoder, decoder=decoder)
+    return OneShotCode(n_messages=len(subset), encoder=encoder, decoder=tuple(subset))
 
 
 def _first_best_subset(caller: str, problem: SourceProblem, n_messages: int,
@@ -241,8 +239,8 @@ def solve_avg(problem: SourceProblem, n_messages: int) -> tuple[OneShotCode, flo
 
     Enumerates reconstruction subsets of size min(M, s); the nearest-codeword
     encoder (ties to the lowest column index) is optimal for each subset.
-    The first best subset in lexicographic order is returned as a witness.
-    Guarded at 10^6 subsets.
+    The first best subset in lexicographic order is returned as a witness,
+    a code of min(M, s) messages.  Guarded at 10^6 subsets.
     """
     _require_int("solve_avg", "n_messages", n_messages, 1)
     px = problem.px.probs
@@ -250,7 +248,7 @@ def solve_avg(problem: SourceProblem, n_messages: int) -> tuple[OneShotCode, flo
     best_subset = _first_best_subset(
         "solve_avg", problem, n_messages,
         lambda subset: float(px @ dist[:, subset].min(axis=1)))
-    code = _subset_code(problem, n_messages, best_subset)
+    code = _subset_code(problem, best_subset)
     # Report the value through the shared evaluator so independent solvers
     # that land on the same code agree bitwise.
     return code, expected_distortion(problem, code)
@@ -329,14 +327,14 @@ def solve_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
 
 def excess_witness(problem: SourceProblem,
                    n_messages: int, d: float) -> tuple[OneShotCode, float]:
-    """A code attaining solve_excess, with its excess probability.
+    """A code of min(M, s) messages attaining solve_excess, with its excess probability.
 
     Uncovered symbols are encoded to the subset column of least distortion,
     which cannot hurt the excess criterion.
     """
     _require_int("excess_witness", "n_messages", n_messages, 1)
     subset, excess = _best_cover("excess_witness", problem, n_messages, d)
-    return _subset_code(problem, n_messages, subset), excess
+    return _subset_code(problem, subset), excess
 
 
 def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
@@ -585,7 +583,7 @@ class ExcessScheme:
     ``sort_order`` places probabilities in non-increasing order (stable, so
     equal masses keep their original order); consecutive runs of
     ``cell_size`` sorted symbols share a message and a uniform reproduction
-    of mass 1/cell_size each.
+    of mass 1/cell_size each.  No cell is empty: n_messages <= ceil(r / cell_size).
     """
 
     d: float
@@ -607,19 +605,15 @@ class ExcessScheme:
 
         Each covered symbol in a cell gets mass 1/cell_size; a short final
         cell parks the leftover mass on its first symbol so the row is a
-        genuine distribution, and a cell with no symbols falls back to
-        uniform over the alphabet.
+        genuine distribution.
         """
         r = len(self.sort_order)
         rows = []
         for m in range(self.n_messages):
             members = self.sort_order[m * self.cell_size:(m + 1) * self.cell_size]
             row = np.zeros(r)
-            if members:
-                row[list(members)] = 1.0 / self.cell_size
-                row[members[0]] += 1.0 - row.sum()
-            else:
-                row[:] = 1.0 / r
+            row[list(members)] = 1.0 / self.cell_size
+            row[members[0]] += 1.0 - row.sum()
             rows.append(Pmf(row))
         return tuple(rows)
 
@@ -633,15 +627,15 @@ def _tail_excess(covered_probs: np.ndarray) -> float:
     a sum of eight or more terms by its length.
     """
     covered = np.sort(np.asarray(covered_probs))[::-1]
-    mass = float(covered[covered > 0.0].sum())
-    return min(max(1.0 - mass, 0.0), 1.0)
+    return _excess(float(covered[covered > 0.0].sum()))
 
 
 def logloss_excess_optimum(px: Pmf, n_messages: int, d: float) -> tuple[ExcessScheme, float]:
     """Exact optimal excess probability Pr[log loss > D] with <= M messages.
 
     The optimum covers the M * floor(exp(D)) most probable symbols; the
-    achieved epsilon is the tail mass beyond them.
+    achieved epsilon is the tail mass beyond them.  The scheme has
+    min(M, ceil(r / floor(exp(D)))) messages, as more cells would be empty.
     """
     _require_int("logloss_excess_optimum", "n_messages", n_messages, 1)
     cell = floor_exp(d)
@@ -650,7 +644,7 @@ def logloss_excess_optimum(px: Pmf, n_messages: int, d: float) -> tuple[ExcessSc
     eps = _tail_excess(px.probs[order[:covered]])
     scheme = ExcessScheme(
         d=d,
-        n_messages=n_messages,
+        n_messages=min(n_messages, -(-px.n // cell)),
         sort_order=tuple(int(x) for x in order),
         cell_size=cell,
         achieved_epsilon=eps,

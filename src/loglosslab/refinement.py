@@ -419,6 +419,30 @@ def _pairwise_total(draw, m: int) -> float:
     return _pairwise_total(draw, half) + _pairwise_total(draw, m - half)
 
 
+def _timeshare(caller: str, px: Pmf, targets: list[tuple[str, float]], n: int,
+               seed: int) -> list[TimeshareReport]:
+    """One report per (argument name, target) on the block of (seed, n).
+
+    Every argument and the guard are checked, under ``caller``'s names, before any draw.
+    """
+    _require_int(caller, "n", n, 1)
+    for name, d in targets:
+        _require_real(caller, name, d)
+    _require_int(caller, "seed", seed, 0)
+    h = entropy(px)
+    ds = [_clamp_target(caller, name, d, 0.0, h) for name, d in targets]
+    _check_work(caller, len(targets) * n, "samples", _SAMPLE_GUARD)
+    reports = []
+    for d in ds:
+        k = _prefix_length(h, d, n)
+        draw = _cost_sampler(px.probs, np.random.default_rng(seed))
+        prefix = _pairwise_total(draw, k)
+        rest = _pairwise_total(draw, n - k)
+        reports.append(TimeshareReport(n=n, lossless_prefix=k, empirical_loss=float(rest) / n,
+                                       ideal_rate=float(prefix) / n, seed=seed))
+    return reports
+
+
 def timeshare_simulate(px: Pmf, d: float, n: int, seed: int) -> TimeshareReport:
     """Simulate one block of the prefix-lossless time-sharing scheme.
 
@@ -437,23 +461,7 @@ def timeshare_simulate(px: Pmf, d: float, n: int, seed: int) -> TimeshareReport:
         InfeasibleError: d outside [0, H(X)] (1e-12 slack).
         InstanceTooLargeError: n above 10^9 samples.
     """
-    _require_int("timeshare_simulate", "n", n, 1)
-    _require_real("timeshare_simulate", "d", d)
-    _require_int("timeshare_simulate", "seed", seed, 0)
-    h = entropy(px)
-    d = _clamp_target("timeshare_simulate", "d", d, 0.0, h)
-    _check_work("timeshare_simulate", n, "samples", _SAMPLE_GUARD)
-    k = _prefix_length(h, d, n)
-    draw = _cost_sampler(px.probs, np.random.default_rng(seed))
-    prefix = _pairwise_total(draw, k)
-    rest = _pairwise_total(draw, n - k)
-    return TimeshareReport(
-        n=n,
-        lossless_prefix=k,
-        empirical_loss=float(rest) / n,
-        ideal_rate=float(prefix) / n,
-        seed=seed,
-    )
+    return _timeshare("timeshare_simulate", px, [("d", d)], n, seed)[0]
 
 
 def timeshare_two_decoders(px: Pmf, d1: float, d2: float, n: int,
@@ -465,8 +473,9 @@ def timeshare_two_decoders(px: Pmf, d1: float, d2: float, n: int,
     single-decoder simulation at its own distortion.
 
     Raises:
-        ValidationError: d1 or d2 not a finite real, d2 > d1, or n not an
-            integer >= 1; and as ``timeshare_simulate``.
+        ValidationError: d1 or d2 not a finite real, d2 > d1, n not an
+            integer >= 1, or seed not an integer >= 0.
+        InfeasibleError: d1 or d2 outside [0, H(X)] (1e-12 slack).
         InstanceTooLargeError: the two runs' 2n samples above 10^9.
     """
     _require_real("timeshare_two_decoders", "d1", d1)
@@ -475,9 +484,4 @@ def timeshare_two_decoders(px: Pmf, d1: float, d2: float, n: int,
         raise ValidationError(
             f"timeshare_two_decoders: need d2 <= d1, got d1={d1!r}, d2={d2!r}"
         )
-    _require_int("timeshare_two_decoders", "n", n, 1)
-    _check_work("timeshare_two_decoders", 2 * n, "samples", _SAMPLE_GUARD)
-    return (
-        timeshare_simulate(px, d1, n, seed),
-        timeshare_simulate(px, d2, n, seed),
-    )
+    return tuple(_timeshare("timeshare_two_decoders", px, [("d1", d1), ("d2", d2)], n, seed))

@@ -378,6 +378,32 @@ class TestOneshotCommand:
         assert "floor_exp: d must be at most 709.783, got 1e+308" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("criterion", [
+        ["avg"],
+        ["excess", "--distortion", "0.5"],
+        ["excess", "--logloss", "--distortion", "0.5"],
+        ["excess", "--logloss", "--distortion", "50"],
+    ])
+    def test_message_count_past_the_columns_costs_nothing(self, capsys, criterion):
+        # A code carries min(M, s) messages, a log-loss scheme one per
+        # filled cell, so neither the work nor the report grows with M.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["oneshot", SKEW3, "--criterion", *criterion,
+                                          "--messages", str(10**18)])
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        assert len(out.encode()) < 4096
+        assert elapsed <= 1.0, f"{elapsed:.2f}s"
+
+    def test_equiv_past_the_columns_sits_at_the_curve_endpoint(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, ["equiv", SKEW3, "--messages", str(10**18)])
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert "sits at a curve endpoint" in err
+        assert "Traceback" not in err
+        assert elapsed <= 1.0, f"{elapsed:.2f}s"
+
     def test_logloss_excess_oracle_agrees_with_zero_mass_symbols(self, capsys, tmp_path):
         # The closed form covers all eleven symbols, the oracle only the six
         # of positive mass; both must report the same epsilon.
@@ -653,6 +679,12 @@ class TestTimeshareCommand:
                                         "0.3", "--n", "10", "--seed", "-1"])
         assert code == 2
         assert "seed must be an integer >= 0, got -1" in err
+
+    def test_infeasible_second_target_is_named(self, capsys):
+        code, out, err = run_cli(capsys, ["timeshare", "--px", "0.5,0.5", "--distortion",
+                                          "0.5", "--d2", "-0.2", "--n", "10", "--seed", "0"])
+        assert (code, out) == (1, "")
+        assert "error: timeshare_two_decoders: d2 = -0.2 outside" in err
 
     def test_sample_count_past_its_guard_exits_one(self, capsys):
         start = time.perf_counter()

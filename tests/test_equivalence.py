@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from loglosslab import (
     Pmf,
     SourceProblem,
     ValidationError,
+    VerificationError,
     build_corresponding,
     construct_sr,
     entropy,
@@ -33,6 +35,7 @@ from loglosslab import (
     verify_sr,
     verify_theorem1,
 )
+from loglosslab import equivalence
 from loglosslab.equivalence import _cell_cost_tables
 from loglosslab.problemio import load_problem
 
@@ -117,6 +120,22 @@ class TestBuildCorresponding:
     def test_max_distortion_point_is_degenerate(self):
         with pytest.raises(DegenerateInstanceError):
             build_corresponding(uniform_hamming(2), 1)
+
+    def test_coinciding_reverse_rows_are_refused(self):
+        # Every two rows of a posterior lie within 2 of each other.
+        with mock.patch.object(equivalence, "ROW_MATCH_TOL", 2.0):
+            with pytest.raises(VerificationError, match="^reverse rows 0 and 1 coincide"):
+                build_corresponding(uniform_hamming(3), 2)
+
+    def test_rate_above_ln_m_is_refused(self):
+        solve = equivalence.rd_at_distortion
+
+        def past_ln_m(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), rate=math.log(2) + 1e-6)
+
+        with mock.patch.object(equivalence, "rd_at_distortion", past_ln_m):
+            with pytest.raises(VerificationError, match="^rate .* exceeds ln M"):
+                build_corresponding(uniform_hamming(3), 2)
 
 
 class TestMapUnmap:
@@ -207,6 +226,12 @@ class TestTheorem1:
         lcode = LogLossCode(n_messages=1, encoder=(0, 0),
                             decoder_rows=(Pmf([1.0, 0.0]),))
         assert expected_log_loss(px, lcode) == math.inf
+
+
+    def test_loss_below_the_optimum_is_refused(self, cp_u3):
+        raised = dataclasses.replace(cp_u3, h_x_given_xhat=cp_u3.h_x_given_xhat + 1.0)
+        with pytest.raises(VerificationError, match="^expected log loss .* fell below"):
+            verify_theorem1(raised, cp_u3.optimal_code)
 
 
 class TestIdentitySweep:

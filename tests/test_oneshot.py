@@ -68,7 +68,7 @@ class TestSolveAvg:
     def test_m_at_least_s_reaches_floor(self):
         code, value = solve_avg(uniform_hamming(3), 5)
         assert value == 0.0
-        assert len(code.decoder) == 5
+        assert len(code.decoder) == 3
 
     def test_m_zero_rejected(self):
         with pytest.raises(ValidationError):
@@ -434,6 +434,44 @@ class TestLoglossExcess:
     def test_oracle_guard(self, refused):
         assert refused(logloss_excess_oracle, Pmf.uniform(13), 2, 0.0) == (
             "logloss_excess_oracle: 13 symbols exceeds guard 12")
+
+
+class TestUnusedMessages:
+    # Past s columns, or past the ceil(r / floor(exp(D))) log-loss cells that
+    # hold symbols, more messages change no optimum and no returned code.
+    @pytest.mark.parametrize("seed", range(10))
+    def test_subset_codes_stop_at_s_messages(self, seed):
+        prob = small_excess_problem(np.random.default_rng(1400 + seed))
+        s = prob.n_reconstruction
+        solvers = [lambda m: solve_avg(prob, m)] + [
+            lambda m, d=d: excess_witness(prob, m, d) for d in TestExcessBruteForce.D_LEVELS]
+        for solve in solvers:
+            code, value = solve(s)
+            for m in (s + 1, 10**18):
+                other, other_value = solve(m)
+                assert other == code
+                assert other_value.hex() == value.hex()
+            for m in range(1, s + 1):
+                assert len(solve(m)[0].decoder) == m
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("d", [0.0, 0.5, LN2, 1.2, 2.0, 50.0])
+    def test_logloss_excess_scheme_stops_at_its_filled_cells(self, seed, d):
+        px = small_excess_problem(np.random.default_rng(1500 + seed)).px
+        cell = floor_exp(d)
+        filled = -(-px.n // cell)
+        scheme, eps = logloss_excess_optimum(px, filled, d)
+        for m in (filled + 1, 10**18):
+            other, other_eps = logloss_excess_optimum(px, m, d)
+            assert other_eps.hex() == eps.hex()
+            assert other.encoder() == scheme.encoder()
+        for m in (*range(1, filled + 2), 10**18):
+            scheme = logloss_excess_optimum(px, m, d)[0]
+            rows = scheme.decoder_rows()
+            assert scheme.n_messages == len(rows) == min(m, filled)
+            for k, row in enumerate(rows):
+                members = scheme.sort_order[k * cell:(k + 1) * cell]
+                assert set(np.flatnonzero(row.probs).tolist()) == set(members)
 
 
 class TestLoglossCodebook:

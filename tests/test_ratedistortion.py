@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -798,6 +799,18 @@ class TestLemma1:
         report = verify_lemma1(px, bad, weights)
         assert not report.ok
         assert "posterior_consistency" in report.failures
+
+    def test_rate_identity_failure_is_named(self):
+        px = Pmf([0.5, 0.5])
+        weights = Channel([[0.9, 0.1], [0.2, 0.8]])
+        reverse, _ = posterior(px, weights)
+        entropy_of = ratedistortion.conditional_entropy
+        with mock.patch.object(ratedistortion, "conditional_entropy",
+                               lambda joint: entropy_of(joint) + 1e-3):
+            report = verify_lemma1(px, [reverse.row(0), reverse.row(1)], weights)
+        assert report.rate_residual == pytest.approx(1e-3, rel=1e-6)
+        assert "rate_identity" in report.failures
+        assert not report.ok
 
     def test_row_missing_mass_has_infinite_loss(self):
         # Row 0 puts no mass on symbol 0, which the joint gives mass under

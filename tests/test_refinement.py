@@ -348,6 +348,15 @@ class TestTimeshare:
                            match=f"timeshare_two_decoders: {name} must be finite"):
             timeshare_two_decoders(Pmf.uniform(4), targets["d1"], targets["d2"], 10, seed=0)
 
+    @pytest.mark.parametrize("d1, d2, name", [(5.0, 0.5, "d1"), (0.5, -0.2, "d2")])
+    def test_two_decoder_infeasible_target_names_its_argument(self, d1, d2, name):
+        with pytest.raises(InfeasibleError, match=f"^timeshare_two_decoders: {name} = "):
+            timeshare_two_decoders(Pmf.uniform(4), d1, d2, 10, seed=0)
+
+    def test_two_decoder_seed_names_the_caller(self):
+        with pytest.raises(ValidationError, match="^timeshare_two_decoders: seed "):
+            timeshare_two_decoders(Pmf.uniform(4), 0.5, 0.5, 10, seed=-1)
+
     def test_domain_validation(self):
         px = Pmf.uniform(4)
         with pytest.raises(ValidationError):
