@@ -1,9 +1,9 @@
 """Finite-alphabet lossy compression under logarithmic loss.
 
-Exact small-instance solvers, a fixed-slope alternating-minimization solver
-for the rate-distortion function, the log-loss surrogate of one-shot coding,
-successive-refinement constructions, and a CLI front end.  All rates,
-entropies, and log losses are in nats.
+Exact small-instance solvers, a distortion-targeted alternating-minimization
+solver for the rate-distortion function, the log-loss surrogate of one-shot
+coding, successive-refinement constructions, and a CLI front end.  All
+rates, entropies, and log losses are in nats.
 """
 
 from .errors import (
@@ -33,10 +33,8 @@ from .probability import (
     varentropy,
 )
 from .ratedistortion import (
-    BaSolution,
     RdPoint,
     SourceProblem,
-    ba_fixed_slope,
     distortion_bounds,
     hamming_distortion,
     logloss_rd,
@@ -100,10 +98,9 @@ __all__ = [
     "information_density", "posterior", "joint_from_source_and_channel",
     "log_loss", "log_loss_seq",
     # rate-distortion
-    "SourceProblem", "BaSolution", "RdPoint", "hamming_distortion",
-    "distortion_bounds", "ba_fixed_slope", "rd_at_distortion", "rd_curve",
-    "tilted_information", "verify_csiszar_identity", "logloss_rd",
-    "verify_lemma1",
+    "SourceProblem", "RdPoint", "hamming_distortion", "distortion_bounds",
+    "rd_at_distortion", "rd_curve", "tilted_information",
+    "verify_csiszar_identity", "logloss_rd", "verify_lemma1",
     # one-shot
     "OneShotCode", "PartitionScheme", "ExcessScheme", "expected_distortion",
     "solve_avg", "solve_avg_oracle", "solve_excess", "solve_codebook",

@@ -1,25 +1,25 @@
 """Informational rate-distortion solver for finite alphabets.
 
-The workhorse is alternating minimization (Blahut-Arimoto): for a slope
-parameter ``lam`` the Lagrangian
+:func:`rd_at_distortion` solves R(D) at a target distortion D by
+alternating minimization (Blahut-Arimoto) in Blahut's (1972) parametric
+form.  Every iteration re-solves the slope ``lam`` for E[d] = D; at that
+slope the Lagrangian
 
     F = I(X; Xhat) + lam * E[d(X, Xhat)]
 
-is minimized by alternating the forward-channel update (rows proportional to
-``marginal * exp(-lam * d)``) with the pushforward of the output marginal.
-:func:`rd_at_distortion` runs it once at a target distortion, re-solving the
-slope for E[d] = D in every iteration (constrained Blahut-Arimoto).  Plain
-iteration crawls where a column enters or leaves the optimal support, so a
-Newton solve of the stationarity conditions tries to finish at iteration 2,
-then every ``_POLISH_EVERY`` iterations; it is accepted only when every
-column off its support passes Blahut's exclusion test t_j <= 1.  Each
-column of its seed may take one Newton step to leave, so the attempt at
-iteration 2 can finish even from a seed that keeps every column.  Where
-the polish cannot finish, e.g. at a target on the D_min of a sub-support,
-where the support it needs cannot meet the target, a targeted solve stops
-instead at the first iterate after a failed attempt whose rate lies within
-the certificate tol of Blahut's (1972) lower bound on R(D).  Rates are in
-nats.
+falls under the forward-channel update (rows proportional to
+``marginal * exp(-lam * d)``) followed by the pushforward of the output
+marginal.  Plain iteration crawls where a column enters or leaves the
+optimal support, so a Newton solve of the stationarity conditions tries
+to finish at iteration 2, then every ``_POLISH_EVERY`` iterations; it is
+accepted only when every column off its support passes Blahut's
+exclusion test t_j <= 1.  Each column of its seed may take one Newton
+step to leave, so the attempt at iteration 2 can finish even from a seed
+that keeps every column.  Where the polish cannot finish, e.g. at a
+target on the D_min of a sub-support, where the support it needs cannot
+meet the target, the solve stops instead at the first iterate after a
+failed attempt whose rate lies within the certificate tol of Blahut's
+lower bound on R(D).  Rates are in nats.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ __all__ = [
     "COLUMN_MATCH_TOL",
     "SourceProblem",
     "hamming_distortion",
-    "BaSolution",
-    "ba_fixed_slope",
     "distortion_bounds",
     "RdDiagnostics",
     "RdPoint",
@@ -171,20 +169,6 @@ def distortion_bounds(problem: SourceProblem) -> tuple[float, float]:
 
 
 @dataclass(frozen=True, eq=False)
-class BaSolution:
-    """Converged fixed-slope solution plus convergence diagnostics."""
-
-    distortion: float
-    rate: float
-    output_marginal: Pmf
-    forward: Channel
-    iterations: int
-    objective_gap: float
-    marginal_gap: float
-    objective_trace: np.ndarray | None
-
-
-@dataclass(frozen=True, eq=False)
 class _RawBa:
     """A solved point on support rows; the marginal is zero off its support."""
 
@@ -194,11 +178,7 @@ class _RawBa:
     rate: float
     lam: float
     iterations: int
-    # The two gaps are set by fixed-slope solves only.
-    objective_gap: float = 0.0
-    marginal_gap: float = 0.0
     drops: int = 0
-    trace: np.ndarray | None = None
 
 
 def _rate_of(pxp: np.ndarray, fwd: np.ndarray, m: np.ndarray) -> float:
@@ -267,173 +247,202 @@ def _match_slope(pxp: np.ndarray, dist_s: np.ndarray, q: np.ndarray,
     return lam, expd
 
 
+@dataclass(frozen=True, eq=False)
+class _Merit:
+    """A point of the polish: marginal q on support ``sup`` (its columns
+    ``ds``), the slope matched to it, its tilt ``e``, row sums ``z`` and
+    merit ``value``.  A support that cannot meet the target has value
+    +inf and no tilt."""
+
+    q: np.ndarray
+    sup: np.ndarray
+    ds: np.ndarray
+    lam: float
+    e: np.ndarray | None
+    z: np.ndarray | None
+    value: float
+
+
+def _merit(pxp: np.ndarray, dist_s: np.ndarray, target: float, q: np.ndarray, lam: float,
+           sup: np.ndarray | None = None, ds: np.ndarray | None = None) -> _Merit:
+    """The merit sum_j q_j - sum_x px ln z_x - lam target at q, the slope
+    re-matched from lam.  A step that keeps the support passes it and its
+    columns, which are known to meet the target."""
+    if sup is None:
+        sup = np.flatnonzero(q > 0.0)
+        ds = dist_s[:, sup]
+        if float(pxp.dot(np.minimum.reduce(ds, 1))) >= target:
+            return _Merit(q, sup, ds, lam, None, None, math.inf)
+    qs = q[sup]
+    lam, e = _match_slope(pxp, ds, qs, target, lam)
+    z = e.dot(qs)
+    value = float(np.add.reduce(q) - pxp.dot(np.log(z)))
+    return _Merit(q, sup, ds, lam, e, z, value - lam * target)
+
+
+def _newton_system(pxp: np.ndarray, target: float, d_top: float,
+                   cur: _Merit) -> tuple[np.ndarray, np.ndarray, float]:
+    """(Jacobian, residual, residual norm) of the stationarity conditions
+    at cur: t_j = 1 on the support, bordered by E[d] = target in the slope.
+    The distortion residual is measured in units of d_top."""
+    qs = cur.q[cur.sup]
+    scores = cur.e / cur.z[:, None]
+    k = cur.sup.size
+    res = np.empty(k + 1)
+    jac = np.empty((k + 1, k + 1))
+    res[:k] = pxp.dot(scores) - 1.0
+    jac[:k, :k] = (scores * pxp[:, None]).T.dot(scores)
+    w = scores * qs
+    mean = np.add.reduce(w * cur.ds, 1)
+    dev = cur.ds - mean[:, None]
+    w *= dev
+    w *= dev
+    excess = float(pxp.dot(mean)) - target
+    jac[k, :k] = jac[:k, k] = pxp.dot(scores * dev)
+    jac[k, k] = -float(pxp.dot(np.add.reduce(w, 1)))
+    res[k] = -excess
+    return jac, res, max(float(np.maximum.reduce(np.abs(res[:k]))), abs(excess) / d_top)
+
+
+def _newton_step(pxp: np.ndarray, dist_s: np.ndarray, target: float, cur: _Merit,
+                 jac: np.ndarray, res: np.ndarray, err: float) -> _Merit | None:
+    """The point one Newton step from cur, or None if the merit rises all
+    along it.
+
+    Near a face of optima the system is (nearly) singular: least squares
+    solves what it can, and the rest lies along the face, where the merit
+    is linear, so the step walks that way to the edge of the support.  It
+    stops where the first column reaches zero, which leaves the support,
+    and is halved until the merit does not rise, which keeps a far seed on
+    course.
+    """
+    qs = cur.q[cur.sup]
+    delta = _lstsq(jac, res)
+    rest = res - jac.dot(delta)
+    rest_top = np.maximum.reduce(np.abs(rest))
+    if rest_top > 0.5 * err:
+        delta += rest * (np.maximum.reduce(qs) / rest_top)
+    dq = delta[:-1]
+    reach = np.where(dq < 0.0, -qs / dq, math.inf)
+    first = float(np.minimum.reduce(reach))
+    step = min(1.0, first)
+    for _halving in range(50):
+        q_try = cur.q.copy()
+        moved = qs + step * dq
+        lam_try = cur.lam + step * float(delta[-1])
+        if step < first and np.minimum.reduce(moved) > 0.0:  # the support stays
+            q_try[cur.sup] = moved
+            trial = _merit(pxp, dist_s, target, q_try, lam_try, cur.sup, cur.ds)
+        else:
+            q_try[cur.sup] = np.where(reach <= step, 0.0, moved)
+            trial = _merit(pxp, dist_s, target, q_try, lam_try)
+        if trial.value <= cur.value + 1e-14 * max(1.0, abs(cur.value)):
+            return trial
+        step *= 0.5
+    return None
+
+
 def _polish(pxp: np.ndarray, dist_s: np.ndarray, q_seed: np.ndarray, lam: float,
-            target: float | None, tol: float) -> tuple[np.ndarray, float, int] | None:
+            target: float, tol: float) -> tuple[np.ndarray, float, int] | None:
     """Newton solve of the stationarity conditions, seeded by an iterate.
 
     On a support S: t_j = 1 for j in S, t_j = sum_x px exp(-lam d_xj) / z_x
-    being the exclusion score, and E[d] = target when the slope is unknown.
-    These make the convex merit sum_j q_j - sum_x px ln z_x - lam target,
-    maximized over the slope, stationary; its q-Hessian is the Gram matrix
-    of the scores.  Steps are halved until the merit does not rise, which
-    keeps a far seed on course.  S starts as {q_seed >= PRUNE_EPS}; a column
-    a step drives to zero leaves, one settling below PRUNE_EPS is pruned
-    unless the rest cannot meet the target, and any other column scoring
-    above 1 + 10 tol re-enters.  A step stops where the first column leaves,
-    so the step budget grows by one per column of S.  Returns (q, lam,
-    support reductions) once the residual closes and no column off S fails
-    that test, else None.
+    being the exclusion score, and E[d] = target.  These make the convex
+    merit sum_j q_j - sum_x px ln z_x - lam target, maximized over the
+    slope, stationary; its q-Hessian is the Gram matrix of the scores.
+    The parts run in this order:
+    - ``_merit`` evaluates the start, S = {q_seed >= PRUNE_EPS}, and then
+      every trial point, with the slope re-matched to its support;
+    - ``_newton_system`` forms the bordered system and its residual at
+      the current point;
+    - once the residual closes, the loop owns the support: a column
+      settling below PRUNE_EPS is pruned unless the rest cannot meet the
+      target; after one more step, the highest-scoring column off S that
+      was never pruned re-enters if it scores above 1 + 10 tol, and if
+      none does, the polish returns;
+    - otherwise ``_newton_step`` moves the point, and a column it drives
+      to zero leaves S.  A step removes at most one column, so the step
+      budget grows by one per column of S.
+    Returns (q, lam, support reductions), or None if the seed's support
+    cannot meet the target, a step cannot keep the merit from rising, or
+    the budget runs out.
 
     The whole solve runs in one ``np.errstate`` scope that ignores divide,
     over and invalid: a row sum that vanishes reads as an infinite merit, a
     vanishing step component as an infinite reach, and a row that underflows
     in a slope match as a slope too large.
     """
-    q = np.where(q_seed >= PRUNE_EPS, q_seed, 0.0)
     d_top = max(float(np.maximum.reduce(dist_s, None)), 1.0)
-    px_col = pxp[:, None]
-    pruned = np.zeros(q.size, dtype=bool)
+    pruned = np.zeros(q_seed.size, dtype=bool)
     drops = 0
     closed = False
-
-    def merit(q, lam, sup=None, ds=None):
-        # Merit (+inf if the support cannot meet the target) with the slope
-        # re-matched, and the support, its columns, slope, tilt and row sums
-        # behind it.  A step that keeps the support passes it and its
-        # columns, which are known to meet the target.
-        if sup is None:
-            sup = np.flatnonzero(q > 0.0)
-            ds = dist_s[:, sup]
-            if target is not None and float(pxp.dot(np.minimum.reduce(ds, 1))) >= target:
-                return math.inf, sup, ds, lam, None, None
-        qs = q[sup]
-        if target is None:
-            e = np.exp(-lam * ds)
-        else:
-            lam, e = _match_slope(pxp, ds, qs, target, lam)
-        z = e.dot(qs)
-        value = float(np.add.reduce(q) - pxp.dot(np.log(z)))
-        return value - (0.0 if target is None else lam * target), sup, ds, lam, e, z
-
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        value, sup, ds, lam, e, z = merit(q, lam)
-        if not math.isfinite(value):  # the target needs a column below PRUNE_EPS
+        cur = _merit(pxp, dist_s, target, np.where(q_seed >= PRUNE_EPS, q_seed, 0.0), lam)
+        if not math.isfinite(cur.value):  # the target needs a column below PRUNE_EPS
             return None
-        for _ in range(_NEWTON_STEPS + sup.size):
-            qs = q[sup]
-            scores = e / z[:, None]
-            # One array for the system; with the slope unknown it is bordered
-            # by one more row and column.
-            k = sup.size
-            n = k + (target is not None)
-            res = np.empty(n)
-            jac = np.empty((n, n))
-            res[:k] = pxp.dot(scores) - 1.0
-            jac[:k, :k] = (scores * px_col).T.dot(scores)
-            err = float(np.maximum.reduce(np.abs(res[:k])))
-            if target is not None:
-                w = scores * qs
-                mean = np.add.reduce(w * ds, 1)
-                dev = ds - mean[:, None]
-                w *= dev
-                w *= dev
-                var = float(pxp.dot(np.add.reduce(w, 1)))
-                excess = float(pxp.dot(mean)) - target
-                jac[k, :k] = jac[:k, k] = pxp.dot(scores * dev)
-                jac[k, k] = -var
-                res[k] = -excess
-                err = max(err, abs(excess) / d_top)
-            if err < _POLISH_RESIDUAL * max(1.0, lam * d_top):
-                small = sup[qs < PRUNE_EPS]
+        for _ in range(_NEWTON_STEPS + cur.sup.size):
+            jac, res, err = _newton_system(pxp, target, d_top, cur)
+            if err < _POLISH_RESIDUAL * max(1.0, cur.lam * d_top):
+                small = cur.sup[cur.q[cur.sup] < PRUNE_EPS]
                 if small.size:
-                    q_cut = q.copy()
+                    q_cut = cur.q.copy()
                     q_cut[small] = 0.0
-                    cut = merit(q_cut, lam)
-                    if math.isfinite(cut[0]):  # the rest still meets the target
-                        q = q_cut
-                        value, sup, ds, lam, e, z = cut
+                    cut = _merit(pxp, dist_s, target, q_cut, cur.lam)
+                    if math.isfinite(cut.value):  # the rest still meets the target
+                        cur = cut
                         pruned[small] = True
                         drops += 1
                         closed = False
                         continue
                 if closed:
-                    expd = np.exp(-lam * dist_s)
-                    t = np.where(pruned | (q > 0.0), 0.0, pxp.dot(expd / z[:, None]))
+                    expd = np.exp(-cur.lam * dist_s)
+                    t = np.where(pruned | (cur.q > 0.0), 0.0, pxp.dot(expd / cur.z[:, None]))
                     j = int(np.argmax(t))
                     if t[j] <= 1.0 + 10.0 * tol:
-                        return q, lam, drops
+                        return cur.q, cur.lam, drops
+                    q = cur.q.copy()
                     q[j] = PRUNE_EPS
-                    value, sup, ds, lam, e, z = merit(q, lam)
+                    cur = _merit(pxp, dist_s, target, q, cur.lam)
                     closed = False
                     continue
                 closed = True  # one more step takes the residual to float noise
-            # Near a face of optima the system is (nearly) singular: least
-            # squares solves what it can, and the rest lies along the face,
-            # where the merit is linear, so walk that way to the edge of the
-            # support.
-            delta = _lstsq(jac, res)
-            rest = res - jac.dot(delta)
-            rest_top = np.maximum.reduce(np.abs(rest))
-            if rest_top > 0.5 * err:
-                delta += rest * (np.maximum.reduce(qs) / rest_top)
-            dq = delta[:k]
-            reach = np.where(dq < 0.0, -qs / dq, math.inf)
-            first = float(np.minimum.reduce(reach))
-            step = min(1.0, first)
-            for _halving in range(50):
-                q_try = q.copy()
-                moved = qs + step * dq
-                lam_try = lam if target is None else lam + step * float(delta[-1])
-                if step < first and np.minimum.reduce(moved) > 0.0:  # the support stays
-                    q_try[sup] = moved
-                    trial = merit(q_try, lam_try, sup, ds)
-                else:
-                    q_try[sup] = np.where(reach <= step, 0.0, moved)
-                    trial = merit(q_try, lam_try)
-                if trial[0] <= value + 1e-14 * max(1.0, abs(value)):
-                    break
-                step *= 0.5
-            else:
+            trial = _newton_step(pxp, dist_s, target, cur, jac, res, err)
+            if trial is None:
                 return None
-            if trial[1].size < k:
+            if trial.sup.size < cur.sup.size:
                 drops += 1
-            q = q_try
-            value, sup, ds, lam, e, z = trial
+            cur = trial
     return None
 
 
-def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None,
-             tol: float, max_iter: int, track: bool) -> _RawBa:
-    """Alternating minimization from the uniform marginal; pxp must be > 0.
+def _ba_core(pxp: np.ndarray, dist: np.ndarray, target: float, tol: float,
+             max_iter: int) -> _RawBa:
+    """Alternating minimization at E[d] = target from the uniform marginal;
+    pxp must be > 0.
 
-    With ``target`` None the slope stays at ``lam``; otherwise every
-    iteration re-solves it for E[d] = target, starting from ``lam``, and
-    from the first failed polish on, an iterate whose duality gap is at
-    most ``tol`` ends the solve.
+    Every iteration re-solves the slope for E[d] = target, starting from
+    the last one (1.0 at the first), and from the first failed polish on,
+    an iterate whose duality gap is at most ``tol`` ends the solve.
     """
     shift = np.minimum.reduce(dist, 1)
     dist_s = dist - shift[:, None]  # row minimum exactly 0: the tilt never overflows
     d_shift = float(pxp.dot(shift))
-    target_s = None if target is None else target - d_shift
-    expd = np.exp(-lam * dist_s)
+    target_s = target - d_shift
+    lam = 1.0
     q = np.full(dist.shape[1], 1.0 / dist.shape[1])
-    trace: list[float] | None = [] if track else None
     f_prev = math.inf
-    certify = False  # set by the first failed polish of a constrained solve
+    certify = False  # set by the first failed polish
     for it in range(1, max_iter + 1):
-        if target_s is not None:
-            with np.errstate(invalid="ignore"):
-                lam, expd = _match_slope(pxp, dist_s, q, target_s, lam)
+        with np.errstate(invalid="ignore"):
+            lam, expd = _match_slope(pxp, dist_s, q, target_s, lam)
         z, fwd, m = _tilt(pxp, expd, q)
         f_val = lam * d_shift - float(pxp.dot(np.log(z)))
         if not math.isfinite(f_val):
             raise ConvergenceError(f"solve broke down at slope {lam!r}: a forward row vanished")
-        if trace is not None:
-            trace.append(f_val)
         done = None
         if it == 2 or it % _POLISH_EVERY == 0:
             done = _polish(pxp, dist_s, m, lam, target_s, tol)
-            certify = target_s is not None
+            certify = True
         if done is None and certify and _dual_gap(pxp, expd, z, fwd, m, lam, target_s) <= tol:
             # Within tol of R(target): keep the columns of real mass, unless
             # the rest cannot meet the target to the slope match's precision,
@@ -446,18 +455,11 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
             done = q, lam, int(np.count_nonzero(q) < np.count_nonzero(m))
         if done is not None:
             q, lam, drops = done
-            expd = np.exp(-lam * dist_s)
-            z, fwd, m = _tilt(pxp, expd, q)
-            # ba_fixed_slope reports the gaps of the returned point under
-            # one more update; a constrained solve has no use for them.
-            gaps = {} if target_s is not None else {
-                "objective_gap": abs(float(pxp.dot(np.log(expd.dot(m)) - np.log(z)))),
-                "marginal_gap": float(np.maximum.reduce(np.abs(m - q)))}
+            _, fwd, m = _tilt(pxp, np.exp(-lam * dist_s), q)
             return _RawBa(
                 forward=fwd, marginal=m,
                 distortion=float(pxp.dot(np.add.reduce(fwd * dist, 1))),
                 rate=_rate_of(pxp, fwd, m), lam=lam, iterations=it, drops=drops,
-                trace=np.array(trace) if trace is not None else None, **gaps,
             )
         # The gaps of the last iteration are formed only for the message.
         f_before, f_prev = f_prev, f_val
@@ -468,40 +470,6 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, lam: float, target: float | None
         f"solve did not converge in {max_iter} iterations "
         f"(objective gap {d_f:.3e}, marginal gap {gap:.3e})",
         gap=max(d_f, gap),
-    )
-
-
-def ba_fixed_slope(problem: SourceProblem, lam: float, tol: float = 1e-10,
-                   max_iter: int = 300_000, track_objective: bool = False) -> BaSolution:
-    """Minimize I(X; Xhat) + lam * E[d] by alternating updates.
-
-    Args:
-        problem: source pmf and distortion matrix.
-        lam: nonnegative slope weight on expected distortion.
-        tol: the polish that ends the solve is accepted only when every
-            column off its support has exclusion score t_j <= 1 + 10 tol.
-        max_iter: iteration budget; exceeding it raises ConvergenceError
-            carrying the last objective or marginal gap.
-        track_objective: record the objective after every update so callers
-            can inspect monotonicity.
-
-    Returns:
-        BaSolution with achieved distortion, rate in nats, output marginal,
-        and forward channel on the full reconstruction alphabet.
-    """
-    _require_real("ba_fixed_slope", "lam", lam, 0.0)
-    _require_real("ba_fixed_slope", "tol", tol, positive=True)
-    _require_int("ba_fixed_slope", "max_iter", max_iter, 1)
-    px = problem.px.probs
-    support = np.flatnonzero(px > 0.0)
-    raw = _ba_core(px[support], problem.distortion[support], lam, None, tol, max_iter,
-                   track_objective)
-    return BaSolution(
-        distortion=raw.distortion, rate=raw.rate,
-        output_marginal=Pmf(raw.marginal),
-        forward=Channel(_full_forward(problem.distortion, support, raw)),
-        iterations=raw.iterations, objective_gap=raw.objective_gap,
-        marginal_gap=raw.marginal_gap, objective_trace=raw.trace,
     )
 
 
@@ -633,9 +601,8 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = _DEFAULT_TOL
         raw = _RawBa(forward=np.tile(q, (support.size, 1)), marginal=q,
                      distortion=d_max, rate=0.0, lam=0.0, iterations=0)
     else:
-        raw = _ba_core(px[support], problem.distortion[support], 1.0,
-                       max(target, d_min + 0.5 * tol), _certificate_tol(tol),
-                       max_iter, track=False)
+        raw = _ba_core(px[support], problem.distortion[support],
+                       max(target, d_min + 0.5 * tol), _certificate_tol(tol), max_iter)
     if abs(raw.distortion - target) > tol:
         raise ConvergenceError(
             f"rd_at_distortion: achieved distortion {raw.distortion!r} misses the "

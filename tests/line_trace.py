@@ -14,9 +14,9 @@ headers (``try:``).  Only the standard library is used; pytest does not
 collect this file.
 
 It is a diagnostic, not a gate.  Tracing slows the suite (the full suite takes
-about 1.7 times as long) and adds allocations of its own, so time and
-held-bytes bounds, such as those of the ``TestScale`` classes, may fail under
-it.  The exit status is pytest's.
+about twice as long) and adds allocations of its own, so time and held-bytes
+bounds, such as those of the ``TestScale`` classes, may fail under it.  The
+exit status is pytest's.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from loglosslab import (
     Pmf,
     SourceProblem,
     ValidationError,
-    ba_fixed_slope,
     build_corresponding,
     construct_sr,
     construct_sr_chain,
@@ -57,9 +56,6 @@ REAL_ARGUMENTS = {
     "rd_at_distortion-tol": (lambda v: rd_at_distortion(SKEW3, 0.2, tol=v),
                              "rd_at_distortion: tol", 1e-8),
     "rd_curve-grid": (lambda v: rd_curve(SKEW3, [0.2, v]), "rd_at_distortion: d", 0.3),
-    "ba_fixed_slope-lam": (lambda v: ba_fixed_slope(SKEW3, v), "ba_fixed_slope: lam", 1.0),
-    "ba_fixed_slope-tol": (lambda v: ba_fixed_slope(SKEW3, 1.0, tol=v),
-                           "ba_fixed_slope: tol", 1e-10),
     "logloss_rd-d": (lambda v: logloss_rd(SKEW3.px, v), "logloss_rd: d", 0.2),
     "build_corresponding-tol": (lambda v: build_corresponding(SKEW3, 2, tol=v),
                                 "rd_at_distortion: tol", 1e-10),

@@ -16,7 +16,6 @@ from loglosslab import (
     Pmf,
     SourceProblem,
     ValidationError,
-    ba_fixed_slope,
     build_corresponding,
     distortion_bounds,
     entropy,
@@ -33,6 +32,8 @@ from loglosslab import (
 )
 from loglosslab import ratedistortion
 from loglosslab.ratedistortion import PRUNE_EPS
+
+import test_rd_ledger
 
 LN2 = math.log(2.0)
 # The certificate tol min(1e-10, tol / 100) of a solve at tol = 1e-10.
@@ -110,65 +111,6 @@ class TestBounds:
         assert d_min == 0.0
         # best single column is j=1: 0.35*1 + 0.20*1 + 0.15*2
         assert d_max == pytest.approx(0.85, abs=1e-15)
-
-
-class TestFixedSlope:
-    def test_zero_slope_has_zero_rate(self):
-        sol = ba_fixed_slope(binary_hamming(), 0.0)
-        assert sol.rate == pytest.approx(0.0, abs=1e-12)
-
-    def test_converged_gaps(self):
-        sol = ba_fixed_slope(binary_hamming(), 1.5, tol=1e-10)
-        assert sol.marginal_gap < 1e-10
-        assert sol.forward.rows.sum(axis=1) == pytest.approx([1.0, 1.0])
-
-    def test_budget_exhaustion_raises_with_gap(self):
-        with pytest.raises(ConvergenceError) as err:
-            ba_fixed_slope(binary_hamming(), 1.5, tol=1e-10, max_iter=1)
-        assert err.value.gap is not None and err.value.gap > 0.0
-
-    @pytest.mark.parametrize("max_iter", [0, -3, True, 2.5, "10"])
-    def test_bad_budget_is_a_validation_error(self, max_iter):
-        with pytest.raises(ValidationError, match="max_iter"):
-            ba_fixed_slope(binary_hamming(), 1.5, max_iter=max_iter)
-
-    @pytest.mark.parametrize("lam, tol, match", [
-        (-1.0, 1e-10, "lam must be finite and >= 0, got -1.0"),
-        (1.0, 0.0, "tol must be finite and positive, got 0.0"),
-    ])
-    def test_slope_and_tol_out_of_range(self, lam, tol, match):
-        with pytest.raises(ValidationError, match=f"ba_fixed_slope: {match}"):
-            ba_fixed_slope(binary_hamming(), lam, tol=tol)
-
-    def test_distortion_decreases_with_slope(self):
-        prob = random_problem(np.random.default_rng(3), 4, 4)
-        sols = [ba_fixed_slope(prob, lam) for lam in (0.5, 2.0, 8.0)]
-        ds = [s.distortion for s in sols]
-        assert ds[0] >= ds[1] >= ds[2]
-
-    def test_objective_trace_non_increasing(self):
-        prob = random_problem(np.random.default_rng(4), 5, 4)
-        sol = ba_fixed_slope(prob, 3.0, track_objective=True)
-        trace = np.array(sol.objective_trace)
-        assert trace.size > 0
-        assert np.all(np.diff(trace) <= 1e-12)
-
-    def test_objective_trace_non_increasing_over_many_updates(self, monkeypatch):
-        # The polish usually ends a solve at iteration 2; hold off its first
-        # two attempts (iterations 2 and 16) so the trace covers 32 updates.
-        polish = ratedistortion._polish
-        attempts = []
-
-        def late_polish(*args):
-            attempts.append(args)
-            return polish(*args) if len(attempts) > 2 else None
-
-        monkeypatch.setattr(ratedistortion, "_polish", late_polish)
-        prob = random_problem(np.random.default_rng(4), 5, 4)
-        sol = ba_fixed_slope(prob, 3.0, track_objective=True)
-        trace = np.array(sol.objective_trace)
-        assert trace.size == 32
-        assert np.all(np.diff(trace) <= 1e-12)
 
 
 class TestBinaryHammingAnalytic:
@@ -251,8 +193,9 @@ class TestRdAtDistortion:
     def test_smallest_budget_is_accepted(self):
         point = rd_at_distortion(binary_hamming(), 0.1, max_iter=np.int64(2))
         assert point.diagnostics.ba_iterations == 2
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as err:
             rd_at_distortion(binary_hamming(), 0.1, max_iter=1)
+        assert err.value.gap is not None and err.value.gap > 0.0
 
     def test_forward_rows_are_pmfs(self):
         prob = random_problem(np.random.default_rng(12), 4, 6)
@@ -564,6 +507,35 @@ class TestDualGapStop:
         assert abs(point.diagnostics.achieved_distortion - d) <= 1e-10
         assert 0.0 <= point.rate < 1e-8
         assert abs(dual_gap(problem, point)) <= CERT_TOL
+
+
+    def test_gap_stop_ends_ordinary_points(self, monkeypatch):
+        # Hold off each solve's polish attempt at iteration 2 on every third
+        # point of the rd ledger.  From iteration 3 on, the duality gap is
+        # checked on every iterate: it ends 7 of the 55 solves before the
+        # attempt at iteration 16, which ends the rest.
+        cases = list(test_rd_ledger._cases())[::3]
+        unpatched = [rd_at_distortion(problem, d, tol=1e-10) for _, problem, d in cases]
+        polish = ratedistortion._polish
+        attempts = []
+
+        def late_polish(*args):
+            attempts.append(args)
+            return polish(*args) if len(attempts) > 1 else None
+
+        monkeypatch.setattr(ratedistortion, "_polish", late_polish)
+        iterations = []
+        for (label, problem, d), ref in zip(cases, unpatched):
+            attempts.clear()
+            point = rd_at_distortion(problem, d, tol=1e-10)
+            assert point.kept_columns == ref.kept_columns, label
+            assert abs(point.rate - ref.rate) <= 1e-12, (label, point.rate, ref.rate)
+            assert abs(dual_gap(problem, point)) <= CERT_TOL, label
+            if ref.diagnostics.ba_iterations:  # not the zero-rate knee
+                iterations.append(point.diagnostics.ba_iterations)
+        assert len(iterations) == 55
+        assert all(2 < it <= 16 for it in iterations), iterations
+        assert sum(it < 16 for it in iterations) == 7, iterations
 
 
 class TestPolishLineSearchExit:
