@@ -34,6 +34,7 @@ from loglosslab import (
     log_loss_seq,
     logloss_codebook,
     logloss_excess_optimum,
+    logloss_excess_oracle,
     logloss_rd,
     rd_at_distortion,
     rd_curve,
@@ -66,6 +67,8 @@ REAL_ARGUMENTS = {
     "floor_exp-d": (floor_exp, "floor_exp: d", 0.5),
     "logloss_excess_optimum-d": (lambda v: logloss_excess_optimum(SKEW3.px, 2, v),
                                  "floor_exp: d", 0.5),
+    "logloss_excess_oracle-d": (lambda v: logloss_excess_oracle(SKEW3.px, 2, v),
+                                "floor_exp: d", 0.5),
     "logloss_codebook-d": (lambda v: logloss_codebook(SKEW3.px, v, 0.1), "floor_exp: d", 0.5),
     "logloss_codebook-eps": (lambda v: logloss_codebook(SKEW3.px, 0.5, v),
                              "logloss_codebook: eps", 0.1),
@@ -77,6 +80,8 @@ REAL_ARGUMENTS = {
                               "construct_sr_chain: ds[1]", 0.8),
     "construct_sr_chain-d_final": (lambda v: construct_sr_chain(SKEW3, [0.9], v),
                                    "construct_sr_chain: d_final", 0.15),
+    "construct_sr_chain-tol": (lambda v: construct_sr_chain(SKEW3, [0.9], 0.15, tol=v),
+                               "rd_at_distortion: tol", 1e-8),
     "timeshare_simulate-d": (lambda v: timeshare_simulate(SKEW3.px, v, 10, 0),
                              "timeshare_simulate: d", 0.5),
     "timeshare_two_decoders-d1": (lambda v: timeshare_two_decoders(SKEW3.px, v, 0.3, 10, 0),
@@ -140,6 +145,8 @@ OUT_OF_RANGE = {
     "floor_exp-d": (floor_exp, "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
     "logloss_excess_optimum-d": (lambda v: logloss_excess_optimum(SKEW3.px, 2, v),
                                  "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
+    "logloss_excess_oracle-d": (lambda v: logloss_excess_oracle(SKEW3.px, 2, v),
+                                "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
     "logloss_codebook-d": (lambda v: logloss_codebook(SKEW3.px, v, 0.0),
                            "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
 }

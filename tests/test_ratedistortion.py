@@ -183,7 +183,7 @@ class TestRdAtDistortion:
         assert first == second
         assert first.ba_calls == 1
 
-    @pytest.mark.parametrize("max_iter", [0, -3, False, 1.0, None])
+    @pytest.mark.parametrize("max_iter", [0, -3, False, True, 1.0, 2.5, None, "10"])
     def test_bad_budget_is_a_validation_error(self, max_iter):
         # Also at the knee, which needs no iteration at all.
         for d in (0.1, 0.5):
@@ -665,6 +665,13 @@ class TestRdCurve:
         rates = [p.rate for p in points]
         assert len(points) == 5
         assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
+
+    def test_slopes_non_increasing(self):
+        # The slope -R'(D) falls as the target distortion rises: R is convex.
+        prob = random_problem(np.random.default_rng(3), 4, 4)
+        points = rd_curve(prob, [interior_target(prob, f) for f in (0.1, 0.3, 0.5, 0.7)])
+        slopes = [p.lambda_star for p in points]
+        assert all(a > b for a, b in zip(slopes, slopes[1:])), slopes
 
 
 class TestTiltedInformation:
