@@ -35,14 +35,14 @@ from .errors import (
     ValidationError,
     VerificationError,
     _require_each,
-    _require_int,
-    _require_iterable,
+    _require_instance,
     _require_real,
 )
 from .oneshot import (
     _CODE_ENUM_GUARD,
     OneShotCode,
     _cell_sum_blocks,
+    _check_code_fields,
     _check_work,
     _least_costs,
     expected_distortion,
@@ -90,16 +90,8 @@ class LogLossCode:
     decoder_rows: tuple[Pmf, ...]
 
     def __post_init__(self):
-        _require_int("LogLossCode", "n_messages", self.n_messages, 1)
-        for name in ("encoder", "decoder_rows"):
-            entries = _require_iterable("LogLossCode", name, getattr(self, name))
-            object.__setattr__(self, name, tuple(entries))
-        if len(self.decoder_rows) != self.n_messages:
-            raise ValidationError(
-                f"LogLossCode: {len(self.decoder_rows)} rows for {self.n_messages} messages"
-            )
-        _require_each(_require_int, "LogLossCode", "encoder", self.encoder,
-                      0, self.n_messages - 1)
+        _check_code_fields(self, "decoder_rows")
+        _require_each(_require_instance, "LogLossCode", "decoder_rows", self.decoder_rows, Pmf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +125,7 @@ def build_corresponding(problem: SourceProblem, n_messages: int,
     (slope divergence or the zero-rate knee); the equivalence needs an
     interior point.
     """
+    _require_instance("build_corresponding", "problem", problem, SourceProblem)
     code, d_star = solve_avg(problem, n_messages)
     d_min, d_max = distortion_bounds(problem)
     if d_star <= d_min + ENDPOINT_TOL or d_star >= d_max - ENDPOINT_TOL:
@@ -171,6 +164,8 @@ def build_corresponding(problem: SourceProblem, n_messages: int,
 
 def map_code(cp: CorrespondingProblem, code: OneShotCode) -> LogLossCode:
     """Carry a source code across: same encoder, posterior rows as decoder."""
+    _require_instance("map_code", "cp", cp, CorrespondingProblem)
+    _require_instance("map_code", "code", code, OneShotCode)
     if code.n_messages != cp.n_messages:
         raise ValidationError(
             f"map_code: code has {code.n_messages} messages, problem has {cp.n_messages}"
@@ -197,6 +192,8 @@ def unmap_code(cp: CorrespondingProblem, lcode: LogLossCode) -> OneShotCode:
     row; otherwise the code has no counterpart and MappingError names the
     offending message.
     """
+    _require_instance("unmap_code", "cp", cp, CorrespondingProblem)
+    _require_instance("unmap_code", "lcode", lcode, LogLossCode)
     if lcode.n_messages != cp.n_messages:
         raise ValidationError(
             f"unmap_code: code has {lcode.n_messages} messages, problem has {cp.n_messages}"
@@ -219,8 +216,14 @@ def unmap_code(cp: CorrespondingProblem, lcode: LogLossCode) -> OneShotCode:
 
 def expected_log_loss(px: Pmf, lcode: LogLossCode) -> float:
     """E[-ln q(X)] where q is the decoded row for X's message."""
+    _require_instance("expected_log_loss", "px", px, Pmf)
+    _require_instance("expected_log_loss", "lcode", lcode, LogLossCode)
     if len(lcode.encoder) != px.n:
         raise ValidationError("expected_log_loss: encoder length mismatch")
+    for m, row in enumerate(lcode.decoder_rows):
+        if row.n != px.n:
+            raise ValidationError(
+                f"expected_log_loss: row {m} has alphabet {row.n}, expected {px.n}")
     total = 0.0
     for x in px.support():
         qx = float(lcode.decoder_rows[lcode.encoder[x]].probs[x])
@@ -343,6 +346,7 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     both minima.  Guarded at 10^7 code pairs; ``identity_bound`` bounds
     every residual without enumerating them.
     """
+    _require_instance("identity_sweep", "cp", cp, CorrespondingProblem)
     m_count = cp.n_messages
     k = len(cp.y_rows)
     h = cp.h_x_given_xhat
@@ -403,6 +407,7 @@ def identity_bound(cp: CorrespondingProblem) -> float:
     for e, the spreads, the sums over x, the offset and the last adds.
     Hence (r + M + k + 22) 2^-53 S.
     """
+    _require_instance("identity_bound", "cp", cp, CorrespondingProblem)
     w_d, w_l = _cell_cost_tables(cp)
     h = cp.h_x_given_xhat
     lam = cp.lambda_star
@@ -512,6 +517,7 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     addition is commutative.  So each argmin set is its canonical pairs and
     their swaps, and the sets coincide exactly when their canonical pairs do.
     """
+    _require_instance("verify_optimum_coincidence", "cp", cp, CorrespondingProblem)
     _require_real("verify_optimum_coincidence", "atol", atol, 0.0)
     r = cp.px.n
     m_count = cp.n_messages

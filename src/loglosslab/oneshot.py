@@ -27,6 +27,7 @@ from .errors import (
     InstanceTooLargeError,
     ValidationError,
     _require_each,
+    _require_instance,
     _require_int,
     _require_iterable,
     _require_real,
@@ -106,23 +107,34 @@ class OneShotCode:
     decoder: tuple[int, ...]
 
     def __post_init__(self):
-        _require_int("OneShotCode", "n_messages", self.n_messages, 1)
-        for name in ("encoder", "decoder"):
-            entries = _require_iterable("OneShotCode", name, getattr(self, name))
-            object.__setattr__(self, name, tuple(entries))
-        if len(self.decoder) != self.n_messages:
-            raise ValidationError(
-                f"OneShotCode: decoder covers {len(self.decoder)} of {self.n_messages} messages"
-            )
-        if not self.encoder:
-            raise ValidationError("OneShotCode: empty encoder")
-        _require_each(_require_int, "OneShotCode", "encoder", self.encoder,
-                      0, self.n_messages - 1)
+        _check_code_fields(self, "decoder")
         _require_each(_require_int, "OneShotCode", "decoder", self.decoder, 0)
+
+
+def _check_code_fields(code, decoder: str) -> None:
+    """Check a frozen code's message count, encoder and ``decoder`` field.
+
+    Both fields become tuples.  The decoder holds one entry per message and
+    the encoder, not empty, one message per symbol; errors name the code's
+    class.  The caller checks the decoder's entries.
+    """
+    caller = type(code).__name__
+    _require_int(caller, "n_messages", code.n_messages, 1)
+    for name in ("encoder", decoder):
+        entries = _require_iterable(caller, name, getattr(code, name))
+        object.__setattr__(code, name, tuple(entries))
+    size = len(getattr(code, decoder))
+    if size != code.n_messages:
+        raise ValidationError(f"{caller}: {decoder} covers {size} of {code.n_messages} messages")
+    if not code.encoder:
+        raise ValidationError(f"{caller}: empty encoder")
+    _require_each(_require_int, caller, "encoder", code.encoder, 0, code.n_messages - 1)
 
 
 def expected_distortion(problem: SourceProblem, code: OneShotCode) -> float:
     """E d(X, g(f(X))) for a code over the problem's distortion matrix."""
+    _require_instance("expected_distortion", "problem", problem, SourceProblem)
+    _require_instance("expected_distortion", "code", code, OneShotCode)
     if len(code.encoder) != problem.n_source:
         raise ValidationError("expected_distortion: encoder length mismatch")
     if max(code.decoder) >= problem.n_reconstruction:
@@ -242,6 +254,7 @@ def solve_avg(problem: SourceProblem, n_messages: int) -> tuple[OneShotCode, flo
     The first best subset in lexicographic order is returned as a witness,
     a code of min(M, s) messages.  Guarded at 10^6 subsets.
     """
+    _require_instance("solve_avg", "problem", problem, SourceProblem)
     _require_int("solve_avg", "n_messages", n_messages, 1)
     px = problem.px.probs
     dist = problem.distortion
@@ -262,6 +275,7 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
     M^r <= 10^7.  The winner is re-evaluated through the shared evaluator,
     so agreement with solve_avg is bitwise when the optimum is unique.
     """
+    _require_instance("solve_avg_oracle", "problem", problem, SourceProblem)
     _require_int("solve_avg_oracle", "n_messages", n_messages, 1)
     r = problem.n_source
     _check_work("solve_avg_oracle", n_messages ** r, "encoders", _CODE_ENUM_GUARD)
@@ -294,8 +308,10 @@ def _best_cover(caller: str, problem: SourceProblem, n_messages: int,
 
     A symbol is covered by a column when its distortion is <= D.  Returns
     (subset, excess probability 1 - covered mass, clamped into [0, 1]);
-    raises ValidationError naming ``caller`` when d is not a finite real.
+    raises ValidationError naming ``caller`` when problem is not a
+    SourceProblem or d is not a finite real.
     """
+    _require_instance(caller, "problem", problem, SourceProblem)
     _require_real(caller, "d", d)
     px = problem.px.probs
     covers = problem.distortion <= d  # r x s
@@ -360,6 +376,7 @@ def _codebook(problem: SourceProblem, d: float,
 
     The scan is None when M* is the greedy bound, whose scan is skipped.
     """
+    _require_instance("solve_codebook", "problem", problem, SourceProblem)
     _require_real("solve_codebook", "eps", eps, 0.0, 1.0)
     _require_real("solve_codebook", "d", d)
     px = problem.px.probs
@@ -431,8 +448,10 @@ class PartitionScheme:
     """Deterministic partition code achieving the log-loss average optimum.
 
     ``encoder[x]`` is the cell of symbol x; ``posterior_rows[m]`` is the
-    source posterior on cell m (uniform over the cell when it carries no
-    mass), supported exactly on the cell.
+    source posterior on cell m.  Every cell carries mass: one holding only
+    zero-mass symbols merges into cell 0 (or cell 1 into it, when it is
+    cell 0) at the same value and earlier in restricted-growth order, so
+    the first optimum has none.
     """
 
     n_messages: int
@@ -522,6 +541,7 @@ def logloss_avg_optimum(px: Pmf, n_messages: int) -> tuple[PartitionScheme, floa
     lowest label from which the optimum stays reachable.  Guarded at
     alphabets of size 14.
     """
+    _require_instance("logloss_avg_optimum", "px", px, Pmf)
     _require_int("logloss_avg_optimum", "n_messages", n_messages, 1)
     r = px.n
     _check_work("logloss_avg_optimum", r, "symbols", _PARTITION_ALPHABET_GUARD)
@@ -560,10 +580,7 @@ def logloss_avg_optimum(px: Pmf, n_messages: int) -> tuple[PartitionScheme, floa
     for m in range(blocks):
         cell = assign_arr == m
         row = np.zeros(r)
-        if masses[m] > 0.0:
-            row[cell] = p[cell] / masses[m]
-        else:
-            row[cell] = 1.0 / int(cell.sum())
+        row[cell] = p[cell] / masses[m]
         rows.append(Pmf(row))
     scheme = PartitionScheme(
         n_messages=blocks,
@@ -637,6 +654,7 @@ def logloss_excess_optimum(px: Pmf, n_messages: int, d: float) -> tuple[ExcessSc
     achieved epsilon is the tail mass beyond them.  The scheme has
     min(M, ceil(r / floor(exp(D)))) messages, as more cells would be empty.
     """
+    _require_instance("logloss_excess_optimum", "px", px, Pmf)
     _require_int("logloss_excess_optimum", "n_messages", n_messages, 1)
     cell = floor_exp(d)
     order = np.argsort(-px.probs, kind="stable")
@@ -658,6 +676,7 @@ def logloss_codebook(px: Pmf, d: float, eps: float) -> int:
     Closed form: cover the smallest prefix of the sorted source reaching
     mass 1 - eps, in cells of floor(exp(D)).
     """
+    _require_instance("logloss_codebook", "px", px, Pmf)
     _require_real("logloss_codebook", "eps", eps, 0.0, 1.0)
     cell = floor_exp(d)
     sorted_probs = np.sort(px.probs)[::-1]
@@ -675,6 +694,7 @@ def logloss_excess_oracle(px: Pmf, n_messages: int, d: float) -> float:
     M * floor(exp(D)) symbols; enumerate every subset within that budget.
     Guarded at alphabets of size 12.
     """
+    _require_instance("logloss_excess_oracle", "px", px, Pmf)
     _require_int("logloss_excess_oracle", "n_messages", n_messages, 1)
     r = px.n
     _check_work("logloss_excess_oracle", r, "symbols", _COVER_ALPHABET_GUARD)

@@ -14,7 +14,7 @@ freely between threads once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,6 +182,7 @@ def _neg_p_log_p(p: np.ndarray) -> float:
 
 def entropy(p: Pmf) -> float:
     """Shannon entropy in nats."""
+    _require_instance("entropy", "p", p, Pmf)
     return _neg_p_log_p(p.probs)
 
 
@@ -190,6 +191,7 @@ def varentropy(p: Pmf) -> float:
 
     Vanishes (up to rounding) exactly when p is uniform on its support.
     """
+    _require_instance("varentropy", "p", p, Pmf)
     mass = p.probs[p.probs > 0.0]
     info = -np.log(mass)
     mean = float(mass @ info)
@@ -211,6 +213,7 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
 
 def conditional_entropy(j: Joint) -> float:
     """H(X | Y) for a joint over (x, y), in nats."""
+    _require_instance("conditional_entropy", "j", j, Joint)
     return _neg_p_log_p(j.table.ravel()) - entropy(j.marginal_y())
 
 
@@ -220,6 +223,8 @@ def mutual_information(px: Pmf, ch: Channel) -> float:
     Computed as H(Y) - sum_x px(x) H(Y | X = x); tiny negative float residue
     is clamped to zero.
     """
+    _require_instance("mutual_information", "px", px, Pmf)
+    _require_instance("mutual_information", "ch", ch, Channel)
     if ch.n_in != px.n:
         raise ValidationError(f"mutual_information: channel has {ch.n_in} rows, pmf has {px.n}")
     py = px.probs @ ch.rows
@@ -268,6 +273,7 @@ def _decoder_fit(table: np.ndarray, rows) -> tuple[float, float, float]:
 
 def information_density(j: Joint, x: int, y: int) -> float:
     """ln of P(x, y) / (P(x) P(y)); errors on zero marginals or zero mass."""
+    _require_instance("information_density", "j", j, Joint)
     r, s = j.shape
     _require_int("information_density", "x", x, 0, r - 1)
     _require_int("information_density", "y", y, 0, s - 1)
@@ -285,6 +291,8 @@ def information_density(j: Joint, x: int, y: int) -> float:
 
 def joint_from_source_and_channel(px: Pmf, ch: Channel) -> Joint:
     """Joint P(x, y) = px(x) ch(y | x)."""
+    _require_instance("joint_from_source_and_channel", "px", px, Pmf)
+    _require_instance("joint_from_source_and_channel", "ch", ch, Channel)
     if ch.n_in != px.n:
         raise ValidationError(f"joint: channel has {ch.n_in} rows, pmf has {px.n}")
     return Joint(px.probs[:, None] * ch.rows)

@@ -38,6 +38,7 @@ from .errors import (
     ConvergenceError,
     ValidationError,
     _clamp_target,
+    _require_each,
     _require_instance,
     _require_int,
     _require_iterable,
@@ -161,6 +162,7 @@ def distortion_bounds(problem: SourceProblem) -> tuple[float, float]:
     D_min pairs every symbol with its cheapest column; D_max is the best
     single-column expectation, beyond which the curve is flat at rate 0.
     """
+    _require_instance("distortion_bounds", "problem", problem, SourceProblem)
     px = problem.px.probs
     dist = problem.distortion
     d_min = float(px.dot(np.minimum.reduce(dist, 1)))
@@ -580,13 +582,15 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = _DEFAULT_TOL
         columns, the tilted-information vector, and diagnostics.
 
     Raises:
-        ValidationError: d is not a finite real, tol not a finite positive
-            real, or max_iter not an integer >= 1.
+        ValidationError: problem is not a SourceProblem, d not a finite
+            real, tol not a finite positive real, or max_iter not an
+            integer >= 1.
         InfeasibleError: d outside [D_min, D_max] (1e-12 slack).
         ConvergenceError: the solve did not converge within max_iter, or
             the distortion it reached misses the target by more than tol;
             the message names the achieved distortion, the target and tol.
     """
+    _require_instance("rd_at_distortion", "problem", problem, SourceProblem)
     _require_real("rd_at_distortion", "tol", tol, positive=True)
     _require_real("rd_at_distortion", "d", d)
     _require_int("rd_at_distortion", "max_iter", max_iter, 1)
@@ -645,6 +649,8 @@ def tilted_information(problem: SourceProblem, point: RdPoint) -> np.ndarray:
     equals ``point.tilted``.  Its expectation under the source matches the
     point's rate.
     """
+    _require_instance("tilted_information", "problem", problem, SourceProblem)
+    _require_instance("tilted_information", "point", point, RdPoint)
     dist_kept = problem.distortion[:, list(point.kept_columns)]
     return _tilted_vector(dist_kept, point.output_marginal.probs,
                           point.lambda_star, point.diagnostics.achieved_distortion)
@@ -663,6 +669,8 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
     probability underflowed to zero or to a subnormal are skipped: their
     logarithm has lost its digits.
     """
+    _require_instance("verify_csiszar_identity", "problem", problem, SourceProblem)
+    _require_instance("verify_csiszar_identity", "point", point, RdPoint)
     dist_kept = problem.distortion[:, list(point.kept_columns)]
     fwd = point.forward.rows
     m = point.output_marginal.probs
@@ -677,6 +685,7 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
 
 def logloss_rd(px: Pmf, d: float) -> float:
     """The log-loss rate-distortion function H(X) - D, in nats, on [0, H(X)]."""
+    _require_instance("logloss_rd", "px", px, Pmf)
     _require_real("logloss_rd", "d", d)
     h = entropy(px)
     return max(h - _clamp_target("logloss_rd", "d", d, 0.0, h), 0.0)
@@ -715,10 +724,13 @@ def verify_lemma1(px: Pmf, q_rows, weights: Channel, tol: float = 1e-9) -> Lemma
     Returns:
         Lemma1Report naming each failed condition in ``failures``.
     """
+    _require_instance("verify_lemma1", "px", px, Pmf)
+    _require_instance("verify_lemma1", "weights", weights, Channel)
     _require_real("verify_lemma1", "tol", tol, 0.0)
     if weights.n_in != px.n:
         raise ValidationError(f"verify_lemma1: weights have {weights.n_in} rows, pmf has {px.n}")
-    rows = list(q_rows)
+    rows = _require_iterable("verify_lemma1", "q_rows", q_rows)
+    _require_each(_require_instance, "verify_lemma1", "q_rows", rows, Pmf)
     if len(rows) != weights.n_out:
         raise ValidationError(
             f"verify_lemma1: {len(rows)} reproduction rows for {weights.n_out} outputs"

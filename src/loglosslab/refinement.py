@@ -130,6 +130,7 @@ def _sr_layers(caller: str, problem: SourceProblem, targets: list[tuple[str, flo
     Each layer's H(X | Z), from its joint alone and so independent of its
     q rows, must meet its target within 1e-9.
     """
+    _require_instance(caller, "problem", problem, SourceProblem)
     point = rd_at_distortion(problem, d2, tol=tol)
     h = entropy(problem.px)
     h2 = conditional_entropy(joint_from_source_and_channel(problem.px, point.forward))
@@ -239,6 +240,8 @@ def chain_step_channel(coarse: SrConstruction, fine: SrConstruction) -> Channel:
     coarse layer's exactly: surviving symbols are re-erased with the
     conditional weight, erasures stay erased.
     """
+    _require_instance("chain_step_channel", "coarse", coarse, SrConstruction)
+    _require_instance("chain_step_channel", "fine", fine, SrConstruction)
     if coarse.z_alphabet != fine.z_alphabet:
         raise ValidationError("chain_step_channel: layers do not share an alphabet")
     if coarse.delta < fine.delta - 1e-12:
@@ -425,6 +428,7 @@ def _timeshare(caller: str, px: Pmf, targets: list[tuple[str, float]], n: int,
 
     Every argument and the guard are checked, under ``caller``'s names, before any draw.
     """
+    _require_instance(caller, "px", px, Pmf)
     _require_int(caller, "n", n, 1)
     for name, d in targets:
         _require_real(caller, name, d)

@@ -167,7 +167,7 @@ class TestMapUnmap:
 
     @pytest.mark.parametrize("call, match", [
         (lambda cp: LogLossCode(2, (0, 1, 0, 1), cp.y_rows[:1]),
-         "LogLossCode: 1 rows for 2 messages"),
+         "LogLossCode: decoder_rows covers 1 of 2 messages"),
         (lambda cp: LogLossCode(2, (0, 1, 0, 2), cp.y_rows[:2]),
          r"LogLossCode: encoder\[3\] must be an integer in \[0, 1\], got 2"),
         (lambda cp: map_code(cp, OneShotCode(2, (0, 1, 0), (0, 1))),
@@ -178,6 +178,14 @@ class TestMapUnmap:
          "unmap_code: row 0 has alphabet 3"),
         (lambda cp: expected_log_loss(cp.px, LogLossCode(2, (0, 1), cp.y_rows[:2])),
          "expected_log_loss: encoder length mismatch"),
+        # Each of these once constructed or ran on, then failed as a raw
+        # AttributeError or IndexError.
+        (lambda cp: LogLossCode(2, (0, 1, 0, 1), ("a", "b")),
+         r"LogLossCode: decoder_rows\[0\] must be a Pmf, got str"),
+        (lambda cp: LogLossCode(1, (), cp.y_rows[:1]), "LogLossCode: empty encoder"),
+        (lambda cp: expected_log_loss(Pmf.uniform(3), LogLossCode(2, (0, 1, 1),
+                                                                  (Pmf.uniform(2),) * 2)),
+         "expected_log_loss: row 0 has alphabet 2, expected 3"),
     ])
     def test_mismatched_code_is_a_validation_error(self, cp_u4, call, match):
         with pytest.raises(ValidationError, match=match):

@@ -10,45 +10,87 @@ value and the argument's name.
 Where a function hands an argument on unchecked, the check that names it is
 the callee's (for example ``construct_sr``'s ``tol`` is checked by
 ``rd_at_distortion``).  Message counts, seeds, sample counts, iteration
-budgets and verifier tolerances have their own parametrized tests.
+budgets and verifier tolerances have their own parametrized tests.  Every
+argument of a public function annotated with a record class has a row in
+``OBJECT_ARGUMENTS``.
 """
 
+import dataclasses
+import inspect
 import math
+import typing
 
 import pytest
 
+import loglosslab
 from loglosslab import (
     Channel,
+    CorrespondingProblem,
     Joint,
+    LogLossCode,
+    OneShotCode,
     Pmf,
+    RdPoint,
     SourceProblem,
+    SrConstruction,
     ValidationError,
     build_corresponding,
+    chain_step_channel,
+    conditional_entropy,
     construct_sr,
     construct_sr_chain,
+    distortion_bounds,
+    entropy,
+    excess_witness,
+    expected_distortion,
+    expected_log_loss,
     floor_exp,
     hamming_distortion,
+    identity_bound,
+    identity_sweep,
     information_density,
+    joint_from_source_and_channel,
     kl_divergence,
     log_loss,
     log_loss_seq,
+    logloss_avg_optimum,
     logloss_codebook,
     logloss_excess_optimum,
     logloss_excess_oracle,
     logloss_rd,
+    map_code,
+    mutual_information,
+    posterior,
     rd_at_distortion,
     rd_curve,
+    solve_avg,
+    solve_avg_oracle,
     solve_codebook,
     solve_excess,
+    suboptimality_gap,
+    tilted_information,
     timeshare_simulate,
     timeshare_two_decoders,
+    unmap_code,
+    varentropy,
+    verify_csiszar_identity,
+    verify_lemma1,
+    verify_optimum_coincidence,
     verify_sr,
+    verify_theorem1,
 )
-from loglosslab.equivalence import LogLossCode
-from loglosslab.oneshot import OneShotCode, excess_witness
 
 SKEW3 = SourceProblem(px=Pmf([0.5, 0.3, 0.2]), distortion=hamming_distortion(3))
+PX = SKEW3.px
 JOINT = Joint([[0.3, 0.2], [0.1, 0.4]])
+CHANNEL = Channel.identity(3)
+POINT = rd_at_distortion(SKEW3, 0.2)
+Q_ROWS = [POINT.reverse.row(j) for j in range(POINT.reverse.n_in)]
+CP = build_corresponding(SKEW3, 2)
+CODE = CP.optimal_code
+LCODE = map_code(CP, CODE)
+SR = construct_sr(SKEW3, 0.9, 0.15)
+CHAIN = construct_sr_chain(SKEW3, [0.9, 0.8], 0.15)
 
 # id: (call taking the value, "checker: argument" that opens the message,
 # a value the call accepts)
@@ -125,18 +167,104 @@ SEQUENCE_ARGUMENTS = {
                             "LogLossCode: encoder", [0, 1, 1]),
     "LogLossCode-decoder_rows": (lambda v: LogLossCode(2, (0, 1, 1), v),
                                  "LogLossCode: decoder_rows", [SKEW3.px, SKEW3.px]),
+    "verify_lemma1-q_rows": (lambda v: verify_lemma1(PX, v, POINT.forward),
+                             "verify_lemma1: q_rows", Q_ROWS),
 }
 
-SR = construct_sr(SKEW3, 0.9, 0.15)
 OBJECT_ARGUMENTS = {
     "SourceProblem-px": (lambda v: SourceProblem(px=v, distortion=hamming_distortion(3)),
-                         "SourceProblem: px", SKEW3.px),
-    "kl_divergence-p": (lambda v: kl_divergence(v, SKEW3.px), "kl_divergence: p", SKEW3.px),
-    "kl_divergence-q": (lambda v: kl_divergence(SKEW3.px, v), "kl_divergence: q", SKEW3.px),
-    "log_loss-q": (lambda v: log_loss(0, v), "log_loss: q", SKEW3.px),
-    "Channel.constant-q": (lambda v: Channel.constant(v, 2), "Channel.constant: q", SKEW3.px),
+                         "SourceProblem: px", PX),
+    "Channel.constant-q": (lambda v: Channel.constant(v, 2), "Channel.constant: q", PX),
+    "entropy-p": (entropy, "entropy: p", PX),
+    "varentropy-p": (varentropy, "varentropy: p", PX),
+    "kl_divergence-p": (lambda v: kl_divergence(v, PX), "kl_divergence: p", PX),
+    "kl_divergence-q": (lambda v: kl_divergence(PX, v), "kl_divergence: q", PX),
+    "conditional_entropy-j": (conditional_entropy, "conditional_entropy: j", JOINT),
+    "mutual_information-px": (lambda v: mutual_information(v, CHANNEL),
+                              "mutual_information: px", PX),
+    "mutual_information-ch": (lambda v: mutual_information(PX, v),
+                              "mutual_information: ch", CHANNEL),
+    "information_density-j": (lambda v: information_density(v, 0, 0),
+                              "information_density: j", JOINT),
+    "posterior-px": (lambda v: posterior(v, CHANNEL), "joint_from_source_and_channel: px", PX),
+    "posterior-ch": (lambda v: posterior(PX, v), "joint_from_source_and_channel: ch", CHANNEL),
+    "joint_from_source_and_channel-px": (lambda v: joint_from_source_and_channel(v, CHANNEL),
+                                         "joint_from_source_and_channel: px", PX),
+    "joint_from_source_and_channel-ch": (lambda v: joint_from_source_and_channel(PX, v),
+                                         "joint_from_source_and_channel: ch", CHANNEL),
+    "log_loss-q": (lambda v: log_loss(0, v), "log_loss: q", PX),
+    "distortion_bounds-problem": (distortion_bounds, "distortion_bounds: problem", SKEW3),
+    "rd_at_distortion-problem": (lambda v: rd_at_distortion(v, 0.2),
+                                 "rd_at_distortion: problem", SKEW3),
+    "rd_curve-problem": (lambda v: rd_curve(v, [0.2]), "rd_at_distortion: problem", SKEW3),
+    "tilted_information-problem": (lambda v: tilted_information(v, POINT),
+                                   "tilted_information: problem", SKEW3),
+    "tilted_information-point": (lambda v: tilted_information(SKEW3, v),
+                                 "tilted_information: point", POINT),
+    "verify_csiszar_identity-problem": (lambda v: verify_csiszar_identity(v, POINT),
+                                        "verify_csiszar_identity: problem", SKEW3),
+    "verify_csiszar_identity-point": (lambda v: verify_csiszar_identity(SKEW3, v),
+                                      "verify_csiszar_identity: point", POINT),
+    "logloss_rd-px": (lambda v: logloss_rd(v, 0.2), "logloss_rd: px", PX),
+    "verify_lemma1-px": (lambda v: verify_lemma1(v, Q_ROWS, POINT.forward),
+                         "verify_lemma1: px", PX),
+    "verify_lemma1-weights": (lambda v: verify_lemma1(PX, Q_ROWS, v),
+                              "verify_lemma1: weights", POINT.forward),
+    "expected_distortion-problem": (lambda v: expected_distortion(v, CODE),
+                                    "expected_distortion: problem", SKEW3),
+    "expected_distortion-code": (lambda v: expected_distortion(SKEW3, v),
+                                 "expected_distortion: code", CODE),
+    "solve_avg-problem": (lambda v: solve_avg(v, 2), "solve_avg: problem", SKEW3),
+    "solve_avg_oracle-problem": (lambda v: solve_avg_oracle(v, 2),
+                                 "solve_avg_oracle: problem", SKEW3),
+    "solve_excess-problem": (lambda v: solve_excess(v, 2, 0.5), "solve_excess: problem", SKEW3),
+    "excess_witness-problem": (lambda v: excess_witness(v, 2, 0.5),
+                               "excess_witness: problem", SKEW3),
+    "solve_codebook-problem": (lambda v: solve_codebook(v, 0.5, 0.1),
+                               "solve_codebook: problem", SKEW3),
+    "logloss_avg_optimum-px": (lambda v: logloss_avg_optimum(v, 2),
+                               "logloss_avg_optimum: px", PX),
+    "logloss_excess_optimum-px": (lambda v: logloss_excess_optimum(v, 2, 0.5),
+                                  "logloss_excess_optimum: px", PX),
+    "logloss_codebook-px": (lambda v: logloss_codebook(v, 0.5, 0.1), "logloss_codebook: px", PX),
+    "logloss_excess_oracle-px": (lambda v: logloss_excess_oracle(v, 2, 0.5),
+                                 "logloss_excess_oracle: px", PX),
+    "build_corresponding-problem": (lambda v: build_corresponding(v, 2),
+                                    "build_corresponding: problem", SKEW3),
+    "map_code-cp": (lambda v: map_code(v, CODE), "map_code: cp", CP),
+    "map_code-code": (lambda v: map_code(CP, v), "map_code: code", CODE),
+    "unmap_code-cp": (lambda v: unmap_code(v, LCODE), "unmap_code: cp", CP),
+    "unmap_code-lcode": (lambda v: unmap_code(CP, v), "unmap_code: lcode", LCODE),
+    "expected_log_loss-px": (lambda v: expected_log_loss(v, LCODE), "expected_log_loss: px", PX),
+    "expected_log_loss-lcode": (lambda v: expected_log_loss(PX, v),
+                                "expected_log_loss: lcode", LCODE),
+    "verify_theorem1-cp": (lambda v: verify_theorem1(v, CODE), "map_code: cp", CP),
+    "verify_theorem1-code": (lambda v: verify_theorem1(CP, v), "map_code: code", CODE),
+    "suboptimality_gap-cp": (lambda v: suboptimality_gap(v, CODE), "map_code: cp", CP),
+    "suboptimality_gap-code": (lambda v: suboptimality_gap(CP, v), "map_code: code", CODE),
+    "identity_sweep-cp": (identity_sweep, "identity_sweep: cp", CP),
+    "identity_bound-cp": (identity_bound, "identity_bound: cp", CP),
+    "verify_optimum_coincidence-cp": (verify_optimum_coincidence,
+                                      "verify_optimum_coincidence: cp", CP),
+    "construct_sr-problem": (lambda v: construct_sr(v, 0.9, 0.15), "construct_sr: problem",
+                             SKEW3),
+    "construct_sr_chain-problem": (lambda v: construct_sr_chain(v, [0.9], 0.15),
+                                   "construct_sr_chain: problem", SKEW3),
+    "chain_step_channel-coarse": (lambda v: chain_step_channel(v, CHAIN[1]),
+                                  "chain_step_channel: coarse", CHAIN[0]),
+    "chain_step_channel-fine": (lambda v: chain_step_channel(CHAIN[0], v),
+                                "chain_step_channel: fine", CHAIN[1]),
     "verify_sr-c": (verify_sr, "verify_sr: c", SR),
+    "timeshare_simulate-px": (lambda v: timeshare_simulate(v, 0.5, 10, 0),
+                              "timeshare_simulate: px", PX),
+    "timeshare_two_decoders-px": (lambda v: timeshare_two_decoders(v, 0.9, 0.3, 10, 0),
+                                  "timeshare_two_decoders: px", PX),
 }
+# The classes a caller builds and hands in.  Every other class in
+# loglosslab.__all__ is a result record or an exception, which no public
+# function takes.
+RECORDS = (Pmf, Channel, Joint, SourceProblem, RdPoint, OneShotCode, LogLossCode,
+           CorrespondingProblem, SrConstruction)
 
 # id: (call taking the value, the start of the message it raises, a finite
 # value out of range)
@@ -207,6 +335,41 @@ def test_wrong_kind_of_sequence_or_object_is_a_named_validation_error(call, pref
     for name, (call, _, valid) in cases.items()])
 def test_each_sequence_or_object_call_accepts_a_valid_value(name, call, valid):
     call(valid)
+
+
+def public_functions():
+    """(name, function) for each function and static method in loglosslab.__all__."""
+    for name in loglosslab.__all__:
+        value = getattr(loglosslab, name)
+        if inspect.isfunction(value):
+            yield name, value
+        elif inspect.isclass(value):
+            yield from ((f"{name}.{attr}", raw.__func__) for attr, raw in vars(value).items()
+                        if isinstance(raw, staticmethod))
+
+
+def record_arguments() -> list[str]:
+    """"function-argument" for each public argument annotated with a record class."""
+    return [f"{name}-{arg}" for name, function in public_functions()
+            for arg, kind in typing.get_type_hints(function).items()
+            if arg != "return" and isinstance(kind, type) and issubclass(kind, RECORDS)]
+
+
+def test_every_record_argument_has_a_row():
+    arguments = record_arguments()
+    assert [a for a in arguments if a not in OBJECT_ARGUMENTS] == []
+    # The one row the walk does not reach checks a constructor's field.
+    assert set(OBJECT_ARGUMENTS) - set(arguments) == {"SourceProblem-px"}
+
+
+def test_every_public_dataclass_is_a_record_or_a_result():
+    # A new class must be placed: a record class gets the contract rows.
+    dataclass_names = {name for name in loglosslab.__all__
+                       if dataclasses.is_dataclass(getattr(loglosslab, name))}
+    results = {"RdDiagnostics", "Lemma1Report", "PartitionScheme", "ExcessScheme",
+               "Theorem1Check", "IdentitySweep", "CoincidenceReport", "SrCheck", "SrReport",
+               "TimeshareReport"}
+    assert dataclass_names == results | {kind.__name__ for kind in RECORDS}
 
 
 def test_a_sequence_argument_may_be_any_iterable():

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loglosslab import (
     InfeasibleError,
@@ -20,6 +22,7 @@ from loglosslab import (
     logloss_codebook,
     logloss_excess_optimum,
     logloss_excess_oracle,
+    renormalize,
     solve_avg,
     solve_avg_oracle,
     solve_codebook,
@@ -378,6 +381,17 @@ class TestLoglossAvg:
         # point mass; a loss is never negative.
         _, value = logloss_avg_optimum(px, px.n)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=8).filter(any), st.data())
+    def test_every_cell_of_the_first_optimum_carries_mass(self, weights, data):
+        # Zero and tied masses, and M up to r + 1.  A cell of zero-mass
+        # symbols merges into cell 0 (or cell 1 into it, when it is cell 0)
+        # with the same value, and that partition comes earlier in
+        # restricted-growth order, so the first optimum has no such cell.
+        n_messages = data.draw(st.integers(1, len(weights) + 1))
+        scheme, _ = logloss_avg_optimum(renormalize(weights), n_messages)
+        assert (scheme.cell_masses > 0.0).all()
 
     def test_alphabet_guard(self, refused):
         assert refused(logloss_avg_optimum, Pmf.uniform(15), 2) == (

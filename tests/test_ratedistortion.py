@@ -811,6 +811,12 @@ class TestLemma1:
         with pytest.raises(ValidationError, match=f"verify_lemma1: {match}"):
             verify_lemma1(Pmf([0.5, 0.5]), rows, weights)
 
+    def test_each_row_must_be_a_pmf(self):
+        # A list of floats once failed as a raw AttributeError.
+        with pytest.raises(ValidationError,
+                           match=r"verify_lemma1: q_rows\[1\] must be a Pmf, got list"):
+            verify_lemma1(Pmf([0.5, 0.5]), [Pmf([1.0, 0.0]), [0.0, 1.0]], Channel(np.eye(2)))
+
     def test_solver_point_satisfies_lemma1(self):
         # the solved reverse rows are posteriors of the forward channel, so
         # the log-loss identities hold with D = H(X | Xhat)
