@@ -32,11 +32,12 @@ from . import oneshot
 from .errors import (
     DegenerateInstanceError,
     MappingError,
-    ValidationError,
     VerificationError,
     _require_each,
     _require_instance,
+    _require_int,
     _require_real,
+    _require_size,
 )
 from .oneshot import (
     _CODE_ENUM_GUARD,
@@ -49,8 +50,8 @@ from .oneshot import (
     solve_avg,
 )
 from .probability import Pmf, conditional_entropy, joint_from_source_and_channel
-from .ratedistortion import (_DEFAULT_TOL, RdPoint, SourceProblem, distortion_bounds,
-                             rd_at_distortion)
+from .ratedistortion import (_DEFAULT_TOL, RdPoint, SourceProblem, _first_close_pair,
+                             distortion_bounds, rd_at_distortion)
 
 __all__ = [
     "ROW_MATCH_TOL",
@@ -136,13 +137,13 @@ def build_corresponding(problem: SourceProblem, n_messages: int,
     point = rd_at_distortion(problem, d_star, tol=tol)
 
     rows = point.reverse.rows
-    for a in range(rows.shape[0] - 1):
-        close = np.flatnonzero(np.abs(rows[a + 1:] - rows[a]).max(axis=1) <= ROW_MATCH_TOL)
-        if close.size:
-            raise VerificationError(
-                f"reverse rows {a} and {a + 1 + close[0]} coincide within {ROW_MATCH_TOL}; "
-                "distinct distortion columns should force distinct posteriors"
-            )
+    same = _first_close_pair(rows, ROW_MATCH_TOL)
+    if same is not None:
+        a, b = same
+        raise VerificationError(
+            f"reverse rows {a} and {b} coincide within {ROW_MATCH_TOL}; "
+            "distinct distortion columns should force distinct posteriors"
+        )
 
     if point.rate > math.log(n_messages) + 1e-9:
         raise VerificationError(
@@ -166,12 +167,10 @@ def map_code(cp: CorrespondingProblem, code: OneShotCode) -> LogLossCode:
     """Carry a source code across: same encoder, posterior rows as decoder."""
     _require_instance("map_code", "cp", cp, CorrespondingProblem)
     _require_instance("map_code", "code", code, OneShotCode)
-    if code.n_messages != cp.n_messages:
-        raise ValidationError(
-            f"map_code: code has {code.n_messages} messages, problem has {cp.n_messages}"
-        )
-    if len(code.encoder) != cp.px.n:
-        raise ValidationError("map_code: encoder length mismatch")
+    _require_size("map_code", "code.n_messages", code.n_messages, "cp.n_messages", cp.n_messages)
+    _require_size("map_code", "len(code.encoder)", len(code.encoder), "cp.px.n", cp.px.n)
+    _require_each(_require_int, "map_code", "code.decoder", code.decoder, 0,
+                  cp.problem.n_reconstruction - 1)
     col_to_row = {col: j for j, col in enumerate(cp.source_point.kept_columns)}
     rows = []
     for m, col in enumerate(code.decoder):
@@ -194,14 +193,12 @@ def unmap_code(cp: CorrespondingProblem, lcode: LogLossCode) -> OneShotCode:
     """
     _require_instance("unmap_code", "cp", cp, CorrespondingProblem)
     _require_instance("unmap_code", "lcode", lcode, LogLossCode)
-    if lcode.n_messages != cp.n_messages:
-        raise ValidationError(
-            f"unmap_code: code has {lcode.n_messages} messages, problem has {cp.n_messages}"
-        )
+    _require_size("unmap_code", "lcode.n_messages", lcode.n_messages,
+                  "cp.n_messages", cp.n_messages)
+    _require_size("unmap_code", "len(lcode.encoder)", len(lcode.encoder), "cp.px.n", cp.px.n)
     decoder = []
     for m, row in enumerate(lcode.decoder_rows):
-        if row.n != cp.px.n:
-            raise ValidationError(f"unmap_code: row {m} has alphabet {row.n}")
+        _require_size("unmap_code", f"lcode.decoder_rows[{m}].n", row.n, "cp.px.n", cp.px.n)
         dists = np.abs(cp.source_point.reverse.rows - row.probs).max(axis=1)
         j = int(np.argmin(dists))
         if dists[j] > ROW_MATCH_TOL:
@@ -218,12 +215,9 @@ def expected_log_loss(px: Pmf, lcode: LogLossCode) -> float:
     """E[-ln q(X)] where q is the decoded row for X's message."""
     _require_instance("expected_log_loss", "px", px, Pmf)
     _require_instance("expected_log_loss", "lcode", lcode, LogLossCode)
-    if len(lcode.encoder) != px.n:
-        raise ValidationError("expected_log_loss: encoder length mismatch")
+    _require_size("expected_log_loss", "len(lcode.encoder)", len(lcode.encoder), "px.n", px.n)
     for m, row in enumerate(lcode.decoder_rows):
-        if row.n != px.n:
-            raise ValidationError(
-                f"expected_log_loss: row {m} has alphabet {row.n}, expected {px.n}")
+        _require_size("expected_log_loss", f"lcode.decoder_rows[{m}].n", row.n, "px.n", px.n)
     total = 0.0
     for x in px.support():
         qx = float(lcode.decoder_rows[lcode.encoder[x]].probs[x])

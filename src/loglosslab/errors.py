@@ -98,6 +98,12 @@ def _require_iterable(caller: str, name: str, value) -> list:
     raise ValidationError(f"{caller}: {name} must be a sequence, got {value!r}")
 
 
+def _require_size(caller: str, name: str, size: int, other: str, expected: int) -> None:
+    """Raise ValidationError unless ``size``, of ``name``, equals ``expected``, of ``other``."""
+    if size != expected:
+        raise ValidationError(f"{caller}: {name} = {size} must equal {other} = {expected}")
+
+
 def _require_each(require, caller: str, name: str, values, *bounds) -> None:
     """Apply ``require`` to every entry of a sequence, naming entry i name[i]."""
     for i, value in enumerate(values):

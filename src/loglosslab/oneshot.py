@@ -31,6 +31,7 @@ from .errors import (
     _require_int,
     _require_iterable,
     _require_real,
+    _require_size,
 )
 from .probability import Pmf, entropy
 from .ratedistortion import SourceProblem
@@ -123,9 +124,8 @@ def _check_code_fields(code, decoder: str) -> None:
     for name in ("encoder", decoder):
         entries = _require_iterable(caller, name, getattr(code, name))
         object.__setattr__(code, name, tuple(entries))
-    size = len(getattr(code, decoder))
-    if size != code.n_messages:
-        raise ValidationError(f"{caller}: {decoder} covers {size} of {code.n_messages} messages")
+    _require_size(caller, f"len({decoder})", len(getattr(code, decoder)),
+                  "n_messages", code.n_messages)
     if not code.encoder:
         raise ValidationError(f"{caller}: empty encoder")
     _require_each(_require_int, caller, "encoder", code.encoder, 0, code.n_messages - 1)
@@ -135,10 +135,10 @@ def expected_distortion(problem: SourceProblem, code: OneShotCode) -> float:
     """E d(X, g(f(X))) for a code over the problem's distortion matrix."""
     _require_instance("expected_distortion", "problem", problem, SourceProblem)
     _require_instance("expected_distortion", "code", code, OneShotCode)
-    if len(code.encoder) != problem.n_source:
-        raise ValidationError("expected_distortion: encoder length mismatch")
-    if max(code.decoder) >= problem.n_reconstruction:
-        raise ValidationError("expected_distortion: decoder column out of range")
+    _require_size("expected_distortion", "len(code.encoder)", len(code.encoder),
+                  "problem.n_source", problem.n_source)
+    _require_each(_require_int, "expected_distortion", "code.decoder", code.decoder, 0,
+                  problem.n_reconstruction - 1)
     px = problem.px.probs
     dist = problem.distortion
     return float(sum(px[x] * dist[x, code.decoder[code.encoder[x]]]

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _require_instance, _require_int, _require_iterable
+from .errors import (ValidationError, _require_instance, _require_int, _require_iterable,
+                     _require_size)
 
 __all__ = [
     "SUM_TOL",
@@ -202,8 +203,7 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
     """Relative entropy D(p || q) in nats; ``math.inf`` off q's support."""
     _require_instance("kl_divergence", "p", p, Pmf)
     _require_instance("kl_divergence", "q", q, Pmf)
-    if p.n != q.n:
-        raise ValidationError(f"kl_divergence: alphabet mismatch {p.n} vs {q.n}")
+    _require_size("kl_divergence", "q.n", q.n, "p.n", p.n)
     pa, qa = p.probs, q.probs
     mask = pa > 0.0
     if np.any(qa[mask] == 0.0):
@@ -225,8 +225,7 @@ def mutual_information(px: Pmf, ch: Channel) -> float:
     """
     _require_instance("mutual_information", "px", px, Pmf)
     _require_instance("mutual_information", "ch", ch, Channel)
-    if ch.n_in != px.n:
-        raise ValidationError(f"mutual_information: channel has {ch.n_in} rows, pmf has {px.n}")
+    _require_size("mutual_information", "ch.n_in", ch.n_in, "px.n", px.n)
     py = px.probs @ ch.rows
     h_y = _neg_p_log_p(py)
     h_y_given_x = 0.0
@@ -289,13 +288,17 @@ def information_density(j: Joint, x: int, y: int) -> float:
     return math.log(pxy) - math.log(px) - math.log(py)
 
 
+def _joint(caller: str, px: Pmf, ch: Channel) -> Joint:
+    """Joint P(x, y) = px(x) ch(y | x); errors name ``caller``."""
+    _require_instance(caller, "px", px, Pmf)
+    _require_instance(caller, "ch", ch, Channel)
+    _require_size(caller, "ch.n_in", ch.n_in, "px.n", px.n)
+    return Joint(px.probs[:, None] * ch.rows)
+
+
 def joint_from_source_and_channel(px: Pmf, ch: Channel) -> Joint:
     """Joint P(x, y) = px(x) ch(y | x)."""
-    _require_instance("joint_from_source_and_channel", "px", px, Pmf)
-    _require_instance("joint_from_source_and_channel", "ch", ch, Channel)
-    if ch.n_in != px.n:
-        raise ValidationError(f"joint: channel has {ch.n_in} rows, pmf has {px.n}")
-    return Joint(px.probs[:, None] * ch.rows)
+    return _joint("joint_from_source_and_channel", px, ch)
 
 
 def posterior(px: Pmf, ch: Channel) -> tuple[Channel, Pmf]:
@@ -304,7 +307,7 @@ def posterior(px: Pmf, ch: Channel) -> tuple[Channel, Pmf]:
     Every output column must carry positive probability; prune zero-mass
     outputs before inverting.
     """
-    j = joint_from_source_and_channel(px, ch)
+    j = _joint("posterior", px, ch)
     py = j.table.sum(axis=0)
     dead = np.flatnonzero(py == 0.0)
     if dead.size:
@@ -329,8 +332,7 @@ def log_loss_seq(xs, qs) -> float:
     """Average of per-symbol log losses over a block."""
     xs = _require_iterable("log_loss_seq", "xs", xs)
     qs = _require_iterable("log_loss_seq", "qs", qs)
-    if len(xs) != len(qs):
-        raise ValidationError(f"log_loss_seq: {len(xs)} symbols vs {len(qs)} reproductions")
+    _require_size("log_loss_seq", "len(qs)", len(qs), "len(xs)", len(xs))
     if not xs:
         raise ValidationError("log_loss_seq: empty block")
     return sum(log_loss(x, q) for x, q in zip(xs, qs)) / len(xs)

@@ -43,6 +43,7 @@ from .errors import (
     _require_int,
     _require_iterable,
     _require_real,
+    _require_size,
 )
 from .probability import (
     Channel,
@@ -110,6 +111,18 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _LSTSQ(a, b[:, None], _EPS * a.shape[0], signature="ddd->ddid")[0][:, 0]
 
 
+def _first_close_pair(vectors: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """The first rows a < b of ``vectors`` within ``tol`` in max norm, or None.
+
+    Pairs come in order of a, then of b.
+    """
+    for a in range(vectors.shape[0] - 1):
+        close = np.flatnonzero(np.abs(vectors[a + 1:] - vectors[a]).max(axis=1) <= tol)
+        if close.size:
+            return a, a + 1 + int(close[0])
+    return None
+
+
 def hamming_distortion(r: int, s: int | None = None) -> np.ndarray:
     """0/1 distortion matrix: free on the diagonal, unit cost elsewhere."""
     _require_int("hamming_distortion", "r", r, 1)
@@ -134,17 +147,11 @@ class SourceProblem:
     def __post_init__(self):
         _require_instance("SourceProblem", "px", self.px, Pmf)
         dist = _as_readonly_array(self.distortion, "SourceProblem: distortion", ndim=2)
-        if dist.shape[0] != self.px.n:
-            raise ValidationError(
-                f"SourceProblem: {dist.shape[0]} distortion rows for {self.px.n} source symbols"
-            )
-        for j in range(dist.shape[1] - 1):
-            gaps = np.abs(dist[:, j + 1:] - dist[:, j:j + 1]).max(axis=0)
-            same = np.flatnonzero(gaps <= COLUMN_MATCH_TOL)
-            if same.size:
-                raise ValidationError(
-                    f"SourceProblem: distortion columns {j} and {j + 1 + same[0]} are identical"
-                )
+        _require_size("SourceProblem", "len(distortion)", dist.shape[0], "px.n", self.px.n)
+        same = _first_close_pair(dist.T, COLUMN_MATCH_TOL)
+        if same is not None:
+            a, b = same
+            raise ValidationError(f"SourceProblem: distortion columns {a} and {b} are identical")
         object.__setattr__(self, "distortion", dist)
 
     @property
@@ -423,8 +430,9 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, target: float, tol: float,
     pxp must be > 0.
 
     Every iteration re-solves the slope for E[d] = target, starting from
-    the last one (1.0 at the first), and from the first failed polish on,
-    an iterate whose duality gap is at most ``tol`` ends the solve.
+    the last one (1.0 at the first), and from iteration 2 on (the first
+    polish attempt), an iterate whose duality gap is at most ``tol`` ends
+    the solve.
     """
     shift = np.minimum.reduce(dist, 1)
     dist_s = dist - shift[:, None]  # row minimum exactly 0: the tilt never overflows
@@ -433,7 +441,6 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, target: float, tol: float,
     lam = 1.0
     q = np.full(dist.shape[1], 1.0 / dist.shape[1])
     f_prev = math.inf
-    certify = False  # set by the first failed polish
     for it in range(1, max_iter + 1):
         with np.errstate(invalid="ignore"):
             lam, expd = _match_slope(pxp, dist_s, q, target_s, lam)
@@ -444,8 +451,7 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, target: float, tol: float,
         done = None
         if it == 2 or it % _POLISH_EVERY == 0:
             done = _polish(pxp, dist_s, m, lam, target_s, tol)
-            certify = True
-        if done is None and certify and _dual_gap(pxp, expd, z, fwd, m, lam, target_s) <= tol:
+        if done is None and it >= 2 and _dual_gap(pxp, expd, z, fwd, m, lam, target_s) <= tol:
             # Within tol of R(target): keep the columns of real mass, unless
             # the rest cannot meet the target to the slope match's precision,
             # and match the slope to them.
@@ -642,6 +648,20 @@ def rd_curve(problem: SourceProblem, grid, tol: float = _DEFAULT_TOL) -> list[Rd
             for d in _require_iterable("rd_curve", "grid", grid)]
 
 
+def _kept_distortion(caller: str, problem: SourceProblem, point: RdPoint) -> np.ndarray:
+    """The problem's distortion on the point's kept columns.
+
+    Refuses a point whose forward rows or kept columns do not fit the problem.
+    """
+    _require_instance(caller, "problem", problem, SourceProblem)
+    _require_instance(caller, "point", point, RdPoint)
+    _require_size(caller, "point.forward.n_in", point.forward.n_in,
+                  "problem.n_source", problem.n_source)
+    _require_each(_require_int, caller, "point.kept_columns", point.kept_columns, 0,
+                  problem.n_reconstruction - 1)
+    return problem.distortion[:, list(point.kept_columns)]
+
+
 def tilted_information(problem: SourceProblem, point: RdPoint) -> np.ndarray:
     """Per-symbol tilted information at a solved point, in nats.
 
@@ -649,9 +669,7 @@ def tilted_information(problem: SourceProblem, point: RdPoint) -> np.ndarray:
     equals ``point.tilted``.  Its expectation under the source matches the
     point's rate.
     """
-    _require_instance("tilted_information", "problem", problem, SourceProblem)
-    _require_instance("tilted_information", "point", point, RdPoint)
-    dist_kept = problem.distortion[:, list(point.kept_columns)]
+    dist_kept = _kept_distortion("tilted_information", problem, point)
     return _tilted_vector(dist_kept, point.output_marginal.probs,
                           point.lambda_star, point.diagnostics.achieved_distortion)
 
@@ -669,9 +687,7 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
     probability underflowed to zero or to a subnormal are skipped: their
     logarithm has lost its digits.
     """
-    _require_instance("verify_csiszar_identity", "problem", problem, SourceProblem)
-    _require_instance("verify_csiszar_identity", "point", point, RdPoint)
-    dist_kept = problem.distortion[:, list(point.kept_columns)]
+    dist_kept = _kept_distortion("verify_csiszar_identity", problem, point)
     fwd = point.forward.rows
     m = point.output_marginal.probs
     lam = point.lambda_star
@@ -727,17 +743,12 @@ def verify_lemma1(px: Pmf, q_rows, weights: Channel, tol: float = 1e-9) -> Lemma
     _require_instance("verify_lemma1", "px", px, Pmf)
     _require_instance("verify_lemma1", "weights", weights, Channel)
     _require_real("verify_lemma1", "tol", tol, 0.0)
-    if weights.n_in != px.n:
-        raise ValidationError(f"verify_lemma1: weights have {weights.n_in} rows, pmf has {px.n}")
+    _require_size("verify_lemma1", "weights.n_in", weights.n_in, "px.n", px.n)
     rows = _require_iterable("verify_lemma1", "q_rows", q_rows)
     _require_each(_require_instance, "verify_lemma1", "q_rows", rows, Pmf)
-    if len(rows) != weights.n_out:
-        raise ValidationError(
-            f"verify_lemma1: {len(rows)} reproduction rows for {weights.n_out} outputs"
-        )
+    _require_size("verify_lemma1", "len(q_rows)", len(rows), "weights.n_out", weights.n_out)
     for k, row in enumerate(rows):
-        if row.n != px.n:
-            raise ValidationError(f"verify_lemma1: row {k} has alphabet {row.n}, expected {px.n}")
+        _require_size("verify_lemma1", f"q_rows[{k}].n", row.n, "px.n", px.n)
 
     joint = joint_from_source_and_channel(px, weights)
     mi, expected_loss, post_dev = _decoder_fit(joint.table, rows)

@@ -167,17 +167,17 @@ class TestMapUnmap:
 
     @pytest.mark.parametrize("call, match", [
         (lambda cp: LogLossCode(2, (0, 1, 0, 1), cp.y_rows[:1]),
-         "LogLossCode: decoder_rows covers 1 of 2 messages"),
+         r"LogLossCode: len\(decoder_rows\) = 1 must equal n_messages = 2"),
         (lambda cp: LogLossCode(2, (0, 1, 0, 2), cp.y_rows[:2]),
          r"LogLossCode: encoder\[3\] must be an integer in \[0, 1\], got 2"),
         (lambda cp: map_code(cp, OneShotCode(2, (0, 1, 0), (0, 1))),
-         "map_code: encoder length mismatch"),
+         r"map_code: len\(code.encoder\) = 3 must equal cp.px.n = 4"),
         (lambda cp: unmap_code(cp, LogLossCode(1, (0, 0, 0, 0), cp.y_rows[:1])),
-         "unmap_code: code has 1 messages, problem has 2"),
+         "unmap_code: lcode.n_messages = 1 must equal cp.n_messages = 2"),
         (lambda cp: unmap_code(cp, LogLossCode(2, (0, 1, 0, 1), (Pmf.uniform(3), cp.y_rows[0]))),
-         "unmap_code: row 0 has alphabet 3"),
+         r"unmap_code: lcode.decoder_rows\[0\].n = 3 must equal cp.px.n = 4"),
         (lambda cp: expected_log_loss(cp.px, LogLossCode(2, (0, 1), cp.y_rows[:2])),
-         "expected_log_loss: encoder length mismatch"),
+         r"expected_log_loss: len\(lcode.encoder\) = 2 must equal px.n = 4"),
         # Each of these once constructed or ran on, then failed as a raw
         # AttributeError or IndexError.
         (lambda cp: LogLossCode(2, (0, 1, 0, 1), ("a", "b")),
@@ -185,7 +185,7 @@ class TestMapUnmap:
         (lambda cp: LogLossCode(1, (), cp.y_rows[:1]), "LogLossCode: empty encoder"),
         (lambda cp: expected_log_loss(Pmf.uniform(3), LogLossCode(2, (0, 1, 1),
                                                                   (Pmf.uniform(2),) * 2)),
-         "expected_log_loss: row 0 has alphabet 2, expected 3"),
+         r"expected_log_loss: lcode.decoder_rows\[0\].n = 2 must equal px.n = 3"),
     ])
     def test_mismatched_code_is_a_validation_error(self, cp_u4, call, match):
         with pytest.raises(ValidationError, match=match):

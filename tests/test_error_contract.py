@@ -7,6 +7,12 @@ object argument takes an instance of its class.  Anything else raises
 ValidationError, never a raw TypeError, AttributeError, OverflowError or
 IndexError, with a message that starts with the function that checked the
 value and the argument's name.
+Two arguments that must agree in size (a channel and its input pmf, a
+code and its problem, a solved point and its problem) raise a
+ValidationError naming the function, both arguments and both sizes; an
+index into another argument is an integer argument with that argument's
+bounds.  Every public function that takes two or more record arguments
+has a row in ``MISMATCHES``.
 Where a function hands an argument on unchecked, the check that names it is
 the callee's (for example ``construct_sr``'s ``tol`` is checked by
 ``rd_at_distortion``).  Message counts, seeds, sample counts, iteration
@@ -15,6 +21,7 @@ argument of a public function annotated with a record class has a row in
 ``OBJECT_ARGUMENTS``.
 """
 
+import collections
 import dataclasses
 import inspect
 import math
@@ -91,6 +98,11 @@ CODE = CP.optimal_code
 LCODE = map_code(CP, CODE)
 SR = construct_sr(SKEW3, 0.9, 0.15)
 CHAIN = construct_sr_chain(SKEW3, [0.9, 0.8], 0.15)
+# Problems that POINT, solved on SKEW3, does not fit.
+SKEW2 = SourceProblem(px=Pmf([0.6, 0.4]), distortion=hamming_distortion(2))
+ONE_SYMBOL = SourceProblem(px=Pmf([1.0]), distortion=[[0.0, 1.0, 2.0]])
+TWO_COLUMNS = SourceProblem(px=PX, distortion=hamming_distortion(3, 2))
+PMF2 = Pmf([0.5, 0.5])
 
 # id: (call taking the value, "checker: argument" that opens the message,
 # a value the call accepts)
@@ -186,8 +198,8 @@ OBJECT_ARGUMENTS = {
                               "mutual_information: ch", CHANNEL),
     "information_density-j": (lambda v: information_density(v, 0, 0),
                               "information_density: j", JOINT),
-    "posterior-px": (lambda v: posterior(v, CHANNEL), "joint_from_source_and_channel: px", PX),
-    "posterior-ch": (lambda v: posterior(PX, v), "joint_from_source_and_channel: ch", CHANNEL),
+    "posterior-px": (lambda v: posterior(v, CHANNEL), "posterior: px", PX),
+    "posterior-ch": (lambda v: posterior(PX, v), "posterior: ch", CHANNEL),
     "joint_from_source_and_channel-px": (lambda v: joint_from_source_and_channel(v, CHANNEL),
                                          "joint_from_source_and_channel: px", PX),
     "joint_from_source_and_channel-ch": (lambda v: joint_from_source_and_channel(PX, v),
@@ -260,6 +272,90 @@ OBJECT_ARGUMENTS = {
     "timeshare_two_decoders-px": (lambda v: timeshare_two_decoders(v, 0.9, 0.3, 10, 0),
                                   "timeshare_two_decoders: px", PX),
 }
+# id "function-case": (call, the whole message it raises)
+MISMATCHES = {
+    "kl_divergence-q": (lambda: kl_divergence(PX, PMF2),
+                        "kl_divergence: q.n = 2 must equal p.n = 3"),
+    "mutual_information-ch": (lambda: mutual_information(PX, Channel.identity(2)),
+                              "mutual_information: ch.n_in = 2 must equal px.n = 3"),
+    "posterior-ch": (lambda: posterior(PMF2, CHANNEL),
+                     "posterior: ch.n_in = 3 must equal px.n = 2"),
+    "joint_from_source_and_channel-ch": (
+        lambda: joint_from_source_and_channel(PMF2, CHANNEL),
+        "joint_from_source_and_channel: ch.n_in = 3 must equal px.n = 2"),
+    "log_loss_seq-qs": (lambda: log_loss_seq([0, 1], [PX]),
+                        "log_loss_seq: len(qs) = 1 must equal len(xs) = 2"),
+    "SourceProblem-distortion": (
+        lambda: SourceProblem(px=PX, distortion=hamming_distortion(2)),
+        "SourceProblem: len(distortion) = 2 must equal px.n = 3"),
+    # Each of these once ended in a raw IndexError (two symbols) or
+    # answered (one symbol, or a column the problem lacks).
+    "tilted_information-two_symbols": (
+        lambda: tilted_information(SKEW2, POINT),
+        "tilted_information: point.forward.n_in = 3 must equal problem.n_source = 2"),
+    "tilted_information-one_symbol": (
+        lambda: tilted_information(ONE_SYMBOL, POINT),
+        "tilted_information: point.forward.n_in = 3 must equal problem.n_source = 1"),
+    "tilted_information-kept_columns": (
+        lambda: tilted_information(TWO_COLUMNS, POINT),
+        "tilted_information: point.kept_columns[2] must be an integer in [0, 1], got 2"),
+    "verify_csiszar_identity-two_symbols": (
+        lambda: verify_csiszar_identity(SKEW2, POINT),
+        "verify_csiszar_identity: point.forward.n_in = 3 must equal problem.n_source = 2"),
+    "verify_csiszar_identity-one_symbol": (
+        lambda: verify_csiszar_identity(ONE_SYMBOL, POINT),
+        "verify_csiszar_identity: point.forward.n_in = 3 must equal problem.n_source = 1"),
+    "verify_csiszar_identity-kept_columns": (
+        lambda: verify_csiszar_identity(TWO_COLUMNS, POINT),
+        "verify_csiszar_identity: point.kept_columns[2] must be an integer in [0, 1], got 2"),
+    "verify_lemma1-weights": (lambda: verify_lemma1(PX, Q_ROWS, Channel.identity(2)),
+                              "verify_lemma1: weights.n_in = 2 must equal px.n = 3"),
+    "verify_lemma1-q_rows": (lambda: verify_lemma1(PX, Q_ROWS[:2], POINT.forward),
+                             "verify_lemma1: len(q_rows) = 2 must equal weights.n_out = 3"),
+    "verify_lemma1-q_rows_entry": (
+        lambda: verify_lemma1(PX, [Q_ROWS[0], PMF2, Q_ROWS[2]], POINT.forward),
+        "verify_lemma1: q_rows[1].n = 2 must equal px.n = 3"),
+    "OneShotCode-decoder": (lambda: OneShotCode(2, (0, 1, 1), (0,)),
+                            "OneShotCode: len(decoder) = 1 must equal n_messages = 2"),
+    "LogLossCode-decoder_rows": (lambda: LogLossCode(2, (0, 1, 1), (PX,)),
+                                 "LogLossCode: len(decoder_rows) = 1 must equal n_messages = 2"),
+    "expected_distortion-encoder": (
+        lambda: expected_distortion(SKEW3, OneShotCode(2, (0, 1), (0, 1))),
+        "expected_distortion: len(code.encoder) = 2 must equal problem.n_source = 3"),
+    "expected_distortion-decoder": (
+        lambda: expected_distortion(TWO_COLUMNS, OneShotCode(2, (0, 1, 1), (0, 2))),
+        "expected_distortion: code.decoder[1] must be an integer in [0, 1], got 2"),
+    "map_code-n_messages": (lambda: map_code(CP, OneShotCode(3, (0, 1, 2), (0, 1, 2))),
+                            "map_code: code.n_messages = 3 must equal cp.n_messages = 2"),
+    "map_code-encoder": (lambda: map_code(CP, OneShotCode(2, (0, 1), (0, 1))),
+                         "map_code: len(code.encoder) = 2 must equal cp.px.n = 3"),
+    # Once a MappingError that called the missing column pruned.
+    "map_code-decoder": (lambda: map_code(CP, OneShotCode(2, (0, 1, 1), (0, 7))),
+                         "map_code: code.decoder[1] must be an integer in [0, 2], got 7"),
+    "unmap_code-n_messages": (
+        lambda: unmap_code(CP, LogLossCode(1, (0, 0, 0), LCODE.decoder_rows[:1])),
+        "unmap_code: lcode.n_messages = 1 must equal cp.n_messages = 2"),
+    # Once carried back into a OneShotCode without complaint.
+    "unmap_code-encoder": (lambda: unmap_code(CP, LogLossCode(2, (0, 1), LCODE.decoder_rows)),
+                           "unmap_code: len(lcode.encoder) = 2 must equal cp.px.n = 3"),
+    "unmap_code-decoder_rows": (
+        lambda: unmap_code(CP, LogLossCode(2, (0, 1, 1), (PMF2, LCODE.decoder_rows[1]))),
+        "unmap_code: lcode.decoder_rows[0].n = 2 must equal cp.px.n = 3"),
+    "expected_log_loss-encoder": (
+        lambda: expected_log_loss(PX, LogLossCode(2, (0, 1), LCODE.decoder_rows)),
+        "expected_log_loss: len(lcode.encoder) = 2 must equal px.n = 3"),
+    "expected_log_loss-decoder_rows": (
+        lambda: expected_log_loss(PX, LogLossCode(2, (0, 1, 1), (PMF2, PMF2))),
+        "expected_log_loss: lcode.decoder_rows[0].n = 2 must equal px.n = 3"),
+    "verify_theorem1-code": (lambda: verify_theorem1(CP, OneShotCode(2, (0, 1), (0, 1))),
+                             "map_code: len(code.encoder) = 2 must equal cp.px.n = 3"),
+    "suboptimality_gap-code": (lambda: suboptimality_gap(CP, OneShotCode(2, (0, 1), (0, 1))),
+                               "map_code: len(code.encoder) = 2 must equal cp.px.n = 3"),
+    "chain_step_channel-fine": (
+        lambda: chain_step_channel(CHAIN[0], construct_sr(SKEW2, 0.5, 0.1)),
+        "chain_step_channel: layers do not share an alphabet"),
+}
+
 # The classes a caller builds and hands in.  Every other class in
 # loglosslab.__all__ is a result record or an exception, which no public
 # function takes.
@@ -360,6 +456,20 @@ def test_every_record_argument_has_a_row():
     assert [a for a in arguments if a not in OBJECT_ARGUMENTS] == []
     # The one row the walk does not reach checks a constructor's field.
     assert set(OBJECT_ARGUMENTS) - set(arguments) == {"SourceProblem-px"}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHES))
+def test_arguments_that_do_not_fit_are_a_named_validation_error(name):
+    call, message = MISMATCHES[name]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_every_function_of_two_records_has_a_mismatch_row():
+    counts = collections.Counter(a.split("-")[0] for a in record_arguments())
+    with_rows = {name.split("-")[0] for name in MISMATCHES}
+    assert sorted(f for f, n in counts.items() if n >= 2 and f not in with_rows) == []
 
 
 def test_every_public_dataclass_is_a_record_or_a_result():

@@ -534,7 +534,7 @@ def test_n_messages_must_be_an_integer_at_least_one(name, value):
 
 
 @pytest.mark.parametrize("encoder, decoder, match", [
-    ((0, 1), (0,), "decoder covers 1 of 2 messages"),
+    ((0, 1), (0,), r"len\(decoder\) = 1 must equal n_messages = 2"),
     ((), (0, 1), "empty encoder"),
     ((0, 2), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got 2"),
     ((0, -1), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got -1"),
@@ -550,8 +550,9 @@ def test_malformed_code_is_a_validation_error(encoder, decoder, match):
 
 
 @pytest.mark.parametrize("code, match", [
-    (OneShotCode(2, (0, 1), (0, 1)), "encoder length mismatch"),
-    (OneShotCode(2, (0, 1, 1), (0, 3)), "decoder column out of range"),
+    (OneShotCode(2, (0, 1), (0, 1)), r"len\(code.encoder\) = 2 must equal problem.n_source = 3"),
+    (OneShotCode(2, (0, 1, 1), (0, 3)),
+     r"code.decoder\[1\] must be an integer in \[0, 2\], got 3"),
 ])
 def test_code_must_fit_the_problem(code, match):
     with pytest.raises(ValidationError, match=f"expected_distortion: {match}"):

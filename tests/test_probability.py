@@ -94,9 +94,9 @@ class TestPmf:
     (lambda: Pmf.uniform(0), "Pmf.uniform: n must be an integer >= 1, got 0"),
     (lambda: Pmf.point_mass(3, 3), r"Pmf.point_mass: x must be an integer in \[0, 2\], got 3"),
     (lambda: mutual_information(Pmf([0.5, 0.5]), Channel(np.eye(3))),
-     "mutual_information: channel has 3 rows, pmf has 2"),
+     "mutual_information: ch.n_in = 3 must equal px.n = 2"),
     (lambda: joint_from_source_and_channel(Pmf([0.5, 0.5]), Channel(np.eye(3))),
-     "joint: channel has 3 rows, pmf has 2"),
+     "joint_from_source_and_channel: ch.n_in = 3 must equal px.n = 2"),
     (lambda: information_density(Joint([[0.5, 0.5]]), 1, 0),
      r"information_density: x must be an integer in \[0, 0\], got 1"),
     (lambda: information_density(Joint([[0.5, 0.5], [0.0, 0.0]]), 1, 0),

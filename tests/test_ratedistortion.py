@@ -802,10 +802,10 @@ class TestLemma1:
         assert not report.ok
 
     @pytest.mark.parametrize("rows, weights, match", [
-        ([Pmf([0.5, 0.5])] * 3, Channel(np.eye(3)), "weights have 3 rows, pmf has 2"),
-        ([Pmf([0.5, 0.5])], Channel(np.eye(2)), "1 reproduction rows for 2 outputs"),
+        ([Pmf([0.5, 0.5])] * 3, Channel(np.eye(3)), "weights.n_in = 3 must equal px.n = 2"),
+        ([Pmf([0.5, 0.5])], Channel(np.eye(2)), r"len\(q_rows\) = 1 must equal weights.n_out = 2"),
         ([Pmf([0.5, 0.5]), Pmf.uniform(3)], Channel(np.eye(2)),
-         "row 1 has alphabet 3, expected 2"),
+         r"q_rows\[1\].n = 3 must equal px.n = 2"),
     ])
     def test_shapes_must_agree(self, rows, weights, match):
         with pytest.raises(ValidationError, match=f"verify_lemma1: {match}"):

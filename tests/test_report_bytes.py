@@ -44,6 +44,18 @@ COMMANDS = {
     "criterion9_timeshare": [
         "timeshare", "--px", "0.25,0.25,0.25,0.25", "--distortion", "0.4",
         "--n", "1000", "--seed", "11"],
+    # the oneshot cells no example above covers
+    "oneshot_avg_logloss": [
+        "oneshot", SKEW3, "--criterion", "avg", "--logloss", "--messages", "2"],
+    "oneshot_excess": [
+        "oneshot", SKEW3, "--criterion", "excess", "--messages", "2",
+        "--distortion", "0.5"],
+    "oneshot_codebook": [
+        "oneshot", SKEW3, "--criterion", "codebook", "--distortion", "0.5",
+        "--epsilon", "0.25"],
+    "oneshot_codebook_logloss": [
+        "oneshot", SKEW3, "--criterion", "codebook", "--logloss",
+        "--distortion", "0.5", "--epsilon", "0.25"],
 }
 
 
