@@ -486,10 +486,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        if args.format == "table" and args.bits:
+            raise ValidationError("--bits applies to report format only")
         result = args.handler(args)
         if args.format == "table":
-            if args.bits:
-                raise ValidationError("--bits applies to report format only")
             text = render_table(result.table_header, result.table_rows)
         else:
             report = {

@@ -21,6 +21,9 @@ __all__ = [
     "VerificationError",
 ]
 
+# How far a value may pass a bound that _require_order or _clamp_target checks.
+_SLACK = 1e-12
+
 
 class LoglossLabError(Exception):
     """Base class for all errors raised by loglosslab."""
@@ -98,10 +101,29 @@ def _require_iterable(caller: str, name: str, value) -> list:
     raise ValidationError(f"{caller}: {name} must be a sequence, got {value!r}")
 
 
-def _require_size(caller: str, name: str, size: int, other: str, expected: int) -> None:
-    """Raise ValidationError unless ``size``, of ``name``, equals ``expected``, of ``other``."""
+def _require_size(caller: str, name: str, size, other: str, expected) -> None:
+    """Raise ValidationError unless ``size``, of ``name``, equals ``expected``, of ``other``.
+
+    A size is usually an int; any two values that compare by ``!=`` will do,
+    such as two alphabets.
+    """
     if size != expected:
         raise ValidationError(f"{caller}: {name} = {size} must equal {other} = {expected}")
+
+
+def _require_order(caller: str, name: str, value: float, other: str, bound: float) -> None:
+    """Raise ValidationError if ``value``, of ``name``, exceeds ``bound``, of ``other``.
+
+    The value may pass the bound by ``_SLACK``.
+    """
+    if value > bound + _SLACK:
+        raise ValidationError(f"{caller}: {name} = {value!r} must not exceed {other} = {bound!r}")
+
+
+def _require_nonempty(caller: str, name: str, values) -> None:
+    """Raise ValidationError if the sequence ``values``, of ``name``, is empty."""
+    if not values:
+        raise ValidationError(f"{caller}: {name} must not be empty")
 
 
 def _require_each(require, caller: str, name: str, values, *bounds) -> None:
@@ -135,8 +157,8 @@ def _require_real(caller: str, name: str, value, low: float | None = None,
 
 
 def _clamp_target(caller: str, name: str, value: float, low: float, high: float) -> float:
-    """value clamped into [low, high]; InfeasibleError if it misses by over 1e-12."""
-    if value < low - 1e-12 or value > high + 1e-12:
+    """value clamped into [low, high]; InfeasibleError if it misses by over ``_SLACK``."""
+    if value < low - _SLACK or value > high + _SLACK:
         raise InfeasibleError(f"{caller}: {name} = {value!r} outside the feasible "
                               f"interval [{low!r}, {high!r}]")
     return min(max(value, low), high)

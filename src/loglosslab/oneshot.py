@@ -30,6 +30,7 @@ from .errors import (
     _require_instance,
     _require_int,
     _require_iterable,
+    _require_nonempty,
     _require_real,
     _require_size,
 )
@@ -72,8 +73,9 @@ _SUBSET_GUARD = 1_000_000
 _PARTITION_ALPHABET_GUARD = 14
 # Source symbols in logloss_excess_oracle's 2^r subset table: under 1 ms.
 _COVER_ALPHABET_GUARD = 12
-# Samples drawn by timeshare_simulate, or by both runs of
-# timeshare_two_decoders together, at 8 ns each: about 8 s at the limit.
+# Code lengths summed by timeshare_simulate (n) or timeshare_two_decoders
+# (2n: it draws the n samples once, but each decoder sums all n lengths), at
+# 8 ns each: about 8 s at the limit.
 _SAMPLE_GUARD = 1_000_000_000
 # The exhaustive enumerations work on blocks of codes holding about this many
 # floats per code-indexed array, so memory stays bounded at every guard.
@@ -126,8 +128,7 @@ def _check_code_fields(code, decoder: str) -> None:
         object.__setattr__(code, name, tuple(entries))
     _require_size(caller, f"len({decoder})", len(getattr(code, decoder)),
                   "n_messages", code.n_messages)
-    if not code.encoder:
-        raise ValidationError(f"{caller}: empty encoder")
+    _require_nonempty(caller, "encoder", code.encoder)
     _require_each(_require_int, caller, "encoder", code.encoder, 0, code.n_messages - 1)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ValidationError, _require_instance, _require_int, _require_iterable,
-                     _require_size)
+                     _require_nonempty, _require_size)
 
 __all__ = [
     "SUM_TOL",
@@ -333,6 +333,5 @@ def log_loss_seq(xs, qs) -> float:
     xs = _require_iterable("log_loss_seq", "xs", xs)
     qs = _require_iterable("log_loss_seq", "qs", qs)
     _require_size("log_loss_seq", "len(qs)", len(qs), "len(xs)", len(xs))
-    if not xs:
-        raise ValidationError("log_loss_seq: empty block")
+    _require_nonempty("log_loss_seq", "xs", xs)
     return sum(log_loss(x, q) for x, q in zip(xs, qs)) / len(xs)

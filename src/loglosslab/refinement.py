@@ -23,14 +23,16 @@ import numpy as np
 
 from .errors import (
     InfeasibleError,
-    ValidationError,
     VerificationError,
     _clamp_target,
     _require_each,
     _require_instance,
     _require_int,
     _require_iterable,
+    _require_nonempty,
+    _require_order,
     _require_real,
+    _require_size,
 )
 from .probability import (
     Channel,
@@ -214,21 +216,20 @@ def construct_sr_chain(problem: SourceProblem, ds, d_final: float,
                        tol: float = _DEFAULT_TOL) -> list[SrConstruction]:
     """One construction per coarse target, nested along a Markov chain.
 
-    ``ds`` must be non-increasing (coarsest first); every layer shares the
-    same solved fine-stage point, and erasure weights are non-increasing
-    along the list, so the layers compose into a physical chain of
-    incremental erasure channels (see :func:`chain_step_channel`).  A
-    single-entry list reduces to :func:`construct_sr`.
+    ``ds`` must be non-empty and non-increasing (coarsest first; 1e-12
+    slack); every layer shares the same solved fine-stage point, and erasure
+    weights are non-increasing along the list, so the layers compose into a
+    physical chain of incremental erasure channels (see
+    :func:`chain_step_channel`).  A single-entry list reduces to
+    :func:`construct_sr`.
     """
     ds = _require_iterable("construct_sr_chain", "ds", ds)
-    if not ds:
-        raise ValidationError("construct_sr_chain: need at least one coarse target")
+    _require_nonempty("construct_sr_chain", "ds", ds)
     _require_each(_require_real, "construct_sr_chain", "ds", ds)
     ds = [float(d) for d in ds]
     _require_real("construct_sr_chain", "d_final", d_final)
-    for a, b in zip(ds, ds[1:]):
-        if b > a + 1e-12:
-            raise ValidationError(f"construct_sr_chain: targets must be non-increasing, got {ds}")
+    for i in range(1, len(ds)):
+        _require_order("construct_sr_chain", f"ds[{i}]", ds[i], f"ds[{i - 1}]", ds[i - 1])
     return _sr_layers("construct_sr_chain", problem,
                       [(f"ds[{i}]", d) for i, d in enumerate(ds)], d_final, tol)
 
@@ -238,17 +239,15 @@ def chain_step_channel(coarse: SrConstruction, fine: SrConstruction) -> Channel:
 
     Composing it after the fine layer's observation channel reproduces the
     coarse layer's exactly: surviving symbols are re-erased with the
-    conditional weight, erasures stay erased.
+    conditional weight, erasures stay erased.  The layers must share an
+    observation alphabet, and the fine layer's erasure weight may exceed the
+    coarse one's by at most 1e-12.
     """
     _require_instance("chain_step_channel", "coarse", coarse, SrConstruction)
     _require_instance("chain_step_channel", "fine", fine, SrConstruction)
-    if coarse.z_alphabet != fine.z_alphabet:
-        raise ValidationError("chain_step_channel: layers do not share an alphabet")
-    if coarse.delta < fine.delta - 1e-12:
-        raise ValidationError(
-            f"chain_step_channel: coarse erasure weight {coarse.delta!r} below "
-            f"fine weight {fine.delta!r}"
-        )
+    _require_size("chain_step_channel", "fine.z_alphabet", fine.z_alphabet,
+                  "coarse.z_alphabet", coarse.z_alphabet)
+    _require_order("chain_step_channel", "fine.delta", fine.delta, "coarse.delta", coarse.delta)
     k = len(coarse.z_alphabet) - 1
     if fine.delta >= 1.0:
         keep = 0.0  # fine layer is all-erasure; the pass branch is unreachable
@@ -361,7 +360,9 @@ _BUCKETS = 4096
 
 
 def _cost_sampler(p: np.ndarray, rng: np.random.Generator):
-    """Return draw(m): the sum of the code lengths of the next m samples.
+    """Return draw(m): the code lengths of the next m <= _LEAF samples.
+
+    Each call returns a view of one reused buffer, valid until the next call.
 
     The samples are those of ``rng.choice(len(p), size, p=p)``, which draws
     ``u = rng.random(size)`` and returns ``cdf.searchsorted(u, "right")``
@@ -400,14 +401,15 @@ def _cost_sampler(p: np.ndarray, rng: np.random.Generator):
         np.take(bucket_cost, bucket[:m], out=lengths[:m], mode="clip")
         i = np.flatnonzero(lengths[:m] < 0.0)
         lengths[i] = cost[cdf.searchsorted((raw[i] >> 11) * 2.0 ** -53, side="right")]
-        return np.add.reduce(lengths[:m])
+        return lengths[:m]
 
     return draw
 
 
-def _pairwise_total(draw, m: int) -> float:
+def _pairwise_total(leaf, m: int) -> float:
     """Sum of the next m code lengths, added as one numpy sum over them adds.
 
+    ``leaf(j)`` returns the sum of the next j <= ``_LEAF`` code lengths.
     ``np.add.reduce`` on a contiguous float64 array runs numpy's
     ``pairwise_sum`` (numpy/_core/src/umath/loops_utils.h.src): a run of
     more than 128 values splits at ``m//2 - (m//2) % 8`` and adds the two
@@ -416,10 +418,39 @@ def _pairwise_total(draw, m: int) -> float:
     order as the one call.
     """
     if m <= _LEAF:
-        return draw(m)
+        return leaf(m)
     half = m // 2
     half -= half % 8
-    return _pairwise_total(draw, half) + _pairwise_total(draw, m - half)
+    return _pairwise_total(leaf, half) + _pairwise_total(leaf, m - half)
+
+
+def _leaf_sums(draw, n: int, ks: list[int]) -> list[list[float]]:
+    """For each prefix length k, the sums of its leaves, from one draw of n samples.
+
+    Prefix k's leaves are those ``_pairwise_total`` reduces over [0, k), then
+    [k, n), less any of length 0.  The block is drawn in pieces between
+    consecutive leaf edges of all the prefixes.  A piece that is a whole leaf
+    is reduced where it lies, so one prefix does exactly ``_pairwise_total``'s
+    work; a leaf of several pieces is gathered into its prefix's buffer of
+    ``_LEAF`` floats and reduced once complete.
+    """
+    plans = []  # (leaf ends, leaf sums, buffer) of each prefix
+    for k in ks:
+        sizes = []
+        for m in (k, n - k):  # record the leaf lengths, summing nothing
+            _pairwise_total(lambda j: sizes.append(j) or 0.0, m)
+        plans.append((sorted(set(np.cumsum(sizes).tolist()) - {0}), [], np.empty(_LEAF)))
+    edges = sorted(set().union(*(ends for ends, _, _ in plans)))
+    for start, stop in zip([0] + edges, edges):
+        piece = draw(stop - start)
+        for ends, sums, buf in plans:
+            # The prefix's current leaf is [lo, hi), which holds [start, stop).
+            lo, hi = ends[len(sums) - 1] if sums else 0, ends[len(sums)]
+            if lo < start or hi > stop:
+                buf[start - lo:stop - lo] = piece
+            if hi == stop:
+                sums.append(np.add.reduce(piece if lo == start else buf[:hi - lo]))
+    return [sums for _, sums, _ in plans]
 
 
 def _timeshare(caller: str, px: Pmf, targets: list[tuple[str, float]], n: int,
@@ -435,13 +466,16 @@ def _timeshare(caller: str, px: Pmf, targets: list[tuple[str, float]], n: int,
     _require_int(caller, "seed", seed, 0)
     h = entropy(px)
     ds = [_clamp_target(caller, name, d, 0.0, h) for name, d in targets]
+    # Each target sums all n code lengths, though the block is drawn once.
     _check_work(caller, len(targets) * n, "samples", _SAMPLE_GUARD)
+    ks = [_prefix_length(h, d, n) for d in ds]
+    draw = _cost_sampler(px.probs, np.random.default_rng(seed))
     reports = []
-    for d in ds:
-        k = _prefix_length(h, d, n)
-        draw = _cost_sampler(px.probs, np.random.default_rng(seed))
-        prefix = _pairwise_total(draw, k)
-        rest = _pairwise_total(draw, n - k)
+    for k, sums in zip(ks, _leaf_sums(draw, n, ks)):
+        # A run of length 0, the prefix at k = 0 or the rest at k = n, adds 0.0.
+        take = iter(sums).__next__
+        prefix = _pairwise_total(lambda j: take() if j else 0.0, k)
+        rest = _pairwise_total(lambda j: take() if j else 0.0, n - k)
         reports.append(TimeshareReport(n=n, lossless_prefix=k, empirical_loss=float(rest) / n,
                                        ideal_rate=float(prefix) / n, seed=seed))
     return reports
@@ -473,19 +507,17 @@ def timeshare_two_decoders(px: Pmf, d1: float, d2: float, n: int,
     """One encoding, two decoders: the coarse one reads a shorter prefix.
 
     Requires d2 <= d1 so the coarse prefix is a prefix of the fine one.  The
-    sample depends only on (seed, n), so each report equals the
-    single-decoder simulation at its own distortion.
+    block is drawn once for both decoders; it depends only on (seed, n), so
+    each report equals the single-decoder simulation at its own distortion.
 
     Raises:
-        ValidationError: d1 or d2 not a finite real, d2 > d1, n not an
-            integer >= 1, or seed not an integer >= 0.
+        ValidationError: d1 or d2 not a finite real, d2 above d1 by over
+            1e-12, n not an integer >= 1, or seed not an integer >= 0.
         InfeasibleError: d1 or d2 outside [0, H(X)] (1e-12 slack).
-        InstanceTooLargeError: the two runs' 2n samples above 10^9.
+        InstanceTooLargeError: the two decoders' 2n summed code lengths
+            above 10^9.
     """
     _require_real("timeshare_two_decoders", "d1", d1)
     _require_real("timeshare_two_decoders", "d2", d2)
-    if d2 > d1 + 1e-12:
-        raise ValidationError(
-            f"timeshare_two_decoders: need d2 <= d1, got d1={d1!r}, d2={d2!r}"
-        )
+    _require_order("timeshare_two_decoders", "d2", d2, "d1", d1)
     return tuple(_timeshare("timeshare_two_decoders", px, [("d1", d1), ("d2", d2)], n, seed))

@@ -290,6 +290,15 @@ class TestRdCommand:
         assert code == 2
         assert "report" in err
 
+    def test_bits_with_table_is_refused_before_the_command_runs(self, capsys):
+        # Simulating these 10^8 samples takes over a second.
+        start = time.perf_counter()
+        result = run_cli(capsys, ["timeshare", "--px", "0.25,0.25,0.25,0.25", "--distortion",
+                                  "0.5", "--n", "100000000", "--seed", "1", "--format",
+                                  "table", "--bits"])
+        assert time.perf_counter() - start <= 0.3
+        assert result == (2, "", "error: --bits applies to report format only\n")
+
 
 class TestNonFiniteInputs:
     # A non-finite number is bad input: exit 2, naming the field it came in.

@@ -182,7 +182,8 @@ class TestMapUnmap:
         # AttributeError or IndexError.
         (lambda cp: LogLossCode(2, (0, 1, 0, 1), ("a", "b")),
          r"LogLossCode: decoder_rows\[0\] must be a Pmf, got str"),
-        (lambda cp: LogLossCode(1, (), cp.y_rows[:1]), "LogLossCode: empty encoder"),
+        (lambda cp: LogLossCode(1, (), cp.y_rows[:1]),
+         "^LogLossCode: encoder must not be empty$"),
         (lambda cp: expected_log_loss(Pmf.uniform(3), LogLossCode(2, (0, 1, 1),
                                                                   (Pmf.uniform(2),) * 2)),
          r"expected_log_loss: lcode.decoder_rows\[0\].n = 2 must equal px.n = 3"),

@@ -13,6 +13,12 @@ ValidationError naming the function, both arguments and both sizes; an
 index into another argument is an integer argument with that argument's
 bounds.  Every public function that takes two or more record arguments
 has a row in ``MISMATCHES``.
+Two values that must come in order (coarse before fine) raise a
+ValidationError naming the function, both arguments and both values when
+the later one exceeds the earlier by more than 1e-12, the slack of every
+feasible interval too.  A sequence that must hold an entry raises one naming
+the function and the sequence when it is empty.  Each such check has a row in
+``ORDER_AND_EMPTINESS``.
 Where a function hands an argument on unchecked, the check that names it is
 the callee's (for example ``construct_sr``'s ``tol`` is checked by
 ``rd_at_distortion``).  Message counts, seeds, sample counts, iteration
@@ -30,6 +36,7 @@ import typing
 import pytest
 
 import loglosslab
+from loglosslab import errors
 from loglosslab import (
     Channel,
     CorrespondingProblem,
@@ -353,7 +360,29 @@ MISMATCHES = {
                                "map_code: len(code.encoder) = 2 must equal cp.px.n = 3"),
     "chain_step_channel-fine": (
         lambda: chain_step_channel(CHAIN[0], construct_sr(SKEW2, 0.5, 0.1)),
-        "chain_step_channel: layers do not share an alphabet"),
+        "chain_step_channel: fine.z_alphabet = (0, 1, 'erasure') must equal "
+        "coarse.z_alphabet = (0, 1, 2, 'erasure')"),
+}
+
+# id "function-argument": (call, the whole message it raises)
+ORDER_AND_EMPTINESS = {
+    "construct_sr_chain-ds_order": (
+        lambda: construct_sr_chain(SKEW3, [0.8, 0.9], 0.15),
+        "construct_sr_chain: ds[1] = 0.9 must not exceed ds[0] = 0.8"),
+    "timeshare_two_decoders-d2": (
+        lambda: timeshare_two_decoders(Pmf.uniform(4), 0.2, 0.4, 100, 0),
+        "timeshare_two_decoders: d2 = 0.4 must not exceed d1 = 0.2"),
+    "chain_step_channel-fine_delta": (
+        lambda: chain_step_channel(CHAIN[1], CHAIN[0]),
+        "chain_step_channel: fine.delta = 0.7422261021618952 must not exceed "
+        "coarse.delta = 0.5434078180688463"),
+    "construct_sr_chain-ds_empty": (lambda: construct_sr_chain(SKEW3, [], 0.15),
+                                    "construct_sr_chain: ds must not be empty"),
+    "log_loss_seq-xs": (lambda: log_loss_seq([], []), "log_loss_seq: xs must not be empty"),
+    "OneShotCode-encoder": (lambda: OneShotCode(1, (), (0,)),
+                            "OneShotCode: encoder must not be empty"),
+    "LogLossCode-encoder": (lambda: LogLossCode(1, (), (PX,)),
+                            "LogLossCode: encoder must not be empty"),
 }
 
 # The classes a caller builds and hands in.  Every other class in
@@ -464,6 +493,32 @@ def test_arguments_that_do_not_fit_are_a_named_validation_error(name):
     with pytest.raises(ValidationError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_AND_EMPTINESS))
+def test_values_out_of_order_or_an_empty_sequence_are_a_named_validation_error(name):
+    call, message = ORDER_AND_EMPTINESS[name]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_values_in_order_within_the_slack_are_accepted():
+    assert [c.d1 for c in construct_sr_chain(SKEW3, [0.8, 0.8 + 1e-13], 0.15)] == [
+        0.8, 0.8 + 1e-13]
+    coarse, fine = timeshare_two_decoders(Pmf.uniform(4), 0.2, 0.2 + 1e-13, 100, 0)
+    assert coarse.lossless_prefix == fine.lossless_prefix
+    fine_layer = dataclasses.replace(CHAIN[1], delta=CHAIN[1].delta + 1e-13)
+    assert chain_step_channel(CHAIN[1], fine_layer).n_in == len(CHAIN[1].z_alphabet)
+
+
+def test_order_and_feasibility_share_one_slack(monkeypatch):
+    # Widening the one slack admits both a later value above the earlier
+    # and a target below its feasible interval.
+    monkeypatch.setattr(errors, "_SLACK", 0.1)
+    coarse, fine = timeshare_two_decoders(Pmf.uniform(4), 0.2, 0.25, 100, 0)
+    assert (coarse.lossless_prefix, fine.lossless_prefix) == (86, 82)
+    assert timeshare_simulate(Pmf.uniform(4), -0.05, 100, 0).lossless_prefix == 100
 
 
 def test_every_function_of_two_records_has_a_mismatch_row():

@@ -535,7 +535,7 @@ def test_n_messages_must_be_an_integer_at_least_one(name, value):
 
 @pytest.mark.parametrize("encoder, decoder, match", [
     ((0, 1), (0,), r"len\(decoder\) = 1 must equal n_messages = 2"),
-    ((), (0, 1), "empty encoder"),
+    ((), (0, 1), "encoder must not be empty$"),
     ((0, 2), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got 2"),
     ((0, -1), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got -1"),
     # Entries that used to construct, then fail as TypeError or IndexError.

@@ -101,7 +101,7 @@ class TestPmf:
      r"information_density: x must be an integer in \[0, 0\], got 1"),
     (lambda: information_density(Joint([[0.5, 0.5], [0.0, 0.0]]), 1, 0),
      r"information_density: zero marginal at \(1, 0\)"),
-    (lambda: log_loss_seq([], []), "log_loss_seq: empty block"),
+    (lambda: log_loss_seq([], []), "^log_loss_seq: xs must not be empty$"),
 ])
 def test_bad_input_is_a_validation_error(call, match):
     with pytest.raises(ValidationError, match=match):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -236,11 +237,12 @@ class TestChain:
                                       layers[0].pz_given_xhat.rows)
 
     def test_non_monotone_targets_rejected(self):
-        with pytest.raises(ValidationError, match="non-increasing"):
-            construct_sr_chain(binary_hamming(), [0.4, 0.6], 0.1)
+        with pytest.raises(ValidationError, match=r"^construct_sr_chain: ds\[2\] = 0.6 must "
+                                                  r"not exceed ds\[1\] = 0.4$"):
+            construct_sr_chain(binary_hamming(), [0.6, 0.4, 0.6], 0.1)
 
     def test_empty_targets_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^construct_sr_chain: ds must not be empty$"):
             construct_sr_chain(binary_hamming(), [], 0.1)
 
     def test_infeasible_layer_rejected(self):
@@ -250,12 +252,16 @@ class TestChain:
     def test_step_requires_shared_alphabet(self):
         a = construct_sr(binary_hamming(), 0.5, 0.1)
         b = construct_sr(skew3(), 0.9, 0.15)
-        with pytest.raises(ValidationError, match="alphabet"):
+        with pytest.raises(ValidationError, match=re.escape(
+                "chain_step_channel: fine.z_alphabet = (0, 1, 2, 'erasure') must equal "
+                "coarse.z_alphabet = (0, 1, 'erasure')")):
             chain_step_channel(a, b)
 
     def test_step_requires_weight_ordering(self):
         layers = construct_sr_chain(binary_hamming(), [0.6, 0.4], 0.1)
-        with pytest.raises(ValidationError, match="below"):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"chain_step_channel: fine.delta = {layers[0].delta!r} must not exceed "
+                f"coarse.delta = {layers[1].delta!r}")):
             chain_step_channel(layers[1], layers[0])
 
 
@@ -337,7 +343,8 @@ class TestTimeshare:
         assert a == b
 
     def test_two_decoder_ordering_enforced(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^timeshare_two_decoders: d2 = 0.4 must not "
+                                                  "exceed d1 = 0.2$"):
             timeshare_two_decoders(Pmf.uniform(4), 0.2, 0.4, 100, seed=0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

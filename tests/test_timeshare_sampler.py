@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loglosslab import Pmf, entropy, timeshare_simulate
+from loglosslab import Pmf, entropy, timeshare_simulate, timeshare_two_decoders
 from loglosslab import refinement
 from loglosslab.refinement import TimeshareReport, _prefix_length
 
@@ -130,6 +130,56 @@ class TestMatchesReference:
         assert_bitwise_equal(got, reference_timeshare(px, d, n, seed))
 
 
+def counted_draws(drawn: list):
+    """A _cost_sampler that appends the length of each draw to ``drawn``."""
+    sampler = refinement._cost_sampler
+
+    def counting_sampler(p, rng):
+        draw = sampler(p, rng)
+
+        def counted(m):
+            drawn.append(m)
+            return draw(m)
+
+        return counted
+
+    return counting_sampler
+
+
+# Fractions of H(X) for the two targets: d = H gives k = 0, d = 0 gives
+# k = n, equal fractions give k1 = k2, and the rest split the block at points
+# where the two prefixes' leaves straddle each other's edges.
+FRACTIONS = [0.0, 0.013, 0.3, 0.5, 0.77, 1.0]
+TARGET_PAIRS = [(f1, f2) for f1 in FRACTIONS for f2 in FRACTIONS if f2 <= f1]
+SKEWED4 = Pmf([0.5, 0.3, 0.15, 0.05])
+
+
+class TestTwoDecoders:
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 1000, 4099])
+    @pytest.mark.parametrize("f1, f2", TARGET_PAIRS)
+    def test_each_report_matches_its_single_run(self, n, f1, f2):
+        h = entropy(SKEWED4)
+        with mock.patch.object(refinement, "_LEAF", 128):
+            pair = timeshare_two_decoders(SKEWED4, f1 * h, f2 * h, n, 17)
+            singles = [timeshare_simulate(SKEWED4, f * h, n, 17) for f in (f1, f2)]
+        for got, single, f in zip(pair, singles, (f1, f2)):
+            assert got == single
+            assert [x.hex() for x in (got.empirical_loss, got.ideal_rate)] == [
+                x.hex() for x in (single.empirical_loss, single.ideal_rate)]
+            assert_bitwise_equal(got, reference_timeshare(SKEWED4, f * h, n, 17))
+
+    @pytest.mark.parametrize("leaf", [128, LEAF])
+    @pytest.mark.parametrize("n", [1, 1000, 3 * LEAF + 5])
+    def test_the_block_is_drawn_once(self, leaf, n):
+        h = entropy(SKEWED4)
+        drawn = []
+        with mock.patch.object(refinement, "_LEAF", leaf), \
+                mock.patch.object(refinement, "_cost_sampler", counted_draws(drawn)):
+            timeshare_two_decoders(SKEWED4, 0.77 * h, 0.3 * h, n, 3)
+        assert sum(drawn) == n
+        assert max(drawn) <= leaf
+
+
 class TestSampler:
     @pytest.mark.parametrize("probs", [[1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0]])
     @pytest.mark.parametrize("m", [1, 8, 129, 1000])
@@ -141,7 +191,7 @@ class TestSampler:
         draw = refinement._cost_sampler(p, np.random.default_rng(m))
         xs = np.random.default_rng(m).choice(len(p), m, p=p)
         want = np.add.reduce(-np.log(p[xs]))
-        assert float(draw(m)).hex() == float(want).hex()
+        assert float(np.add.reduce(draw(m))).hex() == float(want).hex()
 
     @given(source=sources(max_r=8), m=st.integers(1, 3000), seed=seeds)
     @settings(max_examples=60, deadline=None)
@@ -149,7 +199,8 @@ class TestSampler:
         p = source.probs
         draw = refinement._cost_sampler(p, np.random.default_rng(seed))
         xs = np.random.default_rng(seed).choice(len(p), m, p=p)
-        assert float(draw(m)).hex() == float(np.add.reduce(-np.log(p[xs]))).hex()
+        want = np.add.reduce(-np.log(p[xs]))
+        assert float(np.add.reduce(draw(m))).hex() == float(want).hex()
 
 
 class TestScale:
