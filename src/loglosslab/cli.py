@@ -64,6 +64,8 @@ __all__ = ["main", "entrypoint"]
 _AVG_ORACLE_BUDGET = 100_000
 # A zero sigma counts a deviation this small as none.
 _SIGMA_FLOOR = 1e-12
+# --bits divides each nat-valued output by ln 2.
+_LN2 = math.log(2.0)
 
 
 @dataclass
@@ -71,9 +73,19 @@ class _CommandOutput:
     inputs: dict
     outputs: dict
     tolerances: dict
-    nat_keys: frozenset = frozenset()
     table_header: list = field(default_factory=list)
     table_rows: list = field(default_factory=list)
+
+
+def _in_unit(value, args):
+    """A nat-valued output in the report's unit: under --bits, value / ln 2.
+
+    A float converts alone and a sequence entry by entry.  A slope, nats per
+    unit of distortion, becomes bits per unit of distortion.
+    """
+    if not args.bits:
+        return value
+    return value / _LN2 if isinstance(value, float) else [v / _LN2 for v in value]
 
 
 # ----------------------------------------------------------------------
@@ -97,12 +109,12 @@ def _cmd_rd(args) -> _CommandOutput:
         points.append({
             "target_distortion": d,
             "achieved_distortion": diag.achieved_distortion,
-            "rate": point.rate,
-            "lambda_star": point.lambda_star,
+            "rate": _in_unit(point.rate, args),
+            "lambda_star": _in_unit(point.lambda_star, args),
             "kept_columns": list(point.kept_columns),
             "output_marginal": point.output_marginal.probs,
-            "tilted_information": point.tilted,
-            "csiszar_residual": residual,
+            "tilted_information": _in_unit(point.tilted, args),
+            "csiszar_residual": _in_unit(residual, args),
             "ba_iterations": diag.ba_iterations,
         })
         rows.append([d, point.rate, point.lambda_star])
@@ -113,7 +125,6 @@ def _cmd_rd(args) -> _CommandOutput:
         outputs={"points": points},
         tolerances={"distortion_tol": args.tol,
                     "fixed_point_tol": _certificate_tol(args.tol)},
-        nat_keys=frozenset({"rate", "tilted_information", "csiszar_residual"}),
         table_header=["D", "rate", "lambda"],
         table_rows=rows,
     )
@@ -193,7 +204,9 @@ def _cmd_oneshot(args) -> _CommandOutput:
         header = ["criterion", "D", "eps", "M_star", "achieved_epsilon"]
         row = [crit, d, args.epsilon, m, value]
     else:
-        outputs = {"criterion": crit, "optimal_value": value}
+        # Only the log-loss average is in nats; the others are a distortion or a probability.
+        outputs = {"criterion": crit, "optimal_value": (
+            _in_unit(value, args) if crit == "avg" and args.logloss else value)}
         header, row = ["criterion", "M", "value"], [crit, m, value]
         if crit == "excess":
             header, row = ["criterion", "M", "D", "epsilon"], [crit, m, d, value]
@@ -207,7 +220,6 @@ def _cmd_oneshot(args) -> _CommandOutput:
         inputs={"problem": loaded.echo(), "flags": flags},
         outputs=outputs,
         tolerances={"feasibility_slack": _FEASIBILITY_SLACK},
-        nat_keys=frozenset({"optimal_value"} if crit == "avg" and args.logloss else ()),
         table_header=header,
         table_rows=[row],
     )
@@ -231,26 +243,27 @@ def _cmd_equiv(args) -> _CommandOutput:
         sweep = identity_sweep(cp)
     except InstanceTooLargeError:
         sweep = None
-    identity = {"residual_bound": bound, "skipped": sweep is None,
+    identity = {"residual_bound": _in_unit(bound, args), "skipped": sweep is None,
                 "n_codes": None, "max_residual": None,
                 "min_log_loss": None, "min_distortion": None}
     coincidence = None
     if sweep is not None:
-        identity.update(n_codes=sweep.n_codes, max_residual=sweep.max_residual,
-                        min_log_loss=sweep.min_loss, min_distortion=sweep.min_distortion)
+        identity.update(n_codes=sweep.n_codes, max_residual=_in_unit(sweep.max_residual, args),
+                        min_log_loss=_in_unit(sweep.min_loss, args),
+                        min_distortion=sweep.min_distortion)
         rep = verify_optimum_coincidence(cp)
         coincidence = {
             "matched": rep.matched,
             "min_distortion": rep.min_distortion,
-            "min_log_loss": rep.min_loss,
+            "min_log_loss": _in_unit(rep.min_loss, args),
             "n_distortion_argmin": len(rep.distortion_argmin),
             "n_loss_argmin": len(rep.loss_argmin),
             "pairs_summed": rep.pairs_summed,
         }
     outputs = {
         "d_star_m": cp.d_star_m,
-        "lambda_star": cp.lambda_star,
-        "h_x_given_xhat": cp.h_x_given_xhat,
+        "lambda_star": _in_unit(cp.lambda_star, args),
+        "h_x_given_xhat": _in_unit(cp.h_x_given_xhat, args),
         "reproduction_rows": [q.probs for q in cp.y_rows],
         "optimal_code": _code_doc(cp.optimal_code),
         "identity": identity,
@@ -264,8 +277,6 @@ def _cmd_equiv(args) -> _CommandOutput:
         outputs=outputs,
         tolerances={"solver_tol": args.tol, "row_match_tol": ROW_MATCH_TOL,
                     "coincidence_atol": _COINCIDENCE_ATOL},
-        nat_keys=frozenset({"h_x_given_xhat", "max_residual", "residual_bound",
-                            "min_log_loss"}),
         table_header=["M", "d_star", "lambda", "h_cond", "max_residual",
                       "residual_bound", "coincidence"],
         table_rows=[[args.messages, cp.d_star_m, cp.lambda_star, cp.h_x_given_xhat,
@@ -291,20 +302,23 @@ def _cmd_sr(args) -> _CommandOutput:
         targets = [args.d1]
         layers = [construct_sr(loaded.problem, args.d1, args.d2, tol=args.tol)]
 
+    # The residuals of a rate or a log loss; the others are a probability or a distortion.
+    nat_checks = {"coarse_rate", "coarse_loss", "fine_rate"}
     layer_docs = []
     rows = []
     for layer in layers:
         report = verify_sr(layer)
         worst = max(c.residual for c in report.checks)
         layer_docs.append({
-            "d1": layer.d1,
+            "d1": _in_unit(layer.d1, args),
             "delta": layer.delta,
-            "rates": list(layer.rates),
+            "rates": _in_unit(list(layer.rates), args),
             "z_alphabet": [str(z) for z in layer.z_alphabet],
             "reproduction_rows": [q.probs for q in layer.q_rows],
             "row_of_z": {str(z): idx for z, idx in layer.q_index.items()},
-            "checks": [{"name": c.name, "residual": c.residual, "ok": c.ok}
-                       for c in report.checks],
+            "checks": [{"name": c.name, "ok": c.ok, "residual": (
+                _in_unit(c.residual, args) if c.name in nat_checks else c.residual)}
+                for c in report.checks],
             "all_checks_pass": report.ok,
         })
         rows.append([layer.d1, layer.delta, worst, report.ok])
@@ -314,11 +328,10 @@ def _cmd_sr(args) -> _CommandOutput:
         inputs={"problem": loaded.echo(),
                 "flags": {"targets": targets, "d2": args.d2, "tol": args.tol}},
         outputs={"d2": first.d2,
-                 "fine_rate": first.second_point.rate,
-                 "fine_lambda": first.second_point.lambda_star,
+                 "fine_rate": _in_unit(first.second_point.rate, args),
+                 "fine_lambda": _in_unit(first.second_point.lambda_star, args),
                  "layers": layer_docs},
         tolerances={"solver_tol": args.tol, "check_tol": _SR_CHECK_TOL},
-        nat_keys=frozenset({"d1", "rates", "fine_rate"}),
         table_header=["d1", "delta", "max_residual", "ok"],
         table_rows=rows,
     )
@@ -367,13 +380,15 @@ def _cmd_timeshare(args) -> _CommandOutput:
         # through the n - k tail draws; symmetrically for the ideal rate.
         loss_sigma = math.sqrt((rep.n - k) * v) / rep.n
         rate_sigma = math.sqrt(k * v) / rep.n
-        loss_dev = _sigma_units(rep.empirical_loss - target, loss_sigma)
-        rate_dev = _sigma_units(rep.ideal_rate - (h - target), rate_sigma)
+        # Each deviation is centered on the scheme's exact mean at this k,
+        # which a uniform source (sigma 0) meets up to summation rounding.
+        loss_dev = _sigma_units(rep.empirical_loss - (rep.n - k) * h / rep.n, loss_sigma)
+        rate_dev = _sigma_units(rep.ideal_rate - k * h / rep.n, rate_sigma)
         decoders.append({
-            "target_distortion": target,
+            "target_distortion": _in_unit(target, args),
             "lossless_prefix": k,
-            "empirical_loss": rep.empirical_loss,
-            "ideal_rate": rep.ideal_rate,
+            "empirical_loss": _in_unit(rep.empirical_loss, args),
+            "ideal_rate": _in_unit(rep.ideal_rate, args),
             "loss_deviation_sigma": loss_dev,
             "rate_deviation_sigma": rate_dev,
         })
@@ -385,11 +400,9 @@ def _cmd_timeshare(args) -> _CommandOutput:
         flags["d2"] = args.d2
     return _CommandOutput(
         inputs={"problem": problem_echo, "flags": flags},
-        outputs={"entropy": h, "n": args.n, "seed": args.seed,
+        outputs={"entropy": _in_unit(h, args), "n": args.n, "seed": args.seed,
                  "decoders": decoders},
         tolerances={"sigma_floor": _SIGMA_FLOOR},
-        nat_keys=frozenset({"entropy", "empirical_loss", "ideal_rate",
-                            "target_distortion"}),
         table_header=["D", "k", "empirical_loss", "ideal_rate",
                       "loss_dev_sigma", "rate_dev_sigma"],
         table_rows=rows,
@@ -421,8 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("report", "table"),
                         default="report")
     common.add_argument("--bits", action="store_true",
-                        help="convert rates and log losses to bits "
-                             "(report format only)")
+                        help="give rates and log losses in bits and slopes in "
+                             "bits per unit of distortion (report format only)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -501,8 +514,7 @@ def main(argv=None) -> int:
                 "tolerances": result.tolerances,
                 "wall_clock_seconds": time.perf_counter() - start,
             }
-            # --bits converts the command's nat-valued fields, all of them outputs.
-            text = dump_report(report, result.nat_keys if args.bits else frozenset())
+            text = dump_report(report)
         if args.output is not None:
             Path(args.output).write_text(text)
         else:

@@ -43,19 +43,22 @@ __all__ = [
 SUM_TOL = 1e-9
 
 
-def _as_readonly_array(values, name: str, ndim: int) -> np.ndarray:
+def _as_readonly_array(values, caller: str, name: str, ndim: int) -> np.ndarray:
+    """``values``, argument ``name`` of ``caller``, as a read-only float array.
+
+    Each refusal names the caller and the argument.
+    """
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name}: not convertible to a float array: {exc}") from exc
+        raise ValidationError(f"{caller}: {name} is not convertible to floats: {exc}") from exc
     if arr.ndim != ndim:
-        raise ValidationError(f"{name}: expected {ndim}-dimensional data, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValidationError(f"{name}: must be nonempty")
+        raise ValidationError(f"{caller}: {name} must be {ndim}-D, got shape {arr.shape}")
+    _require_nonempty(caller, name, arr.flat)
     if not np.isfinite(arr).all():
-        raise ValidationError(f"{name}: entries must be finite")
+        raise ValidationError(f"{caller}: {name} entries must be finite")
     if (arr < 0.0).any():
-        raise ValidationError(f"{name}: entries must be nonnegative")
+        raise ValidationError(f"{caller}: {name} entries must be nonnegative")
     arr.setflags(write=False)
     return arr
 
@@ -77,7 +80,7 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly_array(self.probs, "Pmf", ndim=1)
+        arr = _as_readonly_array(self.probs, "Pmf", "probs", ndim=1)
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValidationError(f"Pmf: sums to {total!r}, outside 1 +/- {SUM_TOL}")
@@ -112,7 +115,7 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly_array(self.rows, "Channel", ndim=2)
+        arr = _as_readonly_array(self.rows, "Channel", "rows", ndim=2)
         _check_rows_normalized(arr, "Channel")
         object.__setattr__(self, "rows", arr)
 
@@ -146,7 +149,7 @@ class Joint:
     table: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly_array(self.table, "Joint", ndim=2)
+        arr = _as_readonly_array(self.table, "Joint", "table", ndim=2)
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValidationError(f"Joint: sums to {total!r}, outside 1 +/- {SUM_TOL}")
@@ -168,7 +171,7 @@ def renormalize(weights) -> Pmf:
 
     This is the explicit repair path; the constructors never rescale.
     """
-    arr = _as_readonly_array(weights, "renormalize", ndim=1)
+    arr = _as_readonly_array(weights, "renormalize", "weights", ndim=1)
     total = float(arr.sum())
     if total <= 0.0:
         raise ValidationError("renormalize: total weight must be positive")

@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 REPORT_DIGITS = 12
-_LN2 = math.log(2.0)
 
 _ALLOWED_FIELDS = {"name", "description", "labels", "px", "distortion"}
 # PyYAML resolves floats by YAML 1.1, which wants a dot and a signed
@@ -205,34 +204,29 @@ def round_sig(x: float) -> float:
     return float(f"{x:.{REPORT_DIGITS}g}")
 
 
-def jsonable(obj, nat_keys: frozenset = frozenset()):
+def jsonable(obj):
     """Recursively convert to JSON-friendly types with rounded floats.
 
-    Floats under a key in ``nat_keys``, at any depth, are converted to bits
-    (divided by ln 2) as they are rounded; the library stays in nats.
+    Values keep their unit: the command that builds a report converts it.
     """
-    def walk(obj, unit: float):
-        if isinstance(obj, dict):
-            return {str(k): walk(v, _LN2 if k in nat_keys else unit) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [walk(v, unit) for v in obj]
-        if isinstance(obj, np.ndarray):
-            return [walk(v, unit) for v in obj.tolist()]
-        if isinstance(obj, (bool, np.bool_)):
-            return bool(obj)
-        if isinstance(obj, (int, np.integer)):
-            return int(obj)
-        if isinstance(obj, (float, np.floating)):
-            # x / 1.0 is x exactly, so a report in nats keeps every bit.
-            return round_sig(float(obj) / unit)
-        return obj
-
-    return walk(obj, 1.0)
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return round_sig(float(obj))
+    return obj
 
 
-def dump_report(report: dict, nat_keys: frozenset = frozenset()) -> str:
-    """The report as sorted-key JSON; see ``jsonable`` for ``nat_keys``."""
-    return json.dumps(jsonable(report, nat_keys), indent=2, sort_keys=True) + "\n"
+def dump_report(report: dict) -> str:
+    """The report as sorted-key JSON, floats rounded by ``jsonable``."""
+    return json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
 
 
 def _cell(value) -> str:

@@ -146,7 +146,7 @@ class SourceProblem:
 
     def __post_init__(self):
         _require_instance("SourceProblem", "px", self.px, Pmf)
-        dist = _as_readonly_array(self.distortion, "SourceProblem: distortion", ndim=2)
+        dist = _as_readonly_array(self.distortion, "SourceProblem", "distortion", ndim=2)
         _require_size("SourceProblem", "len(distortion)", dist.shape[0], "px.n", self.px.n)
         same = _first_close_pair(dist.T, COLUMN_MATCH_TOL)
         if same is not None:

@@ -172,9 +172,10 @@ class TestLoadProblem:
          "field 'px': entry 0 is not a number: '1e-3'"),
         ("px: [0.5, \"0.5\"]\ndistortion: hamming\n",
          "field 'px': entry 1 is not a number: '0.5'"),
-        ("px: [.nan, 1]\ndistortion: hamming\n", "field 'px': Pmf: entries must be finite"),
+        ("px: [.nan, 1]\ndistortion: hamming\n",
+         "field 'px': Pmf: probs entries must be finite"),
         ("px: [0.5, 0.5]\ndistortion: [[0, 1e400], [1, 0]]\n",
-         "field 'distortion': SourceProblem: distortion: entries must be finite"),
+         "field 'distortion': SourceProblem: distortion entries must be finite"),
     ])
     def test_bad_field_is_named(self, tmp_path, text, match):
         with pytest.raises(ValidationError, match=match):
@@ -221,14 +222,15 @@ class TestReportHelpers:
         assert lines[1] == "0.5\ttrue"
         assert lines[2] == "1.5\tfalse"
 
-    def test_jsonable_scales_only_named_keys(self):
-        doc = {"rate": LN2, "inner": {"rate": [LN2, 2 * LN2], "d": LN2},
+    def test_jsonable_only_rounds(self):
+        # No key converts: a value keeps the unit its command gave it.
+        doc = {"rate": LN2, "inner": {"rate": [LN2, np.float64(2 * LN2)], "d": LN2},
                "flag": True}
-        out = jsonable(doc, frozenset({"rate"}))
-        assert out["rate"] == round_sig(LN2 / LN2)
-        assert out["inner"]["rate"] == [round_sig(LN2 / LN2), round_sig(2 * LN2 / LN2)]
-        assert out["inner"]["d"] == round_sig(LN2)
-        assert out["flag"] is True
+        out = jsonable(doc)
+        assert out == {"rate": round_sig(LN2),
+                       "inner": {"rate": [round_sig(LN2), round_sig(2 * LN2)],
+                                 "d": round_sig(LN2)},
+                       "flag": True}
 
 
 class TestRdCommand:
@@ -298,6 +300,87 @@ class TestRdCommand:
                                   "table", "--bits"])
         assert time.perf_counter() - start <= 0.3
         assert result == (2, "", "error: --bits applies to report format only\n")
+
+
+def float_paths(doc, path=""):
+    """(path, value) for each float in doc, in document order.
+
+    A list index reads ``[]`` and an entry of a list of named records (SR
+    checks) reads ``[name]``; a bool or an int is not a float.
+    """
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from float_paths(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for entry in doc:
+            name = entry.get("name", "") if isinstance(entry, dict) else ""
+            yield from float_paths(entry, f"{path}[{name}]")
+    elif isinstance(doc, float):
+        yield path, doc
+
+
+# command: (argv, the nat-valued float paths of its outputs, the other float paths)
+UNIT_INVENTORY = {
+    "rd": (["rd", BINARY, "--grid", "0.05,0.1,0.2"],
+           {"points[].rate", "points[].lambda_star", "points[].tilted_information[]",
+            "points[].csiszar_residual"},
+           {"points[].target_distortion", "points[].achieved_distortion",
+            "points[].output_marginal[]"}),
+    "oneshot": (["oneshot", SKEW3, "--criterion", "avg", "--logloss", "--messages", "2"],
+                {"optimal_value"},
+                {"scheme.cell_masses[]", "scheme.reproduction_rows[][]"}),
+    "equiv": (["equiv", SKEW3, "--messages", "2"],
+              {"lambda_star", "h_x_given_xhat", "identity.residual_bound",
+               "identity.max_residual", "identity.min_log_loss", "coincidence.min_log_loss"},
+              {"d_star_m", "reproduction_rows[][]", "identity.min_distortion",
+               "coincidence.min_distortion"}),
+    "sr": (["sr", BINARY, "--chain", "0.65,0.5,0.35", "--d2", "0.1"],
+           {"fine_rate", "fine_lambda", "layers[].d1", "layers[].rates[]",
+            "layers[].checks[coarse_rate].residual", "layers[].checks[coarse_loss].residual",
+            "layers[].checks[fine_rate].residual"},
+           {"d2", "layers[].delta", "layers[].reproduction_rows[][]",
+            "layers[].checks[markov_factorization].residual",
+            "layers[].checks[fine_distortion].residual",
+            "layers[].checks[posterior_rows].residual"}),
+    "timeshare": (["timeshare", SKEW3, "--distortion", "0.3", "--d2", "0.1", "--n", "2000",
+                   "--seed", "1"],
+                  {"entropy", "decoders[].target_distortion", "decoders[].empirical_loss",
+                   "decoders[].ideal_rate"},
+                  {"decoders[].loss_deviation_sigma", "decoders[].rate_deviation_sigma"}),
+}
+
+
+class TestReportUnits:
+    @pytest.mark.parametrize("command", sorted(UNIT_INVENTORY))
+    def test_bits_divides_exactly_the_nat_values(self, capsys, command):
+        argv, nat, other = UNIT_INVENTORY[command]
+        assert not nat & other
+        nats = run_report(capsys, argv)
+        bits = run_report(capsys, argv + ["--bits"])
+        # inputs and tolerances echo what the library was given, in any unit.
+        for block in ("inputs", "tolerances"):
+            assert bits[block] == nats[block]
+        pairs = list(zip(float_paths(nats["outputs"]), float_paths(bits["outputs"]),
+                         strict=True))
+        assert {path for (path, _), _ in pairs} == nat | other
+        for (path, in_nats), (bits_path, in_bits) in pairs:
+            assert bits_path == path
+            if path in nat:
+                assert in_bits == pytest.approx(in_nats / LN2, rel=1e-11, abs=0.0), path
+            else:
+                assert in_bits == in_nats, path
+
+    @pytest.mark.parametrize("grid", ["0.05,0.0501", "0.1,0.1001", "0.2,0.2001"])
+    @pytest.mark.parametrize("units", [[], ["--bits"]])
+    def test_slope_is_in_the_unit_of_the_rate(self, capsys, grid, units):
+        # -(R(D2) - R(D1)) / (D2 - D1) is the mean of the two slopes up to
+        # 1.2e-7 relative on the binary Hamming curve, in either unit.
+        first, second = run_report(capsys, ["rd", BINARY, "--grid", grid] + units)[
+            "outputs"]["points"]
+        quotient = -((second["rate"] - first["rate"])
+                     / (second["target_distortion"] - first["target_distortion"]))
+        mean = (first["lambda_star"] + second["lambda_star"]) / 2
+        assert quotient == pytest.approx(mean, rel=1e-6)
 
 
 class TestNonFiniteInputs:

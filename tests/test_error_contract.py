@@ -33,6 +33,7 @@ import inspect
 import math
 import typing
 
+import numpy as np
 import pytest
 
 import loglosslab
@@ -77,6 +78,7 @@ from loglosslab import (
     posterior,
     rd_at_distortion,
     rd_curve,
+    renormalize,
     solve_avg,
     solve_avg_oracle,
     solve_codebook,
@@ -383,6 +385,13 @@ ORDER_AND_EMPTINESS = {
                             "OneShotCode: encoder must not be empty"),
     "LogLossCode-encoder": (lambda: LogLossCode(1, (), (PX,)),
                             "LogLossCode: encoder must not be empty"),
+    "Pmf-probs": (lambda: Pmf([]), "Pmf: probs must not be empty"),
+    "Channel-rows": (lambda: Channel(np.zeros((2, 0))), "Channel: rows must not be empty"),
+    "Joint-table": (lambda: Joint(np.zeros((0, 2))), "Joint: table must not be empty"),
+    "renormalize-weights": (lambda: renormalize([]), "renormalize: weights must not be empty"),
+    "SourceProblem-distortion": (
+        lambda: SourceProblem(px=Pmf([1.0]), distortion=np.zeros((1, 0))),
+        "SourceProblem: distortion must not be empty"),
 }
 
 # The classes a caller builds and hands in.  Every other class in

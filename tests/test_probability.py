@@ -89,8 +89,8 @@ class TestPmf:
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: Pmf(["a", "b"]), "Pmf: not convertible to a float array"),
-    (lambda: Pmf([[0.5, 0.5]]), r"Pmf: expected 1-dimensional data, got shape \(1, 2\)"),
+    (lambda: Pmf(["a", "b"]), "^Pmf: probs is not convertible to floats: "),
+    (lambda: Pmf([[0.5, 0.5]]), r"^Pmf: probs must be 1-D, got shape \(1, 2\)$"),
     (lambda: Pmf.uniform(0), "Pmf.uniform: n must be an integer >= 1, got 0"),
     (lambda: Pmf.point_mass(3, 3), r"Pmf.point_mass: x must be an integer in \[0, 2\], got 3"),
     (lambda: mutual_information(Pmf([0.5, 0.5]), Channel(np.eye(3))),

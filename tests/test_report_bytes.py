@@ -8,9 +8,11 @@ byte on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_report_bytes.py
 
-and names the move in CHANGES.md.
+and names the move in CHANGES.md.  Every report (each command but the
+table) must also parse as strict JSON: no NaN and no Infinity.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -56,7 +58,15 @@ COMMANDS = {
     "oneshot_codebook_logloss": [
         "oneshot", SKEW3, "--criterion", "codebook", "--logloss",
         "--distortion", "0.5", "--epsilon", "0.25"],
+    # --bits: rates, log losses and slopes in bits, one report per command
+    "bits_rd_grid": ["rd", BINARY, "--grid", "0.05,0.1,0.2", "--bits"],
+    "bits_equiv": ["equiv", SKEW3, "--messages", "2", "--bits"],
+    "bits_sr_chain": ["sr", BINARY, "--chain", "0.65,0.5,0.35", "--d2", "0.1", "--bits"],
+    "bits_timeshare": [
+        "timeshare", SKEW3, "--distortion", "0.3", "--d2", "0.1", "--n", "2000",
+        "--seed", "1", "--bits"],
 }
+REPORTS = sorted(name for name, argv in COMMANDS.items() if "table" not in argv)
 
 
 def normalized(stdout: str) -> str:
@@ -70,6 +80,16 @@ def test_report_bytes_match_golden(name, capsys):
     assert main(COMMANDS[name]) == 0
     out = normalized(capsys.readouterr().out)
     assert out == (GOLDEN / f"{name}.txt").read_text(), name
+
+
+def refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_report_is_strict_json(name, capsys):
+    assert main(COMMANDS[name]) == 0
+    json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
 
 
 if __name__ == "__main__":
