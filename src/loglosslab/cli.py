@@ -27,7 +27,7 @@ from .equivalence import (
     identity_sweep,
     verify_optimum_coincidence,
 )
-from .errors import InstanceTooLargeError, LoglossLabError, ValidationError
+from .errors import InstanceTooLargeError, LoglossLabError, ValidationError, _check_arguments
 from .oneshot import (
     _FEASIBILITY_SLACK,
     _codebook,
@@ -39,6 +39,7 @@ from .oneshot import (
     logloss_excess_oracle,
     solve_avg,
     solve_avg_oracle,
+    solve_codebook,
 )
 from .probability import Pmf, entropy, varentropy
 from .problemio import (
@@ -169,8 +170,8 @@ def _cmd_oneshot(args) -> _CommandOutput:
     cover = None  # (subset, excess) of the scan that proved codebook's M, if one ran
     if crit == "codebook" and args.logloss:
         m = logloss_codebook(px, d, args.epsilon)
-    elif crit == "codebook":
-        m, cover = _codebook(problem, d, args.epsilon)
+    elif crit == "codebook":  # solve_codebook's rules check the scan's arguments
+        m, cover = _codebook(*_check_arguments(solve_codebook, (problem, d, args.epsilon), {}))
     oracle = None
 
     if crit == "avg" and args.logloss:
@@ -350,7 +351,7 @@ def _sigma_units(diff: float, sigma: float) -> float:
 
 def _cmd_timeshare(args) -> _CommandOutput:
     if (args.problem is None) == (args.px is None):
-        raise ValidationError("timeshare: give a problem file or --px, not both")
+        raise ValidationError("timeshare: give exactly one of a problem file or --px")
     if args.px is not None:
         px = Pmf(parse_float_list(args.px, "--px"))
         problem_echo = {"px": px.probs.tolist(), "source": "inline"}

@@ -29,16 +29,9 @@ from functools import reduce
 import numpy as np
 
 from . import oneshot
-from .errors import (
-    DegenerateInstanceError,
-    MappingError,
-    VerificationError,
-    _require_each,
-    _require_instance,
-    _require_int,
-    _require_real,
-    _require_size,
-)
+from .errors import (Count, DegenerateInstanceError, MappingError, NonNegative, Positive,
+                     VerificationError, _checked, _require_each, _require_instance,
+                     _require_int, _require_size)
 from .oneshot import (
     _CODE_ENUM_GUARD,
     OneShotCode,
@@ -118,15 +111,15 @@ class CorrespondingProblem:
         return self.problem.px
 
 
-def build_corresponding(problem: SourceProblem, n_messages: int,
-                        tol: float = _DEFAULT_TOL) -> CorrespondingProblem:
+@_checked
+def build_corresponding(problem: SourceProblem, n_messages: Count,
+                        tol: Positive = _DEFAULT_TOL) -> CorrespondingProblem:
     """Solve D*(M), solve the curve there, and assemble the dictionary.
 
     Raises DegenerateInstanceError when D*(M) lands on a curve endpoint
     (slope divergence or the zero-rate knee); the equivalence needs an
     interior point.
     """
-    _require_instance("build_corresponding", "problem", problem, SourceProblem)
     code, d_star = solve_avg(problem, n_messages)
     d_min, d_max = distortion_bounds(problem)
     if d_star <= d_min + ENDPOINT_TOL or d_star >= d_max - ENDPOINT_TOL:
@@ -163,10 +156,9 @@ def build_corresponding(problem: SourceProblem, n_messages: int,
     )
 
 
+@_checked
 def map_code(cp: CorrespondingProblem, code: OneShotCode) -> LogLossCode:
     """Carry a source code across: same encoder, posterior rows as decoder."""
-    _require_instance("map_code", "cp", cp, CorrespondingProblem)
-    _require_instance("map_code", "code", code, OneShotCode)
     _require_size("map_code", "code.n_messages", code.n_messages, "cp.n_messages", cp.n_messages)
     _require_size("map_code", "len(code.encoder)", len(code.encoder), "cp.px.n", cp.px.n)
     _require_each(_require_int, "map_code", "code.decoder", code.decoder, 0,
@@ -184,6 +176,7 @@ def map_code(cp: CorrespondingProblem, code: OneShotCode) -> LogLossCode:
                        decoder_rows=tuple(rows))
 
 
+@_checked
 def unmap_code(cp: CorrespondingProblem, lcode: LogLossCode) -> OneShotCode:
     """Carry a log-loss code back by matching rows in max norm.
 
@@ -191,8 +184,6 @@ def unmap_code(cp: CorrespondingProblem, lcode: LogLossCode) -> OneShotCode:
     row; otherwise the code has no counterpart and MappingError names the
     offending message.
     """
-    _require_instance("unmap_code", "cp", cp, CorrespondingProblem)
-    _require_instance("unmap_code", "lcode", lcode, LogLossCode)
     _require_size("unmap_code", "lcode.n_messages", lcode.n_messages,
                   "cp.n_messages", cp.n_messages)
     _require_size("unmap_code", "len(lcode.encoder)", len(lcode.encoder), "cp.px.n", cp.px.n)
@@ -211,10 +202,9 @@ def unmap_code(cp: CorrespondingProblem, lcode: LogLossCode) -> OneShotCode:
                        decoder=tuple(decoder))
 
 
+@_checked
 def expected_log_loss(px: Pmf, lcode: LogLossCode) -> float:
     """E[-ln q(X)] where q is the decoded row for X's message."""
-    _require_instance("expected_log_loss", "px", px, Pmf)
-    _require_instance("expected_log_loss", "lcode", lcode, LogLossCode)
     _require_size("expected_log_loss", "len(lcode.encoder)", len(lcode.encoder), "px.n", px.n)
     for m, row in enumerate(lcode.decoder_rows):
         _require_size("expected_log_loss", f"lcode.decoder_rows[{m}].n", row.n, "px.n", px.n)
@@ -237,15 +227,15 @@ class Theorem1Check:
     expected_d: float
 
 
+@_checked
 def verify_theorem1(cp: CorrespondingProblem, code: OneShotCode,
-                    tol: float = 1e-9) -> Theorem1Check:
+                    tol: NonNegative = 1e-9) -> Theorem1Check:
     """Evaluate the identity for one code and check the floor.
 
     lhs is the expected log loss of the mapped code; rhs is
     h + lambda* (E[d] - D*(M)).  The lhs must also stay above h (the value
     of the optimum) up to tol; a violation raises VerificationError.
     """
-    _require_real("verify_theorem1", "tol", tol, 0.0)
     lcode = map_code(cp, code)
     lhs = expected_log_loss(cp.px, lcode)
     e_d = expected_distortion(cp.problem, code)
@@ -257,6 +247,7 @@ def verify_theorem1(cp: CorrespondingProblem, code: OneShotCode,
     return Theorem1Check(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), expected_d=e_d)
 
 
+@_checked
 def suboptimality_gap(cp: CorrespondingProblem, code: OneShotCode) -> tuple[float, float]:
     """(log-loss regret, lambda* times distortion regret); equal for every code."""
     check = verify_theorem1(cp, code)
@@ -331,6 +322,7 @@ class IdentitySweep:
         return False
 
 
+@_checked
 def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     """Residual of the affine identity over all M^r encoders and k^M decoders.
 
@@ -340,7 +332,6 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     both minima.  Guarded at 10^7 code pairs; ``identity_bound`` bounds
     every residual without enumerating them.
     """
-    _require_instance("identity_sweep", "cp", cp, CorrespondingProblem)
     m_count = cp.n_messages
     k = len(cp.y_rows)
     h = cp.h_x_given_xhat
@@ -376,6 +367,7 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
                          min_loss=min_loss, min_distortion=min_d)
 
 
+@_checked
 def identity_bound(cp: CorrespondingProblem) -> float:
     """A bound on every residual ``identity_sweep`` forms, in O(r k) steps.
 
@@ -401,7 +393,6 @@ def identity_bound(cp: CorrespondingProblem) -> float:
     for e, the spreads, the sums over x, the offset and the last adds.
     Hence (r + M + k + 22) 2^-53 S.
     """
-    _require_instance("identity_bound", "cp", cp, CorrespondingProblem)
     w_d, w_l = _cell_cost_tables(cp)
     h = cp.h_x_given_xhat
     lam = cp.lambda_star
@@ -488,8 +479,9 @@ class _ArgminSet(Sequence):
         return repr(self._decoded())
 
 
+@_checked
 def verify_optimum_coincidence(cp: CorrespondingProblem,
-                               atol: float = _COINCIDENCE_ATOL) -> CoincidenceReport:
+                               atol: NonNegative = _COINCIDENCE_ATOL) -> CoincidenceReport:
     """Find both problems' sets of optimal codes and compare them.
 
     Decoders range over the kept reconstruction columns (the solved point's
@@ -511,8 +503,6 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     addition is commutative.  So each argmin set is its canonical pairs and
     their swaps, and the sets coincide exactly when their canonical pairs do.
     """
-    _require_instance("verify_optimum_coincidence", "cp", cp, CorrespondingProblem)
-    _require_real("verify_optimum_coincidence", "atol", atol, 0.0)
     r = cp.px.n
     m_count = cp.n_messages
     k = len(cp.y_rows)

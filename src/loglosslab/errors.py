@@ -1,14 +1,26 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the argument rules.
 
 Everything raised on purpose derives from :class:`LoglossLabError`, so callers
 can catch one type at the boundary.  Input problems additionally derive from
 ``ValueError`` to behave well with generic validation code.
+
+A public function declares the rule of each argument once, on its signature
+(PEP 593), and carries :func:`_checked`, which applies the rules before the
+body runs.  ``Annotated[float, Real(...)]``, ``Annotated[int, Int(...)]`` and
+``Annotated[list, Seq(...)]`` declare a rule, and a record class (a
+dataclass) asks for an instance of it; the aliases below name the common
+rules.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import inspect
 import math
 import numbers
+import typing
+from typing import Annotated
 
 __all__ = [
     "LoglossLabError",
@@ -132,33 +144,139 @@ def _require_each(require, caller: str, name: str, values, *bounds) -> None:
         require(caller, f"{name}[{i}]", value, *bounds)
 
 
-def _is_finite(value: numbers.Real) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _require_real(caller: str, name: str, value, low: float | None = None,
-                  high: float | None = None, positive: bool = False) -> None:
-    """Raise ValidationError unless value is a finite real, not a bool, in bounds.
-
-    ``low`` and ``high`` are inclusive unless None; ``positive`` asks for > 0.
-    An int too large for a float counts as not finite.
-    """
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and _is_finite(value) and (low is None or value >= low)
-            and (high is None or value <= high) and (value > 0 or not positive)):
-        rule = ("must be finite and positive" if positive
-                else "must be finite" if low is None
-                else f"must be finite and >= {low:g}" if high is None
-                else f"must lie in [{low:g}, {high:g}]")
-        raise ValidationError(f"{caller}: {name} {rule}, got {value!r}")
-
-
 def _clamp_target(caller: str, name: str, value: float, low: float, high: float) -> float:
     """value clamped into [low, high]; InfeasibleError if it misses by over ``_SLACK``."""
     if value < low - _SLACK or value > high + _SLACK:
         raise InfeasibleError(f"{caller}: {name} = {value!r} outside the feasible "
                               f"interval [{low!r}, {high!r}]")
     return min(max(value, low), high)
+
+
+class Real(typing.NamedTuple):
+    """A finite real, not a bool, in [low, high] (either bound unless None); > 0 if positive.
+
+    An int too large for a float counts as not finite.
+    """
+
+    low: float | None = None
+    high: float | None = None
+    positive: bool = False
+
+    def check(self, caller: str, name: str, value):
+        """``value``; ValidationError naming ``caller`` and ``name`` if it breaks the rule."""
+        low, high = self.low, self.high
+        try:
+            finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                      and math.isfinite(value))
+        except OverflowError:
+            finite = False
+        if not (finite and (low is None or value >= low) and (high is None or value <= high)
+                and (value > 0 or not self.positive)):
+            rule = ("must be finite and positive" if self.positive
+                    else "must be finite" if low is None
+                    else f"must be finite and >= {low:g}" if high is None
+                    else f"must lie in [{low:g}, {high:g}]")
+            raise ValidationError(f"{caller}: {name} {rule}, got {value!r}")
+        return value
+
+
+class Int(typing.NamedTuple):
+    """An integer, not a bool, >= minimum (and <= maximum unless None); None if allow_none."""
+
+    minimum: int
+    maximum: int | None = None
+    allow_none: bool = False
+
+    def check(self, caller: str, name: str, value):
+        _require_int(caller, name, value, *self)
+        return value
+
+
+class Seq(typing.NamedTuple):
+    """Any iterable but a string, passed on as a list of its entries.
+
+    Each entry obeys ``entry``, a rule or a record class, unless it is None;
+    the list must hold an entry if ``nonempty``.
+    """
+
+    entry: object = None
+    nonempty: bool = False
+
+    def check(self, caller: str, name: str, value) -> list:
+        entries = _require_iterable(caller, name, value)
+        if self.nonempty:
+            _require_nonempty(caller, name, entries)
+        if self.entry is not None:
+            rule = _Instance(self.entry) if isinstance(self.entry, type) else self.entry
+            _require_each(rule.check, caller, name, entries)
+        return entries
+
+
+class _Instance(typing.NamedTuple):
+    """An instance of ``kind``, the rule of an argument annotated with a record class."""
+
+    kind: type
+
+    def check(self, caller: str, name: str, value):
+        _require_instance(caller, name, value, self.kind)
+        return value
+
+
+Finite = Annotated[float, Real()]
+NonNegative = Annotated[float, Real(0.0)]
+Positive = Annotated[float, Real(positive=True)]
+Probability = Annotated[float, Real(0.0, 1.0)]
+Count = Annotated[int, Int(1)]
+Seed = Annotated[int, Int(0)]
+
+
+def _rule(hint):
+    """The rule that a parameter's type hint declares, or None.
+
+    ``rule | None`` lets None pass, for a rule with an ``allow_none`` field.
+    """
+    if type(None) in typing.get_args(hint):
+        (hint,) = set(typing.get_args(hint)) - {type(None)}
+        return _rule(hint)._replace(allow_none=True)
+    if typing.get_origin(hint) is Annotated:
+        return hint.__metadata__[0]
+    return _Instance(hint) if dataclasses.is_dataclass(hint) else None
+
+
+@functools.cache
+def _plan(fn) -> tuple:
+    """(position, name, rule) of each parameter of ``fn`` that declares a rule.
+
+    Read on first use, so the hints may name classes defined after ``fn``.
+    """
+    hints = typing.get_type_hints(fn, include_extras=True)
+    plan = [(i, name, _rule(hints.get(name)))
+            for i, name in enumerate(inspect.signature(fn).parameters)]
+    return tuple(step for step in plan if step[2] is not None)
+
+
+def _check_arguments(fn, args: tuple, kwargs: dict) -> list:
+    """The arguments ``args`` of a call to ``fn``, each checked by its rule and converted.
+
+    ``kwargs`` is checked and converted in place; an argument left at its
+    default is not checked.  Errors name ``fn.__qualname__``.
+    """
+    args = list(args)
+    for i, name, rule in _plan(fn):
+        if i < len(args):
+            args[i] = rule.check(fn.__qualname__, name, args[i])
+        elif name in kwargs:
+            kwargs[name] = rule.check(fn.__qualname__, name, kwargs[name])
+    return args
+
+
+def _checked(fn):
+    """Decorate a public function so that its declared rules check each argument first.
+
+    Private functions are never decorated, so the hot paths pay nothing.
+    """
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        return fn(*_check_arguments(checked, args, kwargs), **kwargs)
+
+    return checked

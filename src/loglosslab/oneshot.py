@@ -22,18 +22,9 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    InfeasibleError,
-    InstanceTooLargeError,
-    ValidationError,
-    _require_each,
-    _require_instance,
-    _require_int,
-    _require_iterable,
-    _require_nonempty,
-    _require_real,
-    _require_size,
-)
+from .errors import (Count, Finite, InfeasibleError, InstanceTooLargeError, NonNegative,
+                     Probability, ValidationError, _checked, _require_each, _require_int,
+                     _require_iterable, _require_nonempty, _require_size)
 from .probability import Pmf, entropy
 from .ratedistortion import SourceProblem
 
@@ -132,10 +123,9 @@ def _check_code_fields(code, decoder: str) -> None:
     _require_each(_require_int, caller, "encoder", code.encoder, 0, code.n_messages - 1)
 
 
+@_checked
 def expected_distortion(problem: SourceProblem, code: OneShotCode) -> float:
     """E d(X, g(f(X))) for a code over the problem's distortion matrix."""
-    _require_instance("expected_distortion", "problem", problem, SourceProblem)
-    _require_instance("expected_distortion", "code", code, OneShotCode)
     _require_size("expected_distortion", "len(code.encoder)", len(code.encoder),
                   "problem.n_source", problem.n_source)
     _require_each(_require_int, "expected_distortion", "code.decoder", code.decoder, 0,
@@ -247,7 +237,8 @@ def _first_best_subset(caller: str, problem: SourceProblem, n_messages: int,
     return min(itertools.combinations(range(s), size), key=score)
 
 
-def solve_avg(problem: SourceProblem, n_messages: int) -> tuple[OneShotCode, float]:
+@_checked
+def solve_avg(problem: SourceProblem, n_messages: Count) -> tuple[OneShotCode, float]:
     """Exact minimum average distortion over all codes with <= M messages.
 
     Enumerates reconstruction subsets of size min(M, s); the nearest-codeword
@@ -255,8 +246,6 @@ def solve_avg(problem: SourceProblem, n_messages: int) -> tuple[OneShotCode, flo
     The first best subset in lexicographic order is returned as a witness,
     a code of min(M, s) messages.  Guarded at 10^6 subsets.
     """
-    _require_instance("solve_avg", "problem", problem, SourceProblem)
-    _require_int("solve_avg", "n_messages", n_messages, 1)
     px = problem.px.probs
     dist = problem.distortion
     best_subset = _first_best_subset(
@@ -268,7 +257,8 @@ def solve_avg(problem: SourceProblem, n_messages: int) -> tuple[OneShotCode, flo
     return code, expected_distortion(problem, code)
 
 
-def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
+@_checked
+def solve_avg_oracle(problem: SourceProblem, n_messages: Count) -> float:
     """Brute-force check of solve_avg: enumerate every encoder map.
 
     For each of the M^r encoders the best decoder picks, per message, the
@@ -276,8 +266,6 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: int) -> float:
     M^r <= 10^7.  The winner is re-evaluated through the shared evaluator,
     so agreement with solve_avg is bitwise when the optimum is unique.
     """
-    _require_instance("solve_avg_oracle", "problem", problem, SourceProblem)
-    _require_int("solve_avg_oracle", "n_messages", n_messages, 1)
     r = problem.n_source
     _check_work("solve_avg_oracle", n_messages ** r, "encoders", _CODE_ENUM_GUARD)
     px = problem.px.probs
@@ -308,12 +296,9 @@ def _best_cover(caller: str, problem: SourceProblem, n_messages: int,
     """The first subset of min(M, s) columns covering the most probability.
 
     A symbol is covered by a column when its distortion is <= D.  Returns
-    (subset, excess probability 1 - covered mass, clamped into [0, 1]);
-    raises ValidationError naming ``caller`` when problem is not a
-    SourceProblem or d is not a finite real.
+    (subset, excess probability 1 - covered mass, clamped into [0, 1]); the
+    subset guard's refusal names ``caller``.
     """
-    _require_instance(caller, "problem", problem, SourceProblem)
-    _require_real(caller, "d", d)
     px = problem.px.probs
     covers = problem.distortion <= d  # r x s
     # Negation is exact, so the least -mass is the first subset of most mass.
@@ -332,29 +317,30 @@ def _excess(mass: float) -> float:
     return min(max(1.0 - mass, 0.0), 1.0)
 
 
-def solve_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
+@_checked
+def solve_excess(problem: SourceProblem, n_messages: Count, d: Finite) -> float:
     """Exact minimum excess probability Pr[d(X, g(f(X))) > D] with <= M messages.
 
     A symbol is covered by a column when its distortion is <= D; the optimum
     picks the subset of min(M, s) columns covering the most probability.
     """
-    _require_int("solve_excess", "n_messages", n_messages, 1)
     return _best_cover("solve_excess", problem, n_messages, d)[1]
 
 
+@_checked
 def excess_witness(problem: SourceProblem,
-                   n_messages: int, d: float) -> tuple[OneShotCode, float]:
+                   n_messages: Count, d: Finite) -> tuple[OneShotCode, float]:
     """A code of min(M, s) messages attaining solve_excess, with its excess probability.
 
     Uncovered symbols are encoded to the subset column of least distortion,
     which cannot hurt the excess criterion.
     """
-    _require_int("excess_witness", "n_messages", n_messages, 1)
     subset, excess = _best_cover("excess_witness", problem, n_messages, d)
     return _subset_code(problem, subset), excess
 
 
-def solve_codebook(problem: SourceProblem, d: float, eps: float) -> int:
+@_checked
+def solve_codebook(problem: SourceProblem, d: Finite, eps: Probability) -> int:
     """Least message count M with excess probability at D below eps.
 
     A greedy cover bounds M first: it adds the column covering the most
@@ -376,10 +362,8 @@ def _codebook(problem: SourceProblem, d: float,
     """(M*, the (subset, excess) of the scan that proved M*), as solve_codebook.
 
     The scan is None when M* is the greedy bound, whose scan is skipped.
+    The arguments are solve_codebook's, checked by its rules.
     """
-    _require_instance("solve_codebook", "problem", problem, SourceProblem)
-    _require_real("solve_codebook", "eps", eps, 0.0, 1.0)
-    _require_real("solve_codebook", "d", d)
     px = problem.px.probs
     covers = problem.distortion <= d  # r x s
     s = problem.n_reconstruction
@@ -412,7 +396,8 @@ def _codebook(problem: SourceProblem, d: float,
 # ----------------------------------------------------------------------
 
 
-def floor_exp(d: float) -> int:
+@_checked
+def floor_exp(d: NonNegative) -> int:
     """Largest integer k with ln k <= D (slack 1e-12), i.e. floor(exp(D)).
 
     D runs over [0, ln of the largest float] less twice the slack, about
@@ -421,7 +406,6 @@ def floor_exp(d: float) -> int:
     bracketed around exp(D) by doubling steps and found by bisection, in
     O(log k) logarithms.
     """
-    _require_real("floor_exp", "d", d, 0.0)
     if d > _FLOOR_EXP_MAX:
         raise ValidationError(f"floor_exp: d must be at most {_FLOOR_EXP_MAX:g}, got {d!r}: "
                               "floor(exp(d)) would not be a float")
@@ -530,7 +514,8 @@ def _best_completion(g: np.ndarray, cells: list[int], first: int, n_new: int,
     return float(best)
 
 
-def logloss_avg_optimum(px: Pmf, n_messages: int) -> tuple[PartitionScheme, float]:
+@_checked
+def logloss_avg_optimum(px: Pmf, n_messages: Count) -> tuple[PartitionScheme, float]:
     """Exact optimal average log loss with at most M messages.
 
     The optimum equals H(X) minus the largest entropy of f(X) over
@@ -542,8 +527,6 @@ def logloss_avg_optimum(px: Pmf, n_messages: int) -> tuple[PartitionScheme, floa
     lowest label from which the optimum stays reachable.  Guarded at
     alphabets of size 14.
     """
-    _require_instance("logloss_avg_optimum", "px", px, Pmf)
-    _require_int("logloss_avg_optimum", "n_messages", n_messages, 1)
     r = px.n
     _check_work("logloss_avg_optimum", r, "symbols", _PARTITION_ALPHABET_GUARD)
     p = px.probs
@@ -648,15 +631,15 @@ def _tail_excess(covered_probs: np.ndarray) -> float:
     return _excess(float(covered[covered > 0.0].sum()))
 
 
-def logloss_excess_optimum(px: Pmf, n_messages: int, d: float) -> tuple[ExcessScheme, float]:
+@_checked
+def logloss_excess_optimum(px: Pmf, n_messages: Count,
+                           d: NonNegative) -> tuple[ExcessScheme, float]:
     """Exact optimal excess probability Pr[log loss > D] with <= M messages.
 
     The optimum covers the M * floor(exp(D)) most probable symbols; the
     achieved epsilon is the tail mass beyond them.  The scheme has
     min(M, ceil(r / floor(exp(D)))) messages, as more cells would be empty.
     """
-    _require_instance("logloss_excess_optimum", "px", px, Pmf)
-    _require_int("logloss_excess_optimum", "n_messages", n_messages, 1)
     cell = floor_exp(d)
     order = np.argsort(-px.probs, kind="stable")
     covered = min(n_messages * cell, px.n)
@@ -671,14 +654,13 @@ def logloss_excess_optimum(px: Pmf, n_messages: int, d: float) -> tuple[ExcessSc
     return scheme, eps
 
 
-def logloss_codebook(px: Pmf, d: float, eps: float) -> int:
+@_checked
+def logloss_codebook(px: Pmf, d: NonNegative, eps: Probability) -> int:
     """Least message count with log-loss excess probability at D below eps.
 
     Closed form: cover the smallest prefix of the sorted source reaching
     mass 1 - eps, in cells of floor(exp(D)).
     """
-    _require_instance("logloss_codebook", "px", px, Pmf)
-    _require_real("logloss_codebook", "eps", eps, 0.0, 1.0)
     cell = floor_exp(d)
     sorted_probs = np.sort(px.probs)[::-1]
     cdf = np.cumsum(sorted_probs)
@@ -687,7 +669,8 @@ def logloss_codebook(px: Pmf, d: float, eps: float) -> int:
     return -(-needed // cell)
 
 
-def logloss_excess_oracle(px: Pmf, n_messages: int, d: float) -> float:
+@_checked
+def logloss_excess_oracle(px: Pmf, n_messages: Count, d: NonNegative) -> float:
     """Brute-force check of logloss_excess_optimum via cover enumeration.
 
     Each message may cover any set of at most floor(exp(D)) symbols (mass
@@ -695,8 +678,6 @@ def logloss_excess_oracle(px: Pmf, n_messages: int, d: float) -> float:
     M * floor(exp(D)) symbols; enumerate every subset within that budget.
     Guarded at alphabets of size 12.
     """
-    _require_instance("logloss_excess_oracle", "px", px, Pmf)
-    _require_int("logloss_excess_oracle", "n_messages", n_messages, 1)
     r = px.n
     _check_work("logloss_excess_oracle", r, "symbols", _COVER_ALPHABET_GUARD)
     budget = min(n_messages * floor_exp(d), r)

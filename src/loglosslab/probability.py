@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import (ValidationError, _require_instance, _require_int, _require_iterable,
+from .errors import (Count, Seq, ValidationError, _checked, _require_int,
                      _require_nonempty, _require_size)
 
 __all__ = [
@@ -91,13 +92,13 @@ class Pmf:
         return self.probs.shape[0]
 
     @staticmethod
-    def uniform(n: int) -> "Pmf":
-        _require_int("Pmf.uniform", "n", n, 1)
+    @_checked
+    def uniform(n: Count) -> "Pmf":
         return Pmf(np.full(n, 1.0 / n))
 
     @staticmethod
-    def point_mass(n: int, x: int) -> "Pmf":
-        _require_int("Pmf.point_mass", "n", n, 1)
+    @_checked
+    def point_mass(n: Count, x: int) -> "Pmf":
         _require_int("Pmf.point_mass", "x", x, 0, n - 1)
         p = np.zeros(n)
         p[x] = 1.0
@@ -131,14 +132,13 @@ class Channel:
         return Pmf(self.rows[x])
 
     @staticmethod
-    def identity(n: int) -> "Channel":
-        _require_int("Channel.identity", "n", n, 1)
+    @_checked
+    def identity(n: Count) -> "Channel":
         return Channel(np.eye(n))
 
     @staticmethod
-    def constant(q: Pmf, n_in: int) -> "Channel":
-        _require_instance("Channel.constant", "q", q, Pmf)
-        _require_int("Channel.constant", "n_in", n_in, 1)
+    @_checked
+    def constant(q: Pmf, n_in: Count) -> "Channel":
         return Channel(np.tile(q.probs, (n_in, 1)))
 
 
@@ -184,28 +184,27 @@ def _neg_p_log_p(p: np.ndarray) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
+@_checked
 def entropy(p: Pmf) -> float:
     """Shannon entropy in nats."""
-    _require_instance("entropy", "p", p, Pmf)
     return _neg_p_log_p(p.probs)
 
 
+@_checked
 def varentropy(p: Pmf) -> float:
     """Variance of the self-information -ln p(X), in nats squared.
 
     Vanishes (up to rounding) exactly when p is uniform on its support.
     """
-    _require_instance("varentropy", "p", p, Pmf)
     mass = p.probs[p.probs > 0.0]
     info = -np.log(mass)
     mean = float(mass @ info)
     return max(float(mass @ (info - mean) ** 2), 0.0)
 
 
+@_checked
 def kl_divergence(p: Pmf, q: Pmf) -> float:
     """Relative entropy D(p || q) in nats; ``math.inf`` off q's support."""
-    _require_instance("kl_divergence", "p", p, Pmf)
-    _require_instance("kl_divergence", "q", q, Pmf)
     _require_size("kl_divergence", "q.n", q.n, "p.n", p.n)
     pa, qa = p.probs, q.probs
     mask = pa > 0.0
@@ -214,20 +213,19 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
     return float((pa[mask] * (np.log(pa[mask]) - np.log(qa[mask]))).sum())
 
 
+@_checked
 def conditional_entropy(j: Joint) -> float:
     """H(X | Y) for a joint over (x, y), in nats."""
-    _require_instance("conditional_entropy", "j", j, Joint)
     return _neg_p_log_p(j.table.ravel()) - entropy(j.marginal_y())
 
 
+@_checked
 def mutual_information(px: Pmf, ch: Channel) -> float:
     """I(X; Y) for input px through channel ch, in nats.
 
     Computed as H(Y) - sum_x px(x) H(Y | X = x); tiny negative float residue
     is clamped to zero.
     """
-    _require_instance("mutual_information", "px", px, Pmf)
-    _require_instance("mutual_information", "ch", ch, Channel)
     _require_size("mutual_information", "ch.n_in", ch.n_in, "px.n", px.n)
     py = px.probs @ ch.rows
     h_y = _neg_p_log_p(py)
@@ -273,9 +271,9 @@ def _decoder_fit(table: np.ndarray, rows) -> tuple[float, float, float]:
     return info, loss, deviation
 
 
+@_checked
 def information_density(j: Joint, x: int, y: int) -> float:
     """ln of P(x, y) / (P(x) P(y)); errors on zero marginals or zero mass."""
-    _require_instance("information_density", "j", j, Joint)
     r, s = j.shape
     _require_int("information_density", "x", x, 0, r - 1)
     _require_int("information_density", "y", y, 0, s - 1)
@@ -292,18 +290,18 @@ def information_density(j: Joint, x: int, y: int) -> float:
 
 
 def _joint(caller: str, px: Pmf, ch: Channel) -> Joint:
-    """Joint P(x, y) = px(x) ch(y | x); errors name ``caller``."""
-    _require_instance(caller, "px", px, Pmf)
-    _require_instance(caller, "ch", ch, Channel)
+    """Joint P(x, y) = px(x) ch(y | x); a size mismatch names ``caller``."""
     _require_size(caller, "ch.n_in", ch.n_in, "px.n", px.n)
     return Joint(px.probs[:, None] * ch.rows)
 
 
+@_checked
 def joint_from_source_and_channel(px: Pmf, ch: Channel) -> Joint:
     """Joint P(x, y) = px(x) ch(y | x)."""
     return _joint("joint_from_source_and_channel", px, ch)
 
 
+@_checked
 def posterior(px: Pmf, ch: Channel) -> tuple[Channel, Pmf]:
     """Bayes inversion of (px, ch): the reverse channel and output marginal.
 
@@ -321,9 +319,9 @@ def posterior(px: Pmf, ch: Channel) -> tuple[Channel, Pmf]:
     return reverse, Pmf(py)
 
 
+@_checked
 def log_loss(x: int, q: Pmf) -> float:
     """-ln q(x), the logarithmic loss of reproduction q against symbol x."""
-    _require_instance("log_loss", "q", q, Pmf)
     _require_int("log_loss", "x", x, 0, q.n - 1)
     qx = float(q.probs[x])
     if qx == 0.0:
@@ -331,10 +329,9 @@ def log_loss(x: int, q: Pmf) -> float:
     return -math.log(qx)
 
 
-def log_loss_seq(xs, qs) -> float:
+@_checked
+def log_loss_seq(xs: Annotated[list, Seq(nonempty=True)],
+                 qs: Annotated[list, Seq(Pmf)]) -> float:
     """Average of per-symbol log losses over a block."""
-    xs = _require_iterable("log_loss_seq", "xs", xs)
-    qs = _require_iterable("log_loss_seq", "qs", qs)
     _require_size("log_loss_seq", "len(qs)", len(qs), "len(xs)", len(xs))
-    _require_nonempty("log_loss_seq", "xs", xs)
     return sum(log_loss(x, q) for x, q in zip(xs, qs)) / len(xs)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -34,17 +35,9 @@ try:
 except ImportError:  # a numpy without the private module: use np.linalg.lstsq
     _umath_linalg = None
 
-from .errors import (
-    ConvergenceError,
-    ValidationError,
-    _clamp_target,
-    _require_each,
-    _require_instance,
-    _require_int,
-    _require_iterable,
-    _require_real,
-    _require_size,
-)
+from .errors import (ConvergenceError, Count, Finite, NonNegative, Positive, Real, Seq,
+                     ValidationError, _checked, _clamp_target, _require_each,
+                     _require_instance, _require_int, _require_size)
 from .probability import (
     Channel,
     Pmf,
@@ -123,10 +116,9 @@ def _first_close_pair(vectors: np.ndarray, tol: float) -> tuple[int, int] | None
     return None
 
 
-def hamming_distortion(r: int, s: int | None = None) -> np.ndarray:
+@_checked
+def hamming_distortion(r: Count, s: Count | None = None) -> np.ndarray:
     """0/1 distortion matrix: free on the diagonal, unit cost elsewhere."""
-    _require_int("hamming_distortion", "r", r, 1)
-    _require_int("hamming_distortion", "s", s, 1, allow_none=True)
     s = r if s is None else s
     return 1.0 - np.eye(r, s)
 
@@ -163,13 +155,13 @@ class SourceProblem:
         return self.distortion.shape[1]
 
 
+@_checked
 def distortion_bounds(problem: SourceProblem) -> tuple[float, float]:
     """(D_min, D_max): best achievable expectation and the zero-rate knee.
 
     D_min pairs every symbol with its cheapest column; D_max is the best
     single-column expectation, beyond which the curve is flat at rate 0.
     """
-    _require_instance("distortion_bounds", "problem", problem, SourceProblem)
     px = problem.px.probs
     dist = problem.distortion
     d_min = float(px.dot(np.minimum.reduce(dist, 1)))
@@ -567,8 +559,9 @@ def _certificate_tol(tol: float) -> float:
     return min(1e-10, tol / 100.0)
 
 
-def rd_at_distortion(problem: SourceProblem, d: float, tol: float = _DEFAULT_TOL,
-                     max_iter: int = 300_000) -> RdPoint:
+@_checked
+def rd_at_distortion(problem: SourceProblem, d: Finite, tol: Positive = _DEFAULT_TOL,
+                     max_iter: Count = 300_000) -> RdPoint:
     """Solve R(D) at a target distortion in one constrained solve.
 
     At the zero-rate knee D_max the answer is exact without a solve: slope
@@ -596,10 +589,6 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = _DEFAULT_TOL
             the distortion it reached misses the target by more than tol;
             the message names the achieved distortion, the target and tol.
     """
-    _require_instance("rd_at_distortion", "problem", problem, SourceProblem)
-    _require_real("rd_at_distortion", "tol", tol, positive=True)
-    _require_real("rd_at_distortion", "d", d)
-    _require_int("rd_at_distortion", "max_iter", max_iter, 1)
     d_min, d_max = distortion_bounds(problem)
     target = _clamp_target("rd_at_distortion", "d", d, d_min, d_max)
 
@@ -642,10 +631,11 @@ def rd_at_distortion(problem: SourceProblem, d: float, tol: float = _DEFAULT_TOL
     )
 
 
-def rd_curve(problem: SourceProblem, grid, tol: float = _DEFAULT_TOL) -> list[RdPoint]:
+@_checked
+def rd_curve(problem: SourceProblem, grid: Annotated[list, Seq(Real())],
+             tol: Positive = _DEFAULT_TOL) -> list[RdPoint]:
     """One rd_at_distortion point per grid value; raises as rd_at_distortion."""
-    return [rd_at_distortion(problem, d, tol=tol)
-            for d in _require_iterable("rd_curve", "grid", grid)]
+    return [rd_at_distortion(problem, d, tol=tol) for d in grid]
 
 
 def _kept_distortion(caller: str, problem: SourceProblem, point: RdPoint) -> np.ndarray:
@@ -653,8 +643,6 @@ def _kept_distortion(caller: str, problem: SourceProblem, point: RdPoint) -> np.
 
     Refuses a point whose forward rows or kept columns do not fit the problem.
     """
-    _require_instance(caller, "problem", problem, SourceProblem)
-    _require_instance(caller, "point", point, RdPoint)
     _require_size(caller, "point.forward.n_in", point.forward.n_in,
                   "problem.n_source", problem.n_source)
     _require_each(_require_int, caller, "point.kept_columns", point.kept_columns, 0,
@@ -662,6 +650,7 @@ def _kept_distortion(caller: str, problem: SourceProblem, point: RdPoint) -> np.
     return problem.distortion[:, list(point.kept_columns)]
 
 
+@_checked
 def tilted_information(problem: SourceProblem, point: RdPoint) -> np.ndarray:
     """Per-symbol tilted information at a solved point, in nats.
 
@@ -674,6 +663,7 @@ def tilted_information(problem: SourceProblem, point: RdPoint) -> np.ndarray:
                           point.lambda_star, point.diagnostics.achieved_distortion)
 
 
+@_checked
 def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
     """Max residual of the per-pair identity linking tilted information,
     information density, and distortion.
@@ -699,10 +689,9 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
     return float(np.maximum.reduce(resid, None))
 
 
-def logloss_rd(px: Pmf, d: float) -> float:
+@_checked
+def logloss_rd(px: Pmf, d: Finite) -> float:
     """The log-loss rate-distortion function H(X) - D, in nats, on [0, H(X)]."""
-    _require_instance("logloss_rd", "px", px, Pmf)
-    _require_real("logloss_rd", "d", d)
     h = entropy(px)
     return max(h - _clamp_target("logloss_rd", "d", d, 0.0, h), 0.0)
 
@@ -727,7 +716,9 @@ class Lemma1Report:
     ok: bool
 
 
-def verify_lemma1(px: Pmf, q_rows, weights: Channel, tol: float = 1e-9) -> Lemma1Report:
+@_checked
+def verify_lemma1(px: Pmf, q_rows: Annotated[list, Seq(Pmf)], weights: Channel,
+                  tol: NonNegative = 1e-9) -> Lemma1Report:
     """Check posterior consistency and its two consequences.
 
     Args:
@@ -740,18 +731,13 @@ def verify_lemma1(px: Pmf, q_rows, weights: Channel, tol: float = 1e-9) -> Lemma
     Returns:
         Lemma1Report naming each failed condition in ``failures``.
     """
-    _require_instance("verify_lemma1", "px", px, Pmf)
-    _require_instance("verify_lemma1", "weights", weights, Channel)
-    _require_real("verify_lemma1", "tol", tol, 0.0)
     _require_size("verify_lemma1", "weights.n_in", weights.n_in, "px.n", px.n)
-    rows = _require_iterable("verify_lemma1", "q_rows", q_rows)
-    _require_each(_require_instance, "verify_lemma1", "q_rows", rows, Pmf)
-    _require_size("verify_lemma1", "len(q_rows)", len(rows), "weights.n_out", weights.n_out)
-    for k, row in enumerate(rows):
+    _require_size("verify_lemma1", "len(q_rows)", len(q_rows), "weights.n_out", weights.n_out)
+    for k, row in enumerate(q_rows):
         _require_size("verify_lemma1", f"q_rows[{k}].n", row.n, "px.n", px.n)
 
     joint = joint_from_source_and_channel(px, weights)
-    mi, expected_loss, post_dev = _decoder_fit(joint.table, rows)
+    mi, expected_loss, post_dev = _decoder_fit(joint.table, q_rows)
     d_value = conditional_entropy(joint)
     h = entropy(px)
 

@@ -18,22 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import (
-    InfeasibleError,
-    VerificationError,
-    _clamp_target,
-    _require_each,
-    _require_instance,
-    _require_int,
-    _require_iterable,
-    _require_nonempty,
-    _require_order,
-    _require_real,
-    _require_size,
-)
+from .errors import (Count, Finite, InfeasibleError, NonNegative, Positive, Real, Seed, Seq,
+                     VerificationError, _checked, _clamp_target, _require_order,
+                     _require_size)
 from .probability import (
     Channel,
     Joint,
@@ -132,7 +123,6 @@ def _sr_layers(caller: str, problem: SourceProblem, targets: list[tuple[str, flo
     Each layer's H(X | Z), from its joint alone and so independent of its
     q rows, must meet its target within 1e-9.
     """
-    _require_instance(caller, "problem", problem, SourceProblem)
     point = rd_at_distortion(problem, d2, tol=tol)
     h = entropy(problem.px)
     h2 = conditional_entropy(joint_from_source_and_channel(problem.px, point.forward))
@@ -192,8 +182,9 @@ def _sr_layers(caller: str, problem: SourceProblem, targets: list[tuple[str, flo
     return layers
 
 
-def construct_sr(problem: SourceProblem, d1: float, d2: float,
-                 tol: float = _DEFAULT_TOL) -> SrConstruction:
+@_checked
+def construct_sr(problem: SourceProblem, d1: Finite, d2: Finite,
+                 tol: Positive = _DEFAULT_TOL) -> SrConstruction:
     """Build the two-decoder construction for coarse d1 on top of fine d2.
 
     Args:
@@ -207,13 +198,12 @@ def construct_sr(problem: SourceProblem, d1: float, d2: float,
         InfeasibleError: d1 outside the feasible interval (stated in the
             message; 1e-12 slack).
     """
-    _require_real("construct_sr", "d1", d1)
-    _require_real("construct_sr", "d2", d2)
     return _sr_layers("construct_sr", problem, [("d1", d1)], d2, tol)[0]
 
 
-def construct_sr_chain(problem: SourceProblem, ds, d_final: float,
-                       tol: float = _DEFAULT_TOL) -> list[SrConstruction]:
+@_checked
+def construct_sr_chain(problem: SourceProblem, ds: Annotated[list, Seq(Real(), nonempty=True)],
+                       d_final: Finite, tol: Positive = _DEFAULT_TOL) -> list[SrConstruction]:
     """One construction per coarse target, nested along a Markov chain.
 
     ``ds`` must be non-empty and non-increasing (coarsest first; 1e-12
@@ -223,17 +213,14 @@ def construct_sr_chain(problem: SourceProblem, ds, d_final: float,
     :func:`chain_step_channel`).  A single-entry list reduces to
     :func:`construct_sr`.
     """
-    ds = _require_iterable("construct_sr_chain", "ds", ds)
-    _require_nonempty("construct_sr_chain", "ds", ds)
-    _require_each(_require_real, "construct_sr_chain", "ds", ds)
     ds = [float(d) for d in ds]
-    _require_real("construct_sr_chain", "d_final", d_final)
     for i in range(1, len(ds)):
         _require_order("construct_sr_chain", f"ds[{i}]", ds[i], f"ds[{i - 1}]", ds[i - 1])
     return _sr_layers("construct_sr_chain", problem,
                       [(f"ds[{i}]", d) for i, d in enumerate(ds)], d_final, tol)
 
 
+@_checked
 def chain_step_channel(coarse: SrConstruction, fine: SrConstruction) -> Channel:
     """The incremental erasure channel from the fine layer's Z to the coarse one's.
 
@@ -243,8 +230,6 @@ def chain_step_channel(coarse: SrConstruction, fine: SrConstruction) -> Channel:
     observation alphabet, and the fine layer's erasure weight may exceed the
     coarse one's by at most 1e-12.
     """
-    _require_instance("chain_step_channel", "coarse", coarse, SrConstruction)
-    _require_instance("chain_step_channel", "fine", fine, SrConstruction)
     _require_size("chain_step_channel", "fine.z_alphabet", fine.z_alphabet,
                   "coarse.z_alphabet", coarse.z_alphabet)
     _require_order("chain_step_channel", "fine.delta", fine.delta, "coarse.delta", coarse.delta)
@@ -277,7 +262,8 @@ class SrReport:
         raise KeyError(name)
 
 
-def verify_sr(c: SrConstruction, tol: float = _SR_CHECK_TOL) -> SrReport:
+@_checked
+def verify_sr(c: SrConstruction, tol: NonNegative = _SR_CHECK_TOL) -> SrReport:
     """Re-derive every promised property of a construction from its joint.
 
     Checks, in order: the three-variable joint factorizes through the chain
@@ -286,8 +272,6 @@ def verify_sr(c: SrConstruction, tol: float = _SR_CHECK_TOL) -> SrReport:
     within d2, and each reproduction row equals the posterior of the source
     given its merged observation event.
     """
-    _require_instance("verify_sr", "c", c, SrConstruction)
-    _require_real("verify_sr", "tol", tol, 0.0)
     kept = list(c.second_point.kept_columns)
     joint3 = _joint3(c)
 
@@ -457,13 +441,9 @@ def _timeshare(caller: str, px: Pmf, targets: list[tuple[str, float]], n: int,
                seed: int) -> list[TimeshareReport]:
     """One report per (argument name, target) on the block of (seed, n).
 
-    Every argument and the guard are checked, under ``caller``'s names, before any draw.
+    Each target's feasibility and the guard are checked, under ``caller``'s
+    names, before any draw.
     """
-    _require_instance(caller, "px", px, Pmf)
-    _require_int(caller, "n", n, 1)
-    for name, d in targets:
-        _require_real(caller, name, d)
-    _require_int(caller, "seed", seed, 0)
     h = entropy(px)
     ds = [_clamp_target(caller, name, d, 0.0, h) for name, d in targets]
     # Each target sums all n code lengths, though the block is drawn once.
@@ -481,7 +461,8 @@ def _timeshare(caller: str, px: Pmf, targets: list[tuple[str, float]], n: int,
     return reports
 
 
-def timeshare_simulate(px: Pmf, d: float, n: int, seed: int) -> TimeshareReport:
+@_checked
+def timeshare_simulate(px: Pmf, d: Finite, n: Count, seed: Seed) -> TimeshareReport:
     """Simulate one block of the prefix-lossless time-sharing scheme.
 
     The first k = round(n (H - D) / H) symbols are described exactly (the
@@ -502,8 +483,9 @@ def timeshare_simulate(px: Pmf, d: float, n: int, seed: int) -> TimeshareReport:
     return _timeshare("timeshare_simulate", px, [("d", d)], n, seed)[0]
 
 
-def timeshare_two_decoders(px: Pmf, d1: float, d2: float, n: int,
-                           seed: int) -> tuple[TimeshareReport, TimeshareReport]:
+@_checked
+def timeshare_two_decoders(px: Pmf, d1: Finite, d2: Finite, n: Count,
+                           seed: Seed) -> tuple[TimeshareReport, TimeshareReport]:
     """One encoding, two decoders: the coarse one reads a shorter prefix.
 
     Requires d2 <= d1 so the coarse prefix is a prefix of the fine one.  The
@@ -517,7 +499,5 @@ def timeshare_two_decoders(px: Pmf, d1: float, d2: float, n: int,
         InstanceTooLargeError: the two decoders' 2n summed code lengths
             above 10^9.
     """
-    _require_real("timeshare_two_decoders", "d1", d1)
-    _require_real("timeshare_two_decoders", "d2", d2)
     _require_order("timeshare_two_decoders", "d2", d2, "d1", d1)
     return tuple(_timeshare("timeshare_two_decoders", px, [("d1", d1), ("d2", d2)], n, seed))

@@ -753,10 +753,12 @@ class TestTimeshareCommand:
         assert fine["target_distortion"] == pytest.approx(math.log(4) / 4,
                                                           rel=1e-11)
 
-    def test_source_exclusivity(self, capsys):
+    @pytest.mark.parametrize("source", [[SKEW3, "--px", "0.5,0.5"], []], ids=["both", "neither"])
+    def test_source_exclusivity(self, capsys, source):
         base = ["--distortion", "0.3", "--n", "100", "--seed", "1"]
-        assert run_cli(capsys, ["timeshare", SKEW3, "--px", "0.5,0.5"] + base)[0] == 2
-        assert run_cli(capsys, ["timeshare"] + base)[0] == 2
+        code, _, err = run_cli(capsys, ["timeshare", *source] + base)
+        assert code == 2
+        assert err == "error: timeshare: give exactly one of a problem file or --px\n"
 
     def test_required_flags(self, capsys):
         assert run_cli(capsys, ["timeshare", SKEW3, "--n", "100",

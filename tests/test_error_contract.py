@@ -1,12 +1,23 @@
-"""Arguments of the wrong kind raise a ValidationError that names them.
+"""A wrong argument to a public function is a ValidationError that names it.
 
+Each public function declares the rule of each argument once, on its
+signature, and ``errors._checked`` applies the rules before the body runs.
 A real argument takes a finite real number that is not a bool (an int too
-large for a float is not finite); an integer argument takes an integer that
-is not a bool; a sequence argument takes any iterable but a string; an
-object argument takes an instance of its class.  Anything else raises
-ValidationError, never a raw TypeError, AttributeError, OverflowError or
-IndexError, with a message that starts with the function that checked the
-value and the argument's name.
+large for a float is not finite) within its declared bounds; an integer
+argument takes an integer that is not a bool, within its bounds; a sequence
+argument takes any iterable but a string, and each entry obeys the entry's
+rule; a record argument takes an instance of its class.  Anything else
+raises ValidationError, never a raw TypeError, AttributeError,
+OverflowError or IndexError, with a message that starts with the public
+function that was called and the argument's name
+(``rd_curve: grid[1] must be finite, got nan``).
+The cases are derived from the declarations: each wrong kind of value, and
+each value just past a declared bound, goes into the one valid call per
+public function in ``VALID``.  A parameter that declares no rule is named
+in ``EXEMPT``, with the rule its body checks where another argument sets
+the bound.  A record's constructor checks its fields; ``FIELDS`` holds
+them.  A bound that only a body states, such as ``floor_exp``'s largest d,
+names the function whose body checks it (``OUT_OF_RANGE``).
 Two arguments that must agree in size (a channel and its input pmf, a
 code and its problem, a solved point and its problem) raise a
 ValidationError naming the function, both arguments and both sizes; an
@@ -19,25 +30,20 @@ the later one exceeds the earlier by more than 1e-12, the slack of every
 feasible interval too.  A sequence that must hold an entry raises one naming
 the function and the sequence when it is empty.  Each such check has a row in
 ``ORDER_AND_EMPTINESS``.
-Where a function hands an argument on unchecked, the check that names it is
-the callee's (for example ``construct_sr``'s ``tol`` is checked by
-``rd_at_distortion``).  Message counts, seeds, sample counts, iteration
-budgets and verifier tolerances have their own parametrized tests.  Every
-argument of a public function annotated with a record class has a row in
-``OBJECT_ARGUMENTS``.
 """
 
 import collections
 import dataclasses
+import functools
 import inspect
 import math
-import typing
 
 import numpy as np
 import pytest
 
 import loglosslab
 from loglosslab import errors
+from loglosslab.errors import Int, Real, Seq
 from loglosslab import (
     Channel,
     CorrespondingProblem,
@@ -113,174 +119,232 @@ ONE_SYMBOL = SourceProblem(px=Pmf([1.0]), distortion=[[0.0, 1.0, 2.0]])
 TWO_COLUMNS = SourceProblem(px=PX, distortion=hamming_distortion(3, 2))
 PMF2 = Pmf([0.5, 0.5])
 
-# id: (call taking the value, "checker: argument" that opens the message,
-# a value the call accepts)
-REAL_ARGUMENTS = {
-    "rd_at_distortion-d": (lambda v: rd_at_distortion(SKEW3, v), "rd_at_distortion: d", 0.2),
-    "rd_at_distortion-tol": (lambda v: rd_at_distortion(SKEW3, 0.2, tol=v),
-                             "rd_at_distortion: tol", 1e-8),
-    "rd_curve-grid": (lambda v: rd_curve(SKEW3, [0.2, v]), "rd_at_distortion: d", 0.3),
-    "logloss_rd-d": (lambda v: logloss_rd(SKEW3.px, v), "logloss_rd: d", 0.2),
-    "build_corresponding-tol": (lambda v: build_corresponding(SKEW3, 2, tol=v),
-                                "rd_at_distortion: tol", 1e-10),
-    "solve_excess-d": (lambda v: solve_excess(SKEW3, 2, v), "solve_excess: d", 0.5),
-    "excess_witness-d": (lambda v: excess_witness(SKEW3, 2, v), "excess_witness: d", 0.5),
-    "solve_codebook-d": (lambda v: solve_codebook(SKEW3, v, 0.1), "solve_codebook: d", 0.5),
-    "solve_codebook-eps": (lambda v: solve_codebook(SKEW3, 0.5, v), "solve_codebook: eps", 0.1),
-    "floor_exp-d": (floor_exp, "floor_exp: d", 0.5),
-    "logloss_excess_optimum-d": (lambda v: logloss_excess_optimum(SKEW3.px, 2, v),
-                                 "floor_exp: d", 0.5),
-    "logloss_excess_oracle-d": (lambda v: logloss_excess_oracle(SKEW3.px, 2, v),
-                                "floor_exp: d", 0.5),
-    "logloss_codebook-d": (lambda v: logloss_codebook(SKEW3.px, v, 0.1), "floor_exp: d", 0.5),
-    "logloss_codebook-eps": (lambda v: logloss_codebook(SKEW3.px, 0.5, v),
-                             "logloss_codebook: eps", 0.1),
-    "construct_sr-d1": (lambda v: construct_sr(SKEW3, v, 0.15), "construct_sr: d1", 0.9),
-    "construct_sr-d2": (lambda v: construct_sr(SKEW3, 0.9, v), "construct_sr: d2", 0.15),
-    "construct_sr-tol": (lambda v: construct_sr(SKEW3, 0.9, 0.15, tol=v),
-                         "rd_at_distortion: tol", 1e-8),
-    "construct_sr_chain-ds": (lambda v: construct_sr_chain(SKEW3, [0.9, v], 0.15),
-                              "construct_sr_chain: ds[1]", 0.8),
-    "construct_sr_chain-d_final": (lambda v: construct_sr_chain(SKEW3, [0.9], v),
-                                   "construct_sr_chain: d_final", 0.15),
-    "construct_sr_chain-tol": (lambda v: construct_sr_chain(SKEW3, [0.9], 0.15, tol=v),
-                               "rd_at_distortion: tol", 1e-8),
-    "timeshare_simulate-d": (lambda v: timeshare_simulate(SKEW3.px, v, 10, 0),
-                             "timeshare_simulate: d", 0.5),
-    "timeshare_two_decoders-d1": (lambda v: timeshare_two_decoders(SKEW3.px, v, 0.3, 10, 0),
-                                  "timeshare_two_decoders: d1", 0.9),
-    "timeshare_two_decoders-d2": (lambda v: timeshare_two_decoders(SKEW3.px, 0.9, v, 10, 0),
-                                  "timeshare_two_decoders: d2", 0.3),
+# One call per public function that each of its arguments passes; an
+# argument left out takes its default.
+VALID = {
+    "Pmf.uniform": (3,),
+    "Pmf.point_mass": (3, 2),
+    "Channel.identity": (3,),
+    "Channel.constant": (PX, 2),
+    "renormalize": ([1.0, 3.0],),
+    "entropy": (PX,),
+    "varentropy": (PX,),
+    "kl_divergence": (PX, PX),
+    "conditional_entropy": (JOINT,),
+    "mutual_information": (PX, CHANNEL),
+    "information_density": (JOINT, 1, 1),
+    "posterior": (PX, CHANNEL),
+    "joint_from_source_and_channel": (PX, CHANNEL),
+    "log_loss": (2, PX),
+    "log_loss_seq": ([0, 2], [PX, PX]),
+    "hamming_distortion": (3, 2),
+    "distortion_bounds": (SKEW3,),
+    "rd_at_distortion": (SKEW3, 0.2),
+    "rd_curve": (SKEW3, [0.2, 0.3]),
+    "tilted_information": (SKEW3, POINT),
+    "verify_csiszar_identity": (SKEW3, POINT),
+    "logloss_rd": (PX, 0.2),
+    "verify_lemma1": (PX, Q_ROWS, POINT.forward),
+    "expected_distortion": (SKEW3, CODE),
+    "solve_avg": (SKEW3, 2),
+    "solve_avg_oracle": (SKEW3, 2),
+    "solve_excess": (SKEW3, 2, 0.5),
+    "excess_witness": (SKEW3, 2, 0.5),
+    "solve_codebook": (SKEW3, 0.5, 0.1),
+    "logloss_avg_optimum": (PX, 2),
+    "logloss_excess_optimum": (PX, 2, 0.5),
+    "logloss_codebook": (PX, 0.5, 0.1),
+    "logloss_excess_oracle": (PX, 2, 0.5),
+    "floor_exp": (0.5,),
+    "build_corresponding": (SKEW3, 2),
+    "map_code": (CP, CODE),
+    "unmap_code": (CP, LCODE),
+    "expected_log_loss": (PX, LCODE),
+    "verify_theorem1": (CP, CODE),
+    "suboptimality_gap": (CP, CODE),
+    "identity_sweep": (CP,),
+    "identity_bound": (CP,),
+    "verify_optimum_coincidence": (CP,),
+    "construct_sr": (SKEW3, 0.9, 0.15),
+    "construct_sr_chain": (SKEW3, [0.9, 0.8], 0.15),
+    "chain_step_channel": (CHAIN[0], CHAIN[1]),
+    "verify_sr": (SR,),
+    "timeshare_simulate": (PX, 0.5, 10, 0),
+    "timeshare_two_decoders": (PX, 0.9, 0.3, 10, 0),
 }
 
-INTEGER_ARGUMENTS = {
-    "Pmf.uniform-n": (Pmf.uniform, "Pmf.uniform: n", 3),
-    "Pmf.point_mass-n": (lambda v: Pmf.point_mass(v, 0), "Pmf.point_mass: n", 3),
-    "Pmf.point_mass-x": (lambda v: Pmf.point_mass(3, v), "Pmf.point_mass: x", 2),
-    "log_loss-x": (lambda v: log_loss(v, SKEW3.px), "log_loss: x", 2),
-    "information_density-x": (lambda v: information_density(JOINT, v, 0),
-                              "information_density: x", 1),
-    "information_density-y": (lambda v: information_density(JOINT, 0, v),
-                              "information_density: y", 1),
-    "hamming_distortion-r": (hamming_distortion, "hamming_distortion: r", 3),
-    "OneShotCode-encoder": (lambda v: OneShotCode(2, (0, v, 1), (0, 1)),
-                            "OneShotCode: encoder[1]", 1),
-    "OneShotCode-decoder": (lambda v: OneShotCode(2, (0, 1, 1), (0, v)),
-                            "OneShotCode: decoder[1]", 2),
-    "LogLossCode-encoder": (lambda v: LogLossCode(2, (0, v, 1), (SKEW3.px, SKEW3.px)),
-                            "LogLossCode: encoder[1]", 0),
-    "Channel.identity-n": (Channel.identity, "Channel.identity: n", 3),
-    "Channel.constant-n_in": (lambda v: Channel.constant(SKEW3.px, v),
-                              "Channel.constant: n_in", 2),
+# Parameters that declare no rule: (function, parameter) -> the rule the
+# body checks, at the bounds that VALID's other arguments set, or None.
+EXEMPT = {
+    # An index whose upper bound is another argument's size.
+    ("Pmf.point_mass", "x"): Int(0, 2),
+    ("information_density", "x"): Int(0, 1),
+    ("information_density", "y"): Int(0, 1),
+    ("log_loss", "x"): Int(0, 2),
+    # An array, converted and checked as one (ORDER_AND_EMPTINESS has its row).
+    ("renormalize", "weights"): None,
 }
 
-SEQUENCE_ARGUMENTS = {
-    "rd_curve-grid": (lambda v: rd_curve(SKEW3, v), "rd_curve: grid", [0.2, 0.3]),
-    "construct_sr_chain-ds": (lambda v: construct_sr_chain(SKEW3, v, 0.15),
-                              "construct_sr_chain: ds", (0.9, 0.8)),
-    "log_loss_seq-xs": (lambda v: log_loss_seq(v, [SKEW3.px]), "log_loss_seq: xs", [0]),
-    "log_loss_seq-qs": (lambda v: log_loss_seq([0], v), "log_loss_seq: qs", [SKEW3.px]),
-    "OneShotCode-encoder": (lambda v: OneShotCode(2, v, (0, 1)), "OneShotCode: encoder",
-                            (0, 1, 1)),
-    "OneShotCode-decoder": (lambda v: OneShotCode(2, (0, 1, 1), v), "OneShotCode: decoder",
-                            [0, 1]),
-    "LogLossCode-encoder": (lambda v: LogLossCode(2, v, (SKEW3.px, SKEW3.px)),
-                            "LogLossCode: encoder", [0, 1, 1]),
-    "LogLossCode-decoder_rows": (lambda v: LogLossCode(2, (0, 1, 1), v),
-                                 "LogLossCode: decoder_rows", [SKEW3.px, SKEW3.px]),
-    "verify_lemma1-q_rows": (lambda v: verify_lemma1(PX, v, POINT.forward),
-                             "verify_lemma1: q_rows", Q_ROWS),
-}
-
-OBJECT_ARGUMENTS = {
+# A record's fields, which its constructor checks: id -> (constructor taking
+# the value, "Record: field" that opens the message, the field's rule, a
+# value it accepts).
+FIELDS = {
     "SourceProblem-px": (lambda v: SourceProblem(px=v, distortion=hamming_distortion(3)),
-                         "SourceProblem: px", PX),
-    "Channel.constant-q": (lambda v: Channel.constant(v, 2), "Channel.constant: q", PX),
-    "entropy-p": (entropy, "entropy: p", PX),
-    "varentropy-p": (varentropy, "varentropy: p", PX),
-    "kl_divergence-p": (lambda v: kl_divergence(v, PX), "kl_divergence: p", PX),
-    "kl_divergence-q": (lambda v: kl_divergence(PX, v), "kl_divergence: q", PX),
-    "conditional_entropy-j": (conditional_entropy, "conditional_entropy: j", JOINT),
-    "mutual_information-px": (lambda v: mutual_information(v, CHANNEL),
-                              "mutual_information: px", PX),
-    "mutual_information-ch": (lambda v: mutual_information(PX, v),
-                              "mutual_information: ch", CHANNEL),
-    "information_density-j": (lambda v: information_density(v, 0, 0),
-                              "information_density: j", JOINT),
-    "posterior-px": (lambda v: posterior(v, CHANNEL), "posterior: px", PX),
-    "posterior-ch": (lambda v: posterior(PX, v), "posterior: ch", CHANNEL),
-    "joint_from_source_and_channel-px": (lambda v: joint_from_source_and_channel(v, CHANNEL),
-                                         "joint_from_source_and_channel: px", PX),
-    "joint_from_source_and_channel-ch": (lambda v: joint_from_source_and_channel(PX, v),
-                                         "joint_from_source_and_channel: ch", CHANNEL),
-    "log_loss-q": (lambda v: log_loss(0, v), "log_loss: q", PX),
-    "distortion_bounds-problem": (distortion_bounds, "distortion_bounds: problem", SKEW3),
-    "rd_at_distortion-problem": (lambda v: rd_at_distortion(v, 0.2),
-                                 "rd_at_distortion: problem", SKEW3),
-    "rd_curve-problem": (lambda v: rd_curve(v, [0.2]), "rd_at_distortion: problem", SKEW3),
-    "tilted_information-problem": (lambda v: tilted_information(v, POINT),
-                                   "tilted_information: problem", SKEW3),
-    "tilted_information-point": (lambda v: tilted_information(SKEW3, v),
-                                 "tilted_information: point", POINT),
-    "verify_csiszar_identity-problem": (lambda v: verify_csiszar_identity(v, POINT),
-                                        "verify_csiszar_identity: problem", SKEW3),
-    "verify_csiszar_identity-point": (lambda v: verify_csiszar_identity(SKEW3, v),
-                                      "verify_csiszar_identity: point", POINT),
-    "logloss_rd-px": (lambda v: logloss_rd(v, 0.2), "logloss_rd: px", PX),
-    "verify_lemma1-px": (lambda v: verify_lemma1(v, Q_ROWS, POINT.forward),
-                         "verify_lemma1: px", PX),
-    "verify_lemma1-weights": (lambda v: verify_lemma1(PX, Q_ROWS, v),
-                              "verify_lemma1: weights", POINT.forward),
-    "expected_distortion-problem": (lambda v: expected_distortion(v, CODE),
-                                    "expected_distortion: problem", SKEW3),
-    "expected_distortion-code": (lambda v: expected_distortion(SKEW3, v),
-                                 "expected_distortion: code", CODE),
-    "solve_avg-problem": (lambda v: solve_avg(v, 2), "solve_avg: problem", SKEW3),
-    "solve_avg_oracle-problem": (lambda v: solve_avg_oracle(v, 2),
-                                 "solve_avg_oracle: problem", SKEW3),
-    "solve_excess-problem": (lambda v: solve_excess(v, 2, 0.5), "solve_excess: problem", SKEW3),
-    "excess_witness-problem": (lambda v: excess_witness(v, 2, 0.5),
-                               "excess_witness: problem", SKEW3),
-    "solve_codebook-problem": (lambda v: solve_codebook(v, 0.5, 0.1),
-                               "solve_codebook: problem", SKEW3),
-    "logloss_avg_optimum-px": (lambda v: logloss_avg_optimum(v, 2),
-                               "logloss_avg_optimum: px", PX),
-    "logloss_excess_optimum-px": (lambda v: logloss_excess_optimum(v, 2, 0.5),
-                                  "logloss_excess_optimum: px", PX),
-    "logloss_codebook-px": (lambda v: logloss_codebook(v, 0.5, 0.1), "logloss_codebook: px", PX),
-    "logloss_excess_oracle-px": (lambda v: logloss_excess_oracle(v, 2, 0.5),
-                                 "logloss_excess_oracle: px", PX),
-    "build_corresponding-problem": (lambda v: build_corresponding(v, 2),
-                                    "build_corresponding: problem", SKEW3),
-    "map_code-cp": (lambda v: map_code(v, CODE), "map_code: cp", CP),
-    "map_code-code": (lambda v: map_code(CP, v), "map_code: code", CODE),
-    "unmap_code-cp": (lambda v: unmap_code(v, LCODE), "unmap_code: cp", CP),
-    "unmap_code-lcode": (lambda v: unmap_code(CP, v), "unmap_code: lcode", LCODE),
-    "expected_log_loss-px": (lambda v: expected_log_loss(v, LCODE), "expected_log_loss: px", PX),
-    "expected_log_loss-lcode": (lambda v: expected_log_loss(PX, v),
-                                "expected_log_loss: lcode", LCODE),
-    "verify_theorem1-cp": (lambda v: verify_theorem1(v, CODE), "map_code: cp", CP),
-    "verify_theorem1-code": (lambda v: verify_theorem1(CP, v), "map_code: code", CODE),
-    "suboptimality_gap-cp": (lambda v: suboptimality_gap(v, CODE), "map_code: cp", CP),
-    "suboptimality_gap-code": (lambda v: suboptimality_gap(CP, v), "map_code: code", CODE),
-    "identity_sweep-cp": (identity_sweep, "identity_sweep: cp", CP),
-    "identity_bound-cp": (identity_bound, "identity_bound: cp", CP),
-    "verify_optimum_coincidence-cp": (verify_optimum_coincidence,
-                                      "verify_optimum_coincidence: cp", CP),
-    "construct_sr-problem": (lambda v: construct_sr(v, 0.9, 0.15), "construct_sr: problem",
-                             SKEW3),
-    "construct_sr_chain-problem": (lambda v: construct_sr_chain(v, [0.9], 0.15),
-                                   "construct_sr_chain: problem", SKEW3),
-    "chain_step_channel-coarse": (lambda v: chain_step_channel(v, CHAIN[1]),
-                                  "chain_step_channel: coarse", CHAIN[0]),
-    "chain_step_channel-fine": (lambda v: chain_step_channel(CHAIN[0], v),
-                                "chain_step_channel: fine", CHAIN[1]),
-    "verify_sr-c": (verify_sr, "verify_sr: c", SR),
-    "timeshare_simulate-px": (lambda v: timeshare_simulate(v, 0.5, 10, 0),
-                              "timeshare_simulate: px", PX),
-    "timeshare_two_decoders-px": (lambda v: timeshare_two_decoders(v, 0.9, 0.3, 10, 0),
-                                  "timeshare_two_decoders: px", PX),
+                         "SourceProblem: px", Pmf, PX),
+    "OneShotCode-encoder": (lambda v: OneShotCode(2, v, (0, 1)), "OneShotCode: encoder",
+                            Seq(Int(0, 1), nonempty=True), (0, 1, 1)),
+    "OneShotCode-decoder": (lambda v: OneShotCode(2, (0, 1, 1), v), "OneShotCode: decoder",
+                            Seq(Int(0)), [0, 2]),
+    "LogLossCode-encoder": (lambda v: LogLossCode(2, v, (PX, PX)), "LogLossCode: encoder",
+                            Seq(Int(0, 1), nonempty=True), [0, 1, 1]),
+    "LogLossCode-decoder_rows": (lambda v: LogLossCode(2, (0, 1, 1), v),
+                                 "LogLossCode: decoder_rows", Seq(Pmf), [PX, PX]),
 }
+
+NOT_REAL = [None, "0.5", math.nan, math.inf, True]
+# Integers that no float can hold: math.isfinite raises OverflowError on them.
+TOO_LARGE = {"1e400": 10**400, "-1e400": -10**400}
+NOT_SEQUENCE = [None, 0.5, "0.5"]
+NOT_OBJECT = [None, [0.5, 0.3, 0.2], "px"]
+
+
+def public_functions() -> dict:
+    """Qualified name -> function, for each function and static method in loglosslab.__all__."""
+    found = {}
+    for name in loglosslab.__all__:
+        value = getattr(loglosslab, name)
+        if inspect.isfunction(value):
+            found[name] = value
+        elif inspect.isclass(value):
+            found.update((f"{name}.{attr}", raw.__func__) for attr, raw in vars(value).items()
+                         if isinstance(raw, staticmethod))
+    return found
+
+
+PUBLIC = public_functions()
+
+
+def rules(qualname: str) -> dict:
+    """Parameter -> rule of each declared or exempt parameter of a public function."""
+    declared = {name: rule for _, name, rule in errors._plan(PUBLIC[qualname])}
+    exempt = {name: rule for (function, name), rule in EXEMPT.items() if function == qualname}
+    return {name: rule for name, rule in {**declared, **exempt}.items() if rule is not None}
+
+
+def wrong_values(rule, valid) -> list:
+    """(label, value, suffix of the argument's name) for each value ``rule`` refuses.
+
+    The wrong kinds of value and each value just past a declared bound; for a
+    sequence, also its valid value with the last entry wrong or with none.
+    """
+    if isinstance(rule, Real):
+        past = [math.nextafter(bound, away) for bound, away in
+                ((rule.low, -math.inf), (rule.high, math.inf)) if bound is not None]
+        values = NOT_REAL + past + ([0.0] if rule.positive else [])
+        return ([(repr(v), v, "") for v in values]
+                + [(label, v, "") for label, v in TOO_LARGE.items()])
+    if isinstance(rule, Int):
+        values = NOT_REAL + [1.5, rule.minimum - 1] + (
+            [] if rule.maximum is None else [rule.maximum + 1])
+        return [(repr(v), v, "") for v in values if not (v is None and rule.allow_none)]
+    if isinstance(rule, Seq):
+        last = len(valid) - 1
+        entries = [] if rule.entry is None else [
+            (f"entry-{label}", list(valid)[:last] + [v], f"[{last}]{suffix}")
+            for label, v, suffix in wrong_values(rule.entry, valid[last])]
+        return ([(repr(v), v, "") for v in NOT_SEQUENCE] + entries
+                + ([("empty", [], "")] if rule.nonempty else []))
+    return [(repr(v), v, "") for v in NOT_OBJECT]  # a record class or its _Instance rule
+
+
+def argument_cases(qualname: str):
+    """Each wrong value of each argument, put into VALID's call of the public function."""
+    function = PUBLIC[qualname]
+    for name, rule in rules(qualname).items():
+        valid = inspect.signature(function).bind(*VALID[qualname]).arguments.get(name)
+        for label, value, suffix in wrong_values(rule, valid):
+            bound = inspect.signature(function).bind(*VALID[qualname])
+            bound.arguments[name] = value
+            yield pytest.param(functools.partial(function, *bound.args, **bound.kwargs),
+                               f"{qualname}: {name}{suffix}", id=f"{qualname}-{name}-{label}")
+
+
+CASES = [case for qualname in sorted(PUBLIC) for case in argument_cases(qualname)]
+CASES += [pytest.param(functools.partial(build, value), f"{prefix}{suffix}",
+                       id=f"{field}-{label}")
+          for field, (build, prefix, rule, valid) in FIELDS.items()
+          for label, value, suffix in wrong_values(rule, valid)]
+
+
+@pytest.mark.parametrize("call, prefix", CASES)
+def test_wrong_argument_is_a_validation_error_naming_the_called_function(call, prefix):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value).startswith(f"{prefix} must "), str(err.value)
+
+
+@pytest.mark.parametrize("qualname", sorted(PUBLIC))
+def test_each_valid_call_is_accepted(qualname):
+    # So each case above fails on its one wrong value alone.
+    PUBLIC[qualname](*VALID[qualname])
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_each_record_field_accepts_its_valid_value(field):
+    build, _, _, valid = FIELDS[field]
+    build(valid)
+
+
+def test_every_public_parameter_is_declared_or_exempt():
+    assert sorted(PUBLIC) == sorted(VALID)
+    declared = {(qualname, name) for qualname, function in PUBLIC.items()
+                for _, name, _ in errors._plan(function)}
+    parameters = {(qualname, name) for qualname, function in PUBLIC.items()
+                  for name in inspect.signature(function).parameters}
+    assert sorted(parameters - declared - set(EXEMPT)) == []
+    # An exemption of a parameter that declares a rule, or of none, is stale.
+    assert sorted(set(EXEMPT) - (parameters - declared)) == []
+
+
+def test_none_passes_where_declared():
+    assert hamming_distortion(3, None).shape == (3, 3)
+
+
+# The classes a caller builds and hands in.  Every other class in
+# loglosslab.__all__ is a result record or an exception, which no public
+# function takes.
+RECORDS = (Pmf, Channel, Joint, SourceProblem, RdPoint, OneShotCode, LogLossCode,
+           CorrespondingProblem, SrConstruction)
+
+# id: (call taking the value, the start of the message it raises, a finite
+# value out of range)
+OUT_OF_RANGE = {
+    # floor(exp(1e308)) is no float: refused, where it once never returned.
+    # floor_exp's body checks this bound, so its message names floor_exp.
+    "floor_exp-d": (floor_exp, "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
+    "logloss_excess_optimum-d": (lambda v: logloss_excess_optimum(SKEW3.px, 2, v),
+                                 "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
+    "logloss_excess_oracle-d": (lambda v: logloss_excess_oracle(SKEW3.px, 2, v),
+                                "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
+    "logloss_codebook-d": (lambda v: logloss_codebook(SKEW3.px, v, 0.0),
+                           "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_finite_value_out_of_range_is_a_named_validation_error(name):
+    call, prefix, value = OUT_OF_RANGE[name]
+    with pytest.raises(ValidationError) as err:
+        call(value)
+    assert str(err.value).startswith(prefix), str(err.value)
+
+
+def record_arguments() -> list[str]:
+    """"function-argument" for each public argument annotated with a record class."""
+    return [f"{qualname}-{name}" for qualname, function in PUBLIC.items()
+            for _, name, rule in errors._plan(function) if isinstance(rule, errors._Instance)]
+
+
 # id "function-case": (call, the whole message it raises)
 MISMATCHES = {
     "kl_divergence-q": (lambda: kl_divergence(PX, PMF2),
@@ -394,108 +458,6 @@ ORDER_AND_EMPTINESS = {
         "SourceProblem: distortion must not be empty"),
 }
 
-# The classes a caller builds and hands in.  Every other class in
-# loglosslab.__all__ is a result record or an exception, which no public
-# function takes.
-RECORDS = (Pmf, Channel, Joint, SourceProblem, RdPoint, OneShotCode, LogLossCode,
-           CorrespondingProblem, SrConstruction)
-
-# id: (call taking the value, the start of the message it raises, a finite
-# value out of range)
-OUT_OF_RANGE = {
-    # floor(exp(1e308)) is no float: refused, where it once never returned.
-    "floor_exp-d": (floor_exp, "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
-    "logloss_excess_optimum-d": (lambda v: logloss_excess_optimum(SKEW3.px, 2, v),
-                                 "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
-    "logloss_excess_oracle-d": (lambda v: logloss_excess_oracle(SKEW3.px, 2, v),
-                                "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
-    "logloss_codebook-d": (lambda v: logloss_codebook(SKEW3.px, v, 0.0),
-                           "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
-}
-
-NOT_REAL = [None, "0.5", math.nan, math.inf, True]
-# Integers that no float can hold: math.isfinite raises OverflowError on them.
-TOO_LARGE = {"1e400": 10**400, "-1e400": -10**400}
-CASES = ([pytest.param(call, prefix, value, id=f"{name}-{value!r}")
-          for name, (call, prefix, _) in REAL_ARGUMENTS.items() for value in NOT_REAL]
-         + [pytest.param(call, prefix, value, id=f"{name}-{label}")
-            for name, (call, prefix, _) in REAL_ARGUMENTS.items()
-            for label, value in TOO_LARGE.items()]
-         + [pytest.param(call, prefix, value, id=f"{name}-{value!r}")
-            for name, (call, prefix, _) in INTEGER_ARGUMENTS.items()
-            for value in NOT_REAL + [1.5]])
-NOT_SEQUENCE = [None, 0.5, "0.5"]
-NOT_OBJECT = [None, [0.5, 0.3, 0.2], "px"]
-OBJECT_CASES = ([pytest.param(call, prefix, value, id=f"{name}-{value!r}")
-                 for name, (call, prefix, _) in SEQUENCE_ARGUMENTS.items()
-                 for value in NOT_SEQUENCE]
-                + [pytest.param(call, prefix, value, id=f"{name}-{value!r}")
-                   for name, (call, prefix, _) in OBJECT_ARGUMENTS.items()
-                   for value in NOT_OBJECT])
-
-
-@pytest.mark.parametrize("call, prefix, value", CASES)
-def test_wrong_kind_of_scalar_is_a_named_validation_error(call, prefix, value):
-    with pytest.raises(ValidationError) as err:
-        call(value)
-    assert str(err.value).startswith(f"{prefix} must "), str(err.value)
-
-
-@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
-def test_finite_value_out_of_range_is_a_named_validation_error(name):
-    call, prefix, value = OUT_OF_RANGE[name]
-    with pytest.raises(ValidationError) as err:
-        call(value)
-    assert str(err.value).startswith(prefix), str(err.value)
-
-
-@pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS) + sorted(INTEGER_ARGUMENTS))
-def test_each_call_accepts_a_valid_value(name):
-    # So each case above fails on its value alone.
-    call, _, valid = {**REAL_ARGUMENTS, **INTEGER_ARGUMENTS}[name]
-    call(valid)
-
-
-@pytest.mark.parametrize("call, prefix, value", OBJECT_CASES)
-def test_wrong_kind_of_sequence_or_object_is_a_named_validation_error(call, prefix, value):
-    with pytest.raises(ValidationError) as err:
-        call(value)
-    assert str(err.value).startswith(f"{prefix} must "), str(err.value)
-
-
-@pytest.mark.parametrize("name, call, valid", [
-    pytest.param(name, call, valid, id=name)
-    for cases in (SEQUENCE_ARGUMENTS, OBJECT_ARGUMENTS)
-    for name, (call, _, valid) in cases.items()])
-def test_each_sequence_or_object_call_accepts_a_valid_value(name, call, valid):
-    call(valid)
-
-
-def public_functions():
-    """(name, function) for each function and static method in loglosslab.__all__."""
-    for name in loglosslab.__all__:
-        value = getattr(loglosslab, name)
-        if inspect.isfunction(value):
-            yield name, value
-        elif inspect.isclass(value):
-            yield from ((f"{name}.{attr}", raw.__func__) for attr, raw in vars(value).items()
-                        if isinstance(raw, staticmethod))
-
-
-def record_arguments() -> list[str]:
-    """"function-argument" for each public argument annotated with a record class."""
-    return [f"{name}-{arg}" for name, function in public_functions()
-            for arg, kind in typing.get_type_hints(function).items()
-            if arg != "return" and isinstance(kind, type) and issubclass(kind, RECORDS)]
-
-
-def test_every_record_argument_has_a_row():
-    arguments = record_arguments()
-    assert [a for a in arguments if a not in OBJECT_ARGUMENTS] == []
-    # The one row the walk does not reach checks a constructor's field.
-    assert set(OBJECT_ARGUMENTS) - set(arguments) == {"SourceProblem-px"}
-
-
 @pytest.mark.parametrize("name", sorted(MISMATCHES))
 def test_arguments_that_do_not_fit_are_a_named_validation_error(name):
     call, message = MISMATCHES[name]
@@ -551,3 +513,5 @@ def test_a_sequence_argument_may_be_any_iterable():
     code = OneShotCode(2, (x % 2 for x in range(3)), iter([1, 0]))
     assert code.encoder == (0, 1, 0) and code.decoder == (1, 0)
     assert code == OneShotCode(2, [0, 1, 0], [1, 0])
+    # A declared sequence reaches the body as the list its check read.
+    assert [p.target_distortion for p in rd_curve(SKEW3, iter([0.2, 0.3]))] == [0.2, 0.3]

@@ -4,10 +4,12 @@ A name left in ``__all__`` after its definition is gone breaks
 ``from loglosslab import *`` and misleads a reader of the list.  The package
 re-exports the library modules' lists and keeps none of its own; ``problemio``
 and ``cli`` stay out of it, so importing the package loads neither PyYAML
-nor argparse.
+nor argparse.  The argument rules and their decorator in ``errors`` are not
+exported, and only public functions carry the decorator.
 """
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import loglosslab
+from loglosslab import errors
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "loglosslab"
 MODULES = ["loglosslab"] + [f"loglosslab.{path.stem}" for path in sorted(SOURCE.glob("*.py"))
@@ -62,3 +65,52 @@ def test_importing_the_package_loads_neither_yaml_nor_argparse():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SOURCE.parent)})
     assert out.stdout.strip() == "[]"
+
+
+# The code of the function errors._checked returns; dataclass's recursive_repr
+# also sets __wrapped__.
+CHECKED = errors._checked(lambda: None).__code__
+
+
+def functions_defined_in(module) -> dict:
+    """Qualified name -> function, for each function and method the module defines."""
+    found = {}
+    for name, value in vars(module).items():
+        if inspect.isfunction(value) and value.__module__ == module.__name__:
+            found[name] = value
+        elif inspect.isclass(value) and value.__module__ == module.__name__:
+            for attr, raw in vars(value).items():
+                function = getattr(raw, "__func__", raw)  # a static or class method's function
+                if inspect.isfunction(function):
+                    found[f"{name}.{attr}"] = function
+    return found
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_only_public_functions_carry_the_argument_checks(name):
+    module = importlib.import_module(f"loglosslab.{name}")
+    functions = functions_defined_in(module)
+    wrapped = {qualname for qualname, function in functions.items()
+               if function.__code__ is CHECKED}
+    # The hot paths are private, and stay unwrapped.
+    assert sorted(q for q in wrapped if q.rsplit(".", 1)[-1].startswith("_")) == []
+    public = {qualname for qualname in functions
+              if qualname.split(".")[0] in module.__all__ and qualname.split(".")[-1][0] != "_"}
+    # A public function carries the checks exactly when it declares a rule.
+    assert sorted(wrapped) == sorted(q for q in public if errors._plan(functions[q]))
+    for qualname in wrapped:
+        function = functions[qualname]
+        code = function.__wrapped__.__code__
+        assert function.__module__ == module.__name__  # perfbench's layer_of reads it
+        assert (function.__qualname__, function.__name__) == (qualname, qualname.split(".")[-1])
+        assert list(inspect.signature(function).parameters) == list(
+            code.co_varnames[:code.co_argcount])
+
+
+def test_the_argument_rules_are_not_exported():
+    assert len(loglosslab.__all__) == 80
+    rules = {"Real", "Int", "Seq", "Finite", "NonNegative", "Positive", "Probability", "Count",
+             "Seed"}
+    assert all(hasattr(errors, name) for name in rules)
+    assert sorted(rules & set(loglosslab.__all__)) == []
+    assert sorted(name for name in loglosslab.__all__ if name.startswith("_")) == ["__version__"]
