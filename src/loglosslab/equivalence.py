@@ -25,18 +25,17 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import Annotated
 
 import numpy as np
 
 from . import oneshot
-from .errors import (Count, DegenerateInstanceError, MappingError, NonNegative, Positive,
-                     VerificationError, _checked, _require_each, _require_instance,
-                     _require_int, _require_size)
+from .errors import (Count, DegenerateInstanceError, Int, MappingError, NonNegative, Positive,
+                     Seq, VerificationError, _check_fields, _checked, _require_size)
 from .oneshot import (
     _CODE_ENUM_GUARD,
     OneShotCode,
     _cell_sum_blocks,
-    _check_code_fields,
     _check_work,
     _least_costs,
     expected_distortion,
@@ -70,6 +69,9 @@ __all__ = [
 ROW_MATCH_TOL = 1e-9
 # D*(M) within this of a curve endpoint is treated as degenerate.
 ENDPOINT_TOL = 1e-9
+# Default slack by which verify_theorem1 lets a mapped code's expected log
+# loss fall below the optimum.
+_FLOOR_TOL = 1e-9
 # Default distance from the optimum within which the coincidence check
 # counts a code pair as optimal.
 _COINCIDENCE_ATOL = 1e-9
@@ -79,13 +81,15 @@ _COINCIDENCE_ATOL = 1e-9
 class LogLossCode:
     """One-shot code whose decoder emits probability distributions."""
 
-    n_messages: int
-    encoder: tuple[int, ...]
-    decoder_rows: tuple[Pmf, ...]
+    n_messages: Count
+    encoder: Annotated[tuple, Seq(nonempty=True)]
+    decoder_rows: Annotated[tuple, Seq(Pmf)]
 
     def __post_init__(self):
-        _check_code_fields(self, "decoder_rows")
-        _require_each(_require_instance, "LogLossCode", "decoder_rows", self.decoder_rows, Pmf)
+        _check_fields(self)
+        _require_size("LogLossCode", "len(decoder_rows)", len(self.decoder_rows),
+                      "n_messages", self.n_messages)
+        Seq(Int(0, self.n_messages - 1)).check("LogLossCode", "encoder", self.encoder)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +109,8 @@ class CorrespondingProblem:
     y_rows: tuple[Pmf, ...]
     source_point: RdPoint
     optimal_code: OneShotCode
+
+    __post_init__ = _check_fields
 
     @property
     def px(self) -> Pmf:
@@ -156,24 +162,28 @@ def build_corresponding(problem: SourceProblem, n_messages: Count,
     )
 
 
-@_checked
-def map_code(cp: CorrespondingProblem, code: OneShotCode) -> LogLossCode:
-    """Carry a source code across: same encoder, posterior rows as decoder."""
-    _require_size("map_code", "code.n_messages", code.n_messages, "cp.n_messages", cp.n_messages)
-    _require_size("map_code", "len(code.encoder)", len(code.encoder), "cp.px.n", cp.px.n)
-    _require_each(_require_int, "map_code", "code.decoder", code.decoder, 0,
-                  cp.problem.n_reconstruction - 1)
+def _map_code(caller: str, cp: CorrespondingProblem, code: OneShotCode) -> LogLossCode:
+    """map_code's body; a code that does not fit ``cp`` is refused naming ``caller``."""
+    _require_size(caller, "code.n_messages", code.n_messages, "cp.n_messages", cp.n_messages)
+    _require_size(caller, "len(code.encoder)", len(code.encoder), "cp.px.n", cp.px.n)
+    Seq(Int(0, cp.problem.n_reconstruction - 1)).check(caller, "code.decoder", code.decoder)
     col_to_row = {col: j for j, col in enumerate(cp.source_point.kept_columns)}
     rows = []
     for m, col in enumerate(code.decoder):
         if col not in col_to_row:
             raise MappingError(
-                f"map_code: decoder[{m}] uses reconstruction column {col}, "
+                f"{caller}: decoder[{m}] uses reconstruction column {col}, "
                 "which was pruned from the solved point"
             )
         rows.append(cp.y_rows[col_to_row[col]])
     return LogLossCode(n_messages=code.n_messages, encoder=code.encoder,
                        decoder_rows=tuple(rows))
+
+
+@_checked
+def map_code(cp: CorrespondingProblem, code: OneShotCode) -> LogLossCode:
+    """Carry a source code across: same encoder, posterior rows as decoder."""
+    return _map_code("map_code", cp, code)
 
 
 @_checked
@@ -227,16 +237,10 @@ class Theorem1Check:
     expected_d: float
 
 
-@_checked
-def verify_theorem1(cp: CorrespondingProblem, code: OneShotCode,
-                    tol: NonNegative = 1e-9) -> Theorem1Check:
-    """Evaluate the identity for one code and check the floor.
-
-    lhs is the expected log loss of the mapped code; rhs is
-    h + lambda* (E[d] - D*(M)).  The lhs must also stay above h (the value
-    of the optimum) up to tol; a violation raises VerificationError.
-    """
-    lcode = map_code(cp, code)
+def _theorem1(caller: str, cp: CorrespondingProblem, code: OneShotCode,
+              tol: float) -> Theorem1Check:
+    """verify_theorem1's body; a code that does not fit ``cp`` is refused naming ``caller``."""
+    lcode = _map_code(caller, cp, code)
     lhs = expected_log_loss(cp.px, lcode)
     e_d = expected_distortion(cp.problem, code)
     rhs = cp.h_x_given_xhat + cp.lambda_star * (e_d - cp.d_star_m)
@@ -248,9 +252,21 @@ def verify_theorem1(cp: CorrespondingProblem, code: OneShotCode,
 
 
 @_checked
+def verify_theorem1(cp: CorrespondingProblem, code: OneShotCode,
+                    tol: NonNegative = _FLOOR_TOL) -> Theorem1Check:
+    """Evaluate the identity for one code and check the floor.
+
+    lhs is the expected log loss of the mapped code; rhs is
+    h + lambda* (E[d] - D*(M)).  The lhs must also stay above h (the value
+    of the optimum) up to tol; a violation raises VerificationError.
+    """
+    return _theorem1("verify_theorem1", cp, code, tol)
+
+
+@_checked
 def suboptimality_gap(cp: CorrespondingProblem, code: OneShotCode) -> tuple[float, float]:
     """(log-loss regret, lambda* times distortion regret); equal for every code."""
-    check = verify_theorem1(cp, code)
+    check = _theorem1("suboptimality_gap", cp, code, _FLOOR_TOL)
     return (check.lhs - cp.h_x_given_xhat,
             cp.lambda_star * (check.expected_d - cp.d_star_m))
 

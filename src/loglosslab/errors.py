@@ -6,10 +6,14 @@ can catch one type at the boundary.  Input problems additionally derive from
 
 A public function declares the rule of each argument once, on its signature
 (PEP 593), and carries :func:`_checked`, which applies the rules before the
-body runs.  ``Annotated[float, Real(...)]``, ``Annotated[int, Int(...)]`` and
-``Annotated[list, Seq(...)]`` declare a rule, and a record class (a
-dataclass) asks for an instance of it; the aliases below name the common
-rules.
+body runs.  A record declares the rule of each field on its annotation, and
+its ``__post_init__`` calls :func:`_check_fields` first.
+``Annotated[float, Real(...)]``, ``Annotated[int, Int(...)]``,
+``Annotated[tuple, Seq(...)]`` and ``Annotated[np.ndarray, Array(...)]``
+declare a rule, and a record class (a dataclass) asks for an instance of it;
+the aliases below name the common rules.  A rule's ``check`` is its only
+implementation: a body that checks a bound set by another argument calls
+it too, as in ``Int(0, q.n - 1).check("log_loss", "x", x)``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import math
 import numbers
 import typing
 from typing import Annotated
+
+import numpy as np
 
 __all__ = [
     "LoglossLabError",
@@ -76,43 +82,6 @@ class VerificationError(LoglossLabError):
     """A quantity that must hold mathematically failed its numeric check."""
 
 
-def _require_int(caller: str, name: str, value, minimum: int, maximum: int | None = None,
-                 allow_none: bool = False) -> None:
-    """Raise ValidationError unless value is an integer >= minimum (<= maximum).
-
-    A bool is not an integer here; None passes only with ``allow_none``.
-    """
-    if allow_none and value is None:
-        return
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= minimum and (maximum is None or value <= maximum)):
-        what = "None or an integer" if allow_none else "an integer"
-        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise ValidationError(f"{caller}: {name} must be {what} {bound}, got {value!r}")
-
-
-def _require_instance(caller: str, name: str, value, kind: type) -> None:
-    """Raise ValidationError unless value is an instance of ``kind``."""
-    if not isinstance(value, kind):
-        raise ValidationError(f"{caller}: {name} must be a {kind.__name__}, "
-                              f"got {type(value).__name__}")
-
-
-def _require_iterable(caller: str, name: str, value) -> list:
-    """The entries of value as a list.
-
-    Raise ValidationError unless value is an iterable other than a string.
-    """
-    if not isinstance(value, (str, bytes)):
-        try:
-            entries = iter(value)
-        except TypeError:
-            pass
-        else:
-            return list(entries)
-    raise ValidationError(f"{caller}: {name} must be a sequence, got {value!r}")
-
-
 def _require_size(caller: str, name: str, size, other: str, expected) -> None:
     """Raise ValidationError unless ``size``, of ``name``, equals ``expected``, of ``other``.
 
@@ -136,12 +105,6 @@ def _require_nonempty(caller: str, name: str, values) -> None:
     """Raise ValidationError if the sequence ``values``, of ``name``, is empty."""
     if not values:
         raise ValidationError(f"{caller}: {name} must not be empty")
-
-
-def _require_each(require, caller: str, name: str, values, *bounds) -> None:
-    """Apply ``require`` to every entry of a sequence, naming entry i name[i]."""
-    for i, value in enumerate(values):
-        require(caller, f"{name}[{i}]", value, *bounds)
 
 
 def _clamp_target(caller: str, name: str, value: float, low: float, high: float) -> float:
@@ -188,37 +151,74 @@ class Int(typing.NamedTuple):
     allow_none: bool = False
 
     def check(self, caller: str, name: str, value):
-        _require_int(caller, name, value, *self)
+        if self.allow_none and value is None:
+            return value
+        minimum, maximum = self.minimum, self.maximum
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                and value >= minimum and (maximum is None or value <= maximum)):
+            what = "None or an integer" if self.allow_none else "an integer"
+            bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+            raise ValidationError(f"{caller}: {name} must be {what} {bound}, got {value!r}")
         return value
 
 
 class Seq(typing.NamedTuple):
-    """Any iterable but a string, passed on as a list of its entries.
+    """Any iterable but a string, passed on as a tuple of its entries.
 
     Each entry obeys ``entry``, a rule or a record class, unless it is None;
-    the list must hold an entry if ``nonempty``.
+    the tuple must hold an entry if ``nonempty``.
     """
 
     entry: object = None
     nonempty: bool = False
 
-    def check(self, caller: str, name: str, value) -> list:
-        entries = _require_iterable(caller, name, value)
+    def check(self, caller: str, name: str, value) -> tuple:
+        try:
+            entries = None if isinstance(value, (str, bytes)) else iter(value)
+        except TypeError:
+            entries = None
+        if entries is None:
+            raise ValidationError(f"{caller}: {name} must be a sequence, got {value!r}")
+        entries = tuple(entries)
         if self.nonempty:
             _require_nonempty(caller, name, entries)
         if self.entry is not None:
             rule = _Instance(self.entry) if isinstance(self.entry, type) else self.entry
-            _require_each(rule.check, caller, name, entries)
+            for i, entry in enumerate(entries):
+                rule.check(caller, f"{name}[{i}]", entry)
         return entries
 
 
+class Array(typing.NamedTuple):
+    """A nonempty array of finite nonnegative floats with ``ndim`` axes, passed on read-only."""
+
+    ndim: int
+
+    def check(self, caller: str, name: str, value) -> np.ndarray:
+        try:
+            arr = np.array(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{caller}: {name} is not convertible to floats: {exc}") from exc
+        if arr.ndim != self.ndim:
+            raise ValidationError(f"{caller}: {name} must be {self.ndim}-D, got shape {arr.shape}")
+        _require_nonempty(caller, name, arr.flat)
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{caller}: {name} entries must be finite")
+        if (arr < 0.0).any():
+            raise ValidationError(f"{caller}: {name} entries must be nonnegative")
+        arr.setflags(write=False)
+        return arr
+
+
 class _Instance(typing.NamedTuple):
-    """An instance of ``kind``, the rule of an argument annotated with a record class."""
+    """An instance of ``kind``, the rule of an argument or field annotated with a record class."""
 
     kind: type
 
     def check(self, caller: str, name: str, value):
-        _require_instance(caller, name, value, self.kind)
+        if not isinstance(value, self.kind):
+            raise ValidationError(f"{caller}: {name} must be a {self.kind.__name__}, "
+                                  f"got {type(value).__name__}")
         return value
 
 
@@ -247,6 +247,7 @@ def _rule(hint):
 def _plan(fn) -> tuple:
     """(position, name, rule) of each parameter of ``fn`` that declares a rule.
 
+    ``fn`` is a function or a record class, whose parameters are its fields.
     Read on first use, so the hints may name classes defined after ``fn``.
     """
     hints = typing.get_type_hints(fn, include_extras=True)
@@ -268,6 +269,16 @@ def _check_arguments(fn, args: tuple, kwargs: dict) -> list:
         elif name in kwargs:
             kwargs[name] = rule.check(fn.__qualname__, name, kwargs[name])
     return args
+
+
+def _check_fields(record) -> None:
+    """Check each field of a frozen record that declares a rule, and store its converted value.
+
+    Errors name the record's class.
+    """
+    caller = type(record).__qualname__
+    for _, name, rule in _plan(type(record)):
+        object.__setattr__(record, name, rule.check(caller, name, getattr(record, name)))
 
 
 def _checked(fn):

@@ -19,12 +19,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
+from typing import Annotated
 
 import numpy as np
 
-from .errors import (Count, Finite, InfeasibleError, InstanceTooLargeError, NonNegative,
-                     Probability, ValidationError, _checked, _require_each, _require_int,
-                     _require_iterable, _require_nonempty, _require_size)
+from .errors import (Count, Finite, InfeasibleError, InstanceTooLargeError, Int, NonNegative,
+                     Probability, Seq, ValidationError, _check_fields, _checked, _require_size)
 from .probability import Pmf, entropy
 from .ratedistortion import SourceProblem
 
@@ -96,31 +96,15 @@ class OneShotCode:
     total, and their entries are integers.
     """
 
-    n_messages: int
-    encoder: tuple[int, ...]
-    decoder: tuple[int, ...]
+    n_messages: Count
+    encoder: Annotated[tuple, Seq(nonempty=True)]
+    decoder: Annotated[tuple, Seq(Int(0))]
 
     def __post_init__(self):
-        _check_code_fields(self, "decoder")
-        _require_each(_require_int, "OneShotCode", "decoder", self.decoder, 0)
-
-
-def _check_code_fields(code, decoder: str) -> None:
-    """Check a frozen code's message count, encoder and ``decoder`` field.
-
-    Both fields become tuples.  The decoder holds one entry per message and
-    the encoder, not empty, one message per symbol; errors name the code's
-    class.  The caller checks the decoder's entries.
-    """
-    caller = type(code).__name__
-    _require_int(caller, "n_messages", code.n_messages, 1)
-    for name in ("encoder", decoder):
-        entries = _require_iterable(caller, name, getattr(code, name))
-        object.__setattr__(code, name, tuple(entries))
-    _require_size(caller, f"len({decoder})", len(getattr(code, decoder)),
-                  "n_messages", code.n_messages)
-    _require_nonempty(caller, "encoder", code.encoder)
-    _require_each(_require_int, caller, "encoder", code.encoder, 0, code.n_messages - 1)
+        _check_fields(self)
+        _require_size("OneShotCode", "len(decoder)", len(self.decoder),
+                      "n_messages", self.n_messages)
+        Seq(Int(0, self.n_messages - 1)).check("OneShotCode", "encoder", self.encoder)
 
 
 @_checked
@@ -128,8 +112,8 @@ def expected_distortion(problem: SourceProblem, code: OneShotCode) -> float:
     """E d(X, g(f(X))) for a code over the problem's distortion matrix."""
     _require_size("expected_distortion", "len(code.encoder)", len(code.encoder),
                   "problem.n_source", problem.n_source)
-    _require_each(_require_int, "expected_distortion", "code.decoder", code.decoder, 0,
-                  problem.n_reconstruction - 1)
+    Seq(Int(0, problem.n_reconstruction - 1)).check("expected_distortion", "code.decoder",
+                                                    code.decoder)
     px = problem.px.probs
     dist = problem.distortion
     return float(sum(px[x] * dist[x, code.decoder[code.encoder[x]]]

@@ -19,8 +19,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import (Count, Seq, ValidationError, _checked, _require_int,
-                     _require_nonempty, _require_size)
+from .errors import Array, Count, Int, Seq, ValidationError, _check_fields, _checked, _require_size
 
 __all__ = [
     "SUM_TOL",
@@ -44,24 +43,10 @@ __all__ = [
 SUM_TOL = 1e-9
 
 
-def _as_readonly_array(values, caller: str, name: str, ndim: int) -> np.ndarray:
-    """``values``, argument ``name`` of ``caller``, as a read-only float array.
-
-    Each refusal names the caller and the argument.
-    """
-    try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{caller}: {name} is not convertible to floats: {exc}") from exc
-    if arr.ndim != ndim:
-        raise ValidationError(f"{caller}: {name} must be {ndim}-D, got shape {arr.shape}")
-    _require_nonempty(caller, name, arr.flat)
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{caller}: {name} entries must be finite")
-    if (arr < 0.0).any():
-        raise ValidationError(f"{caller}: {name} entries must be nonnegative")
-    arr.setflags(write=False)
-    return arr
+def _check_total(arr: np.ndarray, name: str) -> None:
+    total = float(arr.sum())
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValidationError(f"{name}: sums to {total!r}, outside 1 +/- {SUM_TOL}")
 
 
 def _check_rows_normalized(arr: np.ndarray, name: str) -> None:
@@ -78,14 +63,11 @@ def _check_rows_normalized(arr: np.ndarray, name: str) -> None:
 class Pmf:
     """Probability mass function on ``{0, ..., n-1}``."""
 
-    probs: np.ndarray
+    probs: Annotated[np.ndarray, Array(1)]
 
     def __post_init__(self):
-        arr = _as_readonly_array(self.probs, "Pmf", "probs", ndim=1)
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"Pmf: sums to {total!r}, outside 1 +/- {SUM_TOL}")
-        object.__setattr__(self, "probs", arr)
+        _check_fields(self)
+        _check_total(self.probs, "Pmf")
 
     @property
     def n(self) -> int:
@@ -99,7 +81,7 @@ class Pmf:
     @staticmethod
     @_checked
     def point_mass(n: Count, x: int) -> "Pmf":
-        _require_int("Pmf.point_mass", "x", x, 0, n - 1)
+        Int(0, n - 1).check("Pmf.point_mass", "x", x)
         p = np.zeros(n)
         p[x] = 1.0
         return Pmf(p)
@@ -113,12 +95,11 @@ class Pmf:
 class Channel:
     """Conditional distribution: one Pmf per input row, equal output length."""
 
-    rows: np.ndarray
+    rows: Annotated[np.ndarray, Array(2)]
 
     def __post_init__(self):
-        arr = _as_readonly_array(self.rows, "Channel", "rows", ndim=2)
-        _check_rows_normalized(arr, "Channel")
-        object.__setattr__(self, "rows", arr)
+        _check_fields(self)
+        _check_rows_normalized(self.rows, "Channel")
 
     @property
     def n_in(self) -> int:
@@ -129,6 +110,7 @@ class Channel:
         return self.rows.shape[1]
 
     def row(self, x: int) -> Pmf:
+        Int(0, self.n_in - 1).check("Channel.row", "x", x)
         return Pmf(self.rows[x])
 
     @staticmethod
@@ -146,14 +128,11 @@ class Channel:
 class Joint:
     """Joint distribution on a product alphabet, stored as a matrix."""
 
-    table: np.ndarray
+    table: Annotated[np.ndarray, Array(2)]
 
     def __post_init__(self):
-        arr = _as_readonly_array(self.table, "Joint", "table", ndim=2)
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"Joint: sums to {total!r}, outside 1 +/- {SUM_TOL}")
-        object.__setattr__(self, "table", arr)
+        _check_fields(self)
+        _check_total(self.table, "Joint")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -166,16 +145,16 @@ class Joint:
         return Pmf(self.table.sum(axis=0))
 
 
-def renormalize(weights) -> Pmf:
+@_checked
+def renormalize(weights: Annotated[np.ndarray, Array(1)]) -> Pmf:
     """Scale nonnegative weights with positive total into a Pmf.
 
     This is the explicit repair path; the constructors never rescale.
     """
-    arr = _as_readonly_array(weights, "renormalize", "weights", ndim=1)
-    total = float(arr.sum())
+    total = float(weights.sum())
     if total <= 0.0:
         raise ValidationError("renormalize: total weight must be positive")
-    return Pmf(arr / total)
+    return Pmf(weights / total)
 
 
 def _neg_p_log_p(p: np.ndarray) -> float:
@@ -275,8 +254,8 @@ def _decoder_fit(table: np.ndarray, rows) -> tuple[float, float, float]:
 def information_density(j: Joint, x: int, y: int) -> float:
     """ln of P(x, y) / (P(x) P(y)); errors on zero marginals or zero mass."""
     r, s = j.shape
-    _require_int("information_density", "x", x, 0, r - 1)
-    _require_int("information_density", "y", y, 0, s - 1)
+    Int(0, r - 1).check("information_density", "x", x)
+    Int(0, s - 1).check("information_density", "y", y)
     px = float(j.table[x, :].sum())
     py = float(j.table[:, y].sum())
     if px == 0.0 or py == 0.0:
@@ -319,10 +298,9 @@ def posterior(px: Pmf, ch: Channel) -> tuple[Channel, Pmf]:
     return reverse, Pmf(py)
 
 
-@_checked
-def log_loss(x: int, q: Pmf) -> float:
-    """-ln q(x), the logarithmic loss of reproduction q against symbol x."""
-    _require_int("log_loss", "x", x, 0, q.n - 1)
+def _log_loss(caller: str, name: str, x: int, q: Pmf) -> float:
+    """-ln q(x); a symbol outside q's alphabet is refused as argument ``name`` of ``caller``."""
+    Int(0, q.n - 1).check(caller, name, x)
     qx = float(q.probs[x])
     if qx == 0.0:
         return math.inf
@@ -330,8 +308,15 @@ def log_loss(x: int, q: Pmf) -> float:
 
 
 @_checked
-def log_loss_seq(xs: Annotated[list, Seq(nonempty=True)],
-                 qs: Annotated[list, Seq(Pmf)]) -> float:
+def log_loss(x: int, q: Pmf) -> float:
+    """-ln q(x), the logarithmic loss of reproduction q against symbol x."""
+    return _log_loss("log_loss", "x", x, q)
+
+
+@_checked
+def log_loss_seq(xs: Annotated[tuple, Seq(nonempty=True)],
+                 qs: Annotated[tuple, Seq(Pmf)]) -> float:
     """Average of per-symbol log losses over a block."""
     _require_size("log_loss_seq", "len(qs)", len(qs), "len(xs)", len(xs))
-    return sum(log_loss(x, q) for x, q in zip(xs, qs)) / len(xs)
+    return sum(_log_loss("log_loss_seq", f"xs[{i}]", x, q)
+               for i, (x, q) in enumerate(zip(xs, qs))) / len(xs)

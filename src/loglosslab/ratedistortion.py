@@ -35,13 +35,11 @@ try:
 except ImportError:  # a numpy without the private module: use np.linalg.lstsq
     _umath_linalg = None
 
-from .errors import (ConvergenceError, Count, Finite, NonNegative, Positive, Real, Seq,
-                     ValidationError, _checked, _clamp_target, _require_each,
-                     _require_instance, _require_int, _require_size)
+from .errors import (Array, ConvergenceError, Count, Finite, Int, NonNegative, Positive, Real,
+                     Seq, ValidationError, _check_fields, _checked, _clamp_target, _require_size)
 from .probability import (
     Channel,
     Pmf,
-    _as_readonly_array,
     _decoder_fit,
     conditional_entropy,
     entropy,
@@ -134,17 +132,15 @@ class SourceProblem:
     """
 
     px: Pmf
-    distortion: np.ndarray
+    distortion: Annotated[np.ndarray, Array(2)]
 
     def __post_init__(self):
-        _require_instance("SourceProblem", "px", self.px, Pmf)
-        dist = _as_readonly_array(self.distortion, "SourceProblem", "distortion", ndim=2)
-        _require_size("SourceProblem", "len(distortion)", dist.shape[0], "px.n", self.px.n)
-        same = _first_close_pair(dist.T, COLUMN_MATCH_TOL)
+        _check_fields(self)
+        _require_size("SourceProblem", "len(distortion)", len(self.distortion), "px.n", self.px.n)
+        same = _first_close_pair(self.distortion.T, COLUMN_MATCH_TOL)
         if same is not None:
             a, b = same
             raise ValidationError(f"SourceProblem: distortion columns {a} and {b} are identical")
-        object.__setattr__(self, "distortion", dist)
 
     @property
     def n_source(self) -> int:
@@ -544,6 +540,8 @@ class RdPoint:
     kept_columns: tuple[int, ...]
     diagnostics: RdDiagnostics
 
+    __post_init__ = _check_fields
+
 
 def _tilted_vector(dist_kept: np.ndarray, m: np.ndarray, lam: float,
                    d_value: float) -> np.ndarray:
@@ -632,7 +630,7 @@ def rd_at_distortion(problem: SourceProblem, d: Finite, tol: Positive = _DEFAULT
 
 
 @_checked
-def rd_curve(problem: SourceProblem, grid: Annotated[list, Seq(Real())],
+def rd_curve(problem: SourceProblem, grid: Annotated[tuple, Seq(Real())],
              tol: Positive = _DEFAULT_TOL) -> list[RdPoint]:
     """One rd_at_distortion point per grid value; raises as rd_at_distortion."""
     return [rd_at_distortion(problem, d, tol=tol) for d in grid]
@@ -645,8 +643,8 @@ def _kept_distortion(caller: str, problem: SourceProblem, point: RdPoint) -> np.
     """
     _require_size(caller, "point.forward.n_in", point.forward.n_in,
                   "problem.n_source", problem.n_source)
-    _require_each(_require_int, caller, "point.kept_columns", point.kept_columns, 0,
-                  problem.n_reconstruction - 1)
+    Seq(Int(0, problem.n_reconstruction - 1)).check(caller, "point.kept_columns",
+                                                    point.kept_columns)
     return problem.distortion[:, list(point.kept_columns)]
 
 
@@ -717,7 +715,7 @@ class Lemma1Report:
 
 
 @_checked
-def verify_lemma1(px: Pmf, q_rows: Annotated[list, Seq(Pmf)], weights: Channel,
+def verify_lemma1(px: Pmf, q_rows: Annotated[tuple, Seq(Pmf)], weights: Channel,
                   tol: NonNegative = 1e-9) -> Lemma1Report:
     """Check posterior consistency and its two consequences.
 

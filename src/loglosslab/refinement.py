@@ -23,8 +23,8 @@ from typing import Annotated
 import numpy as np
 
 from .errors import (Count, Finite, InfeasibleError, NonNegative, Positive, Real, Seed, Seq,
-                     VerificationError, _checked, _clamp_target, _require_order,
-                     _require_size)
+                     ValidationError, VerificationError, _check_fields, _checked, _clamp_target,
+                     _require_order, _require_size)
 from .probability import (
     Channel,
     Joint,
@@ -85,6 +85,8 @@ class SrConstruction:
     q_rows: tuple[Pmf, ...]
     q_index: dict
     rates: tuple[float, float]
+
+    __post_init__ = _check_fields
 
     @property
     def px(self) -> Pmf:
@@ -202,7 +204,7 @@ def construct_sr(problem: SourceProblem, d1: Finite, d2: Finite,
 
 
 @_checked
-def construct_sr_chain(problem: SourceProblem, ds: Annotated[list, Seq(Real(), nonempty=True)],
+def construct_sr_chain(problem: SourceProblem, ds: Annotated[tuple, Seq(Real(), nonempty=True)],
                        d_final: Finite, tol: Positive = _DEFAULT_TOL) -> list[SrConstruction]:
     """One construction per coarse target, nested along a Markov chain.
 
@@ -259,7 +261,8 @@ class SrReport:
         for check in self.checks:
             if check.name == name:
                 return check.residual
-        raise KeyError(name)
+        names = ", ".join(check.name for check in self.checks)
+        raise ValidationError(f"SrReport.residual: name must be one of {names}, got {name!r}")
 
 
 @_checked

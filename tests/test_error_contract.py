@@ -1,23 +1,27 @@
-"""A wrong argument to a public function is a ValidationError that names it.
+"""A wrong argument or record field is a ValidationError that names it.
 
 Each public function declares the rule of each argument once, on its
 signature, and ``errors._checked`` applies the rules before the body runs.
+Each record declares the rule of each field the same way, on the field's
+annotation, and its constructor applies them first (``errors._check_fields``).
 A real argument takes a finite real number that is not a bool (an int too
 large for a float is not finite) within its declared bounds; an integer
 argument takes an integer that is not a bool, within its bounds; a sequence
 argument takes any iterable but a string, and each entry obeys the entry's
-rule; a record argument takes an instance of its class.  Anything else
-raises ValidationError, never a raw TypeError, AttributeError,
-OverflowError or IndexError, with a message that starts with the public
-function that was called and the argument's name
+rule; an array argument takes a nonempty array of finite nonnegative floats
+with the declared number of axes; a record argument takes an instance of its
+class.  Anything else raises ValidationError, never a raw TypeError,
+AttributeError, OverflowError or IndexError, with a message that starts with
+the public function or record that was called and the argument's name
 (``rd_curve: grid[1] must be finite, got nan``).
 The cases are derived from the declarations: each wrong kind of value, and
-each value just past a declared bound, goes into the one valid call per
-public function in ``VALID``.  A parameter that declares no rule is named
-in ``EXEMPT``, with the rule its body checks where another argument sets
-the bound.  A record's constructor checks its fields; ``FIELDS`` holds
-them.  A bound that only a body states, such as ``floor_exp``'s largest d,
-names the function whose body checks it (``OUT_OF_RANGE``).
+each value just past a declared bound, goes into one valid call per public
+function or method (``VALID``), or replaces one field of a valid instance of
+each record (``RECORDS``).  A parameter that declares no rule is named in
+``EXEMPT``, with the rule its body checks where another argument sets the
+bound; a declared sequence whose entries another argument bounds is named in
+``ENTRY_BOUNDS``.  A bound that only a body states, such as ``floor_exp``'s
+largest d, names the function whose body checks it (``OUT_OF_RANGE``).
 Two arguments that must agree in size (a channel and its input pmf, a
 code and its problem, a solved point and its problem) raise a
 ValidationError naming the function, both arguments and both sizes; an
@@ -29,7 +33,7 @@ ValidationError naming the function, both arguments and both values when
 the later one exceeds the earlier by more than 1e-12, the slack of every
 feasible interval too.  A sequence that must hold an entry raises one naming
 the function and the sequence when it is empty.  Each such check has a row in
-``ORDER_AND_EMPTINESS``.
+``ORDER_AND_EMPTINESS``, or a derived case where a declaration states it.
 """
 
 import collections
@@ -37,13 +41,14 @@ import dataclasses
 import functools
 import inspect
 import math
+from typing import Annotated
 
 import numpy as np
 import pytest
 
 import loglosslab
 from loglosslab import errors
-from loglosslab.errors import Int, Real, Seq
+from loglosslab.errors import Array, Int, Real, Seq
 from loglosslab import (
     Channel,
     CorrespondingProblem,
@@ -113,14 +118,16 @@ CODE = CP.optimal_code
 LCODE = map_code(CP, CODE)
 SR = construct_sr(SKEW3, 0.9, 0.15)
 CHAIN = construct_sr_chain(SKEW3, [0.9, 0.8], 0.15)
+SCHEME = logloss_excess_optimum(PX, 2, 0.5)[0]
+REPORT = verify_sr(SR)
 # Problems that POINT, solved on SKEW3, does not fit.
 SKEW2 = SourceProblem(px=Pmf([0.6, 0.4]), distortion=hamming_distortion(2))
 ONE_SYMBOL = SourceProblem(px=Pmf([1.0]), distortion=[[0.0, 1.0, 2.0]])
 TWO_COLUMNS = SourceProblem(px=PX, distortion=hamming_distortion(3, 2))
 PMF2 = Pmf([0.5, 0.5])
 
-# One call per public function that each of its arguments passes; an
-# argument left out takes its default.
+# One call per public function or method that each of its arguments passes;
+# an argument left out takes its default, and a method's first is its instance.
 VALID = {
     "Pmf.uniform": (3,),
     "Pmf.point_mass": (3, 2),
@@ -171,6 +178,13 @@ VALID = {
     "verify_sr": (SR,),
     "timeshare_simulate": (PX, 0.5, 10, 0),
     "timeshare_two_decoders": (PX, 0.9, 0.3, 10, 0),
+    "Pmf.support": (PX,),
+    "Channel.row": (CHANNEL, 1),
+    "Joint.marginal_x": (JOINT,),
+    "Joint.marginal_y": (JOINT,),
+    "ExcessScheme.encoder": (SCHEME,),
+    "ExcessScheme.decoder_rows": (SCHEME,),
+    "SrReport.residual": (REPORT, "fine_rate"),
 }
 
 # Parameters that declare no rule: (function, parameter) -> the rule the
@@ -181,25 +195,26 @@ EXEMPT = {
     ("information_density", "x"): Int(0, 1),
     ("information_density", "y"): Int(0, 1),
     ("log_loss", "x"): Int(0, 2),
-    # An array, converted and checked as one (ORDER_AND_EMPTINESS has its row).
-    ("renormalize", "weights"): None,
+    ("Channel.row", "x"): Int(0, 2),
+    # One of the report's check names (test_an_unknown_check_name_...).
+    ("SrReport.residual", "name"): None,
 }
 
-# A record's fields, which its constructor checks: id -> (constructor taking
-# the value, "Record: field" that opens the message, the field's rule, a
-# value it accepts).
-FIELDS = {
-    "SourceProblem-px": (lambda v: SourceProblem(px=v, distortion=hamming_distortion(3)),
-                         "SourceProblem: px", Pmf, PX),
-    "OneShotCode-encoder": (lambda v: OneShotCode(2, v, (0, 1)), "OneShotCode: encoder",
-                            Seq(Int(0, 1), nonempty=True), (0, 1, 1)),
-    "OneShotCode-decoder": (lambda v: OneShotCode(2, (0, 1, 1), v), "OneShotCode: decoder",
-                            Seq(Int(0)), [0, 2]),
-    "LogLossCode-encoder": (lambda v: LogLossCode(2, v, (PX, PX)), "LogLossCode: encoder",
-                            Seq(Int(0, 1), nonempty=True), [0, 1, 1]),
-    "LogLossCode-decoder_rows": (lambda v: LogLossCode(2, (0, 1, 1), v),
-                                 "LogLossCode: decoder_rows", Seq(Pmf), [PX, PX]),
+# A declared sequence whose entries another argument or field bounds:
+# (function or record, parameter) -> the rule the body checks in full, at
+# the bounds that VALID or RECORDS set.
+ENTRY_BOUNDS = {
+    ("log_loss_seq", "xs"): Seq(Int(0, 2), nonempty=True),
+    ("OneShotCode", "encoder"): Seq(Int(0, 1), nonempty=True),
+    ("LogLossCode", "encoder"): Seq(Int(0, 1), nonempty=True),
 }
+
+# A valid instance of each class a caller builds and hands in.  Every other
+# class in loglosslab.__all__ is a result record or an exception, which no
+# public function takes.
+RECORDS = {Pmf: PX, Channel: CHANNEL, Joint: JOINT, SourceProblem: SKEW3, RdPoint: POINT,
+           OneShotCode: CODE, LogLossCode: LCODE, CorrespondingProblem: CP,
+           SrConstruction: SR}
 
 NOT_REAL = [None, "0.5", math.nan, math.inf, True]
 # Integers that no float can hold: math.isfinite raises OverflowError on them.
@@ -209,112 +224,137 @@ NOT_OBJECT = [None, [0.5, 0.3, 0.2], "px"]
 
 
 def public_functions() -> dict:
-    """Qualified name -> function, for each function and static method in loglosslab.__all__."""
+    """Qualified name -> function, for each public function and method in loglosslab.__all__.
+
+    A method is a static or instance method of a class there whose name does
+    not start with an underscore.
+    """
     found = {}
     for name in loglosslab.__all__:
         value = getattr(loglosslab, name)
         if inspect.isfunction(value):
             found[name] = value
         elif inspect.isclass(value):
-            found.update((f"{name}.{attr}", raw.__func__) for attr, raw in vars(value).items()
-                         if isinstance(raw, staticmethod))
+            methods = {attr: getattr(raw, "__func__", raw) for attr, raw in vars(value).items()}
+            found.update((f"{name}.{attr}", method) for attr, method in methods.items()
+                         if inspect.isfunction(method) and not attr.startswith("_"))
     return found
 
 
 PUBLIC = public_functions()
+# Each callable whose arguments the cases wrong: the public functions and
+# methods, and each record class, called with its valid instance's fields.
+CALLS = {**PUBLIC, **{kind.__name__: kind for kind in RECORDS}}
+VALID_CALLS = {**VALID, **{kind.__name__: tuple(getattr(valid, field.name)
+                                                for field in dataclasses.fields(kind))
+                           for kind, valid in RECORDS.items()}}
+
+
+def parameters(qualname: str) -> list[str]:
+    """The parameters of a public function or method, its instance left out."""
+    return [name for name in inspect.signature(PUBLIC[qualname]).parameters if name != "self"]
 
 
 def rules(qualname: str) -> dict:
-    """Parameter -> rule of each declared or exempt parameter of a public function."""
-    declared = {name: rule for _, name, rule in errors._plan(PUBLIC[qualname])}
-    exempt = {name: rule for (function, name), rule in EXEMPT.items() if function == qualname}
+    """Parameter -> rule of each declared or exempt parameter of a callable in CALLS."""
+    declared = {name: rule for _, name, rule in errors._plan(CALLS[qualname])}
+    exempt = {name: rule for (owner, name), rule in {**EXEMPT, **ENTRY_BOUNDS}.items()
+              if owner == qualname}
     return {name: rule for name, rule in {**declared, **exempt}.items() if rule is not None}
 
 
 def wrong_values(rule, valid) -> list:
-    """(label, value, suffix of the argument's name) for each value ``rule`` refuses.
+    """(label, value, the message's text after the argument's name) for each value refused.
 
     The wrong kinds of value and each value just past a declared bound; for a
-    sequence, also its valid value with the last entry wrong or with none.
+    sequence, also its valid value with the last entry wrong or with none; for
+    an array, its valid value with the last entry wrong, with an axis more or
+    with no entry.
     """
     if isinstance(rule, Real):
         past = [math.nextafter(bound, away) for bound, away in
                 ((rule.low, -math.inf), (rule.high, math.inf)) if bound is not None]
         values = NOT_REAL + past + ([0.0] if rule.positive else [])
-        return ([(repr(v), v, "") for v in values]
-                + [(label, v, "") for label, v in TOO_LARGE.items()])
+        return ([(repr(v), v, " must ") for v in values]
+                + [(label, v, " must ") for label, v in TOO_LARGE.items()])
     if isinstance(rule, Int):
         values = NOT_REAL + [1.5, rule.minimum - 1] + (
             [] if rule.maximum is None else [rule.maximum + 1])
-        return [(repr(v), v, "") for v in values if not (v is None and rule.allow_none)]
+        return [(repr(v), v, " must ") for v in values if not (v is None and rule.allow_none)]
     if isinstance(rule, Seq):
         last = len(valid) - 1
         entries = [] if rule.entry is None else [
-            (f"entry-{label}", list(valid)[:last] + [v], f"[{last}]{suffix}")
-            for label, v, suffix in wrong_values(rule.entry, valid[last])]
-        return ([(repr(v), v, "") for v in NOT_SEQUENCE] + entries
-                + ([("empty", [], "")] if rule.nonempty else []))
-    return [(repr(v), v, "") for v in NOT_OBJECT]  # a record class or its _Instance rule
+            (f"entry-{label}", list(valid)[:last] + [v], f"[{last}]{rest}")
+            for label, v, rest in wrong_values(rule.entry, valid[last])]
+        return ([(repr(v), v, " must ") for v in NOT_SEQUENCE] + entries
+                + ([("empty", [], " must not be empty")] if rule.nonempty else []))
+    if isinstance(rule, Array):
+        valid = np.array(valid, dtype=float)
+
+        def last_entry(v):
+            wrong = valid.copy()
+            wrong.flat[-1] = v
+            return wrong
+
+        ndim = f" must be {rule.ndim}-D, got shape "
+        return [("str", "px", " is not convertible to floats: "), ("None", None, ndim + "()"),
+                ("extra_axis", valid[None], ndim + str((1,) + valid.shape)),
+                ("empty", valid[:0], " must not be empty"),
+                ("nan", last_entry(math.nan), " entries must be finite"),
+                ("inf", last_entry(math.inf), " entries must be finite"),
+                ("negative", last_entry(-0.5), " entries must be nonnegative")]
+    return [(repr(v), v, " must ") for v in NOT_OBJECT]  # a record class or its _Instance rule
 
 
 def argument_cases(qualname: str):
-    """Each wrong value of each argument, put into VALID's call of the public function."""
-    function = PUBLIC[qualname]
+    """Each wrong value of each argument, put into the valid call of a callable in CALLS."""
+    signature = inspect.signature(CALLS[qualname])
     for name, rule in rules(qualname).items():
-        valid = inspect.signature(function).bind(*VALID[qualname]).arguments.get(name)
-        for label, value, suffix in wrong_values(rule, valid):
-            bound = inspect.signature(function).bind(*VALID[qualname])
+        valid = signature.bind(*VALID_CALLS[qualname]).arguments.get(name)
+        for label, value, rest in wrong_values(rule, valid):
+            bound = signature.bind(*VALID_CALLS[qualname])
             bound.arguments[name] = value
-            yield pytest.param(functools.partial(function, *bound.args, **bound.kwargs),
-                               f"{qualname}: {name}{suffix}", id=f"{qualname}-{name}-{label}")
+            yield pytest.param(functools.partial(CALLS[qualname], *bound.args, **bound.kwargs),
+                               f"{qualname}: {name}{rest}", id=f"{qualname}-{name}-{label}")
 
 
-CASES = [case for qualname in sorted(PUBLIC) for case in argument_cases(qualname)]
-CASES += [pytest.param(functools.partial(build, value), f"{prefix}{suffix}",
-                       id=f"{field}-{label}")
-          for field, (build, prefix, rule, valid) in FIELDS.items()
-          for label, value, suffix in wrong_values(rule, valid)]
+CASES = [case for qualname in sorted(CALLS) for case in argument_cases(qualname)]
 
 
 @pytest.mark.parametrize("call, prefix", CASES)
 def test_wrong_argument_is_a_validation_error_naming_the_called_function(call, prefix):
     with pytest.raises(ValidationError) as err:
         call()
-    assert str(err.value).startswith(f"{prefix} must "), str(err.value)
+    assert str(err.value).startswith(prefix), str(err.value)
 
 
-@pytest.mark.parametrize("qualname", sorted(PUBLIC))
+@pytest.mark.parametrize("qualname", sorted(CALLS))
 def test_each_valid_call_is_accepted(qualname):
     # So each case above fails on its one wrong value alone.
-    PUBLIC[qualname](*VALID[qualname])
-
-
-@pytest.mark.parametrize("field", sorted(FIELDS))
-def test_each_record_field_accepts_its_valid_value(field):
-    build, _, _, valid = FIELDS[field]
-    build(valid)
+    CALLS[qualname](*VALID_CALLS[qualname])
 
 
 def test_every_public_parameter_is_declared_or_exempt():
     assert sorted(PUBLIC) == sorted(VALID)
     declared = {(qualname, name) for qualname, function in PUBLIC.items()
                 for _, name, _ in errors._plan(function)}
-    parameters = {(qualname, name) for qualname, function in PUBLIC.items()
-                  for name in inspect.signature(function).parameters}
-    assert sorted(parameters - declared - set(EXEMPT)) == []
+    params = {(qualname, name) for qualname in PUBLIC for name in parameters(qualname)}
+    assert sorted(params - declared - set(EXEMPT)) == []
     # An exemption of a parameter that declares a rule, or of none, is stale.
-    assert sorted(set(EXEMPT) - (parameters - declared)) == []
+    assert sorted(set(EXEMPT) - (params - declared)) == []
+
+
+def test_each_entry_bound_completes_a_declared_sequence():
+    # Stale if the declaration changed: the body adds only the entries' rule.
+    declared = {(qualname, name): rule for qualname, function in CALLS.items()
+                for _, name, rule in errors._plan(function)}
+    assert {key: rule._replace(entry=None) for key, rule in ENTRY_BOUNDS.items()} == {
+        key: declared.get(key) for key in ENTRY_BOUNDS}
 
 
 def test_none_passes_where_declared():
     assert hamming_distortion(3, None).shape == (3, 3)
 
-
-# The classes a caller builds and hands in.  Every other class in
-# loglosslab.__all__ is a result record or an exception, which no public
-# function takes.
-RECORDS = (Pmf, Channel, Joint, SourceProblem, RdPoint, OneShotCode, LogLossCode,
-           CorrespondingProblem, SrConstruction)
 
 # id: (call taking the value, the start of the message it raises, a finite
 # value out of range)
@@ -421,9 +461,10 @@ MISMATCHES = {
         lambda: expected_log_loss(PX, LogLossCode(2, (0, 1, 1), (PMF2, PMF2))),
         "expected_log_loss: lcode.decoder_rows[0].n = 2 must equal px.n = 3"),
     "verify_theorem1-code": (lambda: verify_theorem1(CP, OneShotCode(2, (0, 1), (0, 1))),
-                             "map_code: len(code.encoder) = 2 must equal cp.px.n = 3"),
+                             "verify_theorem1: len(code.encoder) = 2 must equal cp.px.n = 3"),
     "suboptimality_gap-code": (lambda: suboptimality_gap(CP, OneShotCode(2, (0, 1), (0, 1))),
-                               "map_code: len(code.encoder) = 2 must equal cp.px.n = 3"),
+                               "suboptimality_gap: len(code.encoder) = 2 must equal "
+                               "cp.px.n = 3"),
     "chain_step_channel-fine": (
         lambda: chain_step_channel(CHAIN[0], construct_sr(SKEW2, 0.5, 0.1)),
         "chain_step_channel: fine.z_alphabet = (0, 1, 'erasure') must equal "
@@ -449,13 +490,6 @@ ORDER_AND_EMPTINESS = {
                             "OneShotCode: encoder must not be empty"),
     "LogLossCode-encoder": (lambda: LogLossCode(1, (), (PX,)),
                             "LogLossCode: encoder must not be empty"),
-    "Pmf-probs": (lambda: Pmf([]), "Pmf: probs must not be empty"),
-    "Channel-rows": (lambda: Channel(np.zeros((2, 0))), "Channel: rows must not be empty"),
-    "Joint-table": (lambda: Joint(np.zeros((0, 2))), "Joint: table must not be empty"),
-    "renormalize-weights": (lambda: renormalize([]), "renormalize: weights must not be empty"),
-    "SourceProblem-distortion": (
-        lambda: SourceProblem(px=Pmf([1.0]), distortion=np.zeros((1, 0))),
-        "SourceProblem: distortion must not be empty"),
 }
 
 @pytest.mark.parametrize("name", sorted(MISMATCHES))
@@ -506,6 +540,8 @@ def test_every_public_dataclass_is_a_record_or_a_result():
                "Theorem1Check", "IdentitySweep", "CoincidenceReport", "SrCheck", "SrReport",
                "TimeshareReport"}
     assert dataclass_names == results | {kind.__name__ for kind in RECORDS}
+    # A result declares no field rule, so every declared field is checked.
+    assert sorted(name for name in results if errors._plan(getattr(loglosslab, name))) == []
 
 
 def test_a_sequence_argument_may_be_any_iterable():
@@ -513,5 +549,21 @@ def test_a_sequence_argument_may_be_any_iterable():
     code = OneShotCode(2, (x % 2 for x in range(3)), iter([1, 0]))
     assert code.encoder == (0, 1, 0) and code.decoder == (1, 0)
     assert code == OneShotCode(2, [0, 1, 0], [1, 0])
-    # A declared sequence reaches the body as the list its check read.
     assert [p.target_distortion for p in rd_curve(SKEW3, iter([0.2, 0.3]))] == [0.2, 0.3]
+
+    # A declared sequence argument reaches the body as the tuple its check
+    # read, the value a record field keeps.
+    @errors._checked
+    def body(xs: Annotated[tuple, Seq(Real())]):
+        return xs
+
+    assert body(iter([0.2, 0.3])) == (0.2, 0.3)
+
+
+def test_an_unknown_check_name_is_a_named_validation_error():
+    # Once a raw KeyError.
+    with pytest.raises(ValidationError) as err:
+        REPORT.residual("nope")
+    assert str(err.value) == (
+        "SrReport.residual: name must be one of markov_factorization, coarse_rate, "
+        "coarse_loss, fine_rate, fine_distortion, posterior_rows, got 'nope'")

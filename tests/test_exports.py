@@ -5,7 +5,8 @@ A name left in ``__all__`` after its definition is gone breaks
 re-exports the library modules' lists and keeps none of its own; ``problemio``
 and ``cli`` stay out of it, so importing the package loads neither PyYAML
 nor argparse.  The argument rules and their decorator in ``errors`` are not
-exported, and only public functions carry the decorator.
+exported, and only public functions carry the decorator.  The contract test
+(``test_error_contract.py``) walks every public function and method.
 """
 
 import importlib
@@ -86,6 +87,12 @@ def functions_defined_in(module) -> dict:
     return found
 
 
+def public_functions_defined_in(module) -> set[str]:
+    """The qualified names of the public functions and methods the module defines."""
+    return {qualname for qualname in functions_defined_in(module)
+            if qualname.split(".")[0] in module.__all__ and qualname.split(".")[-1][0] != "_"}
+
+
 @pytest.mark.parametrize("name", LIBRARY)
 def test_only_public_functions_carry_the_argument_checks(name):
     module = importlib.import_module(f"loglosslab.{name}")
@@ -94,8 +101,7 @@ def test_only_public_functions_carry_the_argument_checks(name):
                if function.__code__ is CHECKED}
     # The hot paths are private, and stay unwrapped.
     assert sorted(q for q in wrapped if q.rsplit(".", 1)[-1].startswith("_")) == []
-    public = {qualname for qualname in functions
-              if qualname.split(".")[0] in module.__all__ and qualname.split(".")[-1][0] != "_"}
+    public = public_functions_defined_in(module)
     # A public function carries the checks exactly when it declares a rule.
     assert sorted(wrapped) == sorted(q for q in public if errors._plan(functions[q]))
     for qualname in wrapped:
@@ -109,8 +115,20 @@ def test_only_public_functions_carry_the_argument_checks(name):
 
 def test_the_argument_rules_are_not_exported():
     assert len(loglosslab.__all__) == 80
-    rules = {"Real", "Int", "Seq", "Finite", "NonNegative", "Positive", "Probability", "Count",
-             "Seed"}
+    rules = {"Real", "Int", "Seq", "Array", "Finite", "NonNegative", "Positive", "Probability",
+             "Count", "Seed"}
     assert all(hasattr(errors, name) for name in rules)
     assert sorted(rules & set(loglosslab.__all__)) == []
     assert sorted(name for name in loglosslab.__all__ if name.startswith("_")) == ["__version__"]
+
+
+def test_the_contract_test_walks_every_public_function_and_method():
+    # Instance methods too, such as Channel.row, whose index another
+    # argument (the instance) bounds.
+    import test_error_contract
+
+    public = {qualname for name in LIBRARY
+              for qualname in public_functions_defined_in(importlib.import_module(
+                  f"loglosslab.{name}"))}
+    assert sorted(public) == sorted(test_error_contract.PUBLIC)
+    assert {"Channel.row", "SrReport.residual"} <= public

@@ -180,7 +180,8 @@ class TestVerifySr:
 
     def test_unknown_check_name_raises(self):
         report = verify_sr(construct_sr(binary_hamming(), 0.5, 0.1))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValidationError, match="^SrReport.residual: name must be one of "
+                           "markov_factorization, .*, got 'nonexistent_check'$"):
             report.residual("nonexistent_check")
 
 
