@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .equivalence import (
     _COINCIDENCE_ATOL,
@@ -48,8 +50,8 @@ from .problemio import (
     parse_float_list,
     render_table,
 )
-from .ratedistortion import (_DEFAULT_TOL, _certificate_tol, rd_at_distortion,
-                             verify_csiszar_identity)
+from .ratedistortion import (_DEFAULT_MAX_ITER, _DEFAULT_TOL, _certificate_tol,
+                             rd_at_distortion, verify_csiszar_identity)
 from .refinement import (
     _SR_CHECK_TOL,
     construct_sr,
@@ -175,10 +177,11 @@ def _cmd_oneshot(args) -> _CommandOutput:
     oracle = None
 
     if crit == "avg" and args.logloss:
-        partition, value = logloss_avg_optimum(px, m)
-        scheme = {"encoder": list(partition.encoder),
-                  "cell_masses": partition.cell_masses,
-                  "reproduction_rows": [q.probs for q in partition.posterior_rows]}
+        lcode, value = logloss_avg_optimum(px, m)
+        scheme = {"encoder": list(lcode.encoder),
+                  "cell_masses": np.bincount(lcode.encoder, weights=px.probs,
+                                             minlength=lcode.n_messages),
+                  "reproduction_rows": [q.probs for q in lcode.decoder_rows]}
     elif crit == "avg":
         code, value = solve_avg(problem, m)
         scheme = _code_doc(code)
@@ -446,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distortion", "-D", type=float, default=None)
     p.add_argument("--grid", default=None,
                    help="comma-separated distortion targets")
-    p.add_argument("--max-iter", type=int, default=300_000,
+    p.add_argument("--max-iter", type=int, default=_DEFAULT_MAX_ITER,
                    help="iteration budget of the one solve behind each point")
     p.set_defaults(handler=_cmd_rd)
 

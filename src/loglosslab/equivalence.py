@@ -25,7 +25,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Annotated
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .errors import (Count, DegenerateInstanceError, Int, MappingError, NonNegat
                      Seq, VerificationError, _check_fields, _checked, _require_size)
 from .oneshot import (
     _CODE_ENUM_GUARD,
+    LogLossCode,
     OneShotCode,
     _cell_sum_blocks,
     _check_work,
@@ -42,14 +42,13 @@ from .oneshot import (
     solve_avg,
 )
 from .probability import Pmf, conditional_entropy, joint_from_source_and_channel
-from .ratedistortion import (_DEFAULT_TOL, RdPoint, SourceProblem, _first_close_pair,
-                             distortion_bounds, rd_at_distortion)
+from .ratedistortion import (_DEFAULT_TOL, RdPoint, SourceProblem, _first_close_pair, _rd_point,
+                             distortion_bounds)
 
 __all__ = [
     "ROW_MATCH_TOL",
     "ENDPOINT_TOL",
     "CorrespondingProblem",
-    "LogLossCode",
     "build_corresponding",
     "map_code",
     "unmap_code",
@@ -75,21 +74,6 @@ _FLOOR_TOL = 1e-9
 # Default distance from the optimum within which the coincidence check
 # counts a code pair as optimal.
 _COINCIDENCE_ATOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class LogLossCode:
-    """One-shot code whose decoder emits probability distributions."""
-
-    n_messages: Count
-    encoder: Annotated[tuple, Seq(nonempty=True)]
-    decoder_rows: Annotated[tuple, Seq(Pmf)]
-
-    def __post_init__(self):
-        _check_fields(self)
-        _require_size("LogLossCode", "len(decoder_rows)", len(self.decoder_rows),
-                      "n_messages", self.n_messages)
-        Seq(Int(0, self.n_messages - 1)).check("LogLossCode", "encoder", self.encoder)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +117,7 @@ def build_corresponding(problem: SourceProblem, n_messages: Count,
             f"D*({n_messages}) = {d_star!r} sits at a curve endpoint of "
             f"[{d_min!r}, {d_max!r}]; the corresponding problem degenerates there"
         )
-    point = rd_at_distortion(problem, d_star, tol=tol)
+    point = _rd_point("build_corresponding", "d_star_m", problem, d_star, tol)
 
     rows = point.reverse.rows
     same = _first_close_pair(rows, ROW_MATCH_TOL)

@@ -190,7 +190,10 @@ class Seq(typing.NamedTuple):
 
 
 class Array(typing.NamedTuple):
-    """A nonempty array of finite nonnegative floats with ``ndim`` axes, passed on read-only."""
+    """A nonempty array of finite nonnegative floats with ``ndim`` axes, passed on read-only.
+
+    Its entries are numbers: a bool or a string converts to a float, but is refused.
+    """
 
     ndim: int
 
@@ -201,6 +204,12 @@ class Array(typing.NamedTuple):
             raise ValidationError(f"{caller}: {name} is not convertible to floats: {exc}") from exc
         if arr.ndim != self.ndim:
             raise ValidationError(f"{caller}: {name} must be {self.ndim}-D, got shape {arr.shape}")
+        # A float or integer array holds numbers; anything else is read entry by entry.
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+            for entry in np.array(value, dtype=object).flat:
+                if isinstance(entry, (bool, np.bool_, str, bytes)):
+                    raise ValidationError(f"{caller}: {name} entries must be numbers, "
+                                          f"got {entry!r}")
         _require_nonempty(caller, name, arr.flat)
         if not np.isfinite(arr).all():
             raise ValidationError(f"{caller}: {name} entries must be finite")

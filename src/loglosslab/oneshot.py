@@ -30,13 +30,13 @@ from .ratedistortion import SourceProblem
 
 __all__ = [
     "OneShotCode",
+    "LogLossCode",
     "expected_distortion",
     "solve_avg",
     "solve_avg_oracle",
     "solve_excess",
     "excess_witness",
     "solve_codebook",
-    "PartitionScheme",
     "logloss_avg_optimum",
     "ExcessScheme",
     "logloss_excess_optimum",
@@ -101,10 +101,35 @@ class OneShotCode:
     decoder: Annotated[tuple, Seq(Int(0))]
 
     def __post_init__(self):
-        _check_fields(self)
-        _require_size("OneShotCode", "len(decoder)", len(self.decoder),
-                      "n_messages", self.n_messages)
-        Seq(Int(0, self.n_messages - 1)).check("OneShotCode", "encoder", self.encoder)
+        _check_code(self, "decoder")
+
+
+@dataclass(frozen=True, eq=False)
+class LogLossCode:
+    """One-shot code whose decoder emits probability distributions.
+
+    ``encoder[x]`` is the message for source symbol x, and
+    ``decoder_rows[m]`` the distribution that message m reproduces.
+    """
+
+    n_messages: Count
+    encoder: Annotated[tuple, Seq(nonempty=True)]
+    decoder_rows: Annotated[tuple, Seq(Pmf)]
+
+    def __post_init__(self):
+        _check_code(self, "decoder_rows")
+
+
+def _check_code(code, decoder: str) -> None:
+    """Check a code's fields, then that field ``decoder`` has an entry per message.
+
+    The encoder's entries must name messages too.  Errors name the code's class.
+    """
+    _check_fields(code)
+    caller = type(code).__qualname__
+    _require_size(caller, f"len({decoder})", len(getattr(code, decoder)),
+                  "n_messages", code.n_messages)
+    Seq(Int(0, code.n_messages - 1)).check(caller, "encoder", code.encoder)
 
 
 @_checked
@@ -412,23 +437,6 @@ def floor_exp(d: NonNegative) -> int:
     return lo
 
 
-@dataclass(frozen=True, eq=False)
-class PartitionScheme:
-    """Deterministic partition code achieving the log-loss average optimum.
-
-    ``encoder[x]`` is the cell of symbol x; ``posterior_rows[m]`` is the
-    source posterior on cell m.  Every cell carries mass: one holding only
-    zero-mass symbols merges into cell 0 (or cell 1 into it, when it is
-    cell 0) at the same value and earlier in restricted-growth order, so
-    the first optimum has none.
-    """
-
-    n_messages: int
-    encoder: tuple[int, ...]
-    cell_masses: np.ndarray
-    posterior_rows: tuple[Pmf, ...]
-
-
 def _subset_masses(p: np.ndarray) -> np.ndarray:
     """Total of p over every subset of its indices, indexed by bit mask.
 
@@ -499,17 +507,20 @@ def _best_completion(g: np.ndarray, cells: list[int], first: int, n_new: int,
 
 
 @_checked
-def logloss_avg_optimum(px: Pmf, n_messages: Count) -> tuple[PartitionScheme, float]:
+def logloss_avg_optimum(px: Pmf, n_messages: Count) -> tuple[LogLossCode, float]:
     """Exact optimal average log loss with at most M messages.
 
     The optimum equals H(X) minus the largest entropy of f(X) over
-    partitions f of the alphabet into at most M cells; the scheme reproduces
-    each cell by its posterior.  A dynamic program over subsets finds that
-    largest entropy in about 3^r / 4 steps, bit for bit the value a scan of
-    every partition would return.  The scheme's partition is the first
-    optimal one in restricted-growth order: each symbol in turn takes the
-    lowest label from which the optimum stays reachable.  Guarded at
-    alphabets of size 14.
+    partitions f of the alphabet into at most M cells; the code encodes
+    each symbol to its cell and decodes each cell to its posterior.  A
+    dynamic program over subsets finds that largest entropy in about 3^r / 4
+    steps, bit for bit the value a scan of every partition would return.
+    The code's partition is the first optimal one in restricted-growth
+    order: each symbol in turn takes the lowest label from which the optimum
+    stays reachable.  Every cell carries mass: one holding only zero-mass
+    symbols merges into cell 0 (or cell 1 into it, when it is cell 0) at the
+    same value and earlier in that order, so the first optimum has none.
+    Guarded at alphabets of size 14.
     """
     r = px.n
     _check_work("logloss_avg_optimum", r, "symbols", _PARTITION_ALPHABET_GUARD)
@@ -542,7 +553,6 @@ def logloss_avg_optimum(px: Pmf, n_messages: Count) -> tuple[PartitionScheme, fl
 
     blocks = max(best_assign) + 1
     masses = np.bincount(best_assign, weights=p, minlength=blocks)
-    masses.setflags(write=False)
     rows = []
     assign_arr = np.array(best_assign)
     for m in range(blocks):
@@ -550,15 +560,10 @@ def logloss_avg_optimum(px: Pmf, n_messages: Count) -> tuple[PartitionScheme, fl
         row = np.zeros(r)
         row[cell] = p[cell] / masses[m]
         rows.append(Pmf(row))
-    scheme = PartitionScheme(
-        n_messages=blocks,
-        encoder=tuple(int(c) for c in best_assign),
-        cell_masses=masses,
-        posterior_rows=tuple(rows),
-    )
+    code = LogLossCode(n_messages=blocks, encoder=tuple(best_assign), decoder_rows=tuple(rows))
     value = entropy(px) - best_h
     # Rounding can leave -4e-16 or -0.0 where the optimum is zero.
-    return scheme, value if value > 0.0 else 0.0
+    return code, value if value > 0.0 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -575,7 +580,6 @@ class ExcessScheme:
     n_messages: int
     sort_order: tuple[int, ...]
     cell_size: int
-    achieved_epsilon: float
 
     def encoder(self) -> tuple[int, ...]:
         """Message per symbol; ranks past the last cell fold into it."""
@@ -633,7 +637,6 @@ def logloss_excess_optimum(px: Pmf, n_messages: Count,
         n_messages=min(n_messages, -(-px.n // cell)),
         sort_order=tuple(int(x) for x in order),
         cell_size=cell,
-        achieved_epsilon=eps,
     )
     return scheme, eps
 

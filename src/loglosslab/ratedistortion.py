@@ -67,6 +67,8 @@ __all__ = [
 PRUNE_EPS = 1e-9
 # Default distortion tolerance of an R(D) point, here and in the CLI's --tol.
 _DEFAULT_TOL = 1e-8
+# Default iteration budget of an R(D) point's solve, here and in the CLI's --max-iter.
+_DEFAULT_MAX_ITER = 300_000
 # Distortion columns that agree entrywise within this are considered identical.
 COLUMN_MATCH_TOL = 1e-12
 # A solve tries to finish with a Newton polish at iteration 2, then at every
@@ -537,7 +539,7 @@ class RdPoint:
     output_marginal: Pmf
     reverse: Channel
     tilted: np.ndarray
-    kept_columns: tuple[int, ...]
+    kept_columns: Annotated[tuple, Seq(Int(0))]
     diagnostics: RdDiagnostics
 
     __post_init__ = _check_fields
@@ -559,7 +561,7 @@ def _certificate_tol(tol: float) -> float:
 
 @_checked
 def rd_at_distortion(problem: SourceProblem, d: Finite, tol: Positive = _DEFAULT_TOL,
-                     max_iter: Count = 300_000) -> RdPoint:
+                     max_iter: Count = _DEFAULT_MAX_ITER) -> RdPoint:
     """Solve R(D) at a target distortion in one constrained solve.
 
     At the zero-rate knee D_max the answer is exact without a solve: slope
@@ -587,8 +589,14 @@ def rd_at_distortion(problem: SourceProblem, d: Finite, tol: Positive = _DEFAULT
             the distortion it reached misses the target by more than tol;
             the message names the achieved distortion, the target and tol.
     """
+    return _rd_point("rd_at_distortion", "d", problem, d, tol, max_iter)
+
+
+def _rd_point(caller: str, name: str, problem: SourceProblem, d: float, tol: float,
+              max_iter: int = _DEFAULT_MAX_ITER) -> RdPoint:
+    """rd_at_distortion's body; its refusals name ``caller`` and the target as ``name``."""
     d_min, d_max = distortion_bounds(problem)
-    target = _clamp_target("rd_at_distortion", "d", d, d_min, d_max)
+    target = _clamp_target(caller, name, d, d_min, d_max)
 
     px = problem.px.probs
     support = np.flatnonzero(px > 0.0)
@@ -602,7 +610,7 @@ def rd_at_distortion(problem: SourceProblem, d: Finite, tol: Positive = _DEFAULT
                        max(target, d_min + 0.5 * tol), _certificate_tol(tol), max_iter)
     if abs(raw.distortion - target) > tol:
         raise ConvergenceError(
-            f"rd_at_distortion: achieved distortion {raw.distortion!r} misses the "
+            f"{caller}: achieved distortion {raw.distortion!r} misses the "
             f"target {target!r} by more than tol = {tol!r}"
         )
 
@@ -632,17 +640,20 @@ def rd_at_distortion(problem: SourceProblem, d: Finite, tol: Positive = _DEFAULT
 @_checked
 def rd_curve(problem: SourceProblem, grid: Annotated[tuple, Seq(Real())],
              tol: Positive = _DEFAULT_TOL) -> list[RdPoint]:
-    """One rd_at_distortion point per grid value; raises as rd_at_distortion."""
-    return [rd_at_distortion(problem, d, tol=tol) for d in grid]
+    """One rd_at_distortion point per grid value; raises as rd_at_distortion, naming grid[i]."""
+    return [_rd_point("rd_curve", f"grid[{i}]", problem, d, tol) for i, d in enumerate(grid)]
 
 
 def _kept_distortion(caller: str, problem: SourceProblem, point: RdPoint) -> np.ndarray:
     """The problem's distortion on the point's kept columns.
 
-    Refuses a point whose forward rows or kept columns do not fit the problem.
+    Refuses a point whose forward rows or kept columns do not fit the problem,
+    or that keeps other than one column per forward output.
     """
     _require_size(caller, "point.forward.n_in", point.forward.n_in,
                   "problem.n_source", problem.n_source)
+    _require_size(caller, "len(point.kept_columns)", len(point.kept_columns),
+                  "point.forward.n_out", point.forward.n_out)
     Seq(Int(0, problem.n_reconstruction - 1)).check(caller, "point.kept_columns",
                                                     point.kept_columns)
     return problem.distortion[:, list(point.kept_columns)]

@@ -36,7 +36,7 @@ from .probability import (
     joint_from_source_and_channel,
 )
 from .oneshot import _SAMPLE_GUARD, _check_work
-from .ratedistortion import _DEFAULT_TOL, RdPoint, SourceProblem, rd_at_distortion
+from .ratedistortion import _DEFAULT_TOL, RdPoint, SourceProblem, _rd_point
 
 __all__ = [
     "ERASURE",
@@ -119,13 +119,15 @@ def _joint3(c: SrConstruction) -> np.ndarray:
 
 
 def _sr_layers(caller: str, problem: SourceProblem, targets: list[tuple[str, float]],
-               d2: float, tol: float) -> list[SrConstruction]:
-    """One layer per (argument name, coarse target), all on one fine point at d2.
+               fine: tuple[str, float], tol: float) -> list[SrConstruction]:
+    """One layer per (argument name, coarse target), all on one fine point.
 
-    Each layer's H(X | Z), from its joint alone and so independent of its
-    q rows, must meet its target within 1e-9.
+    ``fine`` is the (argument name, target) of the fine stage.  Each layer's
+    H(X | Z), from its joint alone and so independent of its q rows, must
+    meet its target within 1e-9.
     """
-    point = rd_at_distortion(problem, d2, tol=tol)
+    fine_name, d2 = fine
+    point = _rd_point(caller, fine_name, problem, d2, tol)
     h = entropy(problem.px)
     h2 = conditional_entropy(joint_from_source_and_channel(problem.px, point.forward))
     k = len(point.kept_columns)
@@ -197,10 +199,10 @@ def construct_sr(problem: SourceProblem, d1: Finite, d2: Finite,
 
     Raises:
         ValidationError: d1 or d2 is not a finite real.
-        InfeasibleError: d1 outside the feasible interval (stated in the
-            message; 1e-12 slack).
+        InfeasibleError: d1 or d2 outside its feasible interval (stated in
+            the message; 1e-12 slack).
     """
-    return _sr_layers("construct_sr", problem, [("d1", d1)], d2, tol)[0]
+    return _sr_layers("construct_sr", problem, [("d1", d1)], ("d2", d2), tol)[0]
 
 
 @_checked
@@ -219,7 +221,7 @@ def construct_sr_chain(problem: SourceProblem, ds: Annotated[tuple, Seq(Real(), 
     for i in range(1, len(ds)):
         _require_order("construct_sr_chain", f"ds[{i}]", ds[i], f"ds[{i - 1}]", ds[i - 1])
     return _sr_layers("construct_sr_chain", problem,
-                      [(f"ds[{i}]", d) for i, d in enumerate(ds)], d_final, tol)
+                      [(f"ds[{i}]", d) for i, d in enumerate(ds)], ("d_final", d_final), tol)
 
 
 @_checked

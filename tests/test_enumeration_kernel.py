@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from loglosslab import (
     LoglossLabError,
+    LogLossCode,
     OneShotCode,
-    PartitionScheme,
     Pmf,
     SourceProblem,
     build_corresponding,
@@ -121,9 +121,9 @@ def reference_logloss_avg_optimum(px: Pmf, n_messages: int):
         else:
             row[cell] = 1.0 / int(cell.sum())
         rows.append(Pmf(row))
-    scheme = PartitionScheme(n_messages=blocks, encoder=tuple(int(c) for c in best_assign),
-                             cell_masses=masses, posterior_rows=tuple(rows))
-    return scheme, value if value > 0.0 else 0.0
+    code = LogLossCode(n_messages=blocks, encoder=tuple(int(c) for c in best_assign),
+                       decoder_rows=tuple(rows))
+    return code, value if value > 0.0 else 0.0
 
 
 def _reference_grids(cp, enc):
@@ -265,9 +265,9 @@ def sweep_bits(sweep: IdentitySweep):
             bits(sweep.min_distortion))
 
 
-def scheme_bits(scheme: PartitionScheme, value: float):
-    return (scheme.n_messages, scheme.encoder, scheme.cell_masses.tobytes(),
-            tuple(row.probs.tobytes() for row in scheme.posterior_rows), bits(value))
+def code_bits(code: LogLossCode, value: float):
+    return (code.n_messages, code.encoder,
+            tuple(row.probs.tobytes() for row in code.decoder_rows), bits(value))
 
 
 class TestMatchesReferenceLoops:
@@ -287,17 +287,17 @@ class TestMatchesReferenceLoops:
     def test_logloss_avg_optimum(self, data):
         px = data.draw(sources())
         n_messages = data.draw(st.integers(1, px.n + 1))
-        assert scheme_bits(*logloss_avg_optimum(px, n_messages)) \
-            == scheme_bits(*reference_logloss_avg_optimum(px, n_messages))
+        assert code_bits(*logloss_avg_optimum(px, n_messages)) \
+            == code_bits(*reference_logloss_avg_optimum(px, n_messages))
 
     @pytest.mark.parametrize("name", TIE_CORPUS)
     def test_logloss_avg_optimum_ties(self, name):
         # Every message count from 1 past r: the first optimal partition in
-        # restricted-growth order, its masses, rows and value, bit for bit.
+        # restricted-growth order, its encoder, rows and value, bit for bit.
         px = TIE_CORPUS[name]
         for n_messages in range(1, px.n + 2):
-            assert scheme_bits(*logloss_avg_optimum(px, n_messages)) \
-                == scheme_bits(*reference_logloss_avg_optimum(px, n_messages))
+            assert code_bits(*logloss_avg_optimum(px, n_messages)) \
+                == code_bits(*reference_logloss_avg_optimum(px, n_messages))
 
     @given(problems(max_r=6), st.integers(2, 4),
            st.one_of(block_entries, st.just(SHORT_TILE)),
@@ -351,8 +351,8 @@ class TestMatchesReferenceLoops:
         ref = reference_optimum_coincidence(cp)
         assert len(report.distortion_argmin) > 1000
         assert report == ref
-        assert scheme_bits(*logloss_avg_optimum(problem.px, 3)) \
-            == scheme_bits(*reference_logloss_avg_optimum(problem.px, 3))
+        assert code_bits(*logloss_avg_optimum(problem.px, 3)) \
+            == code_bits(*reference_logloss_avg_optimum(problem.px, 3))
 
 
 # px = (3, 3, 2, 2) / 10 at M = 2 and atol = 0.05: four code pairs lie
@@ -661,8 +661,8 @@ class TestScale:
         # all-singleton partition is the unique optimum.
         w = np.random.default_rng(12).uniform(0.05, 1.0, 12)
         px = Pmf(w / w.sum())
-        (scheme, value), elapsed, peak, _ = traced(logloss_avg_optimum, px, 12)
-        assert scheme.encoder == tuple(range(12))
+        (code, value), elapsed, peak, _ = traced(logloss_avg_optimum, px, 12)
+        assert code.encoder == tuple(range(12))
         assert abs(value) <= 1e-12
         assert peak <= PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
@@ -672,8 +672,8 @@ class TestScale:
         # Bell(13) = 27.6 M and Bell(14) = 190.9 M partitions.  With M >= r
         # the all-singleton partition is the unique optimum.
         w = np.random.default_rng(r).uniform(0.05, 1.0, r)
-        (scheme, value), elapsed, peak, _ = traced(logloss_avg_optimum, Pmf(w / w.sum()), r)
-        assert scheme.encoder == tuple(range(r))
+        (code, value), elapsed, peak, _ = traced(logloss_avg_optimum, Pmf(w / w.sum()), r)
+        assert code.encoder == tuple(range(r))
         assert abs(value) <= 1e-12
         assert peak <= PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
@@ -684,21 +684,21 @@ class TestScale:
         # encoder against every partition one move or one swap away.
         w = np.random.default_rng(14).uniform(0.05, 1.0, 14)
         px = Pmf(w / w.sum())
-        (scheme, value), elapsed, peak, _ = traced(logloss_avg_optimum, px, 4)
+        (code, value), elapsed, peak, _ = traced(logloss_avg_optimum, px, 4)
 
         def cell_entropy(encoder):
             return entropy(Pmf(np.bincount(encoder, weights=px.probs, minlength=4)))
 
-        h_cells = cell_entropy(scheme.encoder)
+        h_cells = cell_entropy(code.encoder)
         assert abs(value - (entropy(px) - h_cells)) <= 1e-12
         neighbours = []
         for x in range(14):
             for cell in range(4):
-                moved = list(scheme.encoder)
+                moved = list(code.encoder)
                 moved[x] = cell
                 neighbours.append(moved)
             for y in range(x):
-                swapped = list(scheme.encoder)
+                swapped = list(code.encoder)
                 swapped[x], swapped[y] = swapped[y], swapped[x]
                 neighbours.append(swapped)
         assert max(cell_entropy(e) for e in neighbours) <= h_cells + 1e-12

@@ -128,12 +128,12 @@ class TestBuildCorresponding:
                 build_corresponding(uniform_hamming(3), 2)
 
     def test_rate_above_ln_m_is_refused(self):
-        solve = equivalence.rd_at_distortion
+        solve = equivalence._rd_point
 
         def past_ln_m(*args, **kwargs):
             return dataclasses.replace(solve(*args, **kwargs), rate=math.log(2) + 1e-6)
 
-        with mock.patch.object(equivalence, "rd_at_distortion", past_ln_m):
+        with mock.patch.object(equivalence, "_rd_point", past_ln_m):
             with pytest.raises(VerificationError, match="^rate .* exceeds ln M"):
                 build_corresponding(uniform_hamming(3), 2)
 

@@ -8,12 +8,12 @@ A real argument takes a finite real number that is not a bool (an int too
 large for a float is not finite) within its declared bounds; an integer
 argument takes an integer that is not a bool, within its bounds; a sequence
 argument takes any iterable but a string, and each entry obeys the entry's
-rule; an array argument takes a nonempty array of finite nonnegative floats
-with the declared number of axes; a record argument takes an instance of its
-class.  Anything else raises ValidationError, never a raw TypeError,
-AttributeError, OverflowError or IndexError, with a message that starts with
-the public function or record that was called and the argument's name
-(``rd_curve: grid[1] must be finite, got nan``).
+rule; an array argument takes a nonempty array of finite nonnegative numbers,
+not bools or strings, with the declared number of axes; a record argument
+takes an instance of its class.  Anything else raises ValidationError, never
+a raw TypeError, AttributeError, OverflowError or IndexError, with a message
+that starts with the public function or record that was called and the
+argument's name (``rd_curve: grid[1] must be finite, got nan``).
 The cases are derived from the declarations: each wrong kind of value, and
 each value just past a declared bound, goes into one valid call per public
 function or method (``VALID``), or replaces one field of a valid instance of
@@ -34,6 +34,10 @@ the later one exceeds the earlier by more than 1e-12, the slack of every
 feasible interval too.  A sequence that must hold an entry raises one naming
 the function and the sequence when it is empty.  Each such check has a row in
 ``ORDER_AND_EMPTINESS``, or a derived case where a declaration states it.
+A distortion target outside the curve's feasible interval raises
+InfeasibleError naming the called function and its argument, and a solve
+that misses its target a ConvergenceError naming the called function, also
+when the function solves the point through a helper (``UNREACHABLE``).
 """
 
 import collections
@@ -51,7 +55,9 @@ from loglosslab import errors
 from loglosslab.errors import Array, Int, Real, Seq
 from loglosslab import (
     Channel,
+    ConvergenceError,
     CorrespondingProblem,
+    InfeasibleError,
     Joint,
     LogLossCode,
     OneShotCode,
@@ -268,8 +274,8 @@ def wrong_values(rule, valid) -> list:
 
     The wrong kinds of value and each value just past a declared bound; for a
     sequence, also its valid value with the last entry wrong or with none; for
-    an array, its valid value with the last entry wrong, with an axis more or
-    with no entry.
+    an array, its valid value with the last entry wrong, with an axis more,
+    with no entry, or as lists of numeric strings or of bools.
     """
     if isinstance(rule, Real):
         past = [math.nextafter(bound, away) for bound, away in
@@ -298,6 +304,9 @@ def wrong_values(rule, valid) -> list:
 
         ndim = f" must be {rule.ndim}-D, got shape "
         return [("str", "px", " is not convertible to floats: "), ("None", None, ndim + "()"),
+                # Each converts to floats, but its entries are not numbers.
+                ("numeric_strings", valid.astype(str).tolist(), " entries must be numbers, got '"),
+                ("bools", (valid > 0.0).tolist(), " entries must be numbers, got "),
                 ("extra_axis", valid[None], ndim + str((1,) + valid.shape)),
                 ("empty", valid[:0], " must not be empty"),
                 ("nan", last_entry(math.nan), " entries must be finite"),
@@ -356,6 +365,12 @@ def test_none_passes_where_declared():
     assert hamming_distortion(3, None).shape == (3, 3)
 
 
+def test_a_point_declares_its_kept_columns():
+    # Once kept_columns=None constructed.  The derived RdPoint cases wrong
+    # the field only while it declares its rule.
+    assert rules("RdPoint")["kept_columns"] == Seq(Int(0))
+
+
 # id: (call taking the value, the start of the message it raises, a finite
 # value out of range)
 OUT_OF_RANGE = {
@@ -412,6 +427,14 @@ MISMATCHES = {
     "tilted_information-kept_columns": (
         lambda: tilted_information(TWO_COLUMNS, POINT),
         "tilted_information: point.kept_columns[2] must be an integer in [0, 1], got 2"),
+    # Each of these once ended in a raw numpy ValueError (shapes not broadcast).
+    "tilted_information-kept_count": (
+        lambda: tilted_information(SKEW3, dataclasses.replace(POINT, kept_columns=(0, 1))),
+        "tilted_information: len(point.kept_columns) = 2 must equal point.forward.n_out = 3"),
+    "verify_csiszar_identity-kept_count": (
+        lambda: verify_csiszar_identity(SKEW3, dataclasses.replace(POINT, kept_columns=(0, 1))),
+        "verify_csiszar_identity: len(point.kept_columns) = 2 must equal "
+        "point.forward.n_out = 3"),
     "verify_csiszar_identity-two_symbols": (
         lambda: verify_csiszar_identity(SKEW2, POINT),
         "verify_csiszar_identity: point.forward.n_in = 3 must equal problem.n_source = 2"),
@@ -500,6 +523,43 @@ def test_arguments_that_do_not_fit_are_a_named_validation_error(name):
     assert str(err.value) == message
 
 
+# SKEW3 with its distortion scaled by 1e50: the solve at 2e49 reaches
+# distortion 0.0.
+HUGE = SourceProblem(px=PX, distortion=1e50 * hamming_distortion(3))
+MISSED = "achieved distortion 0.0 misses the target 2e+49 by more than tol = 1e-08"
+
+# id "function-argument": (call, the error it raises, the whole message)
+UNREACHABLE = {
+    "rd_at_distortion-d": (lambda: rd_at_distortion(SKEW3, 5.0), InfeasibleError,
+                           "rd_at_distortion: d = 5.0 outside the feasible interval [0.0, 0.5]"),
+    # Each of these once named rd_at_distortion and its d.
+    "rd_curve-grid": (lambda: rd_curve(SKEW3, [0.2, 5.0]), InfeasibleError,
+                      "rd_curve: grid[1] = 5.0 outside the feasible interval [0.0, 0.5]"),
+    "construct_sr-d2": (lambda: construct_sr(SKEW3, 0.9, 5.0), InfeasibleError,
+                        "construct_sr: d2 = 5.0 outside the feasible interval [0.0, 0.5]"),
+    "construct_sr_chain-d_final": (
+        lambda: construct_sr_chain(SKEW3, [0.9], 5.0), InfeasibleError,
+        "construct_sr_chain: d_final = 5.0 outside the feasible interval [0.0, 0.5]"),
+    "rd_curve-missed": (lambda: rd_curve(HUGE, [2e49]), ConvergenceError, f"rd_curve: {MISSED}"),
+    "construct_sr-missed": (lambda: construct_sr(HUGE, 0.9, 2e49), ConvergenceError,
+                            f"construct_sr: {MISSED}"),
+    "construct_sr_chain-missed": (lambda: construct_sr_chain(HUGE, [0.9], 2e49),
+                                  ConvergenceError, f"construct_sr_chain: {MISSED}"),
+    "build_corresponding-missed": (
+        lambda: build_corresponding(HUGE, 2), ConvergenceError,
+        "build_corresponding: achieved distortion 0.0 misses the target "
+        "2.0000000000000002e+49 by more than tol = 1e-08"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREACHABLE))
+def test_an_unreachable_target_names_the_called_function(name):
+    call, error, message = UNREACHABLE[name]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("name", sorted(ORDER_AND_EMPTINESS))
 def test_values_out_of_order_or_an_empty_sequence_are_a_named_validation_error(name):
     call, message = ORDER_AND_EMPTINESS[name]
@@ -536,9 +596,8 @@ def test_every_public_dataclass_is_a_record_or_a_result():
     # A new class must be placed: a record class gets the contract rows.
     dataclass_names = {name for name in loglosslab.__all__
                        if dataclasses.is_dataclass(getattr(loglosslab, name))}
-    results = {"RdDiagnostics", "Lemma1Report", "PartitionScheme", "ExcessScheme",
-               "Theorem1Check", "IdentitySweep", "CoincidenceReport", "SrCheck", "SrReport",
-               "TimeshareReport"}
+    results = {"RdDiagnostics", "Lemma1Report", "ExcessScheme", "Theorem1Check",
+               "IdentitySweep", "CoincidenceReport", "SrCheck", "SrReport", "TimeshareReport"}
     assert dataclass_names == results | {kind.__name__ for kind in RECORDS}
     # A result declares no field rule, so every declared field is checked.
     assert sorted(name for name in results if errors._plan(getattr(loglosslab, name))) == []

@@ -1,12 +1,14 @@
 """Every public name is declared once, in its module's ``__all__``.
 
 A name left in ``__all__`` after its definition is gone breaks
-``from loglosslab import *`` and misleads a reader of the list.  The package
-re-exports the library modules' lists and keeps none of its own; ``problemio``
-and ``cli`` stay out of it, so importing the package loads neither PyYAML
-nor argparse.  The argument rules and their decorator in ``errors`` are not
-exported, and only public functions carry the decorator.  The contract test
-(``test_error_contract.py``) walks every public function and method.
+``from loglosslab import *`` and misleads a reader of the list.  A class is
+listed by the module that defines it, so a class moved to another module
+leaves its old module's list.  The package re-exports the library modules'
+lists and keeps none of its own; ``problemio`` and ``cli`` stay out of it,
+so importing the package loads neither PyYAML nor argparse.  The argument
+rules and their decorator in ``errors`` are not exported, and only public
+functions carry the decorator.  The contract test (``test_error_contract.py``)
+walks every public function and method.
 """
 
 import importlib
@@ -57,6 +59,14 @@ def test_no_name_is_exported_by_two_modules():
     names = [name for module in LIBRARY
              for name in importlib.import_module(f"loglosslab.{module}").__all__]
     assert sorted({name for name in names if names.count(name) > 1}) == []
+
+
+def test_each_exported_class_is_listed_by_its_defining_module():
+    misplaced = [name for name in loglosslab.__all__
+                 if inspect.isclass(value := getattr(loglosslab, name))
+                 and name not in importlib.import_module(value.__module__).__all__]
+    assert misplaced == []
+    assert loglosslab.LogLossCode.__module__ == "loglosslab.oneshot"
 
 
 def test_importing_the_package_loads_neither_yaml_nor_argparse():
@@ -114,7 +124,7 @@ def test_only_public_functions_carry_the_argument_checks(name):
 
 
 def test_the_argument_rules_are_not_exported():
-    assert len(loglosslab.__all__) == 80
+    assert len(loglosslab.__all__) == 79
     rules = {"Real", "Int", "Seq", "Array", "Finite", "NonNegative", "Positive", "Probability",
              "Count", "Seed"}
     assert all(hasattr(errors, name) for name in rules)

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loglosslab import (
+    Channel,
     InfeasibleError,
     Pmf,
     SourceProblem,
     ValidationError,
     entropy,
     expected_distortion,
+    expected_log_loss,
     floor_exp,
     hamming_distortion,
     log_loss,
@@ -27,10 +29,10 @@ from loglosslab import (
     solve_avg_oracle,
     solve_codebook,
     solve_excess,
+    verify_lemma1,
 )
 from loglosslab import oneshot
-from loglosslab.equivalence import LogLossCode
-from loglosslab.oneshot import OneShotCode, excess_witness
+from loglosslab.oneshot import LogLossCode, OneShotCode, excess_witness
 
 LN2 = math.log(2.0)
 
@@ -56,6 +58,13 @@ def partition_oracle(px: Pmf, n_messages: int) -> float:
                 for x, m in enumerate(labels) if p[x] > 0.0)
         best = min(best, h)
     return best
+
+
+def assert_code_attains(px: Pmf, code: LogLossCode, value: float) -> None:
+    """The code's own expected log loss is ``value``, and its rows are its cells' posteriors."""
+    assert expected_log_loss(px, code) == pytest.approx(value, abs=1e-12)
+    one_hot = Channel(np.eye(code.n_messages)[list(code.encoder)])
+    assert verify_lemma1(px, code.decoder_rows, one_hot).ok
 
 
 class TestSolveAvg:
@@ -331,10 +340,10 @@ class TestFloorExp:
 
 class TestLoglossAvg:
     def test_uniform4_m2(self):
-        scheme, value = logloss_avg_optimum(Pmf.uniform(4), 2)
+        code, value = logloss_avg_optimum(Pmf.uniform(4), 2)
         assert value == pytest.approx(LN2, abs=1e-15)
         # canonical tie-break: first partition in enumeration order
-        assert scheme.encoder == (0, 0, 1, 1)
+        assert code.encoder == (0, 0, 1, 1)
 
     def test_m1_gives_entropy(self):
         px = Pmf([0.5, 0.3, 0.2])
@@ -351,28 +360,26 @@ class TestLoglossAvg:
         r = int(rng.integers(2, 7))
         px = random_pmf(rng, r)
         for m in (1, 2, 3):
-            _, value = logloss_avg_optimum(px, m)
+            code, value = logloss_avg_optimum(px, m)
             assert value == pytest.approx(partition_oracle(px, m), abs=1e-12)
+            assert_code_attains(px, code, value)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_entropy_gap_bound(self, seed):
         px = random_pmf(np.random.default_rng(700 + seed), 6)
         for m in (2, 3, 4):
-            _, value = logloss_avg_optimum(px, m)
+            code, value = logloss_avg_optimum(px, m)
             assert value >= entropy(px) - math.log(m) - 1e-12
+            assert_code_attains(px, code, value)
 
-    def test_scheme_rows_live_on_cells(self):
+    def test_code_rows_live_on_cells(self):
         px = Pmf([0.4, 0.3, 0.2, 0.1])
-        scheme, value = logloss_avg_optimum(px, 2)
-        for m, row in enumerate(scheme.posterior_rows):
-            assert row.probs.sum() == pytest.approx(1.0)
+        code, value = logloss_avg_optimum(px, 2)
+        for m, row in enumerate(code.decoder_rows):
             for x in range(4):
-                if scheme.encoder[x] != m:
+                if code.encoder[x] != m:
                     assert row.probs[x] == 0.0
-        # the expected loss of the scheme's own rows is the optimum
-        direct = sum(px.probs[x] * log_loss(x, scheme.posterior_rows[scheme.encoder[x]])
-                     for x in range(4))
-        assert direct == pytest.approx(value, abs=1e-12)
+        assert_code_attains(px, code, value)
 
     @pytest.mark.parametrize("px", [Pmf.uniform(12), Pmf.uniform(13), Pmf.uniform(14),
                                     Pmf([1.0, 0.0])], ids=["u12", "u13", "u14", "point"])
@@ -390,8 +397,9 @@ class TestLoglossAvg:
         # with the same value, and that partition comes earlier in
         # restricted-growth order, so the first optimum has no such cell.
         n_messages = data.draw(st.integers(1, len(weights) + 1))
-        scheme, _ = logloss_avg_optimum(renormalize(weights), n_messages)
-        assert (scheme.cell_masses > 0.0).all()
+        px = renormalize(weights)
+        code, _ = logloss_avg_optimum(px, n_messages)
+        assert (np.bincount(code.encoder, weights=px.probs) > 0.0).all()
 
     def test_alphabet_guard(self, refused):
         assert refused(logloss_avg_optimum, Pmf.uniform(15), 2) == (
@@ -412,7 +420,6 @@ class TestLoglossExcess:
         rng = np.random.default_rng(42)
         px = random_pmf(rng, 7)
         scheme, value = logloss_excess_optimum(px, 2, 0.8)
-        assert scheme.achieved_epsilon == value
         rows = scheme.decoder_rows()
         enc = scheme.encoder()
         assert len(enc) == 7
