@@ -29,7 +29,8 @@ from .equivalence import (
     identity_sweep,
     verify_optimum_coincidence,
 )
-from .errors import InstanceTooLargeError, LoglossLabError, ValidationError, _check_arguments
+from .errors import (InstanceTooLargeError, LoglossLabError, ValidationError, _check_arguments,
+                     _named)
 from .oneshot import (
     _FEASIBILITY_SLACK,
     _codebook,
@@ -172,8 +173,9 @@ def _cmd_oneshot(args) -> _CommandOutput:
     cover = None  # (subset, excess) of the scan that proved codebook's M, if one ran
     if crit == "codebook" and args.logloss:
         m = logloss_codebook(px, d, args.epsilon)
-    elif crit == "codebook":  # solve_codebook's rules check the scan's arguments
-        m, cover = _codebook(*_check_arguments(solve_codebook, (problem, d, args.epsilon), {}))
+    elif crit == "codebook":  # the scan, checked and named as solve_codebook
+        with _named("solve_codebook"):
+            m, cover = _codebook(*_check_arguments(solve_codebook, (problem, d, args.epsilon), {}))
     oracle = None
 
     if crit == "avg" and args.logloss:

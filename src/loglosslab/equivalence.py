@@ -117,7 +117,7 @@ def build_corresponding(problem: SourceProblem, n_messages: Count,
             f"D*({n_messages}) = {d_star!r} sits at a curve endpoint of "
             f"[{d_min!r}, {d_max!r}]; the corresponding problem degenerates there"
         )
-    point = _rd_point("build_corresponding", "d_star_m", problem, d_star, tol)
+    point = _rd_point("d_star_m", problem, d_star, tol)
 
     rows = point.reverse.rows
     same = _first_close_pair(rows, ROW_MATCH_TOL)
@@ -146,28 +146,23 @@ def build_corresponding(problem: SourceProblem, n_messages: Count,
     )
 
 
-def _map_code(caller: str, cp: CorrespondingProblem, code: OneShotCode) -> LogLossCode:
-    """map_code's body; a code that does not fit ``cp`` is refused naming ``caller``."""
-    _require_size(caller, "code.n_messages", code.n_messages, "cp.n_messages", cp.n_messages)
-    _require_size(caller, "len(code.encoder)", len(code.encoder), "cp.px.n", cp.px.n)
-    Seq(Int(0, cp.problem.n_reconstruction - 1)).check(caller, "code.decoder", code.decoder)
+@_checked
+def map_code(cp: CorrespondingProblem, code: OneShotCode) -> LogLossCode:
+    """Carry a source code across: same encoder, posterior rows as decoder."""
+    _require_size("code.n_messages", code.n_messages, "cp.n_messages", cp.n_messages)
+    _require_size("len(code.encoder)", len(code.encoder), "cp.px.n", cp.px.n)
+    Seq(Int(0, cp.problem.n_reconstruction - 1)).check("code.decoder", code.decoder)
     col_to_row = {col: j for j, col in enumerate(cp.source_point.kept_columns)}
     rows = []
     for m, col in enumerate(code.decoder):
         if col not in col_to_row:
             raise MappingError(
-                f"{caller}: decoder[{m}] uses reconstruction column {col}, "
+                f"decoder[{m}] uses reconstruction column {col}, "
                 "which was pruned from the solved point"
             )
         rows.append(cp.y_rows[col_to_row[col]])
     return LogLossCode(n_messages=code.n_messages, encoder=code.encoder,
                        decoder_rows=tuple(rows))
-
-
-@_checked
-def map_code(cp: CorrespondingProblem, code: OneShotCode) -> LogLossCode:
-    """Carry a source code across: same encoder, posterior rows as decoder."""
-    return _map_code("map_code", cp, code)
 
 
 @_checked
@@ -178,17 +173,16 @@ def unmap_code(cp: CorrespondingProblem, lcode: LogLossCode) -> OneShotCode:
     row; otherwise the code has no counterpart and MappingError names the
     offending message.
     """
-    _require_size("unmap_code", "lcode.n_messages", lcode.n_messages,
-                  "cp.n_messages", cp.n_messages)
-    _require_size("unmap_code", "len(lcode.encoder)", len(lcode.encoder), "cp.px.n", cp.px.n)
+    _require_size("lcode.n_messages", lcode.n_messages, "cp.n_messages", cp.n_messages)
+    _require_size("len(lcode.encoder)", len(lcode.encoder), "cp.px.n", cp.px.n)
     decoder = []
     for m, row in enumerate(lcode.decoder_rows):
-        _require_size("unmap_code", f"lcode.decoder_rows[{m}].n", row.n, "cp.px.n", cp.px.n)
+        _require_size(f"lcode.decoder_rows[{m}].n", row.n, "cp.px.n", cp.px.n)
         dists = np.abs(cp.source_point.reverse.rows - row.probs).max(axis=1)
         j = int(np.argmin(dists))
         if dists[j] > ROW_MATCH_TOL:
             raise MappingError(
-                f"unmap_code: decoder row for message {m} is {dists[j]:.3e} away "
+                f"decoder row for message {m} is {dists[j]:.3e} away "
                 f"from the nearest reverse row, beyond {ROW_MATCH_TOL}"
             )
         decoder.append(cp.source_point.kept_columns[j])
@@ -199,16 +193,16 @@ def unmap_code(cp: CorrespondingProblem, lcode: LogLossCode) -> OneShotCode:
 @_checked
 def expected_log_loss(px: Pmf, lcode: LogLossCode) -> float:
     """E[-ln q(X)] where q is the decoded row for X's message."""
-    _require_size("expected_log_loss", "len(lcode.encoder)", len(lcode.encoder), "px.n", px.n)
+    _require_size("len(lcode.encoder)", len(lcode.encoder), "px.n", px.n)
     for m, row in enumerate(lcode.decoder_rows):
-        _require_size("expected_log_loss", f"lcode.decoder_rows[{m}].n", row.n, "px.n", px.n)
+        _require_size(f"lcode.decoder_rows[{m}].n", row.n, "px.n", px.n)
     total = 0.0
     for x in px.support():
         qx = float(lcode.decoder_rows[lcode.encoder[x]].probs[x])
         if qx == 0.0:
             return math.inf
         total += px.probs[x] * -math.log(qx)
-    return total
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -221,11 +215,16 @@ class Theorem1Check:
     expected_d: float
 
 
-def _theorem1(caller: str, cp: CorrespondingProblem, code: OneShotCode,
-              tol: float) -> Theorem1Check:
-    """verify_theorem1's body; a code that does not fit ``cp`` is refused naming ``caller``."""
-    lcode = _map_code(caller, cp, code)
-    lhs = expected_log_loss(cp.px, lcode)
+@_checked
+def verify_theorem1(cp: CorrespondingProblem, code: OneShotCode,
+                    tol: NonNegative = _FLOOR_TOL) -> Theorem1Check:
+    """Evaluate the identity for one code and check the floor.
+
+    lhs is the expected log loss of the mapped code; rhs is
+    h + lambda* (E[d] - D*(M)).  The lhs must also stay above h (the value
+    of the optimum) up to tol; a violation raises VerificationError.
+    """
+    lhs = expected_log_loss(cp.px, map_code(cp, code))
     e_d = expected_distortion(cp.problem, code)
     rhs = cp.h_x_given_xhat + cp.lambda_star * (e_d - cp.d_star_m)
     if lhs < cp.h_x_given_xhat - tol:
@@ -236,21 +235,9 @@ def _theorem1(caller: str, cp: CorrespondingProblem, code: OneShotCode,
 
 
 @_checked
-def verify_theorem1(cp: CorrespondingProblem, code: OneShotCode,
-                    tol: NonNegative = _FLOOR_TOL) -> Theorem1Check:
-    """Evaluate the identity for one code and check the floor.
-
-    lhs is the expected log loss of the mapped code; rhs is
-    h + lambda* (E[d] - D*(M)).  The lhs must also stay above h (the value
-    of the optimum) up to tol; a violation raises VerificationError.
-    """
-    return _theorem1("verify_theorem1", cp, code, tol)
-
-
-@_checked
 def suboptimality_gap(cp: CorrespondingProblem, code: OneShotCode) -> tuple[float, float]:
     """(log-loss regret, lambda* times distortion regret); equal for every code."""
-    check = _theorem1("suboptimality_gap", cp, code, _FLOOR_TOL)
+    check = verify_theorem1(cp, code)
     return (check.lhs - cp.h_x_given_xhat,
             cp.lambda_star * (check.expected_d - cp.d_star_m))
 
@@ -268,7 +255,7 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
     return w_d, w_l
 
 
-def _cell_blocks(cp: CorrespondingProblem, caller: str):
+def _cell_blocks(cp: CorrespondingProblem):
     """A generator of (ordinals, cells, lows, row_min) blocks over the canonical encoders.
 
     Row n of a block is the encoder of ordinal ``ordinals[n]`` in
@@ -277,11 +264,11 @@ def _cell_blocks(cp: CorrespondingProblem, caller: str):
     (side 0) or log-loss side (side 1), and ``lows`` and ``row_min`` its
     cells' and its least costs, as ``_least_costs`` forms them.  The
     10^7-pair guard is checked when this is called, before any block is
-    formed, and its error names ``caller``.
+    formed.
     """
     m_count = cp.n_messages
     k = len(cp.y_rows)
-    _check_work(caller, m_count ** cp.px.n * k ** m_count, "code pairs", _CODE_ENUM_GUARD)
+    _check_work(m_count ** cp.px.n * k ** m_count, "code pairs", _CODE_ENUM_GUARD)
     blocks = _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count, k ** m_count)
     return ((ordinals, cells) + _least_costs(cells)
             for ordinals, sums in blocks
@@ -338,7 +325,7 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     lam = cp.lambda_star
     d_star = cp.d_star_m
     # Taking the blocks checks the guard, before any buffer is allocated.
-    blocks = _cell_blocks(cp, "identity_sweep")
+    blocks = _cell_blocks(cp)
 
     max_resid = 0.0
     min_loss = math.inf
@@ -515,7 +502,7 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     best = [math.inf, math.inf]
     kept: list[list] = [[], []]  # per side: (costs, keys)
     pairs_summed = 0
-    for ordinals, cells, lows, row_min in _cell_blocks(cp, "verify_optimum_coincidence"):
+    for ordinals, cells, lows, row_min in _cell_blocks(cp):
         for side, low in enumerate(row_min.min(axis=1).tolist()):
             if low < best[side]:
                 best[side] = low

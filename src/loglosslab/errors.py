@@ -7,17 +7,27 @@ can catch one type at the boundary.  Input problems additionally derive from
 A public function declares the rule of each argument once, on its signature
 (PEP 593), and carries :func:`_checked`, which applies the rules before the
 body runs.  A record declares the rule of each field on its annotation, and
-its ``__post_init__`` calls :func:`_check_fields` first.
+its ``__post_init__`` is one call to :func:`_check_fields`, which applies
+the rules and then the record's checks between fields.
 ``Annotated[float, Real(...)]``, ``Annotated[int, Int(...)]``,
 ``Annotated[tuple, Seq(...)]`` and ``Annotated[np.ndarray, Array(...)]``
 declare a rule, and a record class (a dataclass) asks for an instance of it;
 the aliases below name the common rules.  A rule's ``check`` is its only
 implementation: a body that checks a bound set by another argument calls
-it too, as in ``Int(0, q.n - 1).check("log_loss", "x", x)``.
+it too, as in ``Int(0, q.n - 1).check("x", x)``.
+
+No message names the function or record that refused.  Every refusal
+leaves through one owner that names it: the wrapper that :func:`_checked`
+puts on a public function, :func:`_check_fields` for a record, or
+:func:`_named` for the few public calls neither covers.  Each sets the
+error's ``caller`` on the way out, and a wrapper further out sets it again,
+so the outermost public call is the one named: ``build_corresponding``
+names a refusal of the ``solve_avg`` it calls.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import inspect
@@ -44,7 +54,16 @@ _SLACK = 1e-12
 
 
 class LoglossLabError(Exception):
-    """Base class for all errors raised by loglosslab."""
+    """Base class for all errors raised by loglosslab.
+
+    ``caller`` is the public function or record that refused, set as the
+    error leaves it; the message starts with it.
+    """
+
+    caller: str | None = None
+
+    def __str__(self) -> str:
+        return super().__str__() if self.caller is None else f"{self.caller}: {super().__str__()}"
 
 
 class ValidationError(LoglossLabError, ValueError):
@@ -82,35 +101,35 @@ class VerificationError(LoglossLabError):
     """A quantity that must hold mathematically failed its numeric check."""
 
 
-def _require_size(caller: str, name: str, size, other: str, expected) -> None:
+def _require_size(name: str, size, other: str, expected) -> None:
     """Raise ValidationError unless ``size``, of ``name``, equals ``expected``, of ``other``.
 
     A size is usually an int; any two values that compare by ``!=`` will do,
     such as two alphabets.
     """
     if size != expected:
-        raise ValidationError(f"{caller}: {name} = {size} must equal {other} = {expected}")
+        raise ValidationError(f"{name} = {size} must equal {other} = {expected}")
 
 
-def _require_order(caller: str, name: str, value: float, other: str, bound: float) -> None:
+def _require_order(name: str, value: float, other: str, bound: float) -> None:
     """Raise ValidationError if ``value``, of ``name``, exceeds ``bound``, of ``other``.
 
     The value may pass the bound by ``_SLACK``.
     """
     if value > bound + _SLACK:
-        raise ValidationError(f"{caller}: {name} = {value!r} must not exceed {other} = {bound!r}")
+        raise ValidationError(f"{name} = {value!r} must not exceed {other} = {bound!r}")
 
 
-def _require_nonempty(caller: str, name: str, values) -> None:
+def _require_nonempty(name: str, values) -> None:
     """Raise ValidationError if the sequence ``values``, of ``name``, is empty."""
     if not values:
-        raise ValidationError(f"{caller}: {name} must not be empty")
+        raise ValidationError(f"{name} must not be empty")
 
 
-def _clamp_target(caller: str, name: str, value: float, low: float, high: float) -> float:
+def _clamp_target(name: str, value: float, low: float, high: float) -> float:
     """value clamped into [low, high]; InfeasibleError if it misses by over ``_SLACK``."""
     if value < low - _SLACK or value > high + _SLACK:
-        raise InfeasibleError(f"{caller}: {name} = {value!r} outside the feasible "
+        raise InfeasibleError(f"{name} = {value!r} outside the feasible "
                               f"interval [{low!r}, {high!r}]")
     return min(max(value, low), high)
 
@@ -125,8 +144,8 @@ class Real(typing.NamedTuple):
     high: float | None = None
     positive: bool = False
 
-    def check(self, caller: str, name: str, value):
-        """``value``; ValidationError naming ``caller`` and ``name`` if it breaks the rule."""
+    def check(self, name: str, value):
+        """``value``; ValidationError naming ``name`` if it breaks the rule."""
         low, high = self.low, self.high
         try:
             finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -139,7 +158,7 @@ class Real(typing.NamedTuple):
                     else "must be finite" if low is None
                     else f"must be finite and >= {low:g}" if high is None
                     else f"must lie in [{low:g}, {high:g}]")
-            raise ValidationError(f"{caller}: {name} {rule}, got {value!r}")
+            raise ValidationError(f"{name} {rule}, got {value!r}")
         return value
 
 
@@ -150,7 +169,7 @@ class Int(typing.NamedTuple):
     maximum: int | None = None
     allow_none: bool = False
 
-    def check(self, caller: str, name: str, value):
+    def check(self, name: str, value):
         if self.allow_none and value is None:
             return value
         minimum, maximum = self.minimum, self.maximum
@@ -158,7 +177,7 @@ class Int(typing.NamedTuple):
                 and value >= minimum and (maximum is None or value <= maximum)):
             what = "None or an integer" if self.allow_none else "an integer"
             bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-            raise ValidationError(f"{caller}: {name} must be {what} {bound}, got {value!r}")
+            raise ValidationError(f"{name} must be {what} {bound}, got {value!r}")
         return value
 
 
@@ -172,49 +191,50 @@ class Seq(typing.NamedTuple):
     entry: object = None
     nonempty: bool = False
 
-    def check(self, caller: str, name: str, value) -> tuple:
+    def check(self, name: str, value) -> tuple:
         try:
             entries = None if isinstance(value, (str, bytes)) else iter(value)
         except TypeError:
             entries = None
         if entries is None:
-            raise ValidationError(f"{caller}: {name} must be a sequence, got {value!r}")
+            raise ValidationError(f"{name} must be a sequence, got {value!r}")
         entries = tuple(entries)
         if self.nonempty:
-            _require_nonempty(caller, name, entries)
+            _require_nonempty(name, entries)
         if self.entry is not None:
             rule = _Instance(self.entry) if isinstance(self.entry, type) else self.entry
             for i, entry in enumerate(entries):
-                rule.check(caller, f"{name}[{i}]", entry)
+                rule.check(f"{name}[{i}]", entry)
         return entries
 
 
 class Array(typing.NamedTuple):
-    """A nonempty array of finite nonnegative floats with ``ndim`` axes, passed on read-only.
+    """A nonempty array of finite floats with ``ndim`` axes, passed on read-only.
 
-    Its entries are numbers: a bool or a string converts to a float, but is refused.
+    Its entries are numbers: a bool or a string converts to a float, but is
+    refused.  They are nonnegative unless ``nonnegative`` is False.
     """
 
     ndim: int
+    nonnegative: bool = True
 
-    def check(self, caller: str, name: str, value) -> np.ndarray:
+    def check(self, name: str, value) -> np.ndarray:
         try:
             arr = np.array(value, dtype=float)
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{caller}: {name} is not convertible to floats: {exc}") from exc
+            raise ValidationError(f"{name} is not convertible to floats: {exc}") from exc
         if arr.ndim != self.ndim:
-            raise ValidationError(f"{caller}: {name} must be {self.ndim}-D, got shape {arr.shape}")
+            raise ValidationError(f"{name} must be {self.ndim}-D, got shape {arr.shape}")
         # A float or integer array holds numbers; anything else is read entry by entry.
         if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
             for entry in np.array(value, dtype=object).flat:
                 if isinstance(entry, (bool, np.bool_, str, bytes)):
-                    raise ValidationError(f"{caller}: {name} entries must be numbers, "
-                                          f"got {entry!r}")
-        _require_nonempty(caller, name, arr.flat)
+                    raise ValidationError(f"{name} entries must be numbers, got {entry!r}")
+        _require_nonempty(name, arr.flat)
         if not np.isfinite(arr).all():
-            raise ValidationError(f"{caller}: {name} entries must be finite")
-        if (arr < 0.0).any():
-            raise ValidationError(f"{caller}: {name} entries must be nonnegative")
+            raise ValidationError(f"{name} entries must be finite")
+        if self.nonnegative and (arr < 0.0).any():
+            raise ValidationError(f"{name} entries must be nonnegative")
         arr.setflags(write=False)
         return arr
 
@@ -224,9 +244,9 @@ class _Instance(typing.NamedTuple):
 
     kind: type
 
-    def check(self, caller: str, name: str, value):
+    def check(self, name: str, value):
         if not isinstance(value, self.kind):
-            raise ValidationError(f"{caller}: {name} must be a {self.kind.__name__}, "
+            raise ValidationError(f"{name} must be a {self.kind.__name__}, "
                                   f"got {type(value).__name__}")
         return value
 
@@ -269,34 +289,59 @@ def _check_arguments(fn, args: tuple, kwargs: dict) -> list:
     """The arguments ``args`` of a call to ``fn``, each checked by its rule and converted.
 
     ``kwargs`` is checked and converted in place; an argument left at its
-    default is not checked.  Errors name ``fn.__qualname__``.
+    default is not checked.  Errors name the argument, not ``fn``.
     """
     args = list(args)
     for i, name, rule in _plan(fn):
         if i < len(args):
-            args[i] = rule.check(fn.__qualname__, name, args[i])
+            args[i] = rule.check(name, args[i])
         elif name in kwargs:
-            kwargs[name] = rule.check(fn.__qualname__, name, kwargs[name])
+            kwargs[name] = rule.check(name, kwargs[name])
     return args
 
 
-def _check_fields(record) -> None:
-    """Check each field of a frozen record that declares a rule, and store its converted value.
+def _check_fields(record, *relations) -> None:
+    """Check a frozen record: each field that declares a rule, then each relation.
 
-    Errors name the record's class.
+    Each field's converted value is stored before ``relation(record)`` runs
+    for each relation, a check between fields.  Errors name the record's
+    class.
     """
-    caller = type(record).__qualname__
-    for _, name, rule in _plan(type(record)):
-        object.__setattr__(record, name, rule.check(caller, name, getattr(record, name)))
+    try:
+        for _, name, rule in _plan(type(record)):
+            object.__setattr__(record, name, rule.check(name, getattr(record, name)))
+        for relation in relations:
+            relation(record)
+    except LoglossLabError as exc:
+        exc.caller = type(record).__qualname__
+        raise
 
 
 def _checked(fn):
     """Decorate a public function so that its declared rules check each argument first.
 
-    Private functions are never decorated, so the hot paths pay nothing.
+    An error that leaves the call names it.  Private functions are never
+    decorated, so the hot paths pay nothing.
     """
     @functools.wraps(fn)
     def checked(*args, **kwargs):
-        return fn(*_check_arguments(checked, args, kwargs), **kwargs)
+        try:
+            return fn(*_check_arguments(checked, args, kwargs), **kwargs)
+        except LoglossLabError as exc:
+            exc.caller = checked.__qualname__
+            raise
 
     return checked
+
+
+@contextlib.contextmanager
+def _named(caller: str):
+    """Name ``caller`` in an error raised within ``with _named(caller):``.
+
+    For a public call that neither :func:`_checked` nor a record check names.
+    """
+    try:
+        yield
+    except LoglossLabError as exc:
+        exc.caller = caller
+        raise

@@ -81,10 +81,10 @@ _FLOOR_EXP_MAX = math.log(sys.float_info.max) - 2.0 * _FLOOR_SLACK
 _FEASIBILITY_SLACK = 1e-12
 
 
-def _check_work(caller: str, amount: int, what: str, guard: int) -> None:
+def _check_work(amount: int, what: str, guard: int) -> None:
     """Refuse a call whose exhaustive work, ``amount`` of ``what``, exceeds ``guard``."""
     if amount > guard:
-        raise InstanceTooLargeError(f"{caller}: {amount} {what} exceeds guard {guard}")
+        raise InstanceTooLargeError(f"{amount} {what} exceeds guard {guard}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class OneShotCode:
     decoder: Annotated[tuple, Seq(Int(0))]
 
     def __post_init__(self):
-        _check_code(self, "decoder")
+        _check_fields(self, _check_code)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,28 +117,21 @@ class LogLossCode:
     decoder_rows: Annotated[tuple, Seq(Pmf)]
 
     def __post_init__(self):
-        _check_code(self, "decoder_rows")
+        _check_fields(self, _check_code)
 
 
-def _check_code(code, decoder: str) -> None:
-    """Check a code's fields, then that field ``decoder`` has an entry per message.
-
-    The encoder's entries must name messages too.  Errors name the code's class.
-    """
-    _check_fields(code)
-    caller = type(code).__qualname__
-    _require_size(caller, f"len({decoder})", len(getattr(code, decoder)),
-                  "n_messages", code.n_messages)
-    Seq(Int(0, code.n_messages - 1)).check(caller, "encoder", code.encoder)
+def _check_code(code: OneShotCode | LogLossCode) -> None:
+    """Refuse a code without a decoder entry per message, or whose encoder names another."""
+    decoder = "decoder" if isinstance(code, OneShotCode) else "decoder_rows"
+    _require_size(f"len({decoder})", len(getattr(code, decoder)), "n_messages", code.n_messages)
+    Seq(Int(0, code.n_messages - 1)).check("encoder", code.encoder)
 
 
 @_checked
 def expected_distortion(problem: SourceProblem, code: OneShotCode) -> float:
     """E d(X, g(f(X))) for a code over the problem's distortion matrix."""
-    _require_size("expected_distortion", "len(code.encoder)", len(code.encoder),
-                  "problem.n_source", problem.n_source)
-    Seq(Int(0, problem.n_reconstruction - 1)).check("expected_distortion", "code.decoder",
-                                                    code.decoder)
+    _require_size("len(code.encoder)", len(code.encoder), "problem.n_source", problem.n_source)
+    Seq(Int(0, problem.n_reconstruction - 1)).check("code.decoder", code.decoder)
     px = problem.px.probs
     dist = problem.distortion
     return float(sum(px[x] * dist[x, code.decoder[code.encoder[x]]]
@@ -234,15 +227,14 @@ def _subset_code(problem: SourceProblem, subset: tuple[int, ...]) -> OneShotCode
     return OneShotCode(n_messages=len(subset), encoder=encoder, decoder=tuple(subset))
 
 
-def _first_best_subset(caller: str, problem: SourceProblem, n_messages: int,
-                       score) -> tuple[int, ...]:
+def _first_best_subset(problem: SourceProblem, n_messages: int, score) -> tuple[int, ...]:
     """The first subset of min(M, s) columns, in lexicographic order, of least score.
 
     Guarded at 10^6 subsets.
     """
     s = problem.n_reconstruction
     size = min(n_messages, s)
-    _check_work(caller, math.comb(s, size), "column subsets", _SUBSET_GUARD)
+    _check_work(math.comb(s, size), "column subsets", _SUBSET_GUARD)
     return min(itertools.combinations(range(s), size), key=score)
 
 
@@ -257,9 +249,8 @@ def solve_avg(problem: SourceProblem, n_messages: Count) -> tuple[OneShotCode, f
     """
     px = problem.px.probs
     dist = problem.distortion
-    best_subset = _first_best_subset(
-        "solve_avg", problem, n_messages,
-        lambda subset: float(px @ dist[:, subset].min(axis=1)))
+    best_subset = _first_best_subset(problem, n_messages,
+                                     lambda subset: float(px @ dist[:, subset].min(axis=1)))
     code = _subset_code(problem, best_subset)
     # Report the value through the shared evaluator so independent solvers
     # that land on the same code agree bitwise.
@@ -276,7 +267,7 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: Count) -> float:
     so agreement with solve_avg is bitwise when the optimum is unique.
     """
     r = problem.n_source
-    _check_work("solve_avg_oracle", n_messages ** r, "encoders", _CODE_ENUM_GUARD)
+    _check_work(n_messages ** r, "encoders", _CODE_ENUM_GUARD)
     px = problem.px.probs
     dist = problem.distortion
     weighted = px[:, None] * dist  # row x: px(x) d(x, .)
@@ -300,18 +291,16 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: Count) -> float:
     return expected_distortion(problem, best_code)
 
 
-def _best_cover(caller: str, problem: SourceProblem, n_messages: int,
-                d: float) -> tuple[tuple[int, ...], float]:
+def _best_cover(problem: SourceProblem, n_messages: int, d: float) -> tuple[tuple[int, ...], float]:
     """The first subset of min(M, s) columns covering the most probability.
 
     A symbol is covered by a column when its distortion is <= D.  Returns
-    (subset, excess probability 1 - covered mass, clamped into [0, 1]); the
-    subset guard's refusal names ``caller``.
+    (subset, excess probability 1 - covered mass, clamped into [0, 1]).
     """
     px = problem.px.probs
     covers = problem.distortion <= d  # r x s
     # Negation is exact, so the least -mass is the first subset of most mass.
-    best_subset = _first_best_subset(caller, problem, n_messages,
+    best_subset = _first_best_subset(problem, n_messages,
                                      lambda subset: -_cover_mass(px, covers, subset))
     return best_subset, _excess(_cover_mass(px, covers, best_subset))
 
@@ -333,7 +322,7 @@ def solve_excess(problem: SourceProblem, n_messages: Count, d: Finite) -> float:
     A symbol is covered by a column when its distortion is <= D; the optimum
     picks the subset of min(M, s) columns covering the most probability.
     """
-    return _best_cover("solve_excess", problem, n_messages, d)[1]
+    return _best_cover(problem, n_messages, d)[1]
 
 
 @_checked
@@ -344,7 +333,7 @@ def excess_witness(problem: SourceProblem,
     Uncovered symbols are encoded to the subset column of least distortion,
     which cannot hurt the excess criterion.
     """
-    subset, excess = _best_cover("excess_witness", problem, n_messages, d)
+    subset, excess = _best_cover(problem, n_messages, d)
     return _subset_code(problem, subset), excess
 
 
@@ -380,7 +369,7 @@ def _codebook(problem: SourceProblem, d: float,
     best = _excess(_cover_mass(px, covers, list(range(s))))
     if best > target:
         raise InfeasibleError(
-            f"solve_codebook: excess target {eps!r} at distortion {d!r} unreachable; "
+            f"excess target {eps!r} at distortion {d!r} unreachable; "
             f"best achievable is {best!r}"
         )
     chosen: list[int] = []
@@ -391,10 +380,10 @@ def _codebook(problem: SourceProblem, d: float,
         gain[chosen] = -1.0
         chosen.append(int(np.argmax(gain)))
     m_greedy = len(chosen)
-    _check_work("solve_codebook", sum(math.comb(s, m) for m in range(1, m_greedy + 1)),
-                "column subsets", _SUBSET_GUARD)
+    _check_work(sum(math.comb(s, m) for m in range(1, m_greedy + 1)), "column subsets",
+                _SUBSET_GUARD)
     for m in range(1, m_greedy):
-        cover = _best_cover("solve_codebook", problem, m, d)
+        cover = _best_cover(problem, m, d)
         if cover[1] <= target:
             return m, cover
     return m_greedy, None
@@ -416,7 +405,7 @@ def floor_exp(d: NonNegative) -> int:
     O(log k) logarithms.
     """
     if d > _FLOOR_EXP_MAX:
-        raise ValidationError(f"floor_exp: d must be at most {_FLOOR_EXP_MAX:g}, got {d!r}: "
+        raise ValidationError(f"d must be at most {_FLOOR_EXP_MAX:g}, got {d!r}: "
                               "floor(exp(d)) would not be a float")
     limit = d + _FLOOR_SLACK
     # Invariant once bracketed: ln lo <= limit < ln hi (ln 1 = 0 <= limit).
@@ -523,7 +512,7 @@ def logloss_avg_optimum(px: Pmf, n_messages: Count) -> tuple[LogLossCode, float]
     Guarded at alphabets of size 14.
     """
     r = px.n
-    _check_work("logloss_avg_optimum", r, "symbols", _PARTITION_ALPHABET_GUARD)
+    _check_work(r, "symbols", _PARTITION_ALPHABET_GUARD)
     p = px.probs
 
     # A cell's mass is fixed by the cell's bit mask.  A table over the 2^r
@@ -666,7 +655,7 @@ def logloss_excess_oracle(px: Pmf, n_messages: Count, d: NonNegative) -> float:
     Guarded at alphabets of size 12.
     """
     r = px.n
-    _check_work("logloss_excess_oracle", r, "symbols", _COVER_ALPHABET_GUARD)
+    _check_work(r, "symbols", _COVER_ALPHABET_GUARD)
     budget = min(n_messages * floor_exp(d), r)
     p = px.probs
 

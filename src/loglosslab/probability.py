@@ -19,7 +19,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import Array, Count, Int, Seq, ValidationError, _check_fields, _checked, _require_size
+from .errors import (Array, Count, Int, Seq, ValidationError, _check_fields, _checked, _named,
+                     _require_size)
 
 __all__ = [
     "SUM_TOL",
@@ -43,20 +44,19 @@ __all__ = [
 SUM_TOL = 1e-9
 
 
-def _check_total(arr: np.ndarray, name: str) -> None:
-    total = float(arr.sum())
+def _check_total(record: Pmf | Joint) -> None:
+    """Refuse a Pmf or a Joint whose entries do not sum to 1 within SUM_TOL."""
+    total = float((record.probs if isinstance(record, Pmf) else record.table).sum())
     if abs(total - 1.0) > SUM_TOL:
-        raise ValidationError(f"{name}: sums to {total!r}, outside 1 +/- {SUM_TOL}")
+        raise ValidationError(f"sums to {total!r}, outside 1 +/- {SUM_TOL}")
 
 
-def _check_rows_normalized(arr: np.ndarray, name: str) -> None:
-    sums = np.add.reduce(arr, -1)
+def _check_rows_normalized(ch: Channel) -> None:
+    sums = np.add.reduce(ch.rows, -1)
     bad = np.abs(sums - 1.0) > SUM_TOL
     if bad.any():
         idx = int(np.argmax(bad))
-        raise ValidationError(
-            f"{name}: row {idx} sums to {sums.flat[idx]!r}, outside 1 +/- {SUM_TOL}"
-        )
+        raise ValidationError(f"row {idx} sums to {sums.flat[idx]!r}, outside 1 +/- {SUM_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +66,7 @@ class Pmf:
     probs: Annotated[np.ndarray, Array(1)]
 
     def __post_init__(self):
-        _check_fields(self)
-        _check_total(self.probs, "Pmf")
+        _check_fields(self, _check_total)
 
     @property
     def n(self) -> int:
@@ -81,7 +80,7 @@ class Pmf:
     @staticmethod
     @_checked
     def point_mass(n: Count, x: int) -> "Pmf":
-        Int(0, n - 1).check("Pmf.point_mass", "x", x)
+        Int(0, n - 1).check("x", x)
         p = np.zeros(n)
         p[x] = 1.0
         return Pmf(p)
@@ -98,8 +97,7 @@ class Channel:
     rows: Annotated[np.ndarray, Array(2)]
 
     def __post_init__(self):
-        _check_fields(self)
-        _check_rows_normalized(self.rows, "Channel")
+        _check_fields(self, _check_rows_normalized)
 
     @property
     def n_in(self) -> int:
@@ -110,7 +108,8 @@ class Channel:
         return self.rows.shape[1]
 
     def row(self, x: int) -> Pmf:
-        Int(0, self.n_in - 1).check("Channel.row", "x", x)
+        with _named("Channel.row"):
+            Int(0, self.n_in - 1).check("x", x)
         return Pmf(self.rows[x])
 
     @staticmethod
@@ -131,8 +130,7 @@ class Joint:
     table: Annotated[np.ndarray, Array(2)]
 
     def __post_init__(self):
-        _check_fields(self)
-        _check_total(self.table, "Joint")
+        _check_fields(self, _check_total)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -153,7 +151,7 @@ def renormalize(weights: Annotated[np.ndarray, Array(1)]) -> Pmf:
     """
     total = float(weights.sum())
     if total <= 0.0:
-        raise ValidationError("renormalize: total weight must be positive")
+        raise ValidationError("total weight must be positive")
     return Pmf(weights / total)
 
 
@@ -184,7 +182,7 @@ def varentropy(p: Pmf) -> float:
 @_checked
 def kl_divergence(p: Pmf, q: Pmf) -> float:
     """Relative entropy D(p || q) in nats; ``math.inf`` off q's support."""
-    _require_size("kl_divergence", "q.n", q.n, "p.n", p.n)
+    _require_size("q.n", q.n, "p.n", p.n)
     pa, qa = p.probs, q.probs
     mask = pa > 0.0
     if np.any(qa[mask] == 0.0):
@@ -205,14 +203,14 @@ def mutual_information(px: Pmf, ch: Channel) -> float:
     Computed as H(Y) - sum_x px(x) H(Y | X = x); tiny negative float residue
     is clamped to zero.
     """
-    _require_size("mutual_information", "ch.n_in", ch.n_in, "px.n", px.n)
+    _require_size("ch.n_in", ch.n_in, "px.n", px.n)
     py = px.probs @ ch.rows
     h_y = _neg_p_log_p(py)
     h_y_given_x = 0.0
     for x in px.support():
         h_y_given_x += px.probs[x] * _neg_p_log_p(ch.rows[x])
     # Nonnegative up to float residue; clamp the dust, never a real deficit.
-    return max(h_y - h_y_given_x, 0.0)
+    return max(float(h_y - h_y_given_x), 0.0)
 
 
 def _information(table: np.ndarray, p_x: np.ndarray, p_g: np.ndarray) -> float:
@@ -254,30 +252,23 @@ def _decoder_fit(table: np.ndarray, rows) -> tuple[float, float, float]:
 def information_density(j: Joint, x: int, y: int) -> float:
     """ln of P(x, y) / (P(x) P(y)); errors on zero marginals or zero mass."""
     r, s = j.shape
-    Int(0, r - 1).check("information_density", "x", x)
-    Int(0, s - 1).check("information_density", "y", y)
+    Int(0, r - 1).check("x", x)
+    Int(0, s - 1).check("y", y)
     px = float(j.table[x, :].sum())
     py = float(j.table[:, y].sum())
     if px == 0.0 or py == 0.0:
-        raise ValidationError(f"information_density: zero marginal at ({x}, {y})")
+        raise ValidationError(f"zero marginal at ({x}, {y})")
     pxy = float(j.table[x, y])
     if pxy == 0.0:
-        raise ValidationError(
-            f"information_density: zero joint mass at ({x}, {y}), density is -infinity"
-        )
+        raise ValidationError(f"zero joint mass at ({x}, {y}), density is -infinity")
     return math.log(pxy) - math.log(px) - math.log(py)
-
-
-def _joint(caller: str, px: Pmf, ch: Channel) -> Joint:
-    """Joint P(x, y) = px(x) ch(y | x); a size mismatch names ``caller``."""
-    _require_size(caller, "ch.n_in", ch.n_in, "px.n", px.n)
-    return Joint(px.probs[:, None] * ch.rows)
 
 
 @_checked
 def joint_from_source_and_channel(px: Pmf, ch: Channel) -> Joint:
     """Joint P(x, y) = px(x) ch(y | x)."""
-    return _joint("joint_from_source_and_channel", px, ch)
+    _require_size("ch.n_in", ch.n_in, "px.n", px.n)
+    return Joint(px.probs[:, None] * ch.rows)
 
 
 @_checked
@@ -287,20 +278,18 @@ def posterior(px: Pmf, ch: Channel) -> tuple[Channel, Pmf]:
     Every output column must carry positive probability; prune zero-mass
     outputs before inverting.
     """
-    j = _joint("posterior", px, ch)
+    j = joint_from_source_and_channel(px, ch)
     py = j.table.sum(axis=0)
     dead = np.flatnonzero(py == 0.0)
     if dead.size:
-        raise ValidationError(
-            f"posterior: zero-probability output column(s) {dead.tolist()}; prune first"
-        )
+        raise ValidationError(f"zero-probability output column(s) {dead.tolist()}; prune first")
     reverse = Channel(j.table.T / py[:, None])
     return reverse, Pmf(py)
 
 
-def _log_loss(caller: str, name: str, x: int, q: Pmf) -> float:
-    """-ln q(x); a symbol outside q's alphabet is refused as argument ``name`` of ``caller``."""
-    Int(0, q.n - 1).check(caller, name, x)
+def _log_loss(name: str, x: int, q: Pmf) -> float:
+    """-ln q(x); a symbol outside q's alphabet is refused as argument ``name``."""
+    Int(0, q.n - 1).check(name, x)
     qx = float(q.probs[x])
     if qx == 0.0:
         return math.inf
@@ -310,13 +299,13 @@ def _log_loss(caller: str, name: str, x: int, q: Pmf) -> float:
 @_checked
 def log_loss(x: int, q: Pmf) -> float:
     """-ln q(x), the logarithmic loss of reproduction q against symbol x."""
-    return _log_loss("log_loss", "x", x, q)
+    return _log_loss("x", x, q)
 
 
 @_checked
 def log_loss_seq(xs: Annotated[tuple, Seq(nonempty=True)],
                  qs: Annotated[tuple, Seq(Pmf)]) -> float:
     """Average of per-symbol log losses over a block."""
-    _require_size("log_loss_seq", "len(qs)", len(qs), "len(xs)", len(xs))
-    return sum(_log_loss("log_loss_seq", f"xs[{i}]", x, q)
+    _require_size("len(qs)", len(qs), "len(xs)", len(xs))
+    return sum(_log_loss(f"xs[{i}]", x, q)
                for i, (x, q) in enumerate(zip(xs, qs))) / len(xs)

@@ -137,12 +137,7 @@ class SourceProblem:
     distortion: Annotated[np.ndarray, Array(2)]
 
     def __post_init__(self):
-        _check_fields(self)
-        _require_size("SourceProblem", "len(distortion)", len(self.distortion), "px.n", self.px.n)
-        same = _first_close_pair(self.distortion.T, COLUMN_MATCH_TOL)
-        if same is not None:
-            a, b = same
-            raise ValidationError(f"SourceProblem: distortion columns {a} and {b} are identical")
+        _check_fields(self, _check_columns)
 
     @property
     def n_source(self) -> int:
@@ -151,6 +146,15 @@ class SourceProblem:
     @property
     def n_reconstruction(self) -> int:
         return self.distortion.shape[1]
+
+
+def _check_columns(problem: SourceProblem) -> None:
+    """Refuse a distortion matrix without a row per source symbol, or with two equal columns."""
+    _require_size("len(distortion)", len(problem.distortion), "px.n", problem.px.n)
+    same = _first_close_pair(problem.distortion.T, COLUMN_MATCH_TOL)
+    if same is not None:
+        a, b = same
+        raise ValidationError(f"distortion columns {a} and {b} are identical")
 
 
 @_checked
@@ -538,7 +542,7 @@ class RdPoint:
     forward: Channel
     output_marginal: Pmf
     reverse: Channel
-    tilted: np.ndarray
+    tilted: Annotated[np.ndarray, Array(1, nonnegative=False)]
     kept_columns: Annotated[tuple, Seq(Int(0))]
     diagnostics: RdDiagnostics
 
@@ -589,14 +593,14 @@ def rd_at_distortion(problem: SourceProblem, d: Finite, tol: Positive = _DEFAULT
             the distortion it reached misses the target by more than tol;
             the message names the achieved distortion, the target and tol.
     """
-    return _rd_point("rd_at_distortion", "d", problem, d, tol, max_iter)
+    return _rd_point("d", problem, d, tol, max_iter)
 
 
-def _rd_point(caller: str, name: str, problem: SourceProblem, d: float, tol: float,
+def _rd_point(name: str, problem: SourceProblem, d: float, tol: float,
               max_iter: int = _DEFAULT_MAX_ITER) -> RdPoint:
-    """rd_at_distortion's body; its refusals name ``caller`` and the target as ``name``."""
+    """rd_at_distortion's body; an infeasible target is refused as argument ``name``."""
     d_min, d_max = distortion_bounds(problem)
-    target = _clamp_target(caller, name, d, d_min, d_max)
+    target = _clamp_target(name, d, d_min, d_max)
 
     px = problem.px.probs
     support = np.flatnonzero(px > 0.0)
@@ -610,7 +614,7 @@ def _rd_point(caller: str, name: str, problem: SourceProblem, d: float, tol: flo
                        max(target, d_min + 0.5 * tol), _certificate_tol(tol), max_iter)
     if abs(raw.distortion - target) > tol:
         raise ConvergenceError(
-            f"{caller}: achieved distortion {raw.distortion!r} misses the "
+            f"achieved distortion {raw.distortion!r} misses the "
             f"target {target!r} by more than tol = {tol!r}"
         )
 
@@ -641,21 +645,21 @@ def _rd_point(caller: str, name: str, problem: SourceProblem, d: float, tol: flo
 def rd_curve(problem: SourceProblem, grid: Annotated[tuple, Seq(Real())],
              tol: Positive = _DEFAULT_TOL) -> list[RdPoint]:
     """One rd_at_distortion point per grid value; raises as rd_at_distortion, naming grid[i]."""
-    return [_rd_point("rd_curve", f"grid[{i}]", problem, d, tol) for i, d in enumerate(grid)]
+    return [_rd_point(f"grid[{i}]", problem, d, tol) for i, d in enumerate(grid)]
 
 
-def _kept_distortion(caller: str, problem: SourceProblem, point: RdPoint) -> np.ndarray:
+def _kept_distortion(problem: SourceProblem, point: RdPoint) -> np.ndarray:
     """The problem's distortion on the point's kept columns.
 
-    Refuses a point whose forward rows or kept columns do not fit the problem,
-    or that keeps other than one column per forward output.
+    Refuses a point whose forward rows, tilted information or kept columns
+    do not fit the problem, or that keeps other than one column per forward
+    output.
     """
-    _require_size(caller, "point.forward.n_in", point.forward.n_in,
-                  "problem.n_source", problem.n_source)
-    _require_size(caller, "len(point.kept_columns)", len(point.kept_columns),
+    _require_size("point.forward.n_in", point.forward.n_in, "problem.n_source", problem.n_source)
+    _require_size("len(point.tilted)", len(point.tilted), "problem.n_source", problem.n_source)
+    _require_size("len(point.kept_columns)", len(point.kept_columns),
                   "point.forward.n_out", point.forward.n_out)
-    Seq(Int(0, problem.n_reconstruction - 1)).check(caller, "point.kept_columns",
-                                                    point.kept_columns)
+    Seq(Int(0, problem.n_reconstruction - 1)).check("point.kept_columns", point.kept_columns)
     return problem.distortion[:, list(point.kept_columns)]
 
 
@@ -667,7 +671,7 @@ def tilted_information(problem: SourceProblem, point: RdPoint) -> np.ndarray:
     equals ``point.tilted``.  Its expectation under the source matches the
     point's rate.
     """
-    dist_kept = _kept_distortion("tilted_information", problem, point)
+    dist_kept = _kept_distortion(problem, point)
     return _tilted_vector(dist_kept, point.output_marginal.probs,
                           point.lambda_star, point.diagnostics.achieved_distortion)
 
@@ -686,7 +690,7 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
     probability underflowed to zero or to a subnormal are skipped: their
     logarithm has lost its digits.
     """
-    dist_kept = _kept_distortion("verify_csiszar_identity", problem, point)
+    dist_kept = _kept_distortion(problem, point)
     fwd = point.forward.rows
     m = point.output_marginal.probs
     lam = point.lambda_star
@@ -702,7 +706,7 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
 def logloss_rd(px: Pmf, d: Finite) -> float:
     """The log-loss rate-distortion function H(X) - D, in nats, on [0, H(X)]."""
     h = entropy(px)
-    return max(h - _clamp_target("logloss_rd", "d", d, 0.0, h), 0.0)
+    return max(h - _clamp_target("d", d, 0.0, h), 0.0)
 
 
 @dataclass(frozen=True)
@@ -740,10 +744,10 @@ def verify_lemma1(px: Pmf, q_rows: Annotated[tuple, Seq(Pmf)], weights: Channel,
     Returns:
         Lemma1Report naming each failed condition in ``failures``.
     """
-    _require_size("verify_lemma1", "weights.n_in", weights.n_in, "px.n", px.n)
-    _require_size("verify_lemma1", "len(q_rows)", len(q_rows), "weights.n_out", weights.n_out)
+    _require_size("weights.n_in", weights.n_in, "px.n", px.n)
+    _require_size("len(q_rows)", len(q_rows), "weights.n_out", weights.n_out)
     for k, row in enumerate(q_rows):
-        _require_size("verify_lemma1", f"q_rows[{k}].n", row.n, "px.n", px.n)
+        _require_size(f"q_rows[{k}].n", row.n, "px.n", px.n)
 
     joint = joint_from_source_and_channel(px, weights)
     mi, expected_loss, post_dev = _decoder_fit(joint.table, q_rows)

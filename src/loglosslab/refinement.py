@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (Count, Finite, InfeasibleError, NonNegative, Positive, Real, Seed, Seq,
                      ValidationError, VerificationError, _check_fields, _checked, _clamp_target,
-                     _require_order, _require_size)
+                     _named, _require_order, _require_size)
 from .probability import (
     Channel,
     Joint,
@@ -93,7 +93,7 @@ class SrConstruction:
         return self.problem.px
 
 
-def _erasure_weight(caller: str, name: str, d1: float, h: float, h2: float) -> float:
+def _erasure_weight(name: str, d1: float, h: float, h2: float) -> float:
     """Solve (1 - delta) h2 + delta h = d1 for delta in [0, 1]."""
     span = h - h2
     if span <= 1e-12:
@@ -101,10 +101,10 @@ def _erasure_weight(caller: str, name: str, d1: float, h: float, h2: float) -> f
         if abs(d1 - h) <= 1e-9:
             return 1.0
         raise InfeasibleError(
-            f"{caller}: {name} = {d1!r} unreachable: the fine stage already sits "
+            f"{name} = {d1!r} unreachable: the fine stage already sits "
             f"at H(X) = {h!r}"
         )
-    return (_clamp_target(caller, name, d1, h2, h) - h2) / span
+    return (_clamp_target(name, d1, h2, h) - h2) / span
 
 
 def _erasure_rows(k: int, keep: float, erase: float) -> np.ndarray:
@@ -118,7 +118,7 @@ def _joint3(c: SrConstruction) -> np.ndarray:
             * c.pz_given_xhat.rows[None, :, :])
 
 
-def _sr_layers(caller: str, problem: SourceProblem, targets: list[tuple[str, float]],
+def _sr_layers(problem: SourceProblem, targets: list[tuple[str, float]],
                fine: tuple[str, float], tol: float) -> list[SrConstruction]:
     """One layer per (argument name, coarse target), all on one fine point.
 
@@ -127,7 +127,7 @@ def _sr_layers(caller: str, problem: SourceProblem, targets: list[tuple[str, flo
     meet its target within 1e-9.
     """
     fine_name, d2 = fine
-    point = _rd_point(caller, fine_name, problem, d2, tol)
+    point = _rd_point(fine_name, problem, d2, tol)
     h = entropy(problem.px)
     h2 = conditional_entropy(joint_from_source_and_channel(problem.px, point.forward))
     k = len(point.kept_columns)
@@ -135,7 +135,7 @@ def _sr_layers(caller: str, problem: SourceProblem, targets: list[tuple[str, flo
     m = point.output_marginal.probs
     layers = []
     for name, d1 in targets:
-        delta = _erasure_weight(caller, name, d1, h, h2)
+        delta = _erasure_weight(name, d1, h, h2)
         pz_marg = np.concatenate(((1.0 - delta) * m, [delta]))
 
         # Posterior of the source given each observation: a surviving
@@ -179,7 +179,7 @@ def _sr_layers(caller: str, problem: SourceProblem, targets: list[tuple[str, flo
         gap = abs(conditional_entropy(Joint(_joint3(layer).sum(axis=1))) - d1)
         if gap > 1e-9:
             raise VerificationError(
-                f"{caller}: layer at {name} = {d1!r} misses its conditional entropy "
+                f"layer at {name} = {d1!r} misses its conditional entropy "
                 f"target by {gap:.3e}"
             )
         layers.append(layer)
@@ -202,7 +202,7 @@ def construct_sr(problem: SourceProblem, d1: Finite, d2: Finite,
         InfeasibleError: d1 or d2 outside its feasible interval (stated in
             the message; 1e-12 slack).
     """
-    return _sr_layers("construct_sr", problem, [("d1", d1)], ("d2", d2), tol)[0]
+    return _sr_layers(problem, [("d1", d1)], ("d2", d2), tol)[0]
 
 
 @_checked
@@ -219,9 +219,9 @@ def construct_sr_chain(problem: SourceProblem, ds: Annotated[tuple, Seq(Real(), 
     """
     ds = [float(d) for d in ds]
     for i in range(1, len(ds)):
-        _require_order("construct_sr_chain", f"ds[{i}]", ds[i], f"ds[{i - 1}]", ds[i - 1])
-    return _sr_layers("construct_sr_chain", problem,
-                      [(f"ds[{i}]", d) for i, d in enumerate(ds)], ("d_final", d_final), tol)
+        _require_order(f"ds[{i}]", ds[i], f"ds[{i - 1}]", ds[i - 1])
+    return _sr_layers(problem, [(f"ds[{i}]", d) for i, d in enumerate(ds)], ("d_final", d_final),
+                      tol)
 
 
 @_checked
@@ -234,9 +234,8 @@ def chain_step_channel(coarse: SrConstruction, fine: SrConstruction) -> Channel:
     observation alphabet, and the fine layer's erasure weight may exceed the
     coarse one's by at most 1e-12.
     """
-    _require_size("chain_step_channel", "fine.z_alphabet", fine.z_alphabet,
-                  "coarse.z_alphabet", coarse.z_alphabet)
-    _require_order("chain_step_channel", "fine.delta", fine.delta, "coarse.delta", coarse.delta)
+    _require_size("fine.z_alphabet", fine.z_alphabet, "coarse.z_alphabet", coarse.z_alphabet)
+    _require_order("fine.delta", fine.delta, "coarse.delta", coarse.delta)
     k = len(coarse.z_alphabet) - 1
     if fine.delta >= 1.0:
         keep = 0.0  # fine layer is all-erasure; the pass branch is unreachable
@@ -264,7 +263,8 @@ class SrReport:
             if check.name == name:
                 return check.residual
         names = ", ".join(check.name for check in self.checks)
-        raise ValidationError(f"SrReport.residual: name must be one of {names}, got {name!r}")
+        with _named("SrReport.residual"):
+            raise ValidationError(f"name must be one of {names}, got {name!r}")
 
 
 @_checked
@@ -442,17 +442,17 @@ def _leaf_sums(draw, n: int, ks: list[int]) -> list[list[float]]:
     return [sums for _, sums, _ in plans]
 
 
-def _timeshare(caller: str, px: Pmf, targets: list[tuple[str, float]], n: int,
+def _timeshare(px: Pmf, targets: list[tuple[str, float]], n: int,
                seed: int) -> list[TimeshareReport]:
     """One report per (argument name, target) on the block of (seed, n).
 
-    Each target's feasibility and the guard are checked, under ``caller``'s
-    names, before any draw.
+    Each target's feasibility, under its argument name, and the guard are
+    checked before any draw.
     """
     h = entropy(px)
-    ds = [_clamp_target(caller, name, d, 0.0, h) for name, d in targets]
+    ds = [_clamp_target(name, d, 0.0, h) for name, d in targets]
     # Each target sums all n code lengths, though the block is drawn once.
-    _check_work(caller, len(targets) * n, "samples", _SAMPLE_GUARD)
+    _check_work(len(targets) * n, "samples", _SAMPLE_GUARD)
     ks = [_prefix_length(h, d, n) for d in ds]
     draw = _cost_sampler(px.probs, np.random.default_rng(seed))
     reports = []
@@ -485,7 +485,7 @@ def timeshare_simulate(px: Pmf, d: Finite, n: Count, seed: Seed) -> TimeshareRep
         InfeasibleError: d outside [0, H(X)] (1e-12 slack).
         InstanceTooLargeError: n above 10^9 samples.
     """
-    return _timeshare("timeshare_simulate", px, [("d", d)], n, seed)[0]
+    return _timeshare(px, [("d", d)], n, seed)[0]
 
 
 @_checked
@@ -504,5 +504,5 @@ def timeshare_two_decoders(px: Pmf, d1: Finite, d2: Finite, n: Count,
         InstanceTooLargeError: the two decoders' 2n summed code lengths
             above 10^9.
     """
-    _require_order("timeshare_two_decoders", "d2", d2, "d1", d1)
-    return tuple(_timeshare("timeshare_two_decoders", px, [("d1", d1), ("d2", d2)], n, seed))
+    _require_order("d2", d2, "d1", d1)
+    return tuple(_timeshare(px, [("d1", d1), ("d2", d2)], n, seed))

@@ -461,13 +461,15 @@ class TestOneshotCommand:
         assert report["outputs"]["optimal_value"] == 0.0
         assert report["outputs"]["oracle"]["agrees"] is True
 
-    @pytest.mark.parametrize("criterion", [["excess", "--messages", "2"],
-                                           ["codebook", "--epsilon", "0"]])
-    def test_logloss_distortion_past_the_largest_float_exits_two(self, capsys, criterion):
+    @pytest.mark.parametrize("criterion, called", [
+        (["excess", "--messages", "2"], "logloss_excess_optimum"),
+        (["codebook", "--epsilon", "0"], "logloss_codebook"),
+    ])
+    def test_logloss_distortion_past_the_largest_float_exits_two(self, capsys, criterion, called):
         code, _, err = run_cli(capsys, ["oneshot", SKEW3, "--criterion", *criterion,
                                         "--logloss", "--distortion", "1e308"])
         assert code == 2, err
-        assert "floor_exp: d must be at most 709.783, got 1e+308" in err
+        assert f"error: {called}: d must be at most 709.783, got 1e+308" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("criterion", [
@@ -573,7 +575,7 @@ class TestOneshotCommand:
                                wraps=oneshot._first_best_subset) as scan:
             code, out, err = run_cli(capsys, argv)
         assert code == 0, err
-        assert [call.args[2] for call in scan.call_args_list] == [1, 2, 3]
+        assert [call.args[1] for call in scan.call_args_list] == [1, 2, 3]
         assert json.loads(out)["outputs"]["m_star"] == 3
         # The same report as a fresh witness scan at M* (excess_witness) gives.
         with mock.patch.object(cli, "_codebook",
@@ -649,6 +651,18 @@ class TestEquivCommand:
         code, _, err = run_cli(capsys, ["equiv", BINARY, "--messages", "2"])
         assert code == 1
         assert "error:" in err
+
+    def test_one_message_sits_at_the_knee_and_names_the_called_function(self, capsys):
+        # D*(1) is the best single column, D_max of the curve.
+        code, _, err = run_cli(capsys, ["equiv", SKEW3, "--messages", "1"])
+        assert code == 1
+        assert err.startswith("error: build_corresponding: D*(1) = 0.5 sits at a curve "
+                              "endpoint of [0.0, 0.5]"), err
+
+    def test_zero_messages_exit_two(self, capsys):
+        code, _, err = run_cli(capsys, ["equiv", SKEW3, "--messages", "0"])
+        assert code == 2
+        assert err == "error: equiv: --messages must be >= 1\n"
 
     def test_missed_distortion_exits_one(self, capsys, tmp_path):
         # Hamming distortion scaled by 1e308: the solve at D*(2) = 0.2e308

@@ -124,18 +124,33 @@ class TestBuildCorresponding:
     def test_coinciding_reverse_rows_are_refused(self):
         # Every two rows of a posterior lie within 2 of each other.
         with mock.patch.object(equivalence, "ROW_MATCH_TOL", 2.0):
-            with pytest.raises(VerificationError, match="^reverse rows 0 and 1 coincide"):
+            with pytest.raises(VerificationError,
+                               match="^build_corresponding: reverse rows 0 and 1 coincide"):
                 build_corresponding(uniform_hamming(3), 2)
 
     def test_rate_above_ln_m_is_refused(self):
-        solve = equivalence._rd_point
-
-        def past_ln_m(*args, **kwargs):
-            return dataclasses.replace(solve(*args, **kwargs), rate=math.log(2) + 1e-6)
-
-        with mock.patch.object(equivalence, "_rd_point", past_ln_m):
-            with pytest.raises(VerificationError, match="^rate .* exceeds ln M"):
+        with solved_rate(math.log(2) + 1e-6):
+            with pytest.raises(VerificationError,
+                               match="^build_corresponding: rate .* exceeds ln M"):
                 build_corresponding(uniform_hamming(3), 2)
+
+    def test_a_rate_within_1e_9_of_ln_m_is_accepted(self):
+        # The slack is pinned from both sides: ln 2 + 5e-10 passes, ln 2 + 2e-9 not.
+        with solved_rate(math.log(2) + 5e-10):
+            assert build_corresponding(uniform_hamming(3), 2).source_point.rate > math.log(2)
+        with solved_rate(math.log(2) + 2e-9):
+            with pytest.raises(VerificationError, match="exceeds ln M"):
+                build_corresponding(uniform_hamming(3), 2)
+
+
+def solved_rate(rate: float):
+    """A patch under which build_corresponding's solved point reports ``rate``."""
+    solve = equivalence._rd_point
+
+    def solve_at_rate(*args, **kwargs):
+        return dataclasses.replace(solve(*args, **kwargs), rate=rate)
+
+    return mock.patch.object(equivalence, "_rd_point", solve_at_rate)
 
 
 class TestMapUnmap:
@@ -239,7 +254,8 @@ class TestTheorem1:
 
     def test_loss_below_the_optimum_is_refused(self, cp_u3):
         raised = dataclasses.replace(cp_u3, h_x_given_xhat=cp_u3.h_x_given_xhat + 1.0)
-        with pytest.raises(VerificationError, match="^expected log loss .* fell below"):
+        with pytest.raises(VerificationError,
+                           match="^verify_theorem1: expected log loss .* fell below"):
             verify_theorem1(raised, cp_u3.optimal_code)
 
 

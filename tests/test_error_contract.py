@@ -21,7 +21,10 @@ each record (``RECORDS``).  A parameter that declares no rule is named in
 ``EXEMPT``, with the rule its body checks where another argument sets the
 bound; a declared sequence whose entries another argument bounds is named in
 ``ENTRY_BOUNDS``.  A bound that only a body states, such as ``floor_exp``'s
-largest d, names the function whose body checks it (``OUT_OF_RANGE``).
+largest d, names the called function, also where that function reaches
+the bound through another public function (``logloss_codebook`` through
+``floor_exp``; ``OUT_OF_RANGE``).  Every array field of a record declares
+its rule.
 Two arguments that must agree in size (a channel and its input pmf, a
 code and its problem, a solved point and its problem) raise a
 ValidationError naming the function, both arguments and both sizes; an
@@ -45,6 +48,8 @@ import dataclasses
 import functools
 import inspect
 import math
+import time
+import typing
 from typing import Annotated
 
 import numpy as np
@@ -57,7 +62,9 @@ from loglosslab import (
     Channel,
     ConvergenceError,
     CorrespondingProblem,
+    DegenerateInstanceError,
     InfeasibleError,
+    InstanceTooLargeError,
     Joint,
     LogLossCode,
     OneShotCode,
@@ -66,6 +73,7 @@ from loglosslab import (
     SourceProblem,
     SrConstruction,
     ValidationError,
+    VerificationError,
     build_corresponding,
     chain_step_channel,
     conditional_entropy,
@@ -310,8 +318,9 @@ def wrong_values(rule, valid) -> list:
                 ("extra_axis", valid[None], ndim + str((1,) + valid.shape)),
                 ("empty", valid[:0], " must not be empty"),
                 ("nan", last_entry(math.nan), " entries must be finite"),
-                ("inf", last_entry(math.inf), " entries must be finite"),
-                ("negative", last_entry(-0.5), " entries must be nonnegative")]
+                ("inf", last_entry(math.inf), " entries must be finite")] + (
+                    [("negative", last_entry(-0.5), " entries must be nonnegative")]
+                    if rule.nonnegative else [])
     return [(repr(v), v, " must ") for v in NOT_OBJECT]  # a record class or its _Instance rule
 
 
@@ -371,18 +380,58 @@ def test_a_point_declares_its_kept_columns():
     assert rules("RdPoint")["kept_columns"] == Seq(Int(0))
 
 
+def test_a_point_declares_its_tilted_information():
+    # Once constructed, then a raw TypeError in verify_csiszar_identity.
+    with pytest.raises(ValidationError) as err:
+        verify_csiszar_identity(SKEW3, dataclasses.replace(POINT, tilted=None))
+    assert str(err.value) == "RdPoint: tilted must be 1-D, got shape ()"
+    # Tilted information may be negative: moving every entry by -1 leaves a
+    # point whose residual is 1 up to rounding.
+    shifted = dataclasses.replace(POINT, tilted=POINT.tilted - 1.0)
+    assert (shifted.tilted < 0.0).any()
+    assert verify_csiszar_identity(SKEW3, shifted) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_every_array_field_of_a_record_declares_its_rule(kind):
+    # An undeclared array field takes None or a wrong shape unchecked.
+    arrays = [field.name for field in dataclasses.fields(kind)
+              if isinstance(getattr(RECORDS[kind], field.name), np.ndarray)]
+    assert sorted(set(arrays) - set(rules(kind.__name__))) == []
+
+
+def float_results() -> list[str]:
+    """Each callable in VALID whose return annotation is float."""
+    return sorted(name for name in VALID
+                  if typing.get_type_hints(PUBLIC[name]).get("return") is float)
+
+
+@pytest.mark.parametrize("qualname", float_results())
+def test_a_float_result_is_a_python_float(qualname):
+    # expected_log_loss and mutual_information once returned np.float64.
+    value = PUBLIC[qualname](*VALID[qualname])
+    assert type(value) is float, type(value)
+
+
+def test_each_float_result_is_checked():
+    assert len(float_results()) == 17
+
+
 # id: (call taking the value, the start of the message it raises, a finite
 # value out of range)
 OUT_OF_RANGE = {
     # floor(exp(1e308)) is no float: refused, where it once never returned.
-    # floor_exp's body checks this bound, so its message names floor_exp.
+    # floor_exp's body checks this bound; the called function is named, also
+    # where it calls floor_exp (once named floor_exp).
     "floor_exp-d": (floor_exp, "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
-    "logloss_excess_optimum-d": (lambda v: logloss_excess_optimum(SKEW3.px, 2, v),
-                                 "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
-    "logloss_excess_oracle-d": (lambda v: logloss_excess_oracle(SKEW3.px, 2, v),
-                                "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
+    "logloss_excess_optimum-d": (
+        lambda v: logloss_excess_optimum(SKEW3.px, 2, v),
+        "logloss_excess_optimum: d must be at most 709.783, got 1e+308", 1e308),
+    "logloss_excess_oracle-d": (
+        lambda v: logloss_excess_oracle(SKEW3.px, 2, v),
+        "logloss_excess_oracle: d must be at most 709.783, got 1e+308", 1e308),
     "logloss_codebook-d": (lambda v: logloss_codebook(SKEW3.px, v, 0.0),
-                           "floor_exp: d must be at most 709.783, got 1e+308", 1e308),
+                           "logloss_codebook: d must be at most 709.783, got 1e+308", 1e308),
 }
 
 
@@ -431,6 +480,14 @@ MISMATCHES = {
     "tilted_information-kept_count": (
         lambda: tilted_information(SKEW3, dataclasses.replace(POINT, kept_columns=(0, 1))),
         "tilted_information: len(point.kept_columns) = 2 must equal point.forward.n_out = 3"),
+    # The first once ended in a raw numpy ValueError (shapes not broadcast),
+    # the second answered: neither read the length of point.tilted.
+    "verify_csiszar_identity-tilted": (
+        lambda: verify_csiszar_identity(SKEW3, dataclasses.replace(POINT, tilted=POINT.tilted[:2])),
+        "verify_csiszar_identity: len(point.tilted) = 2 must equal problem.n_source = 3"),
+    "tilted_information-tilted": (
+        lambda: tilted_information(SKEW3, dataclasses.replace(POINT, tilted=POINT.tilted[:2])),
+        "tilted_information: len(point.tilted) = 2 must equal problem.n_source = 3"),
     "verify_csiszar_identity-kept_count": (
         lambda: verify_csiszar_identity(SKEW3, dataclasses.replace(POINT, kept_columns=(0, 1))),
         "verify_csiszar_identity: len(point.kept_columns) = 2 must equal "
@@ -558,6 +615,38 @@ def test_an_unreachable_target_names_the_called_function(name):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+# id "function-case": (call, the error it raises, the start of its message).
+# Each message once named a function the caller did not call (solve_avg) or
+# none; the guard, the solve and the floor check run in a callee.
+FROM_A_CALLEE = {
+    "build_corresponding-guard": (
+        lambda: build_corresponding(SourceProblem(Pmf.uniform(24), hamming_distortion(24)), 12),
+        InstanceTooLargeError, "build_corresponding: 2704156 column subsets exceeds guard 1000000"),
+    "build_corresponding-endpoint": (
+        lambda: build_corresponding(SKEW3, 1), DegenerateInstanceError,
+        "build_corresponding: D*(1) = 0.5 sits at a curve endpoint of [0.0, 0.5]"),
+    "rd_at_distortion-max_iter": (
+        lambda: rd_at_distortion(SKEW3, 0.2, max_iter=1), ConvergenceError,
+        "rd_at_distortion: solve did not converge in 1 iterations"),
+    "verify_theorem1-floor": (
+        lambda: verify_theorem1(dataclasses.replace(CP, h_x_given_xhat=CP.h_x_given_xhat + 1.0),
+                                CODE), VerificationError, "verify_theorem1: expected log loss "),
+    "suboptimality_gap-floor": (
+        lambda: suboptimality_gap(dataclasses.replace(CP, h_x_given_xhat=CP.h_x_given_xhat + 1.0),
+                                  CODE), VerificationError, "suboptimality_gap: expected log loss "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROM_A_CALLEE))
+def test_a_refusal_from_a_callee_names_the_called_function(name):
+    call, error, prefix = FROM_A_CALLEE[name]
+    start = time.perf_counter()
+    with pytest.raises(error) as err:
+        call()
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value).startswith(prefix), str(err.value)
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_AND_EMPTINESS))
