@@ -3,8 +3,9 @@
 Output is either a JSON report (``--format report``, the default) or a
 tab-separated table (``--format table``).  Reports are deterministic given
 identical inputs, flags, and seed, except for the wall-clock field.  Exit
-codes: 0 success, 1 infeasible / degenerate / non-convergent instance,
-2 bad input (flags, files, malformed values).
+codes: 0 success, 1 any other refusal of the library (infeasible,
+degenerate, non-convergent, too large, failed verification), 2 bad input
+(flags, files, malformed values).
 """
 
 from __future__ import annotations
@@ -29,13 +30,10 @@ from .equivalence import (
     identity_sweep,
     verify_optimum_coincidence,
 )
-from .errors import (InstanceTooLargeError, LoglossLabError, ValidationError, _check_arguments,
-                     _named)
+from .errors import InstanceTooLargeError, LoglossLabError, ValidationError
 from .oneshot import (
     _FEASIBILITY_SLACK,
-    _codebook,
-    _subset_code,
-    excess_witness,
+    floor_exp,
     logloss_avg_optimum,
     logloss_codebook,
     logloss_excess_optimum,
@@ -43,6 +41,7 @@ from .oneshot import (
     solve_avg,
     solve_avg_oracle,
     solve_codebook,
+    solve_excess,
 )
 from .probability import Pmf, entropy, varentropy
 from .problemio import (
@@ -139,6 +138,15 @@ def _cmd_rd(args) -> _CommandOutput:
 # ----------------------------------------------------------------------
 
 
+# The flags each criterion takes, in the order its solvers take them.
+_ONESHOT_FLAGS = {"avg": ("messages",), "excess": ("messages", "distortion"),
+                  "codebook": ("distortion", "epsilon")}
+# Each criterion's solvers: on the distortion matrix, then under log loss.
+_ONESHOT_SOLVERS = {"avg": (solve_avg, logloss_avg_optimum),
+                    "excess": (solve_excess, logloss_excess_optimum),
+                    "codebook": (solve_codebook, logloss_codebook)}
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValidationError(message)
@@ -154,56 +162,40 @@ def _cmd_oneshot(args) -> _CommandOutput:
     px = problem.px
     crit = args.criterion
 
-    if crit in ("avg", "excess"):
-        _require(args.messages is not None, f"oneshot {crit}: --messages is required")
-        _require(args.messages >= 1, "oneshot: --messages must be >= 1")
-        _require(args.epsilon is None, f"oneshot {crit}: --epsilon does not apply")
-    if crit in ("excess", "codebook"):
-        _require(args.distortion is not None, f"oneshot {crit}: --distortion is required")
-    if crit == "codebook":
-        _require(args.epsilon is not None, "oneshot codebook: --epsilon is required")
-        _require(args.messages is None,
-                 "oneshot codebook: --messages is computed, not given")
-    if crit == "avg":
-        _require(args.distortion is None, "oneshot avg: --distortion does not apply")
+    takes = _ONESHOT_FLAGS[crit]
+    for name in ("messages", "distortion", "epsilon"):
+        if name not in takes:
+            _require(getattr(args, name) is None, f"oneshot {crit}: --{name} does not apply")
+            continue
+        _require(getattr(args, name) is not None, f"oneshot {crit}: --{name} is required")
+        if name == "messages":
+            _require(args.messages >= 1, "oneshot: --messages must be >= 1")
 
-    # codebook is excess at the least M whose optimum meets epsilon.
+    flags = {name: getattr(args, name) for name in takes}
+    code, value = _ONESHOT_SOLVERS[crit][args.logloss](px if args.logloss else problem,
+                                                        *flags.values())
     d = args.distortion
-    m = args.messages
-    cover = None  # (subset, excess) of the scan that proved codebook's M, if one ran
-    if crit == "codebook" and args.logloss:
-        m = logloss_codebook(px, d, args.epsilon)
-    elif crit == "codebook":  # the scan, checked and named as solve_codebook
-        with _named("solve_codebook"):
-            m, cover = _codebook(*_check_arguments(solve_codebook, (problem, d, args.epsilon), {}))
+    m = code.n_messages if crit == "codebook" else args.messages
     oracle = None
 
     if crit == "avg" and args.logloss:
-        lcode, value = logloss_avg_optimum(px, m)
-        scheme = {"encoder": list(lcode.encoder),
-                  "cell_masses": np.bincount(lcode.encoder, weights=px.probs,
-                                             minlength=lcode.n_messages),
-                  "reproduction_rows": [q.probs for q in lcode.decoder_rows]}
-    elif crit == "avg":
-        code, value = solve_avg(problem, m)
-        scheme = _code_doc(code)
-        if m ** px.n <= _AVG_ORACLE_BUDGET:
-            oracle = solve_avg_oracle(problem, m)
+        scheme = {"encoder": list(code.encoder),
+                  "cell_masses": np.bincount(code.encoder, weights=px.probs,
+                                             minlength=code.n_messages),
+                  "reproduction_rows": [q.probs for q in code.decoder_rows]}
     elif args.logloss:
-        cells, value = logloss_excess_optimum(px, m, d)
-        scheme = {"sort_order": list(cells.sort_order),
-                  "cell_size": cells.cell_size,
-                  "encoder": list(cells.encoder())}
+        scheme = {"sort_order": np.argsort(-px.probs, kind="stable"),
+                  "cell_size": floor_exp(d),
+                  "encoder": list(code.encoder)}
         if crit == "excess":  # a codebook report gives neither rows nor oracle
-            scheme["reproduction_rows"] = [q.probs for q in cells.decoder_rows()]
+            scheme["reproduction_rows"] = [q.probs for q in code.decoder_rows]
             # Past its guard the oracle is skipped, as equiv skips the sweep.
             with contextlib.suppress(InstanceTooLargeError):
                 oracle = logloss_excess_oracle(px, m, d)
-    elif cover is None:
-        code, value = excess_witness(problem, m, d)
-        scheme = _code_doc(code)
     else:
-        scheme, value = _code_doc(_subset_code(problem, cover[0])), cover[1]
+        scheme = _code_doc(code)
+        if crit == "avg" and m ** px.n <= _AVG_ORACLE_BUDGET:
+            oracle = solve_avg_oracle(problem, m)
 
     if crit == "codebook":
         outputs = {"criterion": crit, "m_star": m, "achieved_epsilon": value}
@@ -218,12 +210,9 @@ def _cmd_oneshot(args) -> _CommandOutput:
             header, row = ["criterion", "M", "D", "epsilon"], [crit, m, d, value]
     outputs["scheme"] = scheme
     outputs["oracle"] = None if oracle is None else {"value": oracle, "agrees": oracle == value}
-    flags = {"criterion": crit, "logloss": bool(args.logloss)}
-    for name in ("messages", "distortion", "epsilon"):
-        if getattr(args, name) is not None:
-            flags[name] = getattr(args, name)
     return _CommandOutput(
-        inputs={"problem": loaded.echo(), "flags": flags},
+        inputs={"problem": loaded.echo(),
+                "flags": {"criterion": crit, "logloss": bool(args.logloss), **flags}},
         outputs=outputs,
         tolerances={"feasibility_slack": _FEASIBILITY_SLACK},
         table_header=header,

@@ -19,10 +19,11 @@ it too, as in ``Int(0, q.n - 1).check("x", x)``.
 No message names the function or record that refused.  Every refusal
 leaves through one owner that names it: the wrapper that :func:`_checked`
 puts on a public function, :func:`_check_fields` for a record, or
-:func:`_named` for the few public calls neither covers.  Each sets the
-error's ``caller`` on the way out, and a wrapper further out sets it again,
-so the outermost public call is the one named: ``build_corresponding``
-names a refusal of the ``solve_avg`` it calls.
+:func:`_named` for the two public calls neither covers, ``Channel.row``
+and ``SrReport.residual``.  Each sets the error's ``caller`` on the way
+out, and a wrapper further out sets it again, so the outermost public
+call is the one named: ``build_corresponding`` names a refusal of the
+``solve_avg`` it calls.
 """
 
 from __future__ import annotations

@@ -35,10 +35,8 @@ __all__ = [
     "solve_avg",
     "solve_avg_oracle",
     "solve_excess",
-    "excess_witness",
     "solve_codebook",
     "logloss_avg_optimum",
-    "ExcessScheme",
     "logloss_excess_optimum",
     "logloss_codebook",
     "logloss_excess_oracle",
@@ -55,7 +53,7 @@ __all__ = [
 # 20-35 ms.  It is below 2^31, so a pair's key (encoder ordinal * k^M +
 # decoder ordinal) fits in an int32.
 _CODE_ENUM_GUARD = 10_000_000
-# Column subsets scanned by solve_avg and _best_cover, or by all the scans of
+# Column subsets scanned by solve_avg and solve_excess, or by all the scans of
 # solve_codebook together, at 9-10.5 us each: about 10 s at the limit.
 # C(20, 10) = 184,756 takes 1.7-2.0 s.
 _SUBSET_GUARD = 1_000_000
@@ -75,7 +73,7 @@ _BLOCK_ENTRIES = 1 << 18
 # land on the intended integer.
 _FLOOR_SLACK = 1e-12
 # The largest D whose floor(exp(D)), slack included, is a float: past it
-# ExcessScheme could not form its cells' mass 1/floor(exp(D)).
+# the log-loss excess code could not form its cells' mass 1/floor(exp(D)).
 _FLOOR_EXP_MAX = math.log(sys.float_info.max) - 2.0 * _FLOOR_SLACK
 # An excess target counts as met when missed by at most this much.
 _FEASIBILITY_SLACK = 1e-12
@@ -291,20 +289,6 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: Count) -> float:
     return expected_distortion(problem, best_code)
 
 
-def _best_cover(problem: SourceProblem, n_messages: int, d: float) -> tuple[tuple[int, ...], float]:
-    """The first subset of min(M, s) columns covering the most probability.
-
-    A symbol is covered by a column when its distortion is <= D.  Returns
-    (subset, excess probability 1 - covered mass, clamped into [0, 1]).
-    """
-    px = problem.px.probs
-    covers = problem.distortion <= d  # r x s
-    # Negation is exact, so the least -mass is the first subset of most mass.
-    best_subset = _first_best_subset(problem, n_messages,
-                                     lambda subset: -_cover_mass(px, covers, subset))
-    return best_subset, _excess(_cover_mass(px, covers, best_subset))
-
-
 def _cover_mass(px: np.ndarray, covers: np.ndarray, columns) -> float:
     """Mass of the symbols that some of ``columns`` covers, whatever their order."""
     return float(px[covers[:, columns].any(axis=1)].sum())
@@ -316,51 +300,41 @@ def _excess(mass: float) -> float:
 
 
 @_checked
-def solve_excess(problem: SourceProblem, n_messages: Count, d: Finite) -> float:
+def solve_excess(problem: SourceProblem,
+                 n_messages: Count, d: Finite) -> tuple[OneShotCode, float]:
     """Exact minimum excess probability Pr[d(X, g(f(X))) > D] with <= M messages.
 
     A symbol is covered by a column when its distortion is <= D; the optimum
-    picks the subset of min(M, s) columns covering the most probability.
+    picks the first subset of min(M, s) columns, in lexicographic order,
+    covering the most probability.  Returns a code of min(M, s) messages
+    attaining it, with its excess probability 1 - covered mass, clamped
+    into [0, 1].  Uncovered symbols are encoded to the subset column of
+    least distortion, which cannot hurt the excess criterion.  Guarded at
+    10^6 subsets.
     """
-    return _best_cover(problem, n_messages, d)[1]
+    px = problem.px.probs
+    covers = problem.distortion <= d  # r x s
+    # Negation is exact, so the least -mass is the first subset of most mass.
+    subset = _first_best_subset(problem, n_messages,
+                                lambda subset: -_cover_mass(px, covers, subset))
+    return _subset_code(problem, subset), _excess(_cover_mass(px, covers, subset))
 
 
 @_checked
-def excess_witness(problem: SourceProblem,
-                   n_messages: Count, d: Finite) -> tuple[OneShotCode, float]:
-    """A code of min(M, s) messages attaining solve_excess, with its excess probability.
+def solve_codebook(problem: SourceProblem, d: Finite,
+                   eps: Probability) -> tuple[OneShotCode, float]:
+    """Least message count M* with excess probability at D below eps.
 
-    Uncovered symbols are encoded to the subset column of least distortion,
-    which cannot hurt the excess criterion.
-    """
-    subset, excess = _best_cover(problem, n_messages, d)
-    return _subset_code(problem, subset), excess
-
-
-@_checked
-def solve_codebook(problem: SourceProblem, d: Finite, eps: Probability) -> int:
-    """Least message count M with excess probability at D below eps.
-
-    A greedy cover bounds M first: it adds the column covering the most
-    mass not yet covered until the target is met, at M_g columns.  The best
-    subset of M_g columns covers at least as much, so the answer is the
-    first M < M_g whose best subset meets the target, else M_g, and the
-    scan at M_g need not run.  C(s, 1) + ... + C(s, M_g) subsets are checked
-    against the subset guard before the first scan; counting C(s, M_g)
-    keeps a witness at the answer (``excess_witness``) within the guard.
+    Returns solve_excess's code and excess probability at M*; M* is
+    ``code.n_messages``.  A greedy cover bounds M* first: it adds the
+    column covering the most mass not yet covered until the target is met,
+    at M_g columns.  The best subset of M_g columns covers at least the
+    greedy set's mass, so the scans at M = 1, 2, ... stop by M_g, and each
+    size is scanned once.  C(s, 1) + ... + C(s, M_g) subsets are checked
+    against the subset guard before the first scan.
 
     Raises InfeasibleError when even the full reconstruction alphabet cannot
     reach the target.
-    """
-    return _codebook(problem, d, eps)[0]
-
-
-def _codebook(problem: SourceProblem, d: float,
-              eps: float) -> tuple[int, tuple[tuple[int, ...], float] | None]:
-    """(M*, the (subset, excess) of the scan that proved M*), as solve_codebook.
-
-    The scan is None when M* is the greedy bound, whose scan is skipped.
-    The arguments are solve_codebook's, checked by its rules.
     """
     px = problem.px.probs
     covers = problem.distortion <= d  # r x s
@@ -383,10 +357,10 @@ def _codebook(problem: SourceProblem, d: float,
     _check_work(sum(math.comb(s, m) for m in range(1, m_greedy + 1)), "column subsets",
                 _SUBSET_GUARD)
     for m in range(1, m_greedy):
-        cover = _best_cover(problem, m, d)
-        if cover[1] <= target:
-            return m, cover
-    return m_greedy, None
+        code, excess = solve_excess(problem, m, d)
+        if excess <= target:
+            return code, excess
+    return solve_excess(problem, m_greedy, d)
 
 
 # ----------------------------------------------------------------------
@@ -555,47 +529,6 @@ def logloss_avg_optimum(px: Pmf, n_messages: Count) -> tuple[LogLossCode, float]
     return code, value if value > 0.0 else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class ExcessScheme:
-    """Sorted-cell scheme achieving the log-loss excess optimum.
-
-    ``sort_order`` places probabilities in non-increasing order (stable, so
-    equal masses keep their original order); consecutive runs of
-    ``cell_size`` sorted symbols share a message and a uniform reproduction
-    of mass 1/cell_size each.  No cell is empty: n_messages <= ceil(r / cell_size).
-    """
-
-    d: float
-    n_messages: int
-    sort_order: tuple[int, ...]
-    cell_size: int
-
-    def encoder(self) -> tuple[int, ...]:
-        """Message per symbol; ranks past the last cell fold into it."""
-        r = len(self.sort_order)
-        enc = [0] * r
-        for rank, x in enumerate(self.sort_order):
-            enc[x] = min(rank // self.cell_size, self.n_messages - 1)
-        return tuple(enc)
-
-    def decoder_rows(self) -> tuple[Pmf, ...]:
-        """Reproduction Pmf per message.
-
-        Each covered symbol in a cell gets mass 1/cell_size; a short final
-        cell parks the leftover mass on its first symbol so the row is a
-        genuine distribution.
-        """
-        r = len(self.sort_order)
-        rows = []
-        for m in range(self.n_messages):
-            members = self.sort_order[m * self.cell_size:(m + 1) * self.cell_size]
-            row = np.zeros(r)
-            row[list(members)] = 1.0 / self.cell_size
-            row[members[0]] += 1.0 - row.sum()
-            rows.append(Pmf(row))
-        return tuple(rows)
-
-
 def _tail_excess(covered_probs: np.ndarray) -> float:
     """1 - mass of a covered set, summed in canonical descending order.
 
@@ -608,41 +541,63 @@ def _tail_excess(covered_probs: np.ndarray) -> float:
     return _excess(float(covered[covered > 0.0].sum()))
 
 
+def _sorted_cells(px: Pmf, n_messages: int, cell: int) -> tuple[LogLossCode, float]:
+    """The sorted-cell code of at most M messages with cells of ``cell`` symbols, and its epsilon.
+
+    The symbols are sorted by non-increasing mass (stable, so equal masses
+    keep their order); message m takes sorted ranks m * cell to
+    (m + 1) * cell - 1, and the ranks past the last cell fold into it.
+    There are min(M, ceil(r / cell)) messages, so no cell is empty.  Each
+    member of a cell gets mass 1/cell in its message's row, and the first
+    member also the leftover mass of a short cell, so the row is a
+    distribution.  Epsilon is the tail mass beyond the M * cell most
+    probable symbols.
+    """
+    r = px.n
+    order = np.argsort(-px.probs, kind="stable")
+    eps = _tail_excess(px.probs[order[:min(n_messages * cell, r)]])
+    n_cells = min(n_messages, -(-r // cell))
+    encoder = [0] * r
+    for rank, x in enumerate(order.tolist()):
+        encoder[x] = min(rank // cell, n_cells - 1)
+    rows = []
+    for m in range(n_cells):
+        members = order[m * cell:(m + 1) * cell]
+        row = np.zeros(r)
+        row[members] = 1.0 / cell
+        row[members[0]] += 1.0 - row.sum()
+        rows.append(Pmf(row))
+    return LogLossCode(n_messages=n_cells, encoder=tuple(encoder), decoder_rows=tuple(rows)), eps
+
+
 @_checked
 def logloss_excess_optimum(px: Pmf, n_messages: Count,
-                           d: NonNegative) -> tuple[ExcessScheme, float]:
+                           d: NonNegative) -> tuple[LogLossCode, float]:
     """Exact optimal excess probability Pr[log loss > D] with <= M messages.
 
     The optimum covers the M * floor(exp(D)) most probable symbols; the
-    achieved epsilon is the tail mass beyond them.  The scheme has
-    min(M, ceil(r / floor(exp(D)))) messages, as more cells would be empty.
+    achieved epsilon is the tail mass beyond them.  The code puts them in
+    cells of floor(exp(D)) symbols by non-increasing mass, each decoded
+    uniformly over its cell, in min(M, ceil(r / floor(exp(D)))) messages,
+    as more cells would be empty.
     """
-    cell = floor_exp(d)
-    order = np.argsort(-px.probs, kind="stable")
-    covered = min(n_messages * cell, px.n)
-    eps = _tail_excess(px.probs[order[:covered]])
-    scheme = ExcessScheme(
-        d=d,
-        n_messages=min(n_messages, -(-px.n // cell)),
-        sort_order=tuple(int(x) for x in order),
-        cell_size=cell,
-    )
-    return scheme, eps
+    return _sorted_cells(px, n_messages, floor_exp(d))
 
 
 @_checked
-def logloss_codebook(px: Pmf, d: NonNegative, eps: Probability) -> int:
-    """Least message count with log-loss excess probability at D below eps.
+def logloss_codebook(px: Pmf, d: NonNegative, eps: Probability) -> tuple[LogLossCode, float]:
+    """Least message count M* with log-loss excess probability at D below eps.
 
     Closed form: cover the smallest prefix of the sorted source reaching
-    mass 1 - eps, in cells of floor(exp(D)).
+    mass 1 - eps, in cells of floor(exp(D)).  Returns logloss_excess_optimum's
+    code and epsilon at M*; M* is ``code.n_messages``.
     """
     cell = floor_exp(d)
     sorted_probs = np.sort(px.probs)[::-1]
     cdf = np.cumsum(sorted_probs)
     cdf[-1] = 1.0  # close the float gap so the cdf is total
     needed = int(np.searchsorted(cdf, (1.0 - eps) - _FEASIBILITY_SLACK, side="left")) + 1
-    return -(-needed // cell)
+    return _sorted_cells(px, -(-needed // cell), cell)
 
 
 @_checked

@@ -46,13 +46,16 @@ SUM_TOL = 1e-9
 
 def _check_total(record: Pmf | Joint) -> None:
     """Refuse a Pmf or a Joint whose entries do not sum to 1 within SUM_TOL."""
-    total = float((record.probs if isinstance(record, Pmf) else record.table).sum())
+    # A total that overflows is inf, which is refused: numpy's warning adds nothing.
+    with np.errstate(over="ignore"):
+        total = float((record.probs if isinstance(record, Pmf) else record.table).sum())
     if abs(total - 1.0) > SUM_TOL:
         raise ValidationError(f"sums to {total!r}, outside 1 +/- {SUM_TOL}")
 
 
 def _check_rows_normalized(ch: Channel) -> None:
-    sums = np.add.reduce(ch.rows, -1)
+    with np.errstate(over="ignore"):  # as in _check_total
+        sums = np.add.reduce(ch.rows, -1)
     bad = np.abs(sums - 1.0) > SUM_TOL
     if bad.any():
         idx = int(np.argmax(bad))
@@ -148,8 +151,13 @@ def renormalize(weights: Annotated[np.ndarray, Array(1)]) -> Pmf:
     """Scale nonnegative weights with positive total into a Pmf.
 
     This is the explicit repair path; the constructors never rescale.
+    Weights whose total overflows are first divided by the largest.
     """
-    total = float(weights.sum())
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
+    if not math.isfinite(total):
+        weights = weights / weights.max()
+        total = float(weights.sum())
     if total <= 0.0:
         raise ValidationError("total weight must be positive")
     return Pmf(weights / total)

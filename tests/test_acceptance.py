@@ -219,7 +219,7 @@ def test_criterion_6_closed_form_partition_optima():
             for n_messages in (1, 2, 3):
                 for d in (0.0, 0.2, 0.5, LN2, 1.2):
                     _, eps = logloss_excess_optimum(px, n_messages, d)
-                    assert logloss_codebook(px, d, eps) <= n_messages
+                    assert logloss_codebook(px, d, eps)[0].n_messages <= n_messages
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"[criterion 6] bound, equality cases, and codebook consistency hold, "

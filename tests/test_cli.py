@@ -12,9 +12,10 @@ import pytest
 import yaml
 
 import loglosslab
-from loglosslab import ValidationError, __version__, cli, equivalence, oneshot, problemio
+from loglosslab import ValidationError, __version__, equivalence, oneshot, problemio
 from loglosslab.cli import _build_parser, main
-from loglosslab.oneshot import excess_witness, logloss_codebook, logloss_excess_optimum
+from loglosslab.oneshot import (floor_exp, logloss_codebook, logloss_excess_optimum,
+                                solve_excess)
 from loglosslab.problemio import (
     dump_report,
     jsonable,
@@ -576,18 +577,19 @@ class TestOneshotCommand:
             code, out, err = run_cli(capsys, argv)
         assert code == 0, err
         assert [call.args[1] for call in scan.call_args_list] == [1, 2, 3]
-        assert json.loads(out)["outputs"]["m_star"] == 3
-        # The same report as a fresh witness scan at M* (excess_witness) gives.
-        with mock.patch.object(cli, "_codebook",
-                               lambda *args: (oneshot._codebook(*args)[0], None)):
-            rescanned = run_cli(capsys, argv)[1]
-        assert strip_wall_clock(out) == strip_wall_clock(rescanned)
+        outputs = json.loads(out)["outputs"]
+        assert outputs["m_star"] == 3
+        # The same code and epsilon as a fresh scan at M* gives.
+        witness, value = solve_excess(load_problem(path).problem, 3, 0.3)
+        assert outputs["scheme"] == {"encoder": list(witness.encoder),
+                                     "decoder": list(witness.decoder)}
+        assert outputs["achieved_epsilon"] == round_sig(value)
 
     def test_excess_matches_witness(self, capsys):
         report = run_report(
             capsys, ["oneshot", SKEW3, "--criterion", "excess",
                      "--messages", "2", "--distortion", "0.5"])
-        code, value = excess_witness(load_problem(SKEW3).problem, 2, 0.5)
+        code, value = solve_excess(load_problem(SKEW3).problem, 2, 0.5)
         out = report["outputs"]
         assert out["criterion"] == "excess"
         assert out["optimal_value"] == round_sig(value)
@@ -601,30 +603,38 @@ class TestOneshotCommand:
             capsys, ["oneshot", SKEW3, "--criterion", "codebook", "--logloss",
                      "--distortion", "0.5", "--epsilon", str(epsilon)])
         px = load_problem(SKEW3).problem.px
-        m_star = logloss_codebook(px, 0.5, epsilon)
-        scheme, value = logloss_excess_optimum(px, m_star, 0.5)
+        code, value = logloss_codebook(px, 0.5, epsilon)
+        at_m_star, value_at_m_star = logloss_excess_optimum(px, code.n_messages, 0.5)
+        assert code.encoder == at_m_star.encoder and value == value_at_m_star
         out = report["outputs"]
-        assert out["m_star"] == m_star
+        assert out["m_star"] == code.n_messages
         assert out["achieved_epsilon"] == round_sig(value) <= epsilon + 1e-12
-        assert out["scheme"] == {"sort_order": list(scheme.sort_order),
-                                 "cell_size": scheme.cell_size,
-                                 "encoder": list(scheme.encoder())}
+        assert out["scheme"] == {"sort_order": np.argsort(-px.probs, kind="stable").tolist(),
+                                 "cell_size": floor_exp(0.5),
+                                 "encoder": list(code.encoder)}
         assert "messages" not in report["inputs"]["flags"]
 
-    def test_flag_consistency_enforced(self, capsys):
+    @pytest.mark.parametrize("flags, message", [
         # avg takes no --distortion, excess needs one, codebook computes M.
-        cases = [
-            ["oneshot", SKEW3, "--criterion", "avg", "--messages", "2",
-             "--distortion", "0.5"],
-            ["oneshot", SKEW3, "--criterion", "excess", "--messages", "2"],
-            ["oneshot", SKEW3, "--criterion", "codebook", "--distortion", "0.5",
-             "--epsilon", "0.1", "--messages", "2"],
-            ["oneshot", SKEW3, "--criterion", "avg", "--messages", "2",
-             "--epsilon", "0.1"],
-        ]
-        for argv in cases:
-            code, _, _ = run_cli(capsys, argv)
-            assert code == 2, argv
+        (["avg", "--messages", "2", "--distortion", "0.5"],
+         "oneshot avg: --distortion does not apply"),
+        (["excess", "--messages", "2"], "oneshot excess: --distortion is required"),
+        (["codebook", "--distortion", "0.5", "--epsilon", "0.1", "--messages", "2"],
+         "oneshot codebook: --messages does not apply"),
+        (["avg", "--messages", "2", "--epsilon", "0.1"], "oneshot avg: --epsilon does not apply"),
+        (["excess", "--messages", "0"], "oneshot: --messages must be >= 1"),
+        (["codebook", "--distortion", "0.5"], "oneshot codebook: --epsilon is required"),
+        # With several wrong, the first in the order messages, distortion, epsilon.
+        (["codebook", "--messages", "2"], "oneshot codebook: --messages does not apply"),
+        (["avg", "--messages", "2", "--distortion", "0.5", "--epsilon", "0.1"],
+         "oneshot avg: --distortion does not apply"),
+        (["excess", "--messages", "2", "--epsilon", "0.1"],
+         "oneshot excess: --distortion is required"),
+    ])
+    def test_flag_consistency_enforced(self, capsys, flags, message):
+        code, _, err = run_cli(capsys, ["oneshot", SKEW3, "--criterion", *flags])
+        assert code == 2
+        assert err == f"error: {message}\n"
 
 
 class TestEquivCommand:

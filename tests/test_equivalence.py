@@ -121,6 +121,25 @@ class TestBuildCorresponding:
         with pytest.raises(DegenerateInstanceError):
             build_corresponding(uniform_hamming(2), 1)
 
+    @pytest.mark.parametrize("end", ["d_min", "d_max"])
+    def test_the_endpoint_slack_is_pinned_from_both_sides(self, end):
+        # Skewed3 at M = 3 spans [0, 0.5], and ln 3 exceeds H(X), so an
+        # interior D*(M) passes every later check.  D*(M) within
+        # ENDPOINT_TOL of an endpoint is degenerate, twice that is not.
+        problem = SourceProblem(px=Pmf([0.5, 0.3, 0.2]), distortion=hamming_distortion(3))
+        code = equivalence.solve_avg(problem, 3)[0]
+        at, inward = (0.0, 1.0) if end == "d_min" else (0.5, -1.0)
+
+        def solved_at(d_star):
+            return mock.patch.object(equivalence, "solve_avg", lambda *args: (code, d_star))
+
+        with solved_at(at + inward * equivalence.ENDPOINT_TOL):
+            with pytest.raises(DegenerateInstanceError, match="sits at a curve endpoint"):
+                build_corresponding(problem, 3)
+        d_star = at + inward * 2 * equivalence.ENDPOINT_TOL
+        with solved_at(d_star):
+            assert build_corresponding(problem, 3).d_star_m == d_star
+
     def test_coinciding_reverse_rows_are_refused(self):
         # Every two rows of a posterior lie within 2 of each other.
         with mock.patch.object(equivalence, "ROW_MATCH_TOL", 2.0):

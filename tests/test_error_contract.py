@@ -81,7 +81,6 @@ from loglosslab import (
     construct_sr_chain,
     distortion_bounds,
     entropy,
-    excess_witness,
     expected_distortion,
     expected_log_loss,
     floor_exp,
@@ -132,7 +131,6 @@ CODE = CP.optimal_code
 LCODE = map_code(CP, CODE)
 SR = construct_sr(SKEW3, 0.9, 0.15)
 CHAIN = construct_sr_chain(SKEW3, [0.9, 0.8], 0.15)
-SCHEME = logloss_excess_optimum(PX, 2, 0.5)[0]
 REPORT = verify_sr(SR)
 # Problems that POINT, solved on SKEW3, does not fit.
 SKEW2 = SourceProblem(px=Pmf([0.6, 0.4]), distortion=hamming_distortion(2))
@@ -170,7 +168,6 @@ VALID = {
     "solve_avg": (SKEW3, 2),
     "solve_avg_oracle": (SKEW3, 2),
     "solve_excess": (SKEW3, 2, 0.5),
-    "excess_witness": (SKEW3, 2, 0.5),
     "solve_codebook": (SKEW3, 0.5, 0.1),
     "logloss_avg_optimum": (PX, 2),
     "logloss_excess_optimum": (PX, 2, 0.5),
@@ -196,8 +193,6 @@ VALID = {
     "Channel.row": (CHANNEL, 1),
     "Joint.marginal_x": (JOINT,),
     "Joint.marginal_y": (JOINT,),
-    "ExcessScheme.encoder": (SCHEME,),
-    "ExcessScheme.decoder_rows": (SCHEME,),
     "SrReport.residual": (REPORT, "fine_rate"),
 }
 
@@ -414,7 +409,7 @@ def test_a_float_result_is_a_python_float(qualname):
 
 
 def test_each_float_result_is_checked():
-    assert len(float_results()) == 17
+    assert len(float_results()) == 16
 
 
 # id: (call taking the value, the start of the message it raises, a finite
@@ -685,7 +680,7 @@ def test_every_public_dataclass_is_a_record_or_a_result():
     # A new class must be placed: a record class gets the contract rows.
     dataclass_names = {name for name in loglosslab.__all__
                        if dataclasses.is_dataclass(getattr(loglosslab, name))}
-    results = {"RdDiagnostics", "Lemma1Report", "ExcessScheme", "Theorem1Check",
+    results = {"RdDiagnostics", "Lemma1Report", "Theorem1Check",
                "IdentitySweep", "CoincidenceReport", "SrCheck", "SrReport", "TimeshareReport"}
     assert dataclass_names == results | {kind.__name__ for kind in RECORDS}
     # A result declares no field rule, so every declared field is checked.

@@ -124,7 +124,7 @@ def test_only_public_functions_carry_the_argument_checks(name):
 
 
 def test_the_argument_rules_are_not_exported():
-    assert len(loglosslab.__all__) == 79
+    assert len(loglosslab.__all__) == 77
     rules = {"Real", "Int", "Seq", "Array", "Finite", "NonNegative", "Positive", "Probability",
              "Count", "Seed"}
     assert all(hasattr(errors, name) for name in rules)

@@ -32,7 +32,7 @@ from loglosslab import (
     verify_lemma1,
 )
 from loglosslab import oneshot
-from loglosslab.oneshot import LogLossCode, OneShotCode, excess_witness
+from loglosslab.oneshot import LogLossCode, OneShotCode
 
 LN2 = math.log(2.0)
 
@@ -118,9 +118,8 @@ class TestSubsetGuard:
         rng = np.random.default_rng(30)
         return SourceProblem(px=random_pmf(rng, 30), distortion=rng.uniform(0.0, 1.0, (30, 30)))
 
-    @pytest.mark.parametrize("solver, args", [(solve_avg, ()), (solve_excess, (0.5,)),
-                                              (excess_witness, (0.5,))],
-                             ids=["solve_avg", "solve_excess", "excess_witness"])
+    @pytest.mark.parametrize("solver, args", [(solve_avg, ()), (solve_excess, (0.5,))],
+                             ids=["solve_avg", "solve_excess"])
     def test_scans_refuse_30_choose_15(self, refused, solver, args):
         # C(30, 15) subsets would take about 20 minutes to scan.
         assert refused(solver, self.wide_problem(), 15, *args) == (
@@ -147,20 +146,18 @@ class TestSubsetGuard:
 class TestSolveExcess:
     def test_uniform4_examples(self):
         u4 = uniform_hamming(4)
-        assert solve_excess(u4, 1, 0.0) == pytest.approx(0.75, abs=1e-15)
-        assert solve_excess(u4, 2, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert solve_excess(u4, 1, 0.0)[1] == pytest.approx(0.75, abs=1e-15)
+        assert solve_excess(u4, 2, 0.0)[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_everything_covered(self):
-        assert solve_excess(uniform_hamming(3), 1, 1.0) == 0.0
+        assert solve_excess(uniform_hamming(3), 1, 1.0)[1] == 0.0
 
     def test_witness_attains_value(self):
         rng = np.random.default_rng(77)
         dist = rng.uniform(0.0, 1.0, size=(5, 4))
         prob = SourceProblem(px=random_pmf(rng, 5), distortion=dist)
         for m, d in [(1, 0.3), (2, 0.2), (3, 0.5)]:
-            value = solve_excess(prob, m, d)
-            code, witness_value = excess_witness(prob, m, d)
-            assert witness_value == value
+            code, value = solve_excess(prob, m, d)
             achieved = sum(
                 float(prob.px.probs[x])
                 for x in range(5)
@@ -171,8 +168,8 @@ class TestSolveExcess:
 
 class TestSolveCodebook:
     def test_uniform4_d0(self):
-        assert solve_codebook(uniform_hamming(4), 0.0, 0.5) == 2
-        assert solve_codebook(uniform_hamming(4), 0.0, 0.0) == 4
+        assert solve_codebook(uniform_hamming(4), 0.0, 0.5)[0].n_messages == 2
+        assert solve_codebook(uniform_hamming(4), 0.0, 0.0)[0].n_messages == 4
 
     def test_infeasible_reports_best(self):
         # symbol 0 is covered by no column at D = 0.5
@@ -192,8 +189,21 @@ class TestSolveCodebook:
         dist = np.array([[0, 0, 1], [0, 0, 1], [0, 1, 0], [0, 1, 0], [1, 0, 1], [1, 1, 0]],
                         dtype=float)
         prob = SourceProblem(px=Pmf.uniform(6), distortion=dist)
-        assert solve_excess(prob, 1, 0.0) > 0.0
-        assert solve_codebook(prob, 0.0, 0.0) == 2
+        assert solve_excess(prob, 1, 0.0)[1] > 0.0
+        assert solve_codebook(prob, 0.0, 0.0)[0].n_messages == 2
+
+    @pytest.mark.parametrize("problem, d, eps, m_greedy", [
+        # Each column covers one symbol at D = 0, so the greedy cover takes
+        # all four; on skewed3 at D = 0.5 it takes columns 0 and 1.
+        (uniform_hamming(4), 0.0, 0.0, 4),
+        (SourceProblem(px=Pmf([0.5, 0.3, 0.2]), distortion=hamming_distortion(3)), 0.5, 0.25, 2),
+    ], ids=["uniform4", "skewed3"])
+    def test_greedy_bound_answer_scans_each_size_once(self, problem, d, eps, m_greedy):
+        with mock.patch.object(oneshot, "_first_best_subset",
+                               wraps=oneshot._first_best_subset) as scan:
+            code, value = solve_codebook(problem, d, eps)
+        assert [call.args[1] for call in scan.call_args_list] == list(range(1, m_greedy + 1))
+        assert (code, value) == solve_excess(problem, m_greedy, d)
 
 
 def brute_force_excess(problem: SourceProblem, n_messages: int, d: float) -> float:
@@ -228,8 +238,8 @@ def small_excess_problem(rng) -> SourceProblem:
 
 
 class TestExcessBruteForce:
-    # solve_excess and excess_witness share one cover search; these check
-    # both, and solve_codebook on top of them, against every code.
+    # These check solve_excess, and solve_codebook on top of it, against
+    # every code.
     D_LEVELS = (0.0, 0.25, 0.5, 1.0)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -237,8 +247,7 @@ class TestExcessBruteForce:
         prob = small_excess_problem(np.random.default_rng(1100 + seed))
         for m, d in itertools.product((1, 2, 3), self.D_LEVELS):
             oracle = brute_force_excess(prob, m, d)
-            code, value = excess_witness(prob, m, d)
-            assert solve_excess(prob, m, d) == value
+            code, value = solve_excess(prob, m, d)
             assert value == pytest.approx(oracle, abs=1e-12)
             decoded = [code.decoder[code.encoder[x]] for x in range(prob.n_source)]
             achieved = float(prob.px.probs[prob.distortion[np.arange(prob.n_source),
@@ -257,7 +266,7 @@ class TestExcessBruteForce:
                     with pytest.raises(InfeasibleError):
                         solve_codebook(prob, d, eps)
                     continue
-                m = solve_codebook(prob, d, eps)
+                m = solve_codebook(prob, d, eps)[0].n_messages
                 assert optima[m - 1] <= eps + 1e-12
                 if m > 1:
                     assert optima[m - 2] > eps + 1e-12
@@ -269,7 +278,7 @@ class TestExcessBruteForce:
         for d in (0.0, 0.5, LN2, 1.2):
             optima = [logloss_excess_oracle(px, m, d) for m in range(1, px.n + 1)]
             for eps in [0.0, 0.1, 0.3, float(rng.uniform(0.0, 1.0))] + optima:
-                m = logloss_codebook(px, d, eps)
+                m = logloss_codebook(px, d, eps)[0].n_messages
                 assert optima[m - 1] <= eps + 1e-12
                 if m > 1:
                     assert optima[m - 2] > eps + 1e-12
@@ -327,7 +336,7 @@ class TestFloorExp:
         k = floor_exp(d)
         assert time.perf_counter() - start < 0.1
         assert math.log(k) <= d + 1e-12 < math.log(k + 1)
-        assert 1.0 / k > 0.0  # a float, as ExcessScheme's cell masses need
+        assert 1.0 / k > 0.0  # a float, as the log-loss excess code's cell masses need
 
     @pytest.mark.parametrize("d", [math.nextafter(oneshot._FLOOR_EXP_MAX, math.inf), 710.0,
                                    1e308])
@@ -408,9 +417,9 @@ class TestLoglossAvg:
 
 class TestLoglossExcess:
     def test_uniform4_m2_d0(self):
-        scheme, value = logloss_excess_optimum(Pmf.uniform(4), 2, 0.0)
+        code, value = logloss_excess_optimum(Pmf.uniform(4), 2, 0.0)
         assert value == pytest.approx(0.5, abs=1e-15)
-        assert scheme.cell_size == 1
+        assert code.encoder == (0, 1, 1, 1)
 
     def test_cell_size_doubles_coverage(self):
         _, value = logloss_excess_optimum(Pmf.uniform(4), 2, LN2)
@@ -419,9 +428,9 @@ class TestLoglossExcess:
     def test_scheme_consistency(self):
         rng = np.random.default_rng(42)
         px = random_pmf(rng, 7)
-        scheme, value = logloss_excess_optimum(px, 2, 0.8)
-        rows = scheme.decoder_rows()
-        enc = scheme.encoder()
+        code, value = logloss_excess_optimum(px, 2, 0.8)
+        rows = code.decoder_rows
+        enc = code.encoder
         assert len(enc) == 7
         for row in rows:
             assert row.probs.sum() == pytest.approx(1.0)
@@ -465,7 +474,7 @@ class TestUnusedMessages:
         prob = small_excess_problem(np.random.default_rng(1400 + seed))
         s = prob.n_reconstruction
         solvers = [lambda m: solve_avg(prob, m)] + [
-            lambda m, d=d: excess_witness(prob, m, d) for d in TestExcessBruteForce.D_LEVELS]
+            lambda m, d=d: solve_excess(prob, m, d) for d in TestExcessBruteForce.D_LEVELS]
         for solve in solvers:
             code, value = solve(s)
             for m in (s + 1, 10**18):
@@ -480,32 +489,33 @@ class TestUnusedMessages:
     def test_logloss_excess_scheme_stops_at_its_filled_cells(self, seed, d):
         px = small_excess_problem(np.random.default_rng(1500 + seed)).px
         cell = floor_exp(d)
+        sort_order = np.argsort(-px.probs, kind="stable")
         filled = -(-px.n // cell)
-        scheme, eps = logloss_excess_optimum(px, filled, d)
+        code, eps = logloss_excess_optimum(px, filled, d)
         for m in (filled + 1, 10**18):
             other, other_eps = logloss_excess_optimum(px, m, d)
             assert other_eps.hex() == eps.hex()
-            assert other.encoder() == scheme.encoder()
+            assert other.encoder == code.encoder
         for m in (*range(1, filled + 2), 10**18):
-            scheme = logloss_excess_optimum(px, m, d)[0]
-            rows = scheme.decoder_rows()
-            assert scheme.n_messages == len(rows) == min(m, filled)
+            code = logloss_excess_optimum(px, m, d)[0]
+            rows = code.decoder_rows
+            assert code.n_messages == len(rows) == min(m, filled)
             for k, row in enumerate(rows):
-                members = scheme.sort_order[k * cell:(k + 1) * cell]
+                members = sort_order[k * cell:(k + 1) * cell]
                 assert set(np.flatnonzero(row.probs).tolist()) == set(members)
 
 
 class TestLoglossCodebook:
     def test_uniform4_d0(self):
-        assert logloss_codebook(Pmf.uniform(4), 0.0, 0.5) == 2
-        assert logloss_codebook(Pmf.uniform(4), 0.0, 0.0) == 4
+        assert logloss_codebook(Pmf.uniform(4), 0.0, 0.5)[0].n_messages == 2
+        assert logloss_codebook(Pmf.uniform(4), 0.0, 0.0)[0].n_messages == 4
 
     def test_cell_size_shrinks_codebook(self):
-        assert logloss_codebook(Pmf.uniform(4), LN2, 0.0) == 2
-        assert logloss_codebook(Pmf.uniform(4), math.log(4.0), 0.0) == 1
+        assert logloss_codebook(Pmf.uniform(4), LN2, 0.0)[0].n_messages == 2
+        assert logloss_codebook(Pmf.uniform(4), math.log(4.0), 0.0)[0].n_messages == 1
 
     def test_eps_one_needs_single_message(self):
-        assert logloss_codebook(Pmf([0.7, 0.2, 0.1]), 0.0, 1.0) == 1
+        assert logloss_codebook(Pmf([0.7, 0.2, 0.1]), 0.0, 1.0)[0].n_messages == 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mutual_consistency_with_excess(self, seed):
@@ -514,7 +524,7 @@ class TestLoglossCodebook:
         for m in (1, 2, 3, 4):
             for d in (0.0, 0.5, LN2):
                 _, eps = logloss_excess_optimum(px, m, d)
-                assert logloss_codebook(px, d, eps) <= m
+                assert logloss_codebook(px, d, eps)[0].n_messages <= m
 
 
 _SKEW3 = SourceProblem(px=Pmf([0.5, 0.3, 0.2]), distortion=hamming_distortion(3))
@@ -523,7 +533,6 @@ _TAKES_N_MESSAGES = {
     "solve_avg": lambda m: solve_avg(_SKEW3, m),
     "solve_avg_oracle": lambda m: solve_avg_oracle(_SKEW3, m),
     "solve_excess": lambda m: solve_excess(_SKEW3, m, 0.5),
-    "excess_witness": lambda m: excess_witness(_SKEW3, m, 0.5),
     "logloss_avg_optimum": lambda m: logloss_avg_optimum(_SKEW3.px, m),
     "logloss_excess_optimum": lambda m: logloss_excess_optimum(_SKEW3.px, m, 0.5),
     "logloss_excess_oracle": lambda m: logloss_excess_oracle(_SKEW3.px, m, 0.5),
@@ -564,3 +573,67 @@ def test_malformed_code_is_a_validation_error(encoder, decoder, match):
 def test_code_must_fit_the_problem(code, match):
     with pytest.raises(ValidationError, match=f"expected_distortion: {match}"):
         expected_distortion(_SKEW3, code)
+
+
+def _uncovered_mass(problem: SourceProblem, code: OneShotCode, d: float) -> float:
+    """Pr[d(X, g(f(X))) > D] under the code."""
+    decoded = np.array(code.decoder)[list(code.encoder)]
+    return float(problem.px.probs[problem.distortion[np.arange(problem.n_source), decoded] > d]
+                 .sum())
+
+
+def _log_loss_excess(px: Pmf, code: LogLossCode, d: float) -> float:
+    """Pr[-ln q(X) > D] under the code, with floor_exp's slack of 1e-12 on D."""
+    q = np.array([code.decoder_rows[m].probs[x] for x, m in enumerate(code.encoder)])
+    with np.errstate(divide="ignore"):
+        return float(px.probs[-np.log(q) > d + 1e-12].sum())
+
+
+def _zero_masses_problem() -> SourceProblem:
+    # Two zero-mass symbols; the codebook answers are M* = 3 and 2.
+    rng = np.random.default_rng(18)
+    w = rng.uniform(0.05, 1.0, 6)
+    w[[1, 4]] = 0.0
+    return SourceProblem(px=Pmf(w / w.sum()), distortion=rng.uniform(0.0, 1.0, (6, 4)))
+
+
+_CONTRACT_PROBLEMS = {"skewed3": _SKEW3, "zero_masses": _zero_masses_problem()}
+_D, _LOG_D, _EPS = 0.5, LN2, 0.1
+# name: (the solver on a problem, the value its code attains, the tolerance)
+_SOLVERS = {
+    "solve_avg": (lambda p: solve_avg(p, 2), expected_distortion, 0.0),
+    "solve_excess": (lambda p: solve_excess(p, 2, _D),
+                     lambda p, code: _uncovered_mass(p, code, _D), 1e-12),
+    "solve_codebook": (lambda p: solve_codebook(p, _D, _EPS),
+                       lambda p, code: _uncovered_mass(p, code, _D), 1e-12),
+    "logloss_avg_optimum": (lambda p: logloss_avg_optimum(p.px, 2),
+                            lambda p, code: expected_log_loss(p.px, code), 1e-12),
+    "logloss_excess_optimum": (lambda p: logloss_excess_optimum(p.px, 2, _LOG_D),
+                               lambda p, code: _log_loss_excess(p.px, code, _LOG_D), 1e-12),
+    "logloss_codebook": (lambda p: logloss_codebook(p.px, _LOG_D, _EPS),
+                         lambda p, code: _log_loss_excess(p.px, code, _LOG_D), 1e-12),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_CONTRACT_PROBLEMS))
+@pytest.mark.parametrize("name", sorted(_SOLVERS))
+def test_every_solver_returns_a_code_that_attains_its_value(name, problem):
+    solve, attained, tol = _SOLVERS[name]
+    prob = _CONTRACT_PROBLEMS[problem]
+    code, value = solve(prob)
+    assert type(value) is float
+    assert isinstance(code, LogLossCode if name.startswith("logloss") else OneShotCode)
+    assert attained(prob, code) == pytest.approx(value, rel=0.0, abs=tol)
+
+
+@pytest.mark.parametrize("problem", sorted(_CONTRACT_PROBLEMS))
+@pytest.mark.parametrize("name, excess_at", [
+    ("solve_codebook", lambda p, m: solve_excess(p, m, _D)),
+    ("logloss_codebook", lambda p, m: logloss_excess_optimum(p.px, m, _LOG_D)),
+], ids=["solve_codebook", "logloss_codebook"])
+def test_a_codebook_code_has_the_least_message_count(name, excess_at, problem):
+    prob = _CONTRACT_PROBLEMS[problem]
+    code, value = _SOLVERS[name][0](prob)
+    assert value <= _EPS + 1e-12
+    assert code.n_messages > 1
+    assert excess_at(prob, code.n_messages - 1)[1] > _EPS + 1e-12

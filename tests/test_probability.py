@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,26 @@ def test_renormalize_is_the_repair_path():
         renormalize([0.0, 0.0])
     with pytest.raises(ValidationError):
         renormalize([1.0, -1.0])
+
+
+def test_renormalize_scales_weights_whose_total_overflows():
+    # The total overflows to inf: dividing by it alone would give zeros.
+    assert renormalize([1e308, 1e308]).probs.tolist() == [0.5, 0.5]
+    p = renormalize([1.7e308, 1.7e308, 1.0])
+    assert p.probs[:2].tolist() == [0.5, 0.5] and p.probs[2] > 0.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Pmf([1e308, 1e308]), "Pmf: sums to inf, outside 1 "),
+    (lambda: Joint([[1e308, 1e308], [0.0, 0.0]]), "Joint: sums to inf, outside 1 "),
+    (lambda: Channel([[1e308, 1e308], [0.5, 0.5]]), "Channel: row 0 sums to "),
+], ids=["Pmf", "Joint", "Channel"])
+def test_a_total_that_overflows_is_refused_without_a_warning(build, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            build()
+    assert str(err.value).startswith(message)
 
 
 # ----------------------------------------------------------------------

@@ -471,7 +471,10 @@ class TestDualGapStop:
         assert verify_optimum_coincidence(cp).matched
 
     def test_second_instance(self):
-        self.solve(self.SECOND, 0.1015625, 0.381908500977)
+        point = self.solve(self.SECOND, 0.1015625, 0.381908500977)
+        # The gap stop drops a column: one prune round.
+        assert point.kept_columns == (0, 1, 2)
+        assert (point.diagnostics.ba_iterations, point.diagnostics.prune_rounds) == (114, 1)
 
     def test_low_mass_column_that_meets_the_target_stays(self):
         # D*(2) is the D_min of columns (0, 1, 3) up to rounding, which in
@@ -485,6 +488,8 @@ class TestDualGapStop:
         point = rd_at_distortion(problem, d_star, tol=1e-10)
         assert time.perf_counter() - start < self.SLOW_BUDGET_S
         assert point.kept_columns == (0, 1, 2, 3)
+        # The gap stop keeps every column: no prune round.
+        assert (point.diagnostics.ba_iterations, point.diagnostics.prune_rounds) == (45, 0)
         assert abs(point.rate - 0.636514168308) <= 1e-9, point.rate
         assert abs(point.diagnostics.achieved_distortion - d_star) <= 1e-10
         assert abs(dual_gap(problem, point)) <= CERT_TOL

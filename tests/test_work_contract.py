@@ -2,11 +2,14 @@
 
 Every refusal of an exhaustive search is raised by ``oneshot._check_work``,
 beside the guard constants, and the CLI reads no guard: it calls a guarded
-routine and treats the refusal as its answer.  README's "Work guards"
-table has one row per guard, with the guard's value.
+routine and treats the refusal as its answer.  Nor does it call a private
+function of the library, so each answer it prints comes through the public
+call that checks and names it.  README's "Work guards" table has one row per
+guard, with the guard's value.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -68,6 +71,45 @@ def test_only_the_work_check_refuses(path):
 
 def test_the_cli_reads_no_guard():
     assert guard_names(parse(SOURCE / "cli.py")) == set()
+
+
+def private_imports(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of each private name a module takes from a sibling module.
+
+    Both ``from .oneshot import _name`` and ``oneshot._name`` after
+    ``from . import oneshot`` count.
+    """
+    found, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.add((modules[node.value.id], node.attr))
+    return found
+
+
+def test_the_cli_calls_no_private_function():
+    # The rd report prints the fixed-point tolerance that the solver derives
+    # from --tol.  Private constants, such as the default --tol, are read.
+    allowed = {("ratedistortion", "_certificate_tol")}
+    called = {(module, name) for module, name in private_imports(parse(SOURCE / "cli.py"))
+              if callable(getattr(importlib.import_module(f"loglosslab.{module}"), name))}
+    assert sorted(called - allowed) == []
+
+
+def test_a_private_import_is_caught():
+    tree = ast.parse("from .oneshot import _codebook, solve_avg\n"
+                     "from .errors import _named as named\n"
+                     "from . import oneshot\n"
+                     "code = oneshot._subset_code(problem, (0, 1))\n")
+    assert private_imports(tree) == {("oneshot", "_codebook"), ("errors", "_named"),
+                                     ("oneshot", "_subset_code")}
 
 
 def test_a_stray_refusal_is_caught():
