@@ -4,11 +4,12 @@ Everything raised on purpose derives from :class:`LoglossLabError`, so callers
 can catch one type at the boundary.  Input problems additionally derive from
 ``ValueError`` to behave well with generic validation code.
 
-A public function declares the rule of each argument once, on its signature
-(PEP 593), and carries :func:`_checked`, which applies the rules before the
-body runs.  A record declares the rule of each field on its annotation, and
-its ``__post_init__`` is one call to :func:`_check_fields`, which applies
-the rules and then the record's checks between fields.
+A public function or method declares the rule of each argument once, on
+its signature (PEP 593).  Each one that takes an argument carries
+:func:`_checked`, which applies the rules before the body runs.  A record
+declares the rule of each field on its annotation, and its
+``__post_init__`` is one call to :func:`_check_fields`, which applies the
+rules and then the record's checks between fields.
 ``Annotated[float, Real(...)]``, ``Annotated[int, Int(...)]``,
 ``Annotated[tuple, Seq(...)]`` and ``Annotated[np.ndarray, Array(...)]``
 declare a rule, and a record class (a dataclass) asks for an instance of it;
@@ -17,18 +18,16 @@ implementation: a body that checks a bound set by another argument calls
 it too, as in ``Int(0, q.n - 1).check("x", x)``.
 
 No message names the function or record that refused.  Every refusal
-leaves through one owner that names it: the wrapper that :func:`_checked`
-puts on a public function, :func:`_check_fields` for a record, or
-:func:`_named` for the two public calls neither covers, ``Channel.row``
-and ``SrReport.residual``.  Each sets the error's ``caller`` on the way
-out, and a wrapper further out sets it again, so the outermost public
-call is the one named: ``build_corresponding`` names a refusal of the
-``solve_avg`` it calls.
+leaves through one of two owners that name it: the wrapper that
+:func:`_checked` puts on each public function or method that takes an
+argument, and :func:`_check_fields` for a record.  Each sets the error's
+``caller`` on the way out, and a wrapper further out sets it again, so the
+outermost public call is the one named: ``build_corresponding`` names a
+refusal of the ``solve_avg`` it calls.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import inspect
@@ -138,7 +137,8 @@ def _clamp_target(name: str, value: float, low: float, high: float) -> float:
 class Real(typing.NamedTuple):
     """A finite real, not a bool, in [low, high] (either bound unless None); > 0 if positive.
 
-    An int too large for a float counts as not finite.
+    An int too large for a float counts as not finite.  A numpy scalar is
+    read, and passed on, as its Python scalar.
     """
 
     low: float | None = None
@@ -147,6 +147,7 @@ class Real(typing.NamedTuple):
 
     def check(self, name: str, value):
         """``value``; ValidationError naming ``name`` if it breaks the rule."""
+        value = value.item() if isinstance(value, np.generic) else value
         low, high = self.low, self.high
         try:
             finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -164,29 +165,30 @@ class Real(typing.NamedTuple):
 
 
 class Int(typing.NamedTuple):
-    """An integer, not a bool, >= minimum (and <= maximum unless None); None if allow_none."""
+    """An integer, not a bool, >= minimum (and <= maximum unless None).
+
+    A numpy scalar is read, and passed on, as its Python scalar.
+    """
 
     minimum: int
     maximum: int | None = None
-    allow_none: bool = False
 
     def check(self, name: str, value):
-        if self.allow_none and value is None:
-            return value
+        value = value.item() if isinstance(value, np.generic) else value
         minimum, maximum = self.minimum, self.maximum
         if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
                 and value >= minimum and (maximum is None or value <= maximum)):
-            what = "None or an integer" if self.allow_none else "an integer"
             bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-            raise ValidationError(f"{name} must be {what} {bound}, got {value!r}")
+            raise ValidationError(f"{name} must be an integer {bound}, got {value!r}")
         return value
 
 
 class Seq(typing.NamedTuple):
     """Any iterable but a string, passed on as a tuple of its entries.
 
-    Each entry obeys ``entry``, a rule or a record class, unless it is None;
-    the tuple must hold an entry if ``nonempty``.
+    Each entry obeys ``entry``, a rule or a record class, unless it is None,
+    and is passed on as that rule passes it; the tuple must hold an entry if
+    ``nonempty``.
     """
 
     entry: object = None
@@ -204,8 +206,7 @@ class Seq(typing.NamedTuple):
             _require_nonempty(name, entries)
         if self.entry is not None:
             rule = _Instance(self.entry) if isinstance(self.entry, type) else self.entry
-            for i, entry in enumerate(entries):
-                rule.check(f"{name}[{i}]", entry)
+            entries = tuple(rule.check(f"{name}[{i}]", entry) for i, entry in enumerate(entries))
         return entries
 
 
@@ -263,11 +264,9 @@ Seed = Annotated[int, Int(0)]
 def _rule(hint):
     """The rule that a parameter's type hint declares, or None.
 
-    ``rule | None`` lets None pass, for a rule with an ``allow_none`` field.
+    ``Annotated[..., rule]`` declares ``rule``, and a record class an
+    instance of it; any other hint, or none, declares no rule.
     """
-    if type(None) in typing.get_args(hint):
-        (hint,) = set(typing.get_args(hint)) - {type(None)}
-        return _rule(hint)._replace(allow_none=True)
     if typing.get_origin(hint) is Annotated:
         return hint.__metadata__[0]
     return _Instance(hint) if dataclasses.is_dataclass(hint) else None
@@ -284,21 +283,6 @@ def _plan(fn) -> tuple:
     plan = [(i, name, _rule(hints.get(name)))
             for i, name in enumerate(inspect.signature(fn).parameters)]
     return tuple(step for step in plan if step[2] is not None)
-
-
-def _check_arguments(fn, args: tuple, kwargs: dict) -> list:
-    """The arguments ``args`` of a call to ``fn``, each checked by its rule and converted.
-
-    ``kwargs`` is checked and converted in place; an argument left at its
-    default is not checked.  Errors name the argument, not ``fn``.
-    """
-    args = list(args)
-    for i, name, rule in _plan(fn):
-        if i < len(args):
-            args[i] = rule.check(name, args[i])
-        elif name in kwargs:
-            kwargs[name] = rule.check(name, kwargs[name])
-    return args
 
 
 def _check_fields(record, *relations) -> None:
@@ -319,30 +303,24 @@ def _check_fields(record, *relations) -> None:
 
 
 def _checked(fn):
-    """Decorate a public function so that its declared rules check each argument first.
+    """Decorate a public function or method so that its declared rules check each argument first.
 
-    An error that leaves the call names it.  Private functions are never
-    decorated, so the hot paths pay nothing.
+    Each argument is converted by its rule before the body runs; an argument
+    left at its default is not checked.  An error that leaves the call names
+    it.  Private functions are never decorated, so the hot paths pay nothing.
     """
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         try:
-            return fn(*_check_arguments(checked, args, kwargs), **kwargs)
+            args = list(args)
+            for i, name, rule in _plan(checked):
+                if i < len(args):
+                    args[i] = rule.check(name, args[i])
+                elif name in kwargs:
+                    kwargs[name] = rule.check(name, kwargs[name])
+            return fn(*args, **kwargs)
         except LoglossLabError as exc:
             exc.caller = checked.__qualname__
             raise
 
     return checked
-
-
-@contextlib.contextmanager
-def _named(caller: str):
-    """Name ``caller`` in an error raised within ``with _named(caller):``.
-
-    For a public call that neither :func:`_checked` nor a record check names.
-    """
-    try:
-        yield
-    except LoglossLabError as exc:
-        exc.caller = caller
-        raise

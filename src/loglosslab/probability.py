@@ -19,8 +19,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import (Array, Count, Int, Seq, ValidationError, _check_fields, _checked, _named,
-                     _require_size)
+from .errors import Array, Count, Int, Seq, ValidationError, _check_fields, _checked, _require_size
 
 __all__ = [
     "SUM_TOL",
@@ -44,22 +43,18 @@ __all__ = [
 SUM_TOL = 1e-9
 
 
-def _check_total(record: Pmf | Joint) -> None:
-    """Refuse a Pmf or a Joint whose entries do not sum to 1 within SUM_TOL."""
-    # A total that overflows is inf, which is refused: numpy's warning adds nothing.
+def _check_sums(record: Pmf | Joint | Channel) -> None:
+    """Refuse a Pmf or a Joint whose total, or a Channel whose row sum, is not 1 within SUM_TOL."""
+    # A sum that overflows is inf, which is refused: numpy's warning adds nothing.
     with np.errstate(over="ignore"):
-        total = float((record.probs if isinstance(record, Pmf) else record.table).sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValidationError(f"sums to {total!r}, outside 1 +/- {SUM_TOL}")
-
-
-def _check_rows_normalized(ch: Channel) -> None:
-    with np.errstate(over="ignore"):  # as in _check_total
-        sums = np.add.reduce(ch.rows, -1)
-    bad = np.abs(sums - 1.0) > SUM_TOL
-    if bad.any():
+        sums = (np.add.reduce(record.rows, -1) if isinstance(record, Channel)
+                else (record.probs if isinstance(record, Pmf) else record.table).sum())
+    bad = abs(sums - 1.0) > SUM_TOL
+    if np.count_nonzero(bad):  # cheaper than bad.any() on a numpy scalar
         idx = int(np.argmax(bad))
-        raise ValidationError(f"row {idx} sums to {sums.flat[idx]!r}, outside 1 +/- {SUM_TOL}")
+        where = f"row {idx} " if isinstance(record, Channel) else ""
+        raise ValidationError(f"{where}sums to {float(np.ravel(sums)[idx])!r}, "
+                              f"outside 1 +/- {SUM_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +64,7 @@ class Pmf:
     probs: Annotated[np.ndarray, Array(1)]
 
     def __post_init__(self):
-        _check_fields(self, _check_total)
+        _check_fields(self, _check_sums)
 
     @property
     def n(self) -> int:
@@ -100,7 +95,7 @@ class Channel:
     rows: Annotated[np.ndarray, Array(2)]
 
     def __post_init__(self):
-        _check_fields(self, _check_rows_normalized)
+        _check_fields(self, _check_sums)
 
     @property
     def n_in(self) -> int:
@@ -110,9 +105,9 @@ class Channel:
     def n_out(self) -> int:
         return self.rows.shape[1]
 
+    @_checked
     def row(self, x: int) -> Pmf:
-        with _named("Channel.row"):
-            Int(0, self.n_in - 1).check("x", x)
+        Int(0, self.n_in - 1).check("x", x)
         return Pmf(self.rows[x])
 
     @staticmethod
@@ -133,7 +128,7 @@ class Joint:
     table: Annotated[np.ndarray, Array(2)]
 
     def __post_init__(self):
-        _check_fields(self, _check_total)
+        _check_fields(self, _check_sums)
 
     @property
     def shape(self) -> tuple[int, int]:

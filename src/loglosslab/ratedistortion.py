@@ -117,10 +117,9 @@ def _first_close_pair(vectors: np.ndarray, tol: float) -> tuple[int, int] | None
 
 
 @_checked
-def hamming_distortion(r: Count, s: Count | None = None) -> np.ndarray:
-    """0/1 distortion matrix: free on the diagonal, unit cost elsewhere."""
-    s = r if s is None else s
-    return 1.0 - np.eye(r, s)
+def hamming_distortion(r: Count) -> np.ndarray:
+    """r x r 0/1 distortion matrix: free on the diagonal, unit cost elsewhere."""
+    return 1.0 - np.eye(r)
 
 
 @dataclass(frozen=True, eq=False)

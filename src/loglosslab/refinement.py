@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (Count, Finite, InfeasibleError, NonNegative, Positive, Real, Seed, Seq,
                      ValidationError, VerificationError, _check_fields, _checked, _clamp_target,
-                     _named, _require_order, _require_size)
+                     _require_order, _require_size)
 from .probability import (
     Channel,
     Joint,
@@ -258,13 +258,13 @@ class SrReport:
     checks: tuple[SrCheck, ...]
     ok: bool
 
+    @_checked
     def residual(self, name: str) -> float:
         for check in self.checks:
             if check.name == name:
                 return check.residual
         names = ", ".join(check.name for check in self.checks)
-        with _named("SrReport.residual"):
-            raise ValidationError(f"name must be one of {names}, got {name!r}")
+        raise ValidationError(f"name must be one of {names}, got {name!r}")
 
 
 @_checked

@@ -135,7 +135,7 @@ REPORT = verify_sr(SR)
 # Problems that POINT, solved on SKEW3, does not fit.
 SKEW2 = SourceProblem(px=Pmf([0.6, 0.4]), distortion=hamming_distortion(2))
 ONE_SYMBOL = SourceProblem(px=Pmf([1.0]), distortion=[[0.0, 1.0, 2.0]])
-TWO_COLUMNS = SourceProblem(px=PX, distortion=hamming_distortion(3, 2))
+TWO_COLUMNS = SourceProblem(px=PX, distortion=1.0 - np.eye(3, 2))
 PMF2 = Pmf([0.5, 0.5])
 
 # One call per public function or method that each of its arguments passes;
@@ -156,7 +156,7 @@ VALID = {
     "joint_from_source_and_channel": (PX, CHANNEL),
     "log_loss": (2, PX),
     "log_loss_seq": ([0, 2], [PX, PX]),
-    "hamming_distortion": (3, 2),
+    "hamming_distortion": (3,),
     "distortion_bounds": (SKEW3,),
     "rd_at_distortion": (SKEW3, 0.2),
     "rd_curve": (SKEW3, [0.2, 0.3]),
@@ -272,6 +272,13 @@ def rules(qualname: str) -> dict:
     return {name: rule for name, rule in {**declared, **exempt}.items() if rule is not None}
 
 
+def as_numpy(cases: list) -> list:
+    """The cases, and again each whose value is a float or an int64 as np.float64 or np.int64."""
+    return cases + [(f"{label}-as-numpy", np.float64(v) if type(v) is float else np.int64(v), rest)
+                    for label, v, rest in cases
+                    if type(v) is float or (type(v) is int and -2**63 <= v < 2**63)]
+
+
 def wrong_values(rule, valid) -> list:
     """(label, value, the message's text after the argument's name) for each value refused.
 
@@ -284,12 +291,12 @@ def wrong_values(rule, valid) -> list:
         past = [math.nextafter(bound, away) for bound, away in
                 ((rule.low, -math.inf), (rule.high, math.inf)) if bound is not None]
         values = NOT_REAL + past + ([0.0] if rule.positive else [])
-        return ([(repr(v), v, " must ") for v in values]
-                + [(label, v, " must ") for label, v in TOO_LARGE.items()])
+        return as_numpy([(repr(v), v, " must ") for v in values]
+                        + [(label, v, " must ") for label, v in TOO_LARGE.items()])
     if isinstance(rule, Int):
         values = NOT_REAL + [1.5, rule.minimum - 1] + (
             [] if rule.maximum is None else [rule.maximum + 1])
-        return [(repr(v), v, " must ") for v in values if not (v is None and rule.allow_none)]
+        return as_numpy([(repr(v), v, " must ") for v in values])
     if isinstance(rule, Seq):
         last = len(valid) - 1
         entries = [] if rule.entry is None else [
@@ -341,6 +348,27 @@ def test_wrong_argument_is_a_validation_error_naming_the_called_function(call, p
     assert str(err.value).startswith(prefix), str(err.value)
 
 
+def message(call) -> str:
+    """The message of the ValidationError that ``call()`` raises."""
+    with pytest.raises(ValidationError) as err:
+        call()
+    return str(err.value)
+
+
+CASE_CALLS = {case.id: case.values[0] for case in CASES}
+# id of each case whose wrong value is a numpy scalar: (its call, the call of
+# the case that spells the value in Python).  Both must read the same: a
+# message once printed np.float64(nan).
+AS_NUMPY = {case_id: (call, CASE_CALLS[case_id.removesuffix("-as-numpy")])
+            for case_id, call in CASE_CALLS.items() if case_id.endswith("-as-numpy")}
+
+
+@pytest.mark.parametrize("case", sorted(AS_NUMPY))
+def test_a_numpy_scalar_is_refused_as_its_python_spelling(case):
+    numpy_call, python_call = AS_NUMPY[case]
+    assert message(numpy_call) == message(python_call)
+
+
 @pytest.mark.parametrize("qualname", sorted(CALLS))
 def test_each_valid_call_is_accepted(qualname):
     # So each case above fails on its one wrong value alone.
@@ -363,10 +391,6 @@ def test_each_entry_bound_completes_a_declared_sequence():
                 for _, name, rule in errors._plan(function)}
     assert {key: rule._replace(entry=None) for key, rule in ENTRY_BOUNDS.items()} == {
         key: declared.get(key) for key in ENTRY_BOUNDS}
-
-
-def test_none_passes_where_declared():
-    assert hamming_distortion(3, None).shape == (3, 3)
 
 
 def test_a_point_declares_its_kept_columns():
@@ -648,6 +672,36 @@ def test_a_refusal_from_a_callee_names_the_called_function(name):
 def test_values_out_of_order_or_an_empty_sequence_are_a_named_validation_error(name):
     call, message = ORDER_AND_EMPTINESS[name]
     with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+# id "function-argument": (call with numpy scalars, the error it raises, the
+# whole message).  Each message once printed a scalar's numpy repr, such as
+# np.float64(5.0); all but tol's come from the body, past the rules.
+NUMPY_SCALARS = {
+    "rd_at_distortion-d": (lambda: rd_at_distortion(SKEW3, np.float64(5.0)), InfeasibleError,
+                           "rd_at_distortion: d = 5.0 outside the feasible interval [0.0, 0.5]"),
+    "timeshare_two_decoders-d2": (
+        lambda: timeshare_two_decoders(PMF2, np.float64(0.1), np.float64(0.5), 10, 1),
+        ValidationError, "timeshare_two_decoders: d2 = 0.5 must not exceed d1 = 0.1"),
+    "floor_exp-d": (lambda: floor_exp(np.float64(800.0)), ValidationError,
+                    "floor_exp: d must be at most 709.783, got 800.0: "
+                    "floor(exp(d)) would not be a float"),
+    "Pmf.point_mass-x": (lambda: Pmf.point_mass(np.int64(3), np.int64(5)), ValidationError,
+                         "Pmf.point_mass: x must be an integer in [0, 2], got 5"),
+    "rd_curve-grid": (lambda: rd_curve(SKEW3, np.array([0.2, 5.0])), InfeasibleError,
+                      "rd_curve: grid[1] = 5.0 outside the feasible interval [0.0, 0.5]"),
+    "rd_at_distortion-tol": (lambda: rd_at_distortion(SKEW3, 0.1, tol=np.float64(-1.0)),
+                             ValidationError,
+                             "rd_at_distortion: tol must be finite and positive, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_SCALARS))
+def test_a_numpy_scalar_is_read_as_a_python_scalar(name):
+    call, error, message = NUMPY_SCALARS[name]
+    with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
 

@@ -1,13 +1,16 @@
 """One owner names every refusal.
 
 A message says what went wrong; ``errors.py`` puts the name of the public
-function or record that refused in front of it, as the error leaves that
-call (``errors._checked``, ``errors._check_fields`` or ``errors._named``).
-So no function outside ``errors.py`` takes a ``caller`` to pass a name
-along, and no message raised in a library module starts with a name of its
-own, which would name a function the caller may not have called.
-``cli.py`` and ``problemio.py`` are exempt from the second rule: their
-messages name flags and files.
+function, method or record that refused in front of it, as the error
+leaves that call.  Two owners do so: the wrapper of ``errors._checked``,
+on each public function or method that takes an argument, and
+``errors._check_fields``, for a record.  So no other function sets an
+error's ``caller`` or is a context manager that could, no function outside
+``errors.py`` takes a ``caller`` to pass a name along, and no message
+raised in a library module starts with a name of its own, which would name
+a function the caller may not have called.  ``cli.py`` and
+``problemio.py`` are exempt from the last rule: their messages name flags
+and files.
 """
 
 import ast
@@ -44,6 +47,23 @@ def caller_parameters(tree: ast.Module) -> list[str]:
     return found
 
 
+def naming_owners(tree: ast.Module) -> list[str]:
+    """The top-level functions, methods as "Class.method", that set a ``caller``.
+
+    A function sets one when it, or a function nested in it, assigns an
+    attribute named caller, or when it is a ``contextlib.contextmanager``.
+    """
+    defs = [(node.name, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [name for name, node in defs
+            if "contextmanager" in map(_name, node.decorator_list)
+            or any(isinstance(sub, ast.Attribute) and sub.attr == "caller"
+                   and isinstance(sub.ctx, ast.Store) for sub in ast.walk(node))]
+
+
 def named_messages(tree: ast.Module) -> list[str]:
     """The literal start of each error message that starts with a name.
 
@@ -72,6 +92,35 @@ def parse(path: Path) -> ast.Module:
                          ids=lambda p: p.name)
 def test_no_function_takes_a_caller(path):
     assert caller_parameters(parse(path)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_two_owners_set_a_caller(path):
+    assert naming_owners(parse(path)) == (
+        ["_check_fields", "_checked"] if path.stem == "errors" else [])
+
+
+def test_a_third_owner_is_caught():
+    tree = ast.parse(
+        "@contextlib.contextmanager\n"
+        "def _named(caller):\n"
+        "    try:\n"
+        "        yield\n"
+        "    except LoglossLabError as exc:\n"
+        "        exc.caller = caller\n"
+        "        raise\n"
+        "@contextmanager\n"
+        "def quiet():\n"
+        "    yield\n"
+        "class SrReport:\n"
+        "    def residual(self, name):\n"
+        "        err = ValidationError(name)\n"
+        "        err.caller = 'SrReport.residual'\n"
+        "        raise err\n"
+        "def fine(exc):\n"
+        "    caller = exc.caller\n"
+        "    return caller\n")
+    assert naming_owners(tree) == ["_named", "quiet", "SrReport.residual"]
 
 
 @pytest.mark.parametrize("module", LIBRARY)

@@ -6,9 +6,10 @@ listed by the module that defines it, so a class moved to another module
 leaves its old module's list.  The package re-exports the library modules'
 lists and keeps none of its own; ``problemio`` and ``cli`` stay out of it,
 so importing the package loads neither PyYAML nor argparse.  The argument
-rules and their decorator in ``errors`` are not exported, and only public
-functions carry the decorator.  The contract test (``test_error_contract.py``)
-walks every public function and method.
+rules and their decorator in ``errors`` are not exported, and the decorator
+is on each public function or method that takes an argument, and on no
+other.  The contract test (``test_error_contract.py``) walks every public
+function and method.
 """
 
 import importlib
@@ -112,8 +113,10 @@ def test_only_public_functions_carry_the_argument_checks(name):
     # The hot paths are private, and stay unwrapped.
     assert sorted(q for q in wrapped if q.rsplit(".", 1)[-1].startswith("_")) == []
     public = public_functions_defined_in(module)
-    # A public function carries the checks exactly when it declares a rule.
-    assert sorted(wrapped) == sorted(q for q in public if errors._plan(functions[q]))
+    # A public function or method carries the checks exactly when it takes
+    # an argument besides self, so that the checks name each of its refusals.
+    assert sorted(wrapped) == sorted(
+        q for q in public if set(inspect.signature(functions[q]).parameters) - {"self"})
     for qualname in wrapped:
         function = functions[qualname]
         code = function.__wrapped__.__code__

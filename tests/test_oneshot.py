@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import time
 from unittest import mock
 
@@ -330,7 +331,10 @@ class TestFloorExp:
             assert int(math.exp(30.0)) > expected[120]
             assert [floor_exp(d) for d in grid] == expected
 
-    @pytest.mark.parametrize("d", [50.0, 100.0, 700.0, oneshot._FLOOR_EXP_MAX])
+    # The last lies ten slacks below ln of the largest float: inside
+    # _FLOOR_EXP_MAX, which leaves two, and outside a bound that left twenty.
+    @pytest.mark.parametrize("d", [50.0, 100.0, 700.0, oneshot._FLOOR_EXP_MAX,
+                                   math.log(sys.float_info.max) - 1e-11])
     def test_large_values_return_quickly(self, d):
         start = time.perf_counter()
         k = floor_exp(d)

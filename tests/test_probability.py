@@ -109,6 +109,20 @@ def test_bad_input_is_a_validation_error(call, match):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Pmf([0.5, 0.6]), "Pmf: sums to 1.1, outside 1 +/- 1e-09"),
+    (lambda: Joint([[0.5, 0.6]]), "Joint: sums to 1.1, outside 1 +/- 1e-09"),
+    # Each once printed the sum's numpy repr, np.float64(1.1) and np.float64(inf).
+    (lambda: Channel([[0.5, 0.5], [0.5, 0.6]]), "Channel: row 1 sums to 1.1, outside 1 +/- 1e-09"),
+    (lambda: Channel([[0.5, 0.5], [1e308, 1e308]]),
+     "Channel: row 1 sums to inf, outside 1 +/- 1e-09"),
+])
+def test_a_sum_off_one_is_refused_with_the_sum(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestChannel:
     def test_row_sums_checked(self):
         with pytest.raises(ValidationError):

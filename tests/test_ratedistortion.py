@@ -95,10 +95,6 @@ class TestSourceProblem:
         assert d.trace() == 0.0
         assert d.sum() == 6.0
 
-    def test_rectangular_hamming(self):
-        d = hamming_distortion(2, 3)
-        assert d.tolist() == [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
-
 
 class TestBounds:
     def test_binary(self):
