@@ -98,8 +98,6 @@ def _in_unit(value, args):
 
 def _cmd_rd(args) -> _CommandOutput:
     loaded = load_problem(args.problem)
-    if (args.distortion is None) == (args.grid is None):
-        raise ValidationError("rd: give exactly one of --distortion or --grid")
     targets = ([args.distortion] if args.grid is None
                else parse_float_list(args.grid, "--grid"))
 
@@ -168,8 +166,6 @@ def _cmd_oneshot(args) -> _CommandOutput:
             _require(getattr(args, name) is None, f"oneshot {crit}: --{name} does not apply")
             continue
         _require(getattr(args, name) is not None, f"oneshot {crit}: --{name} is required")
-        if name == "messages":
-            _require(args.messages >= 1, "oneshot: --messages must be >= 1")
 
     flags = {name: getattr(args, name) for name in takes}
     code, value = _ONESHOT_SOLVERS[crit][args.logloss](px if args.logloss else problem,
@@ -227,9 +223,6 @@ def _cmd_oneshot(args) -> _CommandOutput:
 
 def _cmd_equiv(args) -> _CommandOutput:
     loaded = load_problem(args.problem)
-    _require(args.messages is not None, "equiv: --messages is required")
-    _require(args.messages >= 1, "equiv: --messages must be >= 1")
-
     cp = build_corresponding(loaded.problem, args.messages, tol=args.tol)
     bound = identity_bound(cp)
     # Past the enumeration guard the bound stands alone: the sweep and the
@@ -286,10 +279,6 @@ def _cmd_equiv(args) -> _CommandOutput:
 
 def _cmd_sr(args) -> _CommandOutput:
     loaded = load_problem(args.problem)
-    _require(args.d2 is not None, "sr: --d2 is required")
-    if (args.d1 is None) == (args.chain is None):
-        raise ValidationError("sr: give exactly one of --d1 or --chain")
-
     if args.chain is not None:
         targets = parse_float_list(args.chain, "--chain")
         layers = construct_sr_chain(loaded.problem, targets, args.d2, tol=args.tol)
@@ -344,6 +333,7 @@ def _sigma_units(diff: float, sigma: float) -> float:
 
 
 def _cmd_timeshare(args) -> _CommandOutput:
+    # Not an argparse group: a stray value would fill the positional and read as a conflict.
     if (args.problem is None) == (args.px is None):
         raise ValidationError("timeshare: give exactly one of a problem file or --px")
     if args.px is not None:
@@ -353,9 +343,6 @@ def _cmd_timeshare(args) -> _CommandOutput:
         loaded = load_problem(args.problem)
         px = loaded.problem.px
         problem_echo = loaded.echo()
-    _require(args.distortion is not None, "timeshare: --distortion is required")
-    _require(args.n is not None and args.n >= 1, "timeshare: --n must be >= 1")
-    _require(args.seed is not None, "timeshare: --seed is required")
 
     if args.d2 is None:
         targets = [args.distortion]
@@ -437,9 +424,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rd", parents=[solver, common],
                        help="rate-distortion point(s) at fixed distortion")
     p.add_argument("problem", help="problem file (YAML)")
-    p.add_argument("--distortion", "-D", type=float, default=None)
-    p.add_argument("--grid", default=None,
-                   help="comma-separated distortion targets")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--distortion", "-D", type=float)
+    target.add_argument("--grid", help="comma-separated distortion targets")
     p.add_argument("--max-iter", type=int, default=_DEFAULT_MAX_ITER,
                    help="iteration budget of the one solve behind each point")
     p.set_defaults(handler=_cmd_rd)
@@ -460,30 +447,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", parents=[solver, common],
                        help="log-loss surrogate of a one-shot problem")
     p.add_argument("problem")
-    p.add_argument("--messages", "-M", type=int, default=None)
+    p.add_argument("--messages", "-M", type=int, required=True)
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("sr", parents=[solver, common],
                        help="coarse/fine two-decoder construction")
     p.add_argument("problem")
-    p.add_argument("--d1", type=float, default=None,
-                   help="coarse log-loss target (nats)")
-    p.add_argument("--chain", default=None,
-                   help="comma-separated non-increasing coarse targets")
-    p.add_argument("--d2", type=float, default=None,
-                   help="fine-stage distortion target")
+    coarse = p.add_mutually_exclusive_group(required=True)
+    coarse.add_argument("--d1", type=float, help="coarse log-loss target (nats)")
+    coarse.add_argument("--chain", help="comma-separated non-increasing coarse targets")
+    p.add_argument("--d2", type=float, required=True, help="fine-stage distortion target")
     p.set_defaults(handler=_cmd_sr)
 
     p = sub.add_parser("timeshare", parents=[common],
                        help="simulate the prefix-lossless time-sharing scheme")
     p.add_argument("problem", nargs="?", default=None)
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
+    p.add_argument("--seed", type=int, required=True, help="seed for randomized steps")
     p.add_argument("--px", default=None,
                    help="inline pmf, comma-separated (alternative to a file)")
-    p.add_argument("--distortion", "-D", type=float, default=None)
+    p.add_argument("--distortion", "-D", type=float, required=True)
     p.add_argument("--d2", type=float, default=None,
                    help="second decoder target (requires d2 <= D)")
-    p.add_argument("--n", type=int, default=None, help="blocklength")
+    p.add_argument("--n", type=int, required=True, help="blocklength")
     p.set_defaults(handler=_cmd_timeshare)
 
     return parser

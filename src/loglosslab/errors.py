@@ -15,7 +15,9 @@ rules and then the record's checks between fields.
 declare a rule, and a record class (a dataclass) asks for an instance of it;
 the aliases below name the common rules.  A rule's ``check`` is its only
 implementation: a body that checks a bound set by another argument calls
-it too, as in ``Int(0, q.n - 1).check("x", x)``.
+it too, as in ``Int(0, q.n - 1).check("x", x)``.  Values from outside the
+program meet the same rules: a problem file's fields go to the records
+that take them, and a CLI flag's value to the function it is passed to.
 
 No message names the function or record that refused.  Every refusal
 leaves through one of two owners that name it: the wrapper that
@@ -34,6 +36,7 @@ import inspect
 import math
 import numbers
 import typing
+from collections.abc import Mapping
 from typing import Annotated
 
 import numpy as np
@@ -184,7 +187,7 @@ class Int(typing.NamedTuple):
 
 
 class Seq(typing.NamedTuple):
-    """Any iterable but a string, passed on as a tuple of its entries.
+    """Any iterable but a string or a mapping, passed on as a tuple of its entries.
 
     Each entry obeys ``entry``, a rule or a record class, unless it is None,
     and is passed on as that rule passes it; the tuple must hold an entry if
@@ -196,7 +199,7 @@ class Seq(typing.NamedTuple):
 
     def check(self, name: str, value) -> tuple:
         try:
-            entries = None if isinstance(value, (str, bytes)) else iter(value)
+            entries = None if isinstance(value, (str, bytes, Mapping)) else iter(value)
         except TypeError:
             entries = None
         if entries is None:
@@ -213,25 +216,33 @@ class Seq(typing.NamedTuple):
 class Array(typing.NamedTuple):
     """A nonempty array of finite floats with ``ndim`` axes, passed on read-only.
 
-    Its entries are numbers: a bool or a string converts to a float, but is
-    refused.  They are nonnegative unless ``nonnegative`` is False.
+    Its entries are real numbers: a bool, a string, None or a complex number
+    is refused by its index before anything converts, and an int too large
+    for a float counts as not finite.  They are nonnegative unless
+    ``nonnegative`` is False.
     """
 
     ndim: int
     nonnegative: bool = True
 
     def check(self, name: str, value) -> np.ndarray:
+        # A float or integer array holds numbers; anything else of the right
+        # depth is read entry by entry.
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+            entries = np.array(value, dtype=object)
+            for i, entry in enumerate(entries.flat if entries.ndim == self.ndim else ()):
+                if not isinstance(entry, numbers.Real) or isinstance(entry, bool):
+                    index = ", ".join(map(str, np.unravel_index(i, entries.shape)))
+                    raise ValidationError(f"{name}[{index}] must be a real number, "
+                                          f"got {entry!r}")
         try:
             arr = np.array(value, dtype=float)
+        except OverflowError as exc:
+            raise ValidationError(f"{name} entries must be finite") from exc
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{name} is not convertible to floats: {exc}") from exc
         if arr.ndim != self.ndim:
             raise ValidationError(f"{name} must be {self.ndim}-D, got shape {arr.shape}")
-        # A float or integer array holds numbers; anything else is read entry by entry.
-        if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
-            for entry in np.array(value, dtype=object).flat:
-                if isinstance(entry, (bool, np.bool_, str, bytes)):
-                    raise ValidationError(f"{name} entries must be numbers, got {entry!r}")
         _require_nonempty(name, arr.flat)
         if not np.isfinite(arr).all():
             raise ValidationError(f"{name} entries must be finite")

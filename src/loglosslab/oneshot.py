@@ -95,7 +95,7 @@ class OneShotCode:
     """
 
     n_messages: Count
-    encoder: Annotated[tuple, Seq(nonempty=True)]
+    encoder: Annotated[tuple, Seq(Int(0), nonempty=True)]
     decoder: Annotated[tuple, Seq(Int(0))]
 
     def __post_init__(self):
@@ -111,7 +111,7 @@ class LogLossCode:
     """
 
     n_messages: Count
-    encoder: Annotated[tuple, Seq(nonempty=True)]
+    encoder: Annotated[tuple, Seq(Int(0), nonempty=True)]
     decoder_rows: Annotated[tuple, Seq(Pmf)]
 
     def __post_init__(self):

@@ -8,7 +8,11 @@ A problem file is a small YAML document:
     px: [0.5, 0.3, 0.2]      # required source pmf
     distortion: hamming      # or an explicit r x s matrix (list of rows)
 
-Numbers may use an exponent, as in 1e-3 (YAML 1.2).
+Numbers may use an exponent, as in 1e-3 (YAML 1.2).  Each field is
+checked by the rules of the record or rule that takes it, the ones every
+caller of the library meets (``Pmf``, ``SourceProblem``, ``Seq``), and a
+refusal names the file and the field: ``skewed3.yaml: field 'px': Pmf:
+probs[1] must be a real number, got '0.5'``.
 
 Reports are JSON with keys sorted and every float rounded to 12 significant
 digits, so re-running a command byte-reproduces the document (the wall-clock
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ValidationError
+from .errors import Seq, ValidationError, _Instance, _require_size
 from .probability import Pmf
 from .ratedistortion import SourceProblem, hamming_distortion
 
@@ -94,19 +98,21 @@ class LoadedProblem:
         return doc
 
 
-def _field_error(path: str, field: str, message: str) -> ValidationError:
-    return ValidationError(f"{path}: field {field!r}: {message}")
+def _field(path: str, name: str, read, *args):
+    """``read(*args)``, a refusal named as the file's field ``name``."""
+    try:
+        return read(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: field {name!r}: {exc}") from exc
 
 
-def _number_list(path: str, field: str, value) -> list[float]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise _field_error(path, field, "expected a non-empty list of numbers")
-    out = []
-    for i, entry in enumerate(value):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise _field_error(path, field, f"entry {i} is not a number: {entry!r}")
-        out.append(float(entry))
-    return out
+def _problem(px: Pmf, distortion) -> SourceProblem:
+    """The problem of ``px`` and a matrix, or of the name of one ('hamming' only)."""
+    if isinstance(distortion, str):
+        if distortion != "hamming":
+            raise ValidationError(f"unknown named matrix {distortion!r} (only 'hamming')")
+        distortion = hamming_distortion(px.n)
+    return SourceProblem(px, distortion)
 
 
 def load_problem(path: str | Path) -> LoadedProblem:
@@ -127,63 +133,23 @@ def load_problem(path: str | Path) -> LoadedProblem:
         raise ValidationError(f"{path}: expected a YAML mapping at top level")
     unknown = sorted(set(doc) - _ALLOWED_FIELDS)
     if unknown:
-        raise ValidationError(
-            f"{path}: unknown field(s) {unknown}; allowed: {sorted(_ALLOWED_FIELDS)}"
-        )
-    for field in ("px", "distortion"):
-        if field not in doc:
-            raise _field_error(path, field, "missing required field")
+        raise ValidationError(f"{path}: unknown field(s) {unknown}; "
+                              f"allowed: {sorted(_ALLOWED_FIELDS)}")
+    missing = sorted({"px", "distortion"} - set(doc))
+    if missing:
+        raise ValidationError(f"{path}: missing field(s) {missing}")
 
-    px_values = _number_list(path, "px", doc["px"])
-    try:
-        px = Pmf(px_values)
-    except ValidationError as exc:
-        raise _field_error(path, "px", str(exc)) from exc
-
-    dist_doc = doc["distortion"]
-    if isinstance(dist_doc, str):
-        if dist_doc != "hamming":
-            raise _field_error(path, "distortion",
-                               f"unknown named matrix {dist_doc!r} (only 'hamming')")
-        distortion = hamming_distortion(px.n)
-    elif isinstance(dist_doc, list):
-        rows = [_number_list(path, f"distortion[{i}]", row)
-                for i, row in enumerate(dist_doc)]
-        widths = {len(row) for row in rows}
-        if len(widths) != 1:
-            raise _field_error(path, "distortion", "rows have unequal lengths")
-        distortion = np.array(rows)
-    else:
-        raise _field_error(path, "distortion",
-                           "expected 'hamming' or a list of rows")
-
+    px = _field(path, "px", Pmf, doc["px"])
+    problem = _field(path, "distortion", _problem, px, doc["distortion"])
     labels = None
     if "labels" in doc:
-        raw = doc["labels"]
-        if (not isinstance(raw, list)
-                or not all(isinstance(s, str) for s in raw)):
-            raise _field_error(path, "labels", "expected a list of strings")
-        if len(raw) != px.n:
-            raise _field_error(path, "labels",
-                               f"{len(raw)} labels for {px.n} source symbols")
-        labels = tuple(raw)
+        labels = _field(path, "labels", Seq(str).check, "labels", doc["labels"])
+        _field(path, "labels", _require_size, "len(labels)", len(labels), "px.n", px.n)
+    for name in ("name", "description"):
+        if name in doc:
+            _field(path, name, _Instance(str).check, name, doc[name])
 
-    for field in ("name", "description"):
-        if field in doc and not isinstance(doc[field], str):
-            raise _field_error(path, field, "expected a string")
-
-    try:
-        problem = SourceProblem(px=px, distortion=distortion)
-    except ValidationError as exc:
-        raise _field_error(path, "distortion", str(exc)) from exc
-
-    return LoadedProblem(
-        path=path,
-        name=doc.get("name"),
-        description=doc.get("description"),
-        labels=labels,
-        problem=problem,
-    )
+    return LoadedProblem(path, doc.get("name"), doc.get("description"), labels, problem)
 
 
 def parse_float_list(text: str, flag: str) -> list[float]:

@@ -237,7 +237,7 @@ def _match_slope(pxp: np.ndarray, dist_s: np.ndarray, q: np.ndarray,
             lo = lam
         else:
             hi = lam
-        if abs(excess) <= 1e-13 * target or hi - lo <= 1e-15 * lo:
+        if abs(excess) <= 1e-13 * target:
             break
         dev = dist_s - mean[:, None]
         w *= dev

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import loglosslab
-from loglosslab import ValidationError, __version__, equivalence, oneshot, problemio
+from loglosslab import Pmf, ValidationError, __version__, equivalence, oneshot, problemio
 from loglosslab.cli import _build_parser, main
 from loglosslab.oneshot import (floor_exp, logloss_codebook, logloss_excess_optimum,
                                 solve_excess)
@@ -49,6 +49,14 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def parser_error(capsys, argv) -> str:
+    """The last stderr line of an argv that argparse refuses with exit 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
 def run_report(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
@@ -83,18 +91,21 @@ class TestLoadProblem:
     def test_ragged_matrix_rejected(self, tmp_path):
         path = write_problem(
             tmp_path, "px: [0.5, 0.5]\ndistortion: [[0, 1], [1]]\n")
-        with pytest.raises(ValidationError, match="unequal"):
+        with pytest.raises(ValidationError, match="field 'distortion': SourceProblem: "
+                                                  "distortion is not convertible to floats"):
             load_problem(path)
 
     def test_non_numeric_entry_names_position(self, tmp_path):
         path = write_problem(tmp_path, "px: [0.5, oops]\ndistortion: hamming\n")
-        with pytest.raises(ValidationError, match="entry 1"):
+        with pytest.raises(ValidationError, match=r"field 'px': Pmf: probs\[1\] must be a real "
+                                                  "number, got 'oops'"):
             load_problem(path)
 
     def test_label_count_mismatch(self, tmp_path):
         path = write_problem(
             tmp_path, "px: [0.5, 0.5]\ndistortion: hamming\nlabels: [a]\n")
-        with pytest.raises(ValidationError, match="1 labels for 2"):
+        with pytest.raises(ValidationError,
+                           match=r"field 'labels': len\(labels\) = 1 must equal px.n = 2"):
             load_problem(path)
 
     def test_unknown_named_matrix(self, tmp_path):
@@ -161,18 +172,25 @@ class TestLoadProblem:
             load_problem(tmp_path / "nope.yaml")
 
     @pytest.mark.parametrize("text, match", [
-        ("px: 0.5\ndistortion: hamming\n", "field 'px': expected a non-empty list of numbers"),
+        ("px: 0.5\ndistortion: hamming\n", r"field 'px': Pmf: probs must be 1-D, got shape \(\)"),
         ("px: [0.5, 0.6]\ndistortion: hamming\n", "field 'px': Pmf: sums to"),
         ("px: [0.5, 0.5]\ndistortion: 3\n",
-         "field 'distortion': expected 'hamming' or a list of rows"),
+         r"field 'distortion': SourceProblem: distortion must be 2-D, got shape \(\)"),
         ("px: [0.5, 0.5]\ndistortion: hamming\nlabels: [1, 2]\n",
-         "field 'labels': expected a list of strings"),
-        ("px: [0.5, 0.5]\ndistortion: hamming\nname: 3\n", "field 'name': expected a string"),
+         r"field 'labels': labels\[0\] must be a str, got int"),
+        # A mapping is not a list of labels, though it iterates as its keys.
+        ("px: [0.5, 0.5]\ndistortion: hamming\nlabels: {a: 1, b: 2}\n",
+         "field 'labels': labels must be a sequence, got {'a': 1, 'b': 2}"),
+        ("px: [0.5, 0.5]\ndistortion: hamming\nname: 3\n",
+         "field 'name': name must be a str, got int"),
         # Exponent floats load, but quoted numbers, nan and overflow do not.
         ("px: ['1e-3', 0.999]\ndistortion: hamming\n",
-         "field 'px': entry 0 is not a number: '1e-3'"),
+         r"field 'px': Pmf: probs\[0\] must be a real number, got '1e-3'"),
         ("px: [0.5, \"0.5\"]\ndistortion: hamming\n",
-         "field 'px': entry 1 is not a number: '0.5'"),
+         r"field 'px': Pmf: probs\[1\] must be a real number, got '0.5'"),
+        ("px: [0.5, 0.5]\ndistortion: [[0, 1], [1, x]]\n",
+         r"field 'distortion': SourceProblem: distortion\[1, 1\] must be a real number, "
+         "got 'x'"),
         ("px: [.nan, 1]\ndistortion: hamming\n",
          "field 'px': Pmf: probs entries must be finite"),
         ("px: [0.5, 0.5]\ndistortion: [[0, 1e400], [1, 0]]\n",
@@ -181,6 +199,19 @@ class TestLoadProblem:
     def test_bad_field_is_named(self, tmp_path, text, match):
         with pytest.raises(ValidationError, match=match):
             load_problem(write_problem(tmp_path, text))
+
+    @pytest.mark.parametrize("entry, value", [
+        ("'0.5'", "0.5"), ("~", None), ("true", True), ("1" + "0" * 400, 10**400),
+        (".nan", math.nan), (".inf", math.inf), ("-0.5", -0.5),
+    ], ids=["quoted", "null", "bool", "400-digit", "nan", "inf", "negative"])
+    def test_a_wrong_px_entry_is_refused_as_pmf_refuses_it(self, tmp_path, entry, value):
+        # The file's refusal is Pmf's own, for the list YAML reads.
+        path = write_problem(tmp_path, f"px: [0.5, {entry}]\ndistortion: hamming\n")
+        with pytest.raises(ValidationError) as pmf:
+            Pmf([0.5, value])
+        with pytest.raises(ValidationError) as err:
+            load_problem(path)
+        assert str(err.value) == f"{path}: field 'px': {pmf.value}"
 
     def test_negative_distortion_blamed_on_field(self, tmp_path):
         path = write_problem(
@@ -256,12 +287,10 @@ class TestRdCommand:
         assert len(lines) == 3
 
     def test_distortion_and_grid_exclusive(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["rd", BINARY, "--distortion", "0.1", "--grid", "0.2"])
-        assert code == 2
-        assert "exactly one" in err
-        code, _, _ = run_cli(capsys, ["rd", BINARY])
-        assert code == 2
+        assert parser_error(capsys, ["rd", BINARY, "--distortion", "0.1", "--grid", "0.2"]) \
+            == "loglosslab rd: error: argument --grid: not allowed with argument --distortion/-D"
+        assert parser_error(capsys, ["rd", BINARY]) == (
+            "loglosslab rd: error: one of the arguments --distortion/-D --grid is required")
 
     def test_infeasible_target_exits_one(self, capsys):
         code, _, err = run_cli(capsys, ["rd", BINARY, "--distortion", "0.9"])
@@ -622,7 +651,10 @@ class TestOneshotCommand:
         (["codebook", "--distortion", "0.5", "--epsilon", "0.1", "--messages", "2"],
          "oneshot codebook: --messages does not apply"),
         (["avg", "--messages", "2", "--epsilon", "0.1"], "oneshot avg: --epsilon does not apply"),
-        (["excess", "--messages", "0"], "oneshot: --messages must be >= 1"),
+        (["excess", "--messages", "0", "--distortion", "0.5"],
+         "solve_excess: n_messages must be an integer >= 1, got 0"),
+        (["avg", "--messages", "-1", "--logloss"],
+         "logloss_avg_optimum: n_messages must be an integer >= 1, got -1"),
         (["codebook", "--distortion", "0.5"], "oneshot codebook: --epsilon is required"),
         # With several wrong, the first in the order messages, distortion, epsilon.
         (["codebook", "--messages", "2"], "oneshot codebook: --messages does not apply"),
@@ -672,7 +704,11 @@ class TestEquivCommand:
     def test_zero_messages_exit_two(self, capsys):
         code, _, err = run_cli(capsys, ["equiv", SKEW3, "--messages", "0"])
         assert code == 2
-        assert err == "error: equiv: --messages must be >= 1\n"
+        assert err == "error: build_corresponding: n_messages must be an integer >= 1, got 0\n"
+
+    def test_messages_are_required(self, capsys):
+        assert parser_error(capsys, ["equiv", SKEW3]) == (
+            "loglosslab equiv: error: the following arguments are required: --messages/-M")
 
     def test_missed_distortion_exits_one(self, capsys, tmp_path):
         # Hamming distortion scaled by 1e308: the solve at D*(2) = 0.2e308
@@ -737,10 +773,13 @@ class TestSrCommand:
         assert all(line.split("\t")[-1] == "true" for line in lines[1:])
 
     def test_flag_exclusivity(self, capsys):
-        assert run_cli(capsys, ["sr", BINARY, "--d1", "0.5", "--chain", "0.6",
-                                "--d2", "0.1"])[0] == 2
-        assert run_cli(capsys, ["sr", BINARY, "--d2", "0.1"])[0] == 2
-        assert run_cli(capsys, ["sr", BINARY, "--d1", "0.5"])[0] == 2
+        assert parser_error(capsys, ["sr", BINARY, "--d1", "0.5", "--chain", "0.6",
+                                     "--d2", "0.1"]) == (
+            "loglosslab sr: error: argument --chain: not allowed with argument --d1")
+        assert parser_error(capsys, ["sr", BINARY, "--d2", "0.1"]) == (
+            "loglosslab sr: error: one of the arguments --d1 --chain is required")
+        assert parser_error(capsys, ["sr", BINARY, "--d1", "0.5"]) == (
+            "loglosslab sr: error: the following arguments are required: --d2")
 
     def test_infeasible_coarse_target_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, ["sr", BINARY, "--d1", "0.1", "--d2", "0.1"])
@@ -785,12 +824,17 @@ class TestTimeshareCommand:
         assert err == "error: timeshare: give exactly one of a problem file or --px\n"
 
     def test_required_flags(self, capsys):
-        assert run_cli(capsys, ["timeshare", SKEW3, "--n", "100",
-                                "--seed", "1"])[0] == 2
-        assert run_cli(capsys, ["timeshare", SKEW3, "--distortion", "0.3",
-                                "--seed", "1"])[0] == 2
-        assert run_cli(capsys, ["timeshare", SKEW3, "--distortion", "0.3",
-                                "--n", "100"])[0] == 2
+        for flag, argv in [("--distortion/-D", ["--n", "100", "--seed", "1"]),
+                           ("--n", ["--distortion", "0.3", "--seed", "1"]),
+                           ("--seed", ["--distortion", "0.3", "--n", "100"])]:
+            assert parser_error(capsys, ["timeshare", SKEW3, *argv]) == (
+                f"loglosslab timeshare: error: the following arguments are required: {flag}")
+
+    def test_zero_blocklength_is_refused_by_the_sampler(self, capsys):
+        code, _, err = run_cli(capsys, ["timeshare", SKEW3, "--distortion", "0.3",
+                                        "--n", "0", "--seed", "1"])
+        assert code == 2
+        assert err == "error: timeshare_simulate: n must be an integer >= 1, got 0\n"
 
     def test_negative_seed_exits_two(self, capsys):
         code, _, err = run_cli(capsys, ["timeshare", "--px", "0.5,0.5", "--distortion",
@@ -905,6 +949,17 @@ class TestEntryPoints:
             [sys.executable, "-m", "loglosslab", "--version"],
             capture_output=True, text=True, check=True, env=env)
         assert proc.stdout.strip() == f"loglosslab {__version__}"
+
+    def test_overflowing_file_entry_exits_two_without_a_traceback(self, tmp_path):
+        path = write_problem(tmp_path, f"px: [0.5, 1{'0' * 400}]\ndistortion: hamming\n")
+        src = str(Path(loglosslab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "loglosslab", "rd", path, "--distortion", "0.1"],
+            capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {path}: field 'px': Pmf: probs entries must be finite\n"
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

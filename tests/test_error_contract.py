@@ -228,7 +228,8 @@ RECORDS = {Pmf: PX, Channel: CHANNEL, Joint: JOINT, SourceProblem: SKEW3, RdPoin
 NOT_REAL = [None, "0.5", math.nan, math.inf, True]
 # Integers that no float can hold: math.isfinite raises OverflowError on them.
 TOO_LARGE = {"1e400": 10**400, "-1e400": -10**400}
-NOT_SEQUENCE = [None, 0.5, "0.5"]
+# A mapping iterates as its keys, but is not a sequence of them.
+NOT_SEQUENCE = [None, 0.5, "0.5", {0.5: "x"}]
 NOT_OBJECT = [None, [0.5, 0.3, 0.2], "px"]
 
 
@@ -285,7 +286,8 @@ def wrong_values(rule, valid) -> list:
     The wrong kinds of value and each value just past a declared bound; for a
     sequence, also its valid value with the last entry wrong or with none; for
     an array, its valid value with the last entry wrong, with an axis more,
-    with no entry, or as lists of numeric strings or of bools.
+    with no entry, as lists of numeric strings or of bools, or as a list whose
+    last entry is None, too large for a float, or complex.
     """
     if isinstance(rule, Real):
         past = [math.nextafter(bound, away) for bound, away in
@@ -312,11 +314,23 @@ def wrong_values(rule, valid) -> list:
             wrong.flat[-1] = v
             return wrong
 
+        def last_listed(v):
+            wrong = valid.astype(object)
+            wrong.flat[-1] = v
+            return wrong.tolist()
+
         ndim = f" must be {rule.ndim}-D, got shape "
+        first, last = (f"[{', '.join(map(str, index))}] must be a real number, got "
+                       for index in (np.zeros(rule.ndim, int), np.array(valid.shape) - 1))
         return [("str", "px", " is not convertible to floats: "), ("None", None, ndim + "()"),
-                # Each converts to floats, but its entries are not numbers.
-                ("numeric_strings", valid.astype(str).tolist(), " entries must be numbers, got '"),
-                ("bools", (valid > 0.0).tolist(), " entries must be numbers, got "),
+                # Each converts to floats, but its entries are not real numbers.
+                ("numeric_strings", valid.astype(str).tolist(), first + "'"),
+                ("bools", (valid > 0.0).tolist(), first),
+                ("None_entry", last_listed(None), last + "None"),
+                ("complex_entry", last_listed(0.5 + 0.3j), last + "(0.5+0.3j)"),
+                ("complex_array", valid + 0.3j, first),
+                # Every entry is a real number, but the last no float can hold.
+                ("1e400_entry", last_listed(10**400), " entries must be finite"),
                 ("extra_axis", valid[None], ndim + str((1,) + valid.shape)),
                 ("empty", valid[:0], " must not be empty"),
                 ("nan", last_entry(math.nan), " entries must be finite"),
@@ -386,11 +400,13 @@ def test_every_public_parameter_is_declared_or_exempt():
 
 
 def test_each_entry_bound_completes_a_declared_sequence():
-    # Stale if the declaration changed: the body adds only the entries' rule.
+    # Stale if the declaration changed: the body adds only the entries' rule,
+    # or only their upper bound.
     declared = {(qualname, name): rule for qualname, function in CALLS.items()
                 for _, name, rule in errors._plan(function)}
-    assert {key: rule._replace(entry=None) for key, rule in ENTRY_BOUNDS.items()} == {
-        key: declared.get(key) for key in ENTRY_BOUNDS}
+    for key, rule in ENTRY_BOUNDS.items():
+        assert declared.get(key) in (rule._replace(entry=None),
+                                     rule._replace(entry=rule.entry._replace(maximum=None))), key
 
 
 def test_a_point_declares_its_kept_columns():

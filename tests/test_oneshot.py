@@ -557,16 +557,25 @@ def test_n_messages_must_be_an_integer_at_least_one(name, value):
     ((0, 1), (0,), r"len\(decoder\) = 1 must equal n_messages = 2"),
     ((), (0, 1), "encoder must not be empty$"),
     ((0, 2), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got 2"),
-    ((0, -1), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got -1"),
+    ((0, -1), (0, 1), r"encoder\[1\] must be an integer >= 0, got -1"),
     # Entries that used to construct, then fail as TypeError or IndexError.
-    ((0, 0.5, 1), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got 0.5"),
-    ((0, True), (0, 1), r"encoder\[1\] must be an integer in \[0, 1\], got True"),
+    ((0, 0.5, 1), (0, 1), r"encoder\[1\] must be an integer >= 0, got 0.5"),
+    ((0, True), (0, 1), r"encoder\[1\] must be an integer >= 0, got True"),
     ((0, 1), (0, -1), r"decoder\[1\] must be an integer >= 0, got -1"),
     ((0, 1), (0, 1.5), r"decoder\[1\] must be an integer >= 0, got 1.5"),
 ])
 def test_malformed_code_is_a_validation_error(encoder, decoder, match):
     with pytest.raises(ValidationError, match=f"OneShotCode: {match}"):
         OneShotCode(2, encoder, decoder)
+
+
+@pytest.mark.parametrize("code", [OneShotCode(2, np.array([0, 1, 1]), [0, 1]),
+                                  LogLossCode(2, np.array([0, 1, 1]), [_SKEW3.px, _SKEW3.px])],
+                         ids=["OneShotCode", "LogLossCode"])
+def test_a_code_keeps_python_integers(code):
+    # Once kept as numpy integers: the repr printed encoder=(np.int64(0), ...).
+    assert [type(m) for m in code.encoder] == [int, int, int]
+    assert "encoder=(0, 1, 1)" in repr(code)
 
 
 @pytest.mark.parametrize("code, match", [

@@ -90,7 +90,8 @@ class TestPmf:
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: Pmf(["a", "b"]), "^Pmf: probs is not convertible to floats: "),
+    (lambda: Pmf(["a", "b"]), r"^Pmf: probs\[0\] must be a real number, got 'a'$"),
+    (lambda: Pmf("ab"), "^Pmf: probs is not convertible to floats: "),
     (lambda: Pmf([[0.5, 0.5]]), r"^Pmf: probs must be 1-D, got shape \(1, 2\)$"),
     (lambda: Pmf.uniform(0), "Pmf.uniform: n must be an integer >= 1, got 0"),
     (lambda: Pmf.point_mass(3, 3), r"Pmf.point_mass: x must be an integer in \[0, 2\], got 3"),

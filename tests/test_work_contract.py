@@ -4,8 +4,9 @@ Every refusal of an exhaustive search is raised by ``oneshot._check_work``,
 beside the guard constants, and the CLI reads no guard: it calls a guarded
 routine and treats the refusal as its answer.  Nor does it call a private
 function of the library, so each answer it prints comes through the public
-call that checks and names it.  README's "Work guards" table has one row per
-guard, with the guard's value.
+call that checks and names it, nor does it bound a flag's value: that call
+refuses it.  README's "Work guards" table has one row per guard, with the
+guard's value.
 """
 
 import ast
@@ -125,6 +126,37 @@ def test_a_stray_refusal_is_caught():
         "    except InstanceTooLargeError:\n"
         "        raise InstanceTooLargeError\n")
     assert stray_refusals(tree) == ["solve", "retry"]
+
+
+def flag_bounds(tree: ast.Module) -> list[str]:
+    """Each comparison of an ``args.<flag>`` attribute with a numeric constant."""
+    def is_flag(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args")
+
+    def is_number(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+                and not isinstance(node.value, bool))
+
+    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(map(is_flag, [node.left, *node.comparators]))
+            and any(map(is_number, [node.left, *node.comparators]))]
+
+
+def test_the_cli_bounds_no_flag_value():
+    # The library function that takes a value refuses it and names it.
+    assert flag_bounds(parse(SOURCE / "cli.py")) == []
+
+
+def test_a_flag_bound_is_caught():
+    tree = ast.parse("_require(args.messages >= 1, 'no')\n"
+                     "ok = args.n is not None and 0 < args.n\n"
+                     "far = args.tol <= -1.5\n"
+                     "fine = args.format == 'table' or args.seed is None or args.bits == True\n"
+                     "local = m >= 1\n")
+    assert sorted(flag_bounds(tree)) == ["0 < args.n", "args.messages >= 1", "args.tol <= -1.5"]
 
 
 def test_a_guard_in_the_cli_is_caught():
