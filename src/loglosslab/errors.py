@@ -36,7 +36,7 @@ import inspect
 import math
 import numbers
 import typing
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from typing import Annotated
 
 import numpy as np
@@ -187,7 +187,10 @@ class Int(typing.NamedTuple):
 
 
 class Seq(typing.NamedTuple):
-    """Any iterable but a string or a mapping, passed on as a tuple of its entries.
+    """Any iterable but a string, a mapping or a set, passed on as a tuple of its entries.
+
+    A mapping iterates as its keys and a set in no fixed order, so neither
+    is a sequence.
 
     Each entry obeys ``entry``, a rule or a record class, unless it is None,
     and is passed on as that rule passes it; the tuple must hold an entry if
@@ -199,7 +202,7 @@ class Seq(typing.NamedTuple):
 
     def check(self, name: str, value) -> tuple:
         try:
-            entries = None if isinstance(value, (str, bytes, Mapping)) else iter(value)
+            entries = None if isinstance(value, (str, bytes, Mapping, Set)) else iter(value)
         except TypeError:
             entries = None
         if entries is None:
@@ -229,18 +232,13 @@ class Array(typing.NamedTuple):
         # A float or integer array holds numbers; anything else of the right
         # depth is read entry by entry.
         if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
-            entries = np.array(value, dtype=object)
+            entries = _convert(name, value, object)
             for i, entry in enumerate(entries.flat if entries.ndim == self.ndim else ()):
                 if not isinstance(entry, numbers.Real) or isinstance(entry, bool):
                     index = ", ".join(map(str, np.unravel_index(i, entries.shape)))
                     raise ValidationError(f"{name}[{index}] must be a real number, "
                                           f"got {entry!r}")
-        try:
-            arr = np.array(value, dtype=float)
-        except OverflowError as exc:
-            raise ValidationError(f"{name} entries must be finite") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{name} is not convertible to floats: {exc}") from exc
+        arr = _convert(name, value, float)
         if arr.ndim != self.ndim:
             raise ValidationError(f"{name} must be {self.ndim}-D, got shape {arr.shape}")
         _require_nonempty(name, arr.flat)
@@ -250,6 +248,16 @@ class Array(typing.NamedTuple):
             raise ValidationError(f"{name} entries must be nonnegative")
         arr.setflags(write=False)
         return arr
+
+
+def _convert(name: str, value, dtype) -> np.ndarray:
+    """``value`` as a numpy array of ``dtype``; ValidationError naming ``name`` if it fails."""
+    try:
+        return np.array(value, dtype=dtype)
+    except OverflowError as exc:
+        raise ValidationError(f"{name} entries must be finite") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} is not convertible to floats: {exc}") from exc
 
 
 class _Instance(typing.NamedTuple):

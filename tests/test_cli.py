@@ -181,6 +181,9 @@ class TestLoadProblem:
         # A mapping is not a list of labels, though it iterates as its keys.
         ("px: [0.5, 0.5]\ndistortion: hamming\nlabels: {a: 1, b: 2}\n",
          "field 'labels': labels must be a sequence, got {'a': 1, 'b': 2}"),
+        # A set has no order to match the symbols by.
+        ("px: [0.5, 0.5]\ndistortion: hamming\nlabels: !!set {a, b}\n",
+         "field 'labels': labels must be a sequence, got {'"),
         ("px: [0.5, 0.5]\ndistortion: hamming\nname: 3\n",
          "field 'name': name must be a str, got int"),
         # Exponent floats load, but quoted numbers, nan and overflow do not.

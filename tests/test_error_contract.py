@@ -228,8 +228,9 @@ RECORDS = {Pmf: PX, Channel: CHANNEL, Joint: JOINT, SourceProblem: SKEW3, RdPoin
 NOT_REAL = [None, "0.5", math.nan, math.inf, True]
 # Integers that no float can hold: math.isfinite raises OverflowError on them.
 TOO_LARGE = {"1e400": 10**400, "-1e400": -10**400}
-# A mapping iterates as its keys, but is not a sequence of them.
-NOT_SEQUENCE = [None, 0.5, "0.5", {0.5: "x"}]
+# A mapping iterates as its keys, and a set in no fixed order, so neither
+# is a sequence of them.
+NOT_SEQUENCE = [None, 0.5, "0.5", {0.5: "x"}, {0.5}]
 NOT_OBJECT = [None, [0.5, 0.3, 0.2], "px"]
 
 
@@ -286,8 +287,9 @@ def wrong_values(rule, valid) -> list:
     The wrong kinds of value and each value just past a declared bound; for a
     sequence, also its valid value with the last entry wrong or with none; for
     an array, its valid value with the last entry wrong, with an axis more,
-    with no entry, as lists of numeric strings or of bools, or as a list whose
-    last entry is None, too large for a float, or complex.
+    with no entry, as lists of numeric strings or of bools, as a list whose
+    last entry is None, too large for a float, or complex, or as a list of
+    arrays that numpy cannot stack.
     """
     if isinstance(rule, Real):
         past = [math.nextafter(bound, away) for bound, away in
@@ -323,6 +325,10 @@ def wrong_values(rule, valid) -> list:
         first, last = (f"[{', '.join(map(str, index))}] must be a real number, got "
                        for index in (np.zeros(rule.ndim, int), np.array(valid.shape) - 1))
         return [("str", "px", " is not convertible to floats: "), ("None", None, ndim + "()"),
+                # Arrays whose shapes share a first axis only: numpy cannot
+                # hold them even as objects.
+                ("ragged_arrays", [np.zeros((2, 2)), np.zeros((2, 3))],
+                 " is not convertible to floats: "),
                 # Each converts to floats, but its entries are not real numbers.
                 ("numeric_strings", valid.astype(str).tolist(), first + "'"),
                 ("bools", (valid > 0.0).tolist(), first),
@@ -400,13 +406,14 @@ def test_every_public_parameter_is_declared_or_exempt():
 
 
 def test_each_entry_bound_completes_a_declared_sequence():
-    # Stale if the declaration changed: the body adds only the entries' rule,
-    # or only their upper bound.
+    # Stale if the declaration changed: the body adds the entries' rule to
+    # log_loss_seq's xs, and only their upper bound to a code's encoder.
     declared = {(qualname, name): rule for qualname, function in CALLS.items()
                 for _, name, rule in errors._plan(function)}
-    for key, rule in ENTRY_BOUNDS.items():
-        assert declared.get(key) in (rule._replace(entry=None),
-                                     rule._replace(entry=rule.entry._replace(maximum=None))), key
+    assert {("log_loss_seq", "xs"): Seq(nonempty=True),
+            ("OneShotCode", "encoder"): Seq(Int(0), nonempty=True),
+            ("LogLossCode", "encoder"): Seq(Int(0), nonempty=True)} == {
+        key: declared.get(key) for key in ENTRY_BOUNDS}
 
 
 def test_a_point_declares_its_kept_columns():
