@@ -292,7 +292,7 @@ def _cmd_sr(args) -> _CommandOutput:
     rows = []
     for layer in layers:
         report = verify_sr(layer)
-        worst = max(c.residual for c in report.checks)
+        worst = max(c.value for c in report.checks)
         layer_docs.append({
             "d1": _in_unit(layer.d1, args),
             "delta": layer.delta,
@@ -301,7 +301,7 @@ def _cmd_sr(args) -> _CommandOutput:
             "reproduction_rows": [q.probs for q in layer.q_rows],
             "row_of_z": {str(z): idx for z, idx in layer.q_index.items()},
             "checks": [{"name": c.name, "ok": c.ok, "residual": (
-                _in_unit(c.residual, args) if c.name in nat_checks else c.residual)}
+                _in_unit(c.value, args) if c.name in nat_checks else c.value)}
                 for c in report.checks],
             "all_checks_pass": report.ok,
         })

@@ -23,6 +23,7 @@ from .errors import Array, Count, Int, Seq, ValidationError, _check_fields, _che
 
 __all__ = [
     "SUM_TOL",
+    "Check",
     "Pmf",
     "Channel",
     "Joint",
@@ -221,6 +222,22 @@ def _information(table: np.ndarray, p_x: np.ndarray, p_g: np.ndarray) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.log(table) - np.log(np.outer(p_x, p_g))
         return float(np.where(table > 0.0, table * ratio, 0.0).sum())
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named check of a verifier: it passes when ``value <= bound``.
+
+    This is the one pass rule of the library; a NaN value fails it.
+    """
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def ok(self) -> bool:
+        return self.value <= self.bound
 
 
 def _decoder_fit(table: np.ndarray, rows) -> tuple[float, float, float]:

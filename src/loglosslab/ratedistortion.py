@@ -39,6 +39,7 @@ from .errors import (Array, ConvergenceError, Count, Finite, Int, NonNegative, P
                      Seq, ValidationError, _check_fields, _checked, _clamp_target, _require_size)
 from .probability import (
     Channel,
+    Check,
     Pmf,
     _decoder_fit,
     conditional_entropy,
@@ -716,16 +717,18 @@ class Lemma1Report:
     distortion D exactly when each row equals the posterior of the source
     given the chosen reproduction; then D is the conditional entropy, the
     mutual information is H(X) - D, and the expected log loss equals D.
+    ``checks`` holds the three conditions in that order, and ``ok`` is true
+    only when each passes.
     """
 
-    posterior_deviation: float
     conditional_entropy: float
     mutual_info: float
     expected_loss: float
-    rate_residual: float
-    loss_residual: float
-    failures: tuple[str, ...]
-    ok: bool
+    checks: tuple[Check, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(check.ok for check in self.checks)
 
 
 @_checked
@@ -741,7 +744,8 @@ def verify_lemma1(px: Pmf, q_rows: Annotated[tuple, Seq(Pmf)], weights: Channel,
         tol: acceptance tolerance for every condition.
 
     Returns:
-        Lemma1Report naming each failed condition in ``failures``.
+        Lemma1Report whose checks are ``posterior_consistency``,
+        ``rate_identity`` and ``expected_loss``, each bounded by tol.
     """
     _require_size("weights.n_in", weights.n_in, "px.n", px.n)
     _require_size("len(q_rows)", len(q_rows), "weights.n_out", weights.n_out)
@@ -753,23 +757,9 @@ def verify_lemma1(px: Pmf, q_rows: Annotated[tuple, Seq(Pmf)], weights: Channel,
     d_value = conditional_entropy(joint)
     h = entropy(px)
 
-    rate_residual = abs(mi - (h - d_value))
     loss_residual = abs(expected_loss - d_value) if math.isfinite(expected_loss) else math.inf
-
-    failures = []
-    if post_dev > tol:
-        failures.append("posterior_consistency")
-    if rate_residual > tol:
-        failures.append("rate_identity")
-    if loss_residual > tol:
-        failures.append("expected_loss")
-    return Lemma1Report(
-        posterior_deviation=post_dev,
-        conditional_entropy=d_value,
-        mutual_info=mi,
-        expected_loss=expected_loss,
-        rate_residual=rate_residual,
-        loss_residual=loss_residual,
-        failures=tuple(failures),
-        ok=not failures,
-    )
+    return Lemma1Report(d_value, mi, expected_loss, (
+        Check("posterior_consistency", post_dev, tol),
+        Check("rate_identity", abs(mi - (h - d_value)), tol),
+        Check("expected_loss", loss_residual, tol),
+    ))

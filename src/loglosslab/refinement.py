@@ -23,10 +23,11 @@ from typing import Annotated
 import numpy as np
 
 from .errors import (Count, Finite, InfeasibleError, NonNegative, Positive, Real, Seed, Seq,
-                     ValidationError, VerificationError, _check_fields, _checked, _clamp_target,
-                     _require_order, _require_size)
+                     VerificationError, _check_fields, _checked, _clamp_target, _require_order,
+                     _require_size)
 from .probability import (
     Channel,
+    Check,
     Joint,
     Pmf,
     _decoder_fit,
@@ -42,7 +43,6 @@ __all__ = [
     "ERASURE",
     "ROW_MERGE_TOL",
     "SrConstruction",
-    "SrCheck",
     "SrReport",
     "construct_sr",
     "construct_sr_chain",
@@ -245,26 +245,14 @@ def chain_step_channel(coarse: SrConstruction, fine: SrConstruction) -> Channel:
 
 
 @dataclass(frozen=True)
-class SrCheck:
-    name: str
-    residual: float
-    ok: bool
-
-
-@dataclass(frozen=True)
 class SrReport:
-    """Six named checks; ``ok`` only when every residual passed."""
+    """Six named checks; ``ok`` only when every check passes."""
 
-    checks: tuple[SrCheck, ...]
-    ok: bool
+    checks: tuple[Check, ...]
 
-    @_checked
-    def residual(self, name: str) -> float:
-        for check in self.checks:
-            if check.name == name:
-                return check.residual
-        names = ", ".join(check.name for check in self.checks)
-        raise ValidationError(f"name must be one of {names}, got {name!r}")
+    @property
+    def ok(self) -> bool:
+        return all(check.ok for check in self.checks)
 
 
 @_checked
@@ -309,18 +297,14 @@ def verify_sr(c: SrConstruction, tol: NonNegative = _SR_CHECK_TOL) -> SrReport:
     e_d2 = float((p_xj * c.problem.distortion[:, kept]).sum())
     check_e = max(e_d2 - c.d2, 0.0)
 
-    checks = tuple(
-        SrCheck(name, residual, residual <= tol)
-        for name, residual in [
-            ("markov_factorization", check_a),
-            ("coarse_rate", check_b),
-            ("coarse_loss", check_c),
-            ("fine_rate", check_d),
-            ("fine_distortion", check_e),
-            ("posterior_rows", check_f),
-        ]
-    )
-    return SrReport(checks=checks, ok=all(ch.ok for ch in checks))
+    return SrReport(tuple(Check(name, value, tol) for name, value in [
+        ("markov_factorization", check_a),
+        ("coarse_rate", check_b),
+        ("coarse_loss", check_c),
+        ("fine_rate", check_d),
+        ("fine_distortion", check_e),
+        ("posterior_rows", check_f),
+    ]))
 
 
 @dataclass(frozen=True)

@@ -239,12 +239,12 @@ def test_criterion_7_refinement_constructions_verify():
         for d1 in np.linspace(h2, entropy(prob.px), 5):
             report = verify_sr(construct_sr(prob, float(d1), d2, tol=1e-10))
             assert report.ok
-            worst = max(worst, max(ch.residual for ch in report.checks))
+            worst = max(worst, max(ch.value for ch in report.checks))
     chain = construct_sr_chain(cases[0][0], (0.65, 0.5, 0.35), 0.1, tol=1e-10)
     for layer in chain:
         report = verify_sr(layer)
         assert report.ok
-        worst = max(worst, max(ch.residual for ch in report.checks))
+        worst = max(worst, max(ch.value for ch in report.checks))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
     assert elapsed < 10.0

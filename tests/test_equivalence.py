@@ -411,6 +411,18 @@ class TestOptimumCoincidence:
             assert len(enc) == 3 and all(0 <= m < 2 for m in enc)
             assert len(dec) == 2 and all(0 <= j < 3 for j in dec)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 25: the one-shot optimum decodes to column 3, which the solved "
+        "point prunes, so the checked problem's least distortion misses D*(M)"))
+    def test_least_distortion_is_the_one_shot_optimum_off_the_support(self):
+        px = Pmf([0.03342033696893241, 0.22127550618592393, 0.09416457801968742,
+                  0.16790961029966858, 0.20421016801652594, 0.27901980050926173])
+        distortion = [[1, 1, 1, 0], [0, 3, 0, 0], [0, 3, 3, 3],
+                      [0, 3, 0, 1], [3, 3, 1, 1], [1, 0, 3, 3]]
+        cp = build_corresponding(SourceProblem(px=px, distortion=distortion), 2)
+        report = verify_optimum_coincidence(cp)
+        assert report.min_distortion == pytest.approx(cp.d_star_m, abs=identity_bound(cp))
+
 
 # Each verifier with its tolerance's name and a call on a skewed3 instance.
 VERIFIERS = {

@@ -131,7 +131,6 @@ CODE = CP.optimal_code
 LCODE = map_code(CP, CODE)
 SR = construct_sr(SKEW3, 0.9, 0.15)
 CHAIN = construct_sr_chain(SKEW3, [0.9, 0.8], 0.15)
-REPORT = verify_sr(SR)
 # Problems that POINT, solved on SKEW3, does not fit.
 SKEW2 = SourceProblem(px=Pmf([0.6, 0.4]), distortion=hamming_distortion(2))
 ONE_SYMBOL = SourceProblem(px=Pmf([1.0]), distortion=[[0.0, 1.0, 2.0]])
@@ -193,7 +192,6 @@ VALID = {
     "Channel.row": (CHANNEL, 1),
     "Joint.marginal_x": (JOINT,),
     "Joint.marginal_y": (JOINT,),
-    "SrReport.residual": (REPORT, "fine_rate"),
 }
 
 # Parameters that declare no rule: (function, parameter) -> the rule the
@@ -205,8 +203,6 @@ EXEMPT = {
     ("information_density", "y"): Int(0, 1),
     ("log_loss", "x"): Int(0, 2),
     ("Channel.row", "x"): Int(0, 2),
-    # One of the report's check names (test_an_unknown_check_name_...).
-    ("SrReport.residual", "name"): None,
 }
 
 # A declared sequence whose entries another argument or field bounds:
@@ -456,7 +452,7 @@ def test_a_float_result_is_a_python_float(qualname):
 
 
 def test_each_float_result_is_checked():
-    assert len(float_results()) == 16
+    assert len(float_results()) == 15
 
 
 # id: (call taking the value, the start of the message it raises, a finite
@@ -758,10 +754,19 @@ def test_every_public_dataclass_is_a_record_or_a_result():
     dataclass_names = {name for name in loglosslab.__all__
                        if dataclasses.is_dataclass(getattr(loglosslab, name))}
     results = {"RdDiagnostics", "Lemma1Report", "Theorem1Check",
-               "IdentitySweep", "CoincidenceReport", "SrCheck", "SrReport", "TimeshareReport"}
+               "IdentitySweep", "CoincidenceReport", "Check", "SrReport", "TimeshareReport"}
     assert dataclass_names == results | {kind.__name__ for kind in RECORDS}
     # A result declares no field rule, so every declared field is checked.
     assert sorted(name for name in results if errors._plan(getattr(loglosslab, name))) == []
+
+
+def test_no_public_dataclass_stores_a_verdict():
+    # A stored ok can disagree with the values it judges; each report
+    # derives its ok from its checks, and a Check from its value and bound.
+    stored = [f"{name}.ok" for name in loglosslab.__all__
+              if dataclasses.is_dataclass(kind := getattr(loglosslab, name))
+              and "ok" in {field.name for field in dataclasses.fields(kind)}]
+    assert stored == []
 
 
 def test_a_sequence_argument_may_be_any_iterable():
@@ -778,12 +783,3 @@ def test_a_sequence_argument_may_be_any_iterable():
         return xs
 
     assert body(iter([0.2, 0.3])) == (0.2, 0.3)
-
-
-def test_an_unknown_check_name_is_a_named_validation_error():
-    # Once a raw KeyError.
-    with pytest.raises(ValidationError) as err:
-        REPORT.residual("nope")
-    assert str(err.value) == (
-        "SrReport.residual: name must be one of markov_factorization, coarse_rate, "
-        "coarse_loss, fine_rate, fine_distortion, posterior_rows, got 'nope'")

@@ -144,4 +144,4 @@ def test_the_contract_test_walks_every_public_function_and_method():
               for qualname in public_functions_defined_in(importlib.import_module(
                   f"loglosslab.{name}"))}
     assert sorted(public) == sorted(test_error_contract.PUBLIC)
-    assert {"Channel.row", "SrReport.residual"} <= public
+    assert {"Channel.row", "Joint.marginal_x"} <= public

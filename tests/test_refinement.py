@@ -151,7 +151,7 @@ class TestVerifySr:
         report = verify_sr(c)
         assert report.ok
         for check in report.checks:
-            assert check.residual <= 1e-9
+            assert check.value <= 1e-9
 
     def test_check_names_in_order(self):
         report = verify_sr(construct_sr(binary_hamming(), 0.5, 0.1, tol=1e-10))
@@ -173,16 +173,20 @@ class TestVerifySr:
         bad = dataclasses.replace(c, q_rows=tuple(jittered))
         report = verify_sr(bad)
         assert not report.ok
-        assert report.residual("posterior_rows") > 1e-4
+        checks = {check.name: check for check in report.checks}
+        assert checks["posterior_rows"].value > 1e-4
         # The joint itself is untouched, so the fine stage still verifies.
-        assert report.residual("fine_rate") <= 1e-9
-        assert report.residual("fine_distortion") <= 1e-9
+        assert checks["fine_rate"].value <= 1e-9
+        assert checks["fine_distortion"].value <= 1e-9
 
-    def test_unknown_check_name_raises(self):
-        report = verify_sr(construct_sr(binary_hamming(), 0.5, 0.1))
-        with pytest.raises(ValidationError, match="^SrReport.residual: name must be one of "
-                           "markov_factorization, .*, got 'nonexistent_check'$"):
-            report.residual("nonexistent_check")
+    def test_a_nan_residual_fails(self):
+        # A NaN compares false with its bound, so it fails the one pass rule.
+        fit = refinement._decoder_fit
+        with mock.patch.object(refinement, "_decoder_fit",
+                               lambda table, rows: (*fit(table, rows)[:2], math.nan)):
+            report = verify_sr(construct_sr(binary_hamming(), 0.5, 0.1, tol=1e-10))
+        assert not report.ok
+        assert [check.name for check in report.checks if not check.ok] == ["posterior_rows"]
 
 
 class TestChain:
