@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from loglosslab import (
     Channel,
+    Check,
     Joint,
     Pmf,
     ValidationError,
@@ -324,6 +326,25 @@ class TestPosterior:
         ch = Channel([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValidationError):
             posterior(px, ch)
+
+
+class TestCheck:
+    @pytest.mark.parametrize("value, bound, ok", [
+        (0.0, 1e-9, True),
+        (1e-9, 1e-9, True),
+        (2e-9, 1e-9, False),
+        (math.inf, 1e-9, False),
+        (math.nan, 1e-9, False),
+    ])
+    def test_passes_when_the_value_is_within_its_bound(self, value, bound, ok):
+        assert Check("posterior_rows", value, bound).ok is ok
+
+    def test_ok_is_derived_not_stored(self):
+        check = Check("rate_identity", 2e-9, 1e-9)
+        assert [field.name for field in dataclasses.fields(Check)] == ["name", "value", "bound"]
+        with pytest.raises(AttributeError):
+            check.ok = True
+        assert not check.ok
 
 
 class TestLogLoss:
