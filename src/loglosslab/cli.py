@@ -51,7 +51,7 @@ from .problemio import (
     render_table,
 )
 from .ratedistortion import (_DEFAULT_MAX_ITER, _DEFAULT_TOL, _certificate_tol,
-                             rd_at_distortion, verify_csiszar_identity)
+                             rd_at_distortion, tilted_information, verify_csiszar_identity)
 from .refinement import (
     _SR_CHECK_TOL,
     construct_sr,
@@ -114,7 +114,7 @@ def _cmd_rd(args) -> _CommandOutput:
             "lambda_star": _in_unit(point.lambda_star, args),
             "kept_columns": list(point.kept_columns),
             "output_marginal": point.output_marginal.probs,
-            "tilted_information": _in_unit(point.tilted, args),
+            "tilted_information": _in_unit(tilted_information(loaded.problem, point), args),
             "csiszar_residual": _in_unit(residual, args),
             "ba_iterations": diag.ba_iterations,
         })
@@ -236,9 +236,6 @@ def _cmd_equiv(args) -> _CommandOutput:
                 "min_log_loss": None, "min_distortion": None}
     coincidence = None
     if sweep is not None:
-        identity.update(n_codes=sweep.n_codes, max_residual=_in_unit(sweep.max_residual, args),
-                        min_log_loss=_in_unit(sweep.min_loss, args),
-                        min_distortion=sweep.min_distortion)
         rep = verify_optimum_coincidence(cp)
         coincidence = {
             "matched": rep.matched,
@@ -248,6 +245,9 @@ def _cmd_equiv(args) -> _CommandOutput:
             "n_loss_argmin": len(rep.loss_argmin),
             "pairs_summed": rep.pairs_summed,
         }
+        identity.update(n_codes=sweep.n_codes, max_residual=_in_unit(sweep.max_residual, args),
+                        min_log_loss=coincidence["min_log_loss"],
+                        min_distortion=rep.min_distortion)
     outputs = {
         "d_star_m": cp.d_star_m,
         "lambda_star": _in_unit(cp.lambda_star, args),

@@ -108,7 +108,9 @@ def build_corresponding(problem: SourceProblem, n_messages: Count,
 
     Raises DegenerateInstanceError when D*(M) lands on a curve endpoint
     (slope divergence or the zero-rate knee); the equivalence needs an
-    interior point.
+    interior point.  Raises MappingError when the one-shot optimum decodes
+    a message to a column the point at D*(M) prunes: the checked problem
+    ranges over the kept columns only, so it would leave that optimum out.
     """
     code, d_star = solve_avg(problem, n_messages)
     d_min, d_max = distortion_bounds(problem)
@@ -118,6 +120,12 @@ def build_corresponding(problem: SourceProblem, n_messages: Count,
             f"[{d_min!r}, {d_max!r}]; the corresponding problem degenerates there"
         )
     point = _rd_point("d_star_m", problem, d_star, tol)
+    for m, col in enumerate(code.decoder):
+        if col not in point.kept_columns:
+            raise MappingError(
+                f"the one-shot optimum decodes message {m} to column {col}, which the "
+                f"R(D) point at D*({n_messages}) prunes (kept columns {point.kept_columns})"
+            )
 
     rows = point.reverse.rows
     same = _first_close_pair(rows, ROW_MATCH_TOL)
@@ -256,23 +264,20 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
 
 
 def _cell_blocks(cp: CorrespondingProblem):
-    """A generator of (ordinals, cells, lows, row_min) blocks over the canonical encoders.
+    """A generator of (ordinals, cells) blocks over the canonical encoders.
 
     Row n of a block is the encoder of ordinal ``ordinals[n]`` in
     itertools.product order.  ``cells[side, n, m, j]`` is the cost of
     message m of encoder n decoded by kept index j, on the distortion
-    (side 0) or log-loss side (side 1), and ``lows`` and ``row_min`` its
-    cells' and its least costs, as ``_least_costs`` forms them.  The
-    10^7-pair guard is checked when this is called, before any block is
-    formed.
+    (side 0) or log-loss side (side 1).  The 10^7-pair guard is checked
+    when this is called, before any block is formed.
     """
     m_count = cp.n_messages
     k = len(cp.y_rows)
     _check_work(m_count ** cp.px.n * k ** m_count, "code pairs", _CODE_ENUM_GUARD)
     blocks = _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count, k ** m_count)
-    return ((ordinals, cells) + _least_costs(cells)
-            for ordinals, sums in blocks
-            for cells in [sums.reshape(len(sums), m_count, 2, k).transpose(2, 0, 1, 3)])
+    return ((ordinals, sums.reshape(len(sums), m_count, 2, k).transpose(2, 0, 1, 3))
+            for ordinals, sums in blocks)
 
 
 def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -296,12 +301,14 @@ def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IdentitySweep:
-    """Identity residuals over every code pair."""
+    """Identity residuals over every code pair.
+
+    Both problems' least costs are ``verify_optimum_coincidence``'s
+    ``min_distortion`` and ``min_loss``.
+    """
 
     n_codes: int
     max_residual: float
-    min_loss: float
-    min_distortion: float
 
     @property
     def sampled(self) -> bool:
@@ -315,9 +322,9 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
 
     Swapping messages 0 and 1 in both the encoder and the decoder leaves
     both of a pair's costs the same floats (see ``_cell_sum_blocks``), so
-    the canonical encoders against every decoder reach every residual and
-    both minima.  Guarded at 10^7 code pairs; ``identity_bound`` bounds
-    every residual without enumerating them.
+    the canonical encoders against every decoder reach every residual.
+    Guarded at 10^7 code pairs; ``identity_bound`` bounds every residual
+    without enumerating them.
     """
     m_count = cp.n_messages
     k = len(cp.y_rows)
@@ -328,8 +335,6 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     blocks = _cell_blocks(cp)
 
     max_resid = 0.0
-    min_loss = math.inf
-    min_d = math.inf
     # Residuals are formed in tiles of whole encoders, at most an eighth of
     # the block budget in pairs (one encoder when it has more decoders), in
     # three buffers reused for every tile.  Costs lie in [0, inf], so no
@@ -337,10 +342,7 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     pairs = k ** m_count
     tile = max((oneshot._BLOCK_ENTRIES >> 3) // pairs, 1)
     buffers = [np.empty(tile * pairs) for _ in range(3)]
-    for _, cells, _, row_min in blocks:
-        # The grid minima are the encoders' least costs; they need no grid.
-        min_d = min(min_d, float(row_min[0].min()))
-        min_loss = min(min_loss, float(row_min[1].min()))
+    for _, cells in blocks:
         for start in range(0, cells.shape[1], tile):
             grid_d, grid_l = (_grid_into(a[start:start + tile], out, buffers[2])
                               for a, out in zip(cells, buffers))
@@ -350,8 +352,7 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
             np.multiply(lam, grid_d, out=grid_d)
             np.subtract(grid_l, grid_d, out=grid_l)
             max_resid = max(max_resid, float(np.abs(grid_l, out=grid_l).max()))
-    return IdentitySweep(n_codes=m_count ** cp.px.n * pairs, max_residual=max_resid,
-                         min_loss=min_loss, min_distortion=min_d)
+    return IdentitySweep(n_codes=m_count ** cp.px.n * pairs, max_residual=max_resid)
 
 
 @_checked
@@ -502,7 +503,8 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     best = [math.inf, math.inf]
     kept: list[list] = [[], []]  # per side: (costs, keys)
     pairs_summed = 0
-    for ordinals, cells, lows, row_min in _cell_blocks(cp):
+    for ordinals, cells in _cell_blocks(cp):
+        lows, row_min = _least_costs(cells)
         for side, low in enumerate(row_min.min(axis=1).tolist()):
             if low < best[side]:
                 best[side] = low

@@ -217,16 +217,14 @@ class Seq(typing.NamedTuple):
 
 
 class Array(typing.NamedTuple):
-    """A nonempty array of finite floats with ``ndim`` axes, passed on read-only.
+    """A nonempty array of finite nonnegative floats with ``ndim`` axes, read-only.
 
     Its entries are real numbers: a bool, a string, None or a complex number
     is refused by its index before anything converts, and an int too large
-    for a float counts as not finite.  They are nonnegative unless
-    ``nonnegative`` is False.
+    for a float counts as not finite.
     """
 
     ndim: int
-    nonnegative: bool = True
 
     def check(self, name: str, value) -> np.ndarray:
         # A float or integer array holds numbers; anything else of the right
@@ -244,7 +242,7 @@ class Array(typing.NamedTuple):
         _require_nonempty(name, arr.flat)
         if not np.isfinite(arr).all():
             raise ValidationError(f"{name} entries must be finite")
-        if self.nonnegative and (arr < 0.0).any():
+        if (arr < 0.0).any():
             raise ValidationError(f"{name} entries must be nonnegative")
         arr.setflags(write=False)
         return arr

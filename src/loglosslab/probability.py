@@ -204,17 +204,14 @@ def conditional_entropy(j: Joint) -> float:
 def mutual_information(px: Pmf, ch: Channel) -> float:
     """I(X; Y) for input px through channel ch, in nats.
 
-    Computed as H(Y) - sum_x px(x) H(Y | X = x); tiny negative float residue
-    is clamped to zero.
+    Computed by ``_information`` from the joint px(x) ch(y | x) and its own
+    row and column sums, as ``verify_lemma1`` computes it; tiny negative
+    float residue is clamped to zero.
     """
     _require_size("ch.n_in", ch.n_in, "px.n", px.n)
-    py = px.probs @ ch.rows
-    h_y = _neg_p_log_p(py)
-    h_y_given_x = 0.0
-    for x in px.support():
-        h_y_given_x += px.probs[x] * _neg_p_log_p(ch.rows[x])
+    table = px.probs[:, None] * ch.rows
     # Nonnegative up to float residue; clamp the dust, never a real deficit.
-    return max(float(h_y - h_y_given_x), 0.0)
+    return max(_information(table, table.sum(axis=1), table.sum(axis=0)), 0.0)
 
 
 def _information(table: np.ndarray, p_x: np.ndarray, p_g: np.ndarray) -> float:

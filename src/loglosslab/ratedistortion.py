@@ -529,11 +529,9 @@ class RdDiagnostics:
 class RdPoint:
     """One point on the informational rate-distortion curve.
 
-    ``forward``, ``output_marginal``, ``reverse``, and ``tilted`` live on the
-    kept reconstruction columns (original indices in ``kept_columns``).  The
-    tilted information is evaluated at the achieved distortion, which matches
-    the target within the solver tolerance; this keeps E[tilted] equal to
-    the rate at full solver precision.
+    ``forward``, ``output_marginal`` and ``reverse`` live on the kept
+    reconstruction columns (original indices in ``kept_columns``).
+    ``tilted_information`` forms the point's tilted information.
     """
 
     target_distortion: float
@@ -542,7 +540,6 @@ class RdPoint:
     forward: Channel
     output_marginal: Pmf
     reverse: Channel
-    tilted: Annotated[np.ndarray, Array(1, nonnegative=False)]
     kept_columns: Annotated[tuple, Seq(Int(0))]
     diagnostics: RdDiagnostics
 
@@ -582,7 +579,7 @@ def rd_at_distortion(problem: SourceProblem, d: Finite, tol: Positive = _DEFAULT
 
     Returns:
         RdPoint with rate, slope, forward and reverse channels on kept
-        columns, the tilted-information vector, and diagnostics.
+        columns, and diagnostics.
 
     Raises:
         ValidationError: problem is not a SourceProblem, d not a finite
@@ -622,7 +619,6 @@ def _rd_point(name: str, problem: SourceProblem, d: float, tol: float,
     fwd = _full_forward(problem.distortion, support, raw)[:, cols]
     m = raw.marginal[cols]
     reverse = Channel((px[None, :] * fwd.T) / m[:, None])
-    tilted = _tilted_vector(problem.distortion[:, cols], m, raw.lam, raw.distortion)
 
     return RdPoint(
         target_distortion=d,
@@ -631,7 +627,6 @@ def _rd_point(name: str, problem: SourceProblem, d: float, tol: float,
         forward=Channel(fwd),
         output_marginal=Pmf(m),
         reverse=reverse,
-        tilted=tilted,
         kept_columns=tuple(int(c) for c in cols),
         diagnostics=RdDiagnostics(
             ba_iterations=raw.iterations,
@@ -651,12 +646,10 @@ def rd_curve(problem: SourceProblem, grid: Annotated[tuple, Seq(Real())],
 def _kept_distortion(problem: SourceProblem, point: RdPoint) -> np.ndarray:
     """The problem's distortion on the point's kept columns.
 
-    Refuses a point whose forward rows, tilted information or kept columns
-    do not fit the problem, or that keeps other than one column per forward
-    output.
+    Refuses a point whose forward rows or kept columns do not fit the
+    problem, or that keeps other than one column per forward output.
     """
     _require_size("point.forward.n_in", point.forward.n_in, "problem.n_source", problem.n_source)
-    _require_size("len(point.tilted)", len(point.tilted), "problem.n_source", problem.n_source)
     _require_size("len(point.kept_columns)", len(point.kept_columns),
                   "point.forward.n_out", point.forward.n_out)
     Seq(Int(0, problem.n_reconstruction - 1)).check("point.kept_columns", point.kept_columns)
@@ -667,9 +660,10 @@ def _kept_distortion(problem: SourceProblem, point: RdPoint) -> np.ndarray:
 def tilted_information(problem: SourceProblem, point: RdPoint) -> np.ndarray:
     """Per-symbol tilted information at a solved point, in nats.
 
-    Recomputed from the point's marginal, slope, and achieved distortion;
-    equals ``point.tilted``.  Its expectation under the source matches the
-    point's rate.
+    Formed from the point's marginal, slope, and achieved distortion, which
+    matches the target within the solver tolerance; this keeps its
+    expectation under the source equal to the point's rate at full solver
+    precision.
     """
     dist_kept = _kept_distortion(problem, point)
     return _tilted_vector(dist_kept, point.output_marginal.probs,
@@ -697,7 +691,8 @@ def verify_csiszar_identity(problem: SourceProblem, point: RdPoint) -> float:
     d_value = point.diagnostics.achieved_distortion
     with np.errstate(divide="ignore"):
         dens = np.log(fwd) - np.log(m)
-    resid = np.abs(point.tilted[:, None] - dens - lam * dist_kept + lam * d_value)
+    tilted = _tilted_vector(dist_kept, m, lam, d_value)
+    resid = np.abs(tilted[:, None] - dens - lam * dist_kept + lam * d_value)
     resid = np.where(fwd >= _TINY, resid, 0.0)
     return float(np.maximum.reduce(resid, None))
 

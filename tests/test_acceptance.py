@@ -134,7 +134,8 @@ def test_criterion_3_equivalence_identity_exhaustive():
         assert not sweep.sampled
         total_codes += sweep.n_codes
         worst_residual = max(worst_residual, sweep.max_residual)
-        worst_floor = min(worst_floor, sweep.min_loss - cp.h_x_given_xhat)
+        worst_floor = min(worst_floor,
+                          verify_optimum_coincidence(cp).min_loss - cp.h_x_given_xhat)
     elapsed = time.perf_counter() - start
     assert worst_residual < 1e-6
     assert worst_floor >= -1e-9

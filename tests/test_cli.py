@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 import yaml
 
 import loglosslab
-from loglosslab import Pmf, ValidationError, __version__, equivalence, oneshot, problemio
+from loglosslab import Pmf, ValidationError, __version__, cli, equivalence, oneshot, problemio
 from loglosslab.cli import _build_parser, main
 from loglosslab.oneshot import (floor_exp, logloss_codebook, logloss_excess_optimum,
                                 solve_excess)
@@ -740,6 +741,34 @@ class TestEquivCommand:
                                               "min_distortion")] == [None] * 4
             assert report["outputs"]["coincidence"] is None
             assert elapsed <= 2.0, f"{elapsed:.2f}s"
+
+    @pytest.mark.parametrize("units", [[], ["--bits"]])
+    def test_identity_optima_are_the_coincidence_optima(self, capsys, units):
+        # The identity block prints the coincidence report's optima: moved
+        # there, they move in both blocks.
+        def moved(cp):
+            report = equivalence.verify_optimum_coincidence(cp)
+            return dataclasses.replace(report, min_distortion=0.25, min_loss=0.5)
+
+        with mock.patch.object(cli, "verify_optimum_coincidence", moved):
+            out = run_report(capsys, ["equiv", SKEW3, "--messages", "2", *units])["outputs"]
+        assert out["identity"]["min_distortion"] == 0.25
+        for key in ("min_distortion", "min_log_loss"):
+            assert out["identity"][key] == out["coincidence"][key]
+
+    def test_optimum_off_the_support_exits_one(self, capsys, tmp_path):
+        # The one-shot optimum at M = 2 decodes to column 3, which the R(D)
+        # point at D*(2) prunes.  Once this printed "matched": true.
+        px = [0.03342033696893241, 0.22127550618592393, 0.09416457801968742,
+              0.16790961029966858, 0.20421016801652594, 0.27901980050926173]
+        distortion = [[1, 1, 1, 0], [0, 3, 0, 0], [0, 3, 3, 3],
+                      [0, 3, 0, 1], [3, 3, 1, 1], [1, 0, 3, 3]]
+        path = write_problem(tmp_path, f"px: {px}\ndistortion: {distortion}\n")
+        code, out, err = run_cli(capsys, ["equiv", path, "--messages", "2"])
+        assert (code, out) == (1, "")
+        assert err == ("error: build_corresponding: the one-shot optimum decodes message 1 "
+                       "to column 3, which the R(D) point at D*(2) prunes "
+                       "(kept columns (0, 1, 2))\n")
 
     def test_argmin_counts_decode_no_pair(self, capsys):
         # The report prints the sizes of the argmin sets, never their pairs.

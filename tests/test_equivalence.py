@@ -35,7 +35,7 @@ from loglosslab import (
     verify_sr,
     verify_theorem1,
 )
-from loglosslab import equivalence
+from loglosslab import equivalence, oneshot
 from loglosslab.equivalence import _cell_cost_tables
 from loglosslab.problemio import load_problem
 
@@ -126,8 +126,10 @@ class TestBuildCorresponding:
         # Skewed3 at M = 3 spans [0, 0.5], and ln 3 exceeds H(X), so an
         # interior D*(M) passes every later check.  D*(M) within
         # ENDPOINT_TOL of an endpoint is degenerate, twice that is not.
+        # The code is the one-shot optimum at that end, three messages at
+        # D_min and one at D_max, so it decodes to columns the point keeps.
         problem = SourceProblem(px=Pmf([0.5, 0.3, 0.2]), distortion=hamming_distortion(3))
-        code = equivalence.solve_avg(problem, 3)[0]
+        code = equivalence.solve_avg(problem, 3 if end == "d_min" else 1)[0]
         at, inward = (0.0, 1.0) if end == "d_min" else (0.5, -1.0)
 
         def solved_at(d_star):
@@ -285,9 +287,10 @@ class TestIdentitySweep:
         # 2^3 encoders times 3^2 decoders.
         assert sweep.n_codes == 72
         assert sweep.max_residual < 1e-9
-        assert sweep.min_distortion == pytest.approx(1 / 3, abs=1e-15)
-        assert sweep.min_loss == pytest.approx(cp_u3.h_x_given_xhat, abs=1e-9)
-        assert sweep.min_loss >= cp_u3.h_x_given_xhat - 1e-9
+        report = verify_optimum_coincidence(cp_u3)
+        assert report.min_distortion == pytest.approx(1 / 3, abs=1e-15)
+        assert report.min_loss == pytest.approx(cp_u3.h_x_given_xhat, abs=1e-9)
+        assert report.min_loss >= cp_u3.h_x_given_xhat - 1e-9
 
     def test_uniform4_exhaustive(self, cp_u4):
         sweep = identity_sweep(cp_u4)
@@ -344,18 +347,32 @@ def draw_problem(family: str, n_messages: int, rng: np.random.Generator) -> Sour
     return SourceProblem(px=Pmf(w / w.sum()), distortion=dist.astype(float))
 
 
+# The draws of test_bound_dominates_the_sweep that build_corresponding
+# refuses, per (family, M).
+OFF_SUPPORT_DRAWS = {("uniform", 2): 2, ("uniform", 3): 1, ("tied", 2): 1,
+                     ("continuous", 2): 1, ("zero_mass", 2): 1, ("zero_mass", 3): 1}
+
+
 class TestIdentityBound:
     @pytest.mark.parametrize("n_messages", [2, 3])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bound_dominates_the_sweep(self, family, n_messages):
         # 30 draws per case, 240 in all.  Each is checked also with the
         # slope moved off the solved point, where the residuals are large
-        # and the bound rests on its spread term.
+        # and the bound rests on its spread term.  Seven draws, counted in
+        # OFF_SUPPORT_DRAWS, are refused: their one-shot optimum decodes to
+        # a column the point at D*(M) prunes.
         rng = np.random.default_rng([FAMILIES.index(family), n_messages, 18])
+        refused = 0
         for _ in range(30):
-            cp = build_corresponding(draw_problem(family, n_messages, rng), n_messages)
+            try:
+                cp = build_corresponding(draw_problem(family, n_messages, rng), n_messages)
+            except MappingError:
+                refused += 1
+                continue
             for case in (cp, dataclasses.replace(cp, lambda_star=cp.lambda_star * 1.001)):
                 assert identity_bound(case) >= identity_sweep(case).max_residual
+        assert refused == OFF_SUPPORT_DRAWS.get((family, n_messages), 0)
 
     # binary_hamming reaches D_min = 0 at M = 2, where the problem degenerates.
     @pytest.mark.parametrize("name", ["skewed3", "skewed4_absdiff"])
@@ -411,17 +428,31 @@ class TestOptimumCoincidence:
             assert len(enc) == 3 and all(0 <= m < 2 for m in enc)
             assert len(dec) == 2 and all(0 <= j < 3 for j in dec)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 25: the one-shot optimum decodes to column 3, which the solved "
-        "point prunes, so the checked problem's least distortion misses D*(M)"))
-    def test_least_distortion_is_the_one_shot_optimum_off_the_support(self):
+    def test_a_one_shot_optimum_off_the_support_is_refused(self):
+        # solve_avg decodes to columns (0, 3), and the point at D*(2) keeps
+        # (0, 1, 2).  A problem built on those would leave the optimum out:
+        # its least distortion misses D*(M).
         px = Pmf([0.03342033696893241, 0.22127550618592393, 0.09416457801968742,
                   0.16790961029966858, 0.20421016801652594, 0.27901980050926173])
         distortion = [[1, 1, 1, 0], [0, 3, 0, 0], [0, 3, 3, 3],
                       [0, 3, 0, 1], [3, 3, 1, 1], [1, 0, 3, 3]]
-        cp = build_corresponding(SourceProblem(px=px, distortion=distortion), 2)
-        report = verify_optimum_coincidence(cp)
-        assert report.min_distortion == pytest.approx(cp.d_star_m, abs=identity_bound(cp))
+        with pytest.raises(MappingError) as err:
+            build_corresponding(SourceProblem(px=px, distortion=distortion), 2)
+        assert str(err.value) == (
+            "build_corresponding: the one-shot optimum decodes message 1 to column 3, "
+            "which the R(D) point at D*(2) prunes (kept columns (0, 1, 2))")
+
+    def test_least_costs_are_formed_once_per_block(self, cp_u4):
+        # The sweep reads no least cost; the coincidence check owns them.
+        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", 64):
+            blocks = len(list(equivalence._cell_blocks(cp_u4)))
+            with mock.patch.object(equivalence, "_least_costs",
+                                   wraps=equivalence._least_costs) as least_costs:
+                identity_sweep(cp_u4)
+                assert least_costs.call_count == 0
+                verify_optimum_coincidence(cp_u4)
+        assert blocks > 1
+        assert least_costs.call_count == blocks
 
 
 # Each verifier with its tolerance's name and a call on a skewed3 instance.

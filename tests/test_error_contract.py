@@ -336,9 +336,8 @@ def wrong_values(rule, valid) -> list:
                 ("extra_axis", valid[None], ndim + str((1,) + valid.shape)),
                 ("empty", valid[:0], " must not be empty"),
                 ("nan", last_entry(math.nan), " entries must be finite"),
-                ("inf", last_entry(math.inf), " entries must be finite")] + (
-                    [("negative", last_entry(-0.5), " entries must be nonnegative")]
-                    if rule.nonnegative else [])
+                ("inf", last_entry(math.inf), " entries must be finite"),
+                ("negative", last_entry(-0.5), " entries must be nonnegative")]
     return [(repr(v), v, " must ") for v in NOT_OBJECT]  # a record class or its _Instance rule
 
 
@@ -416,18 +415,6 @@ def test_a_point_declares_its_kept_columns():
     # Once kept_columns=None constructed.  The derived RdPoint cases wrong
     # the field only while it declares its rule.
     assert rules("RdPoint")["kept_columns"] == Seq(Int(0))
-
-
-def test_a_point_declares_its_tilted_information():
-    # Once constructed, then a raw TypeError in verify_csiszar_identity.
-    with pytest.raises(ValidationError) as err:
-        verify_csiszar_identity(SKEW3, dataclasses.replace(POINT, tilted=None))
-    assert str(err.value) == "RdPoint: tilted must be 1-D, got shape ()"
-    # Tilted information may be negative: moving every entry by -1 leaves a
-    # point whose residual is 1 up to rounding.
-    shifted = dataclasses.replace(POINT, tilted=POINT.tilted - 1.0)
-    assert (shifted.tilted < 0.0).any()
-    assert verify_csiszar_identity(SKEW3, shifted) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
@@ -518,14 +505,6 @@ MISMATCHES = {
     "tilted_information-kept_count": (
         lambda: tilted_information(SKEW3, dataclasses.replace(POINT, kept_columns=(0, 1))),
         "tilted_information: len(point.kept_columns) = 2 must equal point.forward.n_out = 3"),
-    # The first once ended in a raw numpy ValueError (shapes not broadcast),
-    # the second answered: neither read the length of point.tilted.
-    "verify_csiszar_identity-tilted": (
-        lambda: verify_csiszar_identity(SKEW3, dataclasses.replace(POINT, tilted=POINT.tilted[:2])),
-        "verify_csiszar_identity: len(point.tilted) = 2 must equal problem.n_source = 3"),
-    "tilted_information-tilted": (
-        lambda: tilted_information(SKEW3, dataclasses.replace(POINT, tilted=POINT.tilted[:2])),
-        "tilted_information: len(point.tilted) = 2 must equal problem.n_source = 3"),
     "verify_csiszar_identity-kept_count": (
         lambda: verify_csiszar_identity(SKEW3, dataclasses.replace(POINT, kept_columns=(0, 1))),
         "verify_csiszar_identity: len(point.kept_columns) = 2 must equal "

@@ -24,6 +24,7 @@ from loglosslab import (
     posterior,
     renormalize,
     varentropy,
+    verify_lemma1,
 )
 
 LN2 = math.log(2.0)
@@ -281,6 +282,21 @@ class TestJointIdentities:
             for x in range(r) for y in range(s) if t[x, y] > 0.0
         )
         assert mutual_information(px, ch) == pytest.approx(direct, abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mutual_information_is_the_lemma1_kernel(self, seed):
+        # One kernel: with a zero-mass symbol and positive information, the
+        # value is the very float verify_lemma1 reports for the same joint.
+        rng = np.random.default_rng(seed)
+        r, s = int(rng.integers(3, 6)), int(rng.integers(2, 5))
+        w = rng.uniform(0.1, 1.0, size=r)
+        w[rng.integers(r)] = 0.0
+        px = as_pmf(w)
+        ch = random_channel(rng, r, s)
+        value = mutual_information(px, ch)
+        assert value > 0.0
+        rows = tuple(Pmf.uniform(r) for _ in range(s))
+        assert value == verify_lemma1(px, rows, ch).mutual_info
 
     def test_information_density_averages_to_mi(self):
         rng = np.random.default_rng(5)

@@ -6,8 +6,9 @@ its reconstruction columns rotated 0, 1 and 2 steps as the ``rd_scatter``
 benchmark solves them, then the skewA grid 0.025-0.575 at tol 1e-10.  A
 line holds the rate, slope and achieved distortion by ``float.hex``, the
 kept columns, ``ba_iterations``, ``prune_rounds`` and SHA-256 prefixes of
-the bytes of the forward rows and of the tilted vector, so a change that
-moves any float of a point, by even one ulp, fails here.  The header
+the bytes of the forward rows and of the tilted vector that
+``tilted_information`` forms, so a change that moves any float of a point,
+by even one ulp, fails here.  The header
 records the numpy version the file was made with and is not compared.  A
 change that moves a line on purpose regenerates the file with
 
@@ -21,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from loglosslab import Pmf, SourceProblem, distortion_bounds, hamming_distortion, rd_at_distortion
+from loglosslab import (Pmf, SourceProblem, distortion_bounds, hamming_distortion, rd_at_distortion,
+                        tilted_information)
 
 LEDGER = Path(__file__).resolve().parent / "golden" / "rd_ledger.txt"
 TOL = 1e-10
@@ -63,7 +65,7 @@ def ledger_lines() -> list[str]:
             f"{label} rate={point.rate.hex()} lam={point.lambda_star.hex()} "
             f"d={diag.achieved_distortion.hex()} cols={cols} it={diag.ba_iterations} "
             f"prune={diag.prune_rounds} fwd={_digest(point.forward.rows)} "
-            f"tilted={_digest(point.tilted)}\n")
+            f"tilted={_digest(tilted_information(problem, point))}\n")
     return lines
 
 
