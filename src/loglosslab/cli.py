@@ -5,7 +5,9 @@ tab-separated table (``--format table``).  Reports are deterministic given
 identical inputs, flags, and seed, except for the wall-clock field.  Exit
 codes: 0 success, 1 any other refusal of the library (infeasible,
 degenerate, non-convergent, too large, failed verification), 2 bad input
-(flags, files, malformed values).
+(flags, files, malformed values).  A verification that runs and fails
+(``equiv``'s FAIL, an ``sr`` layer's failed check) still writes the full
+report; the command then exits 1 with one stderr line naming the check.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ class _CommandOutput:
     tolerances: dict
     table_header: list = field(default_factory=list)
     table_rows: list = field(default_factory=list)
+    # The failed verification, named: main writes the report, then exits 1.
+    failure: str | None = None
 
 
 def _in_unit(value, args):
@@ -221,33 +225,35 @@ def _cmd_oneshot(args) -> _CommandOutput:
 # ----------------------------------------------------------------------
 
 
+def _unless_too_large(check, cp):
+    """check(cp), or None when its work guard refuses it."""
+    try:
+        return check(cp)
+    except InstanceTooLargeError:
+        return None
+
+
 def _cmd_equiv(args) -> _CommandOutput:
     loaded = load_problem(args.problem)
     cp = build_corresponding(loaded.problem, args.messages, tol=args.tol)
     bound = identity_bound(cp)
-    # Past the enumeration guard the bound stands alone: the sweep and the
-    # coincidence check are skipped.
-    try:
-        sweep = identity_sweep(cp)
-    except InstanceTooLargeError:
-        sweep = None
+    # Past a check's guard its block is null: the sweep stops at the pair
+    # guard, the coincidence check at its decoder guard.
+    sweep, rep = (_unless_too_large(check, cp)
+                  for check in (identity_sweep, verify_optimum_coincidence))
+    coincidence = None if rep is None else {
+        "matched": rep.matched,
+        "min_distortion": rep.min_distortion,
+        "min_log_loss": _in_unit(rep.min_loss, args),
+        "n_distortion_argmin": len(rep.distortion_argmin),
+        "n_loss_argmin": len(rep.loss_argmin),
+        "scored_decoders": rep.scored_decoders,
+    }
     identity = {"residual_bound": _in_unit(bound, args), "skipped": sweep is None,
-                "n_codes": None, "max_residual": None,
-                "min_log_loss": None, "min_distortion": None}
-    coincidence = None
-    if sweep is not None:
-        rep = verify_optimum_coincidence(cp)
-        coincidence = {
-            "matched": rep.matched,
-            "min_distortion": rep.min_distortion,
-            "min_log_loss": _in_unit(rep.min_loss, args),
-            "n_distortion_argmin": len(rep.distortion_argmin),
-            "n_loss_argmin": len(rep.loss_argmin),
-            "pairs_summed": rep.pairs_summed,
-        }
-        identity.update(n_codes=sweep.n_codes, max_residual=_in_unit(sweep.max_residual, args),
-                        min_log_loss=coincidence["min_log_loss"],
-                        min_distortion=rep.min_distortion)
+                "n_codes": sweep and sweep.n_codes,
+                "max_residual": sweep and _in_unit(sweep.max_residual, args),
+                "min_log_loss": coincidence and coincidence["min_log_loss"],
+                "min_distortion": coincidence and coincidence["min_distortion"]}
     outputs = {
         "d_star_m": cp.d_star_m,
         "lambda_star": _in_unit(cp.lambda_star, args),
@@ -269,6 +275,8 @@ def _cmd_equiv(args) -> _CommandOutput:
                       "residual_bound", "coincidence"],
         table_rows=[[args.messages, cp.d_star_m, cp.lambda_star, cp.h_x_given_xhat,
                      identity["max_residual"], bound, verdict]],
+        failure=("equiv: the coincidence check failed: the distortion and log-loss "
+                 "argmin sets differ") if verdict == "FAIL" else None,
     )
 
 
@@ -290,8 +298,10 @@ def _cmd_sr(args) -> _CommandOutput:
     nat_checks = {"coarse_rate", "coarse_loss", "fine_rate"}
     layer_docs = []
     rows = []
+    failed = []
     for layer in layers:
         report = verify_sr(layer)
+        failed += [f"{c.name} at d1 = {layer.d1!r}" for c in report.checks if not c.ok]
         worst = max(c.value for c in report.checks)
         layer_docs.append({
             "d1": _in_unit(layer.d1, args),
@@ -318,6 +328,7 @@ def _cmd_sr(args) -> _CommandOutput:
         tolerances={"solver_tol": args.tol, "check_tol": _SR_CHECK_TOL},
         table_header=["d1", "delta", "max_residual", "ok"],
         table_rows=rows,
+        failure=f"sr: failed checks: {', '.join(failed)}" if failed else None,
     )
 
 
@@ -499,6 +510,9 @@ def main(argv=None) -> int:
             Path(args.output).write_text(text)
         else:
             sys.stdout.write(text)
+        if result.failure is not None:
+            print(f"error: {result.failure}", file=sys.stderr)
+            return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

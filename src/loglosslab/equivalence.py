@@ -37,7 +37,6 @@ from .oneshot import (
     OneShotCode,
     _cell_sum_blocks,
     _check_work,
-    _least_costs,
     expected_distortion,
     solve_avg,
 )
@@ -264,20 +263,18 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
 
 
 def _cell_blocks(cp: CorrespondingProblem):
-    """A generator of (ordinals, cells) blocks over the canonical encoders.
+    """A generator of cell-cost blocks over the canonical encoders, in product order.
 
-    Row n of a block is the encoder of ordinal ``ordinals[n]`` in
-    itertools.product order.  ``cells[side, n, m, j]`` is the cost of
-    message m of encoder n decoded by kept index j, on the distortion
-    (side 0) or log-loss side (side 1).  The 10^7-pair guard is checked
-    when this is called, before any block is formed.
+    ``cells[side, n, m, j]`` is the cost of message m of encoder n of the
+    block decoded by kept index j, on the distortion (side 0) or log-loss
+    side (side 1).  The 10^7-pair guard is checked when this is called,
+    before any block is formed.
     """
     m_count = cp.n_messages
     k = len(cp.y_rows)
     _check_work(m_count ** cp.px.n * k ** m_count, "code pairs", _CODE_ENUM_GUARD)
     blocks = _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count, k ** m_count)
-    return ((ordinals, sums.reshape(len(sums), m_count, 2, k).transpose(2, 0, 1, 3))
-            for ordinals, sums in blocks)
+    return (sums.reshape(len(sums), m_count, 2, k).transpose(2, 0, 1, 3) for _, sums in blocks)
 
 
 def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -303,7 +300,7 @@ def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
 class IdentitySweep:
     """Identity residuals over every code pair.
 
-    Both problems' least costs are ``verify_optimum_coincidence``'s
+    Both problems' optima are ``verify_optimum_coincidence``'s
     ``min_distortion`` and ``min_loss``.
     """
 
@@ -342,7 +339,7 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     pairs = k ** m_count
     tile = max((oneshot._BLOCK_ENTRIES >> 3) // pairs, 1)
     buffers = [np.empty(tile * pairs) for _ in range(3)]
-    for _, cells in blocks:
+    for cells in blocks:
         for start in range(0, cells.shape[1], tile):
             grid_d, grid_l = (_grid_into(a[start:start + tile], out, buffers[2])
                               for a, out in zip(cells, buffers))
@@ -399,11 +396,13 @@ class CoincidenceReport:
 
     Each argmin set is a read-only sequence of (encoder, decoder) tuples in
     lexicographic order.  It equals, hashes and prints as the tuple of those
-    pairs; ``verify_optimum_coincidence`` keeps the pairs of canonical
-    encoders, each as one int32 key, 4 bytes, and makes the others and
-    decodes the pairs only when they are read, so ``len`` costs nothing.
-    ``pairs_summed`` counts the code pairs whose nested cost the check
-    formed, over both sides; it takes no part in equality.
+    pairs.  ``verify_optimum_coincidence`` keeps it as its decoders and, for
+    each, every symbol's set of messages, so ``len`` costs nothing and the
+    pairs are formed only when the set is read.  ``min_distortion`` and
+    ``min_loss`` are the nested costs of each set's first pair.
+    ``scored_decoders`` counts the decoders whose costs the check formed,
+    over both sides: every decoder's base cost, then the message sets of
+    those near the least; it takes no part in equality.
     """
 
     min_distortion: float
@@ -411,38 +410,47 @@ class CoincidenceReport:
     distortion_argmin: Sequence
     loss_argmin: Sequence
     matched: bool
-    pairs_summed: int = field(compare=False)
+    scored_decoders: int = field(compare=False)
 
 
 class _ArgminSet(Sequence):
-    """(encoder, decoder) pairs kept as the sorted int32 keys of the canonical ones.
+    """(encoder, decoder) pairs: under each decoder, the product of its symbols' message sets.
 
-    A pair's key is encoder ordinal * k^M + decoder ordinal, as
-    ``_pair_tuples`` reads it.  The set holds the swap of messages 0 and 1
-    of each of its pairs, so the keys of canonical encoders name it.  The
-    first read adds the others' keys, from ``_swap_images``, and decodes
-    them all.
+    ``decoders`` holds the decoders' ordinals in product order, ascending,
+    and ``near[n, x, m]`` whether symbol x takes message m under decoder n.
+    A read forms the pairs, sorted; past the 10^7-pair guard it is refused.
     """
 
-    __slots__ = ("_keys", "_digits", "_len", "_tuples")
+    __slots__ = ("_decoders", "_near", "_k", "_len", "_tuples")
 
-    def __init__(self, keys: np.ndarray, r: int, m_count: int, k: int):
-        keys.flags.writeable = False
-        self._keys = keys
-        self._digits = (r, m_count, k)
+    def __init__(self, decoders: np.ndarray, near: np.ndarray, k: int):
+        self._decoders = decoders
+        self._near = near
+        self._k = k
+        self._len = sum(map(math.prod, near.sum(axis=2).tolist()))
         self._tuples = None
-        # The swap moves every encoder below 2...2, the least with no symbol
-        # in message 0 or 1, and the keys are sorted.
-        least = sum(2 * m_count ** i for i in range(r)) * k ** m_count
-        below = int(np.searchsorted(keys, least)) if m_count > 1 else 0
-        self._len = len(keys) + below + len(_swap_images(keys[below:], *self._digits))
 
     def _decoded(self) -> tuple:
         if self._tuples is None:
-            keys = np.concatenate([self._keys, _swap_images(self._keys, *self._digits)])
-            keys.sort()
-            self._tuples = _pair_tuples(keys, *self._digits)
+            self._tuples = self._pairs()
         return self._tuples
+
+    def _pairs(self) -> tuple:
+        n_dec, r, m_count = self._near.shape
+        _check_work(m_count ** r * self._k ** m_count, "code pairs", _CODE_ENUM_GUARD)
+        # Key each pair as encoder ordinal * n_dec + decoder position: sorted
+        # keys are in lexicographic order.  Each encoder's tuple is repeated
+        # over its run of keys, and each decoder's is made once.
+        keys = np.sort(np.concatenate([
+            reduce(lambda a, b: (a[:, None] * m_count + b).ravel(), map(np.flatnonzero, near))
+            * n_dec + n for n, near in enumerate(self._near)]))
+        enc, pos = np.divmod(keys, n_dec)
+        firsts = np.flatnonzero(np.diff(enc, prepend=-1))
+        runs = np.diff(firsts, append=len(enc)).tolist()
+        encoders = itertools.chain.from_iterable(
+            map(itertools.repeat, _digit_tuples(enc[firsts], m_count, r), runs))
+        decoders = _digit_tuples(self._decoders, self._k, m_count)
+        return tuple(zip(encoders, map(decoders.__getitem__, pos.tolist())))
 
     def __len__(self) -> int:
         return self._len
@@ -467,6 +475,17 @@ class _ArgminSet(Sequence):
         return repr(self._decoded())
 
 
+def _digit_tuples(ordinals: np.ndarray, base: int, length: int) -> list:
+    """The codes of ``ordinals`` in product order, as tuples of Python ints."""
+    return list(zip(*(d.tolist() for d in np.unravel_index(ordinals, (base,) * length))))
+
+
+def _decoder_costs(w: np.ndarray, decoders: np.ndarray, m_count: int) -> np.ndarray:
+    """costs[x, n, m] = w[x, j], with j digit m of decoder ordinal ``decoders[n]``."""
+    digits = np.unravel_index(decoders, (w.shape[1],) * m_count)
+    return w[:, np.stack(digits, axis=1)]
+
+
 @_checked
 def verify_optimum_coincidence(cp: CorrespondingProblem,
                                atol: NonNegative = _COINCIDENCE_ATOL) -> CoincidenceReport:
@@ -477,150 +496,110 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     names a column on the distortion side and a reverse row on the log-loss
     side.  The two argmin sets must coincide exactly under that naming.
 
-    The check is exact without scoring every code pair.  A pair's cost is
-    the left-nested sum ((a[0, j_0] + a[1, j_1]) + a[2, j_2]) ... of its
-    cells' costs, and rounded addition is monotone, so an encoder's least
-    cost is the nested sum of its cells' minima, and a pair lies within
-    ``atol`` of the optimum only if each of its coordinates does with every
-    other coordinate at its cell's minimum.  Only the products of those
-    candidates are summed, in the order the exhaustive grid sums them.
+    The sets are counted over decoders, not listed over code pairs.  A pair
+    (f, g) costs sum_x w(x, g(f(x))), with w the per-symbol costs of
+    ``_cell_cost_tables``.  Under a fixed decoder g each symbol picks its
+    message alone, so g's pairs within atol of the optimum are the encoders
+    whose gap (g's base cost sum_x min_m w(x, g(m)), less the least base
+    cost) plus each symbol's excess w(x, g(f(x))) - min_m w(x, g(m)) is at
+    most atol.  A zero-mass symbol costs nothing anywhere, so it takes
+    every message.  Each set is kept as its decoders and each symbol's
+    messages under them, and the sets coincide when those do.  That is
+    O(k^M r M) work, guarded at ``_DECODER_GUARD`` cost entries k^M r M, so
+    the check reaches past the 10^7-pair guard; only reading a set's pairs
+    stops there.
 
-    Only canonical encoders are scored (see ``_cell_sum_blocks``).  Swapping
-    messages 0 and 1 in both the encoder and the decoder keeps both of a
-    pair's costs, since the nested sum adds cells 0 and 1 first and rounded
-    addition is commutative.  So each argmin set is its canonical pairs and
-    their swaps, and the sets coincide exactly when their canonical pairs do.
+    The exhaustive check compares float costs summed cell by cell, each
+    within (r + M) 2^-53 of its exact value, relatively, as is each base
+    cost formed here.  So with rho = 16 (r + M) 2^-53 (least base cost +
+    atol), a pair whose gap plus excesses, as formed here, is at most
+    atol - rho lies within atol of the float optimum, and one above atol +
+    rho does not.  A decoder whose gap exceeds atol + rho has no optimal
+    pair.  Under every other, a symbol takes the messages of excess at
+    most what is left of atol (atol less the gap) plus rho, and the
+    decoder's pairs are certified when its gap plus each symbol's largest
+    such excess is at most atol - rho.  When some decoder's are not, the
+    set is still exact if it is one pair, or one pair and its swap of
+    messages 0 and 1: those two cost the same floats, and the float
+    optimum lies among them.  Anything else raises VerificationError,
+    naming the decoder, its gap and the symbol of largest excess.  At
+    atol = 0 this certifies only an optimum unique up to that swap.
+
+    ``min_distortion`` and ``min_loss`` are the nested costs of each set's
+    first pair, its cells summed as the exhaustive check sums them.
     """
     r = cp.px.n
     m_count = cp.n_messages
     k = len(cp.y_rows)
-    # One pass.  Each side keeps the pairs within atol of its running
-    # minimum and trims them whenever that minimum falls, which leaves the
-    # pairs within atol of the final minimum.  A pair is kept as the int32
-    # key encoder ordinal * k^M + decoder ordinal (the guard keeps it below
-    # 2^31); both ordinals come in lexicographic order, so the kept keys are
-    # sorted and distinct.
-    best = [math.inf, math.inf]
-    kept: list[list] = [[], []]  # per side: (costs, keys)
-    pairs_summed = 0
-    for ordinals, cells in _cell_blocks(cp):
-        lows, row_min = _least_costs(cells)
-        for side, low in enumerate(row_min.min(axis=1).tolist()):
-            if low < best[side]:
-                best[side] = low
-                kept[side] = [(c[c <= low + atol], keys[c <= low + atol])
-                              for c, keys in kept[side]]
-        thr = np.array(best) + atol
-        sides, n = np.nonzero(row_min <= thr[:, None])
-        n_rows_d = np.searchsorted(sides, 1)
-        encoders = ordinals[n].astype(np.int32)
-        for costs, row, dec, summed in _near_pairs(cells[sides, n], lows[sides, n],
-                                                   thr[sides]):
-            pairs_summed += summed
-            keys = encoders[row] * k ** m_count
-            keys += dec
-            split = np.searchsorted(row, n_rows_d)
-            kept[0].append((costs[:split], keys[:split]))
-            kept[1].append((costs[split:], keys[split:]))
-    # Each side's chunks are released once its keys are joined.
-    keys_d = np.concatenate([keys for _, keys in kept.pop(0)])
-    keys_l = np.concatenate([keys for _, keys in kept.pop()])
-    matched = np.array_equal(keys_d, keys_l)
-    argmin_d = _ArgminSet(keys_d, r, m_count, k)
+    _check_work(k ** m_count * r * m_count, "decoder cost entries", oneshot._DECODER_GUARD)
+    step = max(oneshot._BLOCK_ENTRIES // (r * m_count), 1)
+    every = np.arange(k ** m_count)
+    sets, minima, scored = [], [], 0
+    for side, w in zip(("distortion", "log-loss"), _cell_cost_tables(cp)):
+        base = np.concatenate([_decoder_costs(w, every[i:i + step], m_count).min(axis=2).sum(axis=0)
+                               for i in range(0, len(every), step)])
+        low = float(base.min())
+        rho = 16 * (r + m_count) * 2.0 ** -53 * (low + atol)
+        gaps = base - low
+        decoders = np.flatnonzero(gaps <= atol + rho)
+        scored += len(every) + len(decoders)
+        near, dear = [], []
+        for i in range(0, len(decoders), step):
+            part = decoders[i:i + step]
+            costs = _decoder_costs(w, part, m_count)
+            excess = costs - costs.min(axis=2, keepdims=True)
+            counted = excess <= (atol - gaps[part] + rho)[:, None]
+            near.append(counted.transpose(1, 0, 2))
+            dear.append(np.where(counted, excess, 0.0).max(axis=2))
+        argmin = _ArgminSet(decoders, np.concatenate(near), k)
+        dear = np.hstack(dear)  # dear[x, n]: symbol x's dearest message under decoder n
+        unsure = np.flatnonzero(gaps[decoders] + dear.sum(axis=0) > atol - rho)
+        if len(unsure) and not _one_swap_orbit(argmin):
+            n = unsure[0]
+            x = int(dear[:, n].argmax())
+            symbol = (f" and symbol {x} may take a message {float(dear[x, n])!r} dearer than "
+                      f"its best" if dear[x, n] > 0.0 else "")
+            raise VerificationError(
+                f"the {side} argmin set is not certified at atol {atol!r}: decoder "
+                f"{_digit_tuples(decoders[n:n + 1], k, m_count)[0]} lies "
+                f"{float(gaps[decoders[n]])!r} above the least cost{symbol}; with its "
+                f"symbols' excesses that passes atol less the rounding allowance {rho!r}, so "
+                f"rounding or their sum decides which of its pairs are optimal")
+        sets.append(argmin)
+        minima.append(_first_pair_cost(argmin, w))
+    matched = (np.array_equal(sets[0]._decoders, sets[1]._decoders)
+               and np.array_equal(sets[0]._near, sets[1]._near))
     return CoincidenceReport(
-        min_distortion=best[0],
-        min_loss=best[1],
-        distortion_argmin=argmin_d,
-        loss_argmin=argmin_d if matched else _ArgminSet(keys_l, r, m_count, k),
+        min_distortion=minima[0],
+        min_loss=minima[1],
+        distortion_argmin=sets[0],
+        loss_argmin=sets[0] if matched else sets[1],
         matched=matched,
-        pairs_summed=pairs_summed,
+        scored_decoders=scored,
     )
 
 
-def _near_pairs(cells: np.ndarray, lows: np.ndarray, thr: np.ndarray):
-    """Yield (costs, rows, decoder ordinals, pairs summed) of the pairs within thr.
+def _one_swap_orbit(argmin: _ArgminSet) -> bool:
+    """Whether the set is one pair, or one pair and its swap of messages 0 and 1.
 
-    ``cells[n, m, j]`` is the cost of message m of row n decoded by kept
-    index j and ``lows`` its minimum over j.  A row's candidate pairs are
-    the product of its cells' candidates, and each cell has one at its
-    minimum.  They are expanded in groups of whole rows holding at most a
-    sweep tile of pairs (a row with more forms a group alone), so the
-    working set stays that small.  Pairs come out in (row, decoder)
-    lexicographic order, with costs at most their row's ``thr``; the count
-    is of every candidate pair whose cost was formed.
+    The set holds the swap of each of its pairs, which exchanges two
+    messages' columns and their symbols' excesses.  So two pairs are one
+    pair and its swap unless the swap fixes both: no symbol in message 0
+    or 1, and one column for both.
     """
-    m_count, k = cells.shape[1:]
-    at_low = [lows[:, m, None] for m in range(m_count)]
-    cand = np.empty(cells.shape, dtype=bool)
-    for m in range(m_count):
-        cand[:, m] = reduce(np.add, at_low[:m] + [cells[:, m]] + at_low[m + 1:]) <= thr[:, None]
-    before = np.concatenate(([0], np.cumsum(np.prod(cand.sum(axis=2), axis=1))))
-    tile = oneshot._BLOCK_ENTRIES >> 3
-    lo = 0
-    while lo < len(cells):
-        hi = max(int(np.searchsorted(before, before[lo] + tile, side="right")) - 1, lo + 1)
-        # Expand the product one message at a time, summing each pair's
-        # cost in the order the exhaustive grid does.  Rows and decoder
-        # ordinals are int32 (the guard keeps both below 2^31), and each
-        # step's int64 indices are dropped before the next, larger, step.
-        row, dec = (a.astype(np.int32) for a in np.nonzero(cand[lo:hi, 0]))
-        row += lo
-        costs = cells[row, 0, dec]
-        for m in range(1, m_count):
-            parent, j = np.nonzero(cand[row, m])
-            row = row[parent]
-            costs = costs[parent] + cells[row, m, j]
-            dec = dec[parent] * k
-            dec += j
-            del parent, j
-        near = costs <= thr[row]
-        yield costs[near], row[near], dec[near], len(costs)
-        lo = hi
+    n_dec, r, m_count = argmin._near.shape
+    if len(argmin) != 2 or m_count == 1:
+        return len(argmin) == 1
+    digits = np.unravel_index(argmin._decoders, (argmin._k,) * m_count)
+    return bool(argmin._near[:, :, :2].any() or (digits[0] != digits[1]).any())
 
 
-def _swap_images(keys: np.ndarray, r: int, m_count: int, k: int) -> np.ndarray:
-    """The keys of the swaps of the pairs whose encoder the swap moves.
-
-    Swapping messages 0 and 1 exchanges labels 0 and 1 in the encoder and
-    decoder digits 0 and 1.  It moves every encoder with a symbol in
-    message 0 or 1, and with one message there is nothing to swap.  The
-    images are in the order of their keys, not sorted.
-    """
-    if m_count == 1:
-        return keys[:0]
-    enc, dec = np.divmod(keys, k ** m_count)
-    rest = enc.copy()
-    moved = np.zeros(len(keys), dtype=bool)
-    for i in range(r):
-        rest, digit = np.divmod(rest, m_count)
-        low = digit < 2
-        moved |= low
-        # Label 0 becomes 1 and label 1 becomes 0 at place M^i.
-        enc += np.where(low, 1 - 2 * digit, 0) * m_count ** i
-    first, second = k ** (m_count - 1), k ** (m_count - 2)
-    dec += (dec // second % k - dec // first) * (first - second)
-    enc *= k ** m_count
-    enc += dec
-    return enc[moved]
-
-
-def _pair_tuples(keys: np.ndarray, r: int, m_count: int, k: int) -> tuple:
-    """(encoder, decoder) tuples from sorted int32 keys.
-
-    A key is encoder ordinal * k^M + decoder ordinal.  An encoder ordinal
-    counts in base M over r digits and a decoder ordinal in base k over M
-    digits, first digit most significant, so sorted keys decode in
-    itertools.product order.  Each encoder's tuple is repeated over its run
-    of keys; equal decoders share one tuple.
-    """
-    def tuples(ordinals, base, length):
-        return list(zip(*(d.tolist() for d in np.unravel_index(ordinals, (base,) * length))))
-
-    enc, dec = np.divmod(keys, k ** m_count)
-    firsts = np.flatnonzero(np.diff(enc, prepend=-1))
-    runs = np.diff(firsts, append=len(enc)).tolist()
-    encoders = itertools.chain.from_iterable(
-        map(itertools.repeat, tuples(enc[firsts], m_count, r), runs))
-    dec_values, dec_index = np.unique(dec, return_inverse=True)
-    decoders = map(tuples(dec_values, k, m_count).__getitem__, dec_index.tolist())
-    return tuple(zip(encoders, decoders))
+def _first_pair_cost(argmin: _ArgminSet, w: np.ndarray) -> float:
+    """The cost of the set's first pair, ((cell 0 + cell 1) + ...), each cell summed in x order."""
+    first = argmin._near.argmax(axis=2)  # each symbol's least message
+    n = np.lexsort((argmin._decoders,) + tuple(first[:, ::-1].T))[0]
+    dec = _digit_tuples(argmin._decoders[n:n + 1], argmin._k, argmin._near.shape[2])[0]
+    cells = [0.0] * len(dec)
+    for x, m in enumerate(first[n].tolist()):
+        cells[m] += w[x, dec[m]]
+    return float(reduce(np.add, cells))

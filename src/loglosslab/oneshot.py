@@ -47,12 +47,15 @@ __all__ = [
 # search checks its count with _check_work before it allocates anything.
 # The costs at each limit are from a 2-core machine.
 #
-# Encoders in solve_avg_oracle, (encoder, decoder) pairs in the equivalence
-# checks.  solve_avg_oracle at 5^10 encoders takes 1.1-1.4 s; the sweep and
-# the coincidence check on uniform Hamming 8 at M = 3 (3.4e6 pairs) take
-# 20-35 ms.  It is below 2^31, so a pair's key (encoder ordinal * k^M +
-# decoder ordinal) fits in an int32.
+# Encoders in solve_avg_oracle, (encoder, decoder) pairs in identity_sweep
+# and in a read of a coincidence argmin set.  solve_avg_oracle at 5^10
+# encoders takes 1.1-1.4 s; the sweep on uniform Hamming 8 at M = 3 (3.4e6
+# pairs) takes 14-18 ms.
 _CODE_ENUM_GUARD = 10_000_000
+# Cost entries k^M * r * M that verify_optimum_coincidence reads on each
+# side, over k^M decoders of r symbols and M messages.  Uniform Hamming 18 at
+# M = 4 (7.6e6 entries) takes 0.35-0.40 s.
+_DECODER_GUARD = 10_000_000
 # Column subsets scanned by solve_avg and solve_excess, or by all the scans of
 # solve_codebook together, at 9-10.5 us each: about 10 s at the limit.
 # C(20, 10) = 184,756 takes 1.7-2.0 s.

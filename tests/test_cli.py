@@ -13,7 +13,8 @@ import pytest
 import yaml
 
 import loglosslab
-from loglosslab import Pmf, ValidationError, __version__, cli, equivalence, oneshot, problemio
+from loglosslab import (Check, Pmf, ValidationError, __version__, cli, equivalence, oneshot,
+                        problemio, refinement)
 from loglosslab.cli import _build_parser, main
 from loglosslab.oneshot import (floor_exp, logloss_codebook, logloss_excess_optimum,
                                 solve_excess)
@@ -56,6 +57,10 @@ def parser_error(capsys, argv) -> str:
         main(argv)
     assert excinfo.value.code == 2
     return capsys.readouterr().err.splitlines()[-1]
+
+
+def wall_clock_dropped(out: str) -> str:
+    return "\n".join(line for line in out.splitlines() if '"wall_clock_seconds"' not in line)
 
 
 def run_report(capsys, argv):
@@ -682,7 +687,7 @@ class TestEquivCommand:
         assert out["identity"]["max_residual"] < 1e-6
         assert out["identity"]["max_residual"] <= out["identity"]["residual_bound"] <= 1e-9
         assert out["coincidence"]["matched"] is True
-        assert out["coincidence"]["pairs_summed"] > 0
+        assert out["coincidence"]["scored_decoders"] > 0
 
     def test_table_verdict(self, capsys):
         code, out, _ = run_cli(
@@ -724,23 +729,59 @@ class TestEquivCommand:
         assert "achieved distortion 0.0 misses the target 2.0000000000000002e+307" in err
         assert "exceeds ln M" not in err
 
-    def test_past_the_guard_reports_the_bound_alone(self, capsys, tmp_path):
+    def test_past_the_pair_guard_the_coincidence_is_counted(self, capsys, tmp_path):
         # Uniform Hamming on 16 symbols at M = 3: 3^16 * 16^3 = 1.8e11 code
-        # pairs, past the 10^7 guard of the sweep and the coincidence check.
+        # pairs, past the 10^7 guard of the sweep, but 16^3 * 16 * 3 decoder
+        # costs for the coincidence check.  Measured at about 20 ms on a
+        # 2-core machine.
+        path = write_problem(tmp_path, f"px: {[1 / 16] * 16}\ndistortion: hamming\n")
+        start = time.perf_counter()
+        report = run_report(capsys, ["equiv", path, "--messages", "3"])
+        elapsed = time.perf_counter() - start
+        identity = report["outputs"]["identity"]
+        assert identity["skipped"] is True
+        assert 0.0 < identity["residual_bound"] <= 1e-12
+        assert [identity[key] for key in ("n_codes", "max_residual")] == [None] * 2
+        coincidence = report["outputs"]["coincidence"]
+        assert coincidence["matched"] is True
+        assert coincidence["n_distortion_argmin"] == coincidence["n_loss_argmin"] == 5_356_925_280
+        assert (identity["min_distortion"], identity["min_log_loss"]) \
+            == (coincidence["min_distortion"], coincidence["min_log_loss"]) \
+            == (0.8125, 2.68286835357)
+        assert elapsed <= 2.0, f"{elapsed:.2f}s"
+
+    def test_past_both_guards_reports_the_bound_alone(self, capsys, tmp_path):
         # On 12 symbols at M = 10 a sweep tile is one encoder of 10^12
-        # decoders, whose buffers must not be allocated.
-        for r, m in ((16, 3), (12, 10)):
-            path = write_problem(tmp_path, f"px: {[1 / r] * r}\ndistortion: hamming\n")
-            start = time.perf_counter()
-            report = run_report(capsys, ["equiv", path, "--messages", str(m)])
-            elapsed = time.perf_counter() - start
-            identity = report["outputs"]["identity"]
-            assert identity["skipped"] is True
-            assert 0.0 < identity["residual_bound"] <= 1e-12
-            assert [identity[key] for key in ("n_codes", "max_residual", "min_log_loss",
-                                              "min_distortion")] == [None] * 4
-            assert report["outputs"]["coincidence"] is None
-            assert elapsed <= 2.0, f"{elapsed:.2f}s"
+        # decoders, whose buffers must not be allocated, and the count would
+        # read 12^10 * 12 * 10 costs.
+        path = write_problem(tmp_path, f"px: {[1 / 12] * 12}\ndistortion: hamming\n")
+        start = time.perf_counter()
+        report = run_report(capsys, ["equiv", path, "--messages", "10"])
+        elapsed = time.perf_counter() - start
+        identity = report["outputs"]["identity"]
+        assert identity["skipped"] is True
+        assert 0.0 < identity["residual_bound"] <= 1e-12
+        assert [identity[key] for key in ("n_codes", "max_residual", "min_log_loss",
+                                          "min_distortion")] == [None] * 4
+        assert report["outputs"]["coincidence"] is None
+        assert elapsed <= 2.0, f"{elapsed:.2f}s"
+
+    @pytest.mark.parametrize("table", [[], ["--format", "table"]])
+    def test_a_failed_coincidence_exits_one_after_the_report(self, capsys, table):
+        argv = ["equiv", SKEW3, "--messages", "2", *table]
+        passed = main(argv)
+        want = capsys.readouterr().out.replace("pass", "FAIL").replace(
+            '"matched": true', '"matched": false')
+
+        def unmatched(cp):
+            return dataclasses.replace(equivalence.verify_optimum_coincidence(cp), matched=False)
+
+        with mock.patch.object(cli, "verify_optimum_coincidence", unmatched):
+            code, out, err = run_cli(capsys, argv)
+        assert (passed, code) == (0, 1)
+        assert err == ("error: equiv: the coincidence check failed: the distortion and "
+                       "log-loss argmin sets differ\n")
+        assert wall_clock_dropped(out) == wall_clock_dropped(want)
 
     @pytest.mark.parametrize("units", [[], ["--bits"]])
     def test_identity_optima_are_the_coincidence_optima(self, capsys, units):
@@ -772,8 +813,8 @@ class TestEquivCommand:
 
     def test_argmin_counts_decode_no_pair(self, capsys):
         # The report prints the sizes of the argmin sets, never their pairs.
-        with mock.patch.object(equivalence, "_pair_tuples",
-                               wraps=equivalence._pair_tuples) as decode:
+        with mock.patch.object(equivalence._ArgminSet, "_pairs", autospec=True,
+                               side_effect=equivalence._ArgminSet._pairs) as decode:
             report = run_report(capsys, ["equiv", SKEW3, "--messages", "2"])
         coincidence = report["outputs"]["coincidence"]
         assert coincidence["n_distortion_argmin"] == coincidence["n_loss_argmin"] > 0
@@ -816,6 +857,33 @@ class TestSrCommand:
     def test_infeasible_coarse_target_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, ["sr", BINARY, "--d1", "0.1", "--d2", "0.1"])
         assert code == 1
+
+    def test_a_failed_check_exits_one_after_the_report(self, capsys, tmp_path):
+        # The report goes to --output whole; stderr names the failed check.
+        argv = ["sr", BINARY, "--chain", "0.6,0.4", "--d2", "0.1", "--output"]
+        assert main([*argv, str(tmp_path / "passed.json")]) == 0
+
+        def failing(layer):
+            report = refinement.verify_sr(layer)
+            if layer.d1 != 0.4:
+                return report
+            rate = report.checks[1]
+            return dataclasses.replace(report, checks=(
+                report.checks[0], Check(rate.name, rate.bound * 2, rate.bound),
+                *report.checks[2:]))
+
+        with mock.patch.object(cli, "verify_sr", failing):
+            code, out, err = run_cli(capsys, [*argv, str(tmp_path / "failed.json")])
+        assert (code, out) == (1, "")
+        assert err == "error: sr: failed checks: coarse_rate at d1 = 0.4\n"
+        passed, failed = (json.loads((tmp_path / f"{name}.json").read_text())
+                          for name in ("passed", "failed"))
+        layer = passed["outputs"]["layers"][1]
+        layer["all_checks_pass"] = layer["checks"][1]["ok"] = False
+        layer["checks"][1]["residual"] = failed["outputs"]["layers"][1]["checks"][1]["residual"]
+        for report in (passed, failed):
+            del report["wall_clock_seconds"]
+        assert failed == passed
 
 
 class TestTimeshareCommand:

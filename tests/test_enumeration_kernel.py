@@ -4,13 +4,15 @@ The reference functions below are the loop bodies of solve_avg_oracle,
 logloss_avg_optimum, identity_sweep and verify_optimum_coincidence as they
 were before the enumerations moved onto numpy blocks and the partition scan
 became a subset DP.  Both form every float in the same order, so each
-comparison is bitwise.
+comparison is bitwise.  verify_optimum_coincidence now counts its argmin
+sets over decoders; the exhaustive listing stays here as its oracle.
 """
 
 import dataclasses
 import itertools
 import math
 from functools import reduce
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,7 @@ from loglosslab import (
     OneShotCode,
     Pmf,
     SourceProblem,
+    VerificationError,
     build_corresponding,
     entropy,
     expected_distortion,
@@ -36,6 +39,9 @@ from loglosslab import (
 )
 from loglosslab import equivalence, oneshot
 from loglosslab.equivalence import CoincidenceReport, IdentitySweep, _cell_cost_tables
+from loglosslab.problemio import load_problem
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 # ----------------------------------------------------------------------
 # Reference loops.
@@ -169,7 +175,92 @@ def reference_optimum_coincidence(cp, atol: float = 1e-9) -> CoincidenceReport:
     return CoincidenceReport(min_distortion=best_d, min_loss=best_l,
                              distortion_argmin=tuple(sorted(set_d)),
                              loss_argmin=tuple(sorted(set_l)), matched=set_d == set_l,
-                             pairs_summed=2 * len(encoders) * len(cp.y_rows) ** cp.n_messages)
+                             scored_decoders=2 * len(encoders) * len(cp.y_rows) ** cp.n_messages)
+
+
+def nested_cost(cp, side: int, pair) -> float:
+    """A pair's cost as the listing sums it: each cell in x order, then ((cell 0 + cell 1) + ...)."""
+    w = _cell_cost_tables(cp)[side]
+    enc, dec = pair
+    cells = np.zeros(cp.n_messages)
+    for x, m in enumerate(enc):
+        cells[m] += w[x, dec[m]]
+    return float(reduce(np.add, cells))
+
+
+def reference_report(cp, atol: float = 1e-9) -> CoincidenceReport:
+    """The reference's sets and verdict, with the count's minima: each set's first pair's cost."""
+    ref = reference_optimum_coincidence(cp, atol)
+    return dataclasses.replace(ref, min_distortion=nested_cost(cp, 0, ref.distortion_argmin[0]),
+                               min_loss=nested_cost(cp, 1, ref.loss_argmin[0]))
+
+
+def allowance(cp, least: float, atol: float) -> float:
+    """The count's rounding allowance rho, 16 (r + M) 2^-53 (least cost + atol)."""
+    return 16 * (cp.px.n + cp.n_messages) * 2.0 ** -53 * (least + atol)
+
+
+def uncertified(cp, atol: float) -> str | None:
+    """Why the count may refuse the draw, found without its arithmetic; None if it may not.
+
+    Each base cost is one math.fsum per decoder.  "gap": a decoder gap, or a
+    nonzero excess of a symbol under a decoder within atol + 2 rho of the
+    optimum, lies in (rho / 2, atol + 2 rho]: between rho and atol + rho,
+    widened by the count's own rounding.  "tie": atol is at most (r + 2) rho,
+    too little to hold a tie, and the pairs whose gap and excesses are at
+    most rho / 2 are more than one pair and its swap of messages 0 and 1.
+    """
+    r, m_count, k = cp.px.n, cp.n_messages, len(cp.y_rows)
+    decoders = list(itertools.product(range(k), repeat=m_count))
+    for w in _cell_cost_tables(cp):
+        base = [math.fsum(min(w[x, j] for j in g) for x in range(r)) for g in decoders]
+        least = min(base)
+        rho = allowance(cp, least, atol)
+        tied = []
+        for g, cost in zip(decoders, base):
+            gap = cost - least
+            if gap > atol + 2 * rho:
+                continue
+            excess = [[w[x, j] - min(w[x, i] for i in g) for j in g] for x in range(r)]
+            if any(rho / 2 < v <= atol + 2 * rho
+                   for v in [gap] + [e for row in excess for e in row if e > 0]):
+                return "gap"
+            if gap <= rho / 2:
+                tied += [(enc, g) for enc in itertools.product(
+                    *([m for m in range(m_count) if row[m] <= rho / 2] for row in excess))]
+        if atol <= (r + 2) * rho and len(tied) > 1:
+            (enc, g), second = tied[0], tied[1:]
+            swap = (tuple({0: 1, 1: 0}.get(m, m) for m in enc), (g[1], g[0]) + g[2:])
+            if m_count == 1 or second != [swap]:
+                return "tie"
+    return None
+
+
+def checked_coincidence(cp, atol: float):
+    """The count's report, or None where it refuses a draw that ``uncertified`` names."""
+    try:
+        return verify_optimum_coincidence(cp, atol)
+    except VerificationError:
+        assert uncertified(cp, atol) is not None
+        return None
+
+
+def assert_matches_reference(report, cp, atol: float) -> None:
+    """The sets, their sizes and the verdict are the listing's; the minima its first pairs' costs.
+
+    A first pair is in its set, so its cost lies within atol + rho of the
+    listing's least; within rho when the set's pairs tie.
+    """
+    ref = reference_optimum_coincidence(cp, atol)
+    assert report.distortion_argmin == ref.distortion_argmin
+    assert report.loss_argmin == ref.loss_argmin
+    assert (len(report.distortion_argmin), len(report.loss_argmin), report.matched) \
+        == (len(ref.distortion_argmin), len(ref.loss_argmin), ref.matched)
+    for side, got, least, argmin in ((0, report.min_distortion, ref.min_distortion,
+                                      ref.distortion_argmin),
+                                     (1, report.min_loss, ref.min_loss, ref.loss_argmin)):
+        assert bits(got) == bits(nested_cost(cp, side, argmin[0]))
+        assert least <= got <= least + atol + allowance(cp, least, atol)
 
 
 # ----------------------------------------------------------------------
@@ -264,6 +355,42 @@ def code_bits(code: LogLossCode, value: float):
             tuple(row.probs.tobytes() for row in code.decoder_rows), bits(value))
 
 
+def seeded_draws(seed: int, count: int) -> list:
+    """``count`` corresponding problems drawn as ``problems`` draws them, M in 2..4.
+
+    Each has at most 50,000 code pairs; draws that no problem or no
+    corresponding problem takes are skipped.
+    """
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        r = int(rng.integers(1, 7))
+        kind = rng.choice(["uniform", "zero-mass", "tied", "continuous"])
+        w = (np.ones(r) if kind == "uniform" else rng.integers(1, 4, r).astype(float)
+             if kind == "tied" else rng.uniform(0.05, 1.0, r))
+        if kind == "zero-mass":
+            w[rng.random(r) < 0.5] = 0.0
+            w[rng.integers(r)] = 1.0
+        dist_kind = rng.choice(["hamming", "tied", "continuous"])
+        s = int(rng.integers(1, 5))
+        dist = (hamming_distortion(r) if dist_kind == "hamming"
+                else rng.choice([0.0, 0.5, 1.0, 2.0], (r, s)) if dist_kind == "tied"
+                else rng.random((r, s)))
+        n_messages = int(rng.integers(2, 5))
+        try:
+            problem = SourceProblem(px=Pmf(w / w.sum()), distortion=dist)
+            if n_messages ** r * problem.n_reconstruction ** n_messages <= 50_000:
+                draws.append(build_corresponding(problem, n_messages, tol=1e-10))
+        except LoglossLabError:
+            continue
+    return draws
+
+
+# The draws of seeded_draws(43, 40) that the count refuses, per atol: at
+# atol = 0 every draw with a tie beyond one pair and its swap.
+REFUSALS = {0.0: 33, 1e-9: 0, 1e-3: 0}
+
+
 class TestMatchesReferenceLoops:
     @given(problems(), st.integers(1, 4), block_entries)
     @settings(max_examples=60, deadline=None)
@@ -306,16 +433,15 @@ class TestMatchesReferenceLoops:
             assume(False)
         if entries == SHORT_TILE:
             entries = short_tile_entries(cp)
+        # The count either equals the listing or refuses a draw that has a
+        # gap it may not certify; the block budget also sets its chunks of
+        # decoders.
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
             sweep = identity_sweep(cp)
-            report = verify_optimum_coincidence(cp, atol)
+            report = checked_coincidence(cp, atol)
         assert sweep_bits(sweep) == sweep_bits(reference_identity_sweep(cp))
-        ref = reference_optimum_coincidence(cp, atol)
-        assert bits(report.min_distortion) == bits(ref.min_distortion)
-        assert bits(report.min_loss) == bits(ref.min_loss)
-        assert report.distortion_argmin == ref.distortion_argmin
-        assert report.loss_argmin == ref.loss_argmin
-        assert report.matched == ref.matched
+        if report is not None:
+            assert_matches_reference(report, cp, atol)
 
     @pytest.mark.parametrize("r, n_messages", [(5, 2), (6, 2), (4, 3)])
     def test_identity_sweep_short_last_tile(self, r, n_messages):
@@ -325,7 +451,7 @@ class TestMatchesReferenceLoops:
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", short_tile_entries(cp)), \
                 mock.patch.object(equivalence, "_grid_into",
                                   wraps=equivalence._grid_into) as grid_into:
-            blocks = [cells for _, cells in equivalence._cell_blocks(cp)]
+            blocks = list(equivalence._cell_blocks(cp))
             sweep = identity_sweep(cp)
         assert sweep_bits(sweep) == sweep_bits(reference_identity_sweep(cp))
         # The tiles hold five encoders and end each block on a short one,
@@ -342,14 +468,27 @@ class TestMatchesReferenceLoops:
         problem = SourceProblem(px=Pmf.uniform(6), distortion=hamming_distortion(6))
         cp = build_corresponding(problem, 3, tol=1e-10)
         report = verify_optimum_coincidence(cp)
-        ref = reference_optimum_coincidence(cp)
         assert len(report.distortion_argmin) > 1000
-        assert report == ref
+        assert report == reference_report(cp)
         assert code_bits(*logloss_avg_optimum(problem.px, 3)) \
             == code_bits(*reference_logloss_avg_optimum(problem.px, 3))
 
+    def test_refusals_per_atol(self):
+        # Each draw is refused, with a reason uncertified names, or equals
+        # the listing.  At atol = 0 a tie beyond one pair and its swap is
+        # refused: pairs of the same exact cost can round apart.
+        refused = dict.fromkeys(REFUSALS, 0)
+        for cp in seeded_draws(43, 40):
+            for atol in REFUSALS:
+                report = checked_coincidence(cp, atol)
+                if report is None:
+                    refused[atol] += 1
+                else:
+                    assert_matches_reference(report, cp, atol)
+        assert refused == REFUSALS
 
-# px = (3, 3, 2, 2) / 10 at M = 2 and atol = 0.05: four code pairs lie
+
+# px = (3, 3, 2, 2) / 10 at M = 2 and atol = 0.06: four code pairs lie
 # within atol of the least distortion, two of the least log loss.
 UNMATCHED = SourceProblem(px=_normalized([3, 3, 2, 2]),
                           distortion=np.array([[1.0, 1.0, 0.0], [0.5, 1.0, 2.0],
@@ -357,14 +496,13 @@ UNMATCHED = SourceProblem(px=_normalized([3, 3, 2, 2]),
 ARGMIN_CASES = {
     "uniform5-m3": (SourceProblem(px=Pmf.uniform(5), distortion=hamming_distortion(5)), 3, 1e-9),
     "uniform4-m2-atol": (SourceProblem(px=Pmf.uniform(4), distortion=hamming_distortion(4)),
-                         2, 0.3),
-    "unmatched": (UNMATCHED, 2, 0.05),
+                         2, 1.5),
+    "unmatched": (UNMATCHED, 2, 0.06),
 }
-# The pairs each case's check sums, over both sides.  Only canonical
-# encoders are scored: uniform5-m3 sums the 270 canonical pairs of each
-# side's 540, and uniform4-m2-atol every pair of its 8 canonical encoders,
-# 128 on each side.
-PAIRS_SUMMED = {"uniform5-m3": 540, "uniform4-m2-atol": 256, "unmatched": 3}
+# The decoders each case's count scores, over both sides: all k^M on each
+# side, then those within atol of the least base cost.  uniform4-m2-atol
+# keeps every pair, each message of each decoder.
+SCORED_DECODERS = {"uniform5-m3": 370, "uniform4-m2-atol": 64, "unmatched": 24}
 
 
 class TestArgminSets:
@@ -373,7 +511,7 @@ class TestArgminSets:
         problem, n_messages, atol = ARGMIN_CASES[name]
         cp = build_corresponding(problem, n_messages, tol=1e-10)
         report = verify_optimum_coincidence(cp, atol)
-        ref = reference_optimum_coincidence(cp, atol)
+        ref = reference_report(cp, atol)
         assert report.matched == ref.matched == (name != "unmatched")
         for got, want in ((report.distortion_argmin, ref.distortion_argmin),
                           (report.loss_argmin, ref.loss_argmin)):
@@ -394,8 +532,8 @@ class TestArgminSets:
         assert (ref.distortion_argmin == report.loss_argmin) == ref.matched
         assert report == ref and ref == report
         assert hash(report) == hash(ref)
-        # The reference sums every pair; equality ignores this work count.
-        assert report.pairs_summed == PAIRS_SUMMED[name] < ref.pairs_summed
+        # Equality ignores the work count.
+        assert report.scored_decoders == SCORED_DECODERS[name] != ref.scored_decoders
 
     def test_one_message_has_no_swap(self):
         # With one message every encoder is canonical and the sets hold no
@@ -404,7 +542,7 @@ class TestArgminSets:
         cp = dataclasses.replace(build_corresponding(problem, n_messages, tol=1e-10),
                                  n_messages=1)
         report = verify_optimum_coincidence(cp, atol)
-        ref = reference_optimum_coincidence(cp, atol)
+        ref = reference_report(cp, atol)
         assert len(report.distortion_argmin) == len(ref.distortion_argmin) > 1
         assert report == ref
 
@@ -420,9 +558,9 @@ class TestArgminSets:
     def test_len_and_matched_decode_nothing(self, name):
         problem, n_messages, atol = ARGMIN_CASES[name]
         cp = build_corresponding(problem, n_messages, tol=1e-10)
-        ref = reference_optimum_coincidence(cp, atol)
-        with mock.patch.object(equivalence, "_pair_tuples",
-                               wraps=equivalence._pair_tuples) as decode:
+        ref = reference_report(cp, atol)
+        with mock.patch.object(equivalence._ArgminSet, "_pairs", autospec=True,
+                               side_effect=equivalence._ArgminSet._pairs) as decode:
             report = verify_optimum_coincidence(cp, atol)
             assert len(report.distortion_argmin) == len(ref.distortion_argmin)
             assert len(report.loss_argmin) == len(ref.loss_argmin)
@@ -446,26 +584,42 @@ def product_pairs(r, m_count, k, backwards=False):
             for dec in itertools.product(digits(k), repeat=m_count))
 
 
-class TestPairKeys:
+class TestReads:
     # (r, M, k) with M^r * k^M code pairs up to the 10^7 guard.
     @pytest.mark.parametrize("r, m_count, k", [(20, 2, 3), (8, 3, 11),
                                                (23, 2, 1), (1, 2, 2236)])
-    def test_extreme_keys_decode_in_product_order(self, r, m_count, k):
-        total = m_count ** r * k ** m_count
-        assert total <= oneshot._CODE_ENUM_GUARD
-        # The five least keys, from 0, and the five greatest, to total - 1.
-        keys = np.r_[0:5, total - 5:total].astype(np.int32)
-        head = list(itertools.islice(product_pairs(r, m_count, k), 5))
-        tail = list(itertools.islice(product_pairs(r, m_count, k, backwards=True), 5))
-        assert equivalence._pair_tuples(keys, r, m_count, k) == tuple(head + tail[::-1])
+    def test_extreme_pairs_read_in_product_order(self, r, m_count, k):
+        assert m_count ** r * k ** m_count <= oneshot._CODE_ENUM_GUARD
+        # The last decoder's symbols take message M - 1 and the first's, if
+        # another, message 0, but for the last symbol, which takes every
+        # message: the greatest encoders and the least.
+        decoders = np.unique([0, k ** m_count - 1])
+        near = np.zeros((len(decoders), r, m_count), dtype=bool)
+        near[-1, :, -1] = True
+        if len(decoders) > 1:
+            near[0, :, 0] = True
+        near[:, -1] = True
+        argmin = equivalence._ArgminSet(decoders, near, k)
+        every = sorted(
+            (enc, tuple(np.unravel_index(n, (k,) * m_count)))
+            for n, rows in zip(decoders.tolist(), near)
+            for enc in itertools.product(*(np.flatnonzero(row).tolist() for row in rows)))
+        assert len(argmin) == len(every)
+        assert argmin == tuple(every)
 
-    def test_every_key_of_a_small_shape(self):
-        keys = np.arange(2 ** 3 * 3 ** 2, dtype=np.int32)
-        assert equivalence._pair_tuples(keys, 3, 2, 3) == tuple(product_pairs(3, 2, 3))
+    def test_every_pair_of_a_small_shape(self):
+        argmin = equivalence._ArgminSet(np.arange(3 ** 2), np.ones((9, 3, 2), dtype=bool), 3)
+        assert len(argmin) == 2 ** 3 * 3 ** 2
+        assert argmin == tuple(product_pairs(3, 2, 3))
 
-    def test_guard_keeps_keys_in_int32(self):
-        # The largest key is the guard's pair count less one.
-        assert oneshot._CODE_ENUM_GUARD < 2 ** 31
+    def test_a_read_past_the_pair_guard_is_refused(self, refused):
+        # 3^16 encoders times 16^3 decoders: the set's size is counted, but
+        # its pairs are not formed.
+        argmin = equivalence._ArgminSet(np.arange(16 ** 3), np.ones((16 ** 3, 16, 3), dtype=bool),
+                                        16)
+        assert len(argmin) == 3 ** 16 * 16 ** 3
+        assert refused(argmin.__getitem__, 0) == (
+            "176319369216 code pairs exceeds guard 10000000")
 
 
 def is_canonical(code) -> bool:
@@ -711,48 +865,60 @@ class TestScale:
 
     def test_coincidence_uniform8_m3(self, traced):
         # 3,359,232 code pairs, 81,648 of them tied at the optimum on each
-        # side; only pairs of canonical encoders that can lie near the
-        # optimum are summed, here the 40,824 tied ones on each side, and
-        # each kept pair is one 4-byte key.
+        # side.  The count scores the 512 decoders on each side and forms
+        # the message sets of the 336 optimal ones; it keeps those, not the
+        # pairs.
         problem = SourceProblem(px=Pmf.uniform(8), distortion=hamming_distortion(8))
         cp = build_corresponding(problem, 3, tol=1e-8)
         report, elapsed, peak, held = traced(verify_optimum_coincidence, cp)
         assert report.matched
         assert len(report.distortion_argmin) == 81_648
-        assert report.pairs_summed == 2 * 40_824
-        assert held <= 4 * 40_824 + 2**14, f"held {held} bytes"
+        assert report.scored_decoders == 2 * (512 + 336)
+        assert held <= 2**15, f"held {held} bytes"
         assert peak <= 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
 
     def test_coincidence_keeps_every_pair(self, traced):
-        # atol = 10 keeps all 3^7 * 7^3 = 750,141 code pairs on each side,
-        # as the (3^7 + 1) / 2 * 7^3 = 375,242 pairs of canonical encoders.
-        # The peak is about 10.4 MB: the kept costs and keys of both sides
-        # (9 MB), the joined keys of one side, and one group of candidate
-        # products of at most 2^15 pairs.
+        # atol = 10 keeps all 3^7 * 7^3 = 750,141 code pairs on each side:
+        # every decoder, each symbol taking every message.  Reading the set
+        # forms them all.
         problem = SourceProblem(px=Pmf.uniform(7), distortion=hamming_distortion(7))
         cp = build_corresponding(problem, 3, tol=1e-8)
         report, elapsed, peak, held = traced(verify_optimum_coincidence, cp, 10.0)
         assert report.matched
         assert len(report.distortion_argmin) == len(report.loss_argmin) == 750_141
-        assert report.pairs_summed == 2 * 375_242
-        assert held <= 4 * 375_242 + 2**14, f"held {held} bytes"
+        assert report.scored_decoders == 4 * 7**3
+        assert held <= 2**15, f"held {held} bytes"
         assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
         assert report.distortion_argmin == tuple(itertools.product(
             itertools.product(range(3), repeat=7), itertools.product(range(7), repeat=3)))
 
+    def test_coincidence_past_the_pair_guard(self, traced):
+        # Uniform Hamming 16 at M = 3: 1.8e11 code pairs, 5,356,925,280 of
+        # them optimal on each side, from 4,096 decoders, 3,360 of them
+        # optimal.  Measured at 24 ms traced on a 2-core machine.
+        problem = SourceProblem(px=Pmf.uniform(16), distortion=hamming_distortion(16))
+        cp = build_corresponding(problem, 3)
+        report, elapsed, peak, _ = traced(verify_optimum_coincidence, cp)
+        assert report.matched
+        assert len(report.distortion_argmin) == len(report.loss_argmin) == 5_356_925_280
+        assert report.scored_decoders == 2 * (4096 + 3360)
+        assert (report.min_distortion, report.min_loss) == (0.8125, 2.682868353572558)
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert elapsed <= 0.5, f"{elapsed:.2f}s"
+
     @pytest.mark.parametrize("r, fields", [
         (7, (750_141, False, "0x1.8000000000000p-51", "0x1.b4eeec003935dp+0",
              "0x1.2492492492492p-1")),
-        (8, (3_359_232, False, "0x1.0000000000000p-50", "0x1.e0b4b026175f7p+0",
+        (8, (3_359_232, False, "0x1.0000000000000p-50", "0x1.e0b4b026175fbp+0",
              "0x1.4000000000000p-1")),
     ])
     def test_identity_sweep_uniform_m3(self, r, fields, traced):
         # Every pair of 3^r encoders and r^3 decoders.  The residuals are
         # formed in tiles of at most 2^15 pairs, so a few buffers of that
-        # size bound the memory.  The two least costs are the coincidence
-        # check's.
+        # size bound the memory.  The two optima are the coincidence check's,
+        # its sets' first pairs' costs.
         problem = SourceProblem(px=Pmf.uniform(r), distortion=hamming_distortion(r))
         cp = build_corresponding(problem, 3, tol=1e-8)
         sweep, elapsed, peak, _ = traced(identity_sweep, cp)
@@ -760,3 +926,36 @@ class TestScale:
         assert sweep_bits(sweep) + (bits(report.min_loss), bits(report.min_distortion)) == fields
         assert peak <= 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
+
+
+# ----------------------------------------------------------------------
+# Work: exact counts that a change of the count's work moves.
+# ----------------------------------------------------------------------
+
+# (scored decoders, distortion argmin size, log-loss argmin size) of the
+# coincidence check at the default atol, on the equivalence cases of the
+# lab_pipeline benchmark workload and the README's skewed3 at M = 2.
+COINCIDENCE_WORK = {
+    ("uniform6", 3): (672, 3240, 3240),
+    ("uniform7", 3): (1106, 17010, 17010),
+    ("uniform8", 3): (1696, 81648, 81648),
+    ("uniform3", 2): (30, 12, 12),
+    ("uniform4", 2): (56, 48, 48),
+    ("uniform4", 3): (176, 72, 72),
+    ("skewed4_absdiff", 2): (36, 4, 4),
+    ("skewed4_absdiff", 3): (140, 6, 6),
+    ("skewed3", 2): (22, 4, 4),
+}
+
+
+@pytest.mark.parametrize("name, n_messages", COINCIDENCE_WORK)
+def test_coincidence_work_is_pinned(name, n_messages):
+    if name.startswith("uniform"):
+        r = int(name[len("uniform"):])
+        problem = SourceProblem(px=Pmf.uniform(r), distortion=hamming_distortion(r))
+    else:
+        problem = load_problem(str(PROBLEMS / f"{name}.yaml")).problem
+    report = verify_optimum_coincidence(build_corresponding(problem, n_messages, tol=1e-10))
+    assert report.matched
+    assert (report.scored_decoders, len(report.distortion_argmin), len(report.loss_argmin)) \
+        == COINCIDENCE_WORK[name, n_messages]

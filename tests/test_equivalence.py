@@ -35,7 +35,7 @@ from loglosslab import (
     verify_sr,
     verify_theorem1,
 )
-from loglosslab import equivalence, oneshot
+from loglosslab import equivalence
 from loglosslab.equivalence import _cell_cost_tables
 from loglosslab.problemio import load_problem
 
@@ -393,15 +393,23 @@ class TestIdentityBound:
         assert 0.0 < identity_bound(cp) <= 1e-12
 
 
-@pytest.mark.parametrize("check", [identity_sweep, verify_optimum_coincidence])
-def test_exhaustive_checks_stop_at_the_pair_guard(check, refused):
+def test_the_sweep_stops_at_the_pair_guard(refused):
     # Uniform Hamming keeps all r columns.  On 9 symbols at M = 3 that is
     # 3^9 encoders times 9^3 decoders.  On 10 at M = 6 a sweep tile is one
     # encoder of 10^6 decoders, whose three buffers would take 24 MB.
     for r, m, pairs in ((9, 3, 14348907), (10, 6, 60466176000000)):
         cp = build_corresponding(uniform_hamming(r), m, tol=1e-10)
-        assert refused(check, cp) == (
-            f"{check.__name__}: {pairs} code pairs exceeds guard 10000000")
+        assert refused(identity_sweep, cp) == (
+            f"identity_sweep: {pairs} code pairs exceeds guard 10000000")
+
+
+def test_the_coincidence_check_stops_at_the_decoder_guard(refused):
+    # It reads k^M * r * M costs on each side: 9^3 * 9 * 3 = 19,683 on 9
+    # symbols at M = 3, past the pair guard, and 10^6 * 10 * 6 on 10 at M = 6.
+    assert verify_optimum_coincidence(build_corresponding(uniform_hamming(9), 3)).matched
+    cp = build_corresponding(uniform_hamming(10), 6, tol=1e-10)
+    assert refused(verify_optimum_coincidence, cp) == (
+        "verify_optimum_coincidence: 60000000 decoder cost entries exceeds guard 10000000")
 
 
 class TestOptimumCoincidence:
@@ -442,17 +450,47 @@ class TestOptimumCoincidence:
             "build_corresponding: the one-shot optimum decodes message 1 to column 3, "
             "which the R(D) point at D*(2) prunes (kept columns (0, 1, 2))")
 
-    def test_least_costs_are_formed_once_per_block(self, cp_u4):
-        # The sweep reads no least cost; the coincidence check owns them.
-        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", 64):
-            blocks = len(list(equivalence._cell_blocks(cp_u4)))
-            with mock.patch.object(equivalence, "_least_costs",
-                                   wraps=equivalence._least_costs) as least_costs:
-                identity_sweep(cp_u4)
-                assert least_costs.call_count == 0
-                verify_optimum_coincidence(cp_u4)
-        assert blocks > 1
-        assert least_costs.call_count == blocks
+    def test_the_count_reads_no_cell_block(self, cp_u4):
+        # The count works over decoders; only the sweep reads the encoders'
+        # cell costs.
+        with mock.patch.object(equivalence, "_cell_blocks",
+                               wraps=equivalence._cell_blocks) as blocks:
+            verify_optimum_coincidence(cp_u4)
+            assert blocks.call_count == 0
+            identity_sweep(cp_u4)
+        assert blocks.call_count == 1
+
+    def test_an_optimum_unique_up_to_the_swap_is_certified_at_atol_zero(self):
+        # Its two pairs cost the same floats, and every other pair is
+        # certified dearer, so the float optimum is theirs.
+        problem = SourceProblem(px=Pmf([0.5, 0.3, 0.2]),
+                                distortion=[[0, 0.7, 0.4], [0.6, 0, 0.9], [0.3, 0.8, 0]])
+        report = verify_optimum_coincidence(build_corresponding(problem, 2, tol=1e-10), 0.0)
+        assert report.matched
+        assert report.distortion_argmin == (((0, 1, 0), (0, 1)), ((1, 0, 1), (1, 0)))
+
+    @pytest.mark.parametrize("problem, n_messages, atol, message", [
+        # skewed3 at M = 2: decoder (0, 2) costs 0.3, 0.1 above the least
+        # distortion, as floats 0.09999999999999998: a gap at the cut.
+        (load_problem(str(PROBLEMS / "skewed3.yaml")).problem, 2, 0.1,
+         "the distortion argmin set is not certified at atol 0.1: decoder (0, 2) lies "
+         "0.09999999999999998 above the least cost; with its symbols' excesses that passes "
+         "atol less the rounding allowance 2.664535259100376e-15, so rounding or their sum "
+         "decides which of its pairs are optimal"),
+        # Uniform Hamming 4 at M = 2: under an optimal decoder each symbol
+        # may move at an excess of 0.25, within atol 0.3, but two may not.
+        (uniform_hamming(4), 2, 0.3,
+         "the distortion argmin set is not certified at atol 0.3: decoder (0, 1) lies 0.0 "
+         "above the least cost and symbol 0 may take a message 0.25 dearer than its best; "
+         "with its symbols' excesses that passes atol less the rounding allowance "
+         "8.526512829121203e-15, so rounding or their sum decides which of its pairs are "
+         "optimal"),
+    ])
+    def test_an_uncertified_set_is_refused(self, problem, n_messages, atol, message):
+        cp = build_corresponding(problem, n_messages, tol=1e-10)
+        with pytest.raises(VerificationError) as err:
+            verify_optimum_coincidence(cp, atol)
+        assert str(err.value) == f"verify_optimum_coincidence: {message}"
 
 
 # Each verifier with its tolerance's name and a call on a skewed3 instance.
