@@ -448,12 +448,15 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, target: float, tol: float,
         if done is None and it >= 2 and _dual_gap(pxp, expd, z, fwd, m, lam, target_s) <= tol:
             # Within tol of R(target): keep the columns of real mass, unless
             # the rest cannot meet the target to the slope match's precision,
-            # and match the slope to them.
-            q = np.where(m >= PRUNE_EPS, m, 0.0)
-            if float(pxp.dot(np.minimum.reduce(dist_s[:, q > 0.0], 1))) > (1.0 + 1e-13) * target_s:
-                q = m
+            # and match the slope to them.  If they meet it only at a slope
+            # that underflows a whole row, the certified iterate stands.
+            kept = np.where(m >= PRUNE_EPS, m, 0.0)
+            if float(pxp.dot(np.minimum.reduce(dist_s[:, kept > 0.0], 1))) > (1.0 + 1e-13) * target_s:
+                kept = m
             with np.errstate(invalid="ignore"):
-                lam = _match_slope(pxp, dist_s, q, target_s, lam)[0]
+                lam_kept, expd = _match_slope(pxp, dist_s, kept, target_s, lam)
+            if np.minimum.reduce(np.add.reduce(expd * kept, 1)) > 0.0:
+                q, lam = kept, lam_kept
             done = q, lam, int(np.count_nonzero(q) < np.count_nonzero(m))
         if done is not None:
             q, lam, drops = done

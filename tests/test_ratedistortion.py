@@ -497,6 +497,31 @@ class TestDualGapStop:
         assert abs(point.diagnostics.achieved_distortion - d_star) <= 1e-10
         assert abs(dual_gap(problem, point)) <= CERT_TOL
 
+    def test_low_mass_columns_that_keep_a_row_alive_stay(self):
+        # Columns (0, 3) meet D*(2) only 3e-13 (relative) above their D_min,
+        # at a slope near 1e14 that underflows every entry of row 1 on them.
+        # The iterate gives columns 1 and 2 masses of 5e-12 and 1e-10;
+        # dropping them would empty that row's tilt, so the point keeps them.
+        # Its failed polish attempts take about 1.4 s.
+        w = np.array([0.20581508, 0.16874697, 0.19420598, 0.1343432, 0.14871017, 0.1481786])
+        problem = SourceProblem(px=Pmf(w / w.sum()), distortion=np.array([
+            [0.0, 0.0, 0.297534502, 1e-14],
+            [0.651075986, 0.394739053, 1e-08, 1e-05],
+            [1e-08, 1e-12, 0.819896008, 0.791765899],
+            [0.8607992, 0.0, 0.419772983, 0.0],
+            [0.0, 0.594162619, 0.0, 0.507574521],
+            [0.110643319, 1.0, 0.653818919, 0.18493546]]))
+        d_star = solve_avg(problem, 2)[1]
+        start = time.perf_counter()
+        point = rd_at_distortion(problem, d_star, tol=1e-10)
+        assert time.perf_counter() - start < self.SLOW_BUDGET_S
+        assert point.kept_columns == (0, 1, 2, 3)
+        assert point.diagnostics.prune_rounds == 0
+        assert np.isfinite(point.forward.rows).all()
+        assert abs(point.diagnostics.achieved_distortion - d_star) <= 1e-10
+        assert abs(dual_gap(problem, point)) <= CERT_TOL
+        assert build_corresponding(problem, 2, tol=1e-10).source_point.kept_columns == (0, 1, 2, 3)
+
     def test_target_just_below_the_knee(self):
         # 1 - 1e-8 of the way from D_min to D_max on a 2 x 9 problem.
         problem = SourceProblem(px=Pmf([0.7765408410060481, 0.2234591589939519]),
