@@ -225,22 +225,17 @@ def _cmd_oneshot(args) -> _CommandOutput:
 # ----------------------------------------------------------------------
 
 
-def _unless_too_large(check, cp):
-    """check(cp), or None when its work guard refuses it."""
-    try:
-        return check(cp)
-    except InstanceTooLargeError:
-        return None
-
-
 def _cmd_equiv(args) -> _CommandOutput:
     loaded = load_problem(args.problem)
     cp = build_corresponding(loaded.problem, args.messages, tol=args.tol)
     bound = identity_bound(cp)
     # Past a check's guard its block is null: the sweep stops at the pair
     # guard, the coincidence check at its decoder guard.
-    sweep, rep = (_unless_too_large(check, cp)
-                  for check in (identity_sweep, verify_optimum_coincidence))
+    sweep = rep = None
+    with contextlib.suppress(InstanceTooLargeError):
+        sweep = identity_sweep(cp)
+    with contextlib.suppress(InstanceTooLargeError):
+        rep = verify_optimum_coincidence(cp)
     coincidence = None if rep is None else {
         "matched": rep.matched,
         "min_distortion": rep.min_distortion,

@@ -399,7 +399,7 @@ class CoincidenceReport:
     pairs.  ``verify_optimum_coincidence`` keeps it as its decoders and, for
     each, every symbol's set of messages, so ``len`` costs nothing and the
     pairs are formed only when the set is read.  ``min_distortion`` and
-    ``min_loss`` are the nested costs of each set's first pair.
+    ``min_loss`` are the nested costs of each side's first optimal pair.
     ``scored_decoders`` counts the decoders whose costs the check formed,
     over both sides: every decoder's base cost, then the message sets of
     those near the least; it takes no part in equality.
@@ -418,7 +418,7 @@ class _ArgminSet(Sequence):
 
     ``decoders`` holds the decoders' ordinals in product order, ascending,
     and ``near[n, x, m]`` whether symbol x takes message m under decoder n.
-    A read forms the pairs, sorted; past the 10^7-pair guard it is refused.
+    A read forms the pairs, sorted; a set of more than 10^7 pairs refuses it.
     """
 
     __slots__ = ("_decoders", "_near", "_k", "_len", "_tuples")
@@ -437,20 +437,25 @@ class _ArgminSet(Sequence):
 
     def _pairs(self) -> tuple:
         n_dec, r, m_count = self._near.shape
-        _check_work(m_count ** r * self._k ** m_count, "code pairs", _CODE_ENUM_GUARD)
-        # Key each pair as encoder ordinal * n_dec + decoder position: sorted
-        # keys are in lexicographic order.  Each encoder's tuple is repeated
-        # over its run of keys, and each decoder's is made once.
-        keys = np.sort(np.concatenate([
-            reduce(lambda a, b: (a[:, None] * m_count + b).ravel(), map(np.flatnonzero, near))
-            * n_dec + n for n, near in enumerate(self._near)]))
-        enc, pos = np.divmod(keys, n_dec)
-        firsts = np.flatnonzero(np.diff(enc, prepend=-1))
-        runs = np.diff(firsts, append=len(enc)).tolist()
+        _check_work(len(self), "code pairs", _CODE_ENUM_GUARD)
+        # One row per pair, under each decoder in product order: its
+        # messages, then its decoder's position.  The rows sorted on their
+        # columns, first to last, are the pairs in lexicographic order; no
+        # encoder ordinal is formed, so none can overflow.  Each encoder's
+        # tuple is repeated over its run of rows, and each decoder's is made
+        # once.
+        kind = np.min_scalar_type(max(m_count, n_dec))
+        rows = np.concatenate([reduce(
+            lambda a, b: np.column_stack([np.repeat(a, len(b), axis=0), np.tile(b, len(a))]),
+            [*(np.flatnonzero(row).astype(kind) for row in near), np.array([n], kind)],
+            np.empty((1, 0), kind)) for n, near in enumerate(self._near)])
+        rows = rows[np.lexsort(rows.T[::-1])]
+        firsts = np.flatnonzero(np.r_[True, (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)])
+        runs = np.diff(firsts, append=len(rows)).tolist()
         encoders = itertools.chain.from_iterable(
-            map(itertools.repeat, _digit_tuples(enc[firsts], m_count, r), runs))
+            map(itertools.repeat, map(tuple, rows[firsts, :-1].tolist()), runs))
         decoders = _digit_tuples(self._decoders, self._k, m_count)
-        return tuple(zip(encoders, map(decoders.__getitem__, pos.tolist())))
+        return tuple(zip(encoders, map(decoders.__getitem__, rows[:, -1].tolist())))
 
     def __len__(self) -> int:
         return self._len
@@ -525,8 +530,11 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     naming the decoder, its gap and the symbol of largest excess.  At
     atol = 0 this certifies only an optimum unique up to that swap.
 
-    ``min_distortion`` and ``min_loss`` are the nested costs of each set's
-    first pair, its cells summed as the exhaustive check sums them.
+    ``min_distortion`` and ``min_loss`` are the nested costs, cells summed
+    as the exhaustive check sums them, of each side's first optimal pair:
+    the least pair under the decoders within rho / 2 of the least base cost,
+    each symbol taking its first message of least cost.  With the rounding
+    of both sums that cost lies within rho of the float optimum.
     """
     r = cp.px.n
     m_count = cp.n_messages
@@ -543,7 +551,7 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
         gaps = base - low
         decoders = np.flatnonzero(gaps <= atol + rho)
         scored += len(every) + len(decoders)
-        near, dear = [], []
+        near, dear, best = [], [], []
         for i in range(0, len(decoders), step):
             part = decoders[i:i + step]
             costs = _decoder_costs(w, part, m_count)
@@ -551,6 +559,7 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
             counted = excess <= (atol - gaps[part] + rho)[:, None]
             near.append(counted.transpose(1, 0, 2))
             dear.append(np.where(counted, excess, 0.0).max(axis=2))
+            best.append(costs.argmin(axis=2).T)
         argmin = _ArgminSet(decoders, np.concatenate(near), k)
         dear = np.hstack(dear)  # dear[x, n]: symbol x's dearest message under decoder n
         unsure = np.flatnonzero(gaps[decoders] + dear.sum(axis=0) > atol - rho)
@@ -566,7 +575,8 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
                 f"symbols' excesses that passes atol less the rounding allowance {rho!r}, so "
                 f"rounding or their sum decides which of its pairs are optimal")
         sets.append(argmin)
-        minima.append(_first_pair_cost(argmin, w))
+        tied = gaps[decoders] <= rho / 2
+        minima.append(_first_pair_cost(decoders[tied], np.concatenate(best)[tied], w, m_count))
     matched = (np.array_equal(sets[0]._decoders, sets[1]._decoders)
                and np.array_equal(sets[0]._near, sets[1]._near))
     return CoincidenceReport(
@@ -594,12 +604,16 @@ def _one_swap_orbit(argmin: _ArgminSet) -> bool:
     return bool(argmin._near[:, :, :2].any() or (digits[0] != digits[1]).any())
 
 
-def _first_pair_cost(argmin: _ArgminSet, w: np.ndarray) -> float:
-    """The cost of the set's first pair, ((cell 0 + cell 1) + ...), each cell summed in x order."""
-    first = argmin._near.argmax(axis=2)  # each symbol's least message
-    n = np.lexsort((argmin._decoders,) + tuple(first[:, ::-1].T))[0]
-    dec = _digit_tuples(argmin._decoders[n:n + 1], argmin._k, argmin._near.shape[2])[0]
-    cells = [0.0] * len(dec)
-    for x, m in enumerate(first[n].tolist()):
+def _first_pair_cost(decoders: np.ndarray, messages: np.ndarray, w: np.ndarray,
+                     m_count: int) -> float:
+    """The cost of the least pair (``messages[n]``, decoder ``decoders[n]``), nested.
+
+    Each cell is summed in x order, then ((cell 0 + cell 1) + ...), as the
+    exhaustive check sums a pair.
+    """
+    n = np.lexsort((decoders,) + tuple(messages[:, ::-1].T))[0]
+    dec = _digit_tuples(decoders[n:n + 1], w.shape[1], m_count)[0]
+    cells = [0.0] * m_count
+    for x, m in enumerate(messages[n].tolist()):
         cells[m] += w[x, dec[m]]
     return float(reduce(np.add, cells))

@@ -47,10 +47,10 @@ __all__ = [
 # search checks its count with _check_work before it allocates anything.
 # The costs at each limit are from a 2-core machine.
 #
-# Encoders in solve_avg_oracle, (encoder, decoder) pairs in identity_sweep
-# and in a read of a coincidence argmin set.  solve_avg_oracle at 5^10
-# encoders takes 1.1-1.4 s; the sweep on uniform Hamming 8 at M = 3 (3.4e6
-# pairs) takes 14-18 ms.
+# Encoders in solve_avg_oracle, (encoder, decoder) pairs in identity_sweep,
+# and the pairs of a coincidence argmin set that is read.  solve_avg_oracle
+# at 5^10 encoders takes 1.1-1.4 s; the sweep on uniform Hamming 8 at M = 3
+# (3.4e6 pairs) takes 14-18 ms.
 _CODE_ENUM_GUARD = 10_000_000
 # Cost entries k^M * r * M that verify_optimum_coincidence reads on each
 # side, over k^M decoders of r symbols and M messages.  Uniform Hamming 18 at
