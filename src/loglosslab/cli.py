@@ -217,6 +217,8 @@ def _cmd_oneshot(args) -> _CommandOutput:
         tolerances={"feasibility_slack": _FEASIBILITY_SLACK},
         table_header=header,
         table_rows=[row],
+        failure=(f"oneshot: the oracle's value {oracle} differs from the solver's {value}"
+                 if oracle is not None and oracle != value else None),
     )
 
 

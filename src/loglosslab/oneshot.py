@@ -50,7 +50,7 @@ __all__ = [
 # Encoders in solve_avg_oracle, (encoder, decoder) pairs in identity_sweep,
 # and the pairs of a coincidence argmin set that is read.  solve_avg_oracle
 # at 5^10 encoders takes 1.1-1.4 s; the sweep on uniform Hamming 8 at M = 3
-# (3.4e6 pairs) takes 14-18 ms.
+# (3.4e6 pairs) takes 8-12 ms.
 _CODE_ENUM_GUARD = 10_000_000
 # Cost entries k^M * r * M that verify_optimum_coincidence reads on each
 # side, over k^M decoders of r symbols and M messages.  Uniform Hamming 18 at
@@ -66,8 +66,9 @@ _PARTITION_ALPHABET_GUARD = 14
 # Source symbols in logloss_excess_oracle's 2^r subset table: under 1 ms.
 _COVER_ALPHABET_GUARD = 12
 # Code lengths summed by timeshare_simulate (n) or timeshare_two_decoders
-# (2n: it draws the n samples once, but each decoder sums all n lengths), at
-# 8 ns each: about 8 s at the limit.
+# (2n: it draws the n samples once, but each decoder sums all n lengths).
+# 10^9 samples, drawn on two threads, take about 3 s (2.5-4 ns each); on one
+# core about 5 s.
 _SAMPLE_GUARD = 1_000_000_000
 # The exhaustive enumerations work on blocks of codes holding about this many
 # floats per code-indexed array, so memory stays bounded at every guard.

@@ -16,7 +16,9 @@ prefix losslessly, say nothing about the rest.
 
 from __future__ import annotations
 
+import bisect
 import math
+import threading
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -397,33 +399,42 @@ def _pairwise_total(leaf, m: int) -> float:
     return _pairwise_total(leaf, half) + _pairwise_total(leaf, m - half)
 
 
-def _leaf_sums(draw, n: int, ks: list[int]) -> list[list[float]]:
-    """For each prefix length k, the sums of its leaves, from one draw of n samples.
+def _leaf_sums(draw, ends: list[list[int]], start: int, stop: int) -> list[list]:
+    """For each prefix's leaf ends, the sums of its leaves over samples [start, stop).
 
-    Prefix k's leaves are those ``_pairwise_total`` reduces over [0, k), then
-    [k, n), less any of length 0.  The block is drawn in pieces between
-    consecutive leaf edges of all the prefixes.  A piece that is a whole leaf
-    is reduced where it lies, so one prefix does exactly ``_pairwise_total``'s
-    work; a leaf of several pieces is gathered into its prefix's buffer of
-    ``_LEAF`` floats and reduced once complete.
+    ``draw`` gives the samples from ``start`` on.  They are drawn in pieces
+    between consecutive leaf edges of all the prefixes.  A piece that is a
+    whole leaf is reduced where it lies, so one prefix does exactly
+    ``_pairwise_total``'s work; a leaf of several pieces is gathered into its
+    prefix's buffer of ``_LEAF`` floats and reduced once complete.  A leaf
+    that ``start`` or ``stop`` cuts is not reduced: its entry is its run of
+    floats inside [start, stop).
     """
-    plans = []  # (leaf ends, leaf sums, buffer) of each prefix
-    for k in ks:
-        sizes = []
-        for m in (k, n - k):  # record the leaf lengths, summing nothing
-            _pairwise_total(lambda j: sizes.append(j) or 0.0, m)
-        plans.append((sorted(set(np.cumsum(sizes).tolist()) - {0}), [], np.empty(_LEAF)))
-    edges = sorted(set().union(*(ends for ends, _, _ in plans)))
-    for start, stop in zip([0] + edges, edges):
-        piece = draw(stop - start)
-        for ends, sums, buf in plans:
-            # The prefix's current leaf is [lo, hi), which holds [start, stop).
-            lo, hi = ends[len(sums) - 1] if sums else 0, ends[len(sums)]
-            if lo < start or hi > stop:
-                buf[start - lo:stop - lo] = piece
-            if hi == stop:
-                sums.append(np.add.reduce(piece if lo == start else buf[:hi - lo]))
-    return [sums for _, sums, _ in plans]
+    edges = sorted({e for leaf_ends in ends for e in leaf_ends if start < e < stop} | {stop})
+    # (leaf ends, index of the first leaf ending after start, leaf sums, buffer) of each prefix
+    plans = [(leaf_ends, bisect.bisect_right(leaf_ends, start), [], np.empty(_LEAF))
+             for leaf_ends in ends]
+    for a, b in zip([start] + edges, edges):
+        piece = draw(b - a)
+        for leaf_ends, first, sums, buf in plans:
+            # The prefix's current leaf is [lo, hi), which holds [a, b).
+            i = first + len(sums)
+            lo, hi = leaf_ends[i - 1] if i else 0, leaf_ends[i]
+            if lo < a or hi > b:
+                buf[a - lo:b - lo] = piece
+            if hi == b:
+                if lo == a:
+                    sums.append(np.add.reduce(piece))
+                elif lo >= start:
+                    sums.append(np.add.reduce(buf[:hi - lo]))
+                else:  # start cuts the leaf; its run is copied, as buf takes later leaves
+                    sums.append(buf[start - lo:hi - lo].copy())
+    for leaf_ends, first, sums, buf in plans:
+        i = first + len(sums)
+        lo = leaf_ends[i - 1] if i else 0
+        if lo < stop:  # a leaf still open at stop
+            sums.append(buf[max(lo, start) - lo:stop - lo])
+    return [sums for _, _, sums, _ in plans]
 
 
 def _timeshare(px: Pmf, targets: list[tuple[str, float]], n: int,
@@ -431,18 +442,53 @@ def _timeshare(px: Pmf, targets: list[tuple[str, float]], n: int,
     """One report per (argument name, target) on the block of (seed, n).
 
     Each target's feasibility, under its argument name, and the guard are
-    checked before any draw.
+    checked before any draw.  The block is split at s, the leaf edge of all
+    the prefixes nearest n/2, when each part holds a whole ``_LEAF``: the
+    caller draws [0, s) while one worker thread draws [s, n) from the same
+    PCG64 stream advanced by s.  A leaf that s cuts is reduced once, over its
+    two runs joined, so every sum is the serial one bit for bit.
     """
     h = entropy(px)
     ds = [_clamp_target(name, d, 0.0, h) for name, d in targets]
     # Each target sums all n code lengths, though the block is drawn once.
     _check_work(len(targets) * n, "samples", _SAMPLE_GUARD)
     ks = [_prefix_length(h, d, n) for d in ds]
-    draw = _cost_sampler(px.probs, np.random.default_rng(seed))
+    # Prefix k's leaves are those _pairwise_total reduces over [0, k), then
+    # [k, n), less any of length 0.
+    ends = []
+    for k in ks:
+        sizes = []
+        for m in (k, n - k):  # record the leaf lengths, summing nothing
+            _pairwise_total(lambda j: sizes.append(j) or 0.0, m)
+        ends.append(sorted(set(np.cumsum(sizes).tolist()) - {0}))
+    s = min(sorted(set().union(*ends)), key=lambda e: abs(2 * e - n))
+    if min(s, n - s) < _LEAF:
+        s = n
+    tails, failed = [[] for _ in ks], []
+
+    def draw_tail():
+        try:
+            rng = np.random.Generator(np.random.PCG64(seed).advance(s))
+            tails[:] = _leaf_sums(_cost_sampler(px.probs, rng), ends, s, n)
+        except BaseException as exc:  # re-raised by the caller
+            failed.append(exc)
+
+    worker = threading.Thread(target=draw_tail)
+    if s < n:
+        worker.start()
+    try:
+        heads = _leaf_sums(_cost_sampler(px.probs, np.random.default_rng(seed)), ends, 0, s)
+    finally:
+        if s < n:
+            worker.join()
+    if failed:
+        raise failed[0]
     reports = []
-    for k, sums in zip(ks, _leaf_sums(draw, n, ks)):
+    for k, leaf_ends, head, tail in zip(ks, ends, heads, tails):
+        if s not in leaf_ends:  # s cuts a leaf; each part holds one run of it
+            head[-1] = np.add.reduce(np.concatenate((head[-1], tail.pop(0))))
         # A run of length 0, the prefix at k = 0 or the rest at k = n, adds 0.0.
-        take = iter(sums).__next__
+        take = iter(head + tail).__next__
         prefix = _pairwise_total(lambda j: take() if j else 0.0, k)
         rest = _pairwise_total(lambda j: take() if j else 0.0, n - k)
         reports.append(TimeshareReport(n=n, lossless_prefix=k, empirical_loss=float(rest) / n,
@@ -459,9 +505,14 @@ def timeshare_simulate(px: Pmf, d: Finite, n: Count, seed: Seed) -> TimeshareRep
     (reproduction px, loss -ln px(x)).  The sample stream and both sums equal
     those of one ``numpy.random.default_rng(seed).choice(px.n, n, p=px.probs)``
     call, summed with numpy over the prefix and over the rest, but the block
-    is sampled in pieces of bounded size, so memory does not grow with n.
-    Blocks are reproducible given (seed, n), and the two-decoder variant sees
-    the same sample.
+    is sampled in pieces of bounded size, so memory does not grow with n: it
+    is the leaves of at most two samplers, of 2^16 samples each.  When the
+    leaf edge s nearest n/2 leaves a whole leaf on each side, the block is
+    drawn in two parts at once: the calling thread draws samples [0, s) and
+    one worker thread draws [s, n) from ``numpy.random.PCG64(seed)``
+    advanced by s.  The worker is joined before the call returns, and an
+    exception it raises is raised here.  Blocks are reproducible given
+    (seed, n), and the two-decoder variant sees the same sample.
 
     Raises:
         ValidationError: n not an integer >= 1, d not a finite real, or seed
@@ -480,6 +531,10 @@ def timeshare_two_decoders(px: Pmf, d1: Finite, d2: Finite, n: Count,
     Requires d2 <= d1 so the coarse prefix is a prefix of the fine one.  The
     block is drawn once for both decoders; it depends only on (seed, n), so
     each report equals the single-decoder simulation at its own distortion.
+    It is split as ``timeshare_simulate`` splits it, at the leaf edge of
+    either decoder's sums nearest n/2; a leaf of the other decoder that the
+    split cuts is reduced once, over its two runs joined.  Memory is the two
+    samplers' leaves, plus one leaf buffer per decoder in each part.
 
     Raises:
         ValidationError: d1 or d2 not a finite real, d2 above d1 by over

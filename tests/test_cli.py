@@ -482,6 +482,32 @@ class TestOneshotCommand:
         assert out["optimal_value"] == pytest.approx(0.2, abs=1e-12)
         assert out["oracle"]["agrees"] is True
 
+    @pytest.mark.parametrize("table", [[], ["--format", "table"]])
+    def test_an_oracle_that_disagrees_exits_one_after_the_report(self, capsys, table):
+        # The report is written whole; one stderr line names both values.
+        argv = ["oneshot", SKEW3, "--criterion", "avg", "--messages", "2", *table]
+        passed, want, _ = run_cli(capsys, argv)
+        values = []
+
+        def moved(problem, m):
+            values.append(oneshot.solve_avg_oracle(problem, m))
+            return values[-1] + 0.25
+
+        with mock.patch.object(cli, "solve_avg_oracle", moved):
+            code, out, err = run_cli(capsys, argv)
+        assert (passed, code) == (0, 1)
+        value, = values
+        assert err == (f"error: oneshot: the oracle's value {value + 0.25} differs from "
+                       f"the solver's {value}\n")
+        if table:  # the table has no oracle column
+            assert out == want
+            return
+        want, got = json.loads(want), json.loads(out)
+        want["outputs"]["oracle"] = {"value": round_sig(value + 0.25), "agrees": False}
+        for report in (want, got):
+            del report["wall_clock_seconds"]
+        assert got == want
+
     def test_logloss_excess_oracle_agreement(self, capsys):
         report = run_report(
             capsys, ["oneshot", SKEW3, "--criterion", "excess",

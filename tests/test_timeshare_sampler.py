@@ -4,10 +4,14 @@ The reference below is timeshare_simulate's sampling as it was before the
 sampler moved to fixed-size leaves: one ``default_rng(seed).choice`` call,
 costs by ``-np.log`` and one numpy sum over each part of the block.  The
 sampler draws the same stream and adds every float in the same order, so
-each comparison is bitwise.
+each comparison is bitwise, also where the block is drawn in two parts on
+two threads.
 """
 
 import math
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -178,6 +182,120 @@ class TestTwoDecoders:
             timeshare_two_decoders(SKEWED4, 0.77 * h, 0.3 * h, n, 3)
         assert sum(drawn) == n
         assert max(drawn) <= leaf
+
+
+def drawn_parts(fn, *args):
+    """fn(*args), the (start, stop) parts of the block drawn, and each prefix's leaf ends."""
+    leaf_sums, parts, plans = refinement._leaf_sums, [], []
+
+    def spy(draw, ends, start, stop):
+        parts.append((start, stop))
+        plans[:] = ends
+        return leaf_sums(draw, ends, start, stop)
+
+    with mock.patch.object(refinement, "_leaf_sums", spy):
+        result = fn(*args)
+    return result, sorted(parts), plans
+
+
+def sampler_on(side: str, wrap):
+    """A _cost_sampler whose draws on one side, "caller" or "worker", go through wrap(draw)."""
+    sampler, caller = refinement._cost_sampler, threading.current_thread()
+
+    def patched(p, rng):
+        draw = sampler(p, rng)
+        on_worker = threading.current_thread() is not caller
+        return wrap(draw) if on_worker == (side == "worker") else draw
+
+    return patched
+
+
+class TestSplit:
+    # The caller draws [0, s) and one worker thread [s, n), from the stream
+    # advanced by s, where s is the leaf edge nearest n/2 and each part holds
+    # a whole leaf.
+
+    @pytest.mark.parametrize("leaf, n, f1, f2", [
+        (LEAF, 2 * LEAF, 0.5, 0.013),
+        (LEAF, 2 * LEAF, 0.3, 0.0),
+        (LEAF, 3 * LEAF + 5, 0.77, 0.3),
+        (128, 517, 0.6, 0.45),
+        (128, 1000, 0.77, 0.3),
+        (128, 4099, 0.6, 0.45),
+    ])
+    def test_a_leaf_of_one_plan_cut_at_the_split(self, leaf, n, f1, f2):
+        h = entropy(SKEWED4)
+        with mock.patch.object(refinement, "_LEAF", leaf):
+            pair, parts, ends = drawn_parts(timeshare_two_decoders, SKEWED4, f1 * h, f2 * h,
+                                            n, 5)
+        (_, s), (s_worker, stop) = parts
+        assert (s_worker, stop) == (s, n)
+        # s is a leaf edge of one decoder's plan and inside a leaf of the other's.
+        assert sorted(s in leaf_ends for leaf_ends in ends) == [False, True]
+        for got, f in zip(pair, (f1, f2)):
+            assert_bitwise_equal(got, reference_timeshare(SKEWED4, f * h, n, 5))
+
+    @pytest.mark.parametrize("leaf", [128, LEAF])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("f", [0.0, 0.5, 1.0])
+    def test_blocks_of_about_two_leaves(self, leaf, extra, f):
+        # Below two leaves the block is drawn whole; the 128-sample leaf
+        # that other tests patch in splits blocks of a few hundred samples.
+        h, n = entropy(SKEWED4), 2 * leaf + extra
+        with mock.patch.object(refinement, "_LEAF", leaf):
+            report, parts, _ = drawn_parts(timeshare_simulate, SKEWED4, f * h, n, 13)
+            pair, pair_parts, _ = drawn_parts(timeshare_two_decoders, SKEWED4, f * h, 0.0,
+                                              n, 13)
+        assert parts == pair_parts == ([(0, n)] if extra < 0 else [(0, leaf), (leaf, n)])
+        want = reference_timeshare(SKEWED4, f * h, n, 13)
+        assert_bitwise_equal(report, want)
+        assert_bitwise_equal(pair[0], want)
+        assert_bitwise_equal(pair[1], reference_timeshare(SKEWED4, 0.0, n, 13))
+
+    @pytest.mark.parametrize("side", ["worker", "caller"])
+    def test_a_late_part_gives_the_same_bits(self, side):
+        h = entropy(SKEWED4)
+
+        def late(draw):
+            def slow(m):
+                time.sleep(0.002)
+                return draw(m)
+            return slow
+
+        # A short switch interval hands the interpreter lock over often.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(refinement, "_LEAF", 128), \
+                    mock.patch.object(refinement, "_cost_sampler", sampler_on(side, late)):
+                pair = timeshare_two_decoders(SKEWED4, 0.77 * h, 0.3 * h, 1000, 21)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, f in zip(pair, (0.77, 0.3)):
+            assert_bitwise_equal(got, reference_timeshare(SKEWED4, f * h, 1000, 21))
+
+    def test_no_thread_outlives_a_call(self):
+        h = entropy(SKEWED4)
+        before = threading.active_count()
+        _, parts, _ = drawn_parts(timeshare_two_decoders, SKEWED4, 0.77 * h, 0.3 * h,
+                                  3 * LEAF + 5, 1)
+        assert len(parts) == 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("side", ["worker", "caller"])
+    def test_a_failed_part_reaches_the_caller_after_the_join(self, side):
+        h = entropy(SKEWED4)
+
+        def failing(draw):
+            def fail(m):
+                raise RuntimeError(f"the {side}'s draw failed")
+            return fail
+
+        before = threading.active_count()
+        with mock.patch.object(refinement, "_cost_sampler", sampler_on(side, failing)), \
+                pytest.raises(RuntimeError, match=f"the {side}'s draw failed"):
+            timeshare_simulate(SKEWED4, 0.5 * h, 2 * LEAF, 2)
+        assert threading.active_count() == before
 
 
 class TestSampler:
