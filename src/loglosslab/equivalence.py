@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -394,90 +394,64 @@ def identity_bound(cp: CorrespondingProblem) -> float:
 class CoincidenceReport:
     """Argmin sets on both sides, in shared (encoder, kept-index) coordinates.
 
-    Each argmin set is a read-only sequence of (encoder, decoder) tuples in
-    lexicographic order.  It equals, hashes and prints as the tuple of those
-    pairs.  ``verify_optimum_coincidence`` keeps it as its decoders and, for
-    each, every symbol's set of messages, so ``len`` costs nothing and the
-    pairs are formed only when the set is read.  ``min_distortion`` and
-    ``min_loss`` are the nested costs of each side's first optimal pair.
-    ``scored_decoders`` counts the decoders whose costs the check formed,
-    over both sides: every decoder's base cost, then the message sets of
-    those near the least; it takes no part in equality.
+    ``verify_optimum_coincidence`` keeps each argmin set as its optimal
+    decoders and, under each, every symbol's set of messages.  ``len`` is
+    the set's size, counted from those without forming a pair; two sets are
+    equal, and hash alike, when their decoders and message sets are; and
+    iteration streams the (encoder, decoder) tuples decoder by decoder, in
+    product order, each decoder's encoders in ``itertools.product`` order.
+    By design a set is no sequence: it has no indexing and equals no tuple
+    of pairs, so to compare it with a listing, compare ``sorted`` of it.
+    ``min_distortion`` and ``min_loss`` are the nested costs of each side's
+    first optimal pair.  ``scored_decoders`` counts the decoders whose
+    costs the check formed, over both sides: every decoder's base cost,
+    then the message sets of those near the least; it takes no part in
+    equality.
     """
 
     min_distortion: float
     min_loss: float
-    distortion_argmin: Sequence
-    loss_argmin: Sequence
+    distortion_argmin: Iterable
+    loss_argmin: Iterable
     matched: bool
     scored_decoders: int = field(compare=False)
 
 
-class _ArgminSet(Sequence):
+class _ArgminSet:
     """(encoder, decoder) pairs: under each decoder, the product of its symbols' message sets.
 
     ``decoders`` holds the decoders' ordinals in product order, ascending,
-    and ``near[n, x, m]`` whether symbol x takes message m under decoder n.
-    A read forms the pairs, sorted; a set of more than 10^7 pairs refuses it.
+    and ``near[n, x, m]`` whether symbol x takes message m under decoder n,
+    of ``k`` kept columns.  Two sets are equal when those are.  Iteration
+    streams the pairs decoder by decoder, each decoder's encoders in
+    ``itertools.product`` order over its symbols' messages.
     """
 
-    __slots__ = ("_decoders", "_near", "_k", "_len", "_tuples")
+    __slots__ = ("_decoders", "_near", "_k", "_len")
 
     def __init__(self, decoders: np.ndarray, near: np.ndarray, k: int):
         self._decoders = decoders
         self._near = near
         self._k = k
         self._len = sum(map(math.prod, near.sum(axis=2).tolist()))
-        self._tuples = None
-
-    def _decoded(self) -> tuple:
-        if self._tuples is None:
-            self._tuples = self._pairs()
-        return self._tuples
-
-    def _pairs(self) -> tuple:
-        n_dec, r, m_count = self._near.shape
-        _check_work(len(self), "code pairs", _CODE_ENUM_GUARD)
-        # One row per pair, under each decoder in product order: its
-        # messages, then its decoder's position.  The rows sorted on their
-        # columns, first to last, are the pairs in lexicographic order; no
-        # encoder ordinal is formed, so none can overflow.  Each encoder's
-        # tuple is repeated over its run of rows, and each decoder's is made
-        # once.
-        kind = np.min_scalar_type(max(m_count, n_dec))
-        rows = np.concatenate([reduce(
-            lambda a, b: np.column_stack([np.repeat(a, len(b), axis=0), np.tile(b, len(a))]),
-            [*(np.flatnonzero(row).astype(kind) for row in near), np.array([n], kind)],
-            np.empty((1, 0), kind)) for n, near in enumerate(self._near)])
-        rows = rows[np.lexsort(rows.T[::-1])]
-        firsts = np.flatnonzero(np.r_[True, (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)])
-        runs = np.diff(firsts, append=len(rows)).tolist()
-        encoders = itertools.chain.from_iterable(
-            map(itertools.repeat, map(tuple, rows[firsts, :-1].tolist()), runs))
-        decoders = _digit_tuples(self._decoders, self._k, m_count)
-        return tuple(zip(encoders, map(decoders.__getitem__, rows[:, -1].tolist())))
 
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, index):
-        return self._decoded()[index]
-
     def __iter__(self):
-        return iter(self._decoded())
+        decoders = _digit_tuples(self._decoders, self._k, self._near.shape[2])
+        for decoder, near in zip(decoders, self._near):
+            for encoder in itertools.product(*(np.flatnonzero(row).tolist() for row in near)):
+                yield encoder, decoder
 
     def __eq__(self, other):
-        if isinstance(other, _ArgminSet):
-            other = other._decoded()
-        if not isinstance(other, tuple):
+        if not isinstance(other, _ArgminSet):
             return NotImplemented
-        return self._decoded() == other
+        return (self._k == other._k and np.array_equal(self._decoders, other._decoders)
+                and np.array_equal(self._near, other._near))
 
     def __hash__(self) -> int:
-        return hash(self._decoded())
-
-    def __repr__(self) -> str:
-        return repr(self._decoded())
+        return hash((self._k, self._near.shape, self._decoders.tobytes(), self._near.tobytes()))
 
 
 def _digit_tuples(ordinals: np.ndarray, base: int, length: int) -> list:
@@ -511,8 +485,7 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     every message.  Each set is kept as its decoders and each symbol's
     messages under them, and the sets coincide when those do.  That is
     O(k^M r M) work, guarded at ``_DECODER_GUARD`` cost entries k^M r M, so
-    the check reaches past the 10^7-pair guard; only reading a set's pairs
-    stops there.
+    the check reaches past the 10^7-pair guard.
 
     The exhaustive check compares float costs summed cell by cell, each
     within (r + M) 2^-53 of its exact value, relatively, as is each base
@@ -577,8 +550,7 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
         sets.append(argmin)
         tied = gaps[decoders] <= rho / 2
         minima.append(_first_pair_cost(decoders[tied], np.concatenate(best)[tied], w, m_count))
-    matched = (np.array_equal(sets[0]._decoders, sets[1]._decoders)
-               and np.array_equal(sets[0]._near, sets[1]._near))
+    matched = sets[0] == sets[1]
     return CoincidenceReport(
         min_distortion=minima[0],
         min_loss=minima[1],

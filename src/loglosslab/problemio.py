@@ -196,6 +196,8 @@ def dump_report(report: dict) -> str:
 
 
 def _cell(value) -> str:
+    if value is None:
+        return "null"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -204,7 +206,7 @@ def _cell(value) -> str:
 
 
 def render_table(header: list[str], rows: list[list]) -> str:
-    """Tab-separated table with a header row; floats at report precision."""
+    """Tab-separated table with a header row; floats at report precision, None as null."""
     lines = ["\t".join(header)]
     lines.extend("\t".join(_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"

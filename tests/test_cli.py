@@ -776,6 +776,16 @@ class TestEquivCommand:
             == (0.8125, 2.68286835357)
         assert elapsed <= 2.0, f"{elapsed:.2f}s"
 
+    def test_a_null_cell_prints_as_null_in_the_table(self, capsys, tmp_path):
+        # Past the sweep's guard the report's max_residual is null, and the
+        # table prints it as the report does, not as Python's None.
+        path = write_problem(tmp_path, f"px: {[1 / 16] * 16}\ndistortion: hamming\n")
+        code, out, _ = run_cli(capsys, ["equiv", path, "--messages", "3", "--format", "table"])
+        assert code == 0
+        header, row = (line.split("\t") for line in out.splitlines())
+        assert dict(zip(header, row))["max_residual"] == "null"
+        assert "None" not in out
+
     def test_past_both_guards_reports_the_bound_alone(self, capsys, tmp_path):
         # On 12 symbols at M = 10 a sweep tile is one encoder of 10^12
         # decoders, whose buffers must not be allocated, and the count would
@@ -837,14 +847,14 @@ class TestEquivCommand:
                        "to column 3, which the R(D) point at D*(2) prunes "
                        "(kept columns (0, 1, 2))\n")
 
-    def test_argmin_counts_decode_no_pair(self, capsys):
+    def test_argmin_counts_stream_no_pair(self, capsys):
         # The report prints the sizes of the argmin sets, never their pairs.
-        with mock.patch.object(equivalence._ArgminSet, "_pairs", autospec=True,
-                               side_effect=equivalence._ArgminSet._pairs) as decode:
+        with mock.patch.object(equivalence._ArgminSet, "__iter__", autospec=True,
+                               side_effect=equivalence._ArgminSet.__iter__) as stream:
             report = run_report(capsys, ["equiv", SKEW3, "--messages", "2"])
         coincidence = report["outputs"]["coincidence"]
         assert coincidence["n_distortion_argmin"] == coincidence["n_loss_argmin"] > 0
-        assert decode.call_count == 0
+        assert stream.call_count == 0
 
 
 class TestSrCommand:

@@ -11,6 +11,7 @@ sets over decoders; the exhaustive listing stays here as its oracle.
 import dataclasses
 import itertools
 import math
+import time
 from functools import reduce
 from pathlib import Path
 from unittest import mock
@@ -261,6 +262,19 @@ def checked_coincidence(cp, atol: float):
         return None
 
 
+def listed(report) -> CoincidenceReport:
+    """``report`` with each argmin set as the sorted tuple of the pairs it streams.
+
+    Each pair must stream once, so that tuple compares with the listing's.
+    """
+    sets = {}
+    for name in ("distortion_argmin", "loss_argmin"):
+        pairs = sorted(getattr(report, name))
+        assert len(set(pairs)) == len(pairs) == len(getattr(report, name))
+        sets[name] = tuple(pairs)
+    return dataclasses.replace(report, **sets)
+
+
 def assert_matches_reference(report, cp, atol: float) -> None:
     """The sets, their sizes and the verdict are the listing's.
 
@@ -268,10 +282,9 @@ def assert_matches_reference(report, cp, atol: float) -> None:
     of the listing's minima.
     """
     ref = reference_optimum_coincidence(cp, atol)
-    assert report.distortion_argmin == ref.distortion_argmin
-    assert report.loss_argmin == ref.loss_argmin
-    assert (len(report.distortion_argmin), len(report.loss_argmin), report.matched) \
-        == (len(ref.distortion_argmin), len(ref.loss_argmin), ref.matched)
+    got = listed(report)
+    assert (got.distortion_argmin, got.loss_argmin, got.matched) \
+        == (ref.distortion_argmin, ref.loss_argmin, ref.matched)
     for side, got, least in ((0, report.min_distortion, ref.min_distortion),
                              (1, report.min_loss, ref.min_loss)):
         assert bits(got) == bits(nested_cost(cp, side, first_optimal_pair(cp, side, atol)))
@@ -484,7 +497,7 @@ class TestMatchesReferenceLoops:
         cp = build_corresponding(problem, 3, tol=1e-10)
         report = verify_optimum_coincidence(cp)
         assert len(report.distortion_argmin) > 1000
-        assert report == reference_report(cp)
+        assert listed(report) == reference_report(cp)
         assert code_bits(*logloss_avg_optimum(problem.px, 3)) \
             == code_bits(*reference_logloss_avg_optimum(problem.px, 3))
 
@@ -532,33 +545,27 @@ SCORED_DECODERS = {"uniform5-m3": 370, "uniform4-m2-atol": 64, "skewed3-m2-atol"
 
 class TestArgminSets:
     @pytest.mark.parametrize("name", ARGMIN_CASES)
-    def test_sets_behave_as_the_reference_tuples(self, name):
+    def test_sets_stream_the_reference_pairs(self, name):
         problem, n_messages, atol = ARGMIN_CASES[name]
         cp = build_corresponding(problem, n_messages, tol=1e-10)
         report = verify_optimum_coincidence(cp, atol)
         ref = reference_report(cp, atol)
         assert report.matched == ref.matched == (name in MATCHED_CASES)
-        for got, want in ((report.distortion_argmin, ref.distortion_argmin),
-                          (report.loss_argmin, ref.loss_argmin)):
-            assert got == want and want == got
-            assert not (got != want or want != got)
-            assert hash(got) == hash(want)
-            assert repr(got) == repr(want)
-            assert list(got) == list(want)
-            indices = range(-len(want), len(want))
-            assert [got[i] for i in indices] == [want[i] for i in indices]
-            assert got[1:3] == want[1:3]
-            with pytest.raises(IndexError):
-                got[len(want)]
-            assert got != list(want)
-        # Set against set, and each set against the other side's tuple.
+        assert listed(report) == ref
+        # Decoder by decoder in product order, each decoder's encoders in
+        # product order, and the same pairs on every pass.
+        for argmin in (report.distortion_argmin, report.loss_argmin):
+            pairs = list(argmin)
+            assert pairs == sorted(pairs, key=lambda pair: pair[::-1]) == list(argmin)
+        # Set against set; no set equals a listing of its pairs.
         assert (report.distortion_argmin == report.loss_argmin) == ref.matched
-        assert (report.distortion_argmin == ref.loss_argmin) == ref.matched
-        assert (ref.distortion_argmin == report.loss_argmin) == ref.matched
-        assert report == ref and ref == report
-        assert hash(report) == hash(ref)
+        assert (report.distortion_argmin != report.loss_argmin) != ref.matched
+        for listing in (ref.distortion_argmin, list(ref.distortion_argmin)):
+            assert report.distortion_argmin != listing and listing != report.distortion_argmin
         # Equality ignores the work count.
         assert report.scored_decoders == SCORED_DECODERS[name] != ref.scored_decoders
+        recount = dataclasses.replace(report, scored_decoders=0)
+        assert recount == report and hash(recount) == hash(report)
 
     def test_one_message_has_no_swap(self):
         # With one message every encoder is canonical and the sets hold no
@@ -569,14 +576,14 @@ class TestArgminSets:
         report = verify_optimum_coincidence(cp, atol)
         ref = reference_report(cp, atol)
         assert len(report.distortion_argmin) == len(ref.distortion_argmin) > 1
-        assert report == ref
+        assert listed(report) == ref
 
     def test_sets_of_separate_checks(self):
         cps = [build_corresponding(problem, n_messages, tol=1e-10)
                for problem, n_messages, _ in list(ARGMIN_CASES.values())[:2]]
         first, again, other = (verify_optimum_coincidence(cp).distortion_argmin
                                for cp in (cps[0], cps[0], cps[1]))
-        assert first is not again and first == again
+        assert first is not again and first == again and hash(first) == hash(again)
         assert first != other and other != first
 
     def test_a_gap_at_the_cut_is_refused(self):
@@ -591,41 +598,28 @@ class TestArgminSets:
             "optimal")
 
     @pytest.mark.parametrize("name", ARGMIN_CASES)
-    def test_len_and_matched_decode_nothing(self, name):
+    def test_len_and_matched_stream_nothing(self, name):
         problem, n_messages, atol = ARGMIN_CASES[name]
         cp = build_corresponding(problem, n_messages, tol=1e-10)
         ref = reference_report(cp, atol)
-        with mock.patch.object(equivalence._ArgminSet, "_pairs", autospec=True,
-                               side_effect=equivalence._ArgminSet._pairs) as decode:
+        with mock.patch.object(equivalence._ArgminSet, "__iter__", autospec=True,
+                               side_effect=equivalence._ArgminSet.__iter__) as stream:
             report = verify_optimum_coincidence(cp, atol)
             assert len(report.distortion_argmin) == len(ref.distortion_argmin)
             assert len(report.loss_argmin) == len(ref.loss_argmin)
             assert report.matched == ref.matched
-            assert decode.call_count == 0
-            # The first read decodes each distinct set once.
-            for _ in range(2):
-                assert report == ref
-                assert report.distortion_argmin[0] == ref.distortion_argmin[0]
-            assert decode.call_count == (1 if ref.matched else 2)
-
-
-def product_pairs(r, m_count, k, backwards=False):
-    """(encoder, decoder) pairs in itertools.product order, or from the last back.
-
-    Lazy: the decoders are listed afresh for each encoder.
-    """
-    def digits(base):
-        return range(base - 1, -1, -1) if backwards else range(base)
-    return ((enc, dec) for enc in itertools.product(digits(m_count), repeat=r)
-            for dec in itertools.product(digits(k), repeat=m_count))
+            assert hash(report) == hash(dataclasses.replace(report))
+            assert stream.call_count == 0
+            # Each read streams the set afresh.
+            assert listed(report) == ref
+            assert stream.call_count == 2
 
 
 class TestReads:
-    # (r, M, k) with M^r * k^M code pairs up to the 10^7 guard.
+    # Shapes of many symbols, many messages, one column and many columns.
     @pytest.mark.parametrize("r, m_count, k", [(20, 2, 3), (8, 3, 11),
                                                (23, 2, 1), (1, 2, 2236)])
-    def test_extreme_pairs_read_in_product_order(self, r, m_count, k):
-        assert m_count ** r * k ** m_count <= oneshot._CODE_ENUM_GUARD
+    def test_extreme_pairs_stream_in_product_order(self, r, m_count, k):
         # The last decoder's symbols take message M - 1 and the first's, if
         # another, message 0, but for the last symbol, which takes every
         # message: the greatest encoders and the least.
@@ -636,39 +630,49 @@ class TestReads:
             near[0, :, 0] = True
         near[:, -1] = True
         argmin = equivalence._ArgminSet(decoders, near, k)
-        every = sorted(
-            (enc, tuple(np.unravel_index(n, (k,) * m_count)))
-            for n, rows in zip(decoders.tolist(), near)
-            for enc in itertools.product(*(np.flatnonzero(row).tolist() for row in rows)))
-        assert len(argmin) == len(every)
-        assert argmin == tuple(every)
+        first = [((0,) * (r - 1) + (m,), (0,) * m_count) for m in range(m_count)]
+        last = [((m_count - 1,) * (r - 1) + (m,), (k - 1,) * m_count) for m in range(m_count)]
+        want = last if k == 1 else first + last
+        assert len(argmin) == len(want)
+        assert list(argmin) == want
 
     def test_every_pair_of_a_small_shape(self):
         argmin = equivalence._ArgminSet(np.arange(3 ** 2), np.ones((9, 3, 2), dtype=bool), 3)
         assert len(argmin) == 2 ** 3 * 3 ** 2
-        assert argmin == tuple(product_pairs(3, 2, 3))
+        assert list(argmin) == [(enc, dec) for dec in itertools.product(range(3), repeat=2)
+                                for enc in itertools.product(range(2), repeat=3)]
 
-    def test_a_small_set_past_the_pair_guard_reads(self):
+    def test_a_small_set_past_the_pair_guard_streams(self):
         # 2^70 encoders, more than an int64 counts, times 2^2 decoders, but
-        # two pairs in the set: it reads, compares, hashes and prints as
-        # their tuple.
+        # two pairs in the set: it streams them, and equals and hashes as
+        # the set of the same decoders and message sets.
         near = np.zeros((2, 70, 2), dtype=bool)
         near[0, :, 1] = True
         near[1, :, 0] = True
         argmin = equivalence._ArgminSet(np.array([0, 3]), near, 2)
-        want = (((0,) * 70, (1, 1)), ((1,) * 70, (0, 0)))
         assert len(argmin) == 2
-        assert argmin == want and hash(argmin) == hash(want) and repr(argmin) == repr(want)
-        assert argmin[-1] == want[-1]
+        assert list(argmin) == [((1,) * 70, (0, 0)), ((0,) * 70, (1, 1))]
+        again = equivalence._ArgminSet(np.array([0, 3]), near.copy(), 2)
+        assert argmin == again and hash(argmin) == hash(again)
+        for other in (equivalence._ArgminSet(np.array([0, 3]), near[::-1].copy(), 2),
+                      equivalence._ArgminSet(np.array([0, 3]), near, 3)):
+            assert argmin != other and other != argmin
 
-    def test_a_read_past_the_pair_guard_is_refused(self, refused):
-        # Every pair of 3^16 encoders and 16^3 decoders: the set's size is
-        # counted, but its pairs are not formed.
-        argmin = equivalence._ArgminSet(np.arange(16 ** 3), np.ones((16 ** 3, 16, 3), dtype=bool),
-                                        16)
-        assert len(argmin) == 3 ** 16 * 16 ** 3
-        assert refused(argmin.__getitem__, 0) == (
-            "176319369216 code pairs exceeds guard 10000000")
+    def test_every_encoder_of_23_symbols_streams_at_once(self):
+        # r = 23, M = 2, k = 1, every encoder: 2^23 pairs, each distinct.
+        # The size is counted without streaming a pair, and the first pairs
+        # come at once, one encoder at a time.
+        with mock.patch.object(equivalence._ArgminSet, "__iter__", autospec=True,
+                               side_effect=equivalence._ArgminSet.__iter__) as stream:
+            argmin = equivalence._ArgminSet(np.array([0]), np.ones((1, 23, 2), dtype=bool), 1)
+            assert len(argmin) == 2 ** 23
+            assert stream.call_count == 0
+        start = time.perf_counter()
+        first = list(itertools.islice(argmin, 10))
+        elapsed = time.perf_counter() - start
+        assert first == [(enc, (0, 0))
+                         for enc in itertools.islice(itertools.product(range(2), repeat=23), 10)]
+        assert elapsed <= 0.05, f"{elapsed * 1e3:.1f} ms"
 
 
 def is_canonical(code) -> bool:
@@ -929,8 +933,8 @@ class TestScale:
 
     def test_coincidence_keeps_every_pair(self, traced):
         # atol = 10 keeps all 3^7 * 7^3 = 750,141 code pairs on each side:
-        # every decoder, each symbol taking every message.  Reading the set
-        # forms them all.
+        # every decoder, each symbol taking every message.  The set streams
+        # them all, decoder by decoder.
         problem = SourceProblem(px=Pmf.uniform(7), distortion=hamming_distortion(7))
         cp = build_corresponding(problem, 3, tol=1e-8)
         report, elapsed, peak, held = traced(verify_optimum_coincidence, cp, 10.0)
@@ -940,8 +944,9 @@ class TestScale:
         assert held <= 2**15, f"held {held} bytes"
         assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
-        assert report.distortion_argmin == tuple(itertools.product(
-            itertools.product(range(3), repeat=7), itertools.product(range(7), repeat=3)))
+        assert list(report.distortion_argmin) == [
+            (enc, dec) for dec in itertools.product(range(7), repeat=3)
+            for enc in itertools.product(range(3), repeat=7)]
 
     def test_coincidence_past_the_pair_guard(self, traced):
         # Uniform Hamming 16 at M = 3: 1.8e11 code pairs, 5,356,925,280 of
