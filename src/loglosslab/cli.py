@@ -231,8 +231,9 @@ def _cmd_equiv(args) -> _CommandOutput:
     loaded = load_problem(args.problem)
     cp = build_corresponding(loaded.problem, args.messages, tol=args.tol)
     bound = identity_bound(cp)
-    # Past a check's guard its block is null: the sweep stops at the pair
-    # guard, the coincidence check at its decoder guard.
+    # Past a check's guard its block is null.  Both stop at the decoder
+    # guard: the sweep at C(k, min(M, k)) r min(M, k) cost entries, the
+    # coincidence check at k^M r M.
     sweep = rep = None
     with contextlib.suppress(InstanceTooLargeError):
         sweep = identity_sweep(cp)
@@ -262,6 +263,13 @@ def _cmd_equiv(args) -> _CommandOutput:
     }
     verdict = "skipped" if coincidence is None else (
         "pass" if coincidence["matched"] else "FAIL")
+    failed = []
+    if sweep is not None and not sweep.max_residual <= bound:
+        failed.append(f"the identity check failed: max_residual {identity['max_residual']!r} "
+                      f"exceeds residual_bound {identity['residual_bound']!r}")
+    if verdict == "FAIL":
+        failed.append("the coincidence check failed: the distortion and log-loss argmin "
+                      "sets differ")
     return _CommandOutput(
         inputs={"problem": loaded.echo(),
                 "flags": {"messages": args.messages, "tol": args.tol}},
@@ -272,8 +280,7 @@ def _cmd_equiv(args) -> _CommandOutput:
                       "residual_bound", "coincidence"],
         table_rows=[[args.messages, cp.d_star_m, cp.lambda_star, cp.h_x_given_xhat,
                      identity["max_residual"], bound, verdict]],
-        failure=("equiv: the coincidence check failed: the distortion and log-loss "
-                 "argmin sets differ") if verdict == "FAIL" else None,
+        failure=f"equiv: {'; '.join(failed)}" if failed else None,
     )
 
 

@@ -31,15 +31,7 @@ import numpy as np
 from . import oneshot
 from .errors import (Count, DegenerateInstanceError, Int, MappingError, NonNegative, Positive,
                      Seq, VerificationError, _check_fields, _checked, _require_size)
-from .oneshot import (
-    _CODE_ENUM_GUARD,
-    LogLossCode,
-    OneShotCode,
-    _cell_sum_blocks,
-    _check_work,
-    expected_distortion,
-    solve_avg,
-)
+from .oneshot import LogLossCode, OneShotCode, _check_work, expected_distortion, solve_avg
 from .probability import Pmf, conditional_entropy, joint_from_source_and_channel
 from .ratedistortion import (_DEFAULT_TOL, RdPoint, SourceProblem, _first_close_pair, _rd_point,
                              distortion_bounds)
@@ -262,43 +254,9 @@ def _cell_cost_tables(cp: CorrespondingProblem) -> tuple[np.ndarray, np.ndarray]
     return w_d, w_l
 
 
-def _cell_blocks(cp: CorrespondingProblem):
-    """A generator of cell-cost blocks over the canonical encoders, in product order.
-
-    ``cells[side, n, m, j]`` is the cost of message m of encoder n of the
-    block decoded by kept index j, on the distortion (side 0) or log-loss
-    side (side 1).  The 10^7-pair guard is checked when this is called,
-    before any block is formed.
-    """
-    m_count = cp.n_messages
-    k = len(cp.y_rows)
-    _check_work(m_count ** cp.px.n * k ** m_count, "code pairs", _CODE_ENUM_GUARD)
-    blocks = _cell_sum_blocks(np.hstack(_cell_cost_tables(cp)), m_count, k ** m_count)
-    return (sums.reshape(len(sums), m_count, 2, k).transpose(2, 0, 1, 3) for _, sums in blocks)
-
-
-def _grid_into(a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """grid[j_0, ..., j_{M-1}, n] = ((a[n, 0, j_0] + a[n, 1, j_1]) + ...), in ``out``.
-
-    ``a[n, m, j]`` is the cost of message m of encoder n decoded by kept
-    index j.  The encoder is the last axis, so each add runs over the n
-    encoders of the tile, not over k decoder entries.  ``out`` and
-    ``spare`` are flat buffers of at least n * k^M floats; the partial sums
-    alternate between them so the last lands in ``out``.
-    """
-    n, m_count, k = a.shape
-    grid = (out if m_count % 2 else spare)[:k * n].reshape(k, n)
-    np.copyto(grid, a[:, 0].T)
-    for m in range(1, m_count):
-        buf = out if (m_count - m) % 2 else spare
-        grid = np.add(grid[..., None, :], a[:, m].T,
-                      out=buf[:grid.size * k].reshape(grid.shape[:-1] + (k, n)))
-    return grid
-
-
 @dataclass(frozen=True)
 class IdentitySweep:
-    """Identity residuals over every code pair.
+    """The largest identity residual over every code pair, of ``n_codes`` = M^r k^M.
 
     Both problems' optima are ``verify_optimum_coincidence``'s
     ``min_distortion`` and ``min_loss``.
@@ -315,41 +273,40 @@ class IdentitySweep:
 
 @_checked
 def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
-    """Residual of the affine identity over all M^r encoders and k^M decoders.
+    """The largest residual of the affine identity over all M^r encoders and k^M decoders.
 
-    Swapping messages 0 and 1 in both the encoder and the decoder leaves
-    both of a pair's costs the same floats (see ``_cell_sum_blocks``), so
-    the canonical encoders against every decoder reach every residual.
-    Guarded at 10^7 code pairs; ``identity_bound`` bounds every residual
+    Decoding symbol x by kept index j adds w_l(x, j) to a pair's expected
+    log loss and w_d(x, j) to its expected distortion, so a pair (f, g) has
+    the residual |sum_x e(x, g(f(x))) - C|, with e = w_l - lambda* w_d and
+    C = h - lambda* D*.  Under a fixed decoder each symbol picks its message
+    freely, so over the encoders the residual's extremes are
+    |sum_x max_{j in S} e(x, j) - C| and |sum_x min_{j in S} e(x, j) - C|,
+    with S the decoder's set of columns.  A larger S only widens them, and
+    every set of t = min(M, k) columns is some decoder's.  So the largest
+    residual is the largest of those two over the C(k, t) sets of t
+    columns, taken in ``itertools.combinations`` order in chunks of about
+    ``oneshot._BLOCK_ENTRIES`` cost entries.  Guarded at ``_DECODER_GUARD``
+    cost entries C(k, t) r t; ``identity_bound`` bounds every residual
     without enumerating them.
     """
+    r = cp.px.n
     m_count = cp.n_messages
     k = len(cp.y_rows)
-    h = cp.h_x_given_xhat
+    t = min(m_count, k)
+    _check_work(math.comb(k, t) * r * t, "column-set cost entries", oneshot._DECODER_GUARD)
+    w_d, w_l = _cell_cost_tables(cp)
     lam = cp.lambda_star
-    d_star = cp.d_star_m
-    # Taking the blocks checks the guard, before any buffer is allocated.
-    blocks = _cell_blocks(cp)
-
+    e = w_l - lam * w_d
+    offset = cp.h_x_given_xhat - lam * cp.d_star_m
+    sets = itertools.combinations(range(k), t)
+    step = max(oneshot._BLOCK_ENTRIES // (r * t), 1)
     max_resid = 0.0
-    # Residuals are formed in tiles of whole encoders, at most an eighth of
-    # the block budget in pairs (one encoder when it has more decoders), in
-    # three buffers reused for every tile.  Costs lie in [0, inf], so no
-    # residual is NaN and the tiles' maxima give the blocks' maxima.
-    pairs = k ** m_count
-    tile = max((oneshot._BLOCK_ENTRIES >> 3) // pairs, 1)
-    buffers = [np.empty(tile * pairs) for _ in range(3)]
-    for cells in blocks:
-        for start in range(0, cells.shape[1], tile):
-            grid_d, grid_l = (_grid_into(a[start:start + tile], out, buffers[2])
-                              for a, out in zip(cells, buffers))
-            # np.abs(grid_l - h - lam * (grid_d - d_star)), in place.
-            np.subtract(grid_l, h, out=grid_l)
-            np.subtract(grid_d, d_star, out=grid_d)
-            np.multiply(lam, grid_d, out=grid_d)
-            np.subtract(grid_l, grid_d, out=grid_l)
-            max_resid = max(max_resid, float(np.abs(grid_l, out=grid_l).max()))
-    return IdentitySweep(n_codes=m_count ** cp.px.n * pairs, max_residual=max_resid)
+    # w_d is finite and w_l lies in [0, inf], so no residual is NaN.
+    for chunk in iter(lambda: list(itertools.islice(sets, step)), []):
+        cells = e[:, np.array(chunk)]  # cells[x, n, i]: e of x under set n's column i
+        for extreme in (cells.max(axis=2), cells.min(axis=2)):
+            max_resid = max(max_resid, float(np.abs(extreme.sum(axis=0) - offset).max()))
+    return IdentitySweep(n_codes=m_count ** r * k ** m_count, max_residual=max_resid)
 
 
 @_checked
@@ -365,17 +322,20 @@ def identity_bound(cp: CorrespondingProblem) -> float:
 
         |sum_x mean_j e(x, j) - (h - lambda* D*)| + sum_x (max_j - min_j) e(x, j),
 
-    whatever the code, so the bound holds past the sweep's guard too.
+    whatever the code, so the bound holds at every size.
 
     The rest is a rounding allowance, so that the bound also dominates the
     residuals as the sweep rounds them, after this function's own rounding.
     Each rounding errs by at most 2^-53 of its result.  With S = sum_x
-    max_j w_l + lambda* sum_x max_j w_d + h + lambda* D*, the sweep's
-    results are at most S: it forms a pair's costs in at most r + M - 2
-    adds (the first add into each cell is exact) and its residual in four
-    more steps.  This function's results are at most 3S, and its roundings
-    add up to at most k + 20 times 2^-53 S: k for a row's mean, the rest
-    for e, the spreads, the sums over x, the offset and the last adds.
+    max_j w_l + lambda* sum_x max_j w_d + h + lambda* D*, each of the
+    sweep's results is at most S, and so is the sum over x of its results
+    per symbol.  It forms e in two roundings, a set's sum over x in r - 1
+    adds, C = h - lambda* D* in two and the residual in one subtraction:
+    r + 4 roundings, at most r + M + 2, as M >= 2 (at M = 1, D* is the
+    curve's zero-rate knee, where no corresponding problem is built).
+    This function's results are at most 3S, and its roundings add up to at
+    most k + 20 times 2^-53 S: k for a row's mean, the rest for e, the
+    spreads, the sums over x, the offset and the last adds.
     Hence (r + M + k + 22) 2^-53 S.
     """
     w_d, w_l = _cell_cost_tables(cp)
@@ -484,8 +444,8 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     most atol.  A zero-mass symbol costs nothing anywhere, so it takes
     every message.  Each set is kept as its decoders and each symbol's
     messages under them, and the sets coincide when those do.  That is
-    O(k^M r M) work, guarded at ``_DECODER_GUARD`` cost entries k^M r M, so
-    the check reaches past the 10^7-pair guard.
+    O(k^M r M) work, guarded at ``_DECODER_GUARD`` cost entries k^M r M,
+    against M^r k^M pairs.
 
     The exhaustive check compares float costs summed cell by cell, each
     within (r + M) 2^-53 of its exact value, relatively, as is each base

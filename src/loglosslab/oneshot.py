@@ -47,14 +47,14 @@ __all__ = [
 # search checks its count with _check_work before it allocates anything.
 # The costs at each limit are from a 2-core machine.
 #
-# Encoders in solve_avg_oracle, (encoder, decoder) pairs in identity_sweep,
-# and the pairs of a coincidence argmin set that is read.  solve_avg_oracle
-# at 5^10 encoders takes 1.1-1.4 s; the sweep on uniform Hamming 8 at M = 3
-# (3.4e6 pairs) takes 8-12 ms.
+# Encoders in solve_avg_oracle, the one search that lists codes: 5^10
+# encoders take 1.1-1.4 s.
 _CODE_ENUM_GUARD = 10_000_000
 # Cost entries k^M * r * M that verify_optimum_coincidence reads on each
-# side, over k^M decoders of r symbols and M messages.  Uniform Hamming 18 at
-# M = 4 (7.6e6 entries) takes 0.35-0.40 s.
+# side, over k^M decoders of r symbols and M messages, and C(k, t) * r * t
+# that identity_sweep reads over its sets of t = min(M, k) kept columns.
+# Uniform Hamming 18 at M = 4 (7.6e6 entries) takes 0.35-0.40 s in the
+# coincidence check; at M = 9 (7.9e6 entries) the sweep takes 90-100 ms.
 _DECODER_GUARD = 10_000_000
 # Column subsets scanned by solve_avg and solve_excess, or by all the scans of
 # solve_codebook together, at 9-10.5 us each: about 10 s at the limit.
@@ -70,8 +70,10 @@ _COVER_ALPHABET_GUARD = 12
 # 10^9 samples, drawn on two threads, take about 3 s (2.5-4 ns each); on one
 # core about 5 s.
 _SAMPLE_GUARD = 1_000_000_000
-# The exhaustive enumerations work on blocks of codes holding about this many
-# floats per code-indexed array, so memory stays bounded at every guard.
+# solve_avg_oracle works on blocks of codes holding about this many floats
+# per code-indexed array, and the equivalence checks on chunks of decoders or
+# column sets of about this many cost entries, so memory stays bounded at
+# every guard.
 _BLOCK_ENTRIES = 1 << 18
 # floor(exp(D)) with a whisker of slack so exact thresholds like D = ln 2
 # land on the intended integer.

@@ -755,19 +755,19 @@ class TestEquivCommand:
         assert "achieved distortion 0.0 misses the target 2.0000000000000002e+307" in err
         assert "exceeds ln M" not in err
 
-    def test_past_the_pair_guard_the_coincidence_is_counted(self, capsys, tmp_path):
+    def test_both_blocks_are_filled_at_1e11_code_pairs(self, capsys, tmp_path):
         # Uniform Hamming on 16 symbols at M = 3: 3^16 * 16^3 = 1.8e11 code
-        # pairs, past the 10^7 guard of the sweep, but 16^3 * 16 * 3 decoder
-        # costs for the coincidence check.  Measured at about 20 ms on a
-        # 2-core machine.
+        # pairs, from C(16, 3) * 16 * 3 cost entries for the sweep and
+        # 16^3 * 16 * 3 decoder costs for the coincidence check.  Measured
+        # at about 20 ms on a 2-core machine.
         path = write_problem(tmp_path, f"px: {[1 / 16] * 16}\ndistortion: hamming\n")
         start = time.perf_counter()
         report = run_report(capsys, ["equiv", path, "--messages", "3"])
         elapsed = time.perf_counter() - start
         identity = report["outputs"]["identity"]
-        assert identity["skipped"] is True
-        assert 0.0 < identity["residual_bound"] <= 1e-12
-        assert [identity[key] for key in ("n_codes", "max_residual")] == [None] * 2
+        assert identity["skipped"] is False
+        assert identity["n_codes"] == 3**16 * 16**3
+        assert 0.0 < identity["max_residual"] <= identity["residual_bound"] <= 1e-12
         coincidence = report["outputs"]["coincidence"]
         assert coincidence["matched"] is True
         assert coincidence["n_distortion_argmin"] == coincidence["n_loss_argmin"] == 5_356_925_280
@@ -779,20 +779,32 @@ class TestEquivCommand:
     def test_a_null_cell_prints_as_null_in_the_table(self, capsys, tmp_path):
         # Past the sweep's guard the report's max_residual is null, and the
         # table prints it as the report does, not as Python's None.
-        path = write_problem(tmp_path, f"px: {[1 / 16] * 16}\ndistortion: hamming\n")
-        code, out, _ = run_cli(capsys, ["equiv", path, "--messages", "3", "--format", "table"])
+        path = write_problem(tmp_path, f"px: {[1 / 20] * 20}\ndistortion: hamming\n")
+        code, out, _ = run_cli(capsys, ["equiv", path, "--messages", "7", "--format", "table"])
         assert code == 0
         header, row = (line.split("\t") for line in out.splitlines())
         assert dict(zip(header, row))["max_residual"] == "null"
         assert "None" not in out
 
-    def test_past_both_guards_reports_the_bound_alone(self, capsys, tmp_path):
-        # On 12 symbols at M = 10 a sweep tile is one encoder of 10^12
-        # decoders, whose buffers must not be allocated, and the count would
-        # read 12^10 * 12 * 10 costs.
+    def test_past_the_decoder_guard_the_identity_is_still_checked(self, capsys, tmp_path):
+        # On 12 symbols at M = 10 the count would read 12^10 * 12 * 10
+        # costs, and the sweep reads C(12, 10) * 12 * 10 = 7,920.
         path = write_problem(tmp_path, f"px: {[1 / 12] * 12}\ndistortion: hamming\n")
-        start = time.perf_counter()
         report = run_report(capsys, ["equiv", path, "--messages", "10"])
+        identity = report["outputs"]["identity"]
+        assert identity["skipped"] is False
+        assert identity["n_codes"] == 10**12 * 12**10
+        assert 0.0 < identity["max_residual"] <= identity["residual_bound"] <= 1e-12
+        assert [identity[key] for key in ("min_log_loss", "min_distortion")] == [None] * 2
+        assert report["outputs"]["coincidence"] is None
+
+    def test_past_both_guards_reports_the_bound_alone(self, capsys, tmp_path):
+        # On 20 symbols at M = 7 the sweep would read C(20, 7) * 20 * 7 =
+        # 10,852,800 cost entries and the count 20^7 * 20 * 7.  The build
+        # takes about 0.66 s; both refusals come at once.
+        path = write_problem(tmp_path, f"px: {[1 / 20] * 20}\ndistortion: hamming\n")
+        start = time.perf_counter()
+        report = run_report(capsys, ["equiv", path, "--messages", "7"])
         elapsed = time.perf_counter() - start
         identity = report["outputs"]["identity"]
         assert identity["skipped"] is True
@@ -817,6 +829,19 @@ class TestEquivCommand:
         assert (passed, code) == (0, 1)
         assert err == ("error: equiv: the coincidence check failed: the distortion and "
                        "log-loss argmin sets differ\n")
+        assert wall_clock_dropped(out) == wall_clock_dropped(want)
+
+    # A zero bound prints as the report prints 0.0.
+    @pytest.mark.parametrize("table, zero", [([], "0.0"), (["--format", "table"], "0")])
+    def test_a_residual_past_its_bound_exits_one_after_the_report(self, capsys, table, zero):
+        argv = ["equiv", SKEW3, "--messages", "2", *table]
+        passed = main(argv)
+        want = capsys.readouterr().out.replace("1.82890818134e-14", zero)
+        with mock.patch.object(cli, "identity_bound", lambda cp: 0.0):
+            code, out, err = run_cli(capsys, argv)
+        assert (passed, code) == (0, 1)
+        assert err == ("error: equiv: the identity check failed: max_residual "
+                       "1.1102230246251565e-16 exceeds residual_bound 0.0\n")
         assert wall_clock_dropped(out) == wall_clock_dropped(want)
 
     @pytest.mark.parametrize("units", [[], ["--bits"]])

@@ -5,13 +5,16 @@ logloss_avg_optimum, identity_sweep and verify_optimum_coincidence as they
 were before the enumerations moved onto numpy blocks and the partition scan
 became a subset DP.  Both form every float in the same order, so each
 comparison is bitwise.  verify_optimum_coincidence now counts its argmin
-sets over decoders; the exhaustive listing stays here as its oracle.
+sets over decoders, and identity_sweep takes its largest residual over
+column sets; the exhaustive listings stay here as their oracles.  The
+sweep's maximum is compared with the exact one, in Fractions.
 """
 
 import dataclasses
 import itertools
 import math
 import time
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 from unittest import mock
@@ -32,6 +35,7 @@ from loglosslab import (
     entropy,
     expected_distortion,
     hamming_distortion,
+    identity_bound,
     identity_sweep,
     logloss_avg_optimum,
     solve_avg,
@@ -155,6 +159,51 @@ def reference_identity_sweep(cp) -> IdentitySweep:
         max_resid = max(max_resid, float(resid.max()))
         n_codes += grid_d.size
     return IdentitySweep(n_codes=n_codes, max_residual=max_resid)
+
+
+def exact_residual_table(cp) -> tuple[list, Fraction]:
+    """The float table e = w_l - lambda* w_d and C = h - lambda* D*, as exact Fractions."""
+    w_d, w_l = _cell_cost_tables(cp)
+    e = [[Fraction(v) for v in row] for row in (w_l - cp.lambda_star * w_d).tolist()]
+    return e, Fraction(cp.h_x_given_xhat) - Fraction(cp.lambda_star) * Fraction(cp.d_star_m)
+
+
+def exact_max_over_pairs(cp) -> Fraction:
+    """The largest |sum_x e(x, g(f(x))) - C| over every code pair (f, g), exactly."""
+    e, c = exact_residual_table(cp)
+    return max(abs(sum(row[dec[m]] for row, m in zip(e, enc)) - c)
+               for dec in itertools.product(range(len(cp.y_rows)), repeat=cp.n_messages)
+               for enc in itertools.product(range(cp.n_messages), repeat=cp.px.n))
+
+
+def exact_max_over_sets(cp) -> Fraction:
+    """The largest |sum_x max_S e - C| and |sum_x min_S e - C| over sets S of min(M, k) columns."""
+    e, c = exact_residual_table(cp)
+    k = len(cp.y_rows)
+    return max(abs(sum(pick(row[j] for j in cols) for row in e) - c)
+               for cols in itertools.combinations(range(k), min(cp.n_messages, k))
+               for pick in (max, min))
+
+
+def sweep_allowance(cp) -> float:
+    """(r + 4) 2^-53 S: the sweep's rounding, as identity_bound counts it."""
+    w_d, w_l = _cell_cost_tables(cp)
+    lam = cp.lambda_star
+    scale = (w_l.max(axis=1).sum() + lam * w_d.max(axis=1).sum()
+             + cp.h_x_given_xhat + lam * cp.d_star_m)
+    return (cp.px.n + 4) * 2.0 ** -53 * scale
+
+
+def assert_sweep_is_exact(cp, sweep: IdentitySweep, listed: float) -> None:
+    """The sweep is within its allowance of the exact maximum; it and ``listed`` are in the bound.
+
+    ``listed`` is the exhaustive listing's maximum, and the bound is
+    identity_bound's.
+    """
+    assert sweep.n_codes == cp.n_messages ** cp.px.n * len(cp.y_rows) ** cp.n_messages
+    assert not sweep.sampled
+    assert abs(Fraction(sweep.max_residual) - exact_max_over_sets(cp)) <= sweep_allowance(cp)
+    assert max(sweep.max_residual, listed) <= identity_bound(cp)
 
 
 def reference_optimum_coincidence(cp, atol: float = 1e-9) -> CoincidenceReport:
@@ -359,23 +408,8 @@ TIE_CORPUS = {
 # these instances in one.
 block_entries = st.sampled_from([1, 7, 64, oneshot._BLOCK_ENTRIES])
 
-# identity_sweep forms residuals in tiles of an eighth of the block budget
-# in code pairs.  A budget of 40 k^M pairs makes tiles of five encoders in
-# blocks of M^t <= 40 encoders, so a block of more than five ends on a
-# short tile.
-SHORT_TILE = "short-tile"
-
-
-def short_tile_entries(cp) -> int:
-    return 40 * len(cp.y_rows) ** cp.n_messages
-
-
 def bits(value) -> str:
     return float(value).hex()
-
-
-def sweep_bits(sweep: IdentitySweep):
-    return (sweep.n_codes, sweep.sampled, bits(sweep.max_residual))
 
 
 def code_bits(code: LogLossCode, value: float):
@@ -448,8 +482,7 @@ class TestMatchesReferenceLoops:
             assert code_bits(*logloss_avg_optimum(px, n_messages)) \
                 == code_bits(*reference_logloss_avg_optimum(px, n_messages))
 
-    @given(problems(max_r=6), st.integers(2, 4),
-           st.one_of(block_entries, st.just(SHORT_TILE)),
+    @given(problems(max_r=6), st.integers(2, 4), block_entries,
            st.sampled_from([0.0, 1e-9, 1e-3]))
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
@@ -459,37 +492,15 @@ class TestMatchesReferenceLoops:
             cp = build_corresponding(problem, n_messages, tol=1e-10)
         except LoglossLabError:
             assume(False)
-        if entries == SHORT_TILE:
-            entries = short_tile_entries(cp)
         # The count either equals the listing or refuses a draw that has a
-        # gap it may not certify; the block budget also sets its chunks of
-        # decoders.
+        # gap it may not certify; the block budget also sets the chunks of
+        # column sets and of decoders.
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
             sweep = identity_sweep(cp)
             report = checked_coincidence(cp, atol)
-        assert sweep_bits(sweep) == sweep_bits(reference_identity_sweep(cp))
+        assert_sweep_is_exact(cp, sweep, reference_identity_sweep(cp).max_residual)
         if report is not None:
             assert_matches_reference(report, cp, atol)
-
-    @pytest.mark.parametrize("r, n_messages", [(5, 2), (6, 2), (4, 3)])
-    def test_identity_sweep_short_last_tile(self, r, n_messages):
-        w = np.random.default_rng(r).uniform(0.05, 1.0, r)
-        problem = SourceProblem(px=Pmf(w / w.sum()), distortion=hamming_distortion(r))
-        cp = build_corresponding(problem, n_messages, tol=1e-10)
-        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", short_tile_entries(cp)), \
-                mock.patch.object(equivalence, "_grid_into",
-                                  wraps=equivalence._grid_into) as grid_into:
-            blocks = list(equivalence._cell_blocks(cp))
-            sweep = identity_sweep(cp)
-        assert sweep_bits(sweep) == sweep_bits(reference_identity_sweep(cp))
-        # The tiles hold five encoders and end each block on a short one,
-        # and on each side they cover every encoder's cells once, in order.
-        assert all(len(cells[0]) > 5 and len(cells[0]) % 5 for cells in blocks)
-        tiles = [call.args[0] for call in grid_into.call_args_list]
-        assert {len(t) for t in tiles} == {5} | {len(cells[0]) % 5 for cells in blocks}
-        for side in (0, 1):
-            assert np.concatenate(tiles[side::2]).tobytes() \
-                == np.concatenate([cells[side] for cells in blocks]).tobytes()
 
     def test_uniform6_tie_case(self):
         # uniform6 at M=3: thousands of tied optimal pairs on both sides.
@@ -817,37 +828,6 @@ class TestCellSums:
         assert hex_entries(got) == hex_entries(want)
 
 
-def reference_grid(a):
-    """grid[j_0, ..., j_{M-1}, n] by a loop that adds the messages in order."""
-    n, m_count, k = a.shape
-    grid = np.empty((k,) * m_count + (n,))
-    for i in range(n):
-        for dec in itertools.product(range(k), repeat=m_count):
-            total = a[i, 0, dec[0]]
-            for m in range(1, m_count):
-                total = total + a[i, m, dec[m]]
-            grid[dec + (i,)] = total
-    return grid
-
-
-class TestGrid:
-    @pytest.mark.parametrize("m_count", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [1, 5])
-    def test_nested_sums_match_the_loop(self, m_count, n):
-        k = 3
-        rng = np.random.default_rng(10 * m_count + n)
-        # A strided view, as identity_sweep passes one side of its cells.
-        cells = rng.uniform(0.0, 3.0, (2, n + 2, m_count, k)) \
-            * rng.choice([1.0, 1e-9, 1e9], (2, n + 2, m_count, k))
-        a = cells[1, 1:n + 1]
-        size = n * k ** m_count
-        out, spare = np.full(size + 7, np.nan), np.full(size + 7, np.nan)
-        grid = equivalence._grid_into(a, out, spare)
-        assert np.shares_memory(grid, out)
-        assert grid.shape == (k,) * m_count + (n,)
-        assert hex_entries(grid) == hex_entries(reference_grid(a))
-
-
 # ----------------------------------------------------------------------
 # Scale: the largest instances run in bounded memory and time.
 # ----------------------------------------------------------------------
@@ -962,22 +942,21 @@ class TestScale:
         assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= 0.5, f"{elapsed:.2f}s"
 
-    @pytest.mark.parametrize("r, fields", [
-        (7, (750_141, False, "0x1.8000000000000p-51", "0x1.b4eeec003935dp+0",
-             "0x1.2492492492492p-1")),
-        (8, (3_359_232, False, "0x1.0000000000000p-50", "0x1.e0b4b026175f7p+0",
-             "0x1.4000000000000p-1")),
+    @pytest.mark.parametrize("r, listed, minima", [
+        (7, "0x1.8000000000000p-51", ("0x1.b4eeec003935dp+0", "0x1.2492492492492p-1")),
+        (8, "0x1.0000000000000p-50", ("0x1.e0b4b026175f7p+0", "0x1.4000000000000p-1")),
     ])
-    def test_identity_sweep_uniform_m3(self, r, fields, traced):
-        # Every pair of 3^r encoders and r^3 decoders.  The residuals are
-        # formed in tiles of at most 2^15 pairs, so a few buffers of that
-        # size bound the memory.  The two least costs are the coincidence
-        # check's.
+    def test_identity_sweep_uniform_m3(self, r, listed, minima, traced):
+        # Every pair of 3^r encoders and r^3 decoders, from the C(r, 3) sets
+        # of three columns.  ``listed`` is reference_identity_sweep's
+        # maximum, pinned, as the listing takes 0.2-0.5 s.  The two least
+        # costs are the coincidence check's.
         problem = SourceProblem(px=Pmf.uniform(r), distortion=hamming_distortion(r))
         cp = build_corresponding(problem, 3, tol=1e-8)
         sweep, elapsed, peak, _ = traced(identity_sweep, cp)
         report = verify_optimum_coincidence(cp)
-        assert sweep_bits(sweep) + (bits(report.min_loss), bits(report.min_distortion)) == fields
+        assert_sweep_is_exact(cp, sweep, float.fromhex(listed))
+        assert (bits(report.min_loss), bits(report.min_distortion)) == minima
         assert peak <= 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
 
@@ -1002,14 +981,47 @@ COINCIDENCE_WORK = {
 }
 
 
-@pytest.mark.parametrize("name, n_messages", COINCIDENCE_WORK)
-def test_coincidence_work_is_pinned(name, n_messages):
+def named_problem(name: str) -> SourceProblem:
+    """Uniform Hamming on r symbols for ``uniform<r>``, else the problem file of that name."""
     if name.startswith("uniform"):
         r = int(name[len("uniform"):])
-        problem = SourceProblem(px=Pmf.uniform(r), distortion=hamming_distortion(r))
-    else:
-        problem = load_problem(str(PROBLEMS / f"{name}.yaml")).problem
-    report = verify_optimum_coincidence(build_corresponding(problem, n_messages, tol=1e-10))
+        return SourceProblem(px=Pmf.uniform(r), distortion=hamming_distortion(r))
+    return load_problem(str(PROBLEMS / f"{name}.yaml")).problem
+
+
+@pytest.mark.parametrize("name, n_messages", COINCIDENCE_WORK)
+def test_coincidence_work_is_pinned(name, n_messages):
+    report = verify_optimum_coincidence(build_corresponding(named_problem(name), n_messages,
+                                                            tol=1e-10))
     assert report.matched
     assert (report.scored_decoders, len(report.distortion_argmin), len(report.loss_argmin)) \
         == COINCIDENCE_WORK[name, n_messages]
+
+
+# ----------------------------------------------------------------------
+# Exact arithmetic: the sweep's column sets reach every code pair's residual.
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, n_messages", [
+    ("skewed3", 2), ("skewed4_absdiff", 2), ("skewed4_absdiff", 3), ("uniform3", 2),
+    ("uniform4", 2), ("uniform4", 3), ("uniform6", 2), ("uniform5", 3)])
+def test_the_largest_residual_is_over_column_sets(name, n_messages):
+    # Over the float table e taken exactly, the largest residual of the
+    # M^r k^M code pairs is the largest over the sets of min(M, k) columns.
+    # The listing of uniform Hamming 5 at M = 3 sums 30,375 pairs in
+    # Fractions, in about 0.7 s.
+    cp = build_corresponding(named_problem(name), n_messages, tol=1e-10)
+    assert exact_max_over_pairs(cp) == exact_max_over_sets(cp)
+    assert_sweep_is_exact(cp, identity_sweep(cp), reference_identity_sweep(cp).max_residual)
+
+
+def test_the_largest_residual_is_over_column_sets_on_seeded_draws():
+    # Sixteen draws with tied or continuous distortions, pruned columns and,
+    # in one, a zero-mass symbol.
+    draws = seeded_draws(46, 16)
+    assert min(cp.px.probs.min() for cp in draws) == 0.0
+    assert any(len(cp.y_rows) < cp.problem.n_reconstruction for cp in draws)
+    for cp in draws:
+        assert exact_max_over_pairs(cp) == exact_max_over_sets(cp)
+        assert_sweep_is_exact(cp, identity_sweep(cp), reference_identity_sweep(cp).max_residual)

@@ -35,7 +35,7 @@ from loglosslab import (
     verify_sr,
     verify_theorem1,
 )
-from loglosslab import equivalence
+from loglosslab import equivalence, oneshot
 from loglosslab.equivalence import _cell_cost_tables
 from loglosslab.problemio import load_problem
 
@@ -75,6 +75,12 @@ def cp_u4():
 @pytest.fixture(scope="module")
 def cp_skew_a():
     return build_corresponding(skew_a(), 2, tol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def cp_u20_m7():
+    # Past the sweep's guard; the build takes about 0.66 s.
+    return build_corresponding(uniform_hamming(20), 7)
 
 
 class TestBuildCorresponding:
@@ -385,27 +391,30 @@ class TestIdentityBound:
                 continue
             assert identity_bound(cp) >= identity_sweep(cp).max_residual
 
-    def test_bound_holds_past_the_guard(self):
-        # 3^16 encoders times 16^3 decoders: 1.8e11 pairs, no sweep.
+    def test_bound_holds_past_the_guard(self, cp_u20_m7):
+        # 3^16 encoders times 16^3 decoders: 1.8e11 pairs, whose largest
+        # residual the sweep takes from C(16, 3) = 560 column sets.  Uniform
+        # Hamming 20 at M = 7 is past the sweep's guard, not the bound's.
         cp = build_corresponding(uniform_hamming(16), 3)
+        assert identity_sweep(cp).max_residual <= identity_bound(cp) <= 1e-12
         with pytest.raises(InstanceTooLargeError):
-            identity_sweep(cp)
-        assert 0.0 < identity_bound(cp) <= 1e-12
+            identity_sweep(cp_u20_m7)
+        assert 0.0 < identity_bound(cp_u20_m7) <= 1e-12
 
 
-def test_the_sweep_stops_at_the_pair_guard(refused):
-    # Uniform Hamming keeps all r columns.  On 9 symbols at M = 3 that is
-    # 3^9 encoders times 9^3 decoders.  On 10 at M = 6 a sweep tile is one
-    # encoder of 10^6 decoders, whose three buffers would take 24 MB.
-    for r, m, pairs in ((9, 3, 14348907), (10, 6, 60466176000000)):
-        cp = build_corresponding(uniform_hamming(r), m, tol=1e-10)
-        assert refused(identity_sweep, cp) == (
-            f"identity_sweep: {pairs} code pairs exceeds guard 10000000")
+def test_the_sweep_stops_at_the_decoder_guard(refused, cp_u20_m7):
+    # Uniform Hamming keeps all r columns, so the sweep reads C(r, M) r M
+    # cost entries: 10,852,800 on 20 symbols at M = 7.  On 10 at M = 6,
+    # 6.0e13 code pairs, it reads 12,600.
+    assert refused(identity_sweep, cp_u20_m7) == (
+        "identity_sweep: 10852800 column-set cost entries exceeds guard 10000000")
+    sweep = identity_sweep(build_corresponding(uniform_hamming(10), 6, tol=1e-10))
+    assert sweep.n_codes == 6**10 * 10**6
 
 
 def test_the_coincidence_check_stops_at_the_decoder_guard(refused):
     # It reads k^M * r * M costs on each side: 9^3 * 9 * 3 = 19,683 on 9
-    # symbols at M = 3, past the pair guard, and 10^6 * 10 * 6 on 10 at M = 6.
+    # symbols at M = 3 (1.4e7 code pairs), and 10^6 * 10 * 6 on 10 at M = 6.
     assert verify_optimum_coincidence(build_corresponding(uniform_hamming(9), 3)).matched
     cp = build_corresponding(uniform_hamming(10), 6, tol=1e-10)
     assert refused(verify_optimum_coincidence, cp) == (
@@ -451,14 +460,13 @@ class TestOptimumCoincidence:
             "which the R(D) point at D*(2) prunes (kept columns (0, 1, 2))")
 
     def test_the_count_reads_no_cell_block(self, cp_u4):
-        # The count works over decoders; only the sweep reads the encoders'
-        # cell costs.
-        with mock.patch.object(equivalence, "_cell_blocks",
-                               wraps=equivalence._cell_blocks) as blocks:
+        # The count works over decoders and the sweep over column sets;
+        # neither sums the encoders' cells.
+        with mock.patch.object(oneshot, "_cell_sum_blocks",
+                               wraps=oneshot._cell_sum_blocks) as blocks:
             verify_optimum_coincidence(cp_u4)
-            assert blocks.call_count == 0
             identity_sweep(cp_u4)
-        assert blocks.call_count == 1
+        assert blocks.call_count == 0
 
     def test_an_optimum_unique_up_to_the_swap_is_certified_at_atol_zero(self):
         # Its two pairs cost the same floats, and every other pair is
