@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .equivalence import (
     _COINCIDENCE_ATOL,
+    _FLOOR_TOL,
     ROW_MATCH_TOL,
     build_corresponding,
     identity_bound,
@@ -231,21 +232,20 @@ def _cmd_equiv(args) -> _CommandOutput:
     loaded = load_problem(args.problem)
     cp = build_corresponding(loaded.problem, args.messages, tol=args.tol)
     bound = identity_bound(cp)
-    # Past a check's guard its block is null.  Both stop at the decoder
-    # guard: the sweep at C(k, min(M, k)) r min(M, k) cost entries, the
-    # coincidence check at k^M r M.
+    # Past the column-set guard both blocks are null: the two checks read one
+    # pass over the sets of at most M kept columns, so both fit or neither.
     sweep = rep = None
     with contextlib.suppress(InstanceTooLargeError):
         sweep = identity_sweep(cp)
-    with contextlib.suppress(InstanceTooLargeError):
         rep = verify_optimum_coincidence(cp)
     coincidence = None if rep is None else {
         "matched": rep.matched,
         "min_distortion": rep.min_distortion,
         "min_log_loss": _in_unit(rep.min_loss, args),
-        "n_distortion_argmin": len(rep.distortion_argmin),
-        "n_loss_argmin": len(rep.loss_argmin),
-        "scored_decoders": rep.scored_decoders,
+        # len() refuses a size past sys.maxsize; __len__ returns it whole.
+        "n_distortion_argmin": rep.distortion_argmin.__len__(),
+        "n_loss_argmin": rep.loss_argmin.__len__(),
+        "scored_sets": rep.scored_sets,
     }
     identity = {"residual_bound": _in_unit(bound, args), "skipped": sweep is None,
                 "n_codes": sweep and sweep.n_codes,
@@ -263,13 +263,15 @@ def _cmd_equiv(args) -> _CommandOutput:
     }
     verdict = "skipped" if coincidence is None else (
         "pass" if coincidence["matched"] else "FAIL")
-    failed = []
-    if sweep is not None and not sweep.max_residual <= bound:
-        failed.append(f"the identity check failed: max_residual {identity['max_residual']!r} "
-                      f"exceeds residual_bound {identity['residual_bound']!r}")
-    if verdict == "FAIL":
-        failed.append("the coincidence check failed: the distortion and log-loss argmin "
-                      "sets differ")
+    # Each check that ran and failed, named; a NaN fails.
+    failed = [] if rep is None else [message for ok, message in [
+        (sweep.max_residual <= bound, f"the identity check failed: max_residual "
+         f"{identity['max_residual']!r} exceeds residual_bound {identity['residual_bound']!r}"),
+        (rep.matched, "the coincidence check failed: the distortion and log-loss argmin sets "
+         "differ"),
+        (rep.min_loss >= cp.h_x_given_xhat - _FLOOR_TOL, f"the floor check failed: min_log_loss "
+         f"{coincidence['min_log_loss']!r} lies more than {_in_unit(_FLOOR_TOL, args)!r} below "
+         f"h_x_given_xhat {outputs['h_x_given_xhat']!r}")] if not ok]
     return _CommandOutput(
         inputs={"problem": loaded.echo(),
                 "flags": {"messages": args.messages, "tol": args.tol}},

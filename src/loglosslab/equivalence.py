@@ -20,11 +20,12 @@ are rejected as out of scope.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -271,6 +272,24 @@ class IdentitySweep:
         return False
 
 
+def _column_sets(r: int, k: int, m_count: int):
+    """Every set of 1 to min(M, k) of the k kept columns, as chunks of index rows.
+
+    Sizes ascend, each in ``itertools.combinations`` order, and a chunk
+    holds about ``oneshot._BLOCK_ENTRIES`` cost entries, r t per set of t
+    columns.  Guarded at ``_COLUMN_SET_GUARD`` cost entries, the sum over t
+    of C(k, t) r t; both equivalence checks read this pass.
+    """
+    sizes = range(1, min(m_count, k) + 1)
+    _check_work(sum(math.comb(k, t) * r * t for t in sizes), "column-set cost entries",
+                oneshot._COLUMN_SET_GUARD)
+    for t in sizes:
+        sets = itertools.combinations(range(k), t)
+        step = max(oneshot._BLOCK_ENTRIES // (r * t), 1)
+        for chunk in iter(lambda: list(itertools.islice(sets, step)), []):
+            yield np.array(chunk)
+
+
 @_checked
 def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     """The largest residual of the affine identity over all M^r encoders and k^M decoders.
@@ -281,32 +300,25 @@ def identity_sweep(cp: CorrespondingProblem) -> IdentitySweep:
     C = h - lambda* D*.  Under a fixed decoder each symbol picks its message
     freely, so over the encoders the residual's extremes are
     |sum_x max_{j in S} e(x, j) - C| and |sum_x min_{j in S} e(x, j) - C|,
-    with S the decoder's set of columns.  A larger S only widens them, and
-    every set of t = min(M, k) columns is some decoder's.  So the largest
-    residual is the largest of those two over the C(k, t) sets of t
-    columns, taken in ``itertools.combinations`` order in chunks of about
-    ``oneshot._BLOCK_ENTRIES`` cost entries.  Guarded at ``_DECODER_GUARD``
-    cost entries C(k, t) r t; ``identity_bound`` bounds every residual
-    without enumerating them.
+    with S the decoder's set of columns, and every set of at most min(M, k)
+    columns is some decoder's.  So the largest residual is the largest of
+    those two over the sets of ``_column_sets``.  A smaller set's extremes
+    lie between a larger one's, also in floats, since min and max are exact
+    and rounded sums are monotone, so the sets of min(M, k) columns set the
+    maximum.  ``identity_bound`` bounds every residual without enumerating
+    them.
     """
-    r = cp.px.n
-    m_count = cp.n_messages
-    k = len(cp.y_rows)
-    t = min(m_count, k)
-    _check_work(math.comb(k, t) * r * t, "column-set cost entries", oneshot._DECODER_GUARD)
     w_d, w_l = _cell_cost_tables(cp)
     lam = cp.lambda_star
     e = w_l - lam * w_d
     offset = cp.h_x_given_xhat - lam * cp.d_star_m
-    sets = itertools.combinations(range(k), t)
-    step = max(oneshot._BLOCK_ENTRIES // (r * t), 1)
-    max_resid = 0.0
-    # w_d is finite and w_l lies in [0, inf], so no residual is NaN.
-    for chunk in iter(lambda: list(itertools.islice(sets, step)), []):
-        cells = e[:, np.array(chunk)]  # cells[x, n, i]: e of x under set n's column i
-        for extreme in (cells.max(axis=2), cells.min(axis=2)):
-            max_resid = max(max_resid, float(np.abs(extreme.sum(axis=0) - offset).max()))
-    return IdentitySweep(n_codes=m_count ** r * k ** m_count, max_residual=max_resid)
+    # e[:, chunk][x, n, i] is e of x under set n's column i.  w_d is finite
+    # and w_l lies in [0, inf], so no residual is NaN.
+    extremes = (pick(e[:, chunk], axis=2).sum(axis=0)
+                for chunk in _column_sets(cp.px.n, len(cp.y_rows), cp.n_messages)
+                for pick in (np.max, np.min))
+    return IdentitySweep(n_codes=cp.n_messages ** cp.px.n * len(cp.y_rows) ** cp.n_messages,
+                         max_residual=max(float(np.abs(x - offset).max()) for x in extremes))
 
 
 @_checked
@@ -355,18 +367,18 @@ class CoincidenceReport:
     """Argmin sets on both sides, in shared (encoder, kept-index) coordinates.
 
     ``verify_optimum_coincidence`` keeps each argmin set as its optimal
-    decoders and, under each, every symbol's set of messages.  ``len`` is
-    the set's size, counted from those without forming a pair; two sets are
-    equal, and hash alike, when their decoders and message sets are; and
-    iteration streams the (encoder, decoder) tuples decoder by decoder, in
-    product order, each decoder's encoders in ``itertools.product`` order.
-    By design a set is no sequence: it has no indexing and equals no tuple
-    of pairs, so to compare it with a listing, compare ``sorted`` of it.
+    sets of columns and, for each, every symbol's columns of near-least
+    cost.  ``len`` is the set's size, counted from those without forming a
+    pair (past ``sys.maxsize`` pairs ``len()`` refuses it, and ``__len__()``
+    returns it whole); two sets are equal, and hash alike, when those are; and iteration
+    streams the (encoder, decoder) tuples decoder by decoder, in product
+    order, each decoder's encoders in ``itertools.product`` order.  By
+    design a set is no sequence: it has no indexing and equals no tuple of
+    pairs, so to compare it with a listing, compare ``sorted`` of it.
     ``min_distortion`` and ``min_loss`` are the nested costs of each side's
-    first optimal pair.  ``scored_decoders`` counts the decoders whose
-    costs the check formed, over both sides: every decoder's base cost,
-    then the message sets of those near the least; it takes no part in
-    equality.
+    first optimal pair.  ``scored_sets`` counts the column sets whose costs
+    the check formed, over both sides: every set's base cost, then the
+    message tables of those near the least; it takes no part in equality.
     """
 
     min_distortion: float
@@ -374,55 +386,76 @@ class CoincidenceReport:
     distortion_argmin: Iterable
     loss_argmin: Iterable
     matched: bool
-    scored_decoders: int = field(compare=False)
+    scored_sets: int = field(compare=False)
 
 
 class _ArgminSet:
-    """(encoder, decoder) pairs: under each decoder, the product of its symbols' message sets.
+    """(encoder, decoder) pairs: under each decoder onto a kept set of columns, a product.
 
-    ``decoders`` holds the decoders' ordinals in product order, ascending,
-    and ``near[n, x, m]`` whether symbol x takes message m under decoder n,
-    of ``k`` kept columns.  Two sets are equal when those are.  Iteration
-    streams the pairs decoder by decoder, each decoder's encoders in
-    ``itertools.product`` order over its symbols' messages.
+    ``parts`` holds chunks ``(cols, near)`` of sets of t columns, t
+    ascending: ``cols[n]`` the n-th set's columns, ascending, and
+    ``near[n, x, i]`` whether symbol x may take a message decoded to column
+    ``cols[n, i]``.  The set's decoders are the maps of the M messages onto
+    one of those sets of columns; under a decoder each symbol takes the
+    messages decoded to its columns.  Two sets are equal when their M and
+    parts are, chunk by chunk: both sides of a check read the same chunks.
+    Iteration streams the pairs decoder by decoder in product order, each
+    decoder's encoders in ``itertools.product`` order over its symbols'
+    messages.  ``len`` counts them over the compositions n of M into t
+    positive parts: M! / prod_i n_i! decoders, each with prod_x sum_{i in
+    T_x} n_i encoders, with T_x symbol x's columns.
     """
 
-    __slots__ = ("_decoders", "_near", "_k", "_len")
+    __slots__ = ("_m", "_parts", "_len")
 
-    def __init__(self, decoders: np.ndarray, near: np.ndarray, k: int):
-        self._decoders = decoders
-        self._near = near
-        self._k = k
-        self._len = sum(map(math.prod, near.sum(axis=2).tolist()))
+    def __init__(self, m_count: int, parts: list):
+        self._m = m_count
+        self._len = 0
+        for cols, near in parts:
+            shares, ways = _compositions(m_count, cols.shape[1])
+            held = (near @ shares.T).transpose(2, 0, 1)  # held[c, n, x]: x's message count
+            self._len += sum(way * sum(map(math.prod, rows.tolist()))
+                             for way, rows in zip(ways, held))
+        self._parts = parts
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self):
-        decoders = _digit_tuples(self._decoders, self._k, self._near.shape[2])
-        for decoder, near in zip(decoders, self._near):
-            for encoder in itertools.product(*(np.flatnonzero(row).tolist() for row in near)):
+        # No two sets share a decoder, so the merge never compares the tables.
+        streams = [zip(_onto(cols, self._m), itertools.repeat((cols, near)))
+                   for part in self._parts for cols, near in zip(part[0].tolist(), part[1])]
+        for decoder, (cols, near) in heapq.merge(*streams):
+            held = near[:, [cols.index(j) for j in decoder]]
+            for encoder in itertools.product(*(np.flatnonzero(row).tolist() for row in held)):
                 yield encoder, decoder
 
+    def _key(self) -> tuple:
+        return (self._m,) + tuple((a.shape, a.tobytes()) for part in self._parts for a in part)
+
     def __eq__(self, other):
-        if not isinstance(other, _ArgminSet):
-            return NotImplemented
-        return (self._k == other._k and np.array_equal(self._decoders, other._decoders)
-                and np.array_equal(self._near, other._near))
+        return self._key() == other._key() if isinstance(other, _ArgminSet) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._k, self._near.shape, self._decoders.tobytes(), self._near.tobytes()))
+        return hash(self._key())
 
 
-def _digit_tuples(ordinals: np.ndarray, base: int, length: int) -> list:
-    """The codes of ``ordinals`` in product order, as tuples of Python ints."""
-    return list(zip(*(d.tolist() for d in np.unravel_index(ordinals, (base,) * length))))
+@cache
+def _compositions(m_count: int, t: int) -> tuple[np.ndarray, list]:
+    """The compositions n of M into t positive parts, one per row, and each one's M! / prod n_i!."""
+    shares = [np.diff((0, *c, m_count)) for c in itertools.combinations(range(1, m_count), t - 1)]
+    return np.array(shares), [math.factorial(m_count) // math.prod(map(math.factorial, row))
+                              for row in shares]
 
 
-def _decoder_costs(w: np.ndarray, decoders: np.ndarray, m_count: int) -> np.ndarray:
-    """costs[x, n, m] = w[x, j], with j digit m of decoder ordinal ``decoders[n]``."""
-    digits = np.unravel_index(decoders, (w.shape[1],) * m_count)
-    return w[:, np.stack(digits, axis=1)]
+def _onto(cols: list, m_count: int, prefix: tuple = ()):
+    """Every map of ``m_count`` messages onto ``cols`` (ascending) after ``prefix``, in order."""
+    if len(prefix) == m_count:
+        yield prefix
+        return
+    for j in cols:
+        if len(set(cols).difference(prefix, (j,))) < m_count - len(prefix):
+            yield from _onto(cols, m_count, prefix + (j,))
 
 
 @_checked
@@ -435,117 +468,123 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     names a column on the distortion side and a reverse row on the log-loss
     side.  The two argmin sets must coincide exactly under that naming.
 
-    The sets are counted over decoders, not listed over code pairs.  A pair
-    (f, g) costs sum_x w(x, g(f(x))), with w the per-symbol costs of
+    The sets are counted over sets of columns, not listed over code pairs.
+    A pair (f, g) costs sum_x w(x, g(f(x))), with w the per-symbol costs of
     ``_cell_cost_tables``.  Under a fixed decoder g each symbol picks its
     message alone, so g's pairs within atol of the optimum are the encoders
-    whose gap (g's base cost sum_x min_m w(x, g(m)), less the least base
-    cost) plus each symbol's excess w(x, g(f(x))) - min_m w(x, g(m)) is at
-    most atol.  A zero-mass symbol costs nothing anywhere, so it takes
-    every message.  Each set is kept as its decoders and each symbol's
-    messages under them, and the sets coincide when those do.  That is
-    O(k^M r M) work, guarded at ``_DECODER_GUARD`` cost entries k^M r M,
-    against M^r k^M pairs.
+    whose gap (g's base cost sum_x min_{j in S} w(x, j), less the least
+    base cost) plus each symbol's excess w(x, g(f(x))) - min_{j in S}
+    w(x, j) is at most atol.  All of that depends on g's set of columns S
+    alone, so it is formed once per set of ``_column_sets``: O(sum_t
+    C(k, t) r t) work, against M^r k^M pairs.  A zero-mass symbol costs
+    nothing anywhere, so it takes every message.  Each argmin set is kept
+    as its sets S and each symbol's columns in S, and the argmin sets
+    coincide when those do.
 
     The exhaustive check compares float costs summed cell by cell, each
     within (r + M) 2^-53 of its exact value, relatively, as is each base
-    cost formed here.  So with rho = 16 (r + M) 2^-53 (least base cost +
-    atol), a pair whose gap plus excesses, as formed here, is at most
-    atol - rho lies within atol of the float optimum, and one above atol +
-    rho does not.  A decoder whose gap exceeds atol + rho has no optimal
-    pair.  Under every other, a symbol takes the messages of excess at
-    most what is left of atol (atol less the gap) plus rho, and the
-    decoder's pairs are certified when its gap plus each symbol's largest
-    such excess is at most atol - rho.  When some decoder's are not, the
-    set is still exact if it is one pair, or one pair and its swap of
-    messages 0 and 1: those two cost the same floats, and the float
-    optimum lies among them.  Anything else raises VerificationError,
-    naming the decoder, its gap and the symbol of largest excess.  At
-    atol = 0 this certifies only an optimum unique up to that swap.
+    cost formed here (a minimum is exact, and the sum over x is a
+    decoder's).  So with rho = 16 (r + M) 2^-53 (least base cost + atol), a
+    pair whose gap plus excesses, as formed here, is at most atol - rho
+    lies within atol of the float optimum, and one above atol + rho does
+    not.  A set whose gap exceeds atol + rho has no optimal pair.  Under
+    every other, a symbol takes the columns of excess at most what is left
+    of atol (atol less the gap) plus rho, and the set's pairs are certified
+    when its gap plus each symbol's largest such excess is at most atol -
+    rho.  When some set's are not, the argmin set is still exact if it is
+    one pair, or one pair and its swap of messages 0 and 1: those two cost
+    the same floats, and the float optimum lies among them.  Anything else
+    raises VerificationError, naming the least decoder onto such a set in
+    product order, its gap and the symbol of largest excess.  At atol = 0
+    this certifies only an optimum unique up to that swap.
 
     ``min_distortion`` and ``min_loss`` are the nested costs, cells summed
     as the exhaustive check sums them, of each side's first optimal pair:
-    the least pair under the decoders within rho / 2 of the least base cost,
-    each symbol taking its first message of least cost.  With the rounding
-    of both sums that cost lies within rho of the float optimum.
+    the least pair under the decoders onto the sets within rho / 2 of the
+    least base cost, each symbol taking its first message of least cost.
+    With the rounding of both sums that cost lies within rho of the float
+    optimum.
     """
-    r = cp.px.n
-    m_count = cp.n_messages
-    k = len(cp.y_rows)
-    _check_work(k ** m_count * r * m_count, "decoder cost entries", oneshot._DECODER_GUARD)
-    step = max(oneshot._BLOCK_ENTRIES // (r * m_count), 1)
-    every = np.arange(k ** m_count)
+    r, m_count = cp.px.n, cp.n_messages
+    tables = _cell_cost_tables(cp)
+    chunks = [(cols, [w[:, cols].min(axis=2).sum(axis=0) for w in tables])
+              for cols in _column_sets(r, len(cp.y_rows), m_count)]
     sets, minima, scored = [], [], 0
-    for side, w in zip(("distortion", "log-loss"), _cell_cost_tables(cp)):
-        base = np.concatenate([_decoder_costs(w, every[i:i + step], m_count).min(axis=2).sum(axis=0)
-                               for i in range(0, len(every), step)])
-        low = float(base.min())
+    for side, w in enumerate(tables):
+        low = min(float(base[side].min()) for _, base in chunks)
         rho = 16 * (r + m_count) * 2.0 ** -53 * (low + atol)
-        gaps = base - low
-        decoders = np.flatnonzero(gaps <= atol + rho)
-        scored += len(every) + len(decoders)
-        near, dear, best = [], [], []
-        for i in range(0, len(decoders), step):
-            part = decoders[i:i + step]
-            costs = _decoder_costs(w, part, m_count)
-            excess = costs - costs.min(axis=2, keepdims=True)
-            counted = excess <= (atol - gaps[part] + rho)[:, None]
-            near.append(counted.transpose(1, 0, 2))
-            dear.append(np.where(counted, excess, 0.0).max(axis=2))
-            best.append(costs.argmin(axis=2).T)
-        argmin = _ArgminSet(decoders, np.concatenate(near), k)
-        dear = np.hstack(dear)  # dear[x, n]: symbol x's dearest message under decoder n
-        unsure = np.flatnonzero(gaps[decoders] + dear.sum(axis=0) > atol - rho)
-        if len(unsure) and not _one_swap_orbit(argmin):
-            n = unsure[0]
-            x = int(dear[:, n].argmax())
-            symbol = (f" and symbol {x} may take a message {float(dear[x, n])!r} dearer than "
-                      f"its best" if dear[x, n] > 0.0 else "")
+        parts, unsure, tied = [], [], []
+        for cols, base in chunks:
+            gaps = base[side] - low
+            kept = gaps <= atol + rho
+            scored += len(cols) + int(kept.sum())
+            if not kept.any():
+                continue
+            cols, gaps = cols[kept], gaps[kept]
+            costs = w[:, cols]  # costs[x, n, i]: w of x under set n's column i
+            least = costs.min(axis=2, keepdims=True)
+            excess = costs - least
+            counted = excess <= (atol - gaps + rho)[:, None]
+            parts.append((cols, counted.transpose(1, 0, 2)))
+            dear = np.where(counted, excess, 0.0).max(axis=2)  # dear[x, n]: x's dearest column
+            # The first unsure set, by its least decoder in product order.
+            doubt = np.flatnonzero(gaps + dear.sum(axis=0) > atol - rho)[:1]
+            unsure += [(tuple(row[:1] * (m_count - len(row)) + row), float(gaps[n]), dear[:, n])
+                       for n, row in zip(doubt, cols[doubt].tolist())]
+            tie = gaps <= rho / 2
+            if tie.any():
+                tied.append(_least_pair(cols[tie], (costs == least)[:, tie], m_count))
+        argmin = _ArgminSet(m_count, parts)
+        # Relabeling the messages keeps a pair's cost, so an argmin set holds
+        # every relabeling of its pairs.  With M >= 2 a set of two pairs is
+        # then one pair and its swap of messages 0 and 1 (M = 2).
+        if unsure and len(argmin) > min(m_count, 2):
+            decoder, gap, dear = min(unsure, key=lambda case: case[0])
+            x = int(dear.argmax())
+            symbol = (f" and symbol {x} may take a message {float(dear[x])!r} dearer than "
+                      f"its best" if dear[x] > 0.0 else "")
             raise VerificationError(
-                f"the {side} argmin set is not certified at atol {atol!r}: decoder "
-                f"{_digit_tuples(decoders[n:n + 1], k, m_count)[0]} lies "
-                f"{float(gaps[decoders[n]])!r} above the least cost{symbol}; with its "
-                f"symbols' excesses that passes atol less the rounding allowance {rho!r}, so "
-                f"rounding or their sum decides which of its pairs are optimal")
+                f"the {('distortion', 'log-loss')[side]} argmin set is not certified at atol "
+                f"{atol!r}: decoder {decoder} lies {gap!r} above the least cost{symbol}; with "
+                f"its symbols' excesses that passes atol less the rounding allowance {rho!r}, "
+                f"so rounding or their sum decides which of its pairs are optimal")
         sets.append(argmin)
-        tied = gaps[decoders] <= rho / 2
-        minima.append(_first_pair_cost(decoders[tied], np.concatenate(best)[tied], w, m_count))
+        encoder, prefix = min(tied)
+        # Cells summed in x order, then ((cell 0 + cell 1) + ...), as the
+        # exhaustive check sums a pair; a message past the prefix adds 0.0.
+        cells = [0.0] * m_count
+        for x, m in enumerate(encoder):
+            cells[m] += w[x, prefix[m]]
+        minima.append(float(reduce(np.add, cells)))
     matched = sets[0] == sets[1]
-    return CoincidenceReport(
-        min_distortion=minima[0],
-        min_loss=minima[1],
-        distortion_argmin=sets[0],
-        loss_argmin=sets[0] if matched else sets[1],
-        matched=matched,
-        scored_decoders=scored,
-    )
+    return CoincidenceReport(min_distortion=minima[0], min_loss=minima[1],
+                             distortion_argmin=sets[0],
+                             loss_argmin=sets[0] if matched else sets[1],
+                             matched=matched, scored_sets=scored)
 
 
-def _one_swap_orbit(argmin: _ArgminSet) -> bool:
-    """Whether the set is one pair, or one pair and its swap of messages 0 and 1.
+def _least_pair(cols: np.ndarray, ties: np.ndarray, m_count: int) -> tuple:
+    """The least (encoder, decoder prefix) under the decoders onto the sets ``cols``.
 
-    The set holds the swap of each of its pairs, which exchanges two
-    messages' columns and their symbols' excesses.  So two pairs are one
-    pair and its swap unless the swap fixes both: no symbol in message 0
-    or 1, and one column for both.
+    ``ties[x, n, i]`` is whether ``cols[n, i]`` is one of symbol x's
+    least-cost columns in set n.  Under a decoder g, symbol x takes the
+    first message m with g(m) among those.  Over the decoders onto a set,
+    the least encoder comes symbol by symbol: each takes the first message
+    whose candidate columns (at first, every column) meet its own, and
+    narrows them to those, and only the sets where it takes the least
+    message stay.  The least decoder's prefix decodes each message that
+    holds a symbol to its least candidate, which costs each of its symbols
+    that symbol's least cost.
     """
-    n_dec, r, m_count = argmin._near.shape
-    if len(argmin) != 2 or m_count == 1:
-        return len(argmin) == 1
-    digits = np.unravel_index(argmin._decoders, (argmin._k,) * m_count)
-    return bool(argmin._near[:, :, :2].any() or (digits[0] != digits[1]).any())
-
-
-def _first_pair_cost(decoders: np.ndarray, messages: np.ndarray, w: np.ndarray,
-                     m_count: int) -> float:
-    """The cost of the least pair (``messages[n]``, decoder ``decoders[n]``), nested.
-
-    Each cell is summed in x order, then ((cell 0 + cell 1) + ...), as the
-    exhaustive check sums a pair.
-    """
-    n = np.lexsort((decoders,) + tuple(messages[:, ::-1].T))[0]
-    dec = _digit_tuples(decoders[n:n + 1], w.shape[1], m_count)[0]
-    cells = [0.0] * m_count
-    for x, m in enumerate(messages[n].tolist()):
-        cells[m] += w[x, dec[m]]
-    return float(reduce(np.add, cells))
+    masks = ties @ (1 << np.arange(cols.shape[1]))  # masks[x, n]: bit i for column i
+    held = np.full((len(cols), m_count), -1)  # each message's candidates; -1: every column
+    encoder = []
+    for x in range(len(masks)):
+        first = ((held & masks[x, :, None]) != 0).argmax(axis=1)
+        encoder.append(int(first.min()))
+        keep = first == encoder[-1]
+        cols, held, masks = cols[keep], held[keep], masks[:, keep]
+        held[:, encoder[-1]] &= masks[x]
+    used = held[:, :max(encoder) + 1]
+    at = np.log2(used & -used).astype(int)  # each message's least candidate
+    return tuple(encoder), min(map(tuple, np.take_along_axis(cols, at, axis=1).tolist()))

@@ -50,12 +50,12 @@ __all__ = [
 # Encoders in solve_avg_oracle, the one search that lists codes: 5^10
 # encoders take 1.1-1.4 s.
 _CODE_ENUM_GUARD = 10_000_000
-# Cost entries k^M * r * M that verify_optimum_coincidence reads on each
-# side, over k^M decoders of r symbols and M messages, and C(k, t) * r * t
-# that identity_sweep reads over its sets of t = min(M, k) kept columns.
-# Uniform Hamming 18 at M = 4 (7.6e6 entries) takes 0.35-0.40 s in the
-# coincidence check; at M = 9 (7.9e6 entries) the sweep takes 90-100 ms.
-_DECODER_GUARD = 10_000_000
+# Cost entries read by the one pass over sets of kept columns that both
+# equivalence checks make: C(k, t) * r * t over the sets of t columns, for
+# t = 1 .. min(M, k), of r symbols each.  Uniform Hamming 20 at M = 6
+# (6.7e6 entries) takes 0.34-0.50 s in the coincidence check and 55-80 ms
+# in the sweep.
+_COLUMN_SET_GUARD = 10_000_000
 # Column subsets scanned by solve_avg and solve_excess, or by all the scans of
 # solve_codebook together, at 9-10.5 us each: about 10 s at the limit.
 # C(20, 10) = 184,756 takes 1.7-2.0 s.
@@ -71,9 +71,8 @@ _COVER_ALPHABET_GUARD = 12
 # core about 5 s.
 _SAMPLE_GUARD = 1_000_000_000
 # solve_avg_oracle works on blocks of codes holding about this many floats
-# per code-indexed array, and the equivalence checks on chunks of decoders or
-# column sets of about this many cost entries, so memory stays bounded at
-# every guard.
+# per code-indexed array, and the equivalence checks on chunks of column sets
+# of about this many cost entries, so memory stays bounded at every guard.
 _BLOCK_ENTRIES = 1 << 18
 # floor(exp(D)) with a whisker of slack so exact thresholds like D = ln 2
 # land on the intended integer.
@@ -210,21 +209,6 @@ def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
             yield block * rows + every_tail, sums
 
 
-def _least_costs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lows, least): each cell's least cost and each code's least cost.
-
-    ``cells[..., m, j]`` is the cost of cell m of a code decoded by column
-    j.  ``lows`` is its minimum over j, taken as elementwise passes over
-    the few columns; a minimum is exact, and the costs reduced here are
-    never NaN or -0.0, so it equals cells.min(axis=-1) bit for bit.
-    ``least`` is the left-nested sum ((lows[..., 0] + lows[..., 1]) + ...)
-    over the cells; rounded addition is monotone, so it is the least cost
-    of the code over every decoder.
-    """
-    lows = reduce(np.minimum, [cells[..., j] for j in range(cells.shape[-1])])
-    return lows, reduce(np.add, [lows[..., m] for m in range(lows.shape[-1])])
-
-
 def _subset_code(problem: SourceProblem, subset: tuple[int, ...]) -> OneShotCode:
     """Code decoding message m to subset[m]; each symbol goes to its nearest, the first on ties."""
     encoder = tuple(int(i) for i in problem.distortion[:, subset].argmin(axis=1))
@@ -282,7 +266,13 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: Count) -> float:
     best_code: OneShotCode | None = None
     for ordinals, sums in _cell_sum_blocks(weighted, n_messages,
                                            n_messages * problem.n_reconstruction):
-        cost = _least_costs(sums)[1]
+        # Each cell's least cost over the columns, as elementwise passes (a
+        # minimum is exact, and no cost is NaN or -0.0, so this is
+        # sums.min(axis=-1) bit for bit), then the nested sum over the cells,
+        # ((cell 0 + cell 1) + ...): rounded addition is monotone, so it is
+        # the code's least cost over every decoder.
+        lows = reduce(np.minimum, [sums[..., j] for j in range(sums.shape[-1])])
+        cost = reduce(np.add, [lows[..., m] for m in range(n_messages)])
         i = int(cost.argmin())
         if cost[i] < best:
             best = float(cost[i])

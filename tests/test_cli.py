@@ -713,7 +713,7 @@ class TestEquivCommand:
         assert out["identity"]["max_residual"] < 1e-6
         assert out["identity"]["max_residual"] <= out["identity"]["residual_bound"] <= 1e-9
         assert out["coincidence"]["matched"] is True
-        assert out["coincidence"]["scored_decoders"] > 0
+        assert out["coincidence"]["scored_sets"] > 0
 
     def test_table_verdict(self, capsys):
         code, out, _ = run_cli(
@@ -757,9 +757,9 @@ class TestEquivCommand:
 
     def test_both_blocks_are_filled_at_1e11_code_pairs(self, capsys, tmp_path):
         # Uniform Hamming on 16 symbols at M = 3: 3^16 * 16^3 = 1.8e11 code
-        # pairs, from C(16, 3) * 16 * 3 cost entries for the sweep and
-        # 16^3 * 16 * 3 decoder costs for the coincidence check.  Measured
-        # at about 20 ms on a 2-core machine.
+        # pairs, from the (16 + 2 C(16, 2) + 3 C(16, 3)) * 16 cost entries
+        # of the sets of at most three columns, read by both checks.
+        # Measured at about 20 ms on a 2-core machine.
         path = write_problem(tmp_path, f"px: {[1 / 16] * 16}\ndistortion: hamming\n")
         start = time.perf_counter()
         report = run_report(capsys, ["equiv", path, "--messages", "3"])
@@ -786,22 +786,39 @@ class TestEquivCommand:
         assert dict(zip(header, row))["max_residual"] == "null"
         assert "None" not in out
 
-    def test_past_the_decoder_guard_the_identity_is_still_checked(self, capsys, tmp_path):
-        # On 12 symbols at M = 10 the count would read 12^10 * 12 * 10
-        # costs, and the sweep reads C(12, 10) * 12 * 10 = 7,920.
+    def test_both_blocks_are_filled_past_1e10_optimal_pairs(self, capsys, tmp_path):
+        # On 12 symbols at M = 10 a count over decoders would read 12^10 *
+        # 12 * 10 costs; both checks read the 293,184 cost entries of the
+        # sets of at most ten columns, and the 66 sets of ten are optimal.
         path = write_problem(tmp_path, f"px: {[1 / 12] * 12}\ndistortion: hamming\n")
         report = run_report(capsys, ["equiv", path, "--messages", "10"])
         identity = report["outputs"]["identity"]
         assert identity["skipped"] is False
         assert identity["n_codes"] == 10**12 * 12**10
         assert 0.0 < identity["max_residual"] <= identity["residual_bound"] <= 1e-12
-        assert [identity[key] for key in ("min_log_loss", "min_distortion")] == [None] * 2
-        assert report["outputs"]["coincidence"] is None
+        coincidence = report["outputs"]["coincidence"]
+        assert coincidence["matched"] is True
+        assert coincidence["n_distortion_argmin"] == coincidence["n_loss_argmin"] \
+            == 23_950_080_000
+        assert coincidence["scored_sets"] == 2 * (4082 + 66)
+        assert [identity[key] for key in ("min_log_loss", "min_distortion")] \
+            == [coincidence[key] for key in ("min_log_loss", "min_distortion")]
+
+    def test_an_argmin_set_past_sys_maxsize_is_counted_whole(self, capsys, tmp_path):
+        # Uniform Hamming 24 at M = 5: C(24, 5) sets of five columns, 5!
+        # decoders onto each, and 5^19 encoders under each, more pairs than
+        # len() returns.  The report prints the count.
+        path = write_problem(tmp_path, f"px: {[1 / 24] * 24}\ndistortion: hamming\n")
+        coincidence = run_report(capsys, ["equiv", path, "--messages", "5"])["outputs"][
+            "coincidence"]
+        assert coincidence["matched"] is True
+        assert coincidence["n_distortion_argmin"] == coincidence["n_loss_argmin"] \
+            == math.comb(24, 5) * math.factorial(5) * 5**19 > sys.maxsize
 
     def test_past_both_guards_reports_the_bound_alone(self, capsys, tmp_path):
-        # On 20 symbols at M = 7 the sweep would read C(20, 7) * 20 * 7 =
-        # 10,852,800 cost entries and the count 20^7 * 20 * 7.  The build
-        # takes about 0.66 s; both refusals come at once.
+        # On 20 symbols at M = 7 both checks would read the 17,518,400 cost
+        # entries of the sets of at most seven columns.  The build takes
+        # about 0.66 s; the refusal comes at once.
         path = write_problem(tmp_path, f"px: {[1 / 20] * 20}\ndistortion: hamming\n")
         start = time.perf_counter()
         report = run_report(capsys, ["equiv", path, "--messages", "7"])
@@ -844,19 +861,50 @@ class TestEquivCommand:
                        "1.1102230246251565e-16 exceeds residual_bound 0.0\n")
         assert wall_clock_dropped(out) == wall_clock_dropped(want)
 
-    @pytest.mark.parametrize("units", [[], ["--bits"]])
-    def test_identity_optima_are_the_coincidence_optima(self, capsys, units):
+    @pytest.mark.parametrize("units, floor", [
+        ([], "min_log_loss 0.5 lies more than 1e-09 below h_x_given_xhat 0.639031859650177"),
+        (["--bits"], "min_log_loss 0.7213475204444817 lies more than 1.4426950408889636e-09 "
+                     "below h_x_given_xhat 0.9219280948873624")], ids=["nats", "bits"])
+    def test_identity_optima_are_the_coincidence_optima(self, capsys, units, floor):
         # The identity block prints the coincidence report's optima: moved
-        # there, they move in both blocks.
+        # there, they move in both blocks.  A least log loss of 0.5 nats lies
+        # below H(X | Xhat*), which fails the floor check.
         def moved(cp):
             report = equivalence.verify_optimum_coincidence(cp)
             return dataclasses.replace(report, min_distortion=0.25, min_loss=0.5)
 
         with mock.patch.object(cli, "verify_optimum_coincidence", moved):
-            out = run_report(capsys, ["equiv", SKEW3, "--messages", "2", *units])["outputs"]
+            code, out, err = run_cli(capsys, ["equiv", SKEW3, "--messages", "2", *units])
+        out = json.loads(out)["outputs"]
+        assert code == 1
+        assert err == f"error: equiv: the floor check failed: {floor}\n"
         assert out["identity"]["min_distortion"] == 0.25
         for key in ("min_distortion", "min_log_loss"):
             assert out["identity"][key] == out["coincidence"][key]
+
+    def test_a_least_log_loss_below_the_floor_exits_one_after_the_report(self, capsys,
+                                                                          tmp_path):
+        # px = random(5) normalized and distortion random((5, 4)) * 1e-6,
+        # from default_rng(20), at M = 2: the least log loss lies 0.0868
+        # below H(X | Xhat*), within identity_bound, which cannot catch it.
+        rng = np.random.default_rng(20)
+        px = rng.random(5)
+        distortion = rng.random((5, 4)) * 1e-6
+        path = write_problem(tmp_path, f"px: {(px / px.sum()).tolist()}\n"
+                                       f"distortion: {distortion.tolist()}\n")
+        argv = ["equiv", path, "--messages", "2"]
+        code, out, err = run_cli(capsys, argv)
+        with mock.patch.object(cli, "_FLOOR_TOL", math.inf):
+            passed, want, _ = run_cli(capsys, argv)
+        assert (code, passed) == (1, 0)
+        assert err == ("error: equiv: the floor check failed: min_log_loss 0.864598975570107 "
+                       "lies more than 1e-09 below h_x_given_xhat 0.9513583359552071\n")
+        assert wall_clock_dropped(out) == wall_clock_dropped(want)
+        report = json.loads(out)["outputs"]
+        assert report["coincidence"]["matched"] is True
+        assert (report["coincidence"]["min_log_loss"], report["h_x_given_xhat"]) \
+            == (0.86459897557, 0.951358335955)
+        assert report["identity"]["max_residual"] <= report["identity"]["residual_bound"]
 
     def test_optimum_off_the_support_exits_one(self, capsys, tmp_path):
         # The one-shot optimum at M = 2 decodes to column 3, which the R(D)

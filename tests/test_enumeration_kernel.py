@@ -5,8 +5,8 @@ logloss_avg_optimum, identity_sweep and verify_optimum_coincidence as they
 were before the enumerations moved onto numpy blocks and the partition scan
 became a subset DP.  Both form every float in the same order, so each
 comparison is bitwise.  verify_optimum_coincidence now counts its argmin
-sets over decoders, and identity_sweep takes its largest residual over
-column sets; the exhaustive listings stay here as their oracles.  The
+sets, and identity_sweep takes its largest residual, over column sets; the
+exhaustive listings stay here as their oracles.  The
 sweep's maximum is compared with the exact one, in Fractions.
 """
 
@@ -162,9 +162,15 @@ def reference_identity_sweep(cp) -> IdentitySweep:
 
 
 def exact_residual_table(cp) -> tuple[list, Fraction]:
-    """The float table e = w_l - lambda* w_d and C = h - lambda* D*, as exact Fractions."""
+    """The float table e = w_l - lambda* w_d and C = h - lambda* D*, as exact Fractions.
+
+    An entry of e is +inf where a reverse row puts no mass on a symbol of
+    positive mass; it stays the float inf, which every sum through it
+    reaches.
+    """
     w_d, w_l = _cell_cost_tables(cp)
-    e = [[Fraction(v) for v in row] for row in (w_l - cp.lambda_star * w_d).tolist()]
+    e = [[Fraction(v) if v < math.inf else v for v in row]
+         for row in (w_l - cp.lambda_star * w_d).tolist()]
     return e, Fraction(cp.h_x_given_xhat) - Fraction(cp.lambda_star) * Fraction(cp.d_star_m)
 
 
@@ -202,7 +208,11 @@ def assert_sweep_is_exact(cp, sweep: IdentitySweep, listed: float) -> None:
     """
     assert sweep.n_codes == cp.n_messages ** cp.px.n * len(cp.y_rows) ** cp.n_messages
     assert not sweep.sampled
-    assert abs(Fraction(sweep.max_residual) - exact_max_over_sets(cp)) <= sweep_allowance(cp)
+    exact = exact_max_over_sets(cp)
+    if exact == math.inf:
+        assert sweep.max_residual == math.inf
+    else:
+        assert abs(Fraction(sweep.max_residual) - exact) <= sweep_allowance(cp)
     assert max(sweep.max_residual, listed) <= identity_bound(cp)
 
 
@@ -225,7 +235,7 @@ def reference_optimum_coincidence(cp, atol: float = 1e-9) -> CoincidenceReport:
     return CoincidenceReport(min_distortion=best_d, min_loss=best_l,
                              distortion_argmin=tuple(sorted(set_d)),
                              loss_argmin=tuple(sorted(set_l)), matched=set_d == set_l,
-                             scored_decoders=2 * len(encoders) * len(cp.y_rows) ** cp.n_messages)
+                             scored_sets=0)
 
 
 def nested_cost(cp, side: int, pair) -> float:
@@ -548,10 +558,11 @@ ARGMIN_CASES = {
     "unmatched": (UNMATCHED, 2, 0.06),
 }
 MATCHED_CASES = {"uniform5-m3", "uniform4-m2-atol"}
-# The decoders each case's count scores, over both sides: all k^M on each
-# side, then those within atol of the least base cost.
-SCORED_DECODERS = {"uniform5-m3": 370, "uniform4-m2-atol": 64, "skewed3-m2-atol": 29,
-                   "unmatched": 24}
+# The column sets each case's count scores, over both sides: every set of
+# at most M of the k kept columns on each side, then those within atol of
+# the least base cost.
+SCORED_SETS = {"uniform5-m3": 70, "uniform4-m2-atol": 40, "skewed3-m2-atol": 18,
+               "unmatched": 15}
 
 
 class TestArgminSets:
@@ -574,8 +585,8 @@ class TestArgminSets:
         for listing in (ref.distortion_argmin, list(ref.distortion_argmin)):
             assert report.distortion_argmin != listing and listing != report.distortion_argmin
         # Equality ignores the work count.
-        assert report.scored_decoders == SCORED_DECODERS[name] != ref.scored_decoders
-        recount = dataclasses.replace(report, scored_decoders=0)
+        assert report.scored_sets == SCORED_SETS[name] != ref.scored_sets
+        recount = dataclasses.replace(report, scored_sets=0)
         assert recount == report and hash(recount) == hash(report)
 
     def test_one_message_has_no_swap(self):
@@ -626,47 +637,91 @@ class TestArgminSets:
             assert stream.call_count == 2
 
 
+def least_pair_listed(cols, ties, m_count):
+    """The least (encoder, decoder) over the decoders onto each set of ``cols``, listed.
+
+    Under a decoder g, symbol x takes the first message m whose column g(m)
+    ``ties`` marks for x in that set.
+    """
+    pairs = []
+    for n, row in enumerate(cols.tolist()):
+        for dec in itertools.product(row, repeat=m_count):
+            if set(dec) == set(row):
+                enc = tuple(next(m for m in range(m_count) if ties[x, n, row.index(dec[m])])
+                            for x in range(ties.shape[0]))
+                pairs.append((enc, dec))
+    return min(pairs)
+
+
+def test_the_first_pair_is_the_least_over_the_decoders():
+    # Random sets of t columns of k, and random least-cost columns for each
+    # symbol: the greedy's encoder and decoder prefix are the least pair's.
+    rng = np.random.default_rng(47)
+    for _ in range(400):
+        k, m_count, r = (int(v) for v in rng.integers(1, [6, 5, 7]))
+        t = int(rng.integers(1, min(k, m_count) + 1))
+        sets = sorted({tuple(sorted(rng.choice(k, t, replace=False).tolist()))
+                       for _ in range(int(rng.integers(1, 5)))})
+        cols = np.array(sets)
+        ties = rng.random((r, len(sets), t)) < 0.4
+        # Each symbol has a least-cost column in each set.
+        best = rng.integers(t, size=(r, len(sets)))
+        ties[np.arange(r)[:, None], np.arange(len(sets)), best] = True
+        encoder, decoder = least_pair_listed(cols, ties, m_count)
+        assert equivalence._least_pair(cols, ties, m_count) \
+            == (encoder, decoder[:max(encoder) + 1])
+
+
 class TestReads:
     # Shapes of many symbols, many messages, one column and many columns.
     @pytest.mark.parametrize("r, m_count, k", [(20, 2, 3), (8, 3, 11),
-                                               (23, 2, 1), (1, 2, 2236)])
+                                               (12, 2, 1), (1, 2, 2236)])
     def test_extreme_pairs_stream_in_product_order(self, r, m_count, k):
-        # The last decoder's symbols take message M - 1 and the first's, if
-        # another, message 0, but for the last symbol, which takes every
-        # message: the greatest encoders and the least.
-        decoders = np.unique([0, k ** m_count - 1])
-        near = np.zeros((len(decoders), r, m_count), dtype=bool)
-        near[-1, :, -1] = True
-        if len(decoders) > 1:
-            near[0, :, 0] = True
-        near[:, -1] = True
-        argmin = equivalence._ArgminSet(decoders, near, k)
-        first = [((0,) * (r - 1) + (m,), (0,) * m_count) for m in range(m_count)]
-        last = [((m_count - 1,) * (r - 1) + (m,), (k - 1,) * m_count) for m in range(m_count)]
-        want = last if k == 1 else first + last
+        # The least set of t = min(M, k) columns and the greatest: under the
+        # first every symbol but the last takes the messages of the set's
+        # least column, under the second of its greatest, and the last
+        # symbol takes every message.  So the least decoders' encoders and
+        # the greatest decoders' stream.
+        t = min(m_count, k)
+        parts, want = [], []
+        for cols, end in sorted({tuple(range(t)): 0, tuple(range(k - t, k)): -1}.items()):
+            near = np.zeros((1, r, t), dtype=bool)
+            near[0, :, end] = True
+            near[0, -1] = True
+            parts.append((np.array([cols]), near))
+            for dec in itertools.product(cols, repeat=m_count):
+                if set(dec) == set(cols):
+                    held = [[m for m in range(m_count) if dec[m] == cols[end]]] * (r - 1)
+                    want += [(enc, dec) for enc in itertools.product(*held, range(m_count))]
+        argmin = equivalence._ArgminSet(m_count, parts)
         assert len(argmin) == len(want)
         assert list(argmin) == want
 
     def test_every_pair_of_a_small_shape(self):
-        argmin = equivalence._ArgminSet(np.arange(3 ** 2), np.ones((9, 3, 2), dtype=bool), 3)
+        # Every set of one or two of three columns, each symbol taking every
+        # message: the decoders of the two sizes interleave in product order.
+        parts = [(np.array([[0], [1], [2]]), np.ones((3, 3, 1), dtype=bool)),
+                 (np.array([[0, 1], [0, 2], [1, 2]]), np.ones((3, 3, 2), dtype=bool))]
+        argmin = equivalence._ArgminSet(2, parts)
         assert len(argmin) == 2 ** 3 * 3 ** 2
         assert list(argmin) == [(enc, dec) for dec in itertools.product(range(3), repeat=2)
                                 for enc in itertools.product(range(2), repeat=3)]
 
     def test_a_small_set_past_the_pair_guard_streams(self):
-        # 2^70 encoders, more than an int64 counts, times 2^2 decoders, but
-        # two pairs in the set: it streams them, and equals and hashes as
-        # the set of the same decoders and message sets.
-        near = np.zeros((2, 70, 2), dtype=bool)
+        # 2^70 encoders, more than an int64 counts, times the 2 decoders onto
+        # columns (0, 1), but two pairs in the set, as every symbol takes
+        # column 1's message: it streams them, and equals and hashes as the
+        # set of the same columns and message tables.
+        near = np.zeros((1, 70, 2), dtype=bool)
         near[0, :, 1] = True
-        near[1, :, 0] = True
-        argmin = equivalence._ArgminSet(np.array([0, 3]), near, 2)
+        argmin = equivalence._ArgminSet(2, [(np.array([[0, 1]]), near)])
         assert len(argmin) == 2
-        assert list(argmin) == [((1,) * 70, (0, 0)), ((0,) * 70, (1, 1))]
-        again = equivalence._ArgminSet(np.array([0, 3]), near.copy(), 2)
+        assert list(argmin) == [((1,) * 70, (0, 1)), ((0,) * 70, (1, 0))]
+        again = equivalence._ArgminSet(2, [(np.array([[0, 1]]), near.copy())])
         assert argmin == again and hash(argmin) == hash(again)
-        for other in (equivalence._ArgminSet(np.array([0, 3]), near[::-1].copy(), 2),
-                      equivalence._ArgminSet(np.array([0, 3]), near, 3)):
+        for other in (equivalence._ArgminSet(2, [(np.array([[0, 1]]), near[:, :, ::-1].copy())]),
+                      equivalence._ArgminSet(2, [(np.array([[0, 2]]), near)]),
+                      equivalence._ArgminSet(3, [(np.array([[0, 1]]), near)])):
             assert argmin != other and other != argmin
 
     def test_every_encoder_of_23_symbols_streams_at_once(self):
@@ -675,7 +730,7 @@ class TestReads:
         # come at once, one encoder at a time.
         with mock.patch.object(equivalence._ArgminSet, "__iter__", autospec=True,
                                side_effect=equivalence._ArgminSet.__iter__) as stream:
-            argmin = equivalence._ArgminSet(np.array([0]), np.ones((1, 23, 2), dtype=bool), 1)
+            argmin = equivalence._ArgminSet(2, [(np.array([[0]]), np.ones((1, 23, 1), dtype=bool))])
             assert len(argmin) == 2 ** 23
             assert stream.call_count == 0
         start = time.perf_counter()
@@ -898,29 +953,30 @@ class TestScale:
 
     def test_coincidence_uniform8_m3(self, traced):
         # 3,359,232 code pairs, 81,648 of them tied at the optimum on each
-        # side.  The count scores the 512 decoders on each side and forms
-        # the message sets of the 336 optimal ones; it keeps those, not the
-        # pairs.
+        # side.  The count scores the 92 sets of at most three columns on
+        # each side and forms the message tables of the 56 optimal ones; it
+        # keeps those, not the pairs.
         problem = SourceProblem(px=Pmf.uniform(8), distortion=hamming_distortion(8))
         cp = build_corresponding(problem, 3, tol=1e-8)
         report, elapsed, peak, held = traced(verify_optimum_coincidence, cp)
         assert report.matched
         assert len(report.distortion_argmin) == 81_648
-        assert report.scored_decoders == 2 * (512 + 336)
+        assert report.scored_sets == 2 * (92 + 56)
         assert held <= 2**15, f"held {held} bytes"
         assert peak <= 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
 
     def test_coincidence_keeps_every_pair(self, traced):
         # atol = 10 keeps all 3^7 * 7^3 = 750,141 code pairs on each side:
-        # every decoder, each symbol taking every message.  The set streams
-        # them all, decoder by decoder.
+        # every decoder, each symbol taking every message, from the 63 sets
+        # of at most three columns.  The set streams them all, decoder by
+        # decoder.
         problem = SourceProblem(px=Pmf.uniform(7), distortion=hamming_distortion(7))
         cp = build_corresponding(problem, 3, tol=1e-8)
         report, elapsed, peak, held = traced(verify_optimum_coincidence, cp, 10.0)
         assert report.matched
         assert len(report.distortion_argmin) == len(report.loss_argmin) == 750_141
-        assert report.scored_decoders == 4 * 7**3
+        assert report.scored_sets == 4 * 63
         assert held <= 2**15, f"held {held} bytes"
         assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
@@ -930,17 +986,37 @@ class TestScale:
 
     def test_coincidence_past_the_pair_guard(self, traced):
         # Uniform Hamming 16 at M = 3: 1.8e11 code pairs, 5,356,925,280 of
-        # them optimal on each side, from 4,096 decoders, 3,360 of them
-        # optimal.  Measured at 24 ms traced on a 2-core machine.
+        # them optimal on each side, from the 696 sets of at most three
+        # columns, the 560 of three optimal.  Measured at 24 ms traced on a
+        # 2-core machine.
         problem = SourceProblem(px=Pmf.uniform(16), distortion=hamming_distortion(16))
         cp = build_corresponding(problem, 3)
         report, elapsed, peak, _ = traced(verify_optimum_coincidence, cp)
         assert report.matched
         assert len(report.distortion_argmin) == len(report.loss_argmin) == 5_356_925_280
-        assert report.scored_decoders == 2 * (4096 + 3360)
+        assert report.scored_sets == 2 * (696 + 560)
         assert (report.min_distortion, report.min_loss) == (0.8125, 2.682868353572558)
         assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= 0.5, f"{elapsed:.2f}s"
+
+    def test_coincidence_on_three_letters_of_skewed3(self, traced):
+        # skewed3's 3-letter product at M = 4 keeps all 27 columns: 4^27 *
+        # 27^4 code pairs, 9,216 of them optimal on each side, from the
+        # 20,853 sets of at most four columns, 3 of them optimal.  Counted
+        # per decoder it read 57,395,628 cost entries.  Measured at 80-100 ms
+        # traced, and the sweep about as long, on a 2-core machine.
+        cp = build_corresponding(product_problem(named_problem("skewed3"), 3), 4)
+        report, elapsed, peak, _ = traced(verify_optimum_coincidence, cp)
+        assert len(cp.y_rows) == 27 and report.matched
+        assert len(report.distortion_argmin) == len(report.loss_argmin) == 9216
+        assert report.scored_sets == 2 * (20_853 + 3)
+        assert (bits(report.min_distortion), bits(report.min_loss)) \
+            == ("0x1.12c5f92c5f92cp-2", "0x1.26c106f1eb8dap+1")
+        bound = identity_bound(cp)
+        assert abs(report.min_loss - cp.h_x_given_xhat) <= bound
+        assert identity_sweep(cp).max_residual <= bound
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert elapsed <= 1.0, f"{elapsed:.2f}s"
 
     @pytest.mark.parametrize("r, listed, minima", [
         (7, "0x1.8000000000000p-51", ("0x1.b4eeec003935dp+0", "0x1.2492492492492p-1")),
@@ -965,19 +1041,19 @@ class TestScale:
 # Work: exact counts that a change of the count's work moves.
 # ----------------------------------------------------------------------
 
-# (scored decoders, distortion argmin size, log-loss argmin size) of the
+# (scored sets, distortion argmin size, log-loss argmin size) of the
 # coincidence check at the default atol, on the equivalence cases of the
 # lab_pipeline benchmark workload and the README's skewed3 at M = 2.
 COINCIDENCE_WORK = {
-    ("uniform6", 3): (672, 3240, 3240),
-    ("uniform7", 3): (1106, 17010, 17010),
-    ("uniform8", 3): (1696, 81648, 81648),
-    ("uniform3", 2): (30, 12, 12),
-    ("uniform4", 2): (56, 48, 48),
-    ("uniform4", 3): (176, 72, 72),
-    ("skewed4_absdiff", 2): (36, 4, 4),
-    ("skewed4_absdiff", 3): (140, 6, 6),
-    ("skewed3", 2): (22, 4, 4),
+    ("uniform6", 3): (122, 3240, 3240),
+    ("uniform7", 3): (196, 17010, 17010),
+    ("uniform8", 3): (296, 81648, 81648),
+    ("uniform3", 2): (18, 12, 12),
+    ("uniform4", 2): (32, 48, 48),
+    ("uniform4", 3): (36, 72, 72),
+    ("skewed4_absdiff", 2): (22, 4, 4),
+    ("skewed4_absdiff", 3): (30, 6, 6),
+    ("skewed3", 2): (14, 4, 4),
 }
 
 
@@ -989,12 +1065,22 @@ def named_problem(name: str) -> SourceProblem:
     return load_problem(str(PROBLEMS / f"{name}.yaml")).problem
 
 
+def product_problem(problem: SourceProblem, n: int) -> SourceProblem:
+    """The n-letter product: px^n, and the mean of the letters' distortions."""
+    px, dist = problem.px.probs, problem.distortion
+    for _ in range(n - 1):
+        px = np.kron(px, problem.px.probs)
+        dist = np.add.outer(dist, problem.distortion).transpose(0, 2, 1, 3).reshape(
+            len(px), -1)
+    return SourceProblem(px=Pmf(px), distortion=dist / n)
+
+
 @pytest.mark.parametrize("name, n_messages", COINCIDENCE_WORK)
 def test_coincidence_work_is_pinned(name, n_messages):
     report = verify_optimum_coincidence(build_corresponding(named_problem(name), n_messages,
                                                             tol=1e-10))
     assert report.matched
-    assert (report.scored_decoders, len(report.distortion_argmin), len(report.loss_argmin)) \
+    assert (report.scored_sets, len(report.distortion_argmin), len(report.loss_argmin)) \
         == COINCIDENCE_WORK[name, n_messages]
 
 

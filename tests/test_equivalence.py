@@ -402,23 +402,25 @@ class TestIdentityBound:
         assert 0.0 < identity_bound(cp_u20_m7) <= 1e-12
 
 
-def test_the_sweep_stops_at_the_decoder_guard(refused, cp_u20_m7):
-    # Uniform Hamming keeps all r columns, so the sweep reads C(r, M) r M
-    # cost entries: 10,852,800 on 20 symbols at M = 7.  On 10 at M = 6,
-    # 6.0e13 code pairs, it reads 12,600.
+def test_the_sweep_stops_at_the_column_set_guard(refused, cp_u20_m7):
+    # Uniform Hamming keeps all r columns, so the pass over the sets of at
+    # most M columns reads sum_t C(r, t) r t cost entries: 17,518,400 on 20
+    # symbols at M = 7.  On 10 at M = 6, 6.0e13 code pairs, it reads 38,200.
     assert refused(identity_sweep, cp_u20_m7) == (
-        "identity_sweep: 10852800 column-set cost entries exceeds guard 10000000")
+        "identity_sweep: 17518400 column-set cost entries exceeds guard 10000000")
     sweep = identity_sweep(build_corresponding(uniform_hamming(10), 6, tol=1e-10))
     assert sweep.n_codes == 6**10 * 10**6
 
 
-def test_the_coincidence_check_stops_at_the_decoder_guard(refused):
-    # It reads k^M * r * M costs on each side: 9^3 * 9 * 3 = 19,683 on 9
-    # symbols at M = 3 (1.4e7 code pairs), and 10^6 * 10 * 6 on 10 at M = 6.
-    assert verify_optimum_coincidence(build_corresponding(uniform_hamming(9), 3)).matched
-    cp = build_corresponding(uniform_hamming(10), 6, tol=1e-10)
-    assert refused(verify_optimum_coincidence, cp) == (
-        "verify_optimum_coincidence: 60000000 decoder cost entries exceeds guard 10000000")
+def test_the_coincidence_check_stops_at_the_column_set_guard(refused, cp_u20_m7):
+    # It reads the sweep's pass, so it stops where the sweep stops.  On 10
+    # symbols at M = 6, where a count over the 10^6 decoders read 6.0e7
+    # costs on each side, it reads 38,200.
+    report = verify_optimum_coincidence(build_corresponding(uniform_hamming(10), 6, tol=1e-10))
+    assert report.matched
+    assert len(report.distortion_argmin) == len(report.loss_argmin) == 195_955_200
+    assert refused(verify_optimum_coincidence, cp_u20_m7) == (
+        "verify_optimum_coincidence: 17518400 column-set cost entries exceeds guard 10000000")
 
 
 class TestOptimumCoincidence:
@@ -460,8 +462,8 @@ class TestOptimumCoincidence:
             "which the R(D) point at D*(2) prunes (kept columns (0, 1, 2))")
 
     def test_the_count_reads_no_cell_block(self, cp_u4):
-        # The count works over decoders and the sweep over column sets;
-        # neither sums the encoders' cells.
+        # Both checks work over column sets; neither sums the encoders'
+        # cells.
         with mock.patch.object(oneshot, "_cell_sum_blocks",
                                wraps=oneshot._cell_sum_blocks) as blocks:
             verify_optimum_coincidence(cp_u4)
@@ -493,12 +495,33 @@ class TestOptimumCoincidence:
          "with its symbols' excesses that passes atol less the rounding allowance "
          "8.526512829121203e-15, so rounding or their sum decides which of its pairs are "
          "optimal"),
+        # Uniform Hamming 8 at M = 3: the first unsure decoder in product
+        # order maps the three messages onto two columns.
+        (uniform_hamming(8), 3, 0.3,
+         "the distortion argmin set is not certified at atol 0.3: decoder (0, 0, 1) lies 0.125 "
+         "above the least cost and symbol 0 may take a message 0.125 dearer than its best; "
+         "with its symbols' excesses that passes atol less the rounding allowance "
+         "1.807443084089755e-14, so rounding or their sum decides which of its pairs are "
+         "optimal"),
     ])
     def test_an_uncertified_set_is_refused(self, problem, n_messages, atol, message):
         cp = build_corresponding(problem, n_messages, tol=1e-10)
         with pytest.raises(VerificationError) as err:
             verify_optimum_coincidence(cp, atol)
         assert str(err.value) == f"verify_optimum_coincidence: {message}"
+
+
+def test_two_pairs_of_one_message_are_refused_at_atol_zero():
+    # With one message, columns 0 and 1 each decode the whole source at
+    # distortion 0.6: two pairs, tied, and no swap of messages makes one of
+    # the other.  At atol 1e-9 both are certified.
+    cp = dataclasses.replace(build_corresponding(
+        SourceProblem(px=Pmf([0.4, 0.4, 0.2]), distortion=hamming_distortion(3)), 2, tol=1e-10),
+        n_messages=1)
+    assert sorted(verify_optimum_coincidence(cp).distortion_argmin) == [
+        ((0, 0, 0), (0,)), ((0, 0, 0), (1,))]
+    with pytest.raises(VerificationError, match=r"decoder \(0,\) lies 0\.0 above the least cost;"):
+        verify_optimum_coincidence(cp, 0.0)
 
 
 # Each verifier with its tolerance's name and a call on a skewed3 instance.
