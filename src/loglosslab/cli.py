@@ -263,15 +263,24 @@ def _cmd_equiv(args) -> _CommandOutput:
     }
     verdict = "skipped" if coincidence is None else (
         "pass" if coincidence["matched"] else "FAIL")
-    # Each check that ran and failed, named; a NaN fails.
-    failed = [] if rep is None else [message for ok, message in [
-        (sweep.max_residual <= bound, f"the identity check failed: max_residual "
-         f"{identity['max_residual']!r} exceeds residual_bound {identity['residual_bound']!r}"),
-        (rep.matched, "the coincidence check failed: the distortion and log-loss argmin sets "
-         "differ"),
-        (rep.min_loss >= cp.h_x_given_xhat - _FLOOR_TOL, f"the floor check failed: min_log_loss "
-         f"{coincidence['min_log_loss']!r} lies more than {_in_unit(_FLOOR_TOL, args)!r} below "
-         f"h_x_given_xhat {outputs['h_x_given_xhat']!r}")] if not ok]
+    # Each check that ran and failed, named; a NaN fails.  A residual_bound
+    # that is not finite bounds nothing, also where the sweep is skipped.
+    checks = [(math.isfinite(bound), f"the identity check failed: residual_bound "
+               f"{identity['residual_bound']!r} is not finite")]
+    if rep is not None:
+        checks += [
+            (sweep.max_residual <= bound or not math.isfinite(bound), f"the identity check "
+             f"failed: max_residual {identity['max_residual']!r} exceeds residual_bound "
+             f"{identity['residual_bound']!r}"),
+            (rep.matched, "the coincidence check failed: the distortion and log-loss argmin "
+             "sets differ"),
+            (rep.min_loss >= cp.h_x_given_xhat - _FLOOR_TOL, f"the floor check failed: "
+             f"min_log_loss {coincidence['min_log_loss']!r} lies more than "
+             f"{_in_unit(_FLOOR_TOL, args)!r} below h_x_given_xhat "
+             f"{outputs['h_x_given_xhat']!r}"),
+            (rep.min_distortion <= cp.d_star_m, f"the ceiling check failed: min_distortion "
+             f"{rep.min_distortion!r} exceeds d_star_m {cp.d_star_m!r}")]
+    failed = [message for ok, message in checks if not ok]
     return _CommandOutput(
         inputs={"problem": loaded.echo(),
                 "flags": {"messages": args.messages, "tol": args.tol}},

@@ -25,7 +25,7 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -375,10 +375,12 @@ class CoincidenceReport:
     order, each decoder's encoders in ``itertools.product`` order.  By
     design a set is no sequence: it has no indexing and equals no tuple of
     pairs, so to compare it with a listing, compare ``sorted`` of it.
-    ``min_distortion`` and ``min_loss`` are the nested costs of each side's
-    first optimal pair.  ``scored_sets`` counts the column sets whose costs
-    the check formed, over both sides: every set's base cost, then the
-    message tables of those near the least; it takes no part in equality.
+    ``min_distortion`` and ``min_loss`` are each side's least float cost of
+    a pair, its terms summed over x in order, so ``min_distortion`` is at
+    most ``d_star_m``, the cost of one such pair.  ``scored_sets`` counts
+    the column sets whose costs the check formed, over both sides: every
+    set's base cost, then the message tables of those near the least; it
+    takes no part in equality.
     """
 
     min_distortion: float
@@ -498,22 +500,20 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
     product order, its gap and the symbol of largest excess.  At atol = 0
     this certifies only an optimum unique up to that swap.
 
-    ``min_distortion`` and ``min_loss`` are the nested costs, cells summed
-    as the exhaustive check sums them, of each side's first optimal pair:
-    the least pair under the decoders onto the sets within rho / 2 of the
-    least base cost, each symbol taking its first message of least cost.
-    With the rounding of both sums that cost lies within rho of the float
-    optimum.
+    ``min_distortion`` and ``min_loss`` are each side's least base cost,
+    the least float cost of a pair with its terms summed over x in order.
     """
     r, m_count = cp.px.n, cp.n_messages
     tables = _cell_cost_tables(cp)
-    chunks = [(cols, [w[:, cols].min(axis=2).sum(axis=0) for w in tables])
+    # Python's sum adds the rows in x order, as a pair's cost is summed;
+    # numpy's may pair them.
+    chunks = [(cols, [sum(w[:, cols].min(axis=2)) for w in tables])
               for cols in _column_sets(r, len(cp.y_rows), m_count)]
     sets, minima, scored = [], [], 0
     for side, w in enumerate(tables):
         low = min(float(base[side].min()) for _, base in chunks)
         rho = 16 * (r + m_count) * 2.0 ** -53 * (low + atol)
-        parts, unsure, tied = [], [], []
+        parts, unsure = [], []
         for cols, base in chunks:
             gaps = base[side] - low
             kept = gaps <= atol + rho
@@ -531,9 +531,6 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
             doubt = np.flatnonzero(gaps + dear.sum(axis=0) > atol - rho)[:1]
             unsure += [(tuple(row[:1] * (m_count - len(row)) + row), float(gaps[n]), dear[:, n])
                        for n, row in zip(doubt, cols[doubt].tolist())]
-            tie = gaps <= rho / 2
-            if tie.any():
-                tied.append(_least_pair(cols[tie], (costs == least)[:, tie], m_count))
         argmin = _ArgminSet(m_count, parts)
         # Relabeling the messages keeps a pair's cost, so an argmin set holds
         # every relabeling of its pairs.  With M >= 2 a set of two pairs is
@@ -549,42 +546,10 @@ def verify_optimum_coincidence(cp: CorrespondingProblem,
                 f"its symbols' excesses that passes atol less the rounding allowance {rho!r}, "
                 f"so rounding or their sum decides which of its pairs are optimal")
         sets.append(argmin)
-        encoder, prefix = min(tied)
-        # Cells summed in x order, then ((cell 0 + cell 1) + ...), as the
-        # exhaustive check sums a pair; a message past the prefix adds 0.0.
-        cells = [0.0] * m_count
-        for x, m in enumerate(encoder):
-            cells[m] += w[x, prefix[m]]
-        minima.append(float(reduce(np.add, cells)))
+        minima.append(low)
     matched = sets[0] == sets[1]
     return CoincidenceReport(min_distortion=minima[0], min_loss=minima[1],
                              distortion_argmin=sets[0],
                              loss_argmin=sets[0] if matched else sets[1],
                              matched=matched, scored_sets=scored)
 
-
-def _least_pair(cols: np.ndarray, ties: np.ndarray, m_count: int) -> tuple:
-    """The least (encoder, decoder prefix) under the decoders onto the sets ``cols``.
-
-    ``ties[x, n, i]`` is whether ``cols[n, i]`` is one of symbol x's
-    least-cost columns in set n.  Under a decoder g, symbol x takes the
-    first message m with g(m) among those.  Over the decoders onto a set,
-    the least encoder comes symbol by symbol: each takes the first message
-    whose candidate columns (at first, every column) meet its own, and
-    narrows them to those, and only the sets where it takes the least
-    message stay.  The least decoder's prefix decodes each message that
-    holds a symbol to its least candidate, which costs each of its symbols
-    that symbol's least cost.
-    """
-    masks = ties @ (1 << np.arange(cols.shape[1]))  # masks[x, n]: bit i for column i
-    held = np.full((len(cols), m_count), -1)  # each message's candidates; -1: every column
-    encoder = []
-    for x in range(len(masks)):
-        first = ((held & masks[x, :, None]) != 0).argmax(axis=1)
-        encoder.append(int(first.min()))
-        keep = first == encoder[-1]
-        cols, held, masks = cols[keep], held[keep], masks[:, keep]
-        held[:, encoder[-1]] &= masks[x]
-    used = held[:, :max(encoder) + 1]
-    at = np.log2(used & -used).astype(int)  # each message's least candidate
-    return tuple(encoder), min(map(tuple, np.take_along_axis(cols, at, axis=1).tolist()))

@@ -868,7 +868,9 @@ class TestEquivCommand:
     def test_identity_optima_are_the_coincidence_optima(self, capsys, units, floor):
         # The identity block prints the coincidence report's optima: moved
         # there, they move in both blocks.  A least log loss of 0.5 nats lies
-        # below H(X | Xhat*), which fails the floor check.
+        # below H(X | Xhat*), which fails the floor check, and a least
+        # distortion of 0.25 lies above D*(2) = 0.2, which fails the ceiling
+        # check.
         def moved(cp):
             report = equivalence.verify_optimum_coincidence(cp)
             return dataclasses.replace(report, min_distortion=0.25, min_loss=0.5)
@@ -877,7 +879,8 @@ class TestEquivCommand:
             code, out, err = run_cli(capsys, ["equiv", SKEW3, "--messages", "2", *units])
         out = json.loads(out)["outputs"]
         assert code == 1
-        assert err == f"error: equiv: the floor check failed: {floor}\n"
+        assert err == (f"error: equiv: the floor check failed: {floor}; the ceiling check "
+                       "failed: min_distortion 0.25 exceeds d_star_m 0.2\n")
         assert out["identity"]["min_distortion"] == 0.25
         for key in ("min_distortion", "min_log_loss"):
             assert out["identity"][key] == out["coincidence"][key]
@@ -905,6 +908,47 @@ class TestEquivCommand:
         assert (report["coincidence"]["min_log_loss"], report["h_x_given_xhat"]) \
             == (0.86459897557, 0.951358335955)
         assert report["identity"]["max_residual"] <= report["identity"]["residual_bound"]
+
+    def test_a_least_distortion_above_d_star_exits_one_after_the_report(self, capsys):
+        # solve_avg's code is one of the pairs the check takes the least
+        # over, so a least distortion above d_star_m is the check's fault.
+        argv = ["equiv", SKEW3, "--messages", "2"]
+        passed = main(argv)
+        want = capsys.readouterr().out.replace('"min_distortion": 0.2,',
+                                               '"min_distortion": 0.25,')
+
+        def above(cp):
+            return dataclasses.replace(equivalence.verify_optimum_coincidence(cp),
+                                       min_distortion=0.25)
+
+        with mock.patch.object(cli, "verify_optimum_coincidence", above):
+            code, out, err = run_cli(capsys, argv)
+        assert (passed, code) == (0, 1)
+        assert err == ("error: equiv: the ceiling check failed: min_distortion 0.25 exceeds "
+                       "d_star_m 0.2\n")
+        assert wall_clock_dropped(out) == wall_clock_dropped(want)
+
+    @pytest.mark.parametrize("guard", [None, 0], ids=["swept", "past-the-guard"])
+    def test_an_infinite_bound_exits_one_after_the_report(self, capsys, tmp_path, guard):
+        # A uniform 6-symbol source at M = 3 whose solved point gives a
+        # symbol of positive mass zero mass in a reverse row: the log-loss
+        # costs, max_residual and residual_bound are inf.  An inf bound
+        # bounds nothing, so the identity check fails, also where the
+        # column-set guard skips the sweep.
+        distortion = [[0, 1, 1, 1], [0, 0, 0, 0], [1, 1e-8, 0, 1],
+                      [1, 0.5, 1, 1], [0, 0, 0, 0], [1, 1, 1, 0]]
+        path = write_problem(tmp_path, f"px: {[1 / 6] * 6}\ndistortion: {distortion}\n")
+        argv = ["equiv", path, "--messages", "3", "--tol", "1e-10"]
+        with mock.patch.object(oneshot, "_COLUMN_SET_GUARD",
+                               oneshot._COLUMN_SET_GUARD if guard is None else guard):
+            code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err == ("error: equiv: the identity check failed: residual_bound inf is not "
+                       "finite\n")
+        identity = json.loads(out)["outputs"]["identity"]
+        assert identity["residual_bound"] == math.inf
+        assert identity["skipped"] is (guard is not None)
+        assert identity["max_residual"] == (None if guard is not None else math.inf)
 
     def test_optimum_off_the_support_exits_one(self, capsys, tmp_path):
         # The one-shot optimum at M = 2 decodes to column 3, which the R(D)

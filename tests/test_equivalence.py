@@ -441,6 +441,28 @@ class TestOptimumCoincidence:
         assert report.matched
         assert len(report.distortion_argmin) == 8
 
+    def test_the_least_distortion_is_at_most_d_star(self):
+        # solve_avg's code is one of the pairs the check takes the least
+        # over, its cost summed over x in order as expected_distortion sums
+        # it, so the bound holds exactly in floats.  Draws with continuous,
+        # integer and scaled integer distortions; most are degenerate.
+        rng = np.random.default_rng(48)
+        accepted = 0
+        for _ in range(600):
+            r, s, n_messages = (int(v) for v in rng.integers([2, 2, 2], [7, 6, 4]))
+            kind = rng.choice(["continuous", "integer", "scaled"])
+            w = rng.uniform(0.05, 1.0, r)
+            dist = (rng.random((r, s)) if kind == "continuous"
+                    else rng.integers(0, 4, (r, s)) * (0.1 if kind == "scaled" else 1.0))
+            try:
+                cp = build_corresponding(SourceProblem(px=Pmf(w / w.sum()), distortion=dist),
+                                         n_messages)
+            except (ValidationError, DegenerateInstanceError, MappingError):
+                continue
+            accepted += 1
+            assert verify_optimum_coincidence(cp).min_distortion <= cp.d_star_m
+        assert accepted == 84
+
     def test_argmin_entries_name_encoder_and_kept_indices(self, cp_u3):
         report = verify_optimum_coincidence(cp_u3)
         for enc, dec in report.distortion_argmin:
