@@ -424,8 +424,13 @@ class _ArgminSet:
         return self._len
 
     def __iter__(self):
+        def decoders(cols: list):
+            # The first map is known; the merge primes every set's stream before it yields.
+            yield tuple(cols[:1] * (self._m - len(cols)) + cols)
+            yield from itertools.islice(_onto(cols, self._m), 1, None)
+
         # No two sets share a decoder, so the merge never compares the tables.
-        streams = [zip(_onto(cols, self._m), itertools.repeat((cols, near)))
+        streams = [zip(decoders(cols), itertools.repeat((cols, near)))
                    for part in self._parts for cols, near in zip(part[0].tolist(), part[1])]
         for decoder, (cols, near) in heapq.merge(*streams):
             held = near[:, [cols.index(j) for j in decoder]]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import threading
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -464,25 +463,20 @@ def _timeshare(px: Pmf, targets: list[tuple[str, float]], n: int,
     s = min(sorted(set().union(*ends)), key=lambda e: abs(2 * e - n))
     if min(s, n - s) < _LEAF:
         s = n
-    tails, failed = [[] for _ in ks], []
 
-    def draw_tail():
-        try:
-            rng = np.random.Generator(np.random.PCG64(seed).advance(s))
-            tails[:] = _leaf_sums(_cost_sampler(px.probs, rng), ends, s, n)
-        except BaseException as exc:  # re-raised by the caller
-            failed.append(exc)
+    def part(start: int, stop: int) -> list[list]:
+        rng = np.random.Generator(np.random.PCG64(seed).advance(start))
+        return _leaf_sums(_cost_sampler(px.probs, rng), ends, start, stop)
 
-    worker = threading.Thread(target=draw_tail)
     if s < n:
-        worker.start()
-    try:
-        heads = _leaf_sums(_cost_sampler(px.probs, np.random.default_rng(seed)), ends, 0, s)
-    finally:
-        if s < n:
-            worker.join()
-    if failed:
-        raise failed[0]
+        # Imported here: concurrent.futures imports logging, ~5 ms on every start-up.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1) as pool:  # leaving the block joins the worker
+            future = pool.submit(part, s, n)
+            heads = part(0, s)
+        tails = future.result()
+    else:
+        heads, tails = part(0, n), [[] for _ in ks]
     reports = []
     for k, leaf_ends, head, tail in zip(ks, ends, heads, tails):
         if s not in leaf_ends:  # s cuts a leaf; each part holds one run of it

@@ -13,10 +13,11 @@ first body statement ran, since Python reports no line of its own for some
 headers (``try:``).  Only the standard library is used; pytest does not
 collect this file.
 
-Over the whole suite it is a diagnostic.  CI also runs it as a gate on two
-modules: over the equivalence, enumeration, one-shot and CLI tests, ``-k
-"not TestScale"``, the step fails if a ``loglosslab/equivalence.py:`` or
-``loglosslab/oneshot.py:`` line is printed.  Tracing slows the suite (the
+Over the whole suite it is a diagnostic.  CI also runs it as a gate on three
+modules: over the equivalence, enumeration, one-shot, CLI, time-share and
+refinement tests, ``-k "not TestScale"``, the step fails if a
+``loglosslab/equivalence.py:``, ``loglosslab/oneshot.py:`` or
+``loglosslab/refinement.py:`` line is printed.  Tracing slows the suite (the
 full suite takes about twice as long) and adds allocations of its own, so
 time and held-bytes bounds, such as those of the ``TestScale`` classes, may
 fail under it; hence that exclusion.  The exit status is pytest's.

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -1202,6 +1203,14 @@ class TestEntryPoints:
             [sys.executable, "-m", "loglosslab", "--version"],
             capture_output=True, text=True, check=True, env=env)
         assert proc.stdout.strip() == f"loglosslab {__version__}"
+
+    def test_module_runs_as_main_in_process(self, capsys, monkeypatch):
+        # runpy runs the package's __main__ as ``python -m loglosslab`` does.
+        monkeypatch.setattr(sys, "argv", ["loglosslab", "rd", BINARY, "--distortion", "0.1"])
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_module("loglosslab", run_name="__main__")
+        assert excinfo.value.code == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "rd"
 
     def test_overflowing_file_entry_exits_two_without_a_traceback(self, tmp_path):
         path = write_problem(tmp_path, f"px: [0.5, 1{'0' * 400}]\ndistortion: hamming\n")

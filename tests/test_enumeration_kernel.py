@@ -691,6 +691,20 @@ class TestReads:
                       equivalence._ArgminSet(3, [(np.array([[0, 1]]), near)])):
             assert argmin != other and other != argmin
 
+    def test_the_first_pair_lists_no_decoders(self):
+        # Every set of two of five columns, M = 3: the merge reads the head
+        # of each set's stream before it yields, and each head is the set's
+        # least decoder, known without listing the maps onto its columns.
+        cols = np.array(list(itertools.combinations(range(5), 2)))
+        argmin = equivalence._ArgminSet(3, [(cols, np.ones((len(cols), 2, 2), dtype=bool))])
+        with mock.patch.object(equivalence, "_onto", wraps=equivalence._onto) as onto:
+            pairs = iter(argmin)
+            assert next(pairs) == ((0, 0), (0, 0, 1))
+            assert not onto.called
+            # The rest of the first decoder's 3^2 encoders, then the next decoder.
+            assert list(itertools.islice(pairs, 9))[-1] == ((0, 0), (0, 0, 2))
+            assert onto.called
+
     def test_every_encoder_of_23_symbols_streams_at_once(self):
         # r = 23, M = 2, k = 1, every encoder: 2^23 pairs, each distinct.
         # The size is counted without streaming a pair, and the first pairs
@@ -917,6 +931,19 @@ class TestScale:
         assert bits(value) == bits(solve_avg(problem, 3)[1])
         assert peak <= PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
         assert elapsed <= BUDGET_S, f"{elapsed:.2f}s"
+
+    def test_first_pair_of_38760_sets(self):
+        # Every set of six of 20 columns, M = 6, every symbol near every
+        # column.  Listing the first map of each set onto its columns before
+        # the first pair took 1.4-1.9 s on a 2-core machine; the heads alone
+        # take about 0.2 s.
+        cols = np.array(list(itertools.combinations(range(20), 6)))
+        argmin = equivalence._ArgminSet(6, [(cols, np.ones((len(cols), 2, 6), dtype=bool))])
+        start = time.perf_counter()
+        first = next(iter(argmin))
+        elapsed = time.perf_counter() - start
+        assert first == ((0, 0), (0, 1, 2, 3, 4, 5))
+        assert elapsed <= 1.0, f"{elapsed:.2f}s"
 
     def test_coincidence_uniform8_m3(self, traced):
         # 3,359,232 code pairs, 81,648 of them tied at the optimum on each

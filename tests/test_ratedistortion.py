@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loglosslab import (
@@ -265,8 +265,8 @@ class TestRdAtDistortion:
         assert point.rate == pytest.approx(mi, abs=1e-10)
 
 
-def erokhin_rd(px, d: float) -> tuple[float, float, tuple[int, ...]]:
-    """Closed-form R(D), slope and output support under Hamming distortion.
+def erokhin_rd(px, d: float) -> tuple[float, float, tuple[int, ...], np.ndarray]:
+    """Closed-form R(D), slope, output support and output masses under Hamming distortion.
 
     Erokhin (1958), "epsilon-entropy of a discrete random variable".  With
     the masses sorted in descending order and beta = exp(-lam), the optimal
@@ -289,7 +289,9 @@ def erokhin_rd(px, d: float) -> tuple[float, float, tuple[int, ...]]:
     lam = -math.log(beta)
     rate = -lam * d - float(ps @ np.log(np.where(top, ps / c, beta)))
     mass = np.where(top, (ps / c - beta) / (1.0 - beta), 0.0)
-    return rate, lam, tuple(sorted(int(order[i]) for i in np.flatnonzero(mass >= PRUNE_EPS)))
+    masses = np.empty_like(mass)
+    masses[order] = mass
+    return rate, lam, tuple(np.flatnonzero(masses >= PRUNE_EPS).tolist()), masses
 
 
 def dual_gap(problem: SourceProblem, point) -> float:
@@ -335,6 +337,7 @@ class TestHammingClosedForm:
     @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8),
            st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3))
     @settings(max_examples=30, deadline=None)
+    @example(weights=[1.0, 0.99999, 1.0, 1.0, 0.99999], fracs=[0.5])
     def test_rate_slope_and_support(self, weights, fracs):
         w = np.array(weights)
         px = w / w.sum()
@@ -352,13 +355,50 @@ class TestHammingClosedForm:
             point = rd_at_distortion(problem, d, tol=1e-10)
             elapsed = time.perf_counter() - start
             achieved = point.diagnostics.achieved_distortion
-            rate, lam, support = erokhin_rd(px, achieved)
+            rate, lam, support, closed = erokhin_rd(px, achieved)
             assert abs(achieved - d) <= 1e-10
             assert abs(point.rate - rate) <= 1e-9, (d, point.rate, rate)
             assert abs(point.lambda_star - lam) <= 1e-8, (d, point.lambda_star, lam)
-            assert point.kept_columns == support, (d, point.kept_columns, support)
+            # A column the two supports disagree on carries, in both, a mass
+            # the scores cannot resolve (test_unresolved_masses_at_a_breakpoint).
+            got = np.zeros(px.size)
+            got[list(point.kept_columns)] = point.output_marginal.probs
+            unresolved = np.spacing(1.0) / (lam ** 2 * px)
+            for j in set(point.kept_columns) ^ set(support):
+                assert max(got[j], closed[j]) < unresolved[j], (d, point.kept_columns, support)
             assert abs(dual_gap(problem, point)) <= CERT_TOL, d
             assert elapsed < self.BUDGET_S, (d, elapsed)
+
+    def test_unresolved_masses_at_a_breakpoint(self):
+        # Both lighter symbols, tied, leave the support at D = 0.7999951999807999,
+        # 4e-6 below the knee, where the slope is 3.0e-5.  The solver makes each
+        # column's score t_j = sum_x px exp(-lam d_xj) / z_x stationary at 1, a
+        # float resolved to about an ulp; a mass m moved onto column j moves t_j
+        # against the others by about lam^2 px_j m, here 1.8e-10 m.  So a mass
+        # below ulp(1) / (lam^2 px_j), 1.2e-6 here, is not determined: the scores
+        # of the solver's marginal, and of it with every column off the closed
+        # form's support emptied into column 0, are all within two ulps of 1.
+        px = np.array([1.0, 0.99999, 1.0, 1.0, 0.99999])
+        px /= px.sum()
+        problem = SourceProblem(px=Pmf(px), distortion=hamming_distortion(5))
+        d = erokhin_breakpoints(px)[0]
+        assert d == 0.7999951999807999
+        point = rd_at_distortion(problem, d, tol=1e-10)
+        rate, lam, support, closed = erokhin_rd(px, d)
+        assert support == (0, 2, 3)
+        assert abs(point.rate - rate) <= 1e-16 and abs(dual_gap(problem, point)) <= CERT_TOL
+        got = np.zeros(5)
+        got[list(point.kept_columns)] = point.output_marginal.probs
+        emptied = got.copy()
+        emptied[[1, 4]] = 0.0
+        emptied[0] += got[1] + got[4]
+        expd = np.exp(-point.lambda_star * problem.distortion)
+        for q in (got, emptied):
+            scores = px.dot(expd / expd.dot(q)[:, None])
+            assert np.abs(scores - 1.0).max() <= 2 * np.spacing(1.0), scores - 1.0
+        unresolved = np.spacing(1.0) / (lam ** 2 * px)
+        assert 1.2e-6 < unresolved.min()
+        assert max(got[1], got[4], closed[1], closed[4]) < unresolved.min()
 
     def test_skewed_support_changes(self):
         # px = (.4, .3, .2, .1): the lightest column leaves at D = 0.3
@@ -372,7 +412,7 @@ class TestHammingClosedForm:
             start = time.perf_counter()
             point = rd_at_distortion(problem, d, tol=1e-10)
             assert time.perf_counter() - start < 0.1
-            rate, lam, support = erokhin_rd(px, d)
+            rate, lam, support, _ = erokhin_rd(px, d)
             assert point.kept_columns == kept == support
             assert point.rate == pytest.approx(rate, abs=1e-12)
             assert point.lambda_star == pytest.approx(lam, abs=1e-9)
@@ -422,7 +462,7 @@ class TestIterationCounts:
             point = rd_at_distortion(problem, d, tol=1e-10)
             assert point.diagnostics.ba_calls == 1, d
             assert point.diagnostics.ba_iterations <= 2, (d, point.diagnostics)
-            _, _, support = erokhin_rd(px, point.diagnostics.achieved_distortion)
+            _, _, support, _ = erokhin_rd(px, point.diagnostics.achieved_distortion)
             assert point.kept_columns == support, (d, point.kept_columns, support)
             assert abs(dual_gap(problem, point)) <= CERT_TOL, d
 
