@@ -528,15 +528,12 @@ def main(argv=None) -> int:
         if result.failure is not None:
             print(f"error: {result.failure}", file=sys.stderr)
             return 1
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LoglossLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -85,6 +85,9 @@ class ConvergenceError(LoglossLabError):
     """An iterative routine failed to converge within its budget.
 
     Carries the last observed gap so the caller can judge how far off it was.
+    An R(D) solve that uses up its iteration budget sets it to the duality
+    gap of its last iterate: the nats by which that iterate's rate exceeds
+    Blahut's (1972) lower bound on R(D).
     """
 
     def __init__(self, message: str, gap: float | None = None):

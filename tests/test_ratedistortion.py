@@ -189,9 +189,18 @@ class TestRdAtDistortion:
     def test_smallest_budget_is_accepted(self):
         point = rd_at_distortion(binary_hamming(), 0.1, max_iter=np.int64(2))
         assert point.diagnostics.ba_iterations == 2
+        # The refusal carries the last iterate's duality gap.  On binary
+        # Hamming the uniform first iterate is already optimal, so that gap
+        # is rounding; on SKEW3 it is far above the certificate tol.
         with pytest.raises(ConvergenceError) as err:
             rd_at_distortion(binary_hamming(), 0.1, max_iter=1)
-        assert err.value.gap is not None and err.value.gap > 0.0
+        gap = err.value.gap
+        assert gap is not None and math.isfinite(gap)
+        assert f"duality gap {gap:.3e}" in str(err.value)
+        skew3 = SourceProblem(px=Pmf([0.5, 0.3, 0.2]), distortion=hamming_distortion(3))
+        with pytest.raises(ConvergenceError) as err:
+            rd_at_distortion(skew3, 0.2, max_iter=1)
+        assert err.value.gap > 1e-10
 
     def test_forward_rows_are_pmfs(self):
         prob = random_problem(np.random.default_rng(12), 4, 6)
@@ -483,6 +492,8 @@ class TestDualGapStop:
     # end the solve.  In the first two, D*(2) is, to the last bit, the D_min
     # of a sub-support, and the polish's merit is infinite on the support it
     # needs.
+    # Each point also pins its work: (BA iterations, prune rounds, _polish
+    # calls, _merit calls).  These counts do not depend on the machine.
     BUDGET_S = 1.0
     # The failed polish attempts of the low-mass-column instance make about
     # 2,100 slope matches; it takes about 1.2 s.
@@ -494,11 +505,21 @@ class TestDualGapStop:
         [[1, 0.5, 0.0078125, 0], [1, 1, 0.5, 1], [0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
         dtype=float))
 
-    def solve(self, problem, d_star, rate):
+    @staticmethod
+    def counted_solve(problem, d, budget_s):
+        """rd_at_distortion at tol 1e-10 within budget_s: (point, work counts)."""
+        with mock.patch.object(ratedistortion, "_polish", wraps=ratedistortion._polish) as polish, \
+                mock.patch.object(ratedistortion, "_merit", wraps=ratedistortion._merit) as merit:
+            start = time.perf_counter()
+            point = rd_at_distortion(problem, d, tol=1e-10)
+            assert time.perf_counter() - start < budget_s
+        diag = point.diagnostics
+        return point, (diag.ba_iterations, diag.prune_rounds, polish.call_count, merit.call_count)
+
+    def solve(self, problem, d_star, rate, work):
         assert solve_avg(problem, 2)[1] == d_star
-        start = time.perf_counter()
-        point = rd_at_distortion(problem, d_star, tol=1e-10)
-        assert time.perf_counter() - start < self.BUDGET_S
+        point, counts = self.counted_solve(problem, d_star, self.BUDGET_S)
+        assert counts == work
         assert abs(point.rate - rate) <= 1e-9, point.rate
         assert abs(point.diagnostics.achieved_distortion - d_star) <= 1e-10
         assert abs(dual_gap(problem, point)) <= CERT_TOL
@@ -506,7 +527,7 @@ class TestDualGapStop:
         return point
 
     def test_first_instance(self):
-        point = self.solve(self.FIRST, 1 / 256, 0.477385626221)
+        point = self.solve(self.FIRST, 1 / 256, 0.477385626221, (95, 1, 6, 514))
         assert point.kept_columns == (0, 1)
         start = time.perf_counter()
         cp = build_corresponding(self.FIRST, 2, tol=1e-10)
@@ -514,10 +535,9 @@ class TestDualGapStop:
         assert verify_optimum_coincidence(cp).matched
 
     def test_second_instance(self):
-        point = self.solve(self.SECOND, 0.1015625, 0.381908500977)
         # The gap stop drops a column: one prune round.
+        point = self.solve(self.SECOND, 0.1015625, 0.381908500977, (114, 1, 8, 644))
         assert point.kept_columns == (0, 1, 2)
-        assert (point.diagnostics.ba_iterations, point.diagnostics.prune_rounds) == (114, 1)
 
     def test_low_mass_column_that_meets_the_target_stays(self):
         # D*(2) is the D_min of columns (0, 1, 3) up to rounding, which in
@@ -527,12 +547,10 @@ class TestDualGapStop:
         problem = SourceProblem(px=Pmf.uniform(3), distortion=np.array(
             [[0, 1, 1, 0], [0.125, 0.0625, 1, 1], [1, 2.0 ** -24, 0, 1]], dtype=float))
         d_star = solve_avg(problem, 2)[1]
-        start = time.perf_counter()
-        point = rd_at_distortion(problem, d_star, tol=1e-10)
-        assert time.perf_counter() - start < self.SLOW_BUDGET_S
+        point, counts = self.counted_solve(problem, d_star, self.SLOW_BUDGET_S)
         assert point.kept_columns == (0, 1, 2, 3)
         # The gap stop keeps every column: no prune round.
-        assert (point.diagnostics.ba_iterations, point.diagnostics.prune_rounds) == (45, 0)
+        assert counts == (45, 0, 3, 2170)
         assert abs(point.rate - 0.636514168308) <= 1e-9, point.rate
         assert abs(point.diagnostics.achieved_distortion - d_star) <= 1e-10
         assert abs(dual_gap(problem, point)) <= CERT_TOL
@@ -542,7 +560,8 @@ class TestDualGapStop:
         # at a slope near 1e14 that underflows every entry of row 1 on them.
         # The iterate gives columns 1 and 2 masses of 5e-12 and 1e-10;
         # dropping them would empty that row's tilt, so the point keeps them.
-        # Its failed polish attempts take about 1.4 s.
+        # Its 12 failed polish attempts take 2.3-3.3 s per solve on a
+        # two-core Intel Xeon.
         w = np.array([0.20581508, 0.16874697, 0.19420598, 0.1343432, 0.14871017, 0.1481786])
         problem = SourceProblem(px=Pmf(w / w.sum()), distortion=np.array([
             [0.0, 0.0, 0.297534502, 1e-14],
@@ -552,11 +571,9 @@ class TestDualGapStop:
             [0.0, 0.594162619, 0.0, 0.507574521],
             [0.110643319, 1.0, 0.653818919, 0.18493546]]))
         d_star = solve_avg(problem, 2)[1]
-        start = time.perf_counter()
-        point = rd_at_distortion(problem, d_star, tol=1e-10)
-        assert time.perf_counter() - start < self.SLOW_BUDGET_S
+        point, counts = self.counted_solve(problem, d_star, self.SLOW_BUDGET_S)
         assert point.kept_columns == (0, 1, 2, 3)
-        assert point.diagnostics.prune_rounds == 0
+        assert counts == (177, 0, 12, 2489)
         assert np.isfinite(point.forward.rows).all()
         assert abs(point.diagnostics.achieved_distortion - d_star) <= 1e-10
         assert abs(dual_gap(problem, point)) <= CERT_TOL
