@@ -19,7 +19,8 @@ that keeps every column.  Where the polish cannot finish, e.g. at a
 target on the D_min of a sub-support, where the support it needs cannot
 meet the target, the solve stops instead at the first iterate after a
 failed attempt whose rate lies within the certificate tol of Blahut's
-lower bound on R(D).  Rates are in nats.
+lower bound on R(D); a budget of one iteration checks its one iterate so.
+Rates are in nats.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ _DEFAULT_MAX_ITER = 300_000
 # Distortion columns that agree entrywise within this are considered identical.
 COLUMN_MATCH_TOL = 1e-12
 # A solve tries to finish with a Newton polish at iteration 2, then at every
-# multiple of this.  Not at 1: the polish can finish from the first iterate,
-# and a budget of one iteration must still run out.
+# multiple of this.  Not at 1: polishing the first iterate gains nothing and
+# moves the bits of most points; a budget of one iteration ends only on the
+# first iterate's duality gap.
 _POLISH_EVERY = 16
 # Newton steps one slope match may take; a polish attempt may take one more
 # for every column of its seed, since a step removes at most one column.
@@ -425,9 +427,9 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, target: float, tol: float,
 
     Every iteration re-solves the slope for E[d] = target, starting from
     the last one (1.0 at the first), and from iteration 2 on (the first
-    polish attempt), an iterate whose duality gap is at most ``tol`` ends
-    the solve.  A used-up budget raises ConvergenceError with the last
-    iterate's duality gap.
+    polish attempt), or at the last iteration of the budget, an iterate
+    whose duality gap is at most ``tol`` ends the solve.  A used-up budget
+    raises ConvergenceError with the last iterate's duality gap.
     """
     shift = np.minimum.reduce(dist, 1)
     dist_s = dist - shift[:, None]  # row minimum exactly 0: the tilt never overflows
@@ -443,7 +445,8 @@ def _ba_core(pxp: np.ndarray, dist: np.ndarray, target: float, tol: float,
         done = None
         if it == 2 or it % _POLISH_EVERY == 0:
             done = _polish(pxp, dist_s, m, lam, target_s, tol)
-        if done is None and it >= 2 and _dual_gap(pxp, expd, z, fwd, m, lam, target_s) <= tol:
+        if (done is None and (it >= 2 or it == max_iter)
+                and _dual_gap(pxp, expd, z, fwd, m, lam, target_s) <= tol):
             # Within tol of R(target): keep the columns of real mass, unless
             # the rest cannot meet the target to the slope match's precision,
             # and match the slope to them.  If they meet it only at a slope
@@ -503,8 +506,9 @@ class RdDiagnostics:
     ``ba_iterations`` counts the iterations of the solve, which ends at the
     first polish attempt that succeeds (at iteration 2, 16, 32, 48, ...)
     or, after a failed one, at the first iterate within the certificate tol
-    of Blahut's lower bound, and is 0 at the zero-rate knee, which is exact
-    without a solve.  ``prune_rounds`` counts the support reductions the
+    of Blahut's lower bound; it is 1 when a budget of one iteration ends on
+    a first iterate within that tol, and 0 at the zero-rate knee, which is
+    exact without a solve.  ``prune_rounds`` counts the support reductions the
     final polish made, or 1 if a solve stopped on the bound dropped columns
     below PRUNE_EPS on the way out.  ``achieved_distortion`` is E[d] at the
     point.
@@ -570,7 +574,9 @@ def rd_at_distortion(problem: SourceProblem, d: Finite, tol: Positive = _DEFAULT
         d: target expected distortion, within [D_min, D_max].
         tol: the achieved distortion lies within tol of d.  The exclusion
             certificate uses min(1e-10, tol / 100).
-        max_iter: iteration budget of the one solve.
+        max_iter: iteration budget of the one solve.  The last iterate of
+            the budget is checked against the certificate tol, also at
+            max_iter = 1, where no polish is tried.
 
     Returns:
         RdPoint with rate, slope, forward and reverse channels on kept

@@ -16,7 +16,6 @@ prefix losslessly, say nothing about the rest.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Annotated
@@ -325,16 +324,15 @@ def _prefix_length(h: float, d: float, n: int) -> int:
     return int(round(n * (h - d) / h))
 
 
-# The sampler holds at most this many samples at once.  It must be at least
-# numpy's 128-element pairwise block, below which numpy's sum is not pairwise.
-_LEAF = 1 << 16
+# The sampler holds at most this many samples at once.
+_CHUNK = 1 << 15
 # Buckets of the symbol table over [0, 1).  A power of two, so the bucket
 # holding a sample is the top bits of its raw 64-bit draw.
 _BUCKETS = 4096
 
 
 def _cost_sampler(p: np.ndarray, rng: np.random.Generator):
-    """Return draw(m): the code lengths of the next m <= _LEAF samples.
+    """Return draw(m): the code lengths of the next m <= _CHUNK samples.
 
     Each call returns a view of one reused buffer, valid until the next call.
 
@@ -365,8 +363,8 @@ def _cost_sampler(p: np.ndarray, rng: np.random.Generator):
     bucket_cost[cdf.searchsorted(lo + 1.0 / _BUCKETS, side="left") > first] = -1.0
 
     bucket_shift = 64 - (_BUCKETS.bit_length() - 1)  # the top log2(_BUCKETS) bits
-    bucket = np.empty(_LEAF, dtype=np.intp)
-    lengths = np.empty(_LEAF)
+    bucket = np.empty(_CHUNK, dtype=np.intp)
+    lengths = np.empty(_CHUNK)
 
     def draw(m: int) -> float:
         raw = rng.bit_generator.random_raw(m)
@@ -380,114 +378,57 @@ def _cost_sampler(p: np.ndarray, rng: np.random.Generator):
     return draw
 
 
-def _pairwise_total(leaf, m: int) -> float:
-    """Sum of the next m code lengths, added as one numpy sum over them adds.
-
-    ``leaf(j)`` returns the sum of the next j <= ``_LEAF`` code lengths.
-    ``np.add.reduce`` on a contiguous float64 array runs numpy's
-    ``pairwise_sum`` (numpy/_core/src/umath/loops_utils.h.src): a run of
-    more than 128 values splits at ``m//2 - (m//2) % 8`` and adds the two
-    halves' sums.  Recursing on the same split down to leaves of at most
-    ``_LEAF`` samples, each reduced by numpy, adds every float in the same
-    order as the one call.
-    """
-    if m <= _LEAF:
-        return leaf(m)
-    half = m // 2
-    half -= half % 8
-    return _pairwise_total(leaf, half) + _pairwise_total(leaf, m - half)
-
-
-def _leaf_sums(draw, ends: list[list[int]], start: int, stop: int) -> list[list]:
-    """For each prefix's leaf ends, the sums of its leaves over samples [start, stop).
-
-    ``draw`` gives the samples from ``start`` on.  They are drawn in pieces
-    between consecutive leaf edges of all the prefixes.  A piece that is a
-    whole leaf is reduced where it lies, so one prefix does exactly
-    ``_pairwise_total``'s work; a leaf of several pieces is gathered into its
-    prefix's buffer of ``_LEAF`` floats and reduced once complete.  A leaf
-    that ``start`` or ``stop`` cuts is not reduced: its entry is its run of
-    floats inside [start, stop).
-    """
-    edges = sorted({e for leaf_ends in ends for e in leaf_ends if start < e < stop} | {stop})
-    # (leaf ends, index of the first leaf ending after start, leaf sums, buffer) of each prefix
-    plans = [(leaf_ends, bisect.bisect_right(leaf_ends, start), [], np.empty(_LEAF))
-             for leaf_ends in ends]
-    for a, b in zip([start] + edges, edges):
-        piece = draw(b - a)
-        for leaf_ends, first, sums, buf in plans:
-            # The prefix's current leaf is [lo, hi), which holds [a, b).
-            i = first + len(sums)
-            lo, hi = leaf_ends[i - 1] if i else 0, leaf_ends[i]
-            if lo < a or hi > b:
-                buf[a - lo:b - lo] = piece
-            if hi == b:
-                if lo == a:
-                    sums.append(np.add.reduce(piece))
-                elif lo >= start:
-                    sums.append(np.add.reduce(buf[:hi - lo]))
-                else:  # start cuts the leaf; its run is copied, as buf takes later leaves
-                    sums.append(buf[start - lo:hi - lo].copy())
-    for leaf_ends, first, sums, buf in plans:
-        i = first + len(sums)
-        lo = leaf_ends[i - 1] if i else 0
-        if lo < stop:  # a leaf still open at stop
-            sums.append(buf[max(lo, start) - lo:stop - lo])
-    return [sums for _, _, sums, _ in plans]
-
-
 def _timeshare(px: Pmf, targets: list[tuple[str, float]], n: int,
                seed: int) -> list[TimeshareReport]:
     """One report per (argument name, target) on the block of (seed, n).
 
     Each target's feasibility, under its argument name, and the guard are
-    checked before any draw.  The block is split at s, the leaf edge of all
-    the prefixes nearest n/2, when each part holds a whole ``_LEAF``: the
-    caller draws [0, s) while one worker thread draws [s, n) from the same
-    PCG64 stream advanced by s.  A leaf that s cuts is reduced once, over its
-    two runs joined, so every sum is the serial one bit for bit.
+    checked before any draw.  The block is drawn in chunks of ``_CHUNK``
+    samples on a grid from sample 0, and each chunk is reduced once by numpy;
+    a target whose prefix ends inside a chunk reduces the chunk's two runs
+    instead.  A report's sums are ``math.fsum`` of its chunk sums, exactly
+    rounded, so they hang neither on the order the chunks come in nor on
+    how the block is split.  The block is split at s, the chunk edge nearest
+    n/2, when each part holds two chunks: the caller draws [0, s) while one
+    worker thread draws [s, n) from the same PCG64 stream advanced by s.
     """
     h = entropy(px)
     ds = [_clamp_target(name, d, 0.0, h) for name, d in targets]
     # Each target sums all n code lengths, though the block is drawn once.
     _check_work(len(targets) * n, "samples", _SAMPLE_GUARD)
     ks = [_prefix_length(h, d, n) for d in ds]
-    # Prefix k's leaves are those _pairwise_total reduces over [0, k), then
-    # [k, n), less any of length 0.
-    ends = []
-    for k in ks:
-        sizes = []
-        for m in (k, n - k):  # record the leaf lengths, summing nothing
-            _pairwise_total(lambda j: sizes.append(j) or 0.0, m)
-        ends.append(sorted(set(np.cumsum(sizes).tolist()) - {0}))
-    s = min(sorted(set().union(*ends)), key=lambda e: abs(2 * e - n))
-    if min(s, n - s) < _LEAF:
+    s = (n + _CHUNK) // (2 * _CHUNK) * _CHUNK  # the chunk edge nearest n/2
+    if min(s, n - s) < 2 * _CHUNK:
         s = n
 
-    def part(start: int, stop: int) -> list[list]:
-        rng = np.random.Generator(np.random.PCG64(seed).advance(start))
-        return _leaf_sums(_cost_sampler(px.probs, rng), ends, start, stop)
+    # Each target's (prefix, rest) chunk sums; both parts append to them, in any order.
+    sums = [([], []) for _ in ks]
+
+    def part(start: int, stop: int) -> None:
+        draw = _cost_sampler(px.probs, np.random.Generator(np.random.PCG64(seed).advance(start)))
+        for a in range(start, stop, _CHUNK):
+            b = min(a + _CHUNK, stop)
+            lengths = draw(b - a)
+            whole = np.add.reduce(lengths)
+            for k, (prefix, rest) in zip(ks, sums):
+                if a < k < b:
+                    prefix.append(np.add.reduce(lengths[:k - a]))
+                    rest.append(np.add.reduce(lengths[k - a:]))
+                else:
+                    (prefix if b <= k else rest).append(whole)
 
     if s < n:
         # Imported here: concurrent.futures imports logging, ~5 ms on every start-up.
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(1) as pool:  # leaving the block joins the worker
             future = pool.submit(part, s, n)
-            heads = part(0, s)
-        tails = future.result()
+            part(0, s)
+        future.result()  # raises the worker's error
     else:
-        heads, tails = part(0, n), [[] for _ in ks]
-    reports = []
-    for k, leaf_ends, head, tail in zip(ks, ends, heads, tails):
-        if s not in leaf_ends:  # s cuts a leaf; each part holds one run of it
-            head[-1] = np.add.reduce(np.concatenate((head[-1], tail.pop(0))))
-        # A run of length 0, the prefix at k = 0 or the rest at k = n, adds 0.0.
-        take = iter(head + tail).__next__
-        prefix = _pairwise_total(lambda j: take() if j else 0.0, k)
-        rest = _pairwise_total(lambda j: take() if j else 0.0, n - k)
-        reports.append(TimeshareReport(n=n, lossless_prefix=k, empirical_loss=float(rest) / n,
-                                       ideal_rate=float(prefix) / n, seed=seed))
-    return reports
+        part(0, n)
+    return [TimeshareReport(n=n, lossless_prefix=k, empirical_loss=math.fsum(rest) / n,
+                            ideal_rate=math.fsum(prefix) / n, seed=seed)
+            for k, (prefix, rest) in zip(ks, sums)]
 
 
 @_checked
@@ -496,17 +437,20 @@ def timeshare_simulate(px: Pmf, d: Finite, n: Count, seed: Seed) -> TimeshareRep
 
     The first k = round(n (H - D) / H) symbols are described exactly (the
     decoder's reproduction is a point mass, loss 0) and the rest not at all
-    (reproduction px, loss -ln px(x)).  The sample stream and both sums equal
-    those of one ``numpy.random.default_rng(seed).choice(px.n, n, p=px.probs)``
-    call, summed with numpy over the prefix and over the rest, but the block
-    is sampled in pieces of bounded size, so memory does not grow with n: it
-    is the leaves of at most two samplers, of 2^16 samples each.  When the
-    leaf edge s nearest n/2 leaves a whole leaf on each side, the block is
-    drawn in two parts at once: the calling thread draws samples [0, s) and
-    one worker thread draws [s, n) from ``numpy.random.PCG64(seed)``
-    advanced by s.  The worker is joined before the call returns, and an
-    exception it raises is raised here.  Blocks are reproducible given
-    (seed, n), and the two-decoder variant sees the same sample.
+    (reproduction px, loss -ln px(x)).  The sample stream is that of one
+    ``numpy.random.default_rng(seed).choice(px.n, n, p=px.probs)`` call, but
+    the block is drawn in chunks of 2^15 samples on a grid from sample 0, so
+    memory does not grow with n: it is the chunks of at most two samplers.
+    Each chunk is summed with numpy, over its two runs where the prefix ends
+    inside it, and each of the two sums is ``math.fsum`` of its chunk sums,
+    divided by n, so no split of the block moves it; it can differ from
+    numpy's one sum over the same lengths in the last bits.  When the chunk
+    edge s nearest n/2 leaves two chunks on each side, the block is drawn in
+    two parts at once: the calling thread draws samples [0, s) and one
+    worker thread draws [s, n) from ``numpy.random.PCG64(seed)`` advanced by
+    s.  The worker is joined before the call returns, and an exception it
+    raises is raised here.  Blocks are reproducible given (seed, n), and the
+    two-decoder variant sees the same sample.
 
     Raises:
         ValidationError: n not an integer >= 1, d not a finite real, or seed
@@ -523,12 +467,12 @@ def timeshare_two_decoders(px: Pmf, d1: Finite, d2: Finite, n: Count,
     """One encoding, two decoders: the coarse one reads a shorter prefix.
 
     Requires d2 <= d1 so the coarse prefix is a prefix of the fine one.  The
-    block is drawn once for both decoders; it depends only on (seed, n), so
-    each report equals the single-decoder simulation at its own distortion.
-    It is split as ``timeshare_simulate`` splits it, at the leaf edge of
-    either decoder's sums nearest n/2; a leaf of the other decoder that the
-    split cuts is reduced once, over its two runs joined.  Memory is the two
-    samplers' leaves, plus one leaf buffer per decoder in each part.
+    block is drawn once for both decoders, on the chunks and the split of
+    ``timeshare_simulate``; each chunk is summed once for both, and again
+    over its two runs for a decoder whose prefix ends inside it.  The sums
+    are exactly rounded sums of chunk sums, so each report equals the
+    single-decoder simulation at its own distortion.  Memory is the two
+    samplers' chunks.
 
     Raises:
         ValidationError: d1 or d2 not a finite real, d2 above d1 by over

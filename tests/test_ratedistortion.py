@@ -189,18 +189,20 @@ class TestRdAtDistortion:
     def test_smallest_budget_is_accepted(self):
         point = rd_at_distortion(binary_hamming(), 0.1, max_iter=np.int64(2))
         assert point.diagnostics.ba_iterations == 2
-        # The refusal carries the last iterate's duality gap.  On binary
-        # Hamming the uniform first iterate is already optimal, so that gap
-        # is rounding; on SKEW3 it is far above the certificate tol.
-        with pytest.raises(ConvergenceError) as err:
-            rd_at_distortion(binary_hamming(), 0.1, max_iter=1)
-        gap = err.value.gap
-        assert gap is not None and math.isfinite(gap)
-        assert f"duality gap {gap:.3e}" in str(err.value)
+        # On binary Hamming the uniform first iterate is already optimal: a
+        # budget of one iteration ends on its duality gap, which is rounding.
+        point = rd_at_distortion(binary_hamming(), 0.1, max_iter=1)
+        assert point.diagnostics.ba_iterations == 1
+        assert point.rate == pytest.approx(LN2 - h_b(0.1), abs=1e-14)
+        assert verify_csiszar_identity(binary_hamming(), point) <= 1e-12
+        # On SKEW3 the first iterate is far from R(D), so the budget runs
+        # out, and the refusal carries that iterate's duality gap.
         skew3 = SourceProblem(px=Pmf([0.5, 0.3, 0.2]), distortion=hamming_distortion(3))
         with pytest.raises(ConvergenceError) as err:
             rd_at_distortion(skew3, 0.2, max_iter=1)
-        assert err.value.gap > 1e-10
+        gap = err.value.gap
+        assert gap > 1e-10
+        assert f"duality gap {gap:.3e}" in str(err.value)
 
     def test_forward_rows_are_pmfs(self):
         prob = random_problem(np.random.default_rng(12), 4, 6)
