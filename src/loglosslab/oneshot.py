@@ -48,7 +48,7 @@ __all__ = [
 # The costs at each limit are from a 2-core machine.
 #
 # Encoders in solve_avg_oracle, the one search that lists codes: 5^10
-# encoders take 1.1-1.4 s.
+# encoders against 5 columns take 0.8-1.0 s.
 _CODE_ENUM_GUARD = 10_000_000
 # Cost entries read by the one pass over sets of kept columns that both
 # equivalence checks make: C(k, t) * r * t over the sets of t columns, for
@@ -141,56 +141,41 @@ def expected_distortion(problem: SourceProblem, code: OneShotCode) -> float:
                      for x in range(problem.n_source)))
 
 
-def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
-    """Yield (ordinals, sums) blocks over the canonical labelings of the symbols.
+def _cell_sum_blocks(weights: np.ndarray, n_cells: int):
+    """Yield (first, sums) blocks of consecutive labelings of the symbols, one per kept head.
 
-    Row n of a block is the labeling of ordinal ``ordinals[n]`` in
-    itertools.product order, and the rows of all blocks come in that order.
+    Row n of a block is the labeling of ordinal ``first + n`` in
+    itertools.product order, and the blocks come in that order.
     ``sums[n, m]`` adds ``weights[x]`` over the symbols x that the labeling
     puts in cell m, in increasing x from zero, so every float is formed as
     a loop over x forms it.
 
-    Only canonical labelings are visited: those whose first symbol in cell
-    0 or 1 is in cell 0, and those with no symbol in either.  A cell's sum
-    depends only on its set of symbols, whatever the cell's label, so
-    swapping cells 0 and 1 swaps two rows of sums, and a cost that adds
-    cell 0's and cell 1's terms first is the same float for a labeling and
-    its swap: rounded addition is commutative.  The swap takes every other
-    labeling to a canonical one that precedes it in product order, so the
-    first optimum is canonical.  That is (n_cells**r + (n_cells - 2)**r) / 2
-    labelings with two or more cells, and all of them with one.
+    Each block is one head (a labeling of the first r - t symbols) against
+    every labeling of the other t.  The tail length t is the largest with
+    n_cells**t <= max(_BLOCK_ENTRIES // (n_cells * weights[0].size), 1), so
+    no block holds more codes than that; with one cell a tail symbol adds
+    no rows, so the tail stays empty.  A head whose first label below 2 is
+    1 is skipped.  A cell's sum depends only on its set of symbols, whatever
+    the cell's label, so swapping cells 0 and 1 swaps two rows of sums, and
+    a cost that adds cell 0's and cell 1's terms first is the same float
+    for a labeling and its swap: rounded addition is commutative.  The swap
+    takes each labeling of a skipped head to one of a kept head that
+    precedes it in product order, so the first optimum is a row.
 
-    Each block is one head (a labeling of the first symbols) against the
-    labelings of the rest.  The tail length t is the largest with
-    n_cells**t <= max(_BLOCK_ENTRIES // row_entries, 1), so no block holds
-    more codes than that; with one cell a tail symbol adds no rows, so the
-    tail stays empty.  A head whose first label below 2 is 0 takes every
-    tail, one whose first such label is 1 is skipped, and one with no such
-    label takes the canonical tails.
-
-    A head's sums are formed over every tail, in which tail symbol i is
+    A head's sums are formed over its tails, in which tail symbol i is
     digit i of the row index in product order, so ``sums`` viewed as
     ``(n_cells,) * t + (n_cells, ...)`` takes tail symbol i's weight in
     cell m as one strided add over the rows whose digit i is m.
     """
     r = len(weights)
-    budget = max(_BLOCK_ENTRIES // row_entries, 1)
+    budget = max(_BLOCK_ENTRIES // (n_cells * weights[0].size), 1)
     t = 0
     while t < r and 1 < n_cells ** (t + 1) <= budget:
         t += 1
     head = r - t
     rows = n_cells ** t
-    every_tail = np.arange(rows)
-    # The canonical tails of each length, in order: those led by 0, then
-    # each label from 2 up before a canonical tail one shorter.
-    canonical_tails = np.zeros(1, dtype=np.intp)
-    for length in range(t):
-        size = n_cells ** length
-        canonical_tails = np.concatenate(
-            [every_tail[:size]] + [m * size + canonical_tails for m in range(2, n_cells)])
     for block, prefix in enumerate(itertools.product(range(n_cells), repeat=head)):
-        low = next((m for m in prefix if m < 2), None)
-        if low == 1:
+        if next((m for m in prefix if m < 2), 0) == 1:
             continue
         # add.at is unbuffered and applies the head's weights in index
         # order, as the loop over x does.
@@ -203,10 +188,7 @@ def _cell_sum_blocks(weights: np.ndarray, n_cells: int, row_entries: int):
                 at = [slice(None)] * t + [m]  # cell m ...
                 at[i] = m  # ... of the rows whose digit i is m
                 digits[tuple(at)] += weights[head + i]
-        if low is None:
-            yield block * rows + canonical_tails, sums[canonical_tails]
-        else:
-            yield block * rows + every_tail, sums
+        yield block * rows, sums
 
 
 def _subset_code(problem: SourceProblem, subset: tuple[int, ...]) -> OneShotCode:
@@ -249,10 +231,14 @@ def solve_avg(problem: SourceProblem, n_messages: Count) -> tuple[OneShotCode, f
 def solve_avg_oracle(problem: SourceProblem, n_messages: Count) -> float:
     """Brute-force check of solve_avg: enumerate every encoder map.
 
-    For each of the M^r encoders the best decoder picks, per message, the
-    column minimizing that cell's expected distortion.  Guarded at
-    M^r <= 10^7.  The winner is re-evaluated through the shared evaluator,
-    so agreement with solve_avg is bitwise when the optimum is unique.
+    For each encoder the best decoder picks, per message, the column
+    minimizing that cell's expected distortion.  The encoders come in
+    itertools.product order, less those of the heads that
+    _cell_sum_blocks skips, whose swaps of messages 0 and 1 come earlier
+    at the same cost; the winner's ordinal is its block's ``first`` plus
+    its row.  Guarded at M^r <= 10^7.  The winner is re-evaluated through
+    the shared evaluator, so agreement with solve_avg is bitwise when the
+    optimum is unique.
     """
     r = problem.n_source
     _check_work(n_messages ** r, "encoders", _CODE_ENUM_GUARD)
@@ -264,8 +250,7 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: Count) -> float:
     # column 0, as if skipped.
     best = math.inf
     best_code: OneShotCode | None = None
-    for ordinals, sums in _cell_sum_blocks(weighted, n_messages,
-                                           n_messages * problem.n_reconstruction):
+    for first, sums in _cell_sum_blocks(weighted, n_messages):
         # Each cell's least cost over the columns, as elementwise passes (a
         # minimum is exact, and no cost is NaN or -0.0, so this is
         # sums.min(axis=-1) bit for bit), then the nested sum over the cells,
@@ -277,7 +262,7 @@ def solve_avg_oracle(problem: SourceProblem, n_messages: Count) -> float:
         if cost[i] < best:
             best = float(cost[i])
             # Digit x of the ordinal, most significant first, is encoder[x].
-            encoder = tuple(int(ordinals[i]) // n_messages ** (r - 1 - x) % n_messages
+            encoder = tuple((first + i) // n_messages ** (r - 1 - x) % n_messages
                             for x in range(r))
             best_code = OneShotCode(n_messages=n_messages, encoder=encoder,
                                     decoder=tuple(sums[i].argmin(axis=1).tolist()))

@@ -31,11 +31,6 @@ from typing import Annotated
 
 import numpy as np
 
-try:
-    from numpy.linalg import _umath_linalg
-except ImportError:  # a numpy without the private module: use np.linalg.lstsq
-    _umath_linalg = None
-
 from .errors import (Array, ConvergenceError, Count, Finite, Int, NonNegative, Positive, Real,
                      Seq, ValidationError, _check_fields, _checked, _clamp_target, _require_size)
 from .probability import (
@@ -87,10 +82,10 @@ _POLISH_RESIDUAL = 1e-13
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # The LAPACK least-squares gufunc behind np.linalg.lstsq (numpy >= 2.0), or
-# None where numpy has no gufunc of this form.
-_LSTSQ = getattr(_umath_linalg, "lstsq", None)
-if getattr(_LSTSQ, "signature", None) != "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)":
-    _LSTSQ = None
+# None where numpy has no gufunc of this form: _lstsq then calls lstsq.
+_LSTSQ = getattr(getattr(np.linalg, "_umath_linalg", None), "lstsq", None)
+_LSTSQ = (_LSTSQ if getattr(_LSTSQ, "signature", None)
+          == "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)" else None)
 
 
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,10 +14,8 @@ headers (``try:``).  Only the standard library is used; pytest does not
 collect this file.
 
 CI runs it as a gate over the whole suite with ``-k "not TestScale"``: the
-step fails if it lists any statement, in any module, but three, matched by
-their text: ``ratedistortion.py``'s two numpy import fallbacks
-(``_umath_linalg = None`` and ``_LSTSQ = None``) and its "a forward row
-vanished" raise.
+step fails if it lists any statement, in any module, but one, matched by
+its text: ``ratedistortion.py``'s "a forward row vanished" raise.
 Tracing slows the suite (the full suite takes about twice as long) and adds
 allocations of its own, so time and held-bytes bounds, such as those of the
 ``TestScale`` classes, may fail under it; hence that exclusion.  The exit

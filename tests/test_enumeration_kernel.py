@@ -727,37 +727,39 @@ def is_canonical(code) -> bool:
     return next((m for m in code if m < 2), 0) == 0
 
 
-def canonical_ordinals(r, n_cells) -> list:
-    return [n for n, code in enumerate(itertools.product(range(n_cells), repeat=r))
-            if is_canonical(code)]
+def swapped(code) -> tuple:
+    """The code with labels 0 and 1 exchanged."""
+    return tuple({0: 1, 1: 0}.get(m, m) for m in code)
 
 
-def check_ordinals(blocks, r, n_cells, row_entries):
-    """Check that the blocks' rows are the canonical codes in order, one head each.
+def check_blocks(blocks, r, n_cells, row_entries):
+    """Check that each block is every tail of one canonical head, in order; return the ordinals.
 
-    A head is a run of n_cells**t ordinals, for the largest tail length t
-    within the budget.  Each head holding a canonical code makes one block,
-    of its canonical codes.  Returns n_cells**t.
+    A head labels the first r - t symbols, for the largest tail length t
+    with n_cells**t within the budget (none with one cell).  Each canonical
+    head, in product order, makes one block of n_cells**t rows that run
+    consecutively from ``first``.  Returns the rows' ordinals in order.
     """
     budget = max(oneshot._BLOCK_ENTRIES // row_entries, 1)
-    rows = max(n_cells ** t for t in range(r + 1) if n_cells ** t <= budget)
-    want = canonical_ordinals(r, n_cells)
-    assert np.concatenate([ordinals for ordinals, _ in blocks]).tolist() == want
-    assert [len(sums) for _, sums in blocks] == [len(ordinals) for ordinals, _ in blocks]
-    assert [set((ordinals // rows).tolist()) for ordinals, _ in blocks] \
-        == [{head} for head in sorted({n // rows for n in want})]
-    return rows
+    t = max(t for t in range(r + 1) if n_cells ** t <= budget) if n_cells > 1 else 0
+    rows = n_cells ** t
+    heads = itertools.product(range(n_cells), repeat=r - t)
+    assert [first for first, _ in blocks] \
+        == [n * rows for n, head in enumerate(heads) if is_canonical(head)]
+    assert [len(sums) for _, sums in blocks] == [rows] * len(blocks)
+    return [first + i for first, _ in blocks for i in range(rows)]
 
 
-def kernel_codes(r, n_cells, row_entries):
-    """The code of each row, read from the kernel's sums of one-hot weights.
+def kernel_codes(r, n_cells):
+    """The code of each row, read from the kernel's sums of one-hot weights, and its ordinal.
 
     With weights[x] the x-th unit vector, sums[n, m, x] is 1.0 exactly when
     row n puts symbol x in cell m.
     """
-    blocks = list(oneshot._cell_sum_blocks(np.eye(r), n_cells, row_entries))
-    check_ordinals(blocks, r, n_cells, row_entries)
-    return np.vstack([sums.argmax(axis=1) for _, sums in blocks])
+    blocks = list(oneshot._cell_sum_blocks(np.eye(r), n_cells))
+    ordinals = check_blocks(blocks, r, n_cells, n_cells * r)
+    codes = np.vstack([sums.argmax(axis=1) for _, sums in blocks])
+    return [tuple(code) for code in codes.tolist()], ordinals
 
 
 # px = (5, 4, 3, 2, 1) / 15 against four random columns at M = 3: the
@@ -767,29 +769,30 @@ ASYMMETRIC = SourceProblem(px=_normalized([5, 4, 3, 2, 1]),
 
 
 class TestEnumerationOrder:
-    @pytest.mark.parametrize("entries", [1, 5, 64, oneshot._BLOCK_ENTRIES])
-    def test_encoders_in_product_order(self, entries):
-        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
-            codes = kernel_codes(5, 3, 3)
-        assert codes.tolist() == [list(e) for e in itertools.product(range(3), repeat=5)
-                                  if is_canonical(e)]
+    # A budget of `per_block` rows per block: each row holds n_cells * r sums.
+    @pytest.mark.parametrize("per_block", [1, 5, 64, oneshot._BLOCK_ENTRIES])
+    def test_encoders_in_product_order(self, per_block):
+        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", per_block * 3 * 5):
+            codes, ordinals = kernel_codes(5, 3)
+        every = list(itertools.product(range(3), repeat=5))
+        assert codes == [every[n] for n in ordinals]
 
     @pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("entries", [1, 7, oneshot._BLOCK_ENTRIES])
-    def test_rows_and_their_swaps_are_every_code_once(self, n_cells, r, entries):
+    @pytest.mark.parametrize("per_block", [1, 7, oneshot._BLOCK_ENTRIES])
+    def test_rows_hold_every_canonical_code_and_an_earlier_swap_of_the_rest(
+            self, n_cells, r, per_block):
         # n_cells > r included: then some codes leave cells empty.
-        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
-            codes = [tuple(code) for code in kernel_codes(r, n_cells, n_cells).tolist()]
-        assert codes == sorted(codes)
-        images = [tuple({0: 1, 1: 0}.get(m, m) for m in code) for code in codes] \
-            if n_cells > 1 else []
-        every = itertools.product(range(n_cells), repeat=r)
-        assert sorted(set(codes) | set(images)) == list(every)
-        # Only the codes the swap fixes, those with no label below 2 (or
-        # the one code with one cell), are rows together with their swap.
-        fixed = (n_cells - 2) ** r if n_cells > 1 else 1
-        assert len(codes) == (n_cells ** r + fixed) // 2
+        with mock.patch.object(oneshot, "_BLOCK_ENTRIES", per_block * n_cells * r):
+            codes, ordinals = kernel_codes(r, n_cells)
+        every = list(itertools.product(range(n_cells), repeat=r))
+        assert codes == [every[n] for n in ordinals]
+        rows = set(codes)
+        assert {code for code in every if is_canonical(code)} <= rows
+        # A skipped code's swap, which costs the same, is a row before it.
+        for code in every:
+            if code not in rows:
+                assert swapped(code) in rows and swapped(code) < code
 
     @pytest.mark.parametrize("entries", [1, 5, 64, oneshot._BLOCK_ENTRIES])
     def test_oracle_decodes_its_winner(self, entries):
@@ -831,22 +834,22 @@ SIGNED_WEIGHTS = np.array([[0.25, -0.0, np.inf],
 
 class TestCellSums:
     # Budgets giving every tail length from t = 0 (one head per code) to
-    # t = r (one block).  The kernel's rows are the reference's rows of the
-    # canonical codes.
+    # t = r (one block).  The kernel's rows are the reference's rows of
+    # their ordinals.
     @pytest.mark.parametrize("n_cells", [1, 2, 3])
     @pytest.mark.parametrize("r", [1, 3, 5])
     def test_signed_zeros_and_inf_match_the_loop(self, n_cells, r):
         weights = SIGNED_WEIGHTS[:r]
         row_entries = n_cells * weights.shape[1]
-        want = reference_cell_sums(weights, n_cells)[canonical_ordinals(r, n_cells)]
+        every = reference_cell_sums(weights, n_cells)
         tails = set()
         for t in range(r + 1):
-            entries = n_cells ** t * row_entries
-            with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
-                blocks = list(oneshot._cell_sum_blocks(weights, n_cells, row_entries))
-                tails.add(check_ordinals(blocks, r, n_cells, row_entries))
+            with mock.patch.object(oneshot, "_BLOCK_ENTRIES", n_cells ** t * row_entries):
+                blocks = list(oneshot._cell_sum_blocks(weights, n_cells))
+                ordinals = check_blocks(blocks, r, n_cells, row_entries)
+            tails.add(len(blocks[0][1]))
             got = np.concatenate([sums for _, sums in blocks])
-            assert hex_entries(got) == hex_entries(want)
+            assert hex_entries(got) == hex_entries(every[ordinals])
         assert tails == {n_cells ** t for t in range(r + 1)}
 
     @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3), block_entries,
@@ -857,10 +860,10 @@ class TestCellSums:
         weights = rng.choice([0.0, -0.0, np.inf, 0.1, 0.7, 1 / 3], (r, cols)) \
             * rng.uniform(0.5, 2.0, (r, cols))
         with mock.patch.object(oneshot, "_BLOCK_ENTRIES", entries):
-            blocks = list(oneshot._cell_sum_blocks(weights, n_cells, n_cells * cols))
-            check_ordinals(blocks, r, n_cells, n_cells * cols)
+            blocks = list(oneshot._cell_sum_blocks(weights, n_cells))
+            ordinals = check_blocks(blocks, r, n_cells, n_cells * cols)
         got = np.concatenate([sums for _, sums in blocks])
-        want = reference_cell_sums(weights, n_cells)[canonical_ordinals(r, n_cells)]
+        want = reference_cell_sums(weights, n_cells)[ordinals]
         assert hex_entries(got) == hex_entries(want)
 
 

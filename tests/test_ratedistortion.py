@@ -411,6 +411,16 @@ class TestHammingClosedForm:
         assert 1.2e-6 < unresolved.min()
         assert max(got[1], got[4], closed[1], closed[4]) < unresolved.min()
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: columns 1 and 4 are symmetric, but the solve keeps (0, 1, 2, 3), "
+        "with column 1 at 5.9e-7, a mass its scores cannot resolve; at D +- 1e-12 it "
+        "keeps (0, 2, 3)"))
+    def test_symmetric_columns_are_kept_alike(self):
+        px = np.array([1.0, 0.99999, 1.0, 1.0, 0.99999])
+        problem = SourceProblem(px=Pmf(px / px.sum()), distortion=hamming_distortion(5))
+        point = rd_at_distortion(problem, 0.7999951999807999, tol=1e-10)
+        assert (1 in point.kept_columns) == (4 in point.kept_columns), point.kept_columns
+
     def test_skewed_support_changes(self):
         # px = (.4, .3, .2, .1): the lightest column leaves at D = 0.3
         # (slope ln 7), the next at D = 0.5.  Just below each, the leaving
